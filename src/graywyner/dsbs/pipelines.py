@@ -32,8 +32,7 @@ measured rates improve with block length.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,7 +50,7 @@ from ..polar import (
     sc_lossy_reconstruct,
     test_channel_source,
 )
-from ..rates import RateTriple
+from ..rates import RateTriple, RunRecord, check_replay
 from .model import (
     DsbsModel,
     DsbsRegion,
@@ -136,37 +135,6 @@ class MarginPolicy:
         return margin * (self.reference_len / block_len) ** self.scale_exponent
 
 
-@dataclass(frozen=True)
-class PipelineRun:
-    """Per-block measurements plus closed-form targets for one seed."""
-
-    point_label: str
-    block_len: int
-    seed: int
-    region: Optional[str]
-    theory: RateTriple
-    theory_ci: Optional[float]
-    target_dx: float
-    target_dy: float
-    r0: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    dist_x: np.ndarray
-    dist_y: np.ndarray
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.r0)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.r0 + self.r1 + self.r2
-
-    def mean_triple(self) -> RateTriple:
-        return RateTriple(float(self.r0.mean()), float(self.r1.mean()),
-                          float(self.r2.mean()))
-
-
 @dataclass
 class _Stages:
     """Construction context shared by the stage helpers."""
@@ -201,8 +169,7 @@ class _Stages:
                                          shared_seed=self.seed, level=level)
         replay = sc_lossy_reconstruct(payload, channel, profile,
                                       shared_seed=self.seed, level=level)
-        if not np.array_equal(replay, recon):
-            raise AssertionError("decoder replay diverged from encoder reconstruction")
+        check_replay(replay, recon, "lossy replay")
         return profile.payload_fraction, recon
 
     def lossless(self, bits, channel, margin, side=None):
@@ -213,8 +180,7 @@ class _Stages:
         code = sc_lossless_encode(bits, channel, profile,
                                   stored_fraction=min(stored, 1.0), side=side)
         decoded = sc_lossless_decode(code, channel, profile, side=side)
-        if not np.array_equal(decoded, bits):
-            raise AssertionError("lossless branch failed to reconstruct exactly")
+        check_replay(decoded, bits, "lossless branch")
         return code.rate_per_block(self.block_len)
 
 
@@ -225,7 +191,7 @@ def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                       n_blocks: int = 10, margins: MarginPolicy = MarginPolicy(),
                       cache_dir=None, sample_count: int = 256,
-                      construction_seed: int = 11) -> PipelineRun:
+                      construction_seed: int = 11) -> RunRecord:
     """Run one operating point for one seed over a batch of source blocks."""
     stages = _Stages(model, block_len, seed, margins, cache_dir,
                      sample_count, construction_seed)
@@ -238,7 +204,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
         residual_rate = stages.lossless(x ^ y, lossless_source(model.a0),
                                         margins.plain_lossless)
         theory = RateTriple(1.0, 0.0, binary_entropy(model.a0))
-        return PipelineRun(
+        return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
             region=None, theory=theory, theory_ci=model.wyner_ci(),
             target_dx=0.0, target_dy=0.0,
@@ -267,7 +233,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                              margins.side_lossless, side=w_hat)
         r2 = stages.lossless(y, crossover_side_info(cross_y),
                              margins.side_lossless, side=w_hat)
-        return PipelineRun(
+        return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
             region=None, theory=theory, theory_ci=model.wyner_ci(),
             target_dx=0.0, target_dy=0.0,
@@ -294,7 +260,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
         x_hat, y_hat = w_hat ^ vx, w_hat ^ vy
         rate = binary_entropy(model.a1) - binary_entropy(delta)
         theory = RateTriple(model.wyner_ci(), rate, rate)
-        return PipelineRun(
+        return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
             region=region.value, theory=theory,
             theory_ci=lossy_ci_dsbs(delta, delta, model),
@@ -311,7 +277,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
         r0_frac, w_hat = stages.quantize(channel, pair_observation(x, y),
                                          margins.coupled_cap, COMMON_LEVEL)
         theory = RateTriple(r_xy_dsbs(point.d1, point.d2, model), 0.0, 0.0)
-        return PipelineRun(
+        return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
             region=region.value, theory=theory,
             theory_ci=lossy_ci_dsbs(point.d1, point.d2, model),
@@ -336,7 +302,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
         r0_frac, w_hat = stages.quantize(channel, tight_src,
                                          margins.common_cap, COMMON_LEVEL)
         theory = RateTriple(r_xy_dsbs(point.d1, point.d2, model), 0.0, 0.0)
-        return PipelineRun(
+        return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
             region=region.value, theory=theory,
             theory_ci=lossy_ci_dsbs(point.d1, point.d2, model),

@@ -1,7 +1,7 @@
 """Correlated Gaussian sources: models, regions, reductions, pipelines."""
 
 from .lemmas import LemmaReport, verify_lemma
-from .pipelines import ExtractionRun, extract_common, refine_private_eps10
+from .pipelines import extract_common, refine_private_eps10
 from .model import (
     Eps2GaussianChannel,
     GaussianPairModel,
@@ -20,7 +20,6 @@ from .model import (
 
 __all__ = [
     "Eps2GaussianChannel",
-    "ExtractionRun",
     "GaussianPairModel",
     "GaussianRegion",
     "LGaussianModel",

@@ -27,8 +27,6 @@ pass rate_margin to trade reconstruction error for a hard budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from ..lattice import (
     mmse_params,
     plan_chain,
 )
-from ..rates import RateTriple
+from ..rates import RateTriple, RunRecord, check_replay
 from .model import (
     GaussianPairModel,
     GaussianRegion,
@@ -60,43 +58,6 @@ from .model import (
 # collide with the common one under a shared seed (each uses < 16 levels)
 REFINE_X_STREAM_BASE = 32
 REFINE_Y_STREAM_BASE = 48
-
-
-@dataclass(frozen=True)
-class ExtractionRun:
-    """Per-block measurements plus closed-form targets for one seed.
-
-    common, when present, holds the quantizer's reconstruction blocks so a
-    refinement stage can code residuals against exactly what the decoder
-    will see.
-    """
-
-    point_label: str
-    block_len: int
-    seed: int
-    region: Optional[str]
-    theory: RateTriple
-    theory_ci: Optional[float]
-    target_dx: float
-    target_dy: float
-    r0: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    dist_x: np.ndarray
-    dist_y: np.ndarray
-    common: Optional[np.ndarray] = None
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.r0)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.r0 + self.r1 + self.r2
-
-    def mean_triple(self) -> RateTriple:
-        return RateTriple(float(self.r0.mean()), float(self.r1.mean()),
-                          float(self.r2.mean()))
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,9 +79,7 @@ def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
                                        stream_base=stream_base)
     replay = lattice_reconstruct(payloads, code, shared_seed=seed,
                                  stream_base=stream_base)
-    if not np.array_equal(replay, recon):
-        raise RuntimeError(
-            "decoder replay diverged from the encoder reconstruction")
+    check_replay(replay, recon, "lattice replay")
     return np.full(samples.shape[0], code.total_rate), recon
 
 
@@ -128,7 +87,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
                    levels: int | None = None, target_flatness: float = 1e-3,
                    rate_margin: float | None = None, cache_dir=None,
                    sample_count: int = 256,
-                   construction_seed: int = 3) -> ExtractionRun:
+                   construction_seed: int = 3) -> RunRecord:
     """Extract the common description for one seed over a batch of blocks.
 
     target: a GaussianPairModel, an LGaussianModel, or a (d1, d2, model)
@@ -151,7 +110,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
         r0, w = _quantize_checked(red.combine(np.stack([x, y])), code, seed)
         ci = target.wyner_ci()
         base = 1.0 - target.rho
-        return ExtractionRun(
+        return RunRecord(
             point_label="COMMON", block_len=block_len, seed=seed,
             region=GaussianRegion.TINY_BOTH.value,
             theory=RateTriple(ci, 0.0, 0.0), theory_ci=ci,
@@ -167,7 +126,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
         ci = wyner_ci_L(target)
         per_coord = ((sources - w[None]) ** 2).mean(axis=(0, 2))
         base = 1.0 - target.rho
-        return ExtractionRun(
+        return RunRecord(
             point_label=f"COMMON_L{target.n_sources}", block_len=block_len,
             seed=seed, region=None,
             theory=RateTriple(ci, 0.0, 0.0), theory_ci=ci,
@@ -192,7 +151,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
         code = _build_code(red.mmse, block_len, **build)
         r0, w = _quantize_checked(red.combine(np.stack([x, y])), code, seed)
         rate = r_xy_gaussian(d1, d2, model)
-        return ExtractionRun(
+        return RunRecord(
             point_label="COUPLED", block_len=block_len, seed=seed,
             region=region.value,
             theory=RateTriple(rate, 0.0, 0.0),
@@ -214,7 +173,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
         dist_tight = _mse(tight, w)
         dist_loose = _mse(loose, model.rho * w)
         rate = r_xy_gaussian(d1, d2, model)
-        return ExtractionRun(
+        return RunRecord(
             point_label="LOPSIDED", block_len=block_len, seed=seed,
             region=region.value,
             theory=RateTriple(rate, 0.0, 0.0),
@@ -232,11 +191,11 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
 
 
 def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
-                         common_run: ExtractionRun, *,
+                         common_run: RunRecord, *,
                          target_flatness: float = 1e-3,
                          rate_margin: float | None = None, cache_dir=None,
                          sample_count: int = 256,
-                         construction_seed: int = 3) -> ExtractionRun:
+                         construction_seed: int = 3) -> RunRecord:
     """Add private refinements to a pair-route run for tiny-both targets.
 
     Regenerates the run's source blocks from its seed, quantizes each
@@ -278,7 +237,7 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
         dists.append(_mse(src, w + q))
         theory_rates.append(0.5 * math.log2(base / target_d))
 
-    return ExtractionRun(
+    return RunRecord(
         point_label="REFINED", block_len=block_len, seed=common_run.seed,
         region=region.value,
         theory=RateTriple(common_run.theory.r0, *theory_rates),

@@ -3,15 +3,15 @@
 A scaled integer lattice is refined into a binary partition chain
 s*Z > 2s*Z > ... > 2^r s*Z: bit l of a label picks one coset of the
 (l+1)-th lattice inside the l-th, so a point of the 2^r-point fundamental
-window is described by r bits, finest level first.  Quantization runs one
-polar code per level over a block of samples.  Conditioned on a sample the
-bit posterior comes from the Gaussian posterior over lattice points;
-conditioned on nothing it comes from the shaping prior.  The traversal
-engine then splits positions into payload bits, shared dither and
-prior-replayable bits exactly as in the binary pipelines, and randomized
-rounding on the posteriors simulates the backward channel of the
-quantization test: the reconstruction error approaches sigma_s^2 -
-sigma_r^2 per symbol.
+window is described by r bits, finest level first.  Each level is a polar
+code for a binary-input channel, so this module only supplies per-level
+evidence callables: the bit posterior given a sample (from the Gaussian
+posterior over lattice points) and given nothing (from the shaping prior),
+within the coset the finer bits fixed.  The polar layer's one construction,
+lossy encoder and lossy reconstruction run on them level by level, exactly
+as in the binary pipelines; randomized rounding on the posteriors simulates
+the backward channel of the quantization test, so the reconstruction error
+approaches sigma_s^2 - sigma_r^2 per symbol.
 
 The continuous model is a jointly Gaussian pair: the lattice point carries
 variance sigma_r^2 and the sample adds independent noise up to variance
@@ -35,29 +35,28 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import rng
 from ._fileio import atomic_write_text
 from .numerics import flatness_factor
-from .polar.coding import _dither_matrix, _rounding_matrix
+from .polar.coding import lossy_encode_from_evidence, lossy_reconstruct_from_evidence
 from .polar.profile import (
     CLASS_FROZEN_DETERMINISTIC,
     CLASS_FROZEN_RANDOM,
-    CLASS_INFO,
-    PolarProfile,
-    classify_indices,
-    load_profile,
-    profile_cache_key,
+    construct_from_evidence,
+    load_cached_profile,
     profile_path,
     save_profile,
 )
-from .polar.sc import chunked_batches, sc_traverse
-from .polar.transform import polar_transform
+# unused here since the levels run through the polar layer's shared core;
+# kept because perfbench/spans.py patches these names on this module
+from .polar.profile import load_profile  # noqa: F401
+from .polar.sc import sc_traverse  # noqa: F401
+from .polar.transform import polar_transform  # noqa: F401
 
-MULTILEVEL_CACHE_VERSION = 1
+MULTILEVEL_CACHE_VERSION = 2
 
 # dither/rounding substream indices start here; a pipeline running several
 # quantizers off one shared seed gives each its own base to keep them apart
@@ -305,6 +304,24 @@ def level_llr(chain: PartitionChainSpec, mmse: MmseParams, level: int,
             - _coset_log_weight(centers, sigma, offsets + step, stride))
 
 
+def _level_evidence(chain, mmse, level, finer, samples=None):
+    """(cond, prior) evidence callables of one level: coset posteriors of
+    block slices, offset by the (B, N) finer labels; samples feed cond only."""
+    step = chain.level_step(level)
+    offsets = chain.base_scale * finer.astype(float)
+    sigma = math.sqrt(mmse.sigma_tilde2)
+
+    def cond(start, stop):
+        return _coset_posteriors(mmse.alpha * samples[start:stop], sigma,
+                                 offsets[start:stop], step)
+
+    def prior(start, stop):
+        return _coset_posteriors(np.zeros_like(offsets[start:stop]),
+                                 chain.sigma_r, offsets[start:stop], step)
+
+    return cond, prior
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -376,44 +393,15 @@ def _level_channel_id(chain, mmse, level) -> str:
 
 
 def _construct_levels(chain, mmse, block_len, beta, sample_count, seed):
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
     v, obs = _construction_stream(chain, mmse, block_len, sample_count, seed)
-    centers = mmse.alpha * obs
-    sigma = math.sqrt(mmse.sigma_tilde2)
     out = []
     for level in range(1, chain.levels + 1):
-        step = chain.level_step(level)
-        offsets = chain.base_scale * (v & ((1 << (level - 1)) - 1)).astype(float)
-        w_true = ((v >> (level - 1)) & 1).astype(np.uint8)
-        u_true = polar_transform(w_true)
-        z_sum = np.zeros((2, block_len))
-        h_sum = np.zeros((2, block_len))
-        for start, stop in chunked_batches(sample_count, 2, block_len):
-            cond = _coset_posteriors(centers[start:stop], sigma,
-                                     offsets[start:stop], step)
-            prior = _coset_posteriors(np.zeros_like(offsets[start:stop]),
-                                      chain.sigma_r, offsets[start:stop], step)
-            evidence = np.stack([cond, prior])
-            chunk_u = u_true[start:stop]
-            batch = stop - start
-
-            def decide(i, probs, chunk_u=chunk_u, batch=batch):
-                z_sum[:, i] += (2.0 * np.sqrt(probs[..., 0] * probs[..., 1])).sum(axis=1)
-                bits = chunk_u[:, i]
-                p_true = probs[:, np.arange(batch), bits.astype(np.intp)]
-                h_sum[:, i] += (-np.log2(np.maximum(p_true, 1e-300))).sum(axis=1)
-                return bits
-
-            sc_traverse(evidence, decide)
-        z = z_sum / sample_count
-        h = h_sum / sample_count
-        out.append(PolarProfile(
-            channel_id=_level_channel_id(chain, mmse, level),
-            channel_name=f"lattice-level-{level}of{chain.levels}",
-            block_len=block_len, beta=beta, sample_count=sample_count, seed=seed,
-            z_cond=z[0], z_prior=z[1], h_cond=h[0], h_prior=h[1],
-            classes=classify_indices(z[0], z[1], block_len, beta)))
+        finer = v & ((1 << (level - 1)) - 1)
+        cond, prior = _level_evidence(chain, mmse, level, finer, obs)
+        out.append(construct_from_evidence(
+            ((v >> (level - 1)) & 1).astype(np.uint8), cond, prior,
+            beta=beta, seed=seed, channel_id=_level_channel_id(chain, mmse, level),
+            channel_name=f"lattice-level-{level}of{chain.levels}"))
     return tuple(out)
 
 
@@ -475,21 +463,11 @@ def multilevel_cache_key(chain: PartitionChainSpec, mmse: MmseParams,
                          block_len: int, beta: float, sample_count: int,
                          seed: int) -> str:
     return (f"multilevel_{_chain_tag(chain, mmse)}_n{block_len}"
-            f"_b{beta:g}_s{sample_count}_r{seed}")
+            f"_b{float(beta).hex()}_s{sample_count}_r{seed}")
 
 
-def _bundle_path(cache_dir, key) -> Path:
-    return Path(cache_dir) / f"{key}.json"
-
-
-def _save_bundle(chain, mmse, block_len, beta, sample_count, seed, flatness,
-                 profiles, cache_dir):
-    keys = []
-    for p in profiles:
-        save_profile(p, cache_dir)
-        keys.append(profile_cache_key(p.channel_id, p.block_len, p.beta,
-                                      p.sample_count, p.seed))
-    payload = {
+def _bundle_header(chain, mmse, block_len, beta, sample_count, seed) -> dict:
+    return {
         "version": MULTILEVEL_CACHE_VERSION,
         "kind": "multilevel",
         "base_scale": float(chain.base_scale),
@@ -498,29 +476,40 @@ def _save_bundle(chain, mmse, block_len, beta, sample_count, seed, flatness,
         "sigma_s2": float(mmse.sigma_s2),
         "sigma_r2": float(mmse.sigma_r2),
         "N": block_len,
-        "beta": beta,
+        "beta": float(beta),
         "sample_count": sample_count,
         "seed": seed,
-        "flatness": flatness,
-        "profile_keys": keys,
     }
+
+
+def _save_bundle(chain, mmse, block_len, beta, sample_count, seed, flatness,
+                 profiles, cache_dir):
+    keys = [save_profile(p, cache_dir).stem for p in profiles]
+    payload = dict(_bundle_header(chain, mmse, block_len, beta, sample_count, seed),
+                   flatness=flatness, profile_keys=keys)
     key = multilevel_cache_key(chain, mmse, block_len, beta, sample_count, seed)
-    atomic_write_text(_bundle_path(cache_dir, key), json.dumps(payload))
+    atomic_write_text(profile_path(cache_dir, key), json.dumps(payload))
 
 
 def _load_bundle(chain, mmse, block_len, beta, sample_count, seed, cache_dir):
-    key = multilevel_cache_key(chain, mmse, block_len, beta, sample_count, seed)
-    path = _bundle_path(cache_dir, key)
-    if not path.exists():
-        return None
-    data = json.loads(path.read_text())
-    if data.get("version") != MULTILEVEL_CACHE_VERSION or data.get("kind") != "multilevel":
-        raise ValueError(f"unrecognized bundle file: {path}")
+    """The cached level profiles, or None (a miss) when the bundle or one of
+    its profiles is missing, unreadable or built for other parameters."""
+    header = _bundle_header(chain, mmse, block_len, beta, sample_count, seed)
+    path = profile_path(cache_dir, multilevel_cache_key(
+        chain, mmse, block_len, beta, sample_count, seed))
     try:
-        return tuple(load_profile(profile_path(cache_dir, k))
-                     for k in data["profile_keys"])
-    except FileNotFoundError:
+        data = json.loads(path.read_text())
+        keys = list(data["profile_keys"])
+        if any(data.get(k) != v for k, v in header.items()) or len(keys) != chain.levels:
+            return None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
+    profiles = tuple(
+        load_cached_profile(profile_path(cache_dir, key),
+                            _level_channel_id(chain, mmse, level),
+                            block_len, beta, sample_count, seed)
+        for level, key in enumerate(keys, start=1))
+    return None if any(p is None for p in profiles) else profiles
 
 
 def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
@@ -613,48 +602,16 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
     if block_len != code.block_len:
         raise ValueError(
             f"blocks have length {block_len}, code expects {code.block_len}")
-    chain, mmse = code.chain, code.mmse
-    centers = mmse.alpha * samples
-    sigma = math.sqrt(mmse.sigma_tilde2)
     labels = np.zeros(samples.shape, dtype=np.int64)
     payloads = []
-    for level in range(1, code.levels + 1):
-        profile = code.profiles[level - 1]
-        classes = profile.classes
-        info_mask = classes == CLASS_INFO
-        offsets = chain.base_scale * labels.astype(float)
-        step = chain.level_step(level)
-        level_id = stream_base + level - 1
-        dither = _dither_matrix(shared_seed, level_id, n_blocks, block_offset, block_len)
-        uniforms = _rounding_matrix(shared_seed, level_id, n_blocks, block_offset, block_len)
-        dual = profile.has_deterministic
-        payload = np.empty((n_blocks, int(info_mask.sum())), dtype=np.uint8)
-        w_bits = np.empty(samples.shape, dtype=np.uint8)
-        for start, stop in chunked_batches(n_blocks, 2 if dual else 1, block_len):
-            cond = _coset_posteriors(centers[start:stop], sigma,
-                                     offsets[start:stop], step)
-            if dual:
-                prior = _coset_posteriors(np.zeros_like(offsets[start:stop]),
-                                          chain.sigma_r, offsets[start:stop], step)
-                evidence = np.stack([cond, prior])
-            else:
-                evidence = cond[None]
-
-            def decide(i, probs, start=start, stop=stop):
-                cls = classes[i]
-                if cls == CLASS_INFO:
-                    return (uniforms[start:stop, i] < probs[0, :, 1]).astype(np.uint8)
-                if cls == CLASS_FROZEN_RANDOM:
-                    return dither[start:stop, i]
-                prior_probs = probs[-1]  # prior chain: last row in either layout
-                return (prior_probs[:, 1] > prior_probs[:, 0]).astype(np.uint8)
-
-            u, w = sc_traverse(evidence, decide)
-            payload[start:stop] = u[:, info_mask]
-            w_bits[start:stop] = w
+    for level, profile in enumerate(code.profiles, start=1):
+        cond, prior = _level_evidence(code.chain, code.mmse, level, labels, samples)
+        payload, w_bits = lossy_encode_from_evidence(
+            cond, prior, profile, n_blocks, shared_seed, block_offset,
+            stream_base + level - 1)
         labels += w_bits.astype(np.int64) << (level - 1)
         payloads.append(payload)
-    return tuple(payloads), chain.reconstruction_values()[labels]
+    return tuple(payloads), code.chain.reconstruction_values()[labels]
 
 
 def lattice_reconstruct(payloads, code: MultilevelLatticeCode, shared_seed: int,
@@ -662,54 +619,18 @@ def lattice_reconstruct(payloads, code: MultilevelLatticeCode, shared_seed: int,
                         stream_base: int = LATTICE_STREAM_BASE) -> np.ndarray:
     """Rebuild the quantizer output from payload bits and the shared seed.
 
-    Levels without prior-replayable indices skip the traversal: the bit
-    vector is assembled from payload and dither and transformed directly,
-    which equals the traversal output exactly.
+    Each level replays through the polar layer's lossy reconstruction with
+    the prior evidence of its cosets; levels without prior-replayable
+    indices need no traversal there.
     """
     if len(payloads) != code.levels:
         raise ValueError(f"expected {code.levels} payload arrays, got {len(payloads)}")
-    payloads = tuple(np.asarray(p, dtype=np.uint8) for p in payloads)
-    n_blocks = payloads[0].shape[0]
-    chain = code.chain
-    block_len = code.block_len
-    labels = np.zeros((n_blocks, block_len), dtype=np.int64)
-    for level in range(1, code.levels + 1):
-        profile = code.profiles[level - 1]
-        classes = profile.classes
-        info_pos = profile.info_positions()
-        payload = payloads[level - 1]
-        if payload.shape != (n_blocks, len(info_pos)):
-            raise ValueError(
-                f"payload for level {level} must have shape "
-                f"({n_blocks}, {len(info_pos)}), got {payload.shape}")
-        level_id = stream_base + level - 1
-        dither = _dither_matrix(shared_seed, level_id, n_blocks, block_offset, block_len)
-        if not profile.has_deterministic:
-            u = np.zeros((n_blocks, block_len), dtype=np.uint8)
-            u[:, info_pos] = payload
-            fr = classes == CLASS_FROZEN_RANDOM
-            u[:, fr] = dither[:, fr]
-            w_bits = polar_transform(u)
-        else:
-            offsets = chain.base_scale * labels.astype(float)
-            step = chain.level_step(level)
-            column = np.full(block_len, -1, dtype=np.int64)
-            column[info_pos] = np.arange(len(info_pos))
-            w_bits = np.empty((n_blocks, block_len), dtype=np.uint8)
-            for start, stop in chunked_batches(n_blocks, 1, block_len):
-                evidence = _coset_posteriors(
-                    np.zeros_like(offsets[start:stop]), chain.sigma_r,
-                    offsets[start:stop], step)[None]
-
-                def decide(i, probs, start=start, stop=stop):
-                    cls = classes[i]
-                    if cls == CLASS_INFO:
-                        return payload[start:stop, column[i]]
-                    if cls == CLASS_FROZEN_RANDOM:
-                        return dither[start:stop, i]
-                    return (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
-
-                _, w = sc_traverse(evidence, decide)
-                w_bits[start:stop] = w
+    n_blocks = len(payloads[0])
+    labels = np.zeros((n_blocks, code.block_len), dtype=np.int64)
+    for level, (profile, payload) in enumerate(zip(code.profiles, payloads), start=1):
+        _, prior = _level_evidence(code.chain, code.mmse, level, labels)
+        w_bits = lossy_reconstruct_from_evidence(
+            payload, prior, profile, n_blocks, shared_seed, block_offset,
+            stream_base + level - 1)
         labels += w_bits.astype(np.int64) << (level - 1)
-    return chain.reconstruction_values()[labels]
+    return code.chain.reconstruction_values()[labels]

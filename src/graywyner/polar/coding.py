@@ -17,6 +17,12 @@ observation-conditioned posterior.  The reconstruction is the codeword of
 the decided bit vector; when the profile has no deterministic indices the
 decoder skips the traversal entirely and just transforms the assembled bit
 vector, which equals the traversal output exactly.
+
+The lossy coder exists once, on evidence callables cond(start, stop) and
+prior(start, stop) that return the leaf posteriors of a block slice
+(lossy_encode_from_evidence, lossy_reconstruct_from_evidence); the
+sc_lossy_* entry points build them from a binary channel, and each lattice
+level builds them from its coset posteriors.
 """
 
 from __future__ import annotations
@@ -27,8 +33,16 @@ import numpy as np
 
 from .. import rng
 from .channel import BinarySourceWithSideInfo
-from .profile import CLASS_FROZEN_DETERMINISTIC, CLASS_FROZEN_RANDOM, CLASS_INFO, PolarProfile
-from .sc import chunked_batches, sc_traverse
+from .profile import (
+    CLASS_FROZEN_RANDOM,
+    CLASS_INFO,
+    PolarProfile,
+    channel_evidence,
+    traverse_batches,
+)
+# unused here since the SC passes run through traverse_batches; kept because
+# perfbench/spans.py patches sc_traverse on this module
+from .sc import sc_traverse  # noqa: F401
 from .transform import polar_transform
 
 
@@ -47,7 +61,11 @@ def _side_symbols(channel, side, shape):
     side = np.asarray(side)
     if side.shape != shape:
         raise ValueError(f"side must have shape {shape}, got {side.shape}")
-    return side.astype(np.intp)
+    side = side.astype(np.intp)
+    k = channel.side_alphabet_size
+    if side.size and (side.min() < 0 or side.max() >= k):
+        raise ValueError(f"side symbols must lie in [0, {k})")
+    return side
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +111,21 @@ def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
     n_blocks, block_len = x.shape
     if block_len != profile.block_len:
         raise ValueError(f"blocks have length {block_len}, profile expects {profile.block_len}")
-    side = _side_symbols(channel, side, x.shape)
+    cond, _ = channel_evidence(channel, _side_symbols(channel, side, x.shape))
     u_true = polar_transform(x)
     mask = profile.stored_mask(stored_fraction)
     corrections = [[] for _ in range(n_blocks)]
-    for start, stop in chunked_batches(n_blocks, 1, block_len):
-        evidence = channel.leaf_evidence(side[start:stop])[None]
-        chunk_u = u_true[start:stop]
 
-        def decide(i, probs, chunk_u=chunk_u, start=start):
-            true_bits = chunk_u[:, i]
-            if mask[i]:
-                return true_bits
-            guess = (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
-            for b in np.flatnonzero(guess != true_bits):
-                corrections[start + b].append(i)
+    def decide(i, probs, start, stop):
+        true_bits = u_true[start:stop, i]
+        if mask[i]:
             return true_bits
+        guess = (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
+        for b in np.flatnonzero(guess != true_bits):
+            corrections[start + b].append(i)
+        return true_bits
 
-        sc_traverse(evidence, decide)
+    traverse_batches((cond,), n_blocks, block_len, decide)
     return LosslessCode(
         stored_mask=mask, stored_bits=u_true[:, mask],
         corrections=tuple(np.array(sorted(t), dtype=np.int64) for t in corrections))
@@ -122,42 +137,97 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
     _check_pairing(channel, profile)
     n_blocks = code.n_blocks
     block_len = profile.block_len
-    side = _side_symbols(channel, side, (n_blocks, block_len))
+    cond, _ = channel_evidence(
+        channel, _side_symbols(channel, side, (n_blocks, block_len)))
     column = np.cumsum(code.stored_mask) - 1
     flip = np.zeros((n_blocks, block_len), dtype=bool)
     for b, idx in enumerate(code.corrections):
         flip[b, idx] = True
-    out = np.empty((n_blocks, block_len), dtype=np.uint8)
-    for start, stop in chunked_batches(n_blocks, 1, block_len):
-        evidence = channel.leaf_evidence(side[start:stop])[None]
 
-        def decide(i, probs, start=start, stop=stop):
-            if code.stored_mask[i]:
-                return code.stored_bits[start:stop, column[i]]
-            guess = (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
-            return guess ^ flip[start:stop, i]
+    def decide(i, probs, start, stop):
+        if code.stored_mask[i]:
+            return code.stored_bits[start:stop, column[i]]
+        guess = (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
+        return guess ^ flip[start:stop, i]
 
-        _, x_hat = sc_traverse(evidence, decide)
-        out[start:stop] = x_hat
-    return out
+    return traverse_batches((cond,), n_blocks, block_len, decide)[1]
 
 
 # ---------------------------------------------------------------------------
 # lossy
 # ---------------------------------------------------------------------------
 
-def _dither_matrix(shared_seed, level, n_blocks, block_offset, block_len):
-    stream_id = rng.substream(rng.STREAM_DITHER, level)
-    rows = [rng.block_bits(shared_seed, stream_id, block_offset + b, block_len)
-            for b in range(n_blocks)]
-    return np.stack(rows)
+def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
+                   block_len):
+    stream_id = rng.substream(stream, level)
+    return np.stack([draw(shared_seed, stream_id, block_offset + b, block_len)
+                     for b in range(n_blocks)])
 
 
-def _rounding_matrix(shared_seed, level, n_blocks, block_offset, block_len):
-    stream_id = rng.substream(rng.STREAM_ROUNDING, level)
-    rows = [rng.block_uniforms(shared_seed, stream_id, block_offset + b, block_len)
-            for b in range(n_blocks)]
-    return np.stack(rows)
+def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, dither, info_bits):
+    """Traverse with INFO bits from info_bits(i, probs, start, stop),
+    frozen-random bits from the dither and prior-replayable bits from the
+    prior chain's argmax (the last chain); returns (u, x)."""
+    if chains[-1] is None:
+        raise ValueError("prior-replayable indices need the prior evidence")
+    classes = profile.classes
+
+    def decide(i, probs, start, stop):
+        cls = classes[i]
+        if cls == CLASS_INFO:
+            return info_bits(i, probs, start, stop)
+        if cls == CLASS_FROZEN_RANDOM:
+            return dither[start:stop, i]
+        prior = probs[-1]  # prior chain: last row in either layout
+        return (prior[:, 1] > prior[:, 0]).astype(np.uint8)
+
+    return traverse_batches(chains, n_blocks, profile.block_len, decide)
+
+
+def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int,
+                               shared_seed: int, block_offset: int = 0,
+                               level: int = 0):
+    """sc_lossy_encode on evidence callables (see traverse_batches); the
+    prior chain runs only when the profile has prior-replayable indices."""
+    block_len = profile.block_len
+    dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
+                            n_blocks, block_offset, block_len)
+    uniforms = _stream_matrix(rng.block_uniforms, rng.STREAM_ROUNDING, shared_seed,
+                              level, n_blocks, block_offset, block_len)
+
+    def rounded(i, probs, start, stop):
+        return (uniforms[start:stop, i] < probs[0, :, 1]).astype(np.uint8)
+
+    chains = (cond, prior) if profile.has_deterministic else (cond,)
+    u, reconstruction = _lossy_pass(chains, profile, n_blocks, dither, rounded)
+    return u[:, profile.classes == CLASS_INFO], reconstruction
+
+
+def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
+                                    n_blocks: int, shared_seed: int,
+                                    block_offset: int = 0,
+                                    level: int = 0) -> np.ndarray:
+    """sc_lossy_reconstruct on the prior evidence callable alone, which
+    only profiles with prior-replayable indices consult."""
+    payload = np.asarray(payload, dtype=np.uint8)
+    block_len = profile.block_len
+    info_pos = profile.info_positions()
+    if payload.shape != (n_blocks, len(info_pos)):
+        raise ValueError(f"payload must have shape ({n_blocks}, {len(info_pos)}), "
+                         f"got {payload.shape}")
+    dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
+                            n_blocks, block_offset, block_len)
+    u = np.zeros((n_blocks, block_len), dtype=np.uint8)
+    u[:, info_pos] = payload
+    fr = profile.classes == CLASS_FROZEN_RANDOM
+    u[:, fr] = dither[:, fr]
+    if not profile.has_deterministic:
+        return polar_transform(u)
+
+    def stored(i, probs, start, stop):
+        return u[start:stop, i]
+
+    return _lossy_pass((prior,), profile, n_blocks, dither, stored)[1]
 
 
 def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
@@ -171,36 +241,13 @@ def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
         sc_lossy_reconstruct produces from the payload.
     """
     _check_pairing(channel, profile)
-    obs = np.asarray(obs, dtype=np.intp)
+    obs = np.asarray(obs)
     n_blocks, block_len = obs.shape
     if block_len != profile.block_len:
         raise ValueError(f"blocks have length {block_len}, profile expects {profile.block_len}")
-    classes = profile.classes
-    dither = _dither_matrix(shared_seed, level, n_blocks, block_offset, block_len)
-    uniforms = _rounding_matrix(shared_seed, level, n_blocks, block_offset, block_len)
-    dual = profile.has_deterministic
-    payload = np.empty((n_blocks, len(profile.info_positions())), dtype=np.uint8)
-    reconstruction = np.empty((n_blocks, block_len), dtype=np.uint8)
-    for start, stop in chunked_batches(n_blocks, 2 if dual else 1, block_len):
-        cond_ev = channel.leaf_evidence(obs[start:stop])
-        if dual:
-            evidence = np.stack([cond_ev, channel.prior_evidence(cond_ev.shape[:-1])])
-        else:
-            evidence = cond_ev[None]
-
-        def decide(i, probs, start=start, stop=stop):
-            cls = classes[i]
-            if cls == CLASS_INFO:
-                return (uniforms[start:stop, i] < probs[0, :, 1]).astype(np.uint8)
-            if cls == CLASS_FROZEN_RANDOM:
-                return dither[start:stop, i]
-            prior = probs[-1]  # prior chain: last row in either layout
-            return (prior[:, 1] > prior[:, 0]).astype(np.uint8)
-
-        u, x_hat = sc_traverse(evidence, decide)
-        payload[start:stop] = u[:, classes == CLASS_INFO]
-        reconstruction[start:stop] = x_hat
-    return payload, reconstruction
+    cond, prior = channel_evidence(channel, _side_symbols(channel, obs, obs.shape))
+    return lossy_encode_from_evidence(cond, prior, profile, n_blocks,
+                                      shared_seed, block_offset, level)
 
 
 def sc_lossy_reconstruct(payload: np.ndarray, channel: BinarySourceWithSideInfo,
@@ -208,35 +255,9 @@ def sc_lossy_reconstruct(payload: np.ndarray, channel: BinarySourceWithSideInfo,
                          block_offset: int = 0, level: int = 0) -> np.ndarray:
     """Rebuild reconstruction blocks from payload bits and shared dither."""
     _check_pairing(channel, profile)
-    payload = np.asarray(payload, dtype=np.uint8)
-    n_blocks = payload.shape[0]
-    block_len = profile.block_len
-    classes = profile.classes
-    info_pos = profile.info_positions()
-    if payload.shape != (n_blocks, len(info_pos)):
-        raise ValueError(f"payload must have shape (B, {len(info_pos)})")
-    dither = _dither_matrix(shared_seed, level, n_blocks, block_offset, block_len)
-    if not profile.has_deterministic:
-        u = np.zeros((n_blocks, block_len), dtype=np.uint8)
-        u[:, info_pos] = payload
-        fr = classes == CLASS_FROZEN_RANDOM
-        u[:, fr] = dither[:, fr]
-        return polar_transform(u)
-    column = np.full(block_len, -1, dtype=np.int64)
-    column[info_pos] = np.arange(len(info_pos))
-    out = np.empty((n_blocks, block_len), dtype=np.uint8)
-    for start, stop in chunked_batches(n_blocks, 1, block_len):
-        evidence = np.asarray(
-            channel.prior_evidence((stop - start, block_len)))[None]
 
-        def decide(i, probs, start=start, stop=stop):
-            cls = classes[i]
-            if cls == CLASS_INFO:
-                return payload[start:stop, column[i]]
-            if cls == CLASS_FROZEN_RANDOM:
-                return dither[start:stop, i]
-            return (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
+    def prior(start, stop):
+        return channel.prior_evidence((stop - start, profile.block_len))
 
-        _, x_hat = sc_traverse(evidence, decide)
-        out[start:stop] = x_hat
-    return out
+    return lossy_reconstruct_from_evidence(payload, prior, profile, len(payload),
+                                           shared_seed, block_offset, level)

@@ -10,6 +10,9 @@ statistics per leaf index i and per chain:
   telescopes to the exact block log-likelihood (chain rule), giving a sharp
   consistency check against closed-form entropies.
 
+construct_from_evidence does this for any coded variable given callables
+for its evidence; binary channels and lattice levels both supply them.
+
 Indices are then classified against the threshold t = 2^(-N^beta), compared
 in the log domain so tiny values never underflow:
 
@@ -43,7 +46,7 @@ CLASS_INFO = 0
 CLASS_FROZEN_RANDOM = 1
 CLASS_FROZEN_DETERMINISTIC = 2
 
-PROFILE_CACHE_VERSION = 1
+PROFILE_CACHE_VERSION = 2
 
 
 def below_log_threshold(values, threshold_exponent: float) -> np.ndarray:
@@ -155,51 +158,78 @@ class PolarProfile:
         return mask
 
 
+def traverse_batches(chains, n_blocks: int, block_len: int, decide):
+    """SC passes over n_blocks blocks in budget-sized batch slices.
+
+    chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
+    for a slice, conditional chain first and prior chain (if any) last;
+    decide(i, posteriors, start, stop) decides leaf i of that slice.
+    Returns (u, x) over all blocks, as sc_traverse does.
+    """
+    u = np.empty((n_blocks, block_len), dtype=np.uint8)
+    x = np.empty((n_blocks, block_len), dtype=np.uint8)
+    for start, stop in chunked_batches(n_blocks, len(chains), block_len):
+        evidence = np.stack([chain(start, stop) for chain in chains])
+        u[start:stop], x[start:stop] = sc_traverse(
+            evidence, lambda i, probs: decide(i, probs, start, stop))
+    return u, x
+
+
+def channel_evidence(channel: BinarySourceWithSideInfo, side):
+    """(cond, prior) evidence callables of a binary channel over side-symbol
+    blocks; prior is None when the channel's prior is uniform."""
+    def cond(start, stop):
+        return channel.leaf_evidence(side[start:stop])
+
+    def prior(start, stop):
+        return channel.prior_evidence((stop - start, side.shape[1]))
+
+    return cond, (None if channel.prior_is_uniform else prior)
+
+
+def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
+                            channel_id: str, channel_name: str) -> PolarProfile:
+    """Monte Carlo construction from (sample_count, N) true blocks of the
+    coded variable and evidence callables over their slices (see
+    traverse_batches); prior=None means a uniform prior, with no prior chain."""
+    sample_count, block_len = x_true.shape
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
+    u_true = polar_transform(x_true)
+    chains = (cond,) if prior is None else (cond, prior)
+    z_sum = np.zeros((len(chains), block_len))
+    h_sum = np.zeros((len(chains), block_len))
+
+    def decide(i, probs, start, stop):
+        z_sum[:, i] += (2.0 * np.sqrt(probs[..., 0] * probs[..., 1])).sum(axis=1)
+        bits = u_true[start:stop, i]
+        p_true = probs[:, np.arange(stop - start), bits.astype(np.intp)]
+        h_sum[:, i] += (-np.log2(np.maximum(p_true, 1e-300))).sum(axis=1)
+        return bits
+
+    traverse_batches(chains, sample_count, block_len, decide)
+    z = z_sum / sample_count
+    h = h_sum / sample_count
+    if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform
+        z = np.vstack([z, np.ones(block_len)])
+        h = np.vstack([h, np.ones(block_len)])
+    return PolarProfile(
+        channel_id=channel_id, channel_name=channel_name,
+        block_len=block_len, beta=beta, sample_count=sample_count, seed=seed,
+        z_cond=z[0], z_prior=z[1], h_cond=h[0], h_prior=h[1],
+        classes=classify_indices(z[0], z[1], block_len, beta))
+
+
 def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
                       beta: float = 0.25, sample_count: int = 256,
                       seed: int = 0) -> PolarProfile:
     """Monte Carlo construction over sample_count true-path traversals."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
     gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
     x, y = channel.sample(sample_count, block_len, gen)
-    u_true = polar_transform(x)
-    dual = not channel.prior_is_uniform
-    n_chains = 2 if dual else 1
-    z_sum = np.zeros((n_chains, block_len))
-    h_sum = np.zeros((n_chains, block_len))
-    for start, stop in chunked_batches(sample_count, n_chains, block_len):
-        cond_ev = channel.leaf_evidence(y[start:stop])
-        if dual:
-            prior_ev = channel.prior_evidence(cond_ev.shape[:-1])
-            evidence = np.stack([cond_ev, prior_ev])
-        else:
-            evidence = cond_ev[None]
-        chunk_u = u_true[start:stop]
-        batch = stop - start
-
-        def decide(i, probs, chunk_u=chunk_u, batch=batch):
-            z_sum[:, i] += (2.0 * np.sqrt(probs[..., 0] * probs[..., 1])).sum(axis=1)
-            bits = chunk_u[:, i]
-            p_true = probs[:, np.arange(batch), bits.astype(np.intp)]
-            h_sum[:, i] += (-np.log2(np.maximum(p_true, 1e-300))).sum(axis=1)
-            return bits
-
-        sc_traverse(evidence, decide)
-    z_cond = z_sum[0] / sample_count
-    h_cond = h_sum[0] / sample_count
-    if dual:
-        z_prior = z_sum[1] / sample_count
-        h_prior = h_sum[1] / sample_count
-    else:
-        # uniform prior: every prefix-conditional law is exactly uniform
-        z_prior = np.ones(block_len)
-        h_prior = np.ones(block_len)
-    return PolarProfile(
-        channel_id=channel.channel_id(), channel_name=channel.name,
-        block_len=block_len, beta=beta, sample_count=sample_count, seed=seed,
-        z_cond=z_cond, z_prior=z_prior, h_cond=h_cond, h_prior=h_prior,
-        classes=classify_indices(z_cond, z_prior, block_len, beta))
+    cond, prior = channel_evidence(channel, y)
+    return construct_from_evidence(
+        x, cond, prior, beta=beta, seed=seed,
+        channel_id=channel.channel_id(), channel_name=channel.name)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +238,9 @@ def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
 
 def profile_cache_key(channel_id: str, block_len: int, beta: float,
                       sample_count: int, seed: int) -> str:
-    return f"profile_{channel_id}_n{block_len}_b{beta:g}_s{sample_count}_r{seed}"
+    # float.hex keeps betas that agree to many digits apart (":g" merged them)
+    return (f"profile_{channel_id}_n{block_len}_b{float(beta).hex()}"
+            f"_s{sample_count}_r{seed}")
 
 
 def profile_path(cache_dir, profile_or_key) -> Path:
@@ -253,15 +285,32 @@ def load_profile(path) -> PolarProfile:
         classes=np.array(data["classes"], dtype=np.int8))
 
 
+def load_cached_profile(path, *header):
+    """The profile at path if it is readable and its (channel_id, N, beta,
+    sample_count, seed) equal header; None, a cache miss, otherwise."""
+    if not Path(path).exists():
+        return None
+    try:
+        p = load_profile(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    built_for = (p.channel_id, p.block_len, p.beta, p.sample_count, p.seed)
+    return p if built_for == header else None
+
+
 def construct_profile_cached(channel: BinarySourceWithSideInfo, block_len: int,
                              cache_dir, beta: float = 0.25,
                              sample_count: int = 256, seed: int = 0) -> PolarProfile:
-    """Load the profile from the cache directory or construct and store it."""
-    key = profile_cache_key(channel.channel_id(), block_len, beta, sample_count, seed)
-    path = profile_path(cache_dir, key)
-    if path.exists():
-        return load_profile(path)
-    profile = construct_profile(channel, block_len, beta=beta,
-                                sample_count=sample_count, seed=seed)
-    save_profile(profile, cache_dir)
+    """Load the profile from the cache directory or construct and store it.
+
+    An entry that is unreadable or was built for other parameters is
+    rebuilt and overwritten.
+    """
+    header = (channel.channel_id(), block_len, beta, sample_count, seed)
+    profile = load_cached_profile(
+        profile_path(cache_dir, profile_cache_key(*header)), *header)
+    if profile is None:
+        profile = construct_profile(channel, block_len, beta=beta,
+                                    sample_count=sample_count, seed=seed)
+        save_profile(profile, cache_dir)
     return profile

@@ -23,6 +23,7 @@ from graywyner.dsbs import (
     run_dsbs_pipeline,
 )
 from graywyner.numerics import binary_convolve, binary_entropy
+from graywyner.rates import RunRecord
 
 A0 = 0.11
 
@@ -51,6 +52,7 @@ class TestLosslessPoints:
 
     def test_point_g_structure(self, model, cache_dir):
         out = run(PointG(), model, cache_dir, n=2048)
+        assert isinstance(out, RunRecord) and out.common is None
         assert out.dist_x.max() == 0.0 and out.dist_y.max() == 0.0
         assert len(set(out.r0)) == 1, "common payload fraction is per-profile"
         ci = model.wyner_ci()

@@ -20,12 +20,11 @@ from graywyner.gaussian import (
 from graywyner.gaussian.pipelines import (
     REFINE_X_STREAM_BASE,
     REFINE_Y_STREAM_BASE,
-    ExtractionRun,
     extract_common,
     refine_private_eps10,
 )
 from graywyner.lattice import LATTICE_STREAM_BASE
-from graywyner.rates import RateTriple
+from graywyner.rates import RateTriple, RunRecord
 
 PM8 = GaussianPairModel(0.8)
 BASE8 = 1.0 - PM8.rho
@@ -39,6 +38,7 @@ def pair_run(cache_dir, seed=2, blocks=12, **kw):
 class TestPairRoute:
     def test_record_structure(self, cache_dir):
         run = pair_run(cache_dir)
+        assert isinstance(run, RunRecord)
         assert run.point_label == "COMMON"
         assert run.region == "E10"
         assert run.n_blocks == 12

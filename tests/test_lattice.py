@@ -10,6 +10,7 @@ Oracles used here are independent of the implementation:
   the documented recipe and estimates the total rate over full label cosets.
 """
 
+import json
 import math
 
 import numpy as np
@@ -392,6 +393,26 @@ class TestBuildMultilevelCode:
             assert np.array_equal(p.z_cond, q.z_cond)
             assert np.array_equal(p.h_prior, q.h_prior)
 
+    def test_corrupt_cache_entries_are_rebuilt(self, tmp_path):
+        kwargs = dict(block_len=64, sample_count=8, seed=2, cache_dir=tmp_path)
+        first = build_multilevel_code(default_chain(L3), L3, **kwargs)
+        bundle, = tmp_path.glob("multilevel_*.json")
+        level_file = sorted(tmp_path.glob("profile_*.json"))[0]
+        for broken in (bundle, level_file):
+            broken.write_text("{truncated")
+            again = build_multilevel_code(default_chain(L3), L3, **kwargs)
+            for p, q in zip(first.profiles, again.profiles):
+                assert np.array_equal(p.z_cond, q.z_cond)
+            json.loads(broken.read_text())  # overwritten with a valid entry
+
+    def test_close_betas_never_share_a_bundle(self, tmp_path):
+        kwargs = dict(block_len=64, sample_count=8, seed=2, cache_dir=tmp_path)
+        a = build_multilevel_code(default_chain(L3), L3, beta=0.1234561, **kwargs)
+        b = build_multilevel_code(default_chain(L3), L3, beta=0.1234564, **kwargs)
+        assert (a.beta, b.beta) == (0.1234561, 0.1234564)
+        assert all(p.beta == 0.1234564 for p in b.profiles)
+        assert len(list(tmp_path.glob("multilevel_*.json"))) == 2
+
     def test_chain_mmse_mismatch_rejected(self):
         chain = PartitionChainSpec(base_scale=0.6, levels=4, sigma_r=1.0)
         with pytest.raises(ValueError, match="sigma_r"):
@@ -488,6 +509,15 @@ class TestLatticeQuantize:
         samples = np.zeros((2, 256))
         _, recon = lattice_quantize(samples, code, shared_seed=8)
         assert np.array_equal(recon, samples)
+
+    def test_wrong_width_level_payload_rejected(self, eps2_code):
+        samples = rng.stream(31, rng.STREAM_SOURCE).standard_normal((2, 4096))
+        payloads, _ = lattice_quantize(samples, eps2_code, shared_seed=5)
+        level = max(range(eps2_code.levels), key=lambda l: payloads[l].shape[1])
+        bad = list(payloads)
+        bad[level] = bad[level][:, :-1]
+        with pytest.raises(ValueError, match="must have shape"):
+            lattice_reconstruct(bad, eps2_code, shared_seed=5)
 
     def test_block_length_validated(self, eps2_code):
         with pytest.raises(ValueError, match="length"):

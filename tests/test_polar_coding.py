@@ -179,3 +179,30 @@ class TestLossyNonuniformPrior:
         _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
         ones = float(np.mean(recon))
         assert 0.1 < ones < 0.3  # matches the Ber(0.2) prior, not uniform
+
+
+class TestSymbolRange:
+    """Symbols outside the side alphabet are refused, never wrapped."""
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_lossy_observation_out_of_range(self, profile_store, bad):
+        channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
+        profile = profile_store(channel, 1024)
+        obs = np.zeros((2, 1024), dtype=np.int64)
+        obs[1, 5] = bad
+        with pytest.raises(ValueError, match="side symbols"):
+            sc_lossy_encode(obs, channel, profile, shared_seed=1)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_lossless_side_out_of_range(self, profile_store, bad):
+        channel = crossover_side_info(0.1)
+        profile = profile_store(channel, 256)
+        x = np.zeros((2, 256), dtype=np.uint8)
+        side = np.zeros((2, 256), dtype=np.int64)
+        side[0, 3] = bad
+        with pytest.raises(ValueError, match="side symbols"):
+            sc_lossless_encode(x, channel, profile, stored_fraction=0.6, side=side)
+        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.6,
+                                  side=np.zeros((2, 256), dtype=np.int64))
+        with pytest.raises(ValueError, match="side symbols"):
+            sc_lossless_decode(code, channel, profile, side=side)

@@ -17,6 +17,7 @@ from graywyner.polar import (
     load_profile,
     lossless_source,
     polar_transform,
+    profile_cache_key,
     profile_path,
     save_profile,
     sc_traverse,
@@ -205,3 +206,33 @@ class TestProfileCache:
         p2 = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=10)
         assert profile_path(tmp_path, p1) != profile_path(tmp_path, p2)
         assert a.parent == profile_path(tmp_path, p1).parent
+
+    def test_close_betas_never_share_an_entry(self, tmp_path):
+        channel = lossless_source(0.11)
+        kw = dict(sample_count=60, seed=9)
+        first = construct_profile_cached(channel, 64, tmp_path, beta=0.1234561, **kw)
+        second = construct_profile_cached(channel, 64, tmp_path, beta=0.1234564, **kw)
+        assert (first.beta, second.beta) == (0.1234561, 0.1234564)
+        assert profile_path(tmp_path, first) != profile_path(tmp_path, second)
+
+    def test_entry_built_for_other_parameters_is_a_miss(self, tmp_path):
+        channel = lossless_source(0.11)
+        wanted = dict(beta=0.1234564, sample_count=60, seed=9)
+        stale = construct_profile(channel, 64, beta=0.1234561, sample_count=60, seed=9)
+        key = profile_cache_key(channel.channel_id(), 64, **wanted)
+        # plant the other beta's profile under the requested key
+        path = profile_path(tmp_path, key)
+        path.write_text(save_profile(stale, tmp_path).read_text())
+        got = construct_profile_cached(channel, 64, tmp_path, **wanted)
+        assert got.beta == 0.1234564
+        assert load_profile(path).beta == 0.1234564
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"version": 2}', ""])
+    def test_corrupt_entry_is_rebuilt(self, tmp_path, content):
+        channel = lossless_source(0.11)
+        fresh = construct_profile(channel, 64, sample_count=60, seed=9)
+        path = profile_path(tmp_path, fresh)
+        path.write_text(content)
+        got = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=9)
+        np.testing.assert_array_equal(got.z_cond, fresh.z_cond)
+        np.testing.assert_array_equal(load_profile(path).classes, fresh.classes)
