@@ -32,7 +32,7 @@ measured rates improve with block length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -146,16 +146,22 @@ class _Stages:
     cache_dir: Optional[str]
     sample_count: int
     construction_seed: int
+    # uncapped profiles by channel_id: stages of one call that code the same
+    # channel (the X and Y branches) share one construction
+    profiles: dict = field(default_factory=dict)
 
     def profile_for(self, channel, cap_fraction=None):
-        if self.cache_dir is not None:
-            profile = construct_profile_cached(
-                channel, self.block_len, self.cache_dir,
-                sample_count=self.sample_count, seed=self.construction_seed)
-        else:
-            profile = construct_profile(
-                channel, self.block_len,
-                sample_count=self.sample_count, seed=self.construction_seed)
+        profile = self.profiles.get(channel.channel_id())
+        if profile is None:
+            if self.cache_dir is not None:
+                profile = construct_profile_cached(
+                    channel, self.block_len, self.cache_dir,
+                    sample_count=self.sample_count, seed=self.construction_seed)
+            else:
+                profile = construct_profile(
+                    channel, self.block_len,
+                    sample_count=self.sample_count, seed=self.construction_seed)
+            self.profiles[channel.channel_id()] = profile
         if cap_fraction is not None:
             profile = profile.with_payload_cap(cap_fraction)
         return profile

@@ -220,6 +220,7 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
     base = 1.0 - model.rho
 
     rates, dists, theory_rates = [], [], []
+    codes = {}  # by target distortion: d1 == d2 builds one code
     for target_d, src, stream_base in ((d1, x, REFINE_X_STREAM_BASE),
                                        (d2, y, REFINE_Y_STREAM_BASE)):
         if target_d >= base * (1.0 - 1e-12):
@@ -227,10 +228,12 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
             dists.append(_mse(src, w))
             theory_rates.append(0.0)
             continue
-        code = _build_code(
-            mmse_params(base, base - target_d), block_len, None,
-            target_flatness, rate_margin, cache_dir, sample_count,
-            construction_seed)
+        if target_d not in codes:
+            codes[target_d] = _build_code(
+                mmse_params(base, base - target_d), block_len, None,
+                target_flatness, rate_margin, cache_dir, sample_count,
+                construction_seed)
+        code = codes[target_d]
         rate, q = _quantize_checked(src - w, code, common_run.seed,
                                     stream_base=stream_base)
         rates.append(rate)

@@ -56,7 +56,7 @@ from .polar.profile import load_profile  # noqa: F401
 from .polar.sc import sc_traverse  # noqa: F401
 from .polar.transform import polar_transform  # noqa: F401
 
-MULTILEVEL_CACHE_VERSION = 2
+MULTILEVEL_CACHE_VERSION = 3
 
 # dither/rounding substream indices start here; a pipeline running several
 # quantizers off one shared seed gives each its own base to keep them apart

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 
 class TruncationError(ValueError):
@@ -81,11 +80,6 @@ def binary_convolve(a, b):
 # ---------------------------------------------------------------------------
 # discrete Gaussians on s*Z
 # ---------------------------------------------------------------------------
-
-def gaussian_tail(x):
-    """Upper tail Q(x) of the standard normal, elementwise."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-
 
 @dataclass(frozen=True)
 class DiscreteGaussianSpec:

@@ -3,8 +3,11 @@
 Lossless mode stores the bits at the least predictable indices verbatim and
 recovers the rest by maximum-posterior decisions; the encoder runs the same
 decisions and records the positions where they disagree with the truth, so
-decoding is exact by construction.  The per-block rate charges each recorded
-correction log2(N) + 1 bits (index plus flag) on top of the stored set.
+decoding is exact by construction.  The encoder knows every bit, so it runs
+the breadth-first pass; the decoder runs depth-first.  Both see the same
+leaf posteriors and decide them with the one rule of sc.map_bits.  The
+per-block rate charges each recorded correction log2(N) + 1 bits (index
+plus flag) on top of the stored set.
 
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
@@ -40,9 +43,9 @@ from .profile import (
     channel_evidence,
     traverse_batches,
 )
-# unused here since the SC passes run through traverse_batches; kept because
-# perfbench/spans.py patches sc_traverse on this module
-from .sc import sc_traverse  # noqa: F401
+# sc_traverse is unused here since the SC passes run through
+# traverse_batches; kept because perfbench/spans.py patches it on this module
+from .sc import map_bits, sc_traverse  # noqa: F401
 from .transform import polar_transform
 
 
@@ -114,21 +117,15 @@ def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
     cond, _ = channel_evidence(channel, _side_symbols(channel, side, x.shape))
     u_true = polar_transform(x)
     mask = profile.stored_mask(stored_fraction)
-    corrections = [[] for _ in range(n_blocks)]
+    wrong = np.empty((n_blocks, block_len), dtype=bool)
 
-    def decide(i, probs, start, stop):
-        true_bits = u_true[start:stop, i]
-        if mask[i]:
-            return true_bits
-        guess = (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
-        for b in np.flatnonzero(guess != true_bits):
-            corrections[start + b].append(i)
-        return true_bits
+    def guesses(leaves, probs, start, stop):
+        wrong[start:stop] = (map_bits(probs[0]) != u_true[start:stop]) & ~mask
 
-    traverse_batches((cond,), n_blocks, block_len, decide)
+    traverse_batches((cond,), n_blocks, block_len, guesses, known=u_true)
     return LosslessCode(
         stored_mask=mask, stored_bits=u_true[:, mask],
-        corrections=tuple(np.array(sorted(t), dtype=np.int64) for t in corrections))
+        corrections=tuple(np.flatnonzero(row).astype(np.int64) for row in wrong))
 
 
 def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
@@ -147,8 +144,7 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
     def decide(i, probs, start, stop):
         if code.stored_mask[i]:
             return code.stored_bits[start:stop, column[i]]
-        guess = (probs[0, :, 1] > probs[0, :, 0]).astype(np.uint8)
-        return guess ^ flip[start:stop, i]
+        return map_bits(probs[0]) ^ flip[start:stop, i]
 
     return traverse_batches((cond,), n_blocks, block_len, decide)[1]
 
@@ -178,8 +174,7 @@ def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, dither, info_bits)
             return info_bits(i, probs, start, stop)
         if cls == CLASS_FROZEN_RANDOM:
             return dither[start:stop, i]
-        prior = probs[-1]  # prior chain: last row in either layout
-        return (prior[:, 1] > prior[:, 0]).astype(np.uint8)
+        return map_bits(probs[-1])  # prior chain: last row in either layout
 
     return traverse_batches(chains, n_blocks, profile.block_len, decide)
 

@@ -2,7 +2,9 @@
 
 Construction samples blocks from the joint source law, follows the true bit
 path through the successive-cancellation recursion, and accumulates two
-statistics per leaf index i and per chain:
+statistics per leaf index i and per chain.  Every bit of that path is known
+in advance, so the recursion runs breadth-first (one vectorized step per
+tree level, see sc.py) and the statistics of all leaves are taken at once:
 
 * the Bhattacharyya proxy z[i], the mean of 2 sqrt(p0 p1) over samples,
   which is 0 for a perfectly decided bit and 1 for a perfectly uniform one;
@@ -46,7 +48,7 @@ CLASS_INFO = 0
 CLASS_FROZEN_RANDOM = 1
 CLASS_FROZEN_DETERMINISTIC = 2
 
-PROFILE_CACHE_VERSION = 2
+PROFILE_CACHE_VERSION = 3
 
 
 def below_log_threshold(values, threshold_exponent: float) -> np.ndarray:
@@ -101,12 +103,6 @@ class PolarProfile:
     def info_positions(self) -> np.ndarray:
         return np.flatnonzero(self.classes == CLASS_INFO)
 
-    def frozen_random_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.classes == CLASS_FROZEN_RANDOM)
-
-    def deterministic_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.classes == CLASS_FROZEN_DETERMINISTIC)
-
     @property
     def payload_fraction(self) -> float:
         """Payload rate |INFO| / N of the lossy code."""
@@ -158,20 +154,23 @@ class PolarProfile:
         return mask
 
 
-def traverse_batches(chains, n_blocks: int, block_len: int, decide):
+def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None):
     """SC passes over n_blocks blocks in budget-sized batch slices.
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
     for a slice, conditional chain first and prior chain (if any) last;
-    decide(i, posteriors, start, stop) decides leaf i of that slice.
+    decide(i, posteriors, start, stop) decides leaf i of that slice.  With
+    known (n_blocks, N) leaf bits the passes run breadth-first and decide
+    sees every leaf of a slice at once (see sc_traverse).
     Returns (u, x) over all blocks, as sc_traverse does.
     """
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
     x = np.empty((n_blocks, block_len), dtype=np.uint8)
     for start, stop in chunked_batches(n_blocks, len(chains), block_len):
         evidence = np.stack([chain(start, stop) for chain in chains])
+        kw = {} if known is None else {"known": known[start:stop]}
         u[start:stop], x[start:stop] = sc_traverse(
-            evidence, lambda i, probs: decide(i, probs, start, stop))
+            evidence, lambda i, probs: decide(i, probs, start, stop), **kw)
     return u, x
 
 
@@ -200,14 +199,15 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     z_sum = np.zeros((len(chains), block_len))
     h_sum = np.zeros((len(chains), block_len))
 
-    def decide(i, probs, start, stop):
-        z_sum[:, i] += (2.0 * np.sqrt(probs[..., 0] * probs[..., 1])).sum(axis=1)
-        bits = u_true[start:stop, i]
-        p_true = probs[:, np.arange(stop - start), bits.astype(np.intp)]
-        h_sum[:, i] += (-np.log2(np.maximum(p_true, 1e-300))).sum(axis=1)
-        return bits
+    def leaf_stats(leaves, probs, start, stop):
+        # one scratch buffer: probs holds every leaf of a batch at once
+        buf = np.where(u_true[start:stop, leaves], probs[..., 1], probs[..., 0])
+        np.maximum(buf, 1e-300, out=buf)
+        h_sum[:, leaves] -= np.log2(buf, out=buf).sum(axis=1)
+        np.multiply(probs[..., 0], probs[..., 1], out=buf)
+        z_sum[:, leaves] += 2.0 * np.sqrt(buf, out=buf).sum(axis=1)
 
-    traverse_batches(chains, sample_count, block_len, decide)
+    traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true)
     z = z_sum / sample_count
     h = h_sum / sample_count
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform

@@ -1,4 +1,4 @@
-"""Batched successive-cancellation traversal.
+"""Batched successive-cancellation traversal in log-likelihood ratios.
 
 One engine serves construction, lossless coding and lossy coding.  It walks
 the polarization recursion over a batch of blocks, carrying one or two
@@ -10,50 +10,213 @@ evidence chains side by side:
   reproducible from the prior alone.
 
 Both chains always receive the same decided bits, so their per-position
-posteriors stay aligned.  All chain arithmetic is elementwise per chain;
-running the prior chain alone therefore reproduces bit-for-bit the values it
-takes inside a two-chain traversal, which is what lets an encoder (two
-chains) and a decoder (prior chain only) agree exactly on deterministic
-decisions.
+values stay aligned.  All chain arithmetic is elementwise per chain; running
+the prior chain alone therefore reproduces bit-for-bit the values it takes
+inside a two-chain traversal, which is what lets an encoder (two chains) and
+a decoder (prior chain only) agree exactly on deterministic decisions.
 
 Evidence enters as normalized per-position posteriors (chains, blocks, N, 2)
-and the recursion renormalizes after every combine, so probabilities never
-drift toward underflow.  The split at a node of width M pairs position j of
-the first half with position j of the second half: the first recursive call
-decodes the transform of (first xor second), the second decodes the
-transform of the second half given that xor.
+and is carried as one log-likelihood ratio L = ln p0 - ln p1 per position.
+The split at a node of width M pairs position j of the first half (a) with
+position j of the second half (b): the first child decodes the transform of
+(first xor second) from the exact box-plus f(a, b) = ln((1 + e^(a+b)) /
+(e^a + e^b)); the second decodes the transform of the second half from the
+g-step b + (1 - 2v) a once the first child's codeword v is known.
+Zero-probability evidence gives L = +-inf, which both steps carry through;
+contradictory evidence (+inf meeting -inf in a g-step) falls back to the
+uninformative L = 0.
+
+There are two passes, chosen by the input:
+
+* depth-first (``sc_traverse(evidence, decide)``): every leaf bit comes
+  from the ``decide`` callback, which sees the leaf's posterior pairs;
+* breadth-first (``sc_traverse(evidence, stats, known=u)``): every leaf bit
+  is given, so all partial sums are known up front and the tree is
+  evaluated one level at a time over all nodes at once; ``stats`` is called
+  once with the posterior pairs of every leaf.
+
+Both passes build their values from the same elementwise f- and g-steps and
+turn leaf LLRs into posterior pairs with the same helper, so for the same
+bits they see bitwise-identical leaves.  Maximum-posterior decisions go
+through ``map_bits``, which decides 1 only when p1 > p0: a tie, including
+|L| so small that both pairs round to 1/2, decides 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .transform import polar_transform
 
-def _normalize_pairs(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Stack two nonnegative parts into normalized (..., 2) posteriors.
 
-    Positions where both parts vanish (possible only through contradictory
-    evidence) fall back to the uninformative pair (1/2, 1/2).
+def _llrs(evidence: np.ndarray):
+    """L = ln p0 - ln p1 of (..., 2) pairs, a (0, 0) pair giving L = 0, and
+    whether any L is infinite."""
+    evidence = np.asarray(evidence, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        llr = np.log(evidence[..., 0])
+        llr -= np.log(evidence[..., 1])
+    llr[np.isnan(llr)] = 0.0
+    return llr, not np.isfinite(llr).all()
+
+
+_PAIR_SIGNS = np.array([-1.0, 1.0])
+# the f-step caps t at 60 in its ln(1 + e^-t) terms, which keeps exp and
+# log1p off their slow underflow paths and moves a result by less than
+# 1e-25 of its size, far below one rounding unit
+_TERM_CAP = 60.0
+# leaf pairs are computed from L clipped to +-700, so exp never overflows
+# and no pair entry falls below e^-700 (about 1e-304)
+_LEAF_CAP = 700.0
+# values per block group of the breadth-first pass
+_GROUP_VALUES = 1 << 16
+
+
+def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
+    """Exact box-plus of two LLR arrays, into out if given.
+
+    sign(a) sign(b) [m + ln(1 + e^-(M+m)) - ln(1 + e^-(M-m))] with m, M the
+    smaller and larger of |a|, |b|; both log terms lie in [0, ln 2].  work
+    is an optional (3,) + a.shape float scratch buffer.
     """
-    out = np.stack([p0, p1], axis=-1)
-    s = out.sum(axis=-1, keepdims=True)
-    bad = s == 0.0
-    if np.any(bad):
-        out = np.where(bad, 0.5, out / np.where(bad, 1.0, s))
-    else:
-        out /= s
+    if out is None:
+        out = np.empty(a.shape)
+    if work is None:
+        work = np.empty((3,) + a.shape)
+    sum_term, gap_term, neg_near = work
+    np.copysign(a, -1.0, out=sum_term)  # -|a|
+    np.copysign(b, -1.0, out=gap_term)  # -|b|
+    np.maximum(sum_term, gap_term, out=neg_near)  # -m
+    np.minimum(sum_term, gap_term, out=sum_term)  # -M
+    np.subtract(sum_term, neg_near, out=gap_term)  # -(M - m); nan if both infinite
+    if has_inf:
+        gap_term[np.isnan(gap_term)] = 0.0
+    sum_term += neg_near  # -(M + m)
+    for term in (sum_term, gap_term):  # term <- ln(1 + e^term)
+        np.maximum(term, -_TERM_CAP, out=term)
+        np.exp(term, out=term)
+        np.log1p(term, out=term)
+    sum_term -= neg_near
+    sum_term -= gap_term  # the magnitude
+    # the sign of a * b is the xor of their signs even where the product
+    # overflows; where it is nan (0 times inf) the magnitude is 0
+    np.multiply(a, b, out=gap_term)
+    return np.copysign(sum_term, gap_term, out=out)
+
+
+def _g_step(a: np.ndarray, b: np.ndarray, v: np.ndarray, has_inf: bool,
+            out=None, work=None):
+    """b + a where the partial sum v is 0, b - a where it is 1, into out;
+    work is an optional a.shape float scratch buffer."""
+    if out is None:
+        out = np.empty(a.shape)
+    signed = np.multiply(v, -2.0, out=np.empty(a.shape) if work is None else work)
+    signed += 1.0
+    signed *= a
+    np.add(signed, b, out=out)
+    if has_inf:
+        out[np.isnan(out)] = 0.0  # +inf meeting -inf: contradictory evidence
     return out
 
 
-def sc_traverse(evidence: np.ndarray, decide):
+def _leaf_posteriors(llr: np.ndarray) -> np.ndarray:
+    """Normalized (..., 2) posterior pairs (1 / (1 + e^-L), 1 / (1 + e^L))
+    of leaf LLRs."""
+    pairs = np.multiply(llr[..., None], _PAIR_SIGNS)
+    np.minimum(pairs, _LEAF_CAP, out=pairs)
+    np.maximum(pairs, -_LEAF_CAP, out=pairs)
+    np.exp(pairs, out=pairs)
+    pairs += 1.0
+    return np.divide(1.0, pairs, out=pairs)
+
+
+def map_bits(posteriors: np.ndarray) -> np.ndarray:
+    """Maximum-posterior bits of (..., 2) pairs; ties decide 0."""
+    return (posteriors[..., 1] > posteriors[..., 0]).astype(np.uint8)
+
+
+def _depth_first(evidence: np.ndarray, decide):
+    llr, has_inf = _llrs(evidence)
+    n_blocks, block_len = llr.shape[1:]
+    u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
+    cursor = [0]
+
+    def rec(node: np.ndarray) -> np.ndarray:
+        width = node.shape[2]
+        if width == 1:
+            i = cursor[0]
+            cursor[0] += 1
+            bits = np.asarray(decide(i, _leaf_posteriors(node[:, :, 0])),
+                              dtype=np.uint8)
+            u_out[:, i] = bits
+            return bits[:, None]
+        half = width // 2
+        first, second = node[:, :, :half], node[:, :, half:]
+        v = rec(_f_step(first, second, has_inf))  # codeword of the first child
+        tail = rec(_g_step(first, second, v[None], has_inf))
+        return np.concatenate([v ^ tail, tail], axis=1)
+
+    return u_out, rec(llr)
+
+
+def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
+    llr, has_inf = _llrs(evidence)
+    n_chains, n_blocks, block_len = llr.shape
+    codeword = polar_transform(u)
+    # partial holds the transform of u over every aligned slice of the
+    # current node width M, which is what the depth-first pass returns from
+    # the node over that slice; undoing the butterfly stage of width M/2
+    # takes it to the slices of the next level
+    partial = codeword.copy()
+    # nodes[c, b, j, k]: value j of node k of the current level, so the two
+    # halves every node splits into are two contiguous slabs; node k's
+    # children become nodes 2k and 2k + 1, which ends in leaf order
+    nodes = llr.reshape(n_chains, n_blocks, block_len, 1)
+    spare = np.empty_like(llr)
+    del llr
+    # the steps run over groups of blocks small enough for their scratch
+    # buffers to stay in cache
+    group = max(1, _GROUP_VALUES // (n_chains * block_len))
+    work = np.empty((4, n_chains * min(group, n_blocks) * block_len // 2))
+    width = block_len
+    while width > 1:
+        half, count = width // 2, block_len // width
+        stage = partial.reshape(n_blocks, count, 2, half)
+        stage[:, :, 0, :] ^= stage[:, :, 1, :]
+        v = np.ascontiguousarray(stage[:, :, 0, :].transpose(0, 2, 1))
+        children = spare.reshape(n_chains, n_blocks, half, count, 2)
+        for lo in range(0, n_blocks, group):
+            rows = slice(lo, lo + group)
+            first, second = nodes[:, rows, :half], nodes[:, rows, half:]
+            scratch = work[:, :first.size].reshape((4,) + first.shape)
+            _f_step(first, second, has_inf, out=children[:, rows, ..., 0],
+                    work=scratch[:3])
+            _g_step(first, second, v[None, rows], has_inf,
+                    out=children[:, rows, ..., 1], work=scratch[3])
+        nodes, spare = children.reshape(n_chains, n_blocks, half, 2 * count), nodes
+        del children
+        width = half
+    del spare, work  # free the buffers before the leaf pairs are made
+    posteriors = _leaf_posteriors(nodes.reshape(n_chains, n_blocks, block_len))
+    del nodes
+    stats(slice(0, block_len), posteriors)
+    return u.copy(), codeword
+
+
+def sc_traverse(evidence: np.ndarray, decide, *, known=None):
     """Run one successive-cancellation pass over a batch of blocks.
 
     evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
         of two.
-    decide: callback ``decide(i, posteriors) -> bits`` called once per leaf
-        index i in increasing order; posteriors has shape (chains, blocks, 2)
-        and bits must be a (blocks,) array over {0, 1}.  The returned bits
-        are fed back into every chain.
+    decide: without ``known``, a callback ``decide(i, posteriors) -> bits``
+        called once per leaf index i in increasing order; posteriors has
+        shape (chains, blocks, 2) and bits must be a (blocks,) array over
+        {0, 1}.  The returned bits are fed back into every chain.
+        With ``known``, it is called once as ``decide(slice(0, N),
+        posteriors)`` with the (chains, blocks, N, 2) posteriors of every
+        leaf along the known bits, and its return value is ignored.
+    known: optional (blocks, N) bits of every leaf; selects the
+        breadth-first pass.
 
     Returns (u, x), both (blocks, N) uint8, where u collects the decided
     bits in leaf order and x is the corresponding codeword (u equals the
@@ -61,35 +224,17 @@ def sc_traverse(evidence: np.ndarray, decide):
     """
     if evidence.ndim != 4 or evidence.shape[-1] != 2:
         raise ValueError(f"evidence must have shape (C, B, N, 2), got {evidence.shape}")
-    n_chains, n_blocks, block_len, _ = evidence.shape
+    _, n_blocks, block_len, _ = evidence.shape
     if block_len < 1 or (block_len & (block_len - 1)) != 0:
         raise ValueError(f"block length must be a power of two, got {block_len}")
-    u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
-    cursor = [0]
-
-    def rec(ev: np.ndarray) -> np.ndarray:
-        width = ev.shape[2]
-        if width == 1:
-            i = cursor[0]
-            cursor[0] += 1
-            bits = np.asarray(decide(i, ev[:, :, 0, :]), dtype=np.uint8)
-            u_out[:, i] = bits
-            return bits[:, None]
-        half = width // 2
-        first, second = ev[:, :, :half, :], ev[:, :, half:, :]
-        a0, a1 = first[..., 0], first[..., 1]
-        b0, b1 = second[..., 0], second[..., 1]
-        xor_ev = _normalize_pairs(a0 * b0 + a1 * b1, a0 * b1 + a1 * b0)
-        v = rec(xor_ev)  # bits of (first-half xor second-half)
-        known = v[None, :, :].astype(bool)
-        sel0 = np.where(known, a1, a0)  # P(first = v xor 0)
-        sel1 = np.where(known, a0, a1)  # P(first = v xor 1)
-        tail_ev = _normalize_pairs(sel0 * b0, sel1 * b1)
-        tail = rec(tail_ev)
-        return np.concatenate([v ^ tail, tail], axis=1)
-
-    x_out = rec(np.asarray(evidence, dtype=float))
-    return u_out, x_out
+    with np.errstate(invalid="ignore", over="ignore"):
+        if known is None:
+            return _depth_first(evidence, decide)
+        u = np.asarray(known, dtype=np.uint8)
+        if u.shape != (n_blocks, block_len):
+            raise ValueError(
+                f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")
+        return _breadth_first(evidence, u, decide)
 
 
 def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
