@@ -13,6 +13,14 @@ as in the binary pipelines; randomized rounding on the posteriors simulates
 the backward channel of the quantization test, so the reconstruction error
 approaches sigma_s^2 - sigma_r^2 per symbol.
 
+Both coset weights of a level come from one call (_coset_llr), which sums
+each coset around its own point nearest the center, with no running
+maximum, and returns their log-ratio; the evidence posteriors and level_llr
+both read it.  The prior chain is centered at 0, so its evidence depends
+only on the finer label, which takes 2^(l-1) values at level l; each level
+tabulates it once and the prior chain gathers rows of that table instead
+of summing afresh at every sample position.
+
 The continuous model is a jointly Gaussian pair: the lattice point carries
 variance sigma_r^2 and the sample adds independent noise up to variance
 sigma_s^2.  Completing the square folds the shaping prior N(0, sigma_r^2)
@@ -56,7 +64,7 @@ from .polar.profile import load_profile  # noqa: F401
 from .polar.sc import sc_traverse  # noqa: F401
 from .polar.transform import polar_transform  # noqa: F401
 
-MULTILEVEL_CACHE_VERSION = 3
+MULTILEVEL_CACHE_VERSION = 4
 
 # dither/rounding substream indices start here; a pipeline running several
 # quantizers off one shared seed gives each its own base to keep them apart
@@ -236,39 +244,58 @@ def plan_chain(mmse: MmseParams, *, levels: int | None = None,
 # per-level evidence
 # ---------------------------------------------------------------------------
 
-def _coset_log_weight(centers, sigma, base, stride):
-    """log of sum over m in base + stride*Z of exp(-(m - centers)^2 / (2 sigma^2)).
+def _coset_llr(centers, sigma, offsets, step):
+    """ln W0 - ln W1, where W_w sums exp(-(m - centers)^2 / (2 sigma^2)) over
+    the coset m in offsets + step*w + 2*step*Z.
 
-    The window is anchored at the coset point nearest each center and spans
-    9.5 sigma plus one step each way, leaving relative tails below 1e-14.
-    Accumulation is a running log-sum-exp, so only center-sized temporaries
-    are ever alive.
+    Both cosets come out of one call.  The point of offsets + step*Z nearest
+    each center belongs to one coset (the parity of its index says which),
+    and the other coset's nearest point lies one step across the center.
+    Each coset's sum is taken relative to its own nearest point, so every
+    term is exp of a nonpositive number and each relative sum is at least
+    1: there is no running maximum, and the log-ratio stays finite even when
+    the other coset's weight is far below the float range (step >> sigma).
+    Each sum takes every point within 9.5 sigma of the center: the points
+    left out weigh below 1e-19 of the nearest one, under half a rounding
+    unit of a sum that is at least 1.
     """
-    j0 = np.rint((centers - base) / stride)
-    span = int(math.ceil(9.5 * sigma / stride)) + 1
+    k0 = np.rint((centers - offsets) / step).astype(np.int64)
+    near = offsets + step * k0 - centers
+    odd = (k0 & 1).astype(bool)
+    far = near - np.copysign(step, near)
     inv = -1.0 / (2.0 * sigma * sigma)
-    d = base + stride * (j0 - span) - centers
-    best = inv * d * d
-    acc = np.ones_like(best)
-    for k in range(1 - span, span + 1):
-        d = base + stride * (j0 + k) - centers
-        cur = inv * d * d
-        hi = np.maximum(best, cur)
-        acc = acc * np.exp(best - hi) + np.exp(cur - hi)
-        best = hi
-    return best + np.log(acc)
+    llr = inv * (near * near - far * far)
+    # a coset point at 2 step i from the nearest one, a, has exponent
+    # inv ((a + 2 step i)^2 - a^2) = i slope + i^2 curve <= 0
+    curve = 4.0 * inv * step * step
+    up = np.empty_like(near)
+    down = np.empty_like(near)
+    sums = []
+    for anchor in (near, far):
+        slope = (4.0 * inv * step) * anchor
+        total = np.ones_like(anchor)
+        for i in range(1, int(math.ceil(9.5 * sigma / (2.0 * step))) + 1):
+            shift = curve * (i * i)
+            np.multiply(slope, i, out=up)
+            np.subtract(shift, up, out=down)
+            up += shift
+            # adding the +-i terms as one pair makes the sums of two cosets
+            # mirrored about the center bitwise equal: an exact tie gives L = 0
+            total += np.add(np.exp(up, out=up), np.exp(down, out=down), out=up)
+        sums.append(total)
+    llr += np.log(sums[0] / sums[1])
+    return np.where(odd, -llr, llr)
 
 
 def _coset_posteriors(centers, sigma, offsets, step):
     """Normalized (..., 2) posteriors over the cosets offsets + step*w + 2*step*Z."""
-    stride = 2.0 * step
-    lw0 = _coset_log_weight(centers, sigma, offsets, stride)
-    lw1 = _coset_log_weight(centers, sigma, offsets + step, stride)
-    hi = np.maximum(lw0, lw1)
-    e0 = np.exp(lw0 - hi)
-    e1 = np.exp(lw1 - hi)
-    total = e0 + e1
-    return np.stack([e0 / total, e1 / total], axis=-1)
+    llr = _coset_llr(centers, sigma, offsets, step)
+    out = np.empty(np.shape(llr) + (2,))
+    with np.errstate(over="ignore"):  # exp(|L| > 709) = inf: probability 0
+        np.exp(-llr, out=out[..., 0])
+        np.exp(llr, out=out[..., 1])
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _finer_offsets(chain, level, finer_labels, shape):
@@ -280,44 +307,54 @@ def _finer_offsets(chain, level, finer_labels, shape):
     if bits.shape != (level - 1,) + shape:
         raise ValueError(
             f"finer_labels must have shape {(level - 1,) + shape}, got {bits.shape}")
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("finer_labels must be bits in {0, 1}")
     weights = (1 << np.arange(level - 1, dtype=np.int64))
     ints = np.tensordot(weights, bits.astype(np.int64), axes=1)
     return chain.base_scale * ints.astype(float)
+
+
+def _check_finite(samples):
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite (no NaN or infinity)")
 
 
 def level_llr(chain: PartitionChainSpec, mmse: MmseParams, level: int,
               observation, finer_labels=None) -> np.ndarray:
     """Natural-log odds that bit `level` is 0, given a sample and finer bits.
 
-    observation: samples of the source variable, any shape.
+    observation: finite samples of the source variable, any shape.
     finer_labels: bits of levels 1 .. level-1, shape (level-1,) + observation
         shape; omitted for the first level.
     """
     chain.check_level(level)
     obs = np.asarray(observation, dtype=float)
+    _check_finite(obs)
     offsets = _finer_offsets(chain, level, finer_labels, obs.shape)
-    step = chain.level_step(level)
-    stride = 2.0 * step
-    centers = mmse.alpha * obs
-    sigma = math.sqrt(mmse.sigma_tilde2)
-    return (_coset_log_weight(centers, sigma, offsets, stride)
-            - _coset_log_weight(centers, sigma, offsets + step, stride))
+    return _coset_llr(mmse.alpha * obs, math.sqrt(mmse.sigma_tilde2), offsets,
+                      chain.level_step(level))
 
 
 def _level_evidence(chain, mmse, level, finer, samples=None):
-    """(cond, prior) evidence callables of one level: coset posteriors of
-    block slices, offset by the (B, N) finer labels; samples feed cond only."""
+    """(cond, prior) evidence callables of one level over block slices of
+    the (B, N) integer finer labels; samples feed cond only.
+
+    The prior chain is centered at 0, so its coset posteriors depend on the
+    finer label alone: they are tabulated once per call, one row per label
+    in [0, 2^(level-1)), and prior gathers its slice from that table.  cond
+    evaluates the coset sums at alpha * sample for each slice it is asked.
+    """
     step = chain.level_step(level)
-    offsets = chain.base_scale * finer.astype(float)
     sigma = math.sqrt(mmse.sigma_tilde2)
+    table = _coset_posteriors(np.zeros(1 << (level - 1)), chain.sigma_r,
+                              chain.base_scale * np.arange(1 << (level - 1)), step)
 
     def cond(start, stop):
         return _coset_posteriors(mmse.alpha * samples[start:stop], sigma,
-                                 offsets[start:stop], step)
+                                 chain.base_scale * finer[start:stop], step)
 
     def prior(start, stop):
-        return _coset_posteriors(np.zeros_like(offsets[start:stop]),
-                                 chain.sigma_r, offsets[start:stop], step)
+        return table[finer[start:stop]]
 
     return cond, prior
 
@@ -598,6 +635,7 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
     taking distinct stream bases.
     """
     samples = np.asarray(samples, dtype=float)
+    _check_finite(samples)
     n_blocks, block_len = samples.shape
     if block_len != code.block_len:
         raise ValueError(

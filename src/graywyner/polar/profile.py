@@ -167,7 +167,9 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None):
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
     x = np.empty((n_blocks, block_len), dtype=np.uint8)
     for start, stop in chunked_batches(n_blocks, len(chains), block_len):
-        evidence = np.stack([chain(start, stop) for chain in chains])
+        # one chain needs no stacked copy, only a leading chain axis
+        evidence = (chains[0](start, stop)[None] if len(chains) == 1
+                    else np.stack([chain(start, stop) for chain in chains]))
         kw = {} if known is None else {"known": known[start:stop]}
         u[start:stop], x[start:stop] = sc_traverse(
             evidence, lambda i, probs: decide(i, probs, start, stop), **kw)

@@ -1,13 +1,50 @@
 """Shared fixtures: a disk-backed profile store so expensive Monte Carlo
-constructions are reused across test modules and across test sessions."""
+constructions are reused across test modules and across test sessions.
 
+Entries that no load can serve any more (written under an earlier cache
+version, or unreadable) are deleted when a session starts, so superseded
+entries do not pile up in the store."""
+
+import json
 from pathlib import Path
 
 import pytest
 
+from graywyner.lattice import MULTILEVEL_CACHE_VERSION
 from graywyner.polar import construct_profile_cached
+from graywyner.polar.profile import PROFILE_CACHE_VERSION
 
 CACHE_DIR = Path(__file__).parent / ".cache"
+
+CURRENT_VERSIONS = {"profile": PROFILE_CACHE_VERSION,
+                    "multilevel": MULTILEVEL_CACHE_VERSION}
+
+
+def is_current_entry(path: Path) -> bool:
+    """True for a JSON entry whose kind's version is the current one."""
+    if path.suffix != ".json":
+        return False
+    try:
+        data = json.loads(path.read_text())
+        return CURRENT_VERSIONS.get(data.get("kind")) == data.get("version")
+    except (OSError, ValueError, AttributeError):
+        return False
+
+
+def prune_stale_entries(cache_dir: Path) -> list:
+    """Delete every file in cache_dir that is not a current entry; returns
+    the deleted names."""
+    if not cache_dir.is_dir():
+        return []
+    stale = [p for p in sorted(cache_dir.iterdir())
+             if p.is_file() and not is_current_entry(p)]
+    for path in stale:
+        path.unlink(missing_ok=True)
+    return [p.name for p in stale]
+
+
+def pytest_sessionstart(session):
+    prune_stale_entries(CACHE_DIR)
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,8 @@ from scipy.special import logsumexp
 from graywyner import rng
 from graywyner.lattice import (
     PartitionChainSpec,
+    _coset_posteriors,
+    _level_evidence,
     build_multilevel_code,
     default_chain,
     lattice_quantize,
@@ -280,6 +282,106 @@ class TestLevelLlr:
         assert np.array_equal(a, b)
 
 
+class TestLevelLlrValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        chain = default_chain(EPS2)
+        with pytest.raises(ValueError, match="finite"):
+            level_llr(chain, EPS2, 1, np.array([0.3, bad]))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_finer_label_outside_bits_rejected(self, bad):
+        chain = default_chain(EPS2)
+        bits = np.array([[0, bad, 1]])
+        with pytest.raises(ValueError, match="bits"):
+            level_llr(chain, EPS2, 2, np.array([0.1, 0.2, 0.3]), bits)
+
+
+def direct_coset_log_weights(centers, sigma, offsets, step, k_range=500):
+    """(ln W0, ln W1) of the two cosets from a direct +-k_range-term sum
+    each, around the origin rather than around each center."""
+    k = np.arange(-k_range, k_range + 1)
+    centers, offsets = np.broadcast_arrays(np.asarray(centers, dtype=float),
+                                           np.asarray(offsets, dtype=float))
+    return tuple(
+        logsumexp(-((offsets[..., None] + step * w + 2.0 * step * k
+                     - centers[..., None]) ** 2) / (2.0 * sigma * sigma), axis=-1)
+        for w in (0, 1))
+
+
+def direct_coset_posteriors(centers, sigma, offsets, step):
+    lw0, lw1 = direct_coset_log_weights(centers, sigma, offsets, step)
+    p0 = 1.0 / (1.0 + np.exp(np.clip(lw1 - lw0, -700.0, 700.0)))
+    return np.stack([p0, 1.0 - p0], axis=-1)
+
+
+class TestCosetEvidence:
+    """The one-pass coset sums against a direct sum, in the regimes that
+    stress their anchoring: rint ties, odd negative anchors, a far-off
+    second coset (step >> sigma) and a wide window (sigma >> step)."""
+
+    def assert_matches_direct(self, centers, sigma, offsets, step):
+        got = _coset_posteriors(centers, sigma, offsets, step)
+        want = direct_coset_posteriors(centers, sigma, offsets, step)
+        assert got.shape == want.shape
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_prior_table_equals_elementwise_evaluation(self):
+        mmse = mmse_params(1.0, 0.8)
+        chain = plan_chain(mmse)
+        gen = np.random.default_rng(3)
+        for level in range(1, chain.levels + 1):
+            finer = gen.integers(0, 1 << (level - 1), size=(9, 64))
+            _, prior = _level_evidence(chain, mmse, level, finer)
+            want = _coset_posteriors(np.zeros((7, 64)), chain.sigma_r,
+                                     chain.base_scale * finer[2:9].astype(float),
+                                     chain.level_step(level))
+            assert np.array_equal(prior(2, 9), want)
+
+    def test_centers_on_coset_midpoints(self):
+        step = 0.5
+        k = np.arange(-6, 6)
+        centers = step * (k + 0.5)  # exact rint ties
+        offsets = np.where(k % 3 == 0, 0.0, step)  # keeps the ties
+        self.assert_matches_direct(centers, 0.3, offsets, step)
+        # equidistant cosets tie exactly, so a tie-breaking rule sees 1/2
+        for sigma in (0.3, 2.0, 3.3):
+            assert np.all(_coset_posteriors(centers, sigma, 0.0, step) == 0.5)
+
+    def test_negative_centers_with_odd_anchor(self):
+        step = 0.75
+        centers = -np.array([1.0, 3.0, 5.0, 7.0]) * step + np.array([0.1, -0.2, 0.3, 0.0])
+        assert np.all(np.rint(centers / step).astype(np.int64) % 2 == 1)
+        self.assert_matches_direct(centers, 0.4, 0.0, step)
+        got = _coset_posteriors(centers, 0.4, 0.0, step)
+        assert np.all(got[..., 1] > got[..., 0])  # the odd coset holds the anchor
+
+    def test_step_far_above_sigma(self):
+        # the other coset's weight is about e^-1000 relative to the anchor's
+        step = 1.0
+        sigma = step / math.sqrt(2000.0)
+        centers = np.array([0.0, 1.0, -3.0, 0.02, 0.49, 0.5])
+        self.assert_matches_direct(centers, sigma, 0.0, step)
+        chain = PartitionChainSpec(base_scale=step, levels=1, sigma_r=1.0)
+        mmse = mmse_params(1.0 + sigma * sigma, 1.0)
+        obs = centers / mmse.alpha
+        llr = level_llr(chain, mmse, 1, obs)
+        lw0, lw1 = direct_coset_log_weights(mmse.alpha * obs,
+                                            math.sqrt(mmse.sigma_tilde2), 0.0, step)
+        assert np.all(np.isfinite(llr))
+        assert np.all(np.abs(llr[:3]) > 900.0)  # centers on lattice points
+        assert llr == pytest.approx(lw0 - lw1, rel=1e-12)
+
+    def test_sigma_far_above_step(self):
+        # prior-chain shape at the finest level: centers 0, a ~12-term walk
+        step = 0.5
+        sigma = 1.2
+        offsets = step * np.arange(4) / 4.0
+        self.assert_matches_direct(np.zeros(4), sigma, offsets, step)
+        self.assert_matches_direct(np.linspace(-3.0, 3.0, 25), sigma, 0.1, step)
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -518,6 +620,13 @@ class TestLatticeQuantize:
         bad[level] = bad[level][:, :-1]
         with pytest.raises(ValueError, match="must have shape"):
             lattice_reconstruct(bad, eps2_code, shared_seed=5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, eps2_code, bad):
+        samples = np.zeros((2, 4096))
+        samples[1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lattice_quantize(samples, eps2_code, shared_seed=0)
 
     def test_block_length_validated(self, eps2_code):
         with pytest.raises(ValueError, match="length"):
