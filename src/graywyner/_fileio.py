@@ -1,4 +1,4 @@
-"""Atomic file writes shared by the profile and record stores."""
+"""Atomic file writes shared by the profile and lattice-code caches."""
 
 from __future__ import annotations
 

@@ -199,6 +199,8 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                       cache_dir=None, sample_count: int = 256,
                       construction_seed: int = 11) -> RunRecord:
     """Run one operating point for one seed over a batch of source blocks."""
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
     stages = _Stages(model, block_len, seed, margins, cache_dir,
                      sample_count, construction_seed)
     x, y = model.sample(n_blocks, block_len, rng.stream(seed, rng.STREAM_SOURCE))

@@ -96,6 +96,8 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
     chain depth; the default sizes it from the spacing that meets
     target_flatness.
     """
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
     build = dict(levels=levels, target_flatness=target_flatness,
                  rate_margin=rate_margin, cache_dir=cache_dir,
                  sample_count=sample_count,

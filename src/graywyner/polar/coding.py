@@ -156,8 +156,9 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
 def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
                    block_len):
     stream_id = rng.substream(stream, level)
-    return np.stack([draw(shared_seed, stream_id, block_offset + b, block_len)
-                     for b in range(n_blocks)])
+    rows = [draw(shared_seed, stream_id, block_offset + b, block_len)
+            for b in range(n_blocks)]
+    return np.stack(rows) if rows else np.empty((0, block_len))
 
 
 def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, dither, info_bits):

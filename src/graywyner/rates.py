@@ -38,7 +38,9 @@ class RateTriple:
 class RunRecord:
     """Per-block measurements plus closed-form targets for one seed.
 
-    common, when present, holds the common reconstruction blocks so a
+    The per-block arrays share one nonzero length, and no rate block lies
+    below zero beyond rounding; a record that breaks either raises
+    ValueError.  common, when present, holds the common reconstruction blocks so a
     refinement stage can code residuals against exactly what the decoder
     will see.
     """
@@ -57,6 +59,15 @@ class RunRecord:
     dist_x: np.ndarray
     dist_y: np.ndarray
     common: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        lengths = {len(self.r0), len(self.r1), len(self.r2),
+                   len(self.dist_x), len(self.dist_y)}
+        if lengths != {len(self.r0)} or len(self.r0) == 0:
+            raise ValueError("per-block arrays must share one nonzero length")
+        for name in ("r0", "r1", "r2"):
+            if float(getattr(self, name).min()) < -1e-12:
+                raise ValueError(f"empirical rate {name} went negative")
 
     @property
     def n_blocks(self) -> int:

@@ -157,3 +157,8 @@ class TestRunContract:
     def test_unknown_point_rejected(self, model, cache_dir):
         with pytest.raises(TypeError):
             run_dsbs_pipeline(object(), model, 1024, 0)
+
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_empty_batch_rejected(self, model, cache_dir, blocks):
+        with pytest.raises(ValueError, match="n_blocks"):
+            run(PointG(), model, cache_dir, blocks=blocks)

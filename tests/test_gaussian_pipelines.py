@@ -85,6 +85,11 @@ class TestPairRoute:
         with pytest.raises(ValueError, match="unreachable"):
             pair_run(cache_dir, levels=5, target_flatness=1e-12)
 
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_empty_batch_rejected(self, cache_dir, blocks):
+        with pytest.raises(ValueError, match="n_blocks"):
+            pair_run(cache_dir, blocks=blocks)
+
 
 class TestLRoute:
     def test_record_structure_and_windows(self, cache_dir):

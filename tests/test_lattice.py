@@ -35,7 +35,7 @@ from graywyner.lattice import (
 from graywyner.numerics import flatness_factor
 from graywyner.polar import CLASS_FROZEN_DETERMINISTIC, CLASS_INFO
 
-# the three reductions exercised by the experiment harness
+# the three reductions of the Gaussian routes (pair, coupled, L-source)
 PAIR = mmse_params(0.9, 0.8)        # symmetric pair average, correlation 0.8
 EPS2 = mmse_params(0.9, 0.5)        # coupled-distortion reduction at 0.5
 L3 = mmse_params(2.0 / 3.0, 0.5)    # three-source average, correlation 0.5
@@ -631,3 +631,13 @@ class TestLatticeQuantize:
     def test_block_length_validated(self, eps2_code):
         with pytest.raises(ValueError, match="length"):
             lattice_quantize(np.zeros((1, 512)), eps2_code, shared_seed=0)
+
+    def test_empty_batch_gives_empty_arrays(self, eps2_code):
+        payloads, recon = lattice_quantize(np.zeros((0, 4096)), eps2_code,
+                                           shared_seed=0)
+        for payload, profile in zip(payloads, eps2_code.profiles):
+            assert payload.shape == (0, len(profile.info_positions()))
+            assert payload.dtype == np.uint8
+        assert recon.shape == (0, 4096)
+        replay = lattice_reconstruct(payloads, eps2_code, shared_seed=0)
+        assert replay.shape == (0, 4096)

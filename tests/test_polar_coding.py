@@ -181,6 +181,32 @@ class TestLossyNonuniformPrior:
         assert 0.1 < ones < 0.3  # matches the Ber(0.2) prior, not uniform
 
 
+class TestEmptyBatch:
+    """Zero blocks give empty arrays of the usual widths on both coders."""
+
+    @pytest.mark.parametrize("prior, crossover, name", [
+        (0.5, 0.11, "bsc-quantizer"), (0.2, 0.1, "skewed-quantizer")])
+    def test_lossy(self, profile_store, prior, crossover, name):
+        channel = make_quantizer_source(prior, bsc_forward(crossover), name=name)
+        profile = profile_store(channel, 512)
+        assert profile.has_deterministic == (prior != 0.5)
+        obs = np.zeros((0, 512), dtype=np.int64)
+        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=1)
+        assert payload.shape == (0, len(profile.info_positions()))
+        assert payload.dtype == recon.dtype == np.uint8
+        assert recon.shape == (0, 512)
+        rebuilt = sc_lossy_reconstruct(payload, channel, profile, shared_seed=1)
+        assert rebuilt.shape == (0, 512) and rebuilt.dtype == np.uint8
+
+    def test_lossless(self, profile_store):
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 256)
+        code = sc_lossless_encode(np.zeros((0, 256), dtype=np.uint8), channel,
+                                  profile, stored_fraction=0.7)
+        assert code.n_blocks == 0
+        assert sc_lossless_decode(code, channel, profile).shape == (0, 256)
+
+
 class TestSymbolRange:
     """Symbols outside the side alphabet are refused, never wrapped."""
 
