@@ -1,4 +1,4 @@
-"""Atomic file writes shared by the profile and lattice-code caches."""
+"""Atomic file writes for the profile cache."""
 
 from __future__ import annotations
 

@@ -40,14 +40,12 @@ built code so a configuration can be checked before use.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from ._fileio import atomic_write_text
 from .numerics import flatness_factor
 from .polar.coding import lossy_encode_from_evidence, lossy_reconstruct_from_evidence
 from .polar.profile import (
@@ -55,6 +53,7 @@ from .polar.profile import (
     CLASS_FROZEN_RANDOM,
     construct_from_evidence,
     load_cached_profile,
+    profile_cache_key,
     profile_path,
     save_profile,
 )
@@ -63,8 +62,6 @@ from .polar.profile import (
 from .polar.profile import load_profile  # noqa: F401
 from .polar.sc import sc_traverse  # noqa: F401
 from .polar.transform import polar_transform  # noqa: F401
-
-MULTILEVEL_CACHE_VERSION = 4
 
 # dither/rounding substream indices start here; a pipeline running several
 # quantizers off one shared seed gives each its own base to keep them apart
@@ -496,59 +493,6 @@ def _apply_rate_budget(profiles, chain, budget_bits):
     return tuple(replace(p, classes=c) for p, c in zip(profiles, classes))
 
 
-def multilevel_cache_key(chain: PartitionChainSpec, mmse: MmseParams,
-                         block_len: int, beta: float, sample_count: int,
-                         seed: int) -> str:
-    return (f"multilevel_{_chain_tag(chain, mmse)}_n{block_len}"
-            f"_b{float(beta).hex()}_s{sample_count}_r{seed}")
-
-
-def _bundle_header(chain, mmse, block_len, beta, sample_count, seed) -> dict:
-    return {
-        "version": MULTILEVEL_CACHE_VERSION,
-        "kind": "multilevel",
-        "base_scale": float(chain.base_scale),
-        "levels": chain.levels,
-        "sigma_r": float(chain.sigma_r),
-        "sigma_s2": float(mmse.sigma_s2),
-        "sigma_r2": float(mmse.sigma_r2),
-        "N": block_len,
-        "beta": float(beta),
-        "sample_count": sample_count,
-        "seed": seed,
-    }
-
-
-def _save_bundle(chain, mmse, block_len, beta, sample_count, seed, flatness,
-                 profiles, cache_dir):
-    keys = [save_profile(p, cache_dir).stem for p in profiles]
-    payload = dict(_bundle_header(chain, mmse, block_len, beta, sample_count, seed),
-                   flatness=flatness, profile_keys=keys)
-    key = multilevel_cache_key(chain, mmse, block_len, beta, sample_count, seed)
-    atomic_write_text(profile_path(cache_dir, key), json.dumps(payload))
-
-
-def _load_bundle(chain, mmse, block_len, beta, sample_count, seed, cache_dir):
-    """The cached level profiles, or None (a miss) when the bundle or one of
-    its profiles is missing, unreadable or built for other parameters."""
-    header = _bundle_header(chain, mmse, block_len, beta, sample_count, seed)
-    path = profile_path(cache_dir, multilevel_cache_key(
-        chain, mmse, block_len, beta, sample_count, seed))
-    try:
-        data = json.loads(path.read_text())
-        keys = list(data["profile_keys"])
-        if any(data.get(k) != v for k, v in header.items()) or len(keys) != chain.levels:
-            return None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-    profiles = tuple(
-        load_cached_profile(profile_path(cache_dir, key),
-                            _level_channel_id(chain, mmse, level),
-                            block_len, beta, sample_count, seed)
-        for level, key in enumerate(keys, start=1))
-    return None if any(p is None for p in profiles) else profiles
-
-
 def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
                           block_len: int, *, beta: float = 0.25,
                           sample_count: int = 256, seed: int = 0,
@@ -581,7 +525,10 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     flatness_target refuses chains whose finest-level aliased posterior
     deviates from uniform by more than the target (None skips the check;
     the measured value is always recorded on the returned code).
-    Profiles are cached uncapped, so one cache entry serves every margin.
+    With cache_dir, each level is cached uncapped as an ordinary profile
+    entry, keyed and checked as in construct_profile_cached, so one entry
+    serves every margin.  The levels come from one joint construction
+    stream, so a miss at any level rebuilds and stores them all.
     """
     r2 = chain.sigma_r ** 2
     if abs(r2 - mmse.sigma_r2) > 1e-9 * max(r2, mmse.sigma_r2):
@@ -595,14 +542,20 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
             "shrink base_scale or loosen flatness_target")
     profiles = None
     if cache_dir is not None:
-        profiles = _load_bundle(chain, mmse, block_len, beta, sample_count,
-                                seed, cache_dir)
+        profiles = []
+        for level in range(1, chain.levels + 1):
+            header = (_level_channel_id(chain, mmse, level), block_len, beta,
+                      sample_count, seed)
+            profiles.append(load_cached_profile(
+                profile_path(cache_dir, profile_cache_key(*header)), *header))
+        if any(p is None for p in profiles):
+            profiles = None
     if profiles is None:
         profiles = _construct_levels(chain, mmse, block_len, beta,
                                      sample_count, seed)
         if cache_dir is not None:
-            _save_bundle(chain, mmse, block_len, beta, sample_count, seed,
-                         eps, profiles, cache_dir)
+            for profile in profiles:
+                save_profile(profile, cache_dir)
     if rate_margin is not None and math.isfinite(rate_margin):
         mi_total = sum(
             max(0.0, p.prior_entropy_estimate() - p.conditional_entropy_estimate())
@@ -635,6 +588,8 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
     taking distinct stream bases.
     """
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError(f"samples must have shape (B, N), got {samples.shape}")
     _check_finite(samples)
     n_blocks, block_len = samples.shape
     if block_len != code.block_len:

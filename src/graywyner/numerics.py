@@ -176,29 +176,6 @@ def discrete_gaussian_pmf(spec: DiscreteGaussianSpec, tail: float = 1e-12):
 # flatness factor of s*Z at noise sigma
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlatnessQuery:
-    """Parameters of a flatness-factor evaluation on the lattice scale*Z.
-
-    grid_resolution is the number of uniformly spaced probe points over the
-    fundamental region [0, scale); the best grid point is then refined
-    locally.  At least 64 points are required.
-    """
-
-    scale: float
-    sigma: float
-    grid_resolution: int = 256
-
-    def __post_init__(self):
-        if not self.scale > 0.0 or not self.sigma > 0.0:
-            raise ValueError("scale and sigma must be positive")
-        if self.grid_resolution < 64:
-            raise ValueError(f"grid_resolution must be >= 64, got {self.grid_resolution}")
-
-    def evaluate(self) -> float:
-        return flatness_factor(self.scale, self.sigma, self.grid_resolution)
-
-
 def _aliased_deviation(x, scale, sigma, radius):
     """|scale * f_aliased(x) - 1| for x in [0, scale), vectorized over x.
 
@@ -226,31 +203,35 @@ def flatness_factor(scale: float, sigma: float, grid_resolution: int = 256) -> f
     golden-section refinement around the best grid point.  The aliased sum is
     truncated with tail below 1e-14.  Monotone nonincreasing in sigma for
     fixed scale, and invariant under joint scaling of (scale, sigma).
+    grid_resolution, the number of probe points, must be at least 64.
     """
-    q = FlatnessQuery(scale, sigma, grid_resolution)
-    radius = _alias_radius(q.scale, q.sigma)
-    grid = q.scale * np.arange(q.grid_resolution) / q.grid_resolution
-    dev = _aliased_deviation(grid, q.scale, q.sigma, radius)
+    if not scale > 0.0 or not sigma > 0.0:
+        raise ValueError("scale and sigma must be positive")
+    if grid_resolution < 64:
+        raise ValueError(f"grid_resolution must be >= 64, got {grid_resolution}")
+    radius = _alias_radius(scale, sigma)
+    grid = scale * np.arange(grid_resolution) / grid_resolution
+    dev = _aliased_deviation(grid, scale, sigma, radius)
     best = int(np.argmax(dev))
     best_val = float(dev[best])
     # golden-section refinement of the unimodal bump around the best probe
-    step = q.scale / q.grid_resolution
+    step = scale / grid_resolution
     lo, hi = grid[best] - step, grid[best] + step
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = float(_aliased_deviation(c, q.scale, q.sigma, radius)[0])
-    fd = float(_aliased_deviation(d, q.scale, q.sigma, radius)[0])
+    fc = float(_aliased_deviation(c, scale, sigma, radius)[0])
+    fd = float(_aliased_deviation(d, scale, sigma, radius)[0])
     for _ in range(40):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = float(_aliased_deviation(c, q.scale, q.sigma, radius)[0])
+            fc = float(_aliased_deviation(c, scale, sigma, radius)[0])
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = float(_aliased_deviation(d, q.scale, q.sigma, radius)[0])
+            fd = float(_aliased_deviation(d, scale, sigma, radius)[0])
     return max(best_val, fc, fd)
 
 

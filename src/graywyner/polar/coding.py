@@ -110,7 +110,12 @@ def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
                        side=None) -> LosslessCode:
     """Compress blocks x (B, N) of the channel's coded variable."""
     _check_pairing(channel, profile)
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError(f"x must have shape (B, N), got {x.shape}")
+    if np.any((x != 0) & (x != 1)):
+        raise ValueError("x must hold bits in {0, 1}")
+    x = x.astype(np.uint8)
     n_blocks, block_len = x.shape
     if block_len != profile.block_len:
         raise ValueError(f"blocks have length {block_len}, profile expects {profile.block_len}")
@@ -132,8 +137,17 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
                        profile: PolarProfile, side=None) -> np.ndarray:
     """Recover the source blocks exactly from their compressed form."""
     _check_pairing(channel, profile)
-    n_blocks = code.n_blocks
+    n_blocks = len(code.corrections)
     block_len = profile.block_len
+    if code.stored_mask.shape != (block_len,):
+        raise ValueError(f"stored_mask must have shape ({block_len},), "
+                         f"got {code.stored_mask.shape}")
+    stored_shape = (n_blocks, int(code.stored_mask.sum()))
+    if code.stored_bits.shape != stored_shape:
+        raise ValueError(f"stored_bits must have shape {stored_shape}, "
+                         f"got {code.stored_bits.shape}")
+    if any(np.any((idx < 0) | (idx >= block_len)) for idx in code.corrections):
+        raise ValueError(f"corrections must lie in [0, {block_len})")
     cond, _ = channel_evidence(
         channel, _side_symbols(channel, side, (n_blocks, block_len)))
     column = np.cumsum(code.stored_mask) - 1
@@ -238,6 +252,8 @@ def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
     """
     _check_pairing(channel, profile)
     obs = np.asarray(obs)
+    if obs.ndim != 2:
+        raise ValueError(f"obs must have shape (B, N), got {obs.shape}")
     n_blocks, block_len = obs.shape
     if block_len != profile.block_len:
         raise ValueError(f"blocks have length {block_len}, profile expects {profile.block_len}")

@@ -48,7 +48,7 @@ CLASS_INFO = 0
 CLASS_FROZEN_RANDOM = 1
 CLASS_FROZEN_DETERMINISTIC = 2
 
-PROFILE_CACHE_VERSION = 3
+PROFILE_CACHE_VERSION = 4
 
 
 def below_log_threshold(values, threshold_exponent: float) -> np.ndarray:
@@ -196,6 +196,8 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     sample_count, block_len = x_true.shape
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
+    if not 0.0 < beta < 1.0:  # also false for nan
+        raise ValueError(f"beta must be finite and in (0, 1), got {beta}")
     u_true = polar_transform(x_true)
     chains = (cond,) if prior is None else (cond, prior)
     z_sum = np.zeros((len(chains), block_len))

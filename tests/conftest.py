@@ -2,31 +2,28 @@
 constructions are reused across test modules and across test sessions.
 
 Entries that no load can serve any more (written under an earlier cache
-version, or unreadable) are deleted when a session starts, so superseded
-entries do not pile up in the store."""
+version, not a profile, or unreadable) are deleted when a session starts,
+so superseded entries do not pile up in the store."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from graywyner.lattice import MULTILEVEL_CACHE_VERSION
 from graywyner.polar import construct_profile_cached
 from graywyner.polar.profile import PROFILE_CACHE_VERSION
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 
-CURRENT_VERSIONS = {"profile": PROFILE_CACHE_VERSION,
-                    "multilevel": MULTILEVEL_CACHE_VERSION}
-
 
 def is_current_entry(path: Path) -> bool:
-    """True for a JSON entry whose kind's version is the current one."""
+    """True for a JSON profile entry of the current cache version."""
     if path.suffix != ".json":
         return False
     try:
         data = json.loads(path.read_text())
-        return CURRENT_VERSIONS.get(data.get("kind")) == data.get("version")
+        return (data.get("kind") == "profile"
+                and data.get("version") == PROFILE_CACHE_VERSION)
     except (OSError, ValueError, AttributeError):
         return False
 

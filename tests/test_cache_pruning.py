@@ -5,7 +5,6 @@ import json
 
 from conftest import prune_stale_entries
 
-from graywyner.lattice import MULTILEVEL_CACHE_VERSION
 from graywyner.polar import lossless_source
 from graywyner.polar.profile import PROFILE_CACHE_VERSION, construct_profile, save_profile
 
@@ -14,8 +13,8 @@ def test_prune_keeps_current_and_drops_stale(tmp_path):
     current = save_profile(construct_profile(lossless_source(0.11), 16, sample_count=4),
                            tmp_path).name
     entries = {
-        "bundle_now.json": {"version": MULTILEVEL_CACHE_VERSION, "kind": "multilevel"},
-        "bundle_old.json": {"version": MULTILEVEL_CACHE_VERSION - 1, "kind": "multilevel"},
+        # lattice levels are ordinary profile entries; bundles are stale
+        "bundle.json": {"version": PROFILE_CACHE_VERSION, "kind": "multilevel"},
         "profile_old.json": {"version": PROFILE_CACHE_VERSION - 1, "kind": "profile"},
         "profile_odd_kind.json": {"version": PROFILE_CACHE_VERSION, "kind": "other"},
         "not_a_dict.json": [1, 2],
@@ -25,7 +24,7 @@ def test_prune_keeps_current_and_drops_stale(tmp_path):
     (tmp_path / "truncated.json").write_text('{"version": ')
     (tmp_path / "left_over.json123.tmp").write_text("{}")
     deleted = prune_stale_entries(tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([current, "bundle_now.json"])
+    assert [p.name for p in tmp_path.iterdir()] == [current]
     assert len(deleted) == 6
 
 

@@ -498,14 +498,28 @@ class TestBuildMultilevelCode:
     def test_corrupt_cache_entries_are_rebuilt(self, tmp_path):
         kwargs = dict(block_len=64, sample_count=8, seed=2, cache_dir=tmp_path)
         first = build_multilevel_code(default_chain(L3), L3, **kwargs)
-        bundle, = tmp_path.glob("multilevel_*.json")
-        level_file = sorted(tmp_path.glob("profile_*.json"))[0]
-        for broken in (bundle, level_file):
+        level_files = sorted(tmp_path.glob("profile_*.json"))
+        assert len(level_files) == first.levels
+        for broken in level_files:
             broken.write_text("{truncated")
             again = build_multilevel_code(default_chain(L3), L3, **kwargs)
             for p, q in zip(first.profiles, again.profiles):
                 assert np.array_equal(p.z_cond, q.z_cond)
             json.loads(broken.read_text())  # overwritten with a valid entry
+        # mark every level entry; marked entries are still served as hits
+        for path in level_files:
+            data = json.loads(path.read_text())
+            data["z_cond"][0] = 0.5 + 0.25 * data["z_cond"][0]
+            path.write_text(json.dumps(data))
+        marked = build_multilevel_code(default_chain(L3), L3, **kwargs)
+        for p, q in zip(first.profiles, marked.profiles):
+            assert p.z_cond[0] != q.z_cond[0]
+        # one deleted level is a miss: every level is rebuilt and stored afresh
+        level_files[1].unlink()
+        again = build_multilevel_code(default_chain(L3), L3, **kwargs)
+        for p, q, path in zip(first.profiles, again.profiles, level_files):
+            assert np.array_equal(p.z_cond, q.z_cond)
+            assert json.loads(path.read_text())["z_cond"] == p.z_cond.tolist()
 
     def test_close_betas_never_share_a_bundle(self, tmp_path):
         kwargs = dict(block_len=64, sample_count=8, seed=2, cache_dir=tmp_path)
@@ -513,7 +527,15 @@ class TestBuildMultilevelCode:
         b = build_multilevel_code(default_chain(L3), L3, beta=0.1234564, **kwargs)
         assert (a.beta, b.beta) == (0.1234561, 0.1234564)
         assert all(p.beta == 0.1234564 for p in b.profiles)
-        assert len(list(tmp_path.glob("multilevel_*.json"))) == 2
+        assert len(list(tmp_path.glob("profile_*.json"))) == 2 * b.levels
+        again = build_multilevel_code(default_chain(L3), L3, beta=0.1234564, **kwargs)
+        assert all(p.beta == 0.1234564 for p in again.profiles)
+
+    @pytest.mark.parametrize("beta", [math.nan, 0.0, 1.0])
+    def test_beta_outside_open_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            build_multilevel_code(default_chain(L3), L3, 64, beta=beta,
+                                  sample_count=8, seed=2)
 
     def test_chain_mmse_mismatch_rejected(self):
         chain = PartitionChainSpec(base_scale=0.6, levels=4, sigma_r=1.0)
@@ -631,6 +653,10 @@ class TestLatticeQuantize:
     def test_block_length_validated(self, eps2_code):
         with pytest.raises(ValueError, match="length"):
             lattice_quantize(np.zeros((1, 512)), eps2_code, shared_seed=0)
+
+    def test_one_dimensional_samples_rejected(self, eps2_code):
+        with pytest.raises(ValueError, match=r"\(B, N\)"):
+            lattice_quantize(np.zeros(4096), eps2_code, shared_seed=0)
 
     def test_empty_batch_gives_empty_arrays(self, eps2_code):
         payloads, recon = lattice_quantize(np.zeros((0, 4096)), eps2_code,

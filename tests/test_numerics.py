@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from graywyner.numerics import (
     DiscreteGaussianSpec,
-    FlatnessQuery,
     MassDeficitError,
     TruncationError,
     binary_convolve,
@@ -174,11 +173,13 @@ class TestFlatnessFactor:
         for c in (0.37, 2.5, 10.0):
             assert flatness_factor(c, 0.4 * c) == pytest.approx(base, abs=1e-12)
 
-    def test_query_object(self):
-        q = FlatnessQuery(scale=1.0, sigma=0.5, grid_resolution=128)
-        assert q.evaluate() == pytest.approx(flatness_factor(1.0, 0.5, 128), abs=0)
-        with pytest.raises(ValueError):
-            FlatnessQuery(scale=1.0, sigma=0.5, grid_resolution=8)
+    def test_argument_checks(self):
+        assert flatness_factor(1.0, 0.5, grid_resolution=64) >= 0.0
+        with pytest.raises(ValueError, match="grid_resolution"):
+            flatness_factor(1.0, 0.5, grid_resolution=8)
+        for scale, sigma in ((0.0, 0.5), (1.0, -0.5), (math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="positive"):
+                flatness_factor(scale, sigma)
 
     def test_nonnegative_and_small_at_large_sigma(self):
         eps = flatness_factor(1.0, 2.0)

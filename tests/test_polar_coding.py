@@ -1,6 +1,9 @@
 """Coding-layer tests: exact lossless round trips, corrections accounting,
 shared-dither batch independence, encoder/decoder reconstruction agreement
-on both the fast path (uniform prior) and the prior-chain path."""
+on both the fast path (uniform prior) and the prior-chain path, and the
+refusal of malformed blocks and codes."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,3 +235,61 @@ class TestSymbolRange:
                                   side=np.zeros((2, 256), dtype=np.int64))
         with pytest.raises(ValueError, match="side symbols"):
             sc_lossless_decode(code, channel, profile, side=side)
+
+
+class TestMalformedBlocks:
+    """Encoders refuse blocks that are not (B, N) arrays of the coded alphabet."""
+
+    def test_lossless_rejects_one_dimensional_blocks(self, profile_store):
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 256)
+        with pytest.raises(ValueError, match=r"\(B, N\)"):
+            sc_lossless_encode(np.zeros(256, dtype=np.uint8), channel, profile,
+                               stored_fraction=0.7)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_lossless_rejects_values_outside_bits(self, profile_store, bad):
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 256)
+        x = np.zeros((2, 256))
+        x[1, 7] = bad
+        with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
+            sc_lossless_encode(x, channel, profile, stored_fraction=0.7)
+
+    def test_lossy_rejects_one_dimensional_blocks(self, profile_store):
+        channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
+        profile = profile_store(channel, 1024)
+        with pytest.raises(ValueError, match=r"\(B, N\)"):
+            sc_lossy_encode(np.zeros(1024, dtype=np.int64), channel, profile,
+                            shared_seed=1)
+
+
+class TestLosslessCodeShape:
+    """The decoder refuses a code built for another block length or batch."""
+
+    @pytest.mark.parametrize("stored_fraction", [0.3, 1.0])
+    def test_code_for_another_block_length(self, profile_store, stored_fraction):
+        channel = lossless_source(0.11)
+        x, _ = channel.sample(2, 64, rng.stream(54, rng.STREAM_SOURCE))
+        code = sc_lossless_encode(x, channel, profile_store(channel, 64),
+                                  stored_fraction=stored_fraction)
+        assert any(len(t) for t in code.corrections) == (stored_fraction < 1.0)
+        with pytest.raises(ValueError, match="stored_mask"):
+            sc_lossless_decode(code, channel, profile_store(channel, 32))
+
+    def test_inconsistent_code(self, profile_store):
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 64)
+        x, _ = channel.sample(2, 64, rng.stream(55, rng.STREAM_SOURCE))
+        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.5)
+        bad_codes = {
+            "stored_bits": [replace(code, stored_bits=code.stored_bits[:, 1:]),
+                            replace(code, stored_bits=code.stored_bits[:1]),
+                            replace(code, stored_bits=code.stored_bits[0])],
+            "corrections": [replace(code, corrections=(np.array([64]),) * 2),
+                            replace(code, corrections=(np.array([-1]),) * 2)],
+        }
+        for match, codes in bad_codes.items():
+            for bad in codes:
+                with pytest.raises(ValueError, match=match):
+                    sc_lossless_decode(bad, channel, profile)

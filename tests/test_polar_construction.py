@@ -1,6 +1,8 @@
 """Construction tests: exact chain-rule telescoping, entropy estimates
 against closed forms, polarization trends, classification rules, caching."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,12 @@ class TestClassification:
         profile = construct_profile(crossover_side_info(0.2), 256,
                                     sample_count=200, seed=6)
         assert not profile.has_deterministic
+
+    @pytest.mark.parametrize("beta", [math.nan, 0.0, 1.0])
+    def test_beta_outside_open_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            construct_profile(lossless_source(0.11), 16, beta=beta,
+                              sample_count=4, seed=1)
 
 
 class TestRateControl:
