@@ -30,8 +30,7 @@ from ..numerics import (
     default_truncation_radius,
     discrete_gaussian_pmf,
     flatness_factor,
-    tensor_grid_quadrature,
-    variation_distance_2d,
+    simpson_with_error,
 )
 from .model import (
     Eps2GaussianChannel,
@@ -105,27 +104,6 @@ def _window_prior(scale: float, sigma: float):
     return discrete_gaussian_pmf(spec)
 
 
-def _entropy_with_error(gv: np.ndarray, grids) -> tuple:
-    """Differential entropy (bits) of sampled density values, with a
-    fine-vs-half-resolution Simpson error estimate."""
-    integrand = -gv * np.log2(np.maximum(gv, np.finfo(float).tiny))
-    full = tensor_grid_quadrature(integrand, grids)
-    half = tensor_grid_quadrature(
-        integrand[(slice(None, None, 2),) * integrand.ndim],
-        [g[::2] for g in grids])
-    return full, abs(full - half)
-
-
-def _mass_check(values: np.ndarray, grids, label: str) -> None:
-    mass = tensor_grid_quadrature(values, grids)
-    half = tensor_grid_quadrature(
-        values[(slice(None, None, 2),) * values.ndim], [g[::2] for g in grids])
-    err = abs(mass - half)
-    if mass < 1.0 - 1e-9 - 10.0 * err - 1e-12:
-        raise MassDeficitError(
-            f"{label} mass {mass:.12f} inside the grid box; widen the box")
-
-
 def _check_grid_points(n: int) -> int:
     n = int(n)
     if n < 33 or n % 4 != 1:
@@ -134,57 +112,49 @@ def _check_grid_points(n: int) -> int:
     return n
 
 
-def _equi_report(kind, rho, n_sources, sigma, scale, resolution, box, mi_target):
-    """Grid-quadrature report for equal-weight sources with iid noise."""
-    noise = 1.0 - rho
-    points, pmf = _window_prior(scale, math.sqrt(rho))
-    axis = np.linspace(-box, box, resolution)
-    denom = 1.0 + (n_sources - 1) * rho
-    det = denom * noise ** (n_sources - 1)
-    f_norm = (2.0 * math.pi) ** (-n_sources / 2.0) / math.sqrt(det)
-    # equicorrelated inverse: (I - rho/denom * J) / (1 - rho)
-    if n_sources == 2:
-        def g_vals(x, y):
-            gv = np.zeros_like(x)
-            for pk, w in zip(pmf, points):
-                gv += pk * np.exp(-((x - w) ** 2 + (y - w) ** 2) / (2.0 * noise))
-            return gv / (2.0 * math.pi * noise)
-
-        def f_vals(x, y):
-            q = (x * x + y * y - rho / denom * (x + y) ** 2) / noise
-            return f_norm * np.exp(-0.5 * q)
-
-        variation, var_err = variation_distance_2d(
-            f_vals, g_vals, ((-box, box), (-box, box)), resolution)
-        xg, yg = np.meshgrid(axis, axis, indexing="ij")
-        gv = g_vals(xg, yg)
-        grids = [axis, axis]
-    else:
-        factors = np.exp(-((axis[None, :] - points[:, None]) ** 2)
-                         / (2.0 * noise))
-        factors /= math.sqrt(2.0 * math.pi * noise)
-        gv = np.tensordot(
-            np.einsum("k,ki,kj->kij", pmf, factors, factors),
-            factors, axes=(0, 0))
-        s1 = (axis[:, None, None] + axis[None, :, None] + axis[None, None, :])
-        s2 = (axis[:, None, None] ** 2 + axis[None, :, None] ** 2
-              + axis[None, None, :] ** 2)
-        fv = f_norm * np.exp(-0.5 * (s2 - rho / denom * s1 * s1) / noise)
-        grids = [axis] * 3
-        _mass_check(fv, grids, "exact density")
-        _mass_check(gv, grids, "lattice mixture")
-        diff = np.abs(fv - gv)
-        variation = tensor_grid_quadrature(diff, grids)
-        var_err = abs(variation - tensor_grid_quadrature(
-            diff[::2, ::2, ::2], [axis[::2]] * 3))
-
-    h_cond = n_sources * 0.5 * math.log2(2.0 * math.pi * math.e * noise)
-    entropy, ent_err = _entropy_with_error(gv, grids)
+def _grid_report(kind, scale, sigma, fv, gv, grids, h_cond, mi_target):
+    """Report from the exact density fv and the lattice mixture gv, both
+    sampled on the tensor grid `grids`; h_cond is the differential entropy
+    (bits) of the sources given the hidden variable."""
+    for label, values in (("exact density", fv), ("lattice mixture", gv)):
+        mass, err = simpson_with_error(values, grids)
+        if mass < 1.0 - 1e-9 - 10.0 * err - 1e-12:
+            raise MassDeficitError(
+                f"{label} mass {mass:.12f} inside the grid box; widen the box")
+    variation, var_err = simpson_with_error(np.abs(fv - gv), grids)
+    entropy, ent_err = simpson_with_error(
+        -gv * np.log2(np.maximum(gv, np.finfo(float).tiny)), grids)
     return LemmaReport(
         kind=kind, scale=scale, sigma=sigma,
         epsilon=flatness_factor(scale, sigma),
         mi_value=entropy - h_cond, mi_target=mi_target, mi_error=ent_err,
         method="grid", variation=variation, variation_error=var_err)
+
+
+def _equi_report(kind, rho, n_sources, sigma, scale, resolution, box, mi_target):
+    """Grid-quadrature report for 2 or 3 equal-weight sources with iid noise."""
+    noise = 1.0 - rho
+    points, pmf = _window_prior(scale, math.sqrt(rho))
+    axis = np.linspace(-box, box, resolution)
+    # mixture: sum_k pmf_k prod_i N(x_i; w_k, noise), one factor per axis
+    factors = np.exp(-((axis[None, :] - points[:, None]) ** 2) / (2.0 * noise))
+    factors /= math.sqrt(2.0 * math.pi * noise)
+    if n_sources == 2:
+        weighted = pmf[:, None] * factors
+    else:
+        weighted = np.einsum("k,ki,kj->kij", pmf, factors, factors)
+    gv = np.tensordot(weighted, factors, axes=(0, 0))
+    # exact density, via the equicorrelated inverse (I - rho/denom J) / noise
+    coords = np.meshgrid(*[axis] * n_sources, indexing="ij", sparse=True)
+    s1 = sum(coords)
+    s2 = sum(c * c for c in coords)
+    denom = 1.0 + (n_sources - 1) * rho
+    det = denom * noise ** (n_sources - 1)
+    f_norm = (2.0 * math.pi) ** (-n_sources / 2.0) / math.sqrt(det)
+    fv = f_norm * np.exp(-0.5 * (s2 - rho / denom * s1 * s1) / noise)
+    h_cond = n_sources * 0.5 * math.log2(2.0 * math.pi * math.e * noise)
+    return _grid_report(kind, scale, sigma, fv, gv, [axis] * n_sources,
+                        h_cond, mi_target)
 
 
 def _coupled_report(channel, sigma, scale, resolution, box, mi_target):
@@ -193,35 +163,22 @@ def _coupled_report(channel, sigma, scale, resolution, box, mi_target):
     kz = channel.k_noise()
     det_z = float(kz[0, 0] * kz[1, 1] - kz[0, 1] ** 2)
     inv = np.linalg.inv(kz)
-    slope = channel.slope
-    g_norm = 1.0 / (2.0 * math.pi * math.sqrt(det_z))
+    axis = np.linspace(-box, box, resolution)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    gv = np.zeros_like(x)
+    for pk, w in zip(pmf, points):
+        dx, dy = x - w, y - channel.slope * w
+        q = (inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy
+             + inv[1, 1] * dy * dy)
+        gv += pk * np.exp(-0.5 * q)
+    gv *= 1.0 / (2.0 * math.pi * math.sqrt(det_z))
     rho = channel.rho
     det_f = 1.0 - rho * rho
-    f_norm = 1.0 / (2.0 * math.pi * math.sqrt(det_f))
-
-    def g_vals(x, y):
-        gv = np.zeros_like(x)
-        for pk, w in zip(pmf, points):
-            dx, dy = x - w, y - slope * w
-            q = (inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy
-                 + inv[1, 1] * dy * dy)
-            gv += pk * np.exp(-0.5 * q)
-        return g_norm * gv
-
-    def f_vals(x, y):
-        return f_norm * np.exp(-0.5 * (x * x - 2.0 * rho * x * y + y * y) / det_f)
-
-    variation, var_err = variation_distance_2d(
-        f_vals, g_vals, ((-box, box), (-box, box)), resolution)
-    axis = np.linspace(-box, box, resolution)
-    xg, yg = np.meshgrid(axis, axis, indexing="ij")
-    entropy, ent_err = _entropy_with_error(g_vals(xg, yg), [axis, axis])
+    fv = (1.0 / (2.0 * math.pi * math.sqrt(det_f))
+          * np.exp(-0.5 * (x * x - 2.0 * rho * x * y + y * y) / det_f))
     h_cond = math.log2(2.0 * math.pi * math.e) + 0.5 * math.log2(det_z)
-    return LemmaReport(
-        kind="coupled", scale=scale, sigma=sigma,
-        epsilon=flatness_factor(scale, sigma),
-        mi_value=entropy - h_cond, mi_target=mi_target, mi_error=ent_err,
-        method="grid", variation=variation, variation_error=var_err)
+    return _grid_report("coupled", scale, sigma, fv, gv, [axis, axis],
+                        h_cond, mi_target)
 
 
 def _mc_report(kind, rho, n_sources, sigma, scale, samples, seed, mi_target):

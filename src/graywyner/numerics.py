@@ -14,12 +14,14 @@ part of the package:
 
 * ``flatness_factor``: the maximum deviation of the lattice-aliased Gaussian
   density from the uniform density over one fundamental region,
-  eps(s, sigma) = max_x | s * sum_k N(x; k s, sigma^2) - 1 |.
-  Small eps means the aliased Gaussian is nearly flat, which is the working
-  condition for every lattice construction in this package.
+  eps(s, sigma) = max_x | s * sum_k N(x; k s, sigma^2) - 1 |, evaluated
+  exactly as the Jacobi theta series theta3(q) - 1.  Small eps means the
+  aliased Gaussian is nearly flat, which is the working condition for
+  every lattice construction in this package.
 
-* ``variation_distance_2d``: tensor-grid quadrature of the L1 distance
-  between two densities on R^2, with an explicit quadrature-error estimate.
+* ``tensor_grid_quadrature`` / ``simpson_with_error``: composite Simpson
+  integration of values sampled on a tensor product of uniform grids, the
+  latter with an error estimate from the same rule on every other sample.
 
 Only one-dimensional scaled integer lattices are supported.  All functions
 are pure and safe for concurrent use.
@@ -176,67 +178,42 @@ def discrete_gaussian_pmf(spec: DiscreteGaussianSpec, tail: float = 1e-12):
 # flatness factor of s*Z at noise sigma
 # ---------------------------------------------------------------------------
 
-def _aliased_deviation(x, scale, sigma, radius):
-    """|scale * f_aliased(x) - 1| for x in [0, scale), vectorized over x.
-
-    f_aliased(x) = sum_k N(x; k*scale, sigma^2), truncated at `radius` lattice
-    steps on each side (enough for tail < 1e-14 when radius comes from
-    _alias_radius).
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    k = np.arange(-radius, radius + 2)  # one extra step: x can sit near scale
-    z = (xs[:, None] - k[None, :] * scale) / sigma
-    dens = np.exp(-0.5 * z * z).sum(axis=1) * (scale / (math.sqrt(2.0 * math.pi) * sigma))
-    return np.abs(dens - 1.0)
+_SERIES_TERMS = 17  # the 18th term of either series is below exp(-1000)
 
 
-def _alias_radius(scale: float, sigma: float, tail: float = 1e-14) -> int:
-    radius = max(1, math.ceil(sigma / scale * math.sqrt(2.0 * math.log(4.0 / tail))) + 2)
-    return radius
-
-
-def flatness_factor(scale: float, sigma: float, grid_resolution: int = 256) -> float:
+def flatness_factor(scale: float, sigma: float) -> float:
     """Maximum deviation of the aliased Gaussian from uniform on [0, scale).
 
-    eps(scale, sigma) = max_x | scale * sum_k N(x; k*scale, sigma^2) - 1 |,
-    computed on a uniform grid over the fundamental region followed by a
-    golden-section refinement around the best grid point.  The aliased sum is
-    truncated with tail below 1e-14.  Monotone nonincreasing in sigma for
-    fixed scale, and invariant under joint scaling of (scale, sigma).
-    grid_resolution, the number of probe points, must be at least 64.
+    eps(scale, sigma) = max_x | scale * sum_k N(x; k*scale, sigma^2) - 1 |.
+    By Poisson summation, with q = exp(-2 pi^2 sigma^2 / scale^2),
+
+        scale * f(x) - 1 = 2 sum_{n>=1} q^(n^2) cos(2 pi n x / scale).
+
+    Every coefficient is positive, so the largest deviation sits at x = 0,
+    where it equals theta3(q) - 1 = 2 sum_{n>=1} q^(n^2).  That dual series
+    is summed when 2 pi sigma^2 / scale^2 >= 1 (q <= e^-pi); otherwise the
+    direct series scale * sum_k N(0; k*scale, sigma^2) - 1 is, whose terms
+    then decay at least as fast.  The direct series runs only where
+    eps > 0.086, so subtracting 1 costs at most one digit, and small eps
+    keeps full relative precision down to the underflow limit.  Increasing
+    in scale / sigma and invariant under joint scaling of (scale, sigma).
     """
-    if not scale > 0.0 or not sigma > 0.0:
-        raise ValueError("scale and sigma must be positive")
-    if grid_resolution < 64:
-        raise ValueError(f"grid_resolution must be >= 64, got {grid_resolution}")
-    radius = _alias_radius(scale, sigma)
-    grid = scale * np.arange(grid_resolution) / grid_resolution
-    dev = _aliased_deviation(grid, scale, sigma, radius)
-    best = int(np.argmax(dev))
-    best_val = float(dev[best])
-    # golden-section refinement of the unimodal bump around the best probe
-    step = scale / grid_resolution
-    lo, hi = grid[best] - step, grid[best] + step
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = float(_aliased_deviation(c, scale, sigma, radius)[0])
-    fd = float(_aliased_deviation(d, scale, sigma, radius)[0])
-    for _ in range(40):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = float(_aliased_deviation(c, scale, sigma, radius)[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = float(_aliased_deviation(d, scale, sigma, radius)[0])
-    return max(best_val, fc, fd)
+    if not (0.0 < scale < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError(
+            f"scale and sigma must be positive and finite, got {scale}, {sigma}")
+    terms = range(1, _SERIES_TERMS + 1)
+    t = math.pi * sigma / scale
+    if t * sigma / scale >= 0.5:  # 2 pi sigma^2 / scale^2 >= 1
+        a = 2.0 * t * t
+        return 2.0 * math.fsum(math.exp(-a * (n * n)) for n in terms)
+    inv = scale / sigma
+    b = 0.5 * inv * inv
+    tail = 2.0 * math.fsum(math.exp(-b * (n * n)) for n in terms)
+    return (1.0 + tail) * inv / math.sqrt(2.0 * math.pi) - 1.0
 
 
 # ---------------------------------------------------------------------------
-# tensor-grid quadrature and the 2-D variation distance
+# tensor-grid quadrature
 # ---------------------------------------------------------------------------
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -263,45 +240,15 @@ def tensor_grid_quadrature(values: np.ndarray, grids) -> float:
     return float(acc)
 
 
-def _odd(n: int) -> int:
-    return n if n % 2 == 1 else n + 1
+def simpson_with_error(values: np.ndarray, grids) -> tuple:
+    """Tensor-grid Simpson integral of sampled values, with its error.
 
-
-def variation_distance_2d(f, g, box, resolution: int = 257):
-    """Quadrature of the L1 distance between two densities on R^2.
-
-    f and g are vectorized callables f(x_grid, y_grid) on meshgrid arrays.
-    box = ((x_lo, x_hi), (y_lo, y_hi)) must cover at least 1 - 1e-9 of the
-    mass of each density (checked via the quadrature itself, with its own
-    error estimate as slack); otherwise MassDeficitError is raised.
-
-    Returns (value, error_estimate), the error estimated by comparing the
-    full-resolution Simpson result with the half-resolution one on the same
-    samples.
+    The error is the gap to the same rule on every other sample, so each
+    grid needs 4m+1 points (m >= 1) for the coarse rule to be a valid
+    Simpson grid too.  Returns (integral, error_estimate).
     """
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    n = _odd(max(int(resolution), 33))
-    # half-resolution grid must also be a valid Simpson grid on the same samples
-    if ((n - 1) // 2) % 2 == 1:
-        n += 2
-    xg = np.linspace(x_lo, x_hi, n)
-    yg = np.linspace(y_lo, y_hi, n)
-    X, Y = np.meshgrid(xg, yg, indexing="ij")
-    fv = np.asarray(f(X, Y), dtype=float)
-    gv = np.asarray(g(X, Y), dtype=float)
-
-    def both(values):
-        fine = tensor_grid_quadrature(values, (xg, yg))
-        coarse = tensor_grid_quadrature(values[::2, ::2], (xg[::2], yg[::2]))
-        return fine, abs(fine - coarse)
-
-    mass_f, err_f = both(fv)
-    mass_g, err_g = both(gv)
-    for name, mass, err in (("f", mass_f, err_f), ("g", mass_g, err_g)):
-        if mass < 1.0 - 1e-9 - 10.0 * err - 1e-12:
-            raise MassDeficitError(
-                f"density {name} has mass {mass:.12f} over the box "
-                f"(quadrature error ~{err:.2e}); enlarge the box"
-            )
-    value, err_v = both(np.abs(fv - gv))
-    return value, err_v
+    values = np.asarray(values, dtype=float)
+    full = tensor_grid_quadrature(values, grids)
+    half = tensor_grid_quadrature(values[(slice(None, None, 2),) * values.ndim],
+                                  [np.asarray(g)[::2] for g in grids])
+    return full, abs(full - half)

@@ -146,6 +146,8 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
     if code.stored_bits.shape != stored_shape:
         raise ValueError(f"stored_bits must have shape {stored_shape}, "
                          f"got {code.stored_bits.shape}")
+    if np.any((code.stored_bits != 0) & (code.stored_bits != 1)):
+        raise ValueError("stored_bits must hold bits in {0, 1}")
     if any(np.any((idx < 0) | (idx >= block_len)) for idx in code.corrections):
         raise ValueError(f"corrections must lie in [0, {block_len})")
     cond, _ = channel_evidence(
@@ -219,12 +221,14 @@ def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
                                     level: int = 0) -> np.ndarray:
     """sc_lossy_reconstruct on the prior evidence callable alone, which
     only profiles with prior-replayable indices consult."""
-    payload = np.asarray(payload, dtype=np.uint8)
+    payload = np.asarray(payload)
     block_len = profile.block_len
     info_pos = profile.info_positions()
     if payload.shape != (n_blocks, len(info_pos)):
         raise ValueError(f"payload must have shape ({n_blocks}, {len(info_pos)}), "
                          f"got {payload.shape}")
+    if np.any((payload != 0) & (payload != 1)):
+        raise ValueError("payload must hold bits in {0, 1}")
     dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
                             n_blocks, block_offset, block_len)
     u = np.zeros((n_blocks, block_len), dtype=np.uint8)

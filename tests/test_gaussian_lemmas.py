@@ -234,3 +234,5 @@ class TestValidation:
             verify_lemma(PAIR8, 1.6 * SIGMA_PAIR8, box_halfwidth=2.0)
         with pytest.raises(MassDeficitError):
             verify_lemma(TRIO, 1.6 * SIGMA_TRIO, box_halfwidth=2.0)
+        with pytest.raises(MassDeficitError):
+            verify_lemma(eps2_channel(), 1.6 * SIGMA_EPS2, box_halfwidth=2.0)

@@ -196,6 +196,12 @@ class TestPlanChain:
         # the shrunken spacing forces one more level to keep the window
         assert chain.levels == 5
 
+    @pytest.mark.parametrize("target", [1e-16, 1e-300])
+    def test_targets_below_double_precision_met(self, target):
+        mm = mmse_params(1.0, 0.8)
+        chain = plan_chain(mm, flatness_target=target)
+        assert flatness_factor(chain.base_scale, math.sqrt(mm.sigma_tilde2)) <= target
+
     def test_pinned_levels_honored_or_refused(self):
         assert plan_chain(EPS2, levels=4).levels == 4
         assert plan_chain(EPS2, levels=6).levels == 6
@@ -642,6 +648,16 @@ class TestLatticeQuantize:
         bad[level] = bad[level][:, :-1]
         with pytest.raises(ValueError, match="must have shape"):
             lattice_reconstruct(bad, eps2_code, shared_seed=5)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_non_bit_payload_rejected(self, eps2_code, bad):
+        samples = rng.stream(32, rng.STREAM_SOURCE).standard_normal((2, 4096))
+        payloads, _ = lattice_quantize(samples, eps2_code, shared_seed=5)
+        level = max(range(eps2_code.levels), key=lambda l: payloads[l].shape[1])
+        bad_payloads = [p.astype(np.int64) for p in payloads]
+        bad_payloads[level][1, 0] = bad
+        with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
+            lattice_reconstruct(bad_payloads, eps2_code, shared_seed=5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, eps2_code, bad):

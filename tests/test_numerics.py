@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 
 from graywyner.numerics import (
     DiscreteGaussianSpec,
-    MassDeficitError,
     TruncationError,
     binary_convolve,
     binary_entropy,
     default_truncation_radius,
     discrete_gaussian_pmf,
     flatness_factor,
+    simpson_with_error,
     tensor_grid_quadrature,
-    variation_distance_2d,
 )
+from graywyner.lattice import mmse_params
 
 # frozen with mpmath (dps=30)
 H_011 = 0.499915958164527996
@@ -146,11 +146,12 @@ def theta_flatness(scale, sigma):
 
     The aliased density satisfies scale * f(x) = theta3(pi x / scale, q)
     with q = exp(-2 pi^2 sigma^2 / scale^2); all series coefficients are
-    positive, so the maximum deviation sits at x = 0.
+    positive, so the maximum deviation sits at x = 0.  120 digits keep
+    theta3 - 1 exact to double precision down to eps ~ 1e-100.
     """
-    mp.mp.dps = 30
-    q = mp.exp(-2 * mp.pi ** 2 * mp.mpf(sigma) ** 2 / mp.mpf(scale) ** 2)
-    return float(mp.jtheta(3, 0, q) - 1)
+    with mp.workdps(120):
+        q = mp.exp(-2 * mp.pi ** 2 * mp.mpf(sigma) ** 2 / mp.mpf(scale) ** 2)
+        return float(mp.jtheta(3, 0, q) - 1)
 
 
 class TestFlatnessFactor:
@@ -159,8 +160,22 @@ class TestFlatnessFactor:
         assert flatness_factor(1.0, 0.75) == pytest.approx(EPS_S1_SIG075, abs=1e-12)
 
     def test_matches_theta_series(self):
-        for s, sig in [(1.0, 0.25), (1.0, 0.5), (2.0, 1.3), (0.7, 0.45), (1.5, 0.4)]:
-            assert flatness_factor(s, sig) == pytest.approx(theta_flatness(s, sig), abs=1e-9)
+        points = [(1.0, 0.25), (1.0, 0.5), (2.0, 1.3), (0.7, 0.45), (1.5, 0.4),
+                  (1.0, 1.25), (1.0, 2.0)]
+        points += [(1.0, float(r)) for r in np.linspace(0.05, 3.0, 60)]
+        for s, sig in points:
+            ref = theta_flatness(s, sig)
+            assert flatness_factor(s, sig) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_strictly_increasing_in_scale_near_1e_12(self):
+        # a search for eps ~ 1e-12 relies on eps rising with the spacing even
+        # across relative steps of 2e-7, where the deviation itself is tiny
+        sigma = math.sqrt(mmse_params(1.0, 0.8).sigma_tilde2)
+        scales = np.linspace(0.33392, 0.33392 * (1.0 + 1e-6), 6)
+        values = [flatness_factor(float(s), sigma) for s in scales]
+        assert 1e-13 < values[0] < 1e-11
+        for lo, hi in zip(values[:-1], values[1:]):
+            assert lo < hi
 
     def test_monotone_in_sigma(self):
         sigmas = np.linspace(0.3, 1.0, 25)
@@ -174,10 +189,8 @@ class TestFlatnessFactor:
             assert flatness_factor(c, 0.4 * c) == pytest.approx(base, abs=1e-12)
 
     def test_argument_checks(self):
-        assert flatness_factor(1.0, 0.5, grid_resolution=64) >= 0.0
-        with pytest.raises(ValueError, match="grid_resolution"):
-            flatness_factor(1.0, 0.5, grid_resolution=8)
-        for scale, sigma in ((0.0, 0.5), (1.0, -0.5), (math.nan, 0.5), (1.0, math.nan)):
+        for scale, sigma in ((0.0, 0.5), (1.0, -0.5), (math.nan, 0.5), (1.0, math.nan),
+                             (math.inf, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError, match="positive"):
                 flatness_factor(scale, sigma)
 
@@ -206,34 +219,33 @@ class TestTensorQuadrature:
             tensor_grid_quadrature(np.ones((4,)), (g,))
 
 
-def _gauss2(mx, my):
-    def dens(x, y):
-        return np.exp(-0.5 * ((x - mx) ** 2 + (y - my) ** 2)) / (2 * math.pi)
-    return dens
+def _l1_distance(box, resolution, shift):
+    """simpson_with_error of |N((0, 0), I) - N((shift, 0), I)| sampled on a
+    resolution x resolution grid over box."""
+    grids = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    x, y = np.meshgrid(*grids, indexing="ij")
+    f = np.exp(-0.5 * (x ** 2 + y ** 2)) / (2 * math.pi)
+    g = np.exp(-0.5 * ((x - shift) ** 2 + y ** 2)) / (2 * math.pi)
+    return simpson_with_error(np.abs(f - g), grids)
 
 
 class TestVariationDistance2D:
+    """The L1 distance of two sampled densities through simpson_with_error."""
+
     def test_closed_form_mean_shift(self):
         # L1 distance of unit-covariance normals at mean shift d is
         # 2 (2 Phi(d/2) - 1); frozen via mpmath for d = 0.1
-        box = ((-8.0, 8.1), (-8.0, 8.0))
-        val, err = variation_distance_2d(_gauss2(0, 0), _gauss2(0.1, 0), box, resolution=257)
+        val, err = _l1_distance(((-8.0, 8.1), (-8.0, 8.0)), 257, 0.1)
         assert err < 1e-5
         assert val == pytest.approx(V_SHIFT_01, abs=max(5 * err, 1e-6))
 
     def test_identical_densities(self):
-        box = ((-8.0, 8.0), (-8.0, 8.0))
-        val, err = variation_distance_2d(_gauss2(0, 0), _gauss2(0, 0), box, resolution=129)
+        val, err = _l1_distance(((-8.0, 8.0), (-8.0, 8.0)), 129, 0.0)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-12)
 
-    def test_mass_deficit_raises(self):
-        box = ((-1.0, 1.0), (-1.0, 1.0))
-        with pytest.raises(MassDeficitError):
-            variation_distance_2d(_gauss2(0, 0), _gauss2(0.1, 0), box, resolution=129)
-
     def test_error_estimate_shrinks_with_resolution(self):
         box = ((-8.0, 8.1), (-8.0, 8.0))
-        _, err_lo = variation_distance_2d(_gauss2(0, 0), _gauss2(0.1, 0), box, resolution=65)
-        _, err_hi = variation_distance_2d(_gauss2(0, 0), _gauss2(0.1, 0), box, resolution=257)
+        _, err_lo = _l1_distance(box, 65, 0.1)
+        _, err_hi = _l1_distance(box, 257, 0.1)
         assert err_hi < err_lo

@@ -293,3 +293,27 @@ class TestLosslessCodeShape:
             for bad in codes:
                 with pytest.raises(ValueError, match=match):
                     sc_lossless_decode(bad, channel, profile)
+
+
+class TestDecoderBitAlphabet:
+    """Decoders refuse stored bits and payloads outside {0, 1} rather than
+    decoding them into blocks over a wider alphabet."""
+
+    def test_lossless_stored_bits(self, profile_store):
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 64)
+        x, _ = channel.sample(2, 64, rng.stream(56, rng.STREAM_SOURCE))
+        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.5)
+        bad = replace(code, stored_bits=code.stored_bits + 2)
+        with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
+            sc_lossless_decode(bad, channel, profile)
+
+    def test_lossy_payload(self, profile_store):
+        channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
+        profile = profile_store(channel, 512)
+        _, obs = channel.sample(2, 512, rng.stream(73, rng.STREAM_SOURCE))
+        payload, _ = sc_lossy_encode(obs, channel, profile, shared_seed=3)
+        bad = payload.astype(np.int64)
+        bad[1, 0] = -1
+        with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
+            sc_lossy_reconstruct(bad, channel, profile, shared_seed=3)
