@@ -25,9 +25,7 @@ import numpy as np
 
 from .. import rng
 from ..numerics import (
-    DiscreteGaussianSpec,
     MassDeficitError,
-    default_truncation_radius,
     discrete_gaussian_pmf,
     flatness_factor,
     simpson_with_error,
@@ -96,14 +94,6 @@ class LemmaReport:
         return self.variation_ok and self.mi_ok
 
 
-def _window_prior(scale: float, sigma: float):
-    """Discrete Gaussian over scale*Z, truncated where the tail is dust."""
-    radius = default_truncation_radius(scale, sigma)
-    spec = DiscreteGaussianSpec(scale=scale, sigma=sigma, center=0.0,
-                                truncation_radius=radius)
-    return discrete_gaussian_pmf(spec)
-
-
 def _check_grid_points(n: int) -> int:
     n = int(n)
     if n < 33 or n % 4 != 1:
@@ -134,7 +124,7 @@ def _grid_report(kind, scale, sigma, fv, gv, grids, h_cond, mi_target):
 def _equi_report(kind, rho, n_sources, sigma, scale, resolution, box, mi_target):
     """Grid-quadrature report for 2 or 3 equal-weight sources with iid noise."""
     noise = 1.0 - rho
-    points, pmf = _window_prior(scale, math.sqrt(rho))
+    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(rho))
     axis = np.linspace(-box, box, resolution)
     # mixture: sum_k pmf_k prod_i N(x_i; w_k, noise), one factor per axis
     factors = np.exp(-((axis[None, :] - points[:, None]) ** 2) / (2.0 * noise))
@@ -159,7 +149,7 @@ def _equi_report(kind, rho, n_sources, sigma, scale, resolution, box, mi_target)
 
 def _coupled_report(channel, sigma, scale, resolution, box, mi_target):
     """Grid-quadrature report for the coupled backward channel."""
-    points, pmf = _window_prior(scale, math.sqrt(channel.delta1))
+    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(channel.delta1))
     kz = channel.k_noise()
     det_z = float(kz[0, 0] * kz[1, 1] - kz[0, 1] ** 2)
     inv = np.linalg.inv(kz)
@@ -186,7 +176,7 @@ def _mc_report(kind, rho, n_sources, sigma, scale, samples, seed, mi_target):
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     noise = 1.0 - rho
-    points, pmf = _window_prior(scale, math.sqrt(rho))
+    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(rho))
     gen = rng.stream(seed, rng.STREAM_NOISE)
     log_norm = -0.5 * n_sources * math.log(2.0 * math.pi * noise)
     log_prior = np.log(pmf)

@@ -121,7 +121,7 @@ class LGaussianModel:
 # ---------------------------------------------------------------------------
 
 def _check_nonnegative(d1: float, d2: float) -> None:
-    if d1 < 0.0 or d2 < 0.0:
+    if not (d1 >= 0.0 and d2 >= 0.0):
         raise ValueError(f"distortions must be nonnegative, got ({d1}, {d2})")
 
 

@@ -160,21 +160,23 @@ class PartitionChainSpec:
         return p / p.sum()
 
 
-def default_chain(mmse: MmseParams, levels: int = 4,
-                  spacing_factor: float = 1.3) -> PartitionChainSpec:
-    """Chain whose finest step tracks the posterior width.
+# finest step over sigma~: keeps the finest-level flatness factor near 2e-5
+# (comfortably inside the default gate of build_multilevel_code) while
+# wasting as little rate as possible on a finer-than-resolvable level
+_SPACING_FACTOR = 1.3
+# shaping-prior standard deviations the chain period must cover
+_MIN_PERIOD_SIGMAS = 12.0
 
-    spacing_factor 1.3 keeps the finest-level flatness factor near 2e-5
-    (comfortably inside the default gate of build_multilevel_code) while
-    wasting as little rate as possible on a finer-than-resolvable level.
-    """
+
+def default_chain(mmse: MmseParams, levels: int = 4) -> PartitionChainSpec:
+    """Chain whose finest step is _SPACING_FACTOR posterior widths."""
     return PartitionChainSpec(
-        base_scale=spacing_factor * math.sqrt(mmse.sigma_tilde2),
+        base_scale=_SPACING_FACTOR * math.sqrt(mmse.sigma_tilde2),
         levels=levels, sigma_r=math.sqrt(mmse.sigma_r2))
 
 
-def _spacing_for_flatness(target: float, upper: float) -> float:
-    """Largest spacing factor <= upper whose flatness factor meets target.
+def _spacing_for_flatness(target: float) -> float:
+    """Largest spacing factor <= _SPACING_FACTOR whose flatness meets target.
 
     flatness_factor is invariant under joint scaling of (scale, sigma) and
     monotone increasing in the spacing-to-sigma ratio, so the search is a
@@ -182,11 +184,11 @@ def _spacing_for_flatness(target: float, upper: float) -> float:
     """
     if not target > 0.0:
         raise ValueError(f"flatness target must be positive, got {target}")
-    if flatness_factor(upper, 1.0) <= target:
-        return upper
+    if flatness_factor(_SPACING_FACTOR, 1.0) <= target:
+        return _SPACING_FACTOR
     # flatness_factor(0.05, 1.0) = 2 exp(-7896) underflows to 0, so every
     # positive target is met at the lower end
-    lo, hi = 0.05, upper
+    lo, hi = 0.05, _SPACING_FACTOR
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if flatness_factor(mid, 1.0) <= target:
@@ -199,14 +201,13 @@ def _spacing_for_flatness(target: float, upper: float) -> float:
 
 
 def plan_chain(mmse: MmseParams, *, levels: int | None = None,
-               flatness_target: float = 1e-3, spacing_factor: float = 1.3,
-               min_period_sigmas: float = 12.0) -> PartitionChainSpec:
+               flatness_target: float = 1e-3) -> PartitionChainSpec:
     """Pick a partition chain for a quantization model.
 
-    The finest spacing starts at spacing_factor * sigma~ and shrinks until
+    The finest spacing starts at _SPACING_FACTOR * sigma~ and shrinks until
     the finest-level flatness factor meets flatness_target (it is never
-    widened beyond spacing_factor).  The level count is then the smallest r
-    whose period 2^r * scale covers min_period_sigmas standard deviations
+    widened beyond _SPACING_FACTOR).  The level count is then the smallest r
+    whose period 2^r * scale covers _MIN_PERIOD_SIGMAS standard deviations
     of the shaping prior; narrower windows truncate the prior's tails and
     leave real information in the coarsest level (measured: a pair chain at
     7 sigma_r keeps 0.30 bits there, while 12+ sigma_r pushes the coarsest
@@ -218,9 +219,9 @@ def plan_chain(mmse: MmseParams, *, levels: int | None = None,
     """
     sigma_tilde = math.sqrt(mmse.sigma_tilde2)
     sigma_r = math.sqrt(mmse.sigma_r2)
-    factor = _spacing_for_flatness(flatness_target, spacing_factor)
+    factor = _spacing_for_flatness(flatness_target)
     scale = factor * sigma_tilde
-    period_target = min_period_sigmas * sigma_r
+    period_target = _MIN_PERIOD_SIGMAS * sigma_r
     if levels is None:
         levels = 1
         while scale * (1 << levels) < period_target:
@@ -229,7 +230,7 @@ def plan_chain(mmse: MmseParams, *, levels: int | None = None,
         raise ValueError(
             f"{levels} levels at spacing {scale:.4g} span "
             f"{scale * (1 << levels) / sigma_r:.2f} sigma_r, below the "
-            f"{min_period_sigmas:.2f} sigma_r window; flatness target "
+            f"{_MIN_PERIOD_SIGMAS:.2f} sigma_r window; flatness target "
             f"{flatness_target:.3e} is unreachable at this depth")
     return PartitionChainSpec(base_scale=scale, levels=levels,
                               sigma_r=sigma_r)

@@ -46,7 +46,7 @@ class BinarySourceWithSideInfo:
         j = np.array(self.joint, dtype=float)
         if j.ndim != 2 or j.shape[0] != 2 or j.shape[1] < 1:
             raise ValueError(f"joint must have shape (2, K), got {j.shape}")
-        if np.any(j < 0.0) or abs(j.sum() - 1.0) > 1e-12:
+        if not (np.all(j >= 0.0) and abs(j.sum() - 1.0) <= 1e-12):
             raise ValueError("joint must be a probability matrix summing to 1")
         j.setflags(write=False)
         object.__setattr__(self, "joint", j)

@@ -30,6 +30,7 @@ from graywyner.dsbs import (
     wyner_ci_dsbs,
 )
 from graywyner.numerics import binary_convolve, binary_entropy
+from graywyner.polar import BinarySourceWithSideInfo
 from graywyner.rates import RateTriple
 
 A0 = 0.11
@@ -110,6 +111,13 @@ class TestRegions:
         assert DsbsRegion.COUPLED.value == "E2"
         assert DsbsRegion.LOPSIDED.value == "E3"
         assert DsbsRegion.FREE.value == "BEYOND_HALF"
+
+    @pytest.mark.parametrize("d1,d2", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_nan_distortion_rejected(self, model, d1, d2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            classify_dsbs(d1, d2, model)
+        with pytest.raises(ValueError, match="nonnegative"):
+            r_xy_dsbs(d1, d2, model)
 
     def test_any_coordinate_beyond_half_is_free(self, model):
         assert classify_dsbs(0.02, 0.95, model) is DsbsRegion.FREE
@@ -240,6 +248,10 @@ class TestChannels:
             total = (ch.mutual_information() + binary_entropy(d1)
                      + binary_entropy(cross_y))
             assert total == pytest.approx(JOINT_ENTROPY, abs=1e-12)
+
+    def test_joint_with_nan_rejected(self):
+        with pytest.raises(ValueError, match="probability matrix"):
+            BinarySourceWithSideInfo(joint=[[0.5, math.nan], [0.25, 0.25]])
 
     def test_ag_rejects_out_of_range(self, model):
         with pytest.raises(ValueError):

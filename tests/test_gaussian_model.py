@@ -156,6 +156,13 @@ class TestRegions:
         with pytest.raises(ValueError):
             classify_gaussian(-0.1, 0.2, model)
 
+    @pytest.mark.parametrize("d1,d2", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_nan_distortion_rejected(self, model, d1, d2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            classify_gaussian(d1, d2, model)
+        with pytest.raises(ValueError, match="nonnegative"):
+            r_xy_gaussian(d1, d2, model)
+
     def test_unit_corner_is_lopsided_with_zero_rate(self, model):
         assert classify_gaussian(1.0, 1.0, model) is GaussianRegion.LOPSIDED
         assert r_xy_gaussian(1.0, 1.0, model) == 0.0

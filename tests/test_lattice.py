@@ -131,7 +131,7 @@ class TestMmseParams:
         m = mmse_params(s2, frac * s2)
         assert 0.0 < m.alpha < 1.0
         assert 0.0 < m.sigma_tilde2 < m.distortion
-        assert m.sigma_tilde2 == pytest.approx(m.alpha * m.distortion, rel=1e-12)
+        assert m.sigma_tilde2 == pytest.approx(m.alpha * m.distortion, rel=1e-12, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -274,7 +274,7 @@ class TestLevelLlr:
         batch = level_llr(chain, L3, 2, t, bits)
         singles = [level_llr(chain, L3, 2, np.array([ti]), bits[:, i : i + 1])[0]
                    for i, ti in enumerate(t)]
-        assert batch == pytest.approx(singles, rel=1e-12)
+        assert batch == pytest.approx(singles, rel=1e-12, abs=0.0)
 
     def test_scale_invariance_power_of_two(self):
         chain = self.chain(EPS2)
@@ -377,7 +377,7 @@ class TestCosetEvidence:
                                             math.sqrt(mmse.sigma_tilde2), 0.0, step)
         assert np.all(np.isfinite(llr))
         assert np.all(np.abs(llr[:3]) > 900.0)  # centers on lattice points
-        assert llr == pytest.approx(lw0 - lw1, rel=1e-12)
+        assert llr == pytest.approx(lw0 - lw1, rel=1e-12, abs=0.0)
 
     def test_sigma_far_above_step(self):
         # prior-chain shape at the finest level: centers 0, a ~12-term walk
@@ -471,7 +471,8 @@ class TestBuildMultilevelCode:
         assert abs(eps2_code.flatness - fresh) < 1e-12
 
     def test_flatness_gate_refuses_coarse_scale(self):
-        chain = default_chain(EPS2, spacing_factor=3.5)
+        chain = PartitionChainSpec(base_scale=3.5 * math.sqrt(EPS2.sigma_tilde2),
+                                   levels=4, sigma_r=math.sqrt(EPS2.sigma_r2))
         with pytest.raises(ValueError, match="flatness"):
             build_multilevel_code(chain, EPS2, 256, sample_count=8, seed=0)
 
@@ -626,7 +627,7 @@ class TestLatticeQuantize:
         assert np.array_equal(2.0 * rec_a, rec_b)
         mse_a = float(np.mean((samples - rec_a) ** 2))
         mse_b = float(np.mean((2.0 * samples - rec_b) ** 2))
-        assert mse_b == pytest.approx(4.0 * mse_a, rel=1e-12)
+        assert mse_b == pytest.approx(4.0 * mse_a, rel=1e-12, abs=0.0)
 
     def test_zero_variance_source_at_lattice_point(self):
         # essentially noiseless test channel: the quantizer must return the

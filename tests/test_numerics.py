@@ -1,8 +1,9 @@
 """Tests for the scalar numeric primitives.
 
 Expected values were generated independently with mpmath at 30 significant
-digits (binary entropy, Jacobi theta series for the flatness factor, normal
-cdf for the closed-form variation distance) and are frozen as literals.
+digits (binary entropy, Jacobi theta series for the flatness factor and the
+discrete Gaussian, normal cdf for the closed-form variation distance) and are
+frozen as literals.
 """
 
 import math
@@ -14,11 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graywyner.numerics import (
-    DiscreteGaussianSpec,
-    TruncationError,
     binary_convolve,
     binary_entropy,
-    default_truncation_radius,
     discrete_gaussian_pmf,
     flatness_factor,
     simpson_with_error,
@@ -33,8 +31,9 @@ H_A1 = 0.321108456074705212
 EPS_S1_SIG02 = 0.994726269202310733
 EPS_S1_SIG075 = 3.01249215391744201e-5
 V_SHIFT_01 = 0.0797552233534898464
-DG_13_04 = {0: 0.292690343841579345, 1: 0.275873825049065414,
-            -1: 0.171841205149892533, 2: 0.143890994690620188}
+DG_13 = {0: 0.306878677231869294, 1: 0.228284918910765682,
+         2: 0.0939742236942448317, 3: 0.0214072700825574591,
+         4: 0.00269857719866565517}
 
 
 class TestBinaryEntropy:
@@ -63,6 +62,12 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(np.array([0.2, 1.01]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            binary_entropy(math.nan)
+        with pytest.raises(ValueError):
+            binary_entropy(np.array([0.2, math.nan]))
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_symmetry(self, p):
         assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
@@ -73,6 +78,12 @@ class TestBinaryConvolve:
         assert binary_convolve(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
         assert binary_convolve(0.3, 1.0) == pytest.approx(0.7, abs=1e-15)
         assert binary_convolve(0.3, 0.5) == pytest.approx(0.5, abs=1e-15)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            binary_convolve(math.nan, 0.1)
+        with pytest.raises(ValueError):
+            binary_convolve(0.1, np.array([0.2, math.nan]))
 
     def test_two_step_crossover_roundtrip(self):
         # two independent crossovers at A1 compose to a crossover at 0.11
@@ -100,45 +111,45 @@ class TestBinaryConvolve:
 
 class TestDiscreteGaussian:
     def test_frozen_pmf_values(self):
-        spec = DiscreteGaussianSpec(scale=1.0, sigma=1.3, center=0.4, truncation_radius=60)
-        pts, pmf = discrete_gaussian_pmf(spec)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
+        pts, pmf = discrete_gaussian_pmf(1.0, 1.3)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(pts, -pts[::-1])
+        np.testing.assert_array_equal(pmf, pmf[::-1])
         lookup = dict(zip(np.rint(pts).astype(int), pmf))
-        for k, p in DG_13_04.items():
-            assert lookup[k] == pytest.approx(p, abs=1e-12)
+        for k, p in DG_13.items():
+            assert lookup[k] == pytest.approx(p, rel=1e-14, abs=0.0)
 
     def test_matches_brute_force(self):
-        # wide brute-force window as the independent reference
-        for s, sig, c in [(1.0, 0.7, 0.0), (0.5, 1.1, 0.17), (2.0, 3.0, -1.3)]:
-            radius = default_truncation_radius(s, sig)
-            pts, pmf = discrete_gaussian_pmf(
-                DiscreteGaussianSpec(scale=s, sigma=sig, center=c, truncation_radius=radius))
-            k0 = round(c / s)
-            ks = np.arange(k0 - 400, k0 + 401)
-            w = np.exp(-((ks * s - c) ** 2) / (2 * sig * sig))
+        # a window of 40 sigma on each side as the independent reference
+        s = 0.5
+        for ratio in (0.3, 0.7, 2.2, 40.0, 300.0):
+            sig = ratio * s
+            pts, pmf = discrete_gaussian_pmf(s, sig)
+            radius = math.ceil(40.0 * ratio) + 2
+            ks = np.arange(-radius, radius + 1)
+            w = np.exp(-((ks * s) ** 2) / (2 * sig * sig))
             ref = dict(zip(ks, w / w.sum()))
-            for pt, p in zip(pts, pmf):
-                assert p == pytest.approx(ref[round(pt / s)], abs=1e-12)
+            expected = [ref[k] for k in np.rint(pts / s).astype(int)]
+            np.testing.assert_allclose(pmf, expected, rtol=1e-12, atol=0.0)
 
-    def test_truncation_error_when_window_too_small(self):
-        spec = DiscreteGaussianSpec(scale=1.0, sigma=5.0, center=0.0, truncation_radius=3)
-        with pytest.raises(TruncationError):
-            discrete_gaussian_pmf(spec)
-
-    def test_default_radius_is_sufficient_and_tight(self):
-        for s, sig in [(1.0, 0.3), (1.0, 4.0), (0.2, 1.0)]:
-            r = default_truncation_radius(s, sig)
-            discrete_gaussian_pmf(
-                DiscreteGaussianSpec(scale=s, sigma=sig, truncation_radius=r))
-            assert r < 40 * sig / s + 10
+    def test_omitted_share_below_bound(self):
+        # the kept weights against the full series theta3(0, e^-a), a = s^2/(2 sigma^2)
+        for ratio in np.geomspace(0.01, 2000.0, 60):
+            pts, _ = discrete_gaussian_pmf(1.0, float(ratio))
+            radius = (len(pts) - 1) // 2
+            np.testing.assert_array_equal(pts, np.arange(-radius, radius + 1))
+            with mp.workdps(40):
+                a = 1 / (2 * mp.mpf(float(ratio)) ** 2)
+                total = mp.jtheta(3, 0, mp.exp(-a))
+                kept = 1 + 2 * mp.fsum(mp.exp(-a * k * k) for k in range(1, radius + 1))
+                share = float(1 - kept / total)
+            assert 0.0 <= share < 2.5e-15
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscreteGaussianSpec(scale=0.0, sigma=1.0, truncation_radius=5)
-        with pytest.raises(ValueError):
-            DiscreteGaussianSpec(scale=1.0, sigma=-1.0, truncation_radius=5)
-        with pytest.raises(ValueError):
-            DiscreteGaussianSpec(scale=1.0, sigma=1.0, truncation_radius=0)
+        for scale, sigma in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+                             (math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="positive"):
+                discrete_gaussian_pmf(scale, sigma)
 
 
 def theta_flatness(scale, sigma):
