@@ -54,6 +54,8 @@ class LemmaReport:
     mutual-information gap counts bits lost relative to the exact hidden
     variable (negative when the lattice variable reveals slightly more).
     variation is None when only the Monte-Carlo information check ran.
+    A check is ok only when the measured value plus its error bound stays
+    within the lemma's bound, so an unresolved measurement is not ok.
     """
 
     kind: str
@@ -83,11 +85,11 @@ class LemmaReport:
     def variation_ok(self) -> bool:
         if self.variation is None:
             return True
-        return self.variation <= self.variation_bound + self.variation_error
+        return self.variation + self.variation_error <= self.variation_bound
 
     @property
     def mi_ok(self) -> bool:
-        return self.mi_gap <= self.mi_gap_bound + self.mi_error
+        return self.mi_gap + self.mi_error <= self.mi_gap_bound
 
     @property
     def ok(self) -> bool:

@@ -4,10 +4,11 @@ Lossless mode stores the bits at the least predictable indices verbatim and
 recovers the rest by maximum-posterior decisions; the encoder runs the same
 decisions and records the positions where they disagree with the truth, so
 decoding is exact by construction.  The encoder knows every bit, so it runs
-the breadth-first pass; the decoder runs depth-first.  Both see the same
-leaf posteriors and decide them with the one rule of sc.map_bits.  The
-per-block rate charges each recorded correction log2(N) + 1 bits (index
-plus flag) on top of the stored set.
+the breadth-first pass; the decoder runs depth-first, with the stored
+indices KNOWN and every other index FREE (decided by maximum posterior and
+the corrections).  Both see the same leaf posteriors and decide them with
+the one rule of sc.map_bits.  The per-block rate charges each recorded
+correction log2(N) + 1 bits (index plus flag) on top of the stored set.
 
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
@@ -17,9 +18,13 @@ are replayed from the prior chain, whose arithmetic is elementwise and so
 bit-identical between the encoder's two-chain pass and the decoder's
 single-chain pass.  INFO decisions use randomized rounding on the
 observation-conditioned posterior.  The reconstruction is the codeword of
-the decided bit vector; when the profile has no deterministic indices the
-decoder skips the traversal entirely and just transforms the assembled bit
-vector, which equals the traversal output exactly.
+the decided bit vector.  In the depth-first plan (see sc.py) the encoder
+has frozen-random leaves KNOWN, deterministic leaves PRIOR and INFO leaves
+FREE; the replay has INFO and frozen-random leaves KNOWN and deterministic
+leaves PRIOR, so it decides nothing by callback.  When the profile has no
+deterministic indices the replay skips the traversal entirely and just
+transforms the assembled bit vector, which equals the traversal output
+exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
 prior(start, stop) that return the leaf posteriors of a block slice
@@ -37,6 +42,7 @@ import numpy as np
 from .. import rng
 from .channel import BinarySourceWithSideInfo
 from .profile import (
+    CLASS_FROZEN_DETERMINISTIC,
     CLASS_FROZEN_RANDOM,
     CLASS_INFO,
     PolarProfile,
@@ -45,7 +51,7 @@ from .profile import (
 )
 # sc_traverse is unused here since the SC passes run through
 # traverse_batches; kept because perfbench/spans.py patches it on this module
-from .sc import map_bits, sc_traverse  # noqa: F401
+from .sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits, sc_traverse  # noqa: F401
 from .transform import polar_transform
 
 
@@ -152,17 +158,18 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
         raise ValueError(f"corrections must lie in [0, {block_len})")
     cond, _ = channel_evidence(
         channel, _side_symbols(channel, side, (n_blocks, block_len)))
-    column = np.cumsum(code.stored_mask) - 1
     flip = np.zeros((n_blocks, block_len), dtype=bool)
     for b, idx in enumerate(code.corrections):
         flip[b, idx] = True
+    stored = np.zeros((n_blocks, block_len), dtype=np.uint8)
+    stored[:, code.stored_mask] = code.stored_bits
+    kinds = np.where(code.stored_mask, LEAF_KNOWN, LEAF_FREE)
 
     def decide(i, probs, start, stop):
-        if code.stored_mask[i]:
-            return code.stored_bits[start:stop, column[i]]
         return map_bits(probs[0]) ^ flip[start:stop, i]
 
-    return traverse_batches((cond,), n_blocks, block_len, decide)[1]
+    return traverse_batches((cond,), n_blocks, block_len, decide,
+                            plan=(kinds, stored))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +184,20 @@ def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
     return np.stack(rows) if rows else np.empty((0, block_len))
 
 
-def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, dither, info_bits):
-    """Traverse with INFO bits from info_bits(i, probs, start, stop),
-    frozen-random bits from the dither and prior-replayable bits from the
-    prior chain's argmax (the last chain); returns (u, x)."""
+def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, bits,
+                info_bits=None):
+    """Traverse with frozen-random bits from bits, prior-replayable bits
+    from the prior chain's argmax (the last chain) and INFO bits from
+    info_bits(i, probs, start, stop), or from bits when info_bits is None
+    (replay); returns (u, x)."""
     if chains[-1] is None:
         raise ValueError("prior-replayable indices need the prior evidence")
-    classes = profile.classes
-
-    def decide(i, probs, start, stop):
-        cls = classes[i]
-        if cls == CLASS_INFO:
-            return info_bits(i, probs, start, stop)
-        if cls == CLASS_FROZEN_RANDOM:
-            return dither[start:stop, i]
-        return map_bits(probs[-1])  # prior chain: last row in either layout
-
-    return traverse_batches(chains, n_blocks, profile.block_len, decide)
+    kinds = np.full(profile.block_len, LEAF_KNOWN, dtype=np.int8)
+    kinds[profile.classes == CLASS_FROZEN_DETERMINISTIC] = LEAF_PRIOR
+    if info_bits is not None:
+        kinds[profile.classes == CLASS_INFO] = LEAF_FREE
+    return traverse_batches(chains, n_blocks, profile.block_len, info_bits,
+                            plan=(kinds, bits))
 
 
 def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int,
@@ -237,11 +241,7 @@ def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
     u[:, fr] = dither[:, fr]
     if not profile.has_deterministic:
         return polar_transform(u)
-
-    def stored(i, probs, start, stop):
-        return u[start:stop, i]
-
-    return _lossy_pass((prior,), profile, n_blocks, dither, stored)[1]
+    return _lossy_pass((prior,), profile, n_blocks, u)[1]
 
 
 def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,

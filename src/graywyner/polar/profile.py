@@ -154,14 +154,17 @@ class PolarProfile:
         return mask
 
 
-def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None):
+def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
+                     plan=None):
     """SC passes over n_blocks blocks in budget-sized batch slices.
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
     for a slice, conditional chain first and prior chain (if any) last;
     decide(i, posteriors, start, stop) decides leaf i of that slice.  With
     known (n_blocks, N) leaf bits the passes run breadth-first and decide
-    sees every leaf of a slice at once (see sc_traverse).
+    sees every leaf of a slice at once; otherwise they run depth-first on
+    the leaf plan (kinds, bits over all n_blocks), if any, and decide sees
+    only its FREE leaves (see sc_traverse).
     Returns (u, x) over all blocks, as sc_traverse does.
     """
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
@@ -170,7 +173,11 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None):
         # one chain needs no stacked copy, only a leading chain axis
         evidence = (chains[0](start, stop)[None] if len(chains) == 1
                     else np.stack([chain(start, stop) for chain in chains]))
-        kw = {} if known is None else {"known": known[start:stop]}
+        kw = {}
+        if known is not None:
+            kw["known"] = known[start:stop]
+        if plan is not None:
+            kw["plan"] = (plan[0], plan[1][start:stop])
         u[start:stop], x[start:stop] = sc_traverse(
             evidence, lambda i, probs: decide(i, probs, start, stop), **kw)
     return u, x

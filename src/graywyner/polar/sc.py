@@ -28,12 +28,36 @@ uninformative L = 0.
 
 There are two passes, chosen by the input:
 
-* depth-first (``sc_traverse(evidence, decide)``): every leaf bit comes
-  from the ``decide`` callback, which sees the leaf's posterior pairs;
+* depth-first (``sc_traverse(evidence, decide, plan=(kinds, bits))``):
+  leaves are decided in index order, each by its kind in the plan:
+  KNOWN leaves take their bit from ``bits``, PRIOR leaves the
+  maximum-posterior bit of the last (prior) chain, and FREE leaves the bit
+  the ``decide`` callback returns from the leaf's posterior pairs.  Without
+  a plan every leaf is FREE;
 * breadth-first (``sc_traverse(evidence, stats, known=u)``): every leaf bit
   is given, so all partial sums are known up front and the tree is
   evaluated one level at a time over all nodes at once; ``stats`` is called
   once with the posterior pairs of every leaf.
+
+The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
+nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
+2011; Sarkis et al., "Fast polar decoders", IEEE JSAC 2014):
+
+* rate-0, every leaf of the node KNOWN: its codeword is the transform of
+  the known bits, and neither its LLRs nor any step below it is computed.
+  This is exact, because no decision inside reads a posterior.
+* rate-1, every leaf of a node of width M > 1 PRIOR: its codeword is the
+  hard decision (L < 0) of the node's prior-chain LLRs, taken only when
+  every such |L| over the node and the batch exceeds ln 2 log2(M) + 1.
+  The guard makes the shortcut exact.  By induction on M: a leaf with
+  |L| > 1 is decided by the sign of L (no posterior tie).  At width M, the
+  f-step keeps the xor of the signs and loses at most ln 2 of magnitude,
+  |f(a, b)| >= min(|a|, |b|) - ln 2 > ln 2 log2(M/2) + 1, so the first
+  child returns v = hard(a) xor hard(b).  The g-step b + (1 - 2v) a then
+  adds two terms of the sign of b, so it never cancels, |g| >= |b|, and
+  the second child returns hard(b); the node returns [hard(a), hard(b)].
+  Without the guard, exact ties (L = 0) break the sign rule: the lattice
+  prior table has tie rows, and g-steps cancel on constant prior evidence.
 
 Both passes build their values from the same elementwise f- and g-steps and
 turn leaf LLRs into posterior pairs with the same helper, so for the same
@@ -60,6 +84,10 @@ def _llrs(evidence: np.ndarray):
     return llr, not np.isfinite(llr).all()
 
 
+# leaf kinds of a depth-first plan
+LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR = 0, 1, 2
+
+_LN2 = float(np.log(2.0))
 _PAIR_SIGNS = np.array([-1.0, 1.0])
 # the f-step caps t at 60 in its ln(1 + e^-t) terms, which keeps exp and
 # log1p off their slow underflow paths and moves a result by less than
@@ -135,28 +163,55 @@ def map_bits(posteriors: np.ndarray) -> np.ndarray:
     return (posteriors[..., 1] > posteriors[..., 0]).astype(np.uint8)
 
 
-def _depth_first(evidence: np.ndarray, decide):
-    llr, has_inf = _llrs(evidence)
-    n_blocks, block_len = llr.shape[1:]
+def _depth_first(evidence: np.ndarray, decide, kinds, bits):
+    n_blocks, block_len = evidence.shape[1:3]
     u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
-    cursor = [0]
+    # leaves of each kind before index i, so a node's kinds are O(1) to test
+    known_before = np.concatenate([[0], np.cumsum(kinds == LEAF_KNOWN)]).tolist()
+    prior_before = np.concatenate([[0], np.cumsum(kinds == LEAF_PRIOR)]).tolist()
 
-    def rec(node: np.ndarray) -> np.ndarray:
+    def rate0(lo: int, width: int):
+        """The codeword of leaves [lo, lo + width) if all are KNOWN, else None."""
+        if known_before[lo + width] - known_before[lo] != width:
+            return None
+        u_out[:, lo:lo + width] = bits[:, lo:lo + width]
+        return polar_transform(bits[:, lo:lo + width])
+
+    root = rate0(0, block_len)
+    if root is not None:
+        return u_out, root
+    llr, has_inf = _llrs(evidence)
+
+    def rec(node: np.ndarray, lo: int) -> np.ndarray:
         width = node.shape[2]
         if width == 1:
-            i = cursor[0]
-            cursor[0] += 1
-            bits = np.asarray(decide(i, _leaf_posteriors(node[:, :, 0])),
-                              dtype=np.uint8)
-            u_out[:, i] = bits
-            return bits[:, None]
+            if kinds[lo] == LEAF_PRIOR:
+                leaf = map_bits(_leaf_posteriors(node[-1, :, 0]))
+            else:
+                leaf = np.asarray(decide(lo, _leaf_posteriors(node[:, :, 0])),
+                                  dtype=np.uint8)
+            u_out[:, lo] = leaf
+            return leaf[:, None]
+        if prior_before[lo + width] - prior_before[lo] == width:
+            prior = node[-1]
+            guard = _LN2 * (width.bit_length() - 1) + 1.0
+            if np.abs(prior).min(initial=np.inf) > guard:
+                x = (prior < 0).astype(np.uint8)
+                u_out[:, lo:lo + width] = polar_transform(x)
+                return x
         half = width // 2
         first, second = node[:, :, :half], node[:, :, half:]
-        v = rec(_f_step(first, second, has_inf))  # codeword of the first child
-        tail = rec(_g_step(first, second, v[None], has_inf))
+        v = rate0(lo, half)  # codeword of the first child
+        if v is None:
+            v = rec(_f_step(first, second, has_inf), lo)
+        tail = rate0(lo + half, half)
+        if tail is None:
+            tail = rec(_g_step(first, second, v[None], has_inf), lo + half)
         return np.concatenate([v ^ tail, tail], axis=1)
 
-    return u_out, rec(llr)
+    x = rec(llr, 0)
+    del rec  # rec refers to itself; break the cycle so its buffers free now
+    return u_out, x
 
 
 def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
@@ -203,20 +258,37 @@ def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
     return u.copy(), codeword
 
 
-def sc_traverse(evidence: np.ndarray, decide, *, known=None):
+def _checked_plan(plan, n_blocks: int, block_len: int):
+    """(kinds, bits) of a depth-first plan; every leaf FREE without one."""
+    if plan is None:
+        return np.full(block_len, LEAF_FREE), None
+    kinds, bits = np.asarray(plan[0]), np.asarray(plan[1], dtype=np.uint8)
+    if kinds.shape != (block_len,) or not np.isin(
+            kinds, (LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR)).all():
+        raise ValueError(f"plan kinds must be ({block_len},) leaf kinds")
+    if bits.shape != (n_blocks, block_len):
+        raise ValueError(f"plan bits must have shape ({n_blocks}, {block_len}), "
+                         f"got {bits.shape}")
+    return kinds, bits
+
+
+def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
     """Run one successive-cancellation pass over a batch of blocks.
 
     evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
         of two.
     decide: without ``known``, a callback ``decide(i, posteriors) -> bits``
-        called once per leaf index i in increasing order; posteriors has
-        shape (chains, blocks, 2) and bits must be a (blocks,) array over
-        {0, 1}.  The returned bits are fed back into every chain.
+        called once per FREE leaf index i in increasing order; posteriors
+        has shape (chains, blocks, 2) and bits must be a (blocks,) array
+        over {0, 1}.  The returned bits are fed back into every chain.
         With ``known``, it is called once as ``decide(slice(0, N),
         posteriors)`` with the (chains, blocks, N, 2) posteriors of every
         leaf along the known bits, and its return value is ignored.
     known: optional (blocks, N) bits of every leaf; selects the
         breadth-first pass.
+    plan: optional ``(kinds, bits)`` of the depth-first pass: (N,) leaf
+        kinds LEAF_FREE, LEAF_KNOWN or LEAF_PRIOR, and (blocks, N) bits read
+        at the KNOWN leaves.  Without it every leaf is FREE.
 
     Returns (u, x), both (blocks, N) uint8, where u collects the decided
     bits in leaf order and x is the corresponding codeword (u equals the
@@ -227,9 +299,12 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None):
     _, n_blocks, block_len, _ = evidence.shape
     if block_len < 1 or (block_len & (block_len - 1)) != 0:
         raise ValueError(f"block length must be a power of two, got {block_len}")
+    if known is not None and plan is not None:
+        raise ValueError("known selects the breadth-first pass, which takes no plan")
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:
-            return _depth_first(evidence, decide)
+            return _depth_first(evidence, decide,
+                                *_checked_plan(plan, n_blocks, block_len))
         u = np.asarray(known, dtype=np.uint8)
         if u.shape != (n_blocks, block_len):
             raise ValueError(

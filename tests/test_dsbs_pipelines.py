@@ -162,3 +162,19 @@ class TestRunContract:
     def test_empty_batch_rejected(self, model, cache_dir, blocks):
         with pytest.raises(ValueError, match="n_blocks"):
             run(PointG(), model, cache_dir, blocks=blocks)
+
+
+@pytest.mark.parametrize("a0", [0.001, 0.01])
+@pytest.mark.parametrize("label", ["G", "A", "E10"])
+def test_near_deterministic_source_runs_clean(a0, label):
+    """a0 -> 0: near-certain evidence, where the prior pins whole subtrees.
+    Replay and lossless exactness are checked inside the pipeline."""
+    model = DsbsModel(a0)
+    point = {"G": PointG(), "A": PointA(),
+             "E10": LossyTinyBoth(model.a1 / 2)}[label]
+    out = run_dsbs_pipeline(point, model, 256, 1, n_blocks=4, sample_count=32)
+    assert out.n_blocks == 4
+    for rate in (out.r0, out.r1, out.r2):
+        assert np.all(rate >= 0.0)
+    if label != "E10":
+        assert out.dist_x.max() == 0.0 and out.dist_y.max() == 0.0

@@ -98,6 +98,18 @@ class TestPairRoute:
             pair_run(cache_dir, blocks=blocks)
 
 
+@pytest.mark.parametrize("rho", [0.99, 0.999])
+def test_strong_correlation_runs_clean(rho):
+    """rho -> 1: near-certain coset evidence on every level.  Replay is
+    checked inside the pipeline."""
+    out = extract_common(GaussianPairModel(rho), 256, 1, n_blocks=4,
+                         sample_count=32)
+    assert out.n_blocks == 4
+    for rate in (out.r0, out.r1, out.r2):
+        assert np.all(rate >= 0.0)
+    assert np.all(np.isfinite(out.dist_x)) and np.all(np.isfinite(out.dist_y))
+
+
 class TestLRoute:
     def test_record_structure_and_windows(self, cache_dir):
         model = LGaussianModel(3, 0.5)

@@ -1,7 +1,8 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
-bitwise agreement of the breadth-first and depth-first passes, infinite and
-contradictory evidence, and lossless round trips whose uncertain positions
-are mostly decided by maximum posterior."""
+bitwise agreement of the breadth-first and depth-first passes, pruned
+depth-first passes against unpruned ones, infinite and contradictory
+evidence, and lossless round trips whose uncertain positions are mostly
+decided by maximum posterior."""
 
 import warnings
 
@@ -19,6 +20,7 @@ from graywyner.polar import (
     sc_traverse,
 )
 from graywyner.polar import sc as sc_module
+from graywyner.polar.sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits
 
 
 def _normalize_pairs(p0, p1):
@@ -144,6 +146,194 @@ class TestPassesShareLeafLlrs:
         with pytest.raises(ValueError):
             sc_traverse(evidence, lambda leaves, probs: None,
                         known=np.zeros((2, 4), dtype=np.uint8))
+
+
+# an uninformative prior pair at leaf 0 and confident 1s beside it: SC
+# decides the tie so that its codeword disagrees with the hard decision
+# L < 0 of the evidence, at any block length
+TIE_PAIRS = [[0.5, 0.5], [0.01, 0.99], [0.01, 0.99], [0.01, 0.99]]
+
+
+def _plans(block_len, n_blocks, gen):
+    """Leaf plans with random bits at every leaf (a pass may read them only
+    at KNOWN leaves): every leaf PRIOR; the kinds interleaved, so every
+    node above the leaves is mixed; then random plans with whole subtrees of
+    one kind as well as mixed ones."""
+    def bits():
+        return gen.integers(0, 2, (n_blocks, block_len)).astype(np.uint8)
+
+    yield np.full(block_len, LEAF_PRIOR), bits()
+    yield np.arange(block_len) % 3, bits()
+    for _ in range(3):
+        kinds = np.empty(block_len, dtype=np.int8)
+
+        def fill(lo, width):
+            if width == 1 or gen.random() < 0.3:
+                kinds[lo:lo + width] = gen.integers(0, 3)
+            else:
+                fill(lo, width // 2)
+                fill(lo + width // 2, width // 2)
+
+        fill(0, block_len)
+        yield kinds, bits()
+
+
+def _free_rule(n_blocks, block_len, seed):
+    """A FREE-leaf decision that reads the posteriors: randomized rounding
+    on chain 0 with fixed uniforms per (block, leaf)."""
+    uniforms = np.random.default_rng(seed).random((n_blocks, block_len))
+    return lambda i, probs: (uniforms[:, i] < probs[0, :, 1]).astype(np.uint8)
+
+
+def _planned_passes(evidence, kinds, bits, free):
+    """(pruned (u, x), unpruned (u, x), FREE leaves the pruned pass asked
+    for); the unpruned pass decides every leaf by callback, as the plan
+    says."""
+    asked = []
+
+    def pruned_decide(i, probs):
+        asked.append(i)
+        return free(i, probs)
+
+    def every_leaf(i, probs):
+        if kinds[i] == LEAF_KNOWN:
+            return bits[:, i]
+        if kinds[i] == LEAF_PRIOR:
+            return map_bits(probs[-1])
+        return free(i, probs)
+
+    pruned = sc_traverse(evidence, pruned_decide, plan=(kinds, bits))
+    return pruned, sc_traverse(evidence, every_leaf), asked
+
+
+def _assert_pruning_exact(evidence, seed):
+    """Every plan of _plans, with the tie of TIE_PAIRS planted in the prior
+    chain of block 0."""
+    evidence = evidence.copy()
+    evidence[-1, 0] = TIE_PAIRS[-1]
+    evidence[-1, 0, 0] = TIE_PAIRS[0]
+    gen = np.random.default_rng(seed)
+    n_blocks, block_len = evidence.shape[1:3]
+    for trial, (kinds, bits) in enumerate(_plans(block_len, n_blocks, gen)):
+        free = _free_rule(n_blocks, block_len, seed + trial)
+        (u, x), (u_ref, x_ref), asked = _planned_passes(evidence, kinds, bits, free)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(x, polar_transform(u))
+        known = kinds == LEAF_KNOWN
+        np.testing.assert_array_equal(u[:, known], bits[:, known])
+        assert asked == np.flatnonzero(kinds == LEAF_FREE).tolist()
+
+
+def _confidence_mix(n_chains, n_blocks, block_len, seed):
+    """Random pairs in some blocks and near-certain ones in the others, so
+    some prior nodes pass the rate-1 guard and some do not."""
+    mixed = _evidence("random", n_chains, n_blocks, block_len, seed)
+    sure = _evidence("near-deterministic", n_chains, n_blocks, block_len, seed)
+    rows = np.random.default_rng(seed).random(n_blocks) < 0.5
+    mixed[:, rows] = sure[:, rows]
+    return mixed
+
+
+@pytest.mark.parametrize("n_chains", [1, 2])
+@pytest.mark.parametrize("block_len", [8, 64, 1024])
+class TestPrunedPass:
+    """The plan's pruned pass against the unpruned pass that decides every
+    leaf by callback: bit-identical (u, x), and decide sees FREE leaves
+    only."""
+
+    @pytest.mark.parametrize("kind", ["random", "near-deterministic", "mixed"])
+    def test_random_evidence(self, kind, n_chains, block_len):
+        seed = 31 * block_len + 7 * n_chains
+        evidence = (_confidence_mix(n_chains, 6, block_len, seed)
+                    if kind == "mixed"
+                    else _evidence(kind, n_chains, 6, block_len, seed))
+        _assert_pruning_exact(evidence, seed)
+
+    @pytest.mark.parametrize("special", ["ties", "constant-prior", "infinite"])
+    def test_degenerate_evidence(self, special, n_chains, block_len):
+        seed = 17 * block_len + n_chains
+        gen = np.random.default_rng(seed)
+        evidence = _evidence("near-deterministic", n_chains, 5, block_len, seed)
+        if special == "ties":  # exact L = 0 at about a third of the leaves
+            evidence[gen.random(evidence.shape[:3]) < 0.3] = 0.5
+        elif special == "constant-prior":  # g-steps cancel to L = 0
+            evidence[-1] = [0.9, 0.1]
+        else:  # +-inf, and contradictions where a path disagrees with them
+            hard = gen.integers(0, 2, evidence.shape[:3])
+            certain = gen.random(evidence.shape[:3]) < 0.5
+            evidence[certain] = np.stack([1 - hard, hard], axis=-1)[certain]
+        _assert_pruning_exact(evidence, seed)
+
+
+def test_rate1_guard_at_a_posterior_tie():
+    """The smallest node where the unguarded rate-1 shortcut is wrong: the
+    tie's hard decision L < 0 says 0 where SC's codeword says 1, so the
+    shortcut must refuse the node."""
+    evidence = np.array([[TIE_PAIRS]])
+    kinds = np.full(4, LEAF_PRIOR)
+    bits = np.zeros((1, 4), dtype=np.uint8)
+    (u, x), (u_ref, x_ref), asked = _planned_passes(
+        evidence, kinds, bits, _free_rule(1, 4, 0))
+    hard = (evidence[-1, ..., 1] > evidence[-1, ..., 0]).astype(np.uint8)
+    assert not np.array_equal(x_ref, hard)
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(x, x_ref)
+    assert asked == []
+
+
+class TestPruningSkipsWork:
+    """Pruned subtrees compute no f-step and no leaf posterior."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"f": 0, "leaf": 0}
+        f_step, leaf = sc_module._f_step, sc_module._leaf_posteriors
+
+        def counting_f(*args, **kwargs):
+            calls["f"] += 1
+            return f_step(*args, **kwargs)
+
+        def counting_leaf(llr):
+            calls["leaf"] += 1
+            return leaf(llr)
+
+        monkeypatch.setattr(sc_module, "_f_step", counting_f)
+        monkeypatch.setattr(sc_module, "_leaf_posteriors", counting_leaf)
+        return calls
+
+    @pytest.mark.parametrize("kind", [LEAF_KNOWN, LEAF_PRIOR])
+    def test_uniform_plan_is_one_step(self, counted, kind):
+        evidence = _evidence("near-deterministic", 2, 3, 1024, seed=5)
+        bits = np.random.default_rng(5).integers(0, 2, (3, 1024)).astype(np.uint8)
+        u, x = sc_traverse(evidence, None, plan=(np.full(1024, kind), bits))
+        assert counted == {"f": 0, "leaf": 0}
+        if kind == LEAF_KNOWN:
+            np.testing.assert_array_equal(u, bits)
+        np.testing.assert_array_equal(x, polar_transform(u))
+
+    def test_unresolved_prior_recurses(self, counted):
+        evidence = _evidence("random", 1, 3, 64, seed=5)
+        sc_traverse(evidence, None,
+                    plan=(np.full(64, LEAF_PRIOR), np.zeros((3, 64), np.uint8)))
+        assert counted["leaf"] > 0
+
+
+class TestPlanChecked:
+    def test_bad_plans_rejected(self):
+        evidence = np.full((1, 2, 8, 2), 0.5)
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        for plan in [(np.zeros(4), bits), (np.full(8, 3), bits),
+                     (np.zeros(8), bits[:1])]:
+            with pytest.raises(ValueError, match="plan"):
+                sc_traverse(evidence, lambda i, probs: np.zeros(2), plan=plan)
+
+    def test_plan_and_known_exclusive(self):
+        evidence = np.full((1, 2, 8, 2), 0.5)
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="breadth-first"):
+            sc_traverse(evidence, lambda leaves, probs: None, known=bits,
+                        plan=(np.zeros(8), bits))
 
 
 class TestInfiniteEvidence:
