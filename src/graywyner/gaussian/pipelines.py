@@ -55,9 +55,11 @@ from .model import (
 )
 
 # distinct dither/rounding stream bases so the refinement quantizers never
-# collide with the common one under a shared seed (each uses < 16 levels)
+# collide with the common one under a shared seed (each uses at most 16
+# levels, which _build_code checks)
 REFINE_X_STREAM_BASE = 32
 REFINE_Y_STREAM_BASE = 48
+_MAX_LEVELS = REFINE_X_STREAM_BASE - LATTICE_STREAM_BASE
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,6 +69,9 @@ def _mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _build_code(mmse, block_len, levels, target_flatness, rate_margin,
                 cache_dir, sample_count, construction_seed):
     chain = plan_chain(mmse, levels=levels, flatness_target=target_flatness)
+    if chain.levels > _MAX_LEVELS:
+        raise ValueError(f"a {chain.levels}-level chain would share dither streams "
+                         f"with another quantizer; at most {_MAX_LEVELS} levels")
     return build_multilevel_code(
         chain, mmse, block_len, sample_count=sample_count,
         seed=construction_seed, rate_margin=rate_margin,

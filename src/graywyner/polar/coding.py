@@ -6,8 +6,8 @@ decisions and records the positions where they disagree with the truth, so
 decoding is exact by construction.  The encoder knows every bit, so it runs
 the breadth-first pass; the decoder runs depth-first, with the stored
 indices KNOWN and every other index FREE (decided by maximum posterior and
-the corrections).  Both see the same leaf posteriors and decide them with
-the one rule of sc.map_bits.  The per-block rate charges each recorded
+the corrections).  Both see the same leaf LLRs and decide them with the
+one sign rule of sc.map_bits.  The per-block rate charges each recorded
 correction log2(N) + 1 bits (index plus flag) on top of the stored set.
 
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
@@ -17,7 +17,7 @@ size.  Frozen-deterministic indices (present only for nonuniform priors)
 are replayed from the prior chain, whose arithmetic is elementwise and so
 bit-identical between the encoder's two-chain pass and the decoder's
 single-chain pass.  INFO decisions use randomized rounding on the
-observation-conditioned posterior.  The reconstruction is the codeword of
+conditional P(1) = 1/(1 + e^L).  The reconstruction is the codeword of
 the decided bit vector.  In the depth-first plan (see sc.py) the encoder
 has frozen-random leaves KNOWN, deterministic leaves PRIOR and INFO leaves
 FREE; the replay has INFO and frozen-random leaves KNOWN and deterministic
@@ -130,8 +130,8 @@ def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
     mask = profile.stored_mask(stored_fraction)
     wrong = np.empty((n_blocks, block_len), dtype=bool)
 
-    def guesses(leaves, probs, start, stop):
-        wrong[start:stop] = (map_bits(probs[0]) != u_true[start:stop]) & ~mask
+    def guesses(leaves, llr, start, stop):
+        wrong[start:stop] = (map_bits(llr[0]) != u_true[start:stop]) & ~mask
 
     traverse_batches((cond,), n_blocks, block_len, guesses, known=u_true)
     return LosslessCode(
@@ -165,8 +165,8 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
     stored[:, code.stored_mask] = code.stored_bits
     kinds = np.where(code.stored_mask, LEAF_KNOWN, LEAF_FREE)
 
-    def decide(i, probs, start, stop):
-        return map_bits(probs[0]) ^ flip[start:stop, i]
+    def decide(i, llr, start, stop):
+        return map_bits(llr[0]) ^ flip[start:stop, i]
 
     return traverse_batches((cond,), n_blocks, block_len, decide,
                             plan=(kinds, stored))[1]
@@ -188,7 +188,7 @@ def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, bits,
                 info_bits=None):
     """Traverse with frozen-random bits from bits, prior-replayable bits
     from the prior chain's argmax (the last chain) and INFO bits from
-    info_bits(i, probs, start, stop), or from bits when info_bits is None
+    info_bits(i, llr, start, stop), or from bits when info_bits is None
     (replay); returns (u, x)."""
     if chains[-1] is None:
         raise ValueError("prior-replayable indices need the prior evidence")
@@ -198,6 +198,11 @@ def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, bits,
         kinds[profile.classes == CLASS_INFO] = LEAF_FREE
     return traverse_batches(chains, n_blocks, profile.block_len, info_bits,
                             plan=(kinds, bits))
+
+
+def _posterior_one(llr: np.ndarray) -> np.ndarray:
+    """P(1) = 1/(1 + e^L) of leaf LLRs, L capped at 700 so e^L stays finite."""
+    return 1.0 / (1.0 + np.exp(np.minimum(llr, 700.0)))
 
 
 def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int,
@@ -211,8 +216,8 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
     uniforms = _stream_matrix(rng.block_uniforms, rng.STREAM_ROUNDING, shared_seed,
                               level, n_blocks, block_offset, block_len)
 
-    def rounded(i, probs, start, stop):
-        return (uniforms[start:stop, i] < probs[0, :, 1]).astype(np.uint8)
+    def rounded(i, llr, start, stop):
+        return (uniforms[start:stop, i] < _posterior_one(llr[0])).astype(np.uint8)
 
     chains = (cond, prior) if profile.has_deterministic else (cond,)
     u, reconstruction = _lossy_pass(chains, profile, n_blocks, dither, rounded)

@@ -6,11 +6,11 @@ statistics per leaf index i and per chain.  Every bit of that path is known
 in advance, so the recursion runs breadth-first (one vectorized step per
 tree level, see sc.py) and the statistics of all leaves are taken at once:
 
-* the Bhattacharyya proxy z[i], the mean of 2 sqrt(p0 p1) over samples,
-  which is 0 for a perfectly decided bit and 1 for a perfectly uniform one;
-* the entropy proxy h[i], the mean of -log2 p(true bit), whose sum over i
-  telescopes to the exact block log-likelihood (chain rule), giving a sharp
-  consistency check against closed-form entropies.
+* the Bhattacharyya proxy z[i], the mean of 2 sqrt(p0 p1) = 1/cosh(L/2),
+  0 for a perfectly decided bit and 1 for a perfectly uniform one;
+* the entropy proxy h[i], the mean of -log2 p(true bit) = log2(1 + e^(+-L)),
+  + for a true 1, whose sum over i telescopes to the exact block
+  log-likelihood (chain rule), a sharp check against closed-form entropies.
 
 construct_from_evidence does this for any coded variable given callables
 for its evidence; binary channels and lattice levels both supply them.
@@ -48,7 +48,9 @@ CLASS_INFO = 0
 CLASS_FROZEN_RANDOM = 1
 CLASS_FROZEN_DETERMINISTIC = 2
 
-PROFILE_CACHE_VERSION = 4
+PROFILE_CACHE_VERSION = 5
+
+_CLASSES = (CLASS_INFO, CLASS_FROZEN_RANDOM, CLASS_FROZEN_DETERMINISTIC)
 
 
 def below_log_threshold(values, threshold_exponent: float) -> np.ndarray:
@@ -97,6 +99,10 @@ class PolarProfile:
             arr = getattr(self, name)
             if arr.shape != (self.block_len,):
                 raise ValueError(f"{name} must have shape ({self.block_len},)")
+            if name != "classes" and not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        if not np.isin(self.classes, _CLASSES).all():
+            raise ValueError(f"classes must lie in {_CLASSES}")
 
     # -- index sets ---------------------------------------------------------
 
@@ -160,11 +166,11 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
     for a slice, conditional chain first and prior chain (if any) last;
-    decide(i, posteriors, start, stop) decides leaf i of that slice.  With
-    known (n_blocks, N) leaf bits the passes run breadth-first and decide
-    sees every leaf of a slice at once; otherwise they run depth-first on
-    the leaf plan (kinds, bits over all n_blocks), if any, and decide sees
-    only its FREE leaves (see sc_traverse).
+    decide(i, llr, start, stop) decides leaf i of that slice from its LLRs.
+    With known (n_blocks, N) leaf bits the passes run breadth-first and
+    decide sees every leaf of a slice at once; otherwise they run depth-first
+    on the leaf plan (kinds, bits over all n_blocks), if any, and decide
+    sees only its FREE leaves (see sc_traverse).
     Returns (u, x) over all blocks, as sc_traverse does.
     """
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
@@ -179,7 +185,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
         if plan is not None:
             kw["plan"] = (plan[0], plan[1][start:stop])
         u[start:stop], x[start:stop] = sc_traverse(
-            evidence, lambda i, probs: decide(i, probs, start, stop), **kw)
+            evidence, lambda i, llr: decide(i, llr, start, stop), **kw)
     return u, x
 
 
@@ -193,6 +199,19 @@ def channel_evidence(channel: BinarySourceWithSideInfo, side):
         return channel.prior_evidence((stop - start, side.shape[1]))
 
     return cond, (None if channel.prior_is_uniform else prior)
+
+
+def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
+    """z = 1/cosh(L/2) and h = log2(1 + e^(+-L)), + for a true 1, of leaf
+    LLRs along the true bits, with L capped at +-700 so h stays finite.
+    z is computed in llr's own buffer, which saves a batch-sized array."""
+    z = np.clip(llr, -700.0, 700.0, out=llr)
+    h = z.copy()
+    np.negative(h, out=h, where=bits == 0)
+    np.logaddexp(0.0, h, out=h)
+    h /= np.log(2.0)
+    np.cosh(np.multiply(z, 0.5, out=z), out=z)
+    return np.reciprocal(z, out=z), h
 
 
 def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
@@ -210,13 +229,10 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     z_sum = np.zeros((len(chains), block_len))
     h_sum = np.zeros((len(chains), block_len))
 
-    def leaf_stats(leaves, probs, start, stop):
-        # one scratch buffer: probs holds every leaf of a batch at once
-        buf = np.where(u_true[start:stop, leaves], probs[..., 1], probs[..., 0])
-        np.maximum(buf, 1e-300, out=buf)
-        h_sum[:, leaves] -= np.log2(buf, out=buf).sum(axis=1)
-        np.multiply(probs[..., 0], probs[..., 1], out=buf)
-        z_sum[:, leaves] += 2.0 * np.sqrt(buf, out=buf).sum(axis=1)
+    def leaf_stats(leaves, llr, start, stop):
+        z, h = _leaf_statistics(llr, u_true[start:stop, leaves])
+        z_sum[:, leaves] += z.sum(axis=1)
+        h_sum[:, leaves] += h.sum(axis=1)
 
     traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true)
     z = z_sum / sample_count
@@ -303,7 +319,8 @@ def load_cached_profile(path, *header):
         return None
     try:
         p = load_profile(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError):
         return None
     built_for = (p.channel_id, p.block_len, p.beta, p.sample_count, p.seed)
     return p if built_for == header else None

@@ -30,14 +30,14 @@ There are two passes, chosen by the input:
 
 * depth-first (``sc_traverse(evidence, decide, plan=(kinds, bits))``):
   leaves are decided in index order, each by its kind in the plan:
-  KNOWN leaves take their bit from ``bits``, PRIOR leaves the
-  maximum-posterior bit of the last (prior) chain, and FREE leaves the bit
-  the ``decide`` callback returns from the leaf's posterior pairs.  Without
-  a plan every leaf is FREE;
+  KNOWN leaves take their bit from ``bits``, PRIOR leaves the sign of the
+  last (prior) chain's leaf LLR, and FREE leaves the bit the ``decide``
+  callback returns from the leaf's LLRs.  Without a plan every leaf is
+  FREE;
 * breadth-first (``sc_traverse(evidence, stats, known=u)``): every leaf bit
   is given, so all partial sums are known up front and the tree is
   evaluated one level at a time over all nodes at once; ``stats`` is called
-  once with the posterior pairs of every leaf.
+  once with the LLRs of every leaf.
 
 The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
 nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
@@ -45,25 +45,26 @@ nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
 
 * rate-0, every leaf of the node KNOWN: its codeword is the transform of
   the known bits, and neither its LLRs nor any step below it is computed.
-  This is exact, because no decision inside reads a posterior.
+  This is exact, because no decision inside reads an LLR.
 * rate-1, every leaf of a node of width M > 1 PRIOR: its codeword is the
   hard decision (L < 0) of the node's prior-chain LLRs, taken only when
   every such |L| over the node and the batch exceeds ln 2 log2(M) + 1.
-  The guard makes the shortcut exact.  By induction on M: a leaf with
-  |L| > 1 is decided by the sign of L (no posterior tie).  At width M, the
-  f-step keeps the xor of the signs and loses at most ln 2 of magnitude,
-  |f(a, b)| >= min(|a|, |b|) - ln 2 > ln 2 log2(M/2) + 1, so the first
-  child returns v = hard(a) xor hard(b).  The g-step b + (1 - 2v) a then
-  adds two terms of the sign of b, so it never cancels, |g| >= |b|, and
-  the second child returns hard(b); the node returns [hard(a), hard(b)].
-  Without the guard, exact ties (L = 0) break the sign rule: the lattice
-  prior table has tie rows, and g-steps cancel on constant prior evidence.
+  The guard makes the shortcut exact.  By induction on M: a leaf is
+  decided by its sign.  At width M, the f-step keeps the xor of the signs
+  and loses at most ln 2 of magnitude, |f(a, b)| >= min(|a|, |b|) - ln 2
+  > ln 2 log2(M/2) + 1, so the first child returns v = hard(a) xor
+  hard(b).  The g-step b + (1 - 2v) a then adds two terms of the sign of
+  b, so it never cancels, |g| >= |b|, and the second child returns
+  hard(b); the node returns [hard(a), hard(b)].  Without the guard, exact
+  ties (L = 0) break the induction, as f(0, b) = 0 decides 0 whatever the
+  sign of b: the lattice prior table has tie rows, and g-steps cancel to 0
+  on constant prior evidence.
 
-Both passes build their values from the same elementwise f- and g-steps and
-turn leaf LLRs into posterior pairs with the same helper, so for the same
-bits they see bitwise-identical leaves.  Maximum-posterior decisions go
-through ``map_bits``, which decides 1 only when p1 > p0: a tie, including
-|L| so small that both pairs round to 1/2, decides 0.
+Both passes build their leaf LLRs from the same elementwise f- and g-steps,
+so for the same bits they hand their callbacks bitwise-identical values.
+Every maximum-posterior decision, PRIOR leaves and rate-1 nodes included,
+goes through the one sign rule of ``map_bits``: 1 exactly when L < 0, so a
+tie (L = 0, of either sign) decides 0.
 """
 
 from __future__ import annotations
@@ -88,14 +89,10 @@ def _llrs(evidence: np.ndarray):
 LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR = 0, 1, 2
 
 _LN2 = float(np.log(2.0))
-_PAIR_SIGNS = np.array([-1.0, 1.0])
 # the f-step caps t at 60 in its ln(1 + e^-t) terms, which keeps exp and
 # log1p off their slow underflow paths and moves a result by less than
 # 1e-25 of its size, far below one rounding unit
 _TERM_CAP = 60.0
-# leaf pairs are computed from L clipped to +-700, so exp never overflows
-# and no pair entry falls below e^-700 (about 1e-304)
-_LEAF_CAP = 700.0
 # values per block group of the breadth-first pass
 _GROUP_VALUES = 1 << 16
 
@@ -147,20 +144,9 @@ def _g_step(a: np.ndarray, b: np.ndarray, v: np.ndarray, has_inf: bool,
     return out
 
 
-def _leaf_posteriors(llr: np.ndarray) -> np.ndarray:
-    """Normalized (..., 2) posterior pairs (1 / (1 + e^-L), 1 / (1 + e^L))
-    of leaf LLRs."""
-    pairs = np.multiply(llr[..., None], _PAIR_SIGNS)
-    np.minimum(pairs, _LEAF_CAP, out=pairs)
-    np.maximum(pairs, -_LEAF_CAP, out=pairs)
-    np.exp(pairs, out=pairs)
-    pairs += 1.0
-    return np.divide(1.0, pairs, out=pairs)
-
-
-def map_bits(posteriors: np.ndarray) -> np.ndarray:
-    """Maximum-posterior bits of (..., 2) pairs; ties decide 0."""
-    return (posteriors[..., 1] > posteriors[..., 0]).astype(np.uint8)
+def map_bits(llr: np.ndarray) -> np.ndarray:
+    """Maximum-posterior bits of LLRs: 1 where L < 0; ties decide 0."""
+    return (llr < 0).astype(np.uint8)
 
 
 def _depth_first(evidence: np.ndarray, decide, kinds, bits):
@@ -186,17 +172,16 @@ def _depth_first(evidence: np.ndarray, decide, kinds, bits):
         width = node.shape[2]
         if width == 1:
             if kinds[lo] == LEAF_PRIOR:
-                leaf = map_bits(_leaf_posteriors(node[-1, :, 0]))
+                leaf = map_bits(node[-1, :, 0])
             else:
-                leaf = np.asarray(decide(lo, _leaf_posteriors(node[:, :, 0])),
-                                  dtype=np.uint8)
+                leaf = np.asarray(decide(lo, node[:, :, 0]), dtype=np.uint8)
             u_out[:, lo] = leaf
             return leaf[:, None]
         if prior_before[lo + width] - prior_before[lo] == width:
             prior = node[-1]
             guard = _LN2 * (width.bit_length() - 1) + 1.0
             if np.abs(prior).min(initial=np.inf) > guard:
-                x = (prior < 0).astype(np.uint8)
+                x = map_bits(prior)
                 u_out[:, lo:lo + width] = polar_transform(x)
                 return x
         half = width // 2
@@ -251,10 +236,8 @@ def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
         nodes, spare = children.reshape(n_chains, n_blocks, half, 2 * count), nodes
         del children
         width = half
-    del spare, work  # free the buffers before the leaf pairs are made
-    posteriors = _leaf_posteriors(nodes.reshape(n_chains, n_blocks, block_len))
-    del nodes
-    stats(slice(0, block_len), posteriors)
+    del spare, work  # free the buffers before stats makes its own
+    stats(slice(0, block_len), nodes.reshape(n_chains, n_blocks, block_len))
     return u.copy(), codeword
 
 
@@ -277,13 +260,13 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
 
     evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
         of two.
-    decide: without ``known``, a callback ``decide(i, posteriors) -> bits``
-        called once per FREE leaf index i in increasing order; posteriors
-        has shape (chains, blocks, 2) and bits must be a (blocks,) array
-        over {0, 1}.  The returned bits are fed back into every chain.
-        With ``known``, it is called once as ``decide(slice(0, N),
-        posteriors)`` with the (chains, blocks, N, 2) posteriors of every
-        leaf along the known bits, and its return value is ignored.
+    decide: without ``known``, a callback ``decide(i, llr) -> bits`` called
+        once per FREE leaf index i in increasing order; llr holds the
+        (chains, blocks) LLRs ln p0 - ln p1 of leaf i, +-inf included, and
+        bits must be a (blocks,) array over {0, 1}, fed back into every
+        chain.  With ``known``, it is called once as ``decide(slice(0, N),
+        llr)``, llr the (chains, blocks, N) LLRs of every leaf along the
+        known bits (which it may overwrite); its return value is ignored.
     known: optional (blocks, N) bits of every leaf; selects the
         breadth-first pass.
     plan: optional ``(kinds, bits)`` of the depth-first pass: (N,) leaf

@@ -164,17 +164,35 @@ class TestRunContract:
             run(PointG(), model, cache_dir, blocks=blocks)
 
 
-@pytest.mark.parametrize("a0", [0.001, 0.01])
+def _assert_runs_clean(out, lossless):
+    assert out.n_blocks == 4
+    for rate in (out.r0, out.r1, out.r2):
+        assert np.all(rate >= 0.0)
+    if lossless:
+        assert out.dist_x.max() == 0.0 and out.dist_y.max() == 0.0
+
+
+@pytest.mark.parametrize("a0", [0.001, 0.01, 0.0, 0.5])
 @pytest.mark.parametrize("label", ["G", "A", "E10"])
 def test_near_deterministic_source_runs_clean(a0, label):
-    """a0 -> 0: near-certain evidence, where the prior pins whole subtrees.
-    Replay and lossless exactness are checked inside the pipeline."""
+    """a0 -> 0: near-certain evidence, where the prior pins whole subtrees;
+    a0 = 0 makes it certain (L = +-inf), and a0 = 1/2 makes X and Y
+    independent fair coins (exact ties, L = 0).  Replay and lossless
+    exactness are checked inside the pipeline."""
     model = DsbsModel(a0)
     point = {"G": PointG(), "A": PointA(),
              "E10": LossyTinyBoth(model.a1 / 2)}[label]
     out = run_dsbs_pipeline(point, model, 256, 1, n_blocks=4, sample_count=32)
-    assert out.n_blocks == 4
-    for rate in (out.r0, out.r1, out.r2):
-        assert np.all(rate >= 0.0)
-    if label != "E10":
-        assert out.dist_x.max() == 0.0 and out.dist_y.max() == 0.0
+    _assert_runs_clean(out, lossless=label != "E10")
+
+
+@pytest.mark.parametrize("point", [
+    LossyTinyBoth(0.0), LossyTinyBoth(DsbsModel(A0).a1), LineAG(0.0),
+    LineAG(DsbsModel(A0).a1), CurveGB(DsbsModel(A0).a1), CurveGB(0.5)],
+    ids=["E10-0", "E10-a1", "AG-0", "AG-a1", "GB-a1", "GB-half"])
+def test_region_boundary_runs_clean(model, point):
+    """Operating points on the edges of their regions, where some channel
+    is certain or uniform, send infinite and exactly zero LLRs through the
+    leaf statistics and decisions; a non-finite statistic would raise."""
+    out = run_dsbs_pipeline(point, model, 256, 1, n_blocks=4, sample_count=32)
+    _assert_runs_clean(out, lossless=not isinstance(point, LossyTinyBoth))

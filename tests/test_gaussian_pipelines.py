@@ -253,3 +253,10 @@ class TestRefineRoute:
     def test_stream_bases_disjoint(self):
         assert REFINE_X_STREAM_BASE >= LATTICE_STREAM_BASE + 16
         assert REFINE_Y_STREAM_BASE >= REFINE_X_STREAM_BASE + 16
+
+    def test_chain_deeper_than_its_streams_refused(self):
+        # rho 1 - 1e-8 plans 17 levels: the common quantizer's 17th level
+        # would draw from the refinement's first stream
+        with pytest.raises(ValueError, match="17-level"):
+            extract_common(GaussianPairModel(1 - 1e-8), 64, 1, n_blocks=1,
+                           sample_count=4)

@@ -1,6 +1,7 @@
 """Construction tests: exact chain-rule telescoping, entropy estimates
 against closed forms, polarization trends, classification rules, caching."""
 
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,12 @@ from graywyner.polar.profile import below_log_threshold
 A1 = 0.0584119566836076573
 
 
+def _surprisal(llr, bits):
+    """-log2 p(bits) of the posterior pair (1 / (1 + e^-L), 1 / (1 + e^L))."""
+    p_true = 1.0 / (1.0 + np.exp(np.where(bits == 1, llr, -llr)))
+    return -np.log2(p_true)
+
+
 class TestChainRuleExact:
     """The per-block sum of leaf surprisals telescopes to the exact block
     log-likelihood; this pins the whole traversal arithmetic at once."""
@@ -42,10 +49,9 @@ class TestChainRuleExact:
         evidence = channel.leaf_evidence(y)[None]
         surprisal = np.zeros(5)
 
-        def decide(i, probs):
+        def decide(i, llr):
             bits = u_true[:, i]
-            p_true = probs[0, np.arange(5), bits.astype(np.intp)]
-            surprisal[:] += -np.log2(p_true)
+            surprisal[:] += _surprisal(llr[0], bits)
             return bits
 
         sc_traverse(evidence, decide)
@@ -61,9 +67,9 @@ class TestChainRuleExact:
         evidence = np.asarray(channel.prior_evidence((6, 64)))[None]
         surprisal = np.zeros(6)
 
-        def decide(i, probs):
+        def decide(i, llr):
             bits = u_true[:, i]
-            surprisal[:] += -np.log2(probs[0, np.arange(6), bits.astype(np.intp)])
+            surprisal[:] += _surprisal(llr[0], bits)
             return bits
 
         sc_traverse(evidence, decide)
@@ -235,11 +241,25 @@ class TestProfileCache:
         assert got.beta == 0.1234564
         assert load_profile(path).beta == 0.1234564
 
-    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"version": 2}', ""])
+    @pytest.mark.parametrize("content", [
+        "{not json", "[1, 2]", '{"version": 2}', "",
+        pytest.param(("classes", 300), id="class-300"),
+        pytest.param(("classes", 7), id="class-7"),
+        pytest.param(("z_cond", math.nan), id="nan-z_cond"),
+        pytest.param(("N", math.inf), id="N-infinite"),
+    ])
     def test_corrupt_entry_is_rebuilt(self, tmp_path, content):
         channel = lossless_source(0.11)
         fresh = construct_profile(channel, 64, sample_count=60, seed=9)
         path = profile_path(tmp_path, fresh)
+        if not isinstance(content, str):  # a valid entry with one value spoiled
+            name, value = content
+            entry = json.loads(save_profile(fresh, tmp_path).read_text())
+            if isinstance(entry[name], list):
+                entry[name][0] = value
+            else:
+                entry[name] = value
+            content = json.dumps(entry)
         path.write_text(content)
         got = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=9)
         np.testing.assert_array_equal(got.z_cond, fresh.z_cond)

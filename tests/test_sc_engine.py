@@ -1,8 +1,9 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
 bitwise agreement of the breadth-first and depth-first passes, pruned
 depth-first passes against unpruned ones, infinite and contradictory
-evidence, and lossless round trips whose uncertain positions are mostly
-decided by maximum posterior."""
+evidence, the leaf statistics and decisions read from LLRs against their
+pair formulas, and lossless round trips whose uncertain positions are
+mostly decided by maximum posterior."""
 
 import warnings
 
@@ -20,6 +21,8 @@ from graywyner.polar import (
     sc_traverse,
 )
 from graywyner.polar import sc as sc_module
+from graywyner.polar.coding import _posterior_one
+from graywyner.polar.profile import _leaf_statistics
 from graywyner.polar.sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits
 
 
@@ -69,10 +72,10 @@ def _evidence(kind, n_chains, n_blocks, block_len, seed):
 
 
 def _depth_first_leaves(evidence, u):
-    seen = np.empty(evidence.shape)
+    seen = np.empty(evidence.shape[:3])
 
-    def decide(i, probs):
-        seen[:, :, i] = probs
+    def decide(i, llr):
+        seen[:, :, i] = llr
         return u[:, i]
 
     sc_traverse(evidence, decide)
@@ -82,11 +85,19 @@ def _depth_first_leaves(evidence, u):
 def _breadth_first_leaves(evidence, u):
     seen = {}
 
-    def stats(leaves, probs):
-        seen["probs"] = probs
+    def stats(leaves, llr):
+        seen["llr"] = llr
 
     sc_traverse(evidence, stats, known=u)
-    return seen["probs"]
+    return seen["llr"]
+
+
+def _pair_llrs(pairs):
+    """ln p0 - ln p1 of (..., 2) pairs and where both entries are normal
+    floats, so that the difference is resolved."""
+    with np.errstate(divide="ignore"):
+        llr = np.log(pairs[..., 0]) - np.log(pairs[..., 1])
+    return llr, pairs.min(axis=-1) >= 1e-290
 
 
 @pytest.mark.parametrize("kind", ["random", "near-deterministic"])
@@ -94,6 +105,10 @@ def _breadth_first_leaves(evidence, u):
 @pytest.mark.parametrize("block_len", [8, 64, 1024])
 class TestAgainstPairReference:
     def test_leaf_posteriors_match_reference(self, kind, n_chains, block_len):
+        """The engine's leaf LLRs against ln p0 - ln p1 of the reference's
+        pairs.  dp1 = -p0 p1 dL and p0 p1 (1 + |L|) < 0.4, so the LLR
+        tolerance 1e-12 (1 + |L|) holds every pair within 4e-13.  Where a
+        reference entry underflowed, the engine's |L| must lie past it."""
         evidence = _evidence(kind, n_chains, 3, block_len, seed=block_len + n_chains)
         u = np.random.default_rng(block_len).integers(
             0, 2, (3, block_len)).astype(np.uint8)
@@ -104,8 +119,13 @@ class TestAgainstPairReference:
             return u[:, i]
 
         _, x_ref = reference_traverse(evidence, decide)
-        np.testing.assert_allclose(_depth_first_leaves(evidence, u), expected,
-                                   rtol=0, atol=1e-12)
+        want, resolved = _pair_llrs(expected)
+        got = _depth_first_leaves(evidence, u)
+        np.testing.assert_allclose(got[resolved], want[resolved],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(np.sign(got[~resolved]),
+                                      np.sign(want[~resolved]))
+        assert np.all(np.abs(got[~resolved]) > 600.0)
         np.testing.assert_array_equal(x_ref, polar_transform(u))
 
     def test_passes_agree_bitwise(self, kind, n_chains, block_len):
@@ -119,24 +139,17 @@ class TestAgainstPairReference:
 class TestPassesShareLeafLlrs:
     @pytest.mark.parametrize("channel", [lossless_source(0.11),
                                          crossover_side_info(0.2)])
-    def test_leaf_llrs_identical(self, monkeypatch, channel):
+    def test_leaf_llrs_identical(self, channel):
         block_len, n_blocks = 256, 4
         x, y = channel.sample(n_blocks, block_len, rng.stream(3, rng.STREAM_SOURCE))
         evidence = channel.leaf_evidence(y)[None]
         u = polar_transform(x)
-        seen = []
-        original = sc_module._leaf_posteriors
-
-        def recording(llr):
-            seen.append(np.array(llr))
-            return original(llr)
-
-        monkeypatch.setattr(sc_module, "_leaf_posteriors", recording)
-        u_bf, x_bf = sc_traverse(evidence, lambda leaves, probs: None, known=u)
-        breadth = seen.pop()
-        u_df, x_df = sc_traverse(evidence, lambda i, probs: u[:, i])
-        depth = np.stack(seen, axis=-1)
-        np.testing.assert_array_equal(breadth, depth)
+        breadth, depth = [], []
+        u_bf, x_bf = sc_traverse(
+            evidence, lambda leaves, llr: breadth.append(llr), known=u)
+        u_df, x_df = sc_traverse(
+            evidence, lambda i, llr: depth.append(llr.copy()) or u[:, i])
+        np.testing.assert_array_equal(breadth[0], np.stack(depth, axis=-1))
         np.testing.assert_array_equal(u_bf, u_df)
         np.testing.assert_array_equal(x_bf, x_df)
         np.testing.assert_array_equal(x_bf, x)
@@ -144,7 +157,7 @@ class TestPassesShareLeafLlrs:
     def test_known_bits_shape_checked(self):
         evidence = np.full((1, 2, 8, 2), 0.5)
         with pytest.raises(ValueError):
-            sc_traverse(evidence, lambda leaves, probs: None,
+            sc_traverse(evidence, lambda leaves, llr: None,
                         known=np.zeros((2, 4), dtype=np.uint8))
 
 
@@ -179,10 +192,10 @@ def _plans(block_len, n_blocks, gen):
 
 
 def _free_rule(n_blocks, block_len, seed):
-    """A FREE-leaf decision that reads the posteriors: randomized rounding
-    on chain 0 with fixed uniforms per (block, leaf)."""
+    """A FREE-leaf decision that reads the LLRs: randomized rounding on
+    chain 0 with fixed uniforms per (block, leaf)."""
     uniforms = np.random.default_rng(seed).random((n_blocks, block_len))
-    return lambda i, probs: (uniforms[:, i] < probs[0, :, 1]).astype(np.uint8)
+    return lambda i, llr: (uniforms[:, i] < _posterior_one(llr[0])).astype(np.uint8)
 
 
 def _planned_passes(evidence, kinds, bits, free):
@@ -191,16 +204,16 @@ def _planned_passes(evidence, kinds, bits, free):
     says."""
     asked = []
 
-    def pruned_decide(i, probs):
+    def pruned_decide(i, llr):
         asked.append(i)
-        return free(i, probs)
+        return free(i, llr)
 
-    def every_leaf(i, probs):
+    def every_leaf(i, llr):
         if kinds[i] == LEAF_KNOWN:
             return bits[:, i]
         if kinds[i] == LEAF_PRIOR:
-            return map_bits(probs[-1])
-        return free(i, probs)
+            return map_bits(llr[-1])
+        return free(i, llr)
 
     pruned = sc_traverse(evidence, pruned_decide, plan=(kinds, bits))
     return pruned, sc_traverse(evidence, every_leaf), asked
@@ -283,23 +296,18 @@ def test_rate1_guard_at_a_posterior_tie():
 
 
 class TestPruningSkipsWork:
-    """Pruned subtrees compute no f-step and no leaf posterior."""
+    """Pruned subtrees compute no f-step and no g-step."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"f": 0, "leaf": 0}
-        f_step, leaf = sc_module._f_step, sc_module._leaf_posteriors
+        calls = {"f": 0, "g": 0}
+        for name, key in (("_f_step", "f"), ("_g_step", "g")):
+            def counting(*args, _step=getattr(sc_module, name), _key=key,
+                         **kwargs):
+                calls[_key] += 1
+                return _step(*args, **kwargs)
 
-        def counting_f(*args, **kwargs):
-            calls["f"] += 1
-            return f_step(*args, **kwargs)
-
-        def counting_leaf(llr):
-            calls["leaf"] += 1
-            return leaf(llr)
-
-        monkeypatch.setattr(sc_module, "_f_step", counting_f)
-        monkeypatch.setattr(sc_module, "_leaf_posteriors", counting_leaf)
+            monkeypatch.setattr(sc_module, name, counting)
         return calls
 
     @pytest.mark.parametrize("kind", [LEAF_KNOWN, LEAF_PRIOR])
@@ -307,7 +315,7 @@ class TestPruningSkipsWork:
         evidence = _evidence("near-deterministic", 2, 3, 1024, seed=5)
         bits = np.random.default_rng(5).integers(0, 2, (3, 1024)).astype(np.uint8)
         u, x = sc_traverse(evidence, None, plan=(np.full(1024, kind), bits))
-        assert counted == {"f": 0, "leaf": 0}
+        assert counted == {"f": 0, "g": 0}
         if kind == LEAF_KNOWN:
             np.testing.assert_array_equal(u, bits)
         np.testing.assert_array_equal(x, polar_transform(u))
@@ -316,7 +324,7 @@ class TestPruningSkipsWork:
         evidence = _evidence("random", 1, 3, 64, seed=5)
         sc_traverse(evidence, None,
                     plan=(np.full(64, LEAF_PRIOR), np.zeros((3, 64), np.uint8)))
-        assert counted["leaf"] > 0
+        assert counted["f"] > 0 and counted["g"] > 0
 
 
 class TestPlanChecked:
@@ -326,13 +334,13 @@ class TestPlanChecked:
         for plan in [(np.zeros(4), bits), (np.full(8, 3), bits),
                      (np.zeros(8), bits[:1])]:
             with pytest.raises(ValueError, match="plan"):
-                sc_traverse(evidence, lambda i, probs: np.zeros(2), plan=plan)
+                sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
 
     def test_plan_and_known_exclusive(self):
         evidence = np.full((1, 2, 8, 2), 0.5)
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="breadth-first"):
-            sc_traverse(evidence, lambda leaves, probs: None, known=bits,
+            sc_traverse(evidence, lambda leaves, llr: None, known=bits,
                         plan=(np.zeros(8), bits))
 
 
@@ -367,10 +375,10 @@ class TestInfiniteEvidence:
         seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sc_traverse(evidence, lambda i, probs: seen.append(probs) or np.zeros(1))
+            sc_traverse(evidence, lambda i, llr: seen.append(llr.copy()) or np.zeros(1))
             known = _breadth_first_leaves(evidence, np.zeros((1, 2), np.uint8))
-        np.testing.assert_allclose(seen[0][0, 0], [0.0, 1.0], rtol=0, atol=1e-300)
-        np.testing.assert_array_equal(seen[1][0, 0], [0.5, 0.5])
+        assert seen[0][0, 0] == -np.inf
+        assert seen[1][0, 0] == 0.0
         np.testing.assert_array_equal(known, np.stack(seen, axis=2))
 
     def test_all_zero_pairs_read_as_uniform(self):
@@ -378,7 +386,31 @@ class TestInfiniteEvidence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             leaves = _depth_first_leaves(evidence, np.ones((3, 16), np.uint8))
-        np.testing.assert_array_equal(leaves, 0.5)
+        np.testing.assert_array_equal(leaves, 0.0)
+
+
+def test_leaf_formulas_match_pair_formulas():
+    """z, h and P(1) read from L against the pair formulas they replace:
+    p = (1 / (1 + e^-L), 1 / (1 + e^L)) with L capped at +-700, z = 2
+    sqrt(p0 p1), h = -log2 p(bit); ties decide 0 whatever the zero's sign."""
+    llr = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
+                    700.0, -700.0, 800.0, -800.0, np.inf, -np.inf])
+    capped = np.clip(llr, -700.0, 700.0)
+    pairs = np.stack([1 / (1 + np.exp(-capped)), 1 / (1 + np.exp(capped))], -1)
+    for bit in (0, 1):
+        z, h = _leaf_statistics(llr[None].copy(), np.full((1, llr.size), bit))
+        np.testing.assert_allclose(z[0], 2 * np.sqrt(pairs[:, 0] * pairs[:, 1]),
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(h[0], -np.log2(pairs[:, bit]),
+                                   rtol=1e-14, atol=1e-15)
+    assert np.all(np.isfinite(h))
+    np.testing.assert_array_equal(_posterior_one(llr), pairs[:, 1])
+    resolved = pairs[:, 0] != pairs[:, 1]
+    np.testing.assert_array_equal(map_bits(llr)[resolved],
+                                  (pairs[:, 1] > pairs[:, 0])[resolved])
+    # the pairs of +-1e-300 round to a tie; the sign of L decides them
+    np.testing.assert_array_equal(map_bits(llr[:4]), [0, 0, 0, 1])
+    assert map_bits(np.array(-0.0)) == map_bits(np.array(0.0)) == 0
 
 
 @pytest.mark.parametrize("seed", range(15))
