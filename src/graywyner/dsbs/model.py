@@ -145,10 +145,6 @@ def lossy_ci_dsbs(d1: float, d2: float, model: DsbsModel):
     return r_xy_dsbs(d1, d2, model)
 
 
-def wyner_ci_dsbs(model: DsbsModel) -> float:
-    return model.wyner_ci()
-
-
 # ---------------------------------------------------------------------------
 # test-channel builders (coded variable W, observation (x, y) as one symbol)
 # ---------------------------------------------------------------------------

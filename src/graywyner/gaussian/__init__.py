@@ -15,7 +15,6 @@ from .model import (
     reduce_L,
     reduce_eps2,
     reduce_pair,
-    wyner_ci_L,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "reduce_eps2",
     "reduce_pair",
     "verify_lemma",
-    "wyner_ci_L",
 ]

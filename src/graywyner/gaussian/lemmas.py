@@ -11,9 +11,17 @@ swap at once:
     5 eps log2(e) bits below its exact counterpart.
 
 verify_lemma measures both sides for a concrete spacing and reports them
-next to the bounds.  Up to three sources the densities are integrated on
-tensor grids; beyond that the variation integral is skipped and the
-information gap is estimated by Monte Carlo.
+next to the bounds.  Every target is sources = W a + Z with Gaussian noise Z
+independent of the hidden W, and its reduction names the scalar
+U = weights . sources it quantizes.  The weights are parallel to K^-1 a for
+the noise covariance K, so U is sufficient for W: U = W + N(0, v) with
+v = sigma_s^2 - sigma_r^2.  The rest of the sources is Gaussian and
+independent of (W, U), under the exact law and under the lattice mixture
+alike, so both the total variation and I(sources; W) equal those of U
+alone.  The exact law of U is N(0, sigma_s^2); the lattice law is the
+mixture sum_k pmf_k N(u; w_k, v) over the discrete Gaussian of the hidden
+variable.  Both densities are sampled on one grid of u, and Simpson panels
+on it integrate the information gap and the variation for every target.
 """
 
 from __future__ import annotations
@@ -23,17 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import rng
-from ..numerics import (
-    MassDeficitError,
-    discrete_gaussian_pmf,
-    flatness_factor,
-    simpson_with_error,
-)
+from ..numerics import discrete_gaussian_pmf, flatness_factor, simpson_with_error
 from .model import (
     Eps2GaussianChannel,
     GaussianPairModel,
     LGaussianModel,
+    r_xy_gaussian,
     reduce_L,
     reduce_eps2,
     reduce_pair,
@@ -41,9 +44,13 @@ from .model import (
 
 LOG2E = math.log2(math.e)
 
-_RES_2D = 257
-_RES_3D = 129
-_MC_CHUNK = 16384
+# quadrature grid: this many points per noise width sqrt(v), over this many
+# widths sqrt(sigma_s^2) either side of zero (the exact law misses 1.5e-23)
+_POINTS_PER_WIDTH = 16
+_BOX_WIDTHS = 10.0
+# beyond this many noise widths a mixture term is below exp(-800) and
+# underflows, so it is not evaluated
+_REACH_WIDTHS = 40.0
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,6 @@ class LemmaReport:
     sigma is the posterior width the flatness factor is evaluated at; the
     mutual-information gap counts bits lost relative to the exact hidden
     variable (negative when the lattice variable reveals slightly more).
-    variation is None when only the Monte-Carlo information check ran.
     A check is ok only when the measured value plus its error bound stays
     within the lemma's bound, so an unresolved measurement is not ok.
     """
@@ -65,9 +71,8 @@ class LemmaReport:
     mi_value: float
     mi_target: float
     mi_error: float
-    method: str
-    variation: float | None = None
-    variation_error: float | None = None
+    variation: float
+    variation_error: float
 
     @property
     def variation_bound(self) -> float:
@@ -83,8 +88,6 @@ class LemmaReport:
 
     @property
     def variation_ok(self) -> bool:
-        if self.variation is None:
-            return True
         return self.variation + self.variation_error <= self.variation_bound
 
     @property
@@ -96,155 +99,93 @@ class LemmaReport:
         return self.variation_ok and self.mi_ok
 
 
-def _check_grid_points(n: int) -> int:
-    n = int(n)
-    if n < 33 or n % 4 != 1:
-        raise ValueError(
-            f"grid resolution must be 4m+1 and at least 33, got {n}")
-    return n
+def _abs_panels(d, h):
+    """Integral of |d| over a uniform grid of odd size, spacing h.
+
+    Each Simpson panel x0, x1, x2 is read as the quadratic P through its
+    three samples, and |P| is integrated exactly between the roots of P.
+    Where d keeps its sign this is the Simpson rule; where it changes sign
+    it keeps the rule's order instead of smearing the kink of |d|.
+    """
+    d0, d1, d2 = d[:-2:2], d[1:-1:2], d[2::2]
+    # P(t) = d0 + b t + c t^2 for t in [0, 2], in units of h
+    b = 0.5 * (4.0 * d1 - 3.0 * d0 - d2)
+    c = 0.5 * (d0 - 2.0 * d1 + d2)
+    disc = b * b - 4.0 * c * d0
+    with np.errstate(all="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+        roots = np.stack([q / c, d0 / q])
+    roots = np.where(np.isfinite(roots) & (disc >= 0.0),
+                     np.clip(roots, 0.0, 2.0), 0.0)
+    t = np.sort(np.vstack([np.zeros_like(d0), roots, np.full_like(d0, 2.0)]),
+                axis=0)
+    antiderivative = t * (d0 + t * (b / 2.0 + t * (c / 3.0)))
+    return h * float(np.abs(np.diff(antiderivative, axis=0)).sum())
 
 
-def _grid_report(kind, scale, sigma, fv, gv, grids, h_cond, mi_target):
-    """Report from the exact density fv and the lattice mixture gv, both
-    sampled on the tensor grid `grids`; h_cond is the differential entropy
-    (bits) of the sources given the hidden variable."""
-    for label, values in (("exact density", fv), ("lattice mixture", gv)):
-        mass, err = simpson_with_error(values, grids)
-        if mass < 1.0 - 1e-9 - 10.0 * err - 1e-12:
-            raise MassDeficitError(
-                f"{label} mass {mass:.12f} inside the grid box; widen the box")
-    variation, var_err = simpson_with_error(np.abs(fv - gv), grids)
-    entropy, ent_err = simpson_with_error(
-        -gv * np.log2(np.maximum(gv, np.finfo(float).tiny)), grids)
+def _scalar_report(kind, scale, mmse, mi_target):
+    """Report from the exact law of U and its lattice mixture.
+
+    mi_target is the closed-form I(sources; W), which equals
+    1/2 log2(sigma_s^2 / v).  The gap to the lattice information is
+    h(f) - h(g) for the exact density f and the mixture g; it is taken as
+    D(g || f) - log2(e) (sum pmf w^2 - sigma_r^2) / (2 sigma_s^2), which
+    stays exact where the two entropies agree to the last digit.
+    """
+    s2, r2, v = mmse.sigma_s2, mmse.sigma_r2, mmse.distortion
+    m = math.ceil(_POINTS_PER_WIDTH * 2.0 * _BOX_WIDTHS * math.sqrt(s2 / v) / 4.0)
+    half = _BOX_WIDTHS * math.sqrt(s2)
+    u = np.linspace(-half, half, 4 * m + 1)
+    f = np.exp(-0.5 * u * u / s2) / math.sqrt(2.0 * math.pi * s2)
+
+    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(r2))
+    reach = _REACH_WIDTHS * math.sqrt(v)
+    lo = np.searchsorted(u, points - reach)
+    hi = np.searchsorted(u, points + reach)
+    g = np.zeros_like(u)
+    for w, p, a, b in zip(points, pmf, lo, hi):
+        d = u[a:b] - w
+        g[a:b] += p * np.exp(-0.5 * d * d / v)
+    g /= math.sqrt(2.0 * math.pi * v)
+
+    h = float(u[1] - u[0])
+    diff = f - g
+    variation = _abs_panels(diff, h)
+    variation_error = abs(variation - _abs_panels(diff[::2], 2.0 * h))
+    ratio = g / f
+    kl, kl_error = simpson_with_error(
+        g * np.log2(np.where(ratio > 0.0, ratio, 1.0)), u)
+    gap = kl - LOG2E * (float(pmf @ (points * points)) - r2) / (2.0 * s2)
+    sigma = math.sqrt(mmse.sigma_tilde2)
     return LemmaReport(
         kind=kind, scale=scale, sigma=sigma,
         epsilon=flatness_factor(scale, sigma),
-        mi_value=entropy - h_cond, mi_target=mi_target, mi_error=ent_err,
-        method="grid", variation=variation, variation_error=var_err)
+        mi_value=mi_target - gap, mi_target=mi_target, mi_error=kl_error,
+        variation=variation, variation_error=variation_error)
 
 
-def _equi_report(kind, rho, n_sources, sigma, scale, resolution, box, mi_target):
-    """Grid-quadrature report for 2 or 3 equal-weight sources with iid noise."""
-    noise = 1.0 - rho
-    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(rho))
-    axis = np.linspace(-box, box, resolution)
-    # mixture: sum_k pmf_k prod_i N(x_i; w_k, noise), one factor per axis
-    factors = np.exp(-((axis[None, :] - points[:, None]) ** 2) / (2.0 * noise))
-    factors /= math.sqrt(2.0 * math.pi * noise)
-    if n_sources == 2:
-        weighted = pmf[:, None] * factors
-    else:
-        weighted = np.einsum("k,ki,kj->kij", pmf, factors, factors)
-    gv = np.tensordot(weighted, factors, axes=(0, 0))
-    # exact density, via the equicorrelated inverse (I - rho/denom J) / noise
-    coords = np.meshgrid(*[axis] * n_sources, indexing="ij", sparse=True)
-    s1 = sum(coords)
-    s2 = sum(c * c for c in coords)
-    denom = 1.0 + (n_sources - 1) * rho
-    det = denom * noise ** (n_sources - 1)
-    f_norm = (2.0 * math.pi) ** (-n_sources / 2.0) / math.sqrt(det)
-    fv = f_norm * np.exp(-0.5 * (s2 - rho / denom * s1 * s1) / noise)
-    h_cond = n_sources * 0.5 * math.log2(2.0 * math.pi * math.e * noise)
-    return _grid_report(kind, scale, sigma, fv, gv, [axis] * n_sources,
-                        h_cond, mi_target)
-
-
-def _coupled_report(channel, sigma, scale, resolution, box, mi_target):
-    """Grid-quadrature report for the coupled backward channel."""
-    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(channel.delta1))
-    kz = channel.k_noise()
-    det_z = float(kz[0, 0] * kz[1, 1] - kz[0, 1] ** 2)
-    inv = np.linalg.inv(kz)
-    axis = np.linspace(-box, box, resolution)
-    x, y = np.meshgrid(axis, axis, indexing="ij")
-    gv = np.zeros_like(x)
-    for pk, w in zip(pmf, points):
-        dx, dy = x - w, y - channel.slope * w
-        q = (inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy
-             + inv[1, 1] * dy * dy)
-        gv += pk * np.exp(-0.5 * q)
-    gv *= 1.0 / (2.0 * math.pi * math.sqrt(det_z))
-    rho = channel.rho
-    det_f = 1.0 - rho * rho
-    fv = (1.0 / (2.0 * math.pi * math.sqrt(det_f))
-          * np.exp(-0.5 * (x * x - 2.0 * rho * x * y + y * y) / det_f))
-    h_cond = math.log2(2.0 * math.pi * math.e) + 0.5 * math.log2(det_z)
-    return _grid_report("coupled", scale, sigma, fv, gv, [axis, axis],
-                        h_cond, mi_target)
-
-
-def _mc_report(kind, rho, n_sources, sigma, scale, samples, seed, mi_target):
-    """Monte-Carlo information check for wide source tuples."""
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
-    noise = 1.0 - rho
-    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(rho))
-    gen = rng.stream(seed, rng.STREAM_NOISE)
-    log_norm = -0.5 * n_sources * math.log(2.0 * math.pi * noise)
-    log_prior = np.log(pmf)
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        take = min(_MC_CHUNK, samples - done)
-        w = points[gen.choice(points.size, size=take, p=pmf)]
-        x = w[:, None] + math.sqrt(noise) * gen.standard_normal((take, n_sources))
-        log_cond = -((x - w[:, None]) ** 2).sum(axis=1) / (2.0 * noise)
-        dist = ((x[:, :, None] - points[None, None, :]) ** 2).sum(axis=1)
-        lw = log_prior[None, :] - dist / (2.0 * noise)
-        hi = lw.max(axis=1)
-        log_marg = hi + np.log(np.exp(lw - hi[:, None]).sum(axis=1))
-        vals[done:done + take] = (log_cond - log_marg) * LOG2E
-        done += take
-    mi = float(vals.mean())
-    err = 3.0 * float(vals.std(ddof=1)) / math.sqrt(samples)
-    return LemmaReport(
-        kind=kind, scale=scale, sigma=sigma,
-        epsilon=flatness_factor(scale, sigma),
-        mi_value=mi, mi_target=mi_target, mi_error=err,
-        method="monte-carlo")
-
-
-def verify_lemma(target, scale: float, resolution: int | None = None, *,
-                 box_halfwidth: float = 8.0, mc_samples: int = 400_000,
-                 seed: int = 0) -> LemmaReport:
+def verify_lemma(target, scale: float) -> LemmaReport:
     """Measure the substitution errors of a lattice hidden variable.
 
     target picks the claim being checked: a GaussianPairModel for the
     shared-variable pair, an LGaussianModel for the equicorrelated tuple,
     or an Eps2GaussianChannel for the coupled-distortion reconstruction.
-    scale is the lattice spacing of the hidden variable.  resolution is the
-    per-axis grid point count (4m+1; defaults 257 for two sources, 129 for
-    three); for more than three sources the variation integral is skipped
-    and mc_samples paired draws estimate the information gap instead.
+    scale is the lattice spacing of the hidden variable.
     """
     scale = float(scale)
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive, got {scale}")
     if isinstance(target, GaussianPairModel):
-        sigma = math.sqrt(reduce_pair(target).mmse.sigma_tilde2)
-        res = _check_grid_points(_RES_2D if resolution is None else resolution)
-        return _equi_report("pair", target.rho, 2, sigma, scale, res,
-                            box_halfwidth, target.wyner_ci())
+        return _scalar_report("pair", scale, reduce_pair(target).mmse,
+                              target.wyner_ci())
     if isinstance(target, LGaussianModel):
-        sigma = math.sqrt(reduce_L(target).mmse.sigma_tilde2)
-        kind = f"{target.n_sources}-sources"
-        if target.n_sources <= 3:
-            default = _RES_2D if target.n_sources == 2 else _RES_3D
-            res = _check_grid_points(default if resolution is None else resolution)
-            return _equi_report(kind, target.rho, target.n_sources, sigma,
-                                scale, res, box_halfwidth, target.wyner_ci())
-        return _mc_report(kind, target.rho, target.n_sources, sigma, scale,
-                          mc_samples, seed, target.wyner_ci())
+        return _scalar_report(f"{target.n_sources}-sources", scale,
+                              reduce_L(target).mmse, target.wyner_ci())
     if isinstance(target, Eps2GaussianChannel):
         model = GaussianPairModel(target.rho)
-        red = reduce_eps2(1.0 - target.delta1, 1.0 - target.delta2, model)
-        sigma = math.sqrt(red.mmse.sigma_tilde2)
-        kz = target.k_noise()
-        det_z = float(kz[0, 0] * kz[1, 1] - kz[0, 1] ** 2)
-        mi_target = 0.5 * math.log2((1.0 - target.rho ** 2) / det_z)
-        res = _check_grid_points(_RES_2D if resolution is None else resolution)
-        return _coupled_report(target, sigma, scale, res, box_halfwidth,
-                               mi_target)
+        d1, d2 = 1.0 - target.delta1, 1.0 - target.delta2
+        return _scalar_report("coupled", scale, reduce_eps2(d1, d2, model).mmse,
+                              r_xy_gaussian(d1, d2, model))
     raise TypeError(
         "target must be a GaussianPairModel, LGaussianModel or "
         f"Eps2GaussianChannel, got {type(target).__name__}")

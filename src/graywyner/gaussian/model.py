@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,10 @@ class LGaussianModel:
     rho: float
 
     def __post_init__(self):
+        if isinstance(self.n_sources, bool) or not isinstance(
+                self.n_sources, numbers.Integral):
+            raise ValueError(
+                f"n_sources must be an integer, got {self.n_sources!r}")
         if self.n_sources < 2:
             raise ValueError(f"need at least 2 sources, got {self.n_sources}")
         if not 0.0 < self.rho < 1.0:
@@ -99,11 +104,6 @@ class LGaussianModel:
     def covariance(self) -> np.ndarray:
         size = self.n_sources
         return np.full((size, size), self.rho) + (1.0 - self.rho) * np.eye(size)
-
-    def det_covariance(self) -> float:
-        """Closed-form determinant (1 + (L-1) rho) (1 - rho)^(L-1)."""
-        size = self.n_sources
-        return (1.0 + (size - 1) * self.rho) * (1.0 - self.rho) ** (size - 1)
 
     def wyner_ci(self) -> float:
         """Common information of all n_sources looks at the hidden W."""
@@ -184,10 +184,6 @@ def lossy_ci_gaussian(d1: float, d2: float, model: GaussianPairModel):
     if region is GaussianRegion.FREE:
         return 0.0
     return r_xy_gaussian(d1, d2, model)
-
-
-def wyner_ci_L(model: LGaussianModel) -> float:
-    return model.wyner_ci()
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from .model import (
     reduce_eps2,
     reduce_L,
     reduce_pair,
-    wyner_ci_L,
 )
 
 # distinct dither/rounding stream bases so the refinement quantizers never
@@ -130,7 +129,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
         sources = target.sample(n_blocks, block_len, gen)
         code = _build_code(red.mmse, block_len, **build)
         r0, w = _quantize_checked(red.combine(sources), code, seed)
-        ci = wyner_ci_L(target)
+        ci = target.wyner_ci()
         per_coord = ((sources - w[None]) ** 2).mean(axis=(0, 2))
         base = 1.0 - target.rho
         return RunRecord(

@@ -391,17 +391,6 @@ class MultilevelLatticeCode:
     def total_rate(self) -> float:
         return float(sum(self.level_rates))
 
-    @property
-    def top_level_mi(self) -> float:
-        """Finest-level rate estimate; near zero when spacing saturates."""
-        return self.level_mi_estimates[0]
-
-    @property
-    def bottom_deterministic_fraction(self) -> float:
-        """Share of coarsest-level indices replayable from the prior alone."""
-        bottom = self.profiles[-1]
-        return int(np.sum(bottom.classes == CLASS_FROZEN_DETERMINISTIC)) / bottom.block_len
-
 
 def _construction_stream(chain, mmse, block_len, sample_count, seed):
     """Label/sample pairs for construction; the exact recipe is part of the

@@ -19,9 +19,9 @@ part of the package:
   aliased Gaussian is nearly flat, which is the working condition for
   every lattice construction in this package.
 
-* ``tensor_grid_quadrature`` / ``simpson_with_error``: composite Simpson
-  integration of values sampled on a tensor product of uniform grids, the
-  latter with an error estimate from the same rule on every other sample.
+* ``simpson_with_error``: composite Simpson integration of values sampled
+  on a uniform 1-D grid, with an error estimate from the same rule on every
+  other sample.
 
 Only one-dimensional scaled integer lattices are supported.  All functions
 are pure and safe for concurrent use.
@@ -32,10 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-class MassDeficitError(ValueError):
-    """Integration box does not cover enough probability mass."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +144,7 @@ def flatness_factor(scale: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tensor-grid quadrature
+# Simpson quadrature
 # ---------------------------------------------------------------------------
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -161,29 +157,16 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def tensor_grid_quadrature(values: np.ndarray, grids) -> float:
-    """Integrate sampled values over a tensor product of 1-D Simpson grids.
+def simpson_with_error(values: np.ndarray, grid: np.ndarray) -> tuple:
+    """Simpson integral of values sampled on a uniform grid, with its error.
 
-    values has one axis per grid; each grid must be uniform with an odd
-    number of points.
-    """
-    acc = np.asarray(values, dtype=float)
-    for axis in range(len(grids) - 1, -1, -1):
-        g = np.asarray(grids[axis], dtype=float)
-        w = _simpson_weights(len(g), float(g[1] - g[0]))
-        acc = np.tensordot(acc, w, axes=([axis], [0]))
-    return float(acc)
-
-
-def simpson_with_error(values: np.ndarray, grids) -> tuple:
-    """Tensor-grid Simpson integral of sampled values, with its error.
-
-    The error is the gap to the same rule on every other sample, so each
+    The error is the gap to the same rule on every other sample, so the
     grid needs 4m+1 points (m >= 1) for the coarse rule to be a valid
     Simpson grid too.  Returns (integral, error_estimate).
     """
     values = np.asarray(values, dtype=float)
-    full = tensor_grid_quadrature(values, grids)
-    half = tensor_grid_quadrature(values[(slice(None, None, 2),) * values.ndim],
-                                  [np.asarray(g)[::2] for g in grids])
+    grid = np.asarray(grid, dtype=float)
+    h = float(grid[1] - grid[0])
+    full = float(_simpson_weights(grid.size, h) @ values)
+    half = float(_simpson_weights((grid.size + 1) // 2, 2.0 * h) @ values[::2])
     return full, abs(full - half)

@@ -107,9 +107,6 @@ class LosslessCode:
         fixes = np.array([len(t) for t in self.corrections], dtype=float)
         return (stored + fixes * per_fix) / block_len
 
-    def mean_rate(self, block_len: int) -> float:
-        return float(self.rate_per_block(block_len).mean())
-
 
 def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
                        profile: PolarProfile, stored_fraction: float,

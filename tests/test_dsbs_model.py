@@ -27,7 +27,6 @@ from graywyner.dsbs import (
     lossy_ci_dsbs,
     pair_observation,
     r_xy_dsbs,
-    wyner_ci_dsbs,
 )
 from graywyner.numerics import binary_convolve, binary_entropy
 from graywyner.polar import BinarySourceWithSideInfo
@@ -64,7 +63,6 @@ class TestModelBasics:
 
     def test_wyner_ci_frozen(self, model):
         assert model.wyner_ci() == pytest.approx(WYNER_CI, abs=1e-12)
-        assert wyner_ci_dsbs(model) == model.wyner_ci()
 
     def test_a0_range_validated(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from graywyner.gaussian import (
     reduce_L,
     reduce_eps2,
     reduce_pair,
-    wyner_ci_L,
 )
 
 RHO = 0.8
@@ -92,34 +91,33 @@ class TestModelBasics:
 
 
 class TestLModel:
-    def test_det_closed_form_matches_numeric(self):
-        for size in range(2, 9):
-            m = LGaussianModel(size, 0.37)
-            assert m.det_covariance() == pytest.approx(
-                float(np.linalg.det(m.covariance())), abs=1e-9)
-
     def test_wyner_ci_frozen(self):
-        assert wyner_ci_L(LGaussianModel(4, 0.5)) == pytest.approx(CI_L4_05, abs=1e-12)
-        assert wyner_ci_L(LGaussianModel(3, 0.5)) == pytest.approx(CI_L3_05, abs=1e-12)
+        assert LGaussianModel(4, 0.5).wyner_ci() == pytest.approx(CI_L4_05, abs=1e-12)
+        assert LGaussianModel(3, 0.5).wyner_ci() == pytest.approx(CI_L3_05, abs=1e-12)
 
     def test_wyner_ci_agrees_with_pair_at_l2(self):
         m = LGaussianModel(2, RHO)
-        assert wyner_ci_L(m) == pytest.approx(CI_08, abs=1e-12)
-        assert wyner_ci_L(m) == pytest.approx(
+        assert m.wyner_ci() == pytest.approx(CI_08, abs=1e-12)
+        assert m.wyner_ci() == pytest.approx(
             GaussianPairModel(RHO).wyner_ci(), abs=1e-12)
 
     def test_wyner_ci_entropy_difference_route(self):
         m = LGaussianModel(5, 0.6)
         direct = log_det_entropy(m.covariance()) \
             - 5.0 * log_det_entropy([[0.4]])
-        assert wyner_ci_L(m) == pytest.approx(direct, abs=1e-12)
+        assert m.wyner_ci() == pytest.approx(direct, abs=1e-12)
 
     def test_vanishing_correlation_vanishing_ci(self):
-        assert wyner_ci_L(LGaussianModel(3, 1e-12)) == pytest.approx(0.0, abs=1e-11)
+        assert LGaussianModel(3, 1e-12).wyner_ci() == pytest.approx(0.0, abs=1e-11)
 
     def test_size_validated(self):
         with pytest.raises(ValueError):
             LGaussianModel(1, 0.5)
+        for size in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match=repr(size)):
+                LGaussianModel(size, 0.5)
+        assert LGaussianModel(np.int64(3), 0.5).wyner_ci() == pytest.approx(
+            CI_L3_05, abs=1e-12)
 
     def test_sample_statistics(self):
         m = LGaussianModel(3, 0.5)
@@ -296,7 +294,7 @@ class TestLossyCI:
         assert lossy_ci_gaussian(1.2, 1.2, model) == 0.0
 
     def test_l2_wyner_matches_tiny_both_ci(self, model):
-        assert wyner_ci_L(LGaussianModel(2, RHO)) == pytest.approx(
+        assert LGaussianModel(2, RHO).wyner_ci() == pytest.approx(
             lossy_ci_gaussian(0.05, 0.05, model), abs=1e-12)
 
 

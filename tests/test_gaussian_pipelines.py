@@ -15,7 +15,6 @@ from graywyner.gaussian import (
     GaussianPairModel,
     LGaussianModel,
     r_xy_gaussian,
-    wyner_ci_L,
 )
 from graywyner.gaussian.pipelines import (
     REFINE_X_STREAM_BASE,
@@ -117,7 +116,7 @@ class TestLRoute:
                              cache_dir=str(cache_dir))
         assert run.point_label == "COMMON_L3"
         assert run.region is None
-        assert run.theory == RateTriple(wyner_ci_L(model), 0.0, 0.0)
+        assert run.theory == RateTriple(model.wyner_ci(), 0.0, 0.0)
         assert np.array_equal(run.dist_x, run.dist_y)
         assert run.theory.r0 < run.r0[0] < run.theory.r0 + 0.6
         assert 0.85 * 0.5 < run.dist_x.mean() < 1.25 * 0.5

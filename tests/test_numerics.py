@@ -20,7 +20,6 @@ from graywyner.numerics import (
     discrete_gaussian_pmf,
     flatness_factor,
     simpson_with_error,
-    tensor_grid_quadrature,
 )
 from graywyner.lattice import mmse_params
 
@@ -211,52 +210,47 @@ class TestFlatnessFactor:
 
 
 class TestTensorQuadrature:
-    def test_exact_for_cubics(self):
-        xg = np.linspace(0.0, 1.0, 9)
-        yg = np.linspace(0.0, 1.0, 5)
-        X, Y = np.meshgrid(xg, yg, indexing="ij")
-        val = tensor_grid_quadrature(X ** 3 + Y, (xg, yg))
-        assert val == pytest.approx(0.75, abs=1e-14)
+    """Simpson integration on one uniform grid."""
 
-    def test_three_axes(self):
-        g = np.linspace(0.0, 1.0, 5)
-        X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
-        val = tensor_grid_quadrature(X * Y * Z, (g, g, g))
-        assert val == pytest.approx(0.125, abs=1e-14)
+    def test_exact_for_cubics(self):
+        g = np.linspace(0.0, 1.0, 9)
+        val, err = simpson_with_error(g ** 3 - 2.0 * g + 1.0, g)
+        assert val == pytest.approx(0.25, abs=1e-14)
+        assert err == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_even_point_count(self):
-        g = np.linspace(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            tensor_grid_quadrature(np.ones((4,)), (g,))
+        for n in (4, 8, 7):  # 7 is odd, but its every-other-sample grid is not
+            g = np.linspace(0.0, 1.0, n)
+            with pytest.raises(ValueError, match="odd point count"):
+                simpson_with_error(np.ones(n), g)
 
 
-def _l1_distance(box, resolution, shift):
-    """simpson_with_error of |N((0, 0), I) - N((shift, 0), I)| sampled on a
-    resolution x resolution grid over box."""
-    grids = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    x, y = np.meshgrid(*grids, indexing="ij")
-    f = np.exp(-0.5 * (x ** 2 + y ** 2)) / (2 * math.pi)
-    g = np.exp(-0.5 * ((x - shift) ** 2 + y ** 2)) / (2 * math.pi)
-    return simpson_with_error(np.abs(f - g), grids)
+def _l1_distance(lo, hi, resolution, shift):
+    """simpson_with_error of |N(0, 1) - N(shift, 1)| sampled at resolution
+    points over [lo, hi]."""
+    x = np.linspace(lo, hi, resolution)
+    f = np.exp(-0.5 * x ** 2) / math.sqrt(2 * math.pi)
+    g = np.exp(-0.5 * (x - shift) ** 2) / math.sqrt(2 * math.pi)
+    return simpson_with_error(np.abs(f - g), x)
 
 
 class TestVariationDistance2D:
-    """The L1 distance of two sampled densities through simpson_with_error."""
+    """The L1 distance of two sampled 1-D densities through
+    simpson_with_error."""
 
     def test_closed_form_mean_shift(self):
-        # L1 distance of unit-covariance normals at mean shift d is
-        # 2 (2 Phi(d/2) - 1); frozen via mpmath for d = 0.1
-        val, err = _l1_distance(((-8.0, 8.1), (-8.0, 8.0)), 257, 0.1)
+        # L1 distance of unit-variance normals at mean shift d is
+        # 2 erf(d / (2 sqrt(2))); frozen via mpmath for d = 0.1
+        val, err = _l1_distance(-8.0, 8.1, 257, 0.1)
         assert err < 1e-5
         assert val == pytest.approx(V_SHIFT_01, abs=max(5 * err, 1e-6))
 
     def test_identical_densities(self):
-        val, err = _l1_distance(((-8.0, 8.0), (-8.0, 8.0)), 129, 0.0)
+        val, err = _l1_distance(-8.0, 8.0, 129, 0.0)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_error_estimate_shrinks_with_resolution(self):
-        box = ((-8.0, 8.1), (-8.0, 8.0))
-        _, err_lo = _l1_distance(box, 65, 0.1)
-        _, err_hi = _l1_distance(box, 257, 0.1)
+        _, err_lo = _l1_distance(-8.0, 8.1, 65, 0.1)
+        _, err_hi = _l1_distance(-8.0, 8.1, 257, 0.1)
         assert err_hi < err_lo

@@ -43,3 +43,11 @@ def test_library_imports_no_test_dependency():
     names, pulled_in = json.loads(out)
     assert "graywyner.lattice" in names and "graywyner.polar.sc" in names
     assert pulled_in == []
+
+
+@pytest.mark.parametrize("package", ["graywyner.dsbs", "graywyner.gaussian",
+                                     "graywyner.polar"])
+def test_exports_resolve(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -52,7 +52,7 @@ class TestLossless:
         x, _ = channel.sample(4, 256, rng.stream(52, rng.STREAM_SOURCE))
         code = sc_lossless_encode(x, channel, profile, stored_fraction=1.0)
         assert all(len(t) == 0 for t in code.corrections)
-        assert code.mean_rate(256) == pytest.approx(1.0)
+        assert np.all(code.rate_per_block(256) == 1.0)
         np.testing.assert_array_equal(sc_lossless_decode(code, channel, profile), x)
 
     def test_rate_accounting(self, profile_store):
@@ -65,7 +65,6 @@ class TestLossless:
         fixes = np.array([len(t) for t in code.corrections])
         np.testing.assert_allclose(
             per_block, (stored + fixes * (np.log2(256) + 1)) / 256)
-        assert code.mean_rate(256) == pytest.approx(per_block.mean())
 
     def test_corrections_rare_at_adequate_rate(self, profile_store):
         channel = lossless_source(0.11)
