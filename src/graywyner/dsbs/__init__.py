@@ -20,7 +20,6 @@ from .pipelines import (
     LossyCoupled,
     LossyLopsided,
     LossyTinyBoth,
-    MarginPolicy,
     PointA,
     PointG,
     run_dsbs_pipeline,
@@ -44,7 +43,6 @@ __all__ = [
     "LossyCoupled",
     "LossyLopsided",
     "LossyTinyBoth",
-    "MarginPolicy",
     "PointA",
     "PointG",
     "run_dsbs_pipeline",

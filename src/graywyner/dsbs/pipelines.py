@@ -25,9 +25,9 @@ payload fraction.  Every lossy stage also replays the decoder path and
 verifies it reproduces the encoder-side reconstruction bit for bit, and
 every lossless branch is decoded and compared against the source exactly.
 
-Payload budgets come from a MarginPolicy: each stage caps its rate at the
-exact channel figure plus a margin that shrinks as (reference/N)^(1/4), so
-measured rates improve with block length.
+Each stage caps its rate at the exact channel figure plus a fixed
+per-stage margin that shrinks as (2^16/N)^(1/4), so measured rates improve
+with block length.
 """
 
 from __future__ import annotations
@@ -69,6 +69,18 @@ from .model import (
 COMMON_LEVEL = 0
 PRIVATE_X_LEVEL = 1
 PRIVATE_Y_LEVEL = 2
+
+# per-stage rate headroom over the channel figure at block length 2^16
+COMMON_MARGIN = 0.06
+COUPLED_MARGIN = 0.085
+PLAIN_LOSSLESS_MARGIN = 0.05
+SIDE_LOSSLESS_MARGIN = 0.035
+REFINE_MARGIN = 0.05
+
+
+def _scaled(margin: float, block_len: int) -> float:
+    """Headroom at block_len; larger blocks run closer to the limits."""
+    return margin * (2 ** 16 / block_len) ** 0.25
 
 
 # -- operating points -------------------------------------------------------
@@ -115,26 +127,6 @@ class LossyLopsided:
     label = "LOSSY_E3"
 
 
-@dataclass(frozen=True)
-class MarginPolicy:
-    """Per-stage rate headroom at the reference block length.
-
-    Margins scale as (reference_len / N) ** scale_exponent so that larger
-    blocks run closer to the information limits.
-    """
-
-    common_cap: float = 0.06
-    coupled_cap: float = 0.085
-    plain_lossless: float = 0.05
-    side_lossless: float = 0.035
-    refine_cap: float = 0.05
-    reference_len: int = 2 ** 16
-    scale_exponent: float = 0.25
-
-    def scaled(self, margin: float, block_len: int) -> float:
-        return margin * (self.reference_len / block_len) ** self.scale_exponent
-
-
 @dataclass
 class _Stages:
     """Construction context shared by the stage helpers."""
@@ -142,7 +134,6 @@ class _Stages:
     model: DsbsModel
     block_len: int
     seed: int
-    margins: MarginPolicy
     cache_dir: Optional[str]
     sample_count: int
     construction_seed: int
@@ -168,8 +159,7 @@ class _Stages:
 
     def quantize(self, channel, obs, cap_margin, level):
         """Lossy stage: returns (rate fraction, reconstruction blocks)."""
-        cap = channel.mutual_information() + self.margins.scaled(
-            cap_margin, self.block_len)
+        cap = channel.mutual_information() + _scaled(cap_margin, self.block_len)
         profile = self.profile_for(channel, cap_fraction=cap)
         payload, recon = sc_lossy_encode(obs, channel, profile,
                                          shared_seed=self.seed, level=level)
@@ -180,8 +170,7 @@ class _Stages:
 
     def lossless(self, bits, channel, margin, side=None):
         """Lossless stage: returns per-block rates; verifies exactness."""
-        stored = channel.entropy_x_given_y() + self.margins.scaled(
-            margin, self.block_len)
+        stored = channel.entropy_x_given_y() + _scaled(margin, self.block_len)
         profile = self.profile_for(channel)
         code = sc_lossless_encode(bits, channel, profile,
                                   stored_fraction=min(stored, 1.0), side=side)
@@ -195,14 +184,13 @@ def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
-                      n_blocks: int = 10, margins: MarginPolicy = MarginPolicy(),
-                      cache_dir=None, sample_count: int = 256,
+                      n_blocks: int = 10, cache_dir=None, sample_count: int = 256,
                       construction_seed: int = 11) -> RunRecord:
     """Run one operating point for one seed over a batch of source blocks."""
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
-    stages = _Stages(model, block_len, seed, margins, cache_dir,
-                     sample_count, construction_seed)
+    stages = _Stages(model, block_len, seed, cache_dir, sample_count,
+                     construction_seed)
     x, y = model.sample(n_blocks, block_len, rng.stream(seed, rng.STREAM_SOURCE))
     zeros = np.zeros(n_blocks)
     ones = np.ones(n_blocks)
@@ -210,7 +198,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
 
     if isinstance(point, PointA):
         residual_rate = stages.lossless(x ^ y, lossless_source(model.a0),
-                                        margins.plain_lossless)
+                                        PLAIN_LOSSLESS_MARGIN)
         theory = RateTriple(1.0, 0.0, binary_entropy(model.a0))
         return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
@@ -236,11 +224,11 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
             cross_x = cross_y = point.beta
             theory = gb_theory_triple(model, point.beta)
         r0_frac, w_hat = stages.quantize(channel, pair_observation(x, y),
-                                         margins.common_cap, COMMON_LEVEL)
+                                         COMMON_MARGIN, COMMON_LEVEL)
         r1 = stages.lossless(x, crossover_side_info(cross_x),
-                             margins.side_lossless, side=w_hat)
+                             SIDE_LOSSLESS_MARGIN, side=w_hat)
         r2 = stages.lossless(y, crossover_side_info(cross_y),
-                             margins.side_lossless, side=w_hat)
+                             SIDE_LOSSLESS_MARGIN, side=w_hat)
         return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
             region=None, theory=theory, theory_ci=model.wyner_ci(),
@@ -256,14 +244,14 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                              "pipeline needs both distortions at most a1")
         r0_frac, w_hat = stages.quantize(build_point_g_channel(model),
                                          pair_observation(x, y),
-                                         margins.common_cap, COMMON_LEVEL)
+                                         COMMON_MARGIN, COMMON_LEVEL)
         refine_prior = (model.a1 - delta) / (1.0 - 2.0 * delta)
         forward = np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
         refine = test_channel_source(refine_prior, forward,
                                      name="residual-refinement")
-        r1_frac, vx = stages.quantize(refine, x ^ w_hat, margins.refine_cap,
+        r1_frac, vx = stages.quantize(refine, x ^ w_hat, REFINE_MARGIN,
                                       PRIVATE_X_LEVEL)
-        r2_frac, vy = stages.quantize(refine, y ^ w_hat, margins.refine_cap,
+        r2_frac, vy = stages.quantize(refine, y ^ w_hat, REFINE_MARGIN,
                                       PRIVATE_Y_LEVEL)
         x_hat, y_hat = w_hat ^ vx, w_hat ^ vy
         rate = binary_entropy(model.a1) - binary_entropy(delta)
@@ -283,7 +271,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                              "this pipeline needs the coupled region")
         channel = build_eps2_channel(point.d1, point.d2, model)
         r0_frac, w_hat = stages.quantize(channel, pair_observation(x, y),
-                                         margins.coupled_cap, COMMON_LEVEL)
+                                         COUPLED_MARGIN, COMMON_LEVEL)
         theory = RateTriple(r_xy_dsbs(point.d1, point.d2, model), 0.0, 0.0)
         return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,
@@ -308,7 +296,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
         forward = np.array([[1.0 - d_tight, d_tight], [d_tight, 1.0 - d_tight]])
         channel = test_channel_source(0.5, forward, name="single-coordinate")
         r0_frac, w_hat = stages.quantize(channel, tight_src,
-                                         margins.common_cap, COMMON_LEVEL)
+                                         COMMON_MARGIN, COMMON_LEVEL)
         theory = RateTriple(r_xy_dsbs(point.d1, point.d2, model), 0.0, 0.0)
         return RunRecord(
             point_label=point.label, block_len=block_len, seed=seed,

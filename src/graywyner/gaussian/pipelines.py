@@ -19,9 +19,9 @@ residual against the common reconstruction.
 
 Rates are measured payload fractions, never formulas.  Every quantizer is
 replayed through the decoder path and must reproduce the encoder-side
-reconstruction bit for bit.  Uncapped payloads carry the partially
-polarized band above the information limit, which shrinks as blocks grow;
-pass rate_margin to trade reconstruction error for a hard budget.
+reconstruction bit for bit.  Payloads come from the polarized index sets
+alone, so they carry the partially polarized band above the information
+limit, which shrinks as blocks grow.
 """
 
 from __future__ import annotations
@@ -65,16 +65,15 @@ def _mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a - b) ** 2).mean(axis=1)
 
 
-def _build_code(mmse, block_len, levels, target_flatness, rate_margin,
-                cache_dir, sample_count, construction_seed):
+def _build_code(mmse, block_len, levels, target_flatness, cache_dir,
+                sample_count, construction_seed):
     chain = plan_chain(mmse, levels=levels, flatness_target=target_flatness)
     if chain.levels > _MAX_LEVELS:
         raise ValueError(f"a {chain.levels}-level chain would share dither streams "
                          f"with another quantizer; at most {_MAX_LEVELS} levels")
     return build_multilevel_code(
         chain, mmse, block_len, sample_count=sample_count,
-        seed=construction_seed, rate_margin=rate_margin,
-        flatness_target=target_flatness, cache_dir=cache_dir)
+        seed=construction_seed, flatness_target=target_flatness, cache_dir=cache_dir)
 
 
 def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
@@ -89,7 +88,7 @@ def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
 
 def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
                    levels: int | None = None, target_flatness: float = 1e-3,
-                   rate_margin: float | None = None, cache_dir=None,
+                   cache_dir=None,
                    sample_count: int = 256,
                    construction_seed: int = 3) -> RunRecord:
     """Extract the common description for one seed over a batch of blocks.
@@ -103,8 +102,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
     build = dict(levels=levels, target_flatness=target_flatness,
-                 rate_margin=rate_margin, cache_dir=cache_dir,
-                 sample_count=sample_count,
+                 cache_dir=cache_dir, sample_count=sample_count,
                  construction_seed=construction_seed)
     gen = rng.stream(seed, rng.STREAM_SOURCE)
     zeros = np.zeros(n_blocks)
@@ -198,8 +196,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
 
 def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
                          common_run: RunRecord, *,
-                         target_flatness: float = 1e-3,
-                         rate_margin: float | None = None, cache_dir=None,
+                         target_flatness: float = 1e-3, cache_dir=None,
                          sample_count: int = 256,
                          construction_seed: int = 3) -> RunRecord:
     """Add private refinements to a pair-route run for tiny-both targets.
@@ -217,6 +214,12 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
         raise ValueError(
             "common_run must be an extract_common pair-route result carrying "
             "its reconstruction blocks")
+    # wyner_ci is strictly increasing in rho, so equal values mean equal models
+    if common_run.theory_ci != model.wyner_ci():
+        raise ValueError(
+            f"common_run was built for common information "
+            f"{common_run.theory_ci:.6g} bits, not for rho={model.rho} "
+            f"({model.wyner_ci():.6g} bits)")
     w = common_run.common
     n_blocks, block_len = w.shape
     if block_len != common_run.block_len:
@@ -237,8 +240,7 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
         if target_d not in codes:
             codes[target_d] = _build_code(
                 mmse_params(base, base - target_d), block_len, None,
-                target_flatness, rate_margin, cache_dir, sample_count,
-                construction_seed)
+                target_flatness, cache_dir, sample_count, construction_seed)
         code = codes[target_d]
         rate, q = _quantize_checked(src - w, code, common_run.seed,
                                     stream_base=stream_base)

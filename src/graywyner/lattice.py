@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +49,6 @@ from . import rng
 from .numerics import flatness_factor
 from .polar.coding import lossy_encode_from_evidence, lossy_reconstruct_from_evidence
 from .polar.profile import (
-    CLASS_FROZEN_DETERMINISTIC,
-    CLASS_FROZEN_RANDOM,
     construct_from_evidence,
     load_cached_profile,
     profile_cache_key,
@@ -369,7 +367,6 @@ class MultilevelLatticeCode:
     beta: float
     sample_count: int
     seed: int
-    rate_margin: float | None
     flatness: float
     profiles: tuple
 
@@ -427,64 +424,9 @@ def _construct_levels(chain, mmse, block_len, beta, sample_count, seed):
     return tuple(out)
 
 
-def _apply_rate_budget(profiles, chain, budget_bits):
-    """Demote surplus payload positions to frozen kinds, cheapest harm first.
-
-    Freezing a payload position risks flipping its bit at quantize time:
-    dither disagrees with the conditional posterior with probability at
-    most sqrt(1 - z_cond^2)/2 (the recorded z is a mean, and the bound is
-    concave in it), while replaying the prior argmax disagrees with
-    probability at most z_prior/2 (the minority mass never exceeds half
-    the per-sample Bhattacharyya).  A flipped bit at level l displaces the
-    reconstruction on the scale of that level's step, so candidates across
-    all levels are ranked by flip bound times step squared and the surplus
-    is taken from the cheap end.
-
-    Freezing is not gentle: a forced bit that contradicts the encoder's
-    posterior detaches the successive-cancellation trajectory from the
-    one the deterministic replays were measured on, and the remaining
-    argmax positions of that level then err in streaks.  Light trims that
-    stay within the cheap shoulder of the candidate list cost a few
-    percent of distortion; budgets that bite into the partially polarized
-    band cost multiples of the target distortion.  That band shrinks only
-    with block length, so rate budgets near the mutual-information floor
-    are a long-block affordance, not something a cap can conjure at small
-    N.
-    """
-    block_len = profiles[0].block_len
-    info_sets = [p.info_positions() for p in profiles]
-    surplus = sum(len(s) for s in info_sets) - int(np.floor(budget_bits * block_len))
-    if surplus <= 0:
-        return tuple(profiles)
-    cost, level_idx, position, prefer_fd = [], [], [], []
-    for idx, (prof, info) in enumerate(zip(profiles, info_sets)):
-        if len(info) == 0:
-            continue
-        z_cond = np.clip(prof.z_cond[info], 0.0, 1.0)
-        z_prior = np.clip(prof.z_prior[info], 0.0, 1.0)
-        harm_fr = 0.5 * np.sqrt(1.0 - z_cond ** 2)
-        harm_fd = 0.5 * z_prior
-        weight = chain.level_step(idx + 1) ** 2
-        cost.append(np.minimum(harm_fr, harm_fd) * weight)
-        level_idx.append(np.full(len(info), idx))
-        position.append(info)
-        prefer_fd.append(harm_fd < harm_fr)
-    cost = np.concatenate(cost)
-    level_idx = np.concatenate(level_idx)
-    position = np.concatenate(position)
-    prefer_fd = np.concatenate(prefer_fd)
-    order = np.lexsort((position, level_idx, cost))[:surplus]
-    classes = [p.classes.copy() for p in profiles]
-    for row in order:
-        kind = CLASS_FROZEN_DETERMINISTIC if prefer_fd[row] else CLASS_FROZEN_RANDOM
-        classes[level_idx[row]][position[row]] = kind
-    return tuple(replace(p, classes=c) for p, c in zip(profiles, classes))
-
-
 def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
                           block_len: int, *, beta: float = 0.25,
                           sample_count: int = 256, seed: int = 0,
-                          rate_margin: float | None = None,
                           flatness_target: float | None = 1e-3,
                           cache_dir=None) -> MultilevelLatticeCode:
     """Construct (or load) the per-level codes for one chain and model.
@@ -502,20 +444,14 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     then runs one true-path construction per level, finest first, with the
     conditional chain centered at alpha * obs and the prior chain at 0.
 
-    rate_margin, when given, bounds the total payload at the summed
-    level-rate estimates plus the margin by demoting the payload
-    positions that are cheapest to freeze.  The default leaves the
-    classification alone: the payload then exceeds the rate estimates by
-    the partially polarized band, which shrinks as the block grows.
-    Margins that cut into that band trade distortion for rate at a steep
-    slope (see _apply_rate_budget), so pass a finite margin only when a
-    hard payload budget matters more than reconstruction error.
+    The classes come from the polarized index sets alone, so the payload
+    exceeds the level-rate estimates by the partially polarized band,
+    which shrinks as the block grows.
     flatness_target refuses chains whose finest-level aliased posterior
     deviates from uniform by more than the target (None skips the check;
     the measured value is always recorded on the returned code).
     With cache_dir, each level is cached uncapped as an ordinary profile
-    entry, keyed and checked as in construct_profile_cached, so one entry
-    serves every margin.  The levels come from one joint construction
+    entry, keyed and checked as in construct_profile_cached.  The levels come from one joint construction
     stream, so a miss at any level rebuilds and stores them all.
     """
     r2 = chain.sigma_r ** 2
@@ -544,15 +480,9 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
         if cache_dir is not None:
             for profile in profiles:
                 save_profile(profile, cache_dir)
-    if rate_margin is not None and math.isfinite(rate_margin):
-        mi_total = sum(
-            max(0.0, p.prior_entropy_estimate() - p.conditional_entropy_estimate())
-            for p in profiles)
-        profiles = _apply_rate_budget(profiles, chain, mi_total + rate_margin)
     return MultilevelLatticeCode(
         chain=chain, mmse=mmse, block_len=block_len, beta=beta,
-        sample_count=sample_count, seed=seed,
-        rate_margin=rate_margin, flatness=eps,
+        sample_count=sample_count, seed=seed, flatness=eps,
         profiles=tuple(profiles))
 
 

@@ -132,12 +132,16 @@ class PolarProfile:
 
         Keeps at most floor(max_fraction * N) INFO positions, dropping those
         with the largest z_cond first (they are the closest to uniform given
-        the observation, so dithering them costs the least).
+        the observation, so dithering them costs the least).  A cap of 1 or
+        more keeps every INFO position.
         """
+        if not max_fraction >= 0.0:
+            raise ValueError(
+                f"max_fraction must be nonnegative, got {max_fraction}")
         info = self.info_positions()
-        keep = int(np.floor(max_fraction * self.block_len))
-        if len(info) <= keep:
+        if len(info) <= max_fraction * self.block_len:
             return self
+        keep = int(np.floor(max_fraction * self.block_len))
         order = info[np.argsort(-self.z_cond[info], kind="stable")]
         demote = order[: len(info) - keep]
         classes = self.classes.copy()

@@ -1,16 +1,19 @@
-"""Lattice-substitution error measurements against an independent oracle.
+"""Lattice-substitution error measurements against independent oracles.
 
-Expected values were frozen from scratch/oracle_gaussian_lemmas.py, which
-integrates the same densities with the trapezoid rule on denser grids over
-a wider box and cross-checks the information values by Monte Carlo.
-V_PAIR_20 comes from adaptive quadrature (scipy quad, relative tolerance
-1e-12) of the scalar densities between consecutive lattice points.
+The variation oracles come from _quad_variation, which integrates |f - g|
+for the exact density f of the reduced scalar U and its lattice mixture g
+by adaptive quadrature (scipy quad, relative tolerance 1e-12) between
+consecutive lattice points, over the same box verify_lemma covers.  The
+information values were frozen from a trapezoid-rule integration of the
+same densities on denser grids over a wider box, cross-checked by Monte
+Carlo.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from graywyner.gaussian import (
     Eps2GaussianChannel,
@@ -24,6 +27,7 @@ from graywyner.gaussian import (
     reduce_pair,
     verify_lemma,
 )
+from graywyner.numerics import discrete_gaussian_pmf
 
 PAIR8 = GaussianPairModel(0.8)
 PAIR5 = GaussianPairModel(0.5)
@@ -33,15 +37,34 @@ SIGMA_PAIR8 = math.sqrt(reduce_pair(PAIR8).mmse.sigma_tilde2)
 SIGMA_TRIO = math.sqrt(reduce_L(TRIO).mmse.sigma_tilde2)
 SIGMA_EPS2 = math.sqrt(reduce_eps2(0.5, 0.5, PAIR8).mmse.sigma_tilde2)
 
+
+def _quad_variation(mmse, scale):
+    """Total variation between N(0, sigma_s^2) and the lattice mixture
+    sum_k pmf_k N(w_k, v) over +-10 sd of U, one quad call per gap between
+    lattice points."""
+    s2, v = mmse.sigma_s2, mmse.distortion
+    points, pmf = discrete_gaussian_pmf(scale, math.sqrt(mmse.sigma_r2))
+
+    def gap(u):
+        f = math.exp(-0.5 * u * u / s2) / math.sqrt(2.0 * math.pi * s2)
+        g = pmf @ np.exp(-0.5 * (u - points) ** 2 / v) / math.sqrt(2.0 * math.pi * v)
+        return abs(f - g)
+
+    half = 10.0 * math.sqrt(s2)
+    edges = np.concatenate([[-half], points[np.abs(points) < half], [half]])
+    return math.fsum(quad(gap, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+
+
 # oracle values at spacing 1.6 sigma~ (flatness factor 8.960796e-4)
 EPS_16 = 8.960796e-4
-V_PAIR_16 = 5.70483942e-4
+V_PAIR_16 = _quad_variation(reduce_pair(PAIR8).mmse, 1.6 * SIGMA_PAIR8)
 MI_PAIR_16 = 1.5849622111
-V_TRIO_16 = 5.70360842e-4
+V_TRIO_16 = _quad_variation(reduce_L(TRIO).mmse, 1.6 * SIGMA_TRIO)
 MI_TRIO_16 = 0.9999997104
-V_EPS2_16 = 5.70460439e-4
+V_EPS2_16 = _quad_variation(reduce_eps2(0.5, 0.5, PAIR8).mmse, 1.6 * SIGMA_EPS2)
 MI_EPS2_16 = 0.5849613989
-# scalar-law oracle at spacing 2.0 sigma~
+# scalar-law oracle at spacing 2.0 sigma~, frozen to 10 digits
 V_PAIR_20 = 9.156990290e-3
 
 
@@ -91,13 +114,26 @@ class TestReportFields:
         assert narrow.mi_gap + narrow.mi_error <= 0.2 * narrow.mi_gap_bound
 
 
+class TestQuadOracle:
+    def test_converged_values(self):
+        # to the last of nine digits; the pair and trio reduce to the same
+        # scalar law at equal spacing-to-width ratio
+        assert V_PAIR_16 == pytest.approx(5.70462021e-4, rel=0.0, abs=1e-12)
+        assert V_TRIO_16 == pytest.approx(V_PAIR_16, rel=1e-12, abs=0.0)
+        assert V_EPS2_16 == pytest.approx(5.70461983e-4, rel=0.0, abs=1e-12)
+
+    def test_reproduces_the_frozen_wide_spacing_value(self):
+        # to the half unit in the last frozen digit
+        v = _quad_variation(reduce_pair(PAIR8).mmse, 2.0 * SIGMA_PAIR8)
+        assert v == pytest.approx(V_PAIR_20, rel=0.0, abs=5e-13)
+
+
 class TestPairLemma:
     def test_frozen_values(self):
         r = verify_lemma(PAIR8, 1.6 * SIGMA_PAIR8)
         assert r.kind == "pair"
         assert r.sigma == pytest.approx(SIGMA_PAIR8, rel=1e-12, abs=0.0)
         assert r.epsilon == pytest.approx(EPS_16, rel=1e-5)
-        assert r.variation == pytest.approx(V_PAIR_16, abs=1e-7)
         assert abs(r.variation - V_PAIR_16) <= r.variation_error
         assert r.mi_value == pytest.approx(MI_PAIR_16, abs=1e-9)
         assert r.mi_target == pytest.approx(PAIR8.wyner_ci(), abs=1e-15)
@@ -136,7 +172,6 @@ class TestTrioLemma:
         r = verify_lemma(TRIO, 1.6 * SIGMA_TRIO)
         assert r.kind == "3-sources"
         assert r.epsilon == pytest.approx(EPS_16, rel=1e-5)
-        assert r.variation == pytest.approx(V_TRIO_16, abs=5e-6)
         assert abs(r.variation - V_TRIO_16) <= r.variation_error
         assert r.mi_value == pytest.approx(MI_TRIO_16, abs=1e-8)
         assert r.mi_target == pytest.approx(1.0, abs=1e-12)
@@ -169,7 +204,6 @@ class TestCoupledLemma:
         r = verify_lemma(eps2_channel(), 1.6 * SIGMA_EPS2)
         assert r.kind == "coupled"
         assert r.epsilon == pytest.approx(EPS_16, rel=1e-5)
-        assert r.variation == pytest.approx(V_EPS2_16, abs=2e-6)
         assert abs(r.variation - V_EPS2_16) <= r.variation_error
         assert r.mi_value == pytest.approx(MI_EPS2_16, abs=1e-8)
         assert r.ok

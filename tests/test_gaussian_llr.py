@@ -72,9 +72,10 @@ def test_posterior_constants_match_the_reduction():
     # the advertised center/width identity behind the collapse
     for rho in (0.3, 0.5, 0.8, 0.95):
         red = reduce_pair(GaussianPairModel(rho))
-        assert red.mmse.alpha * 0.5 == pytest.approx(rho / (1.0 + rho), rel=1e-15)
+        assert red.mmse.alpha * 0.5 == pytest.approx(rho / (1.0 + rho),
+                                                     rel=1e-15, abs=0.0)
         assert red.mmse.sigma_tilde2 == pytest.approx(
-            rho * (1.0 - rho) / (1.0 + rho), rel=1e-12)
+            rho * (1.0 - rho) / (1.0 + rho), rel=1e-12, abs=0.0)
 
 
 def test_brute_window_is_saturated():

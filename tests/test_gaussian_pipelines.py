@@ -70,13 +70,6 @@ class TestPairRoute:
         assert np.array_equal(a.dist_x, b.dist_x)
         assert not np.array_equal(a.common, c.common)
 
-    def test_rate_margin_trades_distortion(self, cache_dir):
-        free = pair_run(cache_dir)
-        capped = pair_run(cache_dir, rate_margin=0.1)
-        assert capped.r0[0] < free.r0[0]
-        assert capped.r0[0] == pytest.approx(PM8.wyner_ci() + 0.1, abs=0.08)
-        assert capped.dist_x.mean() > free.dist_x.mean()
-
     def test_shallow_chain_refused(self, cache_dir):
         # the pair prior needs five levels at the default flatness target
         with pytest.raises(ValueError, match="unreachable"):
@@ -248,6 +241,14 @@ class TestRefineRoute:
         ref = refine_private_eps10(0.1, 0.1, PM8, run, cache_dir=str(cache_dir))
         with pytest.raises(ValueError, match="pair-route"):
             refine_private_eps10(0.1, 0.1, PM8, ref, cache_dir=str(cache_dir))
+
+    def test_run_of_another_model_refused(self, cache_dir):
+        # the residuals would be taken against the wrong source blocks
+        run = extract_common(GaussianPairModel(0.8), 256, 2, n_blocks=2,
+                             sample_count=16, cache_dir=str(cache_dir))
+        with pytest.raises(ValueError, match="rho=0.5"):
+            refine_private_eps10(0.1, 0.1, GaussianPairModel(0.5), run,
+                                 sample_count=16, cache_dir=str(cache_dir))
 
     def test_stream_bases_disjoint(self):
         assert REFINE_X_STREAM_BASE >= LATTICE_STREAM_BASE + 16

@@ -172,7 +172,8 @@ class TestPartitionChainSpec:
         chain = default_chain(EPS2)
         assert chain.levels == 4
         assert chain.sigma_r == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert chain.base_scale == pytest.approx(1.3 * math.sqrt(2.0 / 9.0), rel=1e-12)
+        assert chain.base_scale == pytest.approx(1.3 * math.sqrt(2.0 / 9.0),
+                                                 rel=1e-12, abs=0.0)
 
 
 class TestPlanChain:
@@ -184,7 +185,8 @@ class TestPlanChain:
 
     def test_default_spacing_kept_when_flatness_allows(self):
         chain = plan_chain(EPS2)
-        assert chain.base_scale == pytest.approx(default_chain(EPS2).base_scale, rel=1e-12)
+        assert chain.base_scale == pytest.approx(default_chain(EPS2).base_scale,
+                                                 rel=1e-12, abs=0.0)
         assert chain.period >= 12.0 * chain.sigma_r
         assert chain.period / 2.0 < 12.0 * chain.sigma_r  # smallest such count
 
@@ -213,7 +215,8 @@ class TestPlanChain:
     def test_spacing_never_widened(self):
         # a very loose target must not push the spacing past the requested factor
         chain = plan_chain(EPS2, flatness_target=0.5)
-        assert chain.base_scale == pytest.approx(1.3 * math.sqrt(EPS2.sigma_tilde2), rel=1e-12)
+        assert chain.base_scale == pytest.approx(
+            1.3 * math.sqrt(EPS2.sigma_tilde2), rel=1e-12, abs=0.0)
 
     def test_absurd_target_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -444,26 +447,10 @@ class TestBuildMultilevelCode:
         # polarization left between the two freezing thresholds; at this
         # block length that band is worth roughly a third of a bit
         code = eps2_code
-        assert code.rate_margin is None
         excess = code.total_rate - sum(code.level_mi_estimates)
         assert 0.0 <= excess <= 0.40
         for rate, profile in zip(code.level_rates, code.profiles):
             assert rate == len(profile.info_positions()) / profile.block_len
-
-    def test_rate_margin_enforces_payload_budget(self, cache_dir):
-        code = build_multilevel_code(default_chain(EPS2), EPS2, 4096,
-                                     sample_count=256, seed=3, rate_margin=0.30,
-                                     cache_dir=cache_dir)
-        budget = sum(code.level_mi_estimates) + 0.30
-        assert code.total_rate <= budget + 1e-9
-        assert code.total_rate >= budget - 1.0 / 4096
-        # a light trim must not wreck the quantizer
-        samples = sample_sources(EPS2, 4, 4096)
-        payloads, recon = lattice_quantize(samples, code, shared_seed=55)
-        assert float(np.mean((samples - recon) ** 2)) < 0.50
-        assert all(
-            payload.shape[1] == len(profile.info_positions())
-            for payload, profile in zip(payloads, code.profiles))
 
     def test_flatness_recorded(self, eps2_code):
         chain = eps2_code.chain

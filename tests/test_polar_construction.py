@@ -176,6 +176,25 @@ class TestRateControl:
                                     sample_count=100, seed=7)
         assert profile.with_payload_cap(1.0) is profile
 
+    @pytest.mark.parametrize("cap", [-0.5, -1e-300, float("nan")])
+    def test_payload_cap_rejects_negative_and_nan(self, cap):
+        profile = construct_profile(crossover_side_info(0.2), 64,
+                                    sample_count=50, seed=7)
+        with pytest.raises(ValueError, match="max_fraction"):
+            profile.with_payload_cap(cap)
+
+    @pytest.mark.parametrize("cap", [1.5, float("inf")])
+    def test_cap_above_one_is_identity(self, cap):
+        profile = construct_profile(crossover_side_info(0.2), 64,
+                                    sample_count=50, seed=7)
+        assert profile.with_payload_cap(cap) is profile
+
+    def test_zero_cap_demotes_every_info_position(self):
+        profile = construct_profile(crossover_side_info(0.2), 64,
+                                    sample_count=50, seed=7)
+        assert len(profile.info_positions()) > 0
+        assert len(profile.with_payload_cap(0.0).info_positions()) == 0
+
     def test_stored_mask_picks_highest_z(self):
         profile = construct_profile(lossless_source(0.11), 128,
                                     sample_count=100, seed=8)
