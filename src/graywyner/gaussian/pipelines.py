@@ -33,6 +33,7 @@ import numpy as np
 from .. import rng
 from ..lattice import (
     LATTICE_STREAM_BASE,
+    MAX_LEVELS,
     build_multilevel_code,
     lattice_quantize,
     lattice_reconstruct,
@@ -54,26 +55,20 @@ from .model import (
 )
 
 # distinct dither/rounding stream bases so the refinement quantizers never
-# collide with the common one under a shared seed (each uses at most 16
-# levels, which _build_code checks)
-REFINE_X_STREAM_BASE = 32
-REFINE_Y_STREAM_BASE = 48
-_MAX_LEVELS = REFINE_X_STREAM_BASE - LATTICE_STREAM_BASE
+# collide with the common one under a shared seed (each chain has at most
+# MAX_LEVELS levels)
+REFINE_X_STREAM_BASE = LATTICE_STREAM_BASE + MAX_LEVELS
+REFINE_Y_STREAM_BASE = REFINE_X_STREAM_BASE + MAX_LEVELS
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a - b) ** 2).mean(axis=1)
 
 
-def _build_code(mmse, block_len, levels, target_flatness, cache_dir,
-                sample_count, construction_seed):
-    chain = plan_chain(mmse, levels=levels, flatness_target=target_flatness)
-    if chain.levels > _MAX_LEVELS:
-        raise ValueError(f"a {chain.levels}-level chain would share dither streams "
-                         f"with another quantizer; at most {_MAX_LEVELS} levels")
+def _build_code(mmse, block_len, cache_dir, sample_count, construction_seed):
     return build_multilevel_code(
-        chain, mmse, block_len, sample_count=sample_count,
-        seed=construction_seed, flatness_target=target_flatness, cache_dir=cache_dir)
+        plan_chain(mmse), mmse, block_len, sample_count=sample_count,
+        seed=construction_seed, cache_dir=cache_dir)
 
 
 def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
@@ -87,22 +82,19 @@ def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
 
 
 def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
-                   levels: int | None = None, target_flatness: float = 1e-3,
-                   cache_dir=None,
-                   sample_count: int = 256,
+                   cache_dir=None, sample_count: int = 256,
                    construction_seed: int = 3) -> RunRecord:
     """Extract the common description for one seed over a batch of blocks.
 
     target: a GaussianPairModel, an LGaussianModel, or a (d1, d2, model)
     distortion point (coupled and lopsided regions; tiny-both targets take
-    the pair route plus refine_private_eps10 instead).  levels pins the
-    chain depth; the default sizes it from the spacing that meets
-    target_flatness.
+    the pair route plus refine_private_eps10 instead).  The quantizer's
+    chain comes from plan_chain on the reduced model; construction_seed and
+    sample_count set its Monte Carlo construction, and cache_dir stores it.
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
-    build = dict(levels=levels, target_flatness=target_flatness,
-                 cache_dir=cache_dir, sample_count=sample_count,
+    build = dict(cache_dir=cache_dir, sample_count=sample_count,
                  construction_seed=construction_seed)
     gen = rng.stream(seed, rng.STREAM_SOURCE)
     zeros = np.zeros(n_blocks)
@@ -195,8 +187,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
 
 
 def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
-                         common_run: RunRecord, *,
-                         target_flatness: float = 1e-3, cache_dir=None,
+                         common_run: RunRecord, *, cache_dir=None,
                          sample_count: int = 256,
                          construction_seed: int = 3) -> RunRecord:
     """Add private refinements to a pair-route run for tiny-both targets.
@@ -239,8 +230,8 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
             continue
         if target_d not in codes:
             codes[target_d] = _build_code(
-                mmse_params(base, base - target_d), block_len, None,
-                target_flatness, cache_dir, sample_count, construction_seed)
+                mmse_params(base, base - target_d), block_len, cache_dir,
+                sample_count, construction_seed)
         code = codes[target_d]
         rate, q = _quantize_checked(src - w, code, common_run.seed,
                                     stream_base=stream_base)

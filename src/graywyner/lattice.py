@@ -15,8 +15,8 @@ approaches sigma_s^2 - sigma_r^2 per symbol.
 
 Both coset weights of a level come from one call (_coset_llr), which sums
 each coset around its own point nearest the center, with no running
-maximum, and returns their log-ratio; the evidence posteriors and level_llr
-both read it.  The prior chain is centered at 0, so its evidence depends
+maximum, and returns their log-ratio; the evidence posteriors of both
+chains read it.  The prior chain is centered at 0, so its evidence depends
 only on the finer label, which takes 2^(l-1) values at level l; each level
 tabulates it once and the prior chain gathers rows of that table instead
 of summing afresh at every sample position.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,9 @@ from .polar.transform import polar_transform  # noqa: F401
 # quantizers off one shared seed gives each its own base to keep them apart
 # (binary pipelines use small level indices, so 16+ never collides)
 LATTICE_STREAM_BASE = 16
+# deepest chain: level l of a quantizer draws from stream base + l - 1, so
+# quantizers whose bases lie MAX_LEVELS apart never share a stream
+MAX_LEVELS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +120,9 @@ class PartitionChainSpec:
 
     Level l (1-based) distinguishes the cosets of 2^l s*Z inside
     2^(l-1) s*Z; after `levels` bits the residual lattice has step
-    `period` = 2^levels * base_scale.  sigma_r is the standard deviation of
-    the shaping prior over the finest lattice.
+    `period` = 2^levels * base_scale, with `levels` an integer in
+    1..MAX_LEVELS.  sigma_r is the standard deviation of the shaping prior
+    over the finest lattice.
     """
 
     base_scale: float
@@ -127,8 +132,12 @@ class PartitionChainSpec:
     def __post_init__(self):
         if not (math.isfinite(self.base_scale) and self.base_scale > 0.0):
             raise ValueError(f"base_scale must be positive, got {self.base_scale}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be at least 1, got {self.levels}")
+        if isinstance(self.levels, bool) or not isinstance(self.levels, numbers.Integral):
+            raise ValueError(f"levels must be an integer, got {self.levels!r}")
+        if not 1 <= self.levels <= MAX_LEVELS:
+            raise ValueError(
+                f"a {self.levels}-level chain is outside 1..{MAX_LEVELS}; a deeper "
+                "one would share dither streams with another quantizer")
         if not (math.isfinite(self.sigma_r) and self.sigma_r > 0.0):
             raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
 
@@ -137,12 +146,9 @@ class PartitionChainSpec:
         return self.base_scale * float(1 << self.levels)
 
     def level_step(self, level: int) -> float:
-        self.check_level(level)
-        return self.base_scale * float(1 << (level - 1))
-
-    def check_level(self, level: int) -> None:
         if not 1 <= level <= self.levels:
             raise ValueError(f"level must be in 1..{self.levels}, got {level}")
+        return self.base_scale * float(1 << (level - 1))
 
     def reconstruction_values(self) -> np.ndarray:
         """Window points indexed by label integer, wrapping past half period."""
@@ -158,78 +164,33 @@ class PartitionChainSpec:
         return p / p.sum()
 
 
-# finest step over sigma~: keeps the finest-level flatness factor near 2e-5
-# (comfortably inside the default gate of build_multilevel_code) while
-# wasting as little rate as possible on a finer-than-resolvable level
+# finest step over sigma~: flatness_factor(1.3, 1) = 1.69e-5, far inside the
+# fixed 1e-3 gate of build_multilevel_code, while wasting as little rate as
+# possible on a finer-than-resolvable level
 _SPACING_FACTOR = 1.3
 # shaping-prior standard deviations the chain period must cover
 _MIN_PERIOD_SIGMAS = 12.0
+# largest flatness factor build_multilevel_code accepts
+_FLATNESS_GATE = 1e-3
 
 
-def default_chain(mmse: MmseParams, levels: int = 4) -> PartitionChainSpec:
-    """Chain whose finest step is _SPACING_FACTOR posterior widths."""
-    return PartitionChainSpec(
-        base_scale=_SPACING_FACTOR * math.sqrt(mmse.sigma_tilde2),
-        levels=levels, sigma_r=math.sqrt(mmse.sigma_r2))
+def plan_chain(mmse: MmseParams) -> PartitionChainSpec:
+    """Pick the partition chain for a quantization model.
 
-
-def _spacing_for_flatness(target: float) -> float:
-    """Largest spacing factor <= _SPACING_FACTOR whose flatness meets target.
-
-    flatness_factor is invariant under joint scaling of (scale, sigma) and
-    monotone increasing in the spacing-to-sigma ratio, so the search is a
-    one-dimensional bisection on that ratio alone.
+    The finest spacing is _SPACING_FACTOR * sigma~.  The level count is the
+    smallest r whose period 2^r * scale covers _MIN_PERIOD_SIGMAS standard
+    deviations of the shaping prior; narrower windows truncate the prior's
+    tails and leave real information in the coarsest level (measured: a
+    pair chain at 7 sigma_r keeps 0.30 bits there, while 12+ sigma_r pushes
+    the coarsest level's replayable fraction past 0.98 at no extra payload).
+    A model that needs more than MAX_LEVELS levels is refused.
     """
-    if not target > 0.0:
-        raise ValueError(f"flatness target must be positive, got {target}")
-    if flatness_factor(_SPACING_FACTOR, 1.0) <= target:
-        return _SPACING_FACTOR
-    # flatness_factor(0.05, 1.0) = 2 exp(-7896) underflows to 0, so every
-    # positive target is met at the lower end
-    lo, hi = 0.05, _SPACING_FACTOR
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if flatness_factor(mid, 1.0) <= target:
-            lo = mid
-        else:
-            hi = mid
-    # evaluating at the actual scale rounds differently than the ratio form;
-    # a hair of slack keeps the boundary on the feasible side either way
-    return lo * (1.0 - 1e-6)
-
-
-def plan_chain(mmse: MmseParams, *, levels: int | None = None,
-               flatness_target: float = 1e-3) -> PartitionChainSpec:
-    """Pick a partition chain for a quantization model.
-
-    The finest spacing starts at _SPACING_FACTOR * sigma~ and shrinks until
-    the finest-level flatness factor meets flatness_target (it is never
-    widened beyond _SPACING_FACTOR).  The level count is then the smallest r
-    whose period 2^r * scale covers _MIN_PERIOD_SIGMAS standard deviations
-    of the shaping prior; narrower windows truncate the prior's tails and
-    leave real information in the coarsest level (measured: a pair chain at
-    7 sigma_r keeps 0.30 bits there, while 12+ sigma_r pushes the coarsest
-    level's replayable fraction past 0.98 at no extra payload).
-
-    Passing `levels` pins the count; if the flatness-driven spacing cannot
-    cover the window at that depth the configuration is refused rather
-    than silently truncated.
-    """
-    sigma_tilde = math.sqrt(mmse.sigma_tilde2)
+    scale = _SPACING_FACTOR * math.sqrt(mmse.sigma_tilde2)
     sigma_r = math.sqrt(mmse.sigma_r2)
-    factor = _spacing_for_flatness(flatness_target)
-    scale = factor * sigma_tilde
     period_target = _MIN_PERIOD_SIGMAS * sigma_r
-    if levels is None:
-        levels = 1
-        while scale * (1 << levels) < period_target:
-            levels += 1
-    elif scale * (1 << levels) < period_target:
-        raise ValueError(
-            f"{levels} levels at spacing {scale:.4g} span "
-            f"{scale * (1 << levels) / sigma_r:.2f} sigma_r, below the "
-            f"{_MIN_PERIOD_SIGMAS:.2f} sigma_r window; flatness target "
-            f"{flatness_target:.3e} is unreachable at this depth")
+    levels = 1
+    while levels <= MAX_LEVELS and scale * (1 << levels) < period_target:
+        levels += 1
     return PartitionChainSpec(base_scale=scale, levels=levels,
                               sigma_r=sigma_r)
 
@@ -290,43 +251,6 @@ def _coset_posteriors(centers, sigma, offsets, step):
         np.exp(llr, out=out[..., 1])
     out += 1.0
     return np.reciprocal(out, out=out)
-
-
-def _finer_offsets(chain, level, finer_labels, shape):
-    if level == 1:
-        return np.zeros(shape)
-    if finer_labels is None:
-        raise ValueError("levels beyond the first need the finer-level bits")
-    bits = np.asarray(finer_labels)
-    if bits.shape != (level - 1,) + shape:
-        raise ValueError(
-            f"finer_labels must have shape {(level - 1,) + shape}, got {bits.shape}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("finer_labels must be bits in {0, 1}")
-    weights = (1 << np.arange(level - 1, dtype=np.int64))
-    ints = np.tensordot(weights, bits.astype(np.int64), axes=1)
-    return chain.base_scale * ints.astype(float)
-
-
-def _check_finite(samples):
-    if not np.isfinite(samples).all():
-        raise ValueError("samples must be finite (no NaN or infinity)")
-
-
-def level_llr(chain: PartitionChainSpec, mmse: MmseParams, level: int,
-              observation, finer_labels=None) -> np.ndarray:
-    """Natural-log odds that bit `level` is 0, given a sample and finer bits.
-
-    observation: finite samples of the source variable, any shape.
-    finer_labels: bits of levels 1 .. level-1, shape (level-1,) + observation
-        shape; omitted for the first level.
-    """
-    chain.check_level(level)
-    obs = np.asarray(observation, dtype=float)
-    _check_finite(obs)
-    offsets = _finer_offsets(chain, level, finer_labels, obs.shape)
-    return _coset_llr(mmse.alpha * obs, math.sqrt(mmse.sigma_tilde2), offsets,
-                      chain.level_step(level))
 
 
 def _level_evidence(chain, mmse, level, finer, samples=None):
@@ -427,7 +351,6 @@ def _construct_levels(chain, mmse, block_len, beta, sample_count, seed):
 def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
                           block_len: int, *, beta: float = 0.25,
                           sample_count: int = 256, seed: int = 0,
-                          flatness_target: float | None = 1e-3,
                           cache_dir=None) -> MultilevelLatticeCode:
     """Construct (or load) the per-level codes for one chain and model.
 
@@ -447,12 +370,14 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     The classes come from the polarized index sets alone, so the payload
     exceeds the level-rate estimates by the partially polarized band,
     which shrinks as the block grows.
-    flatness_target refuses chains whose finest-level aliased posterior
-    deviates from uniform by more than the target (None skips the check;
-    the measured value is always recorded on the returned code).
-    With cache_dir, each level is cached uncapped as an ordinary profile
-    entry, keyed and checked as in construct_profile_cached.  The levels come from one joint construction
-    stream, so a miss at any level rebuilds and stores them all.
+    A chain whose finest-level aliased posterior deviates from uniform by
+    more than _FLATNESS_GATE (its flatness factor) is refused; planned
+    chains pass with a wide margin, so the gate guards hand-built ones.
+    The measured value is recorded on the returned code.
+    With cache_dir, each level is cached as an ordinary profile entry,
+    keyed and checked as in construct_profile_cached.  The levels come from
+    one joint construction stream, so a miss at any level rebuilds and
+    stores them all.
     """
     r2 = chain.sigma_r ** 2
     if abs(r2 - mmse.sigma_r2) > 1e-9 * max(r2, mmse.sigma_r2):
@@ -460,10 +385,10 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
             f"chain sigma_r^2 {r2:g} does not match the model sigma_r2 "
             f"{mmse.sigma_r2:g}")
     eps = flatness_factor(chain.base_scale, math.sqrt(mmse.sigma_tilde2))
-    if flatness_target is not None and eps > flatness_target:
+    if eps > _FLATNESS_GATE:
         raise ValueError(
-            f"flatness factor {eps:.3e} exceeds target {flatness_target:.3e}; "
-            "shrink base_scale or loosen flatness_target")
+            f"flatness factor {eps:.3e} exceeds {_FLATNESS_GATE:g}; "
+            "shrink base_scale")
     profiles = None
     if cache_dir is not None:
         profiles = []
@@ -508,7 +433,8 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"samples must have shape (B, N), got {samples.shape}")
-    _check_finite(samples)
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite (no NaN or infinity)")
     n_blocks, block_len = samples.shape
     if block_len != code.block_len:
         raise ValueError(

@@ -142,17 +142,18 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
     _check_pairing(channel, profile)
     n_blocks = len(code.corrections)
     block_len = profile.block_len
-    if code.stored_mask.shape != (block_len,):
-        raise ValueError(f"stored_mask must have shape ({block_len},), "
-                         f"got {code.stored_mask.shape}")
+    if code.stored_mask.shape != (block_len,) or code.stored_mask.dtype != bool:
+        raise ValueError(f"stored_mask must be a ({block_len},) bool array, got "
+                         f"{code.stored_mask.shape} {code.stored_mask.dtype}")
     stored_shape = (n_blocks, int(code.stored_mask.sum()))
     if code.stored_bits.shape != stored_shape:
         raise ValueError(f"stored_bits must have shape {stored_shape}, "
                          f"got {code.stored_bits.shape}")
     if np.any((code.stored_bits != 0) & (code.stored_bits != 1)):
         raise ValueError("stored_bits must hold bits in {0, 1}")
-    if any(np.any((idx < 0) | (idx >= block_len)) for idx in code.corrections):
-        raise ValueError(f"corrections must lie in [0, {block_len})")
+    for idx in map(np.asarray, code.corrections):
+        if not np.issubdtype(idx.dtype, np.integer) or np.any((idx < 0) | (idx >= block_len)):
+            raise ValueError(f"corrections must be integer indices in [0, {block_len})")
     cond, _ = channel_evidence(
         channel, _side_symbols(channel, side, (n_blocks, block_len)))
     flip = np.zeros((n_blocks, block_len), dtype=bool)

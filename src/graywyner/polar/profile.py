@@ -166,7 +166,7 @@ class PolarProfile:
 
 def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
                      plan=None):
-    """SC passes over n_blocks blocks in budget-sized batch slices.
+    """SC passes over n_blocks blocks in bounded batch slices.
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
     for a slice, conditional chain first and prior chain (if any) last;

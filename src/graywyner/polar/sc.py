@@ -95,6 +95,8 @@ _LN2 = float(np.log(2.0))
 _TERM_CAP = 60.0
 # values per block group of the breadth-first pass
 _GROUP_VALUES = 1 << 16
+# chains * blocks * N values per batch slice of chunked_batches
+_BATCH_VALUES = 1 << 23
 
 
 def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
@@ -295,14 +297,14 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
         return _breadth_first(evidence, u, decide)
 
 
-def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
-                    budget: int = 1 << 23):
-    """Yield (start, stop) batch slices keeping chains*blocks*N under budget.
+def chunked_batches(n_blocks: int, n_chains: int, block_len: int):
+    """Yield (start, stop) batch slices keeping chains*blocks*N within
+    _BATCH_VALUES.
 
     Keeps the transient memory of a traversal bounded while letting large
     batches share the fixed per-traversal overhead.
     """
     per_block = max(1, n_chains * block_len)
-    chunk = max(1, budget // per_block)
+    chunk = max(1, _BATCH_VALUES // per_block)
     for start in range(0, n_blocks, chunk):
         yield start, min(start + chunk, n_blocks)

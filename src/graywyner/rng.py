@@ -29,8 +29,6 @@ STREAM_ROUNDING = 3
 STREAM_DITHER = 4
 STREAM_NOISE = 5
 
-_MASK64 = (1 << 64) - 1
-
 
 def substream(stream_id: int, index: int) -> int:
     """Derived stream id for sub-channel `index` (e.g. one lattice level)."""
@@ -48,7 +46,9 @@ def philox(seed: int, stream_id: int, block: int = 0) -> np.random.Generator:
     """
     if seed < 0 or stream_id < 0 or block < 0:
         raise ValueError("seed, stream_id and block must be nonnegative")
-    bg = np.random.Philox(key=np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64))
+    if seed >= 1 << 64 or stream_id >= 1 << 64:
+        raise ValueError("seed and stream_id must be below 2**64")
+    bg = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
     bg.advance(block << 70)  # jump to a per-block segment of 2**70 draws
     return np.random.Generator(bg)
 

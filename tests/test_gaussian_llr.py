@@ -4,8 +4,9 @@ The reduced quantizer sees u = (x+y)/2 through MmseParams((1+rho)/2, rho),
 whose posterior over lattice points has centers rho(x+y)/(1+rho) and
 variance rho(1-rho)/(1+rho).  Conditioning on both coordinates directly
 gives exactly the same posterior, so every per-level log odds must agree.
-The brute-force route below works from (x, y) and the prior directly and
-never calls the package's evidence code.
+The reduced route is the coset LLR the quantizer's conditional chain reads
+(_coset_llr at alpha * u); the brute-force route below works from (x, y)
+and the prior directly and never calls the package's evidence code.
 """
 
 import math
@@ -16,25 +17,21 @@ from scipy.special import logsumexp
 
 from graywyner import rng
 from graywyner.gaussian import GaussianPairModel, reduce_pair
-from graywyner.lattice import level_llr, plan_chain
+from graywyner.lattice import _coset_llr, plan_chain
 
 N_SAMPLES = 10_000
 
 
-def pair_llr_brute(chain, rho, level, x, y, finer_bits=None, k_range=40):
-    """Per-level log odds computed from the raw pair observation.
+def pair_llr_brute(chain, rho, level, x, y, finer=0, k_range=40):
+    """Per-level log odds computed from the raw pair observation, given the
+    integer label of the finer levels.
 
     Sums prior-times-likelihood weights over each coset of the level's
     sublattice in a window of k_range strides around the posterior center.
     """
     step = chain.level_step(level)
     stride = 2.0 * step
-    if level == 1:
-        offset = np.zeros_like(x)
-    else:
-        weights = 1 << np.arange(level - 1, dtype=np.int64)
-        offset = chain.base_scale * np.tensordot(
-            weights, finer_bits.astype(np.int64), axes=1).astype(float)
+    offset = chain.base_scale * np.broadcast_to(finer, x.shape).astype(float)
     center = rho * (x + y) / (1.0 + rho)
     k = np.arange(-k_range, k_range + 1)
 
@@ -59,11 +56,11 @@ def test_pair_and_reduced_llr_agree_at_every_level(rho):
     x, y = x[0], y[0]
     u = 0.5 * (x + y)
     for level in range(1, chain.levels + 1):
-        finer = (gen.random((level - 1, N_SAMPLES)) < 0.5).astype(np.uint8)
-        reduced = level_llr(chain, red.mmse, level, u,
-                            finer if level > 1 else None)
-        brute = pair_llr_brute(chain, rho, level, x, y,
-                               finer if level > 1 else None)
+        bits = (gen.random((level - 1, N_SAMPLES)) < 0.5).astype(np.int64)
+        finer = np.tensordot(1 << np.arange(level - 1), bits, axes=1)
+        reduced = _coset_llr(red.mmse.alpha * u, math.sqrt(red.mmse.sigma_tilde2),
+                             chain.base_scale * finer, chain.level_step(level))
+        brute = pair_llr_brute(chain, rho, level, x, y, finer)
         worst = float(np.max(np.abs(reduced - brute)))
         assert worst < 1e-9, f"level {level}: max deviation {worst:.3e}"
 

@@ -70,20 +70,6 @@ class TestPairRoute:
         assert np.array_equal(a.dist_x, b.dist_x)
         assert not np.array_equal(a.common, c.common)
 
-    def test_shallow_chain_refused(self, cache_dir):
-        # the pair prior needs five levels at the default flatness target
-        with pytest.raises(ValueError, match="unreachable"):
-            pair_run(cache_dir, levels=4)
-        with pytest.raises(ValueError, match="unreachable"):
-            pair_run(cache_dir, levels=5, target_flatness=1e-12)
-
-    def test_flatness_target_near_double_precision(self):
-        # the gate and the spacing search agree down to eps ~ 1e-15, where
-        # the aliased density differs from uniform only in its last digit
-        run = extract_common(PM8, 256, 1, n_blocks=2, sample_count=16,
-                             target_flatness=1e-15)
-        assert run.common.shape == (2, 256)
-
     @pytest.mark.parametrize("blocks", [0, -1])
     def test_empty_batch_rejected(self, cache_dir, blocks):
         with pytest.raises(ValueError, match="n_blocks"):

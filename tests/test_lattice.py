@@ -20,15 +20,18 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from graywyner import rng
+from graywyner.gaussian import GaussianPairModel, reduce_pair
 from graywyner.lattice import (
+    MAX_LEVELS,
+    MultilevelLatticeCode,
     PartitionChainSpec,
+    _construct_levels,
+    _coset_llr,
     _coset_posteriors,
     _level_evidence,
     build_multilevel_code,
-    default_chain,
     lattice_quantize,
     lattice_reconstruct,
-    level_llr,
     mmse_params,
     plan_chain,
 )
@@ -47,15 +50,23 @@ PAIR_LEVEL_MI = (0.0044, 0.3657, 0.9090, 0.3020)
 EPS2_PRIOR_H = (1.0000, 0.9447, 0.3065, 0.0023)
 
 
-def brute_level_llr(chain, mmse, level, t, finer_bits, k_range=500):
-    """ln P(w=0 | t, finer bits) / P(w=1 | ...) by direct summation.
+def cond_llr(chain, mmse, level, t, finer):
+    """The conditional chain's coset LLR of one level, as _level_evidence
+    evaluates it, at samples t with integer finer labels finer."""
+    return _coset_llr(mmse.alpha * np.asarray(t, dtype=float),
+                      math.sqrt(mmse.sigma_tilde2),
+                      chain.base_scale * np.asarray(finer, dtype=float),
+                      chain.level_step(level))
+
+
+def brute_level_llr(chain, mmse, level, t, finer, k_range=500):
+    """ln P(w=0 | t, finer label) / P(w=1 | ...) by direct summation.
 
     Uses raw prior x likelihood weights over the unfolded lattice, so it
     exercises the minimum-mean-square-error folding as well as the
     truncation policy of the implementation.
     """
-    s = chain.base_scale
-    offset = s * sum(b << j for j, b in enumerate(finer_bits))
+    offset = chain.base_scale * finer
     step = chain.level_step(level)
     noise_var = mmse.sigma_s2 - mmse.sigma_r2
     k = np.arange(-k_range, k_range + 1)
@@ -167,68 +178,58 @@ class TestPartitionChainSpec:
             PartitionChainSpec(base_scale=0.5, levels=0, sigma_r=0.9)
         with pytest.raises(ValueError):
             PartitionChainSpec(base_scale=0.5, levels=3, sigma_r=-1.0)
+        for levels in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="integer"):
+                PartitionChainSpec(base_scale=0.5, levels=levels, sigma_r=0.9)
+        # one dither stream per level, MAX_LEVELS streams per quantizer
+        with pytest.raises(ValueError, match="17-level"):
+            PartitionChainSpec(base_scale=0.5, levels=MAX_LEVELS + 1, sigma_r=0.9)
+        deepest = PartitionChainSpec(base_scale=0.5, levels=np.int64(MAX_LEVELS),
+                                     sigma_r=0.9)
+        assert deepest.period == 0.5 * 2.0 ** 16
 
     def test_default_chain(self):
-        chain = default_chain(EPS2)
-        assert chain.levels == 4
-        assert chain.sigma_r == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert chain.base_scale == pytest.approx(1.3 * math.sqrt(2.0 / 9.0),
-                                                 rel=1e-12, abs=0.0)
+        # the planned chain of the coupled reduction, pinned bit for bit
+        chain = plan_chain(EPS2)
+        assert (chain.base_scale, chain.levels) == (0.6128258770283412, 4)
+        assert chain.sigma_r == math.sqrt(0.5)
+
+
+def pair_mmse(rho):
+    return reduce_pair(GaussianPairModel(rho)).mmse
 
 
 class TestPlanChain:
     def test_level_counts_track_prior_width(self):
         # wider shaping priors need more levels to cover the 12 sigma window
         assert plan_chain(EPS2).levels == 4
-        assert plan_chain(PAIR).levels == 5
-        assert plan_chain(mmse_params(2.0 / 3.0, 0.5)).levels == 5
+        for mmse, base_scale in ((PAIR, 0.3875851160999635), (L3, 0.4596194077712559)):
+            chain = plan_chain(mmse)
+            assert (chain.base_scale, chain.levels) == (base_scale, 5)
 
     def test_default_spacing_kept_when_flatness_allows(self):
         chain = plan_chain(EPS2)
-        assert chain.base_scale == pytest.approx(default_chain(EPS2).base_scale,
-                                                 rel=1e-12, abs=0.0)
+        sigma_tilde = math.sqrt(EPS2.sigma_tilde2)
+        assert chain.base_scale == pytest.approx(1.3 * sigma_tilde, rel=1e-12, abs=0.0)
+        assert flatness_factor(chain.base_scale, sigma_tilde) <= 1e-3
         assert chain.period >= 12.0 * chain.sigma_r
         assert chain.period / 2.0 < 12.0 * chain.sigma_r  # smallest such count
 
-    def test_tight_flatness_shrinks_spacing(self):
-        chain = plan_chain(EPS2, flatness_target=1e-9)
-        assert chain.base_scale < default_chain(EPS2).base_scale
-        eps = flatness_factor(chain.base_scale, math.sqrt(EPS2.sigma_tilde2))
-        assert eps <= 1e-9
-        # the shrunken spacing forces one more level to keep the window
-        assert chain.levels == 5
-
-    @pytest.mark.parametrize("target", [1e-16, 1e-300])
-    def test_targets_below_double_precision_met(self, target):
-        mm = mmse_params(1.0, 0.8)
-        chain = plan_chain(mm, flatness_target=target)
-        assert flatness_factor(chain.base_scale, math.sqrt(mm.sigma_tilde2)) <= target
-
-    def test_pinned_levels_honored_or_refused(self):
-        assert plan_chain(EPS2, levels=4).levels == 4
-        assert plan_chain(EPS2, levels=6).levels == 6
-        with pytest.raises(ValueError, match="unreachable"):
-            plan_chain(PAIR, levels=3)
-        with pytest.raises(ValueError, match="unreachable"):
-            plan_chain(EPS2, levels=4, flatness_target=1e-9)
-
-    def test_spacing_never_widened(self):
-        # a very loose target must not push the spacing past the requested factor
-        chain = plan_chain(EPS2, flatness_target=0.5)
-        assert chain.base_scale == pytest.approx(
-            1.3 * math.sqrt(EPS2.sigma_tilde2), rel=1e-12, abs=0.0)
-
-    def test_absurd_target_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            plan_chain(EPS2, flatness_target=0.0)
+    @pytest.mark.parametrize("mmse", [
+        pair_mmse(0.5), pair_mmse(0.8), pair_mmse(0.99), pair_mmse(0.999),
+        # refine_private_eps10 targets: base 1 - rho, distortion d
+        mmse_params(0.2, 0.1), mmse_params(0.2, 0.15), mmse_params(0.01, 0.009),
+    ])
+    def test_planned_chains_are_flat(self, mmse):
+        chain = plan_chain(mmse)
+        assert flatness_factor(chain.base_scale, math.sqrt(mmse.sigma_tilde2)) <= 1e-3
 
     def test_builds_under_same_gate(self):
         # the planned chain always passes build_multilevel_code's own check
         for mm in (EPS2, PAIR):
-            chain = plan_chain(mm, flatness_target=1e-4)
-            code = build_multilevel_code(chain, mm, 64, sample_count=8, seed=1,
-                                         flatness_target=1e-4)
-            assert code.flatness <= 1e-4
+            code = build_multilevel_code(plan_chain(mm), mm, 64, sample_count=8,
+                                         seed=1)
+            assert code.flatness <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -236,74 +237,55 @@ class TestPlanChain:
 # ---------------------------------------------------------------------------
 
 class TestLevelLlr:
-    def chain(self, mmse, levels=4):
-        return default_chain(mmse, levels=levels)
-
     @pytest.mark.parametrize("mmse", [PAIR, EPS2, L3], ids=["pair", "eps2", "l3"])
     def test_matches_direct_prior_likelihood_sums(self, mmse):
-        chain = self.chain(mmse)
+        chain = plan_chain(mmse)
         gen = np.random.default_rng(7)
         for level in range(1, chain.levels + 1):
             t = gen.normal(0.0, math.sqrt(mmse.sigma_s2), size=6)
-            bits = gen.integers(0, 2, size=(level - 1, 6)).astype(np.uint8)
-            got = level_llr(chain, mmse, level, t, bits)
+            finer = gen.integers(0, 1 << (level - 1), size=6)
+            got = cond_llr(chain, mmse, level, t, finer)
             for i in range(6):
-                want = brute_level_llr(chain, mmse, level, t[i], bits[:, i])
+                want = brute_level_llr(chain, mmse, level, t[i], finer[i])
                 assert got[i] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_midway_observation_is_zero(self):
-        chain = self.chain(EPS2)
+        chain = plan_chain(EPS2)
         t = 0.5 * chain.base_scale / EPS2.alpha
-        assert abs(level_llr(chain, EPS2, 1, t, None)) < 1e-9
+        assert abs(cond_llr(chain, EPS2, 1, t, 0)) < 1e-9
 
     def test_deep_level_is_decisive(self):
-        chain = self.chain(EPS2)
-        bits = np.zeros((3, 1), dtype=np.uint8)
-        out = level_llr(chain, EPS2, 4, np.array([0.0]), bits)
+        chain = plan_chain(EPS2)
+        out = cond_llr(chain, EPS2, 4, np.array([0.0]), np.array([0]))
         assert out[0] > 30.0
 
     def test_half_step_reflection_flips_sign(self):
-        chain = self.chain(PAIR)
+        chain = plan_chain(PAIR)
         s = chain.base_scale
         for t in (0.11, 0.37, 0.52):
-            a = level_llr(chain, PAIR, 1, np.array([t]), None)
-            b = level_llr(chain, PAIR, 1, np.array([s / PAIR.alpha - t]), None)
+            a = cond_llr(chain, PAIR, 1, np.array([t]), 0)
+            b = cond_llr(chain, PAIR, 1, np.array([s / PAIR.alpha - t]), 0)
             assert a[0] == pytest.approx(-b[0], rel=1e-9, abs=1e-12)
 
     def test_vectorized_matches_scalar_calls(self):
-        chain = self.chain(L3)
+        chain = plan_chain(L3)
         t = np.array([-0.8, -0.1, 0.3, 1.7])
-        bits = np.array([[0, 1, 1, 0]], dtype=np.uint8)
-        batch = level_llr(chain, L3, 2, t, bits)
-        singles = [level_llr(chain, L3, 2, np.array([ti]), bits[:, i : i + 1])[0]
+        finer = np.array([0, 1, 1, 0])
+        batch = cond_llr(chain, L3, 2, t, finer)
+        singles = [cond_llr(chain, L3, 2, np.array([ti]), finer[i : i + 1])[0]
                    for i, ti in enumerate(t)]
         assert batch == pytest.approx(singles, rel=1e-12, abs=0.0)
 
     def test_scale_invariance_power_of_two(self):
-        chain = self.chain(EPS2)
+        chain = plan_chain(EPS2)
         big = PartitionChainSpec(base_scale=2.0 * chain.base_scale,
                                  levels=chain.levels, sigma_r=2.0 * chain.sigma_r)
         big_mmse = mmse_params(4.0 * EPS2.sigma_s2, 4.0 * EPS2.sigma_r2)
         t = np.array([-0.9, 0.2, 1.4])
-        bits = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.uint8)
-        a = level_llr(chain, EPS2, 3, t, bits)
-        b = level_llr(big, big_mmse, 3, 2.0 * t, bits)
+        finer = np.array([1, 0, 3])
+        a = cond_llr(chain, EPS2, 3, t, finer)
+        b = cond_llr(big, big_mmse, 3, 2.0 * t, finer)
         assert np.array_equal(a, b)
-
-
-class TestLevelLlrValidation:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_sample_rejected(self, bad):
-        chain = default_chain(EPS2)
-        with pytest.raises(ValueError, match="finite"):
-            level_llr(chain, EPS2, 1, np.array([0.3, bad]))
-
-    @pytest.mark.parametrize("bad", [2, -1])
-    def test_finer_label_outside_bits_rejected(self, bad):
-        chain = default_chain(EPS2)
-        bits = np.array([[0, bad, 1]])
-        with pytest.raises(ValueError, match="bits"):
-            level_llr(chain, EPS2, 2, np.array([0.1, 0.2, 0.3]), bits)
 
 
 def direct_coset_log_weights(centers, sigma, offsets, step, k_range=500):
@@ -375,7 +357,7 @@ class TestCosetEvidence:
         chain = PartitionChainSpec(base_scale=step, levels=1, sigma_r=1.0)
         mmse = mmse_params(1.0 + sigma * sigma, 1.0)
         obs = centers / mmse.alpha
-        llr = level_llr(chain, mmse, 1, obs)
+        llr = cond_llr(chain, mmse, 1, obs, 0)
         lw0, lw1 = direct_coset_log_weights(mmse.alpha * obs,
                                             math.sqrt(mmse.sigma_tilde2), 0.0, step)
         assert np.all(np.isfinite(llr))
@@ -397,7 +379,7 @@ class TestCosetEvidence:
 
 @pytest.fixture(scope="module")
 def eps2_code(cache_dir):
-    return build_multilevel_code(default_chain(EPS2), EPS2, 4096,
+    return build_multilevel_code(plan_chain(EPS2), EPS2, 4096,
                                  sample_count=256, seed=3, cache_dir=cache_dir)
 
 
@@ -431,7 +413,7 @@ class TestBuildMultilevelCode:
             assert profile.prior_entropy_estimate() == pytest.approx(want, abs=0.015)
 
     def test_chain_rule_against_direct_estimate(self, cache_dir):
-        code = build_multilevel_code(default_chain(EPS2), EPS2, 1024,
+        code = build_multilevel_code(plan_chain(EPS2), EPS2, 1024,
                                      sample_count=64, seed=5, cache_dir=cache_dir)
         _, points, obs = reproduce_construction_stream(
             code.chain, code.mmse, 1024, 64, 5)
@@ -462,6 +444,11 @@ class TestBuildMultilevelCode:
                                    levels=4, sigma_r=math.sqrt(EPS2.sigma_r2))
         with pytest.raises(ValueError, match="flatness"):
             build_multilevel_code(chain, EPS2, 256, sample_count=8, seed=0)
+        # a chain 2,500 sigma~ coarse (flatness factor about 996)
+        m = mmse_params(1.0, 1.0 - 1e-8)
+        chain = PartitionChainSpec(base_scale=0.25, levels=2, sigma_r=math.sqrt(m.sigma_r2))
+        with pytest.raises(ValueError, match="flatness"):
+            build_multilevel_code(chain, m, 256, sample_count=16, seed=4)
 
     def test_single_level_saturated_noise_has_no_rate(self):
         # sigma_tilde much larger than the spacing: the one level is dither only
@@ -471,9 +458,9 @@ class TestBuildMultilevelCode:
         assert code.total_rate < 0.02
 
     def test_sample_count_stability(self, cache_dir):
-        a = build_multilevel_code(default_chain(EPS2), EPS2, 1024,
+        a = build_multilevel_code(plan_chain(EPS2), EPS2, 1024,
                                   sample_count=128, seed=9, cache_dir=cache_dir)
-        b = build_multilevel_code(default_chain(EPS2), EPS2, 1024,
+        b = build_multilevel_code(plan_chain(EPS2), EPS2, 1024,
                                   sample_count=256, seed=9, cache_dir=cache_dir)
         for ra, rb in zip(a.level_rates, b.level_rates):
             assert abs(ra - rb) < 0.01
@@ -481,8 +468,8 @@ class TestBuildMultilevelCode:
 
     def test_cache_round_trip_is_bit_identical(self, tmp_path):
         kwargs = dict(block_len=256, sample_count=16, seed=2, cache_dir=tmp_path)
-        first = build_multilevel_code(default_chain(L3), L3, **kwargs)
-        again = build_multilevel_code(default_chain(L3), L3, **kwargs)
+        first = build_multilevel_code(plan_chain(L3), L3, **kwargs)
+        again = build_multilevel_code(plan_chain(L3), L3, **kwargs)
         assert first.flatness == again.flatness
         for p, q in zip(first.profiles, again.profiles):
             assert np.array_equal(p.classes, q.classes)
@@ -491,12 +478,12 @@ class TestBuildMultilevelCode:
 
     def test_corrupt_cache_entries_are_rebuilt(self, tmp_path):
         kwargs = dict(block_len=64, sample_count=8, seed=2, cache_dir=tmp_path)
-        first = build_multilevel_code(default_chain(L3), L3, **kwargs)
+        first = build_multilevel_code(plan_chain(L3), L3, **kwargs)
         level_files = sorted(tmp_path.glob("profile_*.json"))
         assert len(level_files) == first.levels
         for broken in level_files:
             broken.write_text("{truncated")
-            again = build_multilevel_code(default_chain(L3), L3, **kwargs)
+            again = build_multilevel_code(plan_chain(L3), L3, **kwargs)
             for p, q in zip(first.profiles, again.profiles):
                 assert np.array_equal(p.z_cond, q.z_cond)
             json.loads(broken.read_text())  # overwritten with a valid entry
@@ -505,30 +492,30 @@ class TestBuildMultilevelCode:
             data = json.loads(path.read_text())
             data["z_cond"][0] = 0.5 + 0.25 * data["z_cond"][0]
             path.write_text(json.dumps(data))
-        marked = build_multilevel_code(default_chain(L3), L3, **kwargs)
+        marked = build_multilevel_code(plan_chain(L3), L3, **kwargs)
         for p, q in zip(first.profiles, marked.profiles):
             assert p.z_cond[0] != q.z_cond[0]
         # one deleted level is a miss: every level is rebuilt and stored afresh
         level_files[1].unlink()
-        again = build_multilevel_code(default_chain(L3), L3, **kwargs)
+        again = build_multilevel_code(plan_chain(L3), L3, **kwargs)
         for p, q, path in zip(first.profiles, again.profiles, level_files):
             assert np.array_equal(p.z_cond, q.z_cond)
             assert json.loads(path.read_text())["z_cond"] == p.z_cond.tolist()
 
     def test_close_betas_never_share_a_bundle(self, tmp_path):
         kwargs = dict(block_len=64, sample_count=8, seed=2, cache_dir=tmp_path)
-        a = build_multilevel_code(default_chain(L3), L3, beta=0.1234561, **kwargs)
-        b = build_multilevel_code(default_chain(L3), L3, beta=0.1234564, **kwargs)
+        a = build_multilevel_code(plan_chain(L3), L3, beta=0.1234561, **kwargs)
+        b = build_multilevel_code(plan_chain(L3), L3, beta=0.1234564, **kwargs)
         assert (a.beta, b.beta) == (0.1234561, 0.1234564)
         assert all(p.beta == 0.1234564 for p in b.profiles)
         assert len(list(tmp_path.glob("profile_*.json"))) == 2 * b.levels
-        again = build_multilevel_code(default_chain(L3), L3, beta=0.1234564, **kwargs)
+        again = build_multilevel_code(plan_chain(L3), L3, beta=0.1234564, **kwargs)
         assert all(p.beta == 0.1234564 for p in again.profiles)
 
     @pytest.mark.parametrize("beta", [math.nan, 0.0, 1.0])
     def test_beta_outside_open_unit_interval_rejected(self, beta):
         with pytest.raises(ValueError, match="beta"):
-            build_multilevel_code(default_chain(L3), L3, 64, beta=beta,
+            build_multilevel_code(plan_chain(L3), L3, 64, beta=beta,
                                   sample_count=8, seed=2)
 
     def test_chain_mmse_mismatch_rejected(self):
@@ -599,7 +586,7 @@ class TestLatticeQuantize:
         assert not np.array_equal(a, b)
 
     def test_scale_consistency_power_of_two(self, cache_dir):
-        small = build_multilevel_code(default_chain(EPS2), EPS2, 1024,
+        small = build_multilevel_code(plan_chain(EPS2), EPS2, 1024,
                                       sample_count=64, seed=5, cache_dir=cache_dir)
         chain2 = PartitionChainSpec(base_scale=2.0 * small.chain.base_scale,
                                     levels=4, sigma_r=2.0 * small.chain.sigma_r)
@@ -617,11 +604,15 @@ class TestLatticeQuantize:
 
     def test_zero_variance_source_at_lattice_point(self):
         # essentially noiseless test channel: the quantizer must return the
-        # exact lattice point with zero distortion and no dither wobble
+        # exact lattice point with zero distortion and no dither wobble; the
+        # chain is far coarser than the flatness gate allows, so its levels
+        # are built below build_multilevel_code
         m = mmse_params(1.0, 1.0 - 1e-8)
         chain = PartitionChainSpec(base_scale=0.25, levels=2, sigma_r=math.sqrt(m.sigma_r2))
-        code = build_multilevel_code(chain, m, 256, sample_count=16, seed=4,
-                                     flatness_target=None)
+        code = MultilevelLatticeCode(
+            chain=chain, mmse=m, block_len=256, beta=0.25, sample_count=16,
+            seed=4, flatness=flatness_factor(0.25, math.sqrt(m.sigma_tilde2)),
+            profiles=_construct_levels(chain, m, 256, 0.25, 16, 4))
         assert all(np.all(p.classes == CLASS_INFO) for p in code.profiles)
         samples = np.zeros((2, 256))
         _, recon = lattice_quantize(samples, code, shared_seed=8)

@@ -285,8 +285,11 @@ class TestLosslessCodeShape:
             "stored_bits": [replace(code, stored_bits=code.stored_bits[:, 1:]),
                             replace(code, stored_bits=code.stored_bits[:1]),
                             replace(code, stored_bits=code.stored_bits[0])],
+            # a float mask or index array would reach numpy indexing
+            "stored_mask": [replace(code, stored_mask=code.stored_mask.astype(float))],
             "corrections": [replace(code, corrections=(np.array([64]),) * 2),
-                            replace(code, corrections=(np.array([-1]),) * 2)],
+                            replace(code, corrections=(np.array([-1]),) * 2),
+                            replace(code, corrections=(np.array([3.0]),) * 2)],
         }
         for match, codes in bad_codes.items():
             for bad in codes:
