@@ -5,9 +5,11 @@ recovers the rest by maximum-posterior decisions; the encoder runs the same
 decisions and records the positions where they disagree with the truth, so
 decoding is exact by construction.  The encoder knows every bit, so it runs
 the breadth-first pass; the decoder runs depth-first, with the stored
-indices KNOWN and every other index FREE (decided by maximum posterior and
-the corrections).  Both see the same leaf LLRs and decide them with the
-one sign rule of sc.map_bits.  The per-block rate charges each recorded
+indices KNOWN, the indices corrected in some block of the batch FREE
+(decided by maximum posterior, flipped where corrected) and every other
+index PRIOR, decided in the plan by the sign of the one chain, so that
+rate-1 nodes skip them.  Both see the same leaf LLRs and decide them with
+the one sign rule of sc.map_bits.  The per-block rate charges each recorded
 correction log2(N) + 1 bits (index plus flag) on top of the stored set.
 
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
@@ -20,8 +22,10 @@ single-chain pass.  INFO decisions use randomized rounding on the
 conditional P(1) = 1/(1 + e^L).  The reconstruction is the codeword of
 the decided bit vector.  In the depth-first plan (see sc.py) the encoder
 has frozen-random leaves KNOWN, deterministic leaves PRIOR and INFO leaves
-FREE; the replay has INFO and frozen-random leaves KNOWN and deterministic
-leaves PRIOR, so it decides nothing by callback.  When the profile has no
+FREE, with margins |ln((1 - U)/U)| from their rounding uniforms U, past
+which rounding is the sign rule and rate-1 nodes skip them; the replay
+has INFO and frozen-random leaves KNOWN and deterministic leaves PRIOR, so
+it decides nothing by callback.  When the profile has no
 deterministic indices the replay skips the traversal entirely and just
 transforms the assembled bit vector, which equals the traversal output
 exactly.
@@ -161,7 +165,10 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
         flip[b, idx] = True
     stored = np.zeros((n_blocks, block_len), dtype=np.uint8)
     stored[:, code.stored_mask] = code.stored_bits
-    kinds = np.where(code.stored_mask, LEAF_KNOWN, LEAF_FREE)
+    # uncorrected leaves take the sign of the one chain in the plan, so
+    # rate-1 nodes skip them; only corrected ones need the callback
+    kinds = np.where(code.stored_mask, LEAF_KNOWN,
+                     np.where(flip.any(axis=0), LEAF_FREE, LEAF_PRIOR))
 
     def decide(i, llr, start, stop):
         return map_bits(llr[0]) ^ flip[start:stop, i]
@@ -183,24 +190,40 @@ def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
 
 
 def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, bits,
-                info_bits=None):
+                info_bits=None, margins=None):
     """Traverse with frozen-random bits from bits, prior-replayable bits
     from the prior chain's argmax (the last chain) and INFO bits from
-    info_bits(i, llr, start, stop), or from bits when info_bits is None
-    (replay); returns (u, x)."""
+    info_bits(i, llr, start, stop) with its margins, or from bits when
+    info_bits is None (replay); returns (u, x)."""
     if chains[-1] is None:
         raise ValueError("prior-replayable indices need the prior evidence")
     kinds = np.full(profile.block_len, LEAF_KNOWN, dtype=np.int8)
     kinds[profile.classes == CLASS_FROZEN_DETERMINISTIC] = LEAF_PRIOR
     if info_bits is not None:
         kinds[profile.classes == CLASS_INFO] = LEAF_FREE
+    plan = (kinds, bits) if margins is None else (kinds, bits, margins)
     return traverse_batches(chains, n_blocks, profile.block_len, info_bits,
-                            plan=(kinds, bits))
+                            plan=plan)
 
 
 def _posterior_one(llr: np.ndarray) -> np.ndarray:
     """P(1) = 1/(1 + e^L) of leaf LLRs, L capped at 700 so e^L stays finite."""
     return 1.0 / (1.0 + np.exp(np.minimum(llr, 700.0)))
+
+
+# uniforms within this distance of 0 or 1 get an infinite rounding margin
+_MARGIN_EDGE = 2.0 ** -40
+
+
+def _rounding_margins(uniforms: np.ndarray) -> np.ndarray:
+    """|ln((1 - U)/U)| of rounding uniforms, inf within _MARGIN_EDGE of 0
+    or 1: past |L| = margin + 1, U < _posterior_one(L) is L < 0 (sc.py
+    proves it), so rate-1 nodes may take map_bits(L) instead."""
+    margins = np.full(uniforms.shape, np.inf)
+    inner = (uniforms >= _MARGIN_EDGE) & (uniforms <= 1.0 - _MARGIN_EDGE)
+    u = uniforms[inner]
+    margins[inner] = np.abs(np.log((1.0 - u) / u))
+    return margins
 
 
 def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int,
@@ -218,7 +241,8 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
         return (uniforms[start:stop, i] < _posterior_one(llr[0])).astype(np.uint8)
 
     chains = (cond, prior) if profile.has_deterministic else (cond,)
-    u, reconstruction = _lossy_pass(chains, profile, n_blocks, dither, rounded)
+    u, reconstruction = _lossy_pass(chains, profile, n_blocks, dither, rounded,
+                                    _rounding_margins(uniforms))
     return u[:, profile.classes == CLASS_INFO], reconstruction
 
 

@@ -173,8 +173,9 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     decide(i, llr, start, stop) decides leaf i of that slice from its LLRs.
     With known (n_blocks, N) leaf bits the passes run breadth-first and
     decide sees every leaf of a slice at once; otherwise they run depth-first
-    on the leaf plan (kinds, bits over all n_blocks), if any, and decide
-    sees only its FREE leaves (see sc_traverse).
+    on the leaf plan (kinds, then bits and optional margins over all
+    n_blocks), if any, and decide sees only its FREE leaves (see
+    sc_traverse).
     Returns (u, x) over all blocks, as sc_traverse does.
     """
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
@@ -187,7 +188,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
         if known is not None:
             kw["known"] = known[start:stop]
         if plan is not None:
-            kw["plan"] = (plan[0], plan[1][start:stop])
+            kw["plan"] = (plan[0],) + tuple(p[start:stop] for p in plan[1:])
         u[start:stop], x[start:stop] = sc_traverse(
             evidence, lambda i, llr: decide(i, llr, start, stop), **kw)
     return u, x

@@ -30,10 +30,11 @@ There are two passes, chosen by the input:
 
 * depth-first (``sc_traverse(evidence, decide, plan=(kinds, bits))``):
   leaves are decided in index order, each by its kind in the plan:
-  KNOWN leaves take their bit from ``bits``, PRIOR leaves the sign of the
-  last (prior) chain's leaf LLR, and FREE leaves the bit the ``decide``
-  callback returns from the leaf's LLRs.  Without a plan every leaf is
-  FREE;
+  KNOWN leaves take their bit from ``bits``, PRIOR leaves are decided in
+  the plan by the sign of the last chain's leaf LLR (the prior chain of a
+  two-chain pass, the only chain of a one-chain pass), and FREE leaves
+  take the bit the ``decide`` callback returns from the leaf's LLRs.
+  Without a plan every leaf is FREE;
 * breadth-first (``sc_traverse(evidence, stats, known=u)``): every leaf bit
   is given, so all partial sums are known up front and the tree is
   evaluated one level at a time over all nodes at once; ``stats`` is called
@@ -46,19 +47,53 @@ nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
 * rate-0, every leaf of the node KNOWN: its codeword is the transform of
   the known bits, and neither its LLRs nor any step below it is computed.
   This is exact, because no decision inside reads an LLR.
-* rate-1, every leaf of a node of width M > 1 PRIOR: its codeword is the
-  hard decision (L < 0) of the node's prior-chain LLRs, taken only when
-  every such |L| over the node and the batch exceeds ln 2 log2(M) + 1.
-  The guard makes the shortcut exact.  By induction on M: a leaf is
-  decided by its sign.  At width M, the f-step keeps the xor of the signs
-  and loses at most ln 2 of magnitude, |f(a, b)| >= min(|a|, |b|) - ln 2
-  > ln 2 log2(M/2) + 1, so the first child returns v = hard(a) xor
-  hard(b).  The g-step b + (1 - 2v) a then adds two terms of the sign of
-  b, so it never cancels, |g| >= |b|, and the second child returns
-  hard(b); the node returns [hard(a), hard(b)].  Without the guard, exact
-  ties (L = 0) break the induction, as f(0, b) = 0 decides 0 whatever the
-  sign of b: the lattice prior table has tie rows, and g-steps cancel to 0
-  on constant prior evidence.
+* rate-1, every leaf of a node of width M > 1 sign-decided: its codeword
+  is the hard decision hard(L) = (L < 0) of the node's LLRs, taken only
+  when in every block of the batch every |L| over the node exceeds the
+  guard ln 2 log2(M) + 1 + m.  A node of PRIOR leaves reads the last
+  chain with m = 0.  A node of FREE leaves qualifies only when the plan
+  carries margins; it reads chain 0, m is the block's largest margin
+  over the node, and ``decide`` is not asked for its leaves.  A margin
+  promises that decide returns hard(L) of chain 0 at its leaf wherever
+  |L| > margin + 1.
+
+  One induction on M makes the shortcut exact for both kinds, per block
+  (every step is elementwise in the block).  At M = 1 the leaf's |L| >
+  1 + m exceeds its margin, so it is decided by its sign.  At width M,
+  the f-step keeps the xor of the signs and loses at most ln 2 of
+  magnitude, |f(a, b)| >= min(|a|, |b|) - ln 2 > ln 2 log2(M/2) + 1 + m,
+  and a child's m is at most its parent's, so the first child returns
+  v = hard(a) xor hard(b).  The g-step b + (1 - 2v) a then adds two terms
+  of the sign of b, so it never cancels, |g| >= |b|, and the second child
+  returns hard(b); the node returns [hard(a), hard(b)].  Infinite L obey
+  both bounds.  Without the guard, exact ties (L = 0) break the
+  induction, as f(0, b) = 0 decides 0 whatever the sign of b: the lattice
+  prior table has tie rows, and g-steps cancel to 0 on constant prior
+  evidence.
+
+The lossy encoder's FREE leaves round: bit 1 exactly when U <
+fl(1/(1 + e^min(L, 700))) for a uniform U in [0, 1) drawn per leaf and
+block.  Its margin is m = |t|, t = ln((1 - U)/U), and inf when U lies
+within 2^-40 of 0 or 1 (U = 0 rounds to 1 whatever L is).  In exact
+arithmetic U < 1/(1 + e^L) is L < t.  In floats the guard's slack of 1
+absorbs every rounding error: m is within 1e-14 of |t|, so |L| > m + 1
+gives |L| > |t| + 0.99, and the computed P(1) is within a relative
+4 * 2^-53 of 1/(1 + e^min(L, 700)).
+
+* L > 0, so L > t + 0.99 and L > 0.99: if L >= 700, P(1) < 1e-304 <
+  2^-40 <= U.  Otherwise P(1)/U = (1 + e^t)/(1 + e^L) < 2/(1 + e^0.99)
+  < 0.55, as (1 + e^s)/(1 + e^(s + 0.99)) falls in s.  So the float
+  P(1) stays below U: bit 0 = hard(L).
+* L < 0, so L < t - 0.99 and L < -0.99: 1 - P(1) = e^L/(1 + e^L) is
+  below 0.75 (1 - U), 1 - U = e^t/(1 + e^t) (for t <= 0 the ratio is
+  below 2 e^-0.99, for t > 0 1 - P(1) < e^-0.99 while 1 - U > 1/2).  So
+  P(1) - U > 0.25 (1 - U) >= 2^-42, while the float P(1) <= 1 is off by
+  at most 4 * 2^-53: bit 1 = hard(L).
+
+Without the 2^-40 edge the argument fails: past t > 700 the cap keeps
+P(1) above U for every L, and next to 1 the float spacing is no longer
+small against 1 - U (at U = 1 - 2^-52 the float rule flips near L =
+-36.74, not at t = -36.04).
 
 Both passes build their leaf LLRs from the same elementwise f- and g-steps,
 so for the same bits they hand their callbacks bitwise-identical values.
@@ -85,7 +120,10 @@ def _llrs(evidence: np.ndarray):
     return llr, not np.isfinite(llr).all()
 
 
-# leaf kinds of a depth-first plan
+# leaf kinds of a depth-first plan: FREE leaves are asked of decide, KNOWN
+# leaves read the plan's bits, and PRIOR leaves are decided a priori, in
+# the plan, by map_bits of the last chain (the prior chain when there are
+# two, the only chain when there is one)
 LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR = 0, 1, 2
 
 _LN2 = float(np.log(2.0))
@@ -151,12 +189,25 @@ def map_bits(llr: np.ndarray) -> np.ndarray:
     return (llr < 0).astype(np.uint8)
 
 
-def _depth_first(evidence: np.ndarray, decide, kinds, bits):
+def _depth_first(evidence: np.ndarray, decide, kinds, bits, margins):
     n_blocks, block_len = evidence.shape[1:3]
     u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
-    # leaves of each kind before index i, so a node's kinds are O(1) to test
-    known_before = np.concatenate([[0], np.cumsum(kinds == LEAF_KNOWN)]).tolist()
-    prior_before = np.concatenate([[0], np.cumsum(kinds == LEAF_PRIOR)]).tolist()
+
+    def counts_before(kind):
+        """Leaves of kind before index i, so a node's kinds are O(1) to test."""
+        return np.concatenate([[0], np.cumsum(kinds == kind)]).tolist()
+
+    known_before = counts_before(LEAF_KNOWN)
+    prior_before = counts_before(LEAF_PRIOR)
+    free_before = margin_max = None
+    if margins is not None:  # FREE nodes take the rate-1 shortcut
+        free_before = counts_before(LEAF_FREE)
+        # margin_max[k][b, j]: the largest margin of block b over the node
+        # of width 2^k on leaves [j 2^k, (j + 1) 2^k)
+        margin_max = [margins]
+        while margin_max[-1].shape[1] > 1:
+            level = margin_max[-1]
+            margin_max.append(np.maximum(level[:, 0::2], level[:, 1::2]))
 
     def rate0(lo: int, width: int):
         """The codeword of leaves [lo, lo + width) if all are KNOWN, else None."""
@@ -164,6 +215,28 @@ def _depth_first(evidence: np.ndarray, decide, kinds, bits):
             return None
         u_out[:, lo:lo + width] = bits[:, lo:lo + width]
         return polar_transform(bits[:, lo:lo + width])
+
+    def rate1(node: np.ndarray, lo: int):
+        """The codeword map_bits(L) of a node of width > 1 whose leaves are
+        all PRIOR (L the last chain's, margin 0) or all FREE (L chain 0's,
+        the plan's margins), when every block's min |L| over the node passes
+        its guard; else None."""
+        width = node.shape[2]
+        depth = width.bit_length() - 1
+        guard = _LN2 * depth + 1.0
+        if prior_before[lo + width] - prior_before[lo] == width:
+            llr = node[-1]
+        elif (free_before is not None
+              and free_before[lo + width] - free_before[lo] == width):
+            llr = node[0]
+            guard = guard + margin_max[depth][:, lo >> depth]
+        else:
+            return None
+        if not (np.abs(llr).min(axis=1, initial=np.inf) > guard).all():
+            return None
+        x = map_bits(llr)
+        u_out[:, lo:lo + width] = polar_transform(x)
+        return x
 
     root = rate0(0, block_len)
     if root is not None:
@@ -179,13 +252,9 @@ def _depth_first(evidence: np.ndarray, decide, kinds, bits):
                 leaf = np.asarray(decide(lo, node[:, :, 0]), dtype=np.uint8)
             u_out[:, lo] = leaf
             return leaf[:, None]
-        if prior_before[lo + width] - prior_before[lo] == width:
-            prior = node[-1]
-            guard = _LN2 * (width.bit_length() - 1) + 1.0
-            if np.abs(prior).min(initial=np.inf) > guard:
-                x = map_bits(prior)
-                u_out[:, lo:lo + width] = polar_transform(x)
-                return x
+        x = rate1(node, lo)
+        if x is not None:
+            return x
         half = width // 2
         first, second = node[:, :, :half], node[:, :, half:]
         v = rate0(lo, half)  # codeword of the first child
@@ -244,9 +313,12 @@ def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
 
 
 def _checked_plan(plan, n_blocks: int, block_len: int):
-    """(kinds, bits) of a depth-first plan; every leaf FREE without one."""
+    """(kinds, bits, margins) of a depth-first plan, margins None when the
+    plan has none; every leaf FREE without a plan."""
     if plan is None:
-        return np.full(block_len, LEAF_FREE), None
+        return np.full(block_len, LEAF_FREE), None, None
+    if len(plan) not in (2, 3):
+        raise ValueError("plan must be (kinds, bits) or (kinds, bits, margins)")
     kinds, bits = np.asarray(plan[0]), np.asarray(plan[1], dtype=np.uint8)
     if kinds.shape != (block_len,) or not np.isin(
             kinds, (LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR)).all():
@@ -254,7 +326,13 @@ def _checked_plan(plan, n_blocks: int, block_len: int):
     if bits.shape != (n_blocks, block_len):
         raise ValueError(f"plan bits must have shape ({n_blocks}, {block_len}), "
                          f"got {bits.shape}")
-    return kinds, bits
+    if len(plan) == 2:
+        return kinds, bits, None
+    margins = np.asarray(plan[2], dtype=float)
+    if margins.shape != (n_blocks, block_len) or not (margins >= 0.0).all():
+        raise ValueError(f"plan margins must be ({n_blocks}, {block_len}) and "
+                         f"nonnegative, inf allowed")
+    return kinds, bits, margins
 
 
 def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
@@ -271,9 +349,14 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
         known bits (which it may overwrite); its return value is ignored.
     known: optional (blocks, N) bits of every leaf; selects the
         breadth-first pass.
-    plan: optional ``(kinds, bits)`` of the depth-first pass: (N,) leaf
-        kinds LEAF_FREE, LEAF_KNOWN or LEAF_PRIOR, and (blocks, N) bits read
-        at the KNOWN leaves.  Without it every leaf is FREE.
+    plan: optional ``(kinds, bits[, margins])`` of the depth-first pass:
+        (N,) leaf kinds LEAF_FREE, LEAF_KNOWN or LEAF_PRIOR, (blocks, N)
+        bits read at the KNOWN leaves, and optional (blocks, N) nonnegative
+        margins read at the FREE leaves, with the promise that decide
+        returns map_bits of chain 0's LLR at leaf i of block b wherever that
+        |L| exceeds margins[b, i] + 1 (inf: no promise).  With margins,
+        FREE nodes past their guard are decided without decide (see the
+        module docstring).  Without a plan every leaf is FREE.
 
     Returns (u, x), both (blocks, N) uint8, where u collects the decided
     bits in leaf order and x is the corresponding codeword (u equals the

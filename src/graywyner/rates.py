@@ -18,8 +18,8 @@ class RateTriple:
 
     def __post_init__(self):
         for name in ("r0", "r1", "r2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     @property
     def total(self) -> float:
@@ -38,11 +38,12 @@ class RateTriple:
 class RunRecord:
     """Per-block measurements plus closed-form targets for one seed.
 
-    The per-block arrays share one nonzero length, and no rate block lies
-    below zero beyond rounding; a record that breaks either raises
-    ValueError.  common, when present, holds the common reconstruction blocks so a
-    refinement stage can code residuals against exactly what the decoder
-    will see.
+    The per-block arrays share one nonzero length, every rate and
+    distortion block is finite, no rate block lies below zero beyond
+    rounding and no distortion block below zero; a record that breaks any
+    of these raises ValueError.  common, when present, holds the common
+    reconstruction blocks so a refinement stage can code residuals against
+    exactly what the decoder will see.
     """
 
     point_label: str
@@ -66,8 +67,15 @@ class RunRecord:
         if lengths != {len(self.r0)} or len(self.r0) == 0:
             raise ValueError("per-block arrays must share one nonzero length")
         for name in ("r0", "r1", "r2"):
-            if float(getattr(self, name).min()) < -1e-12:
+            values = getattr(self, name)
+            if not np.isfinite(values).all():
+                raise ValueError(f"empirical rate {name} is not finite")
+            if float(values.min()) < -1e-12:
                 raise ValueError(f"empirical rate {name} went negative")
+        for name in ("dist_x", "dist_y"):
+            values = getattr(self, name)
+            if not (np.isfinite(values) & (values >= 0.0)).all():
+                raise ValueError(f"distortion {name} must be finite and nonnegative")
 
     @property
     def n_blocks(self) -> int:

@@ -5,6 +5,11 @@ r0, r1, r2, dist_x, dist_y and common (where present), in that order, over
 a fixed list of DSBS operating points and Gaussian routes, stays equal to
 the committed digest.  A change that moves outputs on purpose updates the
 digest and says why in CHANGES.md.
+
+GOLDEN covers every route at 4 blocks or fewer; GOLDEN_BATCH covers two
+DSBS points at 64 blocks and a Gaussian pair at 32, where the SC passes'
+batch-wide decisions (the rate-1 guards take a minimum over the batch)
+meet many blocks at once.
 """
 
 import hashlib
@@ -30,6 +35,7 @@ from graywyner.gaussian import (
 )
 
 GOLDEN = "d9c01ed951152cee7485b4cb00e40abbf45fbd619ac8ee2cec413980d10dc1f2"
+GOLDEN_BATCH = "6373e80e574950d8495dfa39771b30df9e754f219776dddff78c13ec59e5d308"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 
 
@@ -51,11 +57,28 @@ def golden_runs():
     yield extract_common((0.1, 0.7, pair_model), 512, 5, **gauss)
 
 
-def test_outputs_match_golden_digest():
+def golden_batch_runs():
+    model = DsbsModel(0.11)
+    for point in (PointG(), LossyTinyBoth(0.05)):
+        yield run_dsbs_pipeline(point, model, 1024, 7, n_blocks=64,
+                                sample_count=64, construction_seed=3)
+    yield extract_common(GaussianPairModel(0.8), 512, 5, n_blocks=32,
+                         sample_count=32)
+
+
+def digest_of(runs) -> str:
     digest = hashlib.sha256()
-    for run in golden_runs():
+    for run in runs:
         for name in FIELDS:
             values = getattr(run, name)
             if values is not None:
                 digest.update(np.ascontiguousarray(values).tobytes())
-    assert digest.hexdigest() == GOLDEN
+    return digest.hexdigest()
+
+
+def test_outputs_match_golden_digest():
+    assert digest_of(golden_runs()) == GOLDEN
+
+
+def test_batch_outputs_match_golden_digest():
+    assert digest_of(golden_batch_runs()) == GOLDEN_BATCH

@@ -1,7 +1,9 @@
 """Coding-layer tests: exact lossless round trips, corrections accounting,
 shared-dither batch independence, encoder/decoder reconstruction agreement
-on both the fast path (uniform prior) and the prior-chain path, and the
-refusal of malformed blocks and codes."""
+on both the fast path (uniform prior) and the prior-chain path, the
+coders' rate-1 shortcuts (no output moves with the batch, the lossless
+decoder asks for corrected leaves only), and the refusal of malformed
+blocks and codes."""
 
 from dataclasses import replace
 
@@ -19,6 +21,9 @@ from graywyner.polar import (
     sc_lossy_encode,
     sc_lossy_reconstruct,
 )
+from graywyner.polar import coding as coding_module
+from graywyner.polar import profile as profile_module
+from graywyner.polar import sc as sc_module
 from graywyner.polar import test_channel_source as make_quantizer_source
 
 A1 = 0.0584119566836076573
@@ -319,3 +324,55 @@ class TestDecoderBitAlphabet:
         bad[1, 0] = -1
         with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
             sc_lossy_reconstruct(bad, channel, profile, shared_seed=3)
+
+
+class TestRate1Shortcuts:
+    """Rate-1 nodes of sign-decided leaves skip their subtrees without
+    moving any output."""
+
+    def test_lossless_decoder_asks_only_corrected_leaves(self, profile_store,
+                                                          monkeypatch):
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 1024)
+        x, _ = channel.sample(16, 1024, rng.stream(57, rng.STREAM_SOURCE))
+        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.55)
+        corrected = sorted(set(np.concatenate(code.corrections).tolist()))
+        assert corrected
+        asked = []
+        traverse = profile_module.sc_traverse
+
+        def recording(evidence, decide, **kwargs):
+            def asking(i, llr):
+                asked.append(i)
+                return decide(i, llr)
+
+            return traverse(evidence, asking, **kwargs)
+
+        monkeypatch.setattr(profile_module, "sc_traverse", recording)
+        np.testing.assert_array_equal(sc_lossless_decode(code, channel, profile), x)
+        assert asked == corrected
+
+    @pytest.mark.parametrize("prior, crossover, name", [
+        (0.5, 0.11, "bsc-quantizer"), (0.2, 0.1, "skewed-quantizer")])
+    def test_lossy_outputs_independent_of_batch_size(
+            self, profile_store, monkeypatch, prior, crossover, name):
+        """The shortcut's guard takes a minimum over the batch, so passes
+        over 64, 7 and 1 blocks skip different subtrees; payloads and
+        reconstructions stay those of the pass that skips no FREE leaf."""
+        channel = make_quantizer_source(prior, bsc_forward(crossover), name=name)
+        profile = profile_store(channel, 1024)
+        _, obs = channel.sample(64, 1024, rng.stream(74, rng.STREAM_SOURCE))
+        chains = 2 if profile.has_deterministic else 1
+        outputs = []
+        for batch in (64, 7, 1):
+            monkeypatch.setattr(sc_module, "_BATCH_VALUES", batch * chains * 1024)
+            outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
+        monkeypatch.setattr(coding_module, "_rounding_margins",
+                            lambda uniforms: np.full(uniforms.shape, np.inf))
+        outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
+        payload, recon = outputs[0]
+        for other_payload, other_recon in outputs[1:]:
+            np.testing.assert_array_equal(other_payload, payload)
+            np.testing.assert_array_equal(other_recon, recon)
+        np.testing.assert_array_equal(
+            sc_lossy_reconstruct(payload, channel, profile, shared_seed=87), recon)

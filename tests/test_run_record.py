@@ -1,5 +1,7 @@
 """RunRecord refuses per-block arrays that no pipeline run can produce:
-mismatched or empty block counts, and rates below zero beyond rounding."""
+mismatched or empty block counts, rates that are not finite or lie below
+zero beyond rounding, and distortions that are not finite or lie below
+zero; RateTriple refuses rates that are not finite and nonnegative."""
 
 import numpy as np
 import pytest
@@ -38,3 +40,27 @@ def test_mismatched_lengths_rejected(name):
 def test_empty_arrays_rejected():
     with pytest.raises(ValueError, match="one nonzero length"):
         record(n_blocks=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["r0", "r1", "r2"])
+def test_rate_block_not_finite_rejected(name, bad):
+    with pytest.raises(ValueError, match=f"{name} is not finite"):
+        record(**{name: np.array([0.25, bad, 0.25])})
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, -1e-13, np.inf])
+@pytest.mark.parametrize("name", ["dist_x", "dist_y"])
+def test_bad_distortion_block_rejected(name, bad):
+    with pytest.raises(ValueError, match=f"distortion {name} must be finite"):
+        record(**{name: np.array([0.0, bad, 0.1])})
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+@pytest.mark.parametrize("name", ["r0", "r1", "r2"])
+def test_rate_triple_rejects_bad_rates(name, bad):
+    rates = dict(r0=0.5, r1=0.25, r2=0.25)
+    rates[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        RateTriple(**rates)
+    assert RateTriple(0.0, 0.0, 0.0).total == 0.0

@@ -1,6 +1,7 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
 bitwise agreement of the breadth-first and depth-first passes, pruned
-depth-first passes against unpruned ones, infinite and contradictory
+depth-first passes against unpruned ones (with and without the margins
+that let FREE nodes take the rate-1 shortcut), infinite and contradictory
 evidence, the leaf statistics and decisions read from LLRs against their
 pair formulas, and lossless round trips whose uncertain positions are
 mostly decided by maximum posterior."""
@@ -21,7 +22,7 @@ from graywyner.polar import (
     sc_traverse,
 )
 from graywyner.polar import sc as sc_module
-from graywyner.polar.coding import _posterior_one
+from graywyner.polar.coding import _posterior_one, _rounding_margins
 from graywyner.polar.profile import _leaf_statistics
 from graywyner.polar.sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits
 
@@ -191,17 +192,21 @@ def _plans(block_len, n_blocks, gen):
         yield kinds, bits()
 
 
-def _free_rule(n_blocks, block_len, seed):
+def _rounding_rule(uniforms):
     """A FREE-leaf decision that reads the LLRs: randomized rounding on
-    chain 0 with fixed uniforms per (block, leaf)."""
-    uniforms = np.random.default_rng(seed).random((n_blocks, block_len))
+    chain 0 with the given uniforms per (block, leaf)."""
     return lambda i, llr: (uniforms[:, i] < _posterior_one(llr[0])).astype(np.uint8)
 
 
-def _planned_passes(evidence, kinds, bits, free):
+def _free_rule(n_blocks, block_len, seed):
+    """_rounding_rule with fixed random uniforms."""
+    return _rounding_rule(np.random.default_rng(seed).random((n_blocks, block_len)))
+
+
+def _planned_passes(evidence, kinds, bits, free, margins=None):
     """(pruned (u, x), unpruned (u, x), FREE leaves the pruned pass asked
     for); the unpruned pass decides every leaf by callback, as the plan
-    says."""
+    says.  With margins the pruned plan carries them."""
     asked = []
 
     def pruned_decide(i, llr):
@@ -215,7 +220,8 @@ def _planned_passes(evidence, kinds, bits, free):
             return map_bits(llr[-1])
         return free(i, llr)
 
-    pruned = sc_traverse(evidence, pruned_decide, plan=(kinds, bits))
+    plan = (kinds, bits) if margins is None else (kinds, bits, margins)
+    pruned = sc_traverse(evidence, pruned_decide, plan=plan)
     return pruned, sc_traverse(evidence, every_leaf), asked
 
 
@@ -326,6 +332,20 @@ class TestPruningSkipsWork:
                     plan=(np.full(64, LEAF_PRIOR), np.zeros((3, 64), np.uint8)))
         assert counted["f"] > 0 and counted["g"] > 0
 
+    def test_polarized_free_plan_is_one_step(self, counted):
+        """An all-FREE plan whose every |L| clears the root's guard with
+        the rounding margins is decided at the root, with no callback."""
+        evidence = _polarized(2, 4, 1024, seed=6)
+        uniforms = np.random.default_rng(6).uniform(0.25, 0.75, (4, 1024))
+        kinds, bits = np.full(1024, LEAF_FREE), np.zeros((4, 1024), np.uint8)
+        u, x = sc_traverse(evidence, None,
+                           plan=(kinds, bits, _rounding_margins(uniforms)))
+        assert counted == {"f": 0, "g": 0}
+        _, (u_ref, x_ref), _ = _margin_passes(evidence, kinds, bits, uniforms)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
+
 
 class TestPlanChecked:
     def test_bad_plans_rejected(self):
@@ -428,3 +448,205 @@ def test_round_trip_at_low_stored_fraction(profile_store, channel, with_side,
     code = sc_lossless_encode(x, channel, profile, stored_fraction=0.2, side=side)
     np.testing.assert_array_equal(
         sc_lossless_decode(code, channel, profile, side=side), x)
+
+
+# ---------------------------------------------------------------------------
+# rate-1 pruning of FREE leaves with margins
+# ---------------------------------------------------------------------------
+
+def _rounding_uniforms(n_blocks, block_len, seed):
+    """Rounding uniforms with the edge values planted: U = 0 (always rounds
+    to 1) and U = 1 - 2^-53, both with infinite margins."""
+    uniforms = np.random.default_rng(seed).random((n_blocks, block_len))
+    uniforms.flat[::97] = 0.0
+    uniforms.flat[50::101] = 1.0 - 2.0 ** -53
+    return uniforms
+
+
+def _node_llrs(evidence, u):
+    """{(lo, width): (chains, blocks, width) LLRs} of every node of the
+    unpruned tree along the decided bits u, from the engine's own steps."""
+    llr, has_inf = sc_module._llrs(evidence)
+    nodes = {}
+
+    def rec(node, lo):
+        width = node.shape[2]
+        nodes[lo, width] = node
+        if width > 1:
+            half = width // 2
+            first, second = node[:, :, :half], node[:, :, half:]
+            rec(sc_module._f_step(first, second, has_inf), lo)
+            v = polar_transform(u[:, lo:lo + half])
+            rec(sc_module._g_step(first, second, v[None], has_inf), lo + half)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        rec(llr, 0)
+    return nodes
+
+
+def _expected_asked(evidence, u, kinds, margins):
+    """The FREE leaves outside every all-FREE node of width > 1 whose
+    chain-0 |L| passes ln 2 log2(M) + 1 + the block's largest margin over
+    the node in every block, found top-down."""
+    nodes = _node_llrs(evidence, u)
+    asked = []
+
+    def walk(lo, width):
+        if width == 1:
+            if kinds[lo] == LEAF_FREE:
+                asked.append(lo)
+            return
+        if (kinds[lo:lo + width] == LEAF_FREE).all():
+            guard = (sc_module._LN2 * (width.bit_length() - 1) + 1.0
+                     + margins[:, lo:lo + width].max(axis=1))
+            if (np.abs(nodes[lo, width][0]).min(axis=1) > guard).all():
+                return
+        walk(lo, width // 2)
+        walk(lo + width // 2, width // 2)
+
+    walk(0, evidence.shape[2])
+    return asked
+
+
+def _margin_passes(evidence, kinds, bits, uniforms):
+    """_planned_passes with FREE leaves rounding chain 0 with the uniforms,
+    the pruned plan carrying their rounding margins."""
+    return _planned_passes(evidence, kinds, bits, _rounding_rule(uniforms),
+                           _rounding_margins(uniforms))
+
+
+def _assert_margin_pruning_exact(evidence, seed):
+    """Every plan of _plans and an all-FREE plan: bit-identical to the
+    unpruned pass, and decide asked exactly outside the shortcut nodes."""
+    gen = np.random.default_rng(seed)
+    n_blocks, block_len = evidence.shape[1:3]
+    plans = list(_plans(block_len, n_blocks, gen))
+    plans.append((np.full(block_len, LEAF_FREE), plans[0][1]))
+    for trial, (kinds, bits) in enumerate(plans):
+        uniforms = _rounding_uniforms(n_blocks, block_len, seed + trial)
+        (u, x), (u_ref, x_ref), asked = _margin_passes(evidence, kinds, bits,
+                                                       uniforms)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(x, polar_transform(u))
+        assert asked == _expected_asked(evidence, u, kinds,
+                                        _rounding_margins(uniforms))
+
+
+def _polarized(n_chains, n_blocks, block_len, seed, doubt=1e-12):
+    """Pairs within doubt of a random hard bit at every leaf, |L| about
+    ln(1/doubt)."""
+    gen = np.random.default_rng(seed)
+    p1 = np.abs(gen.integers(0, 2, (n_chains, n_blocks, block_len)) - doubt)
+    return np.stack([1.0 - p1, p1], axis=-1)
+
+
+@pytest.mark.parametrize("n_chains", [1, 2])
+@pytest.mark.parametrize("block_len", [8, 64, 1024])
+class TestMarginPrunedPass:
+    """Plans with margins: FREE nodes past the shifted guard take the sign
+    of chain 0, bit-identical to rounding every leaf by callback."""
+
+    @pytest.mark.parametrize("kind", ["random", "near-deterministic", "mixed",
+                                      "polarized", "infinite"])
+    def test_matches_every_leaf_pass(self, kind, n_chains, block_len):
+        seed = 13 * block_len + 5 * n_chains
+        gen = np.random.default_rng(seed)
+        if kind == "mixed":
+            evidence = _confidence_mix(n_chains, 6, block_len, seed)
+        elif kind == "polarized":  # |L| about 69: most FREE nodes shortcut
+            evidence = _polarized(n_chains, 6, block_len, seed, doubt=1e-30)
+        elif kind == "infinite":  # +-inf, and contradictions on some paths
+            evidence = _polarized(n_chains, 6, block_len, seed)
+            hard = gen.integers(0, 2, evidence.shape[:3])
+            certain = gen.random(evidence.shape[:3]) < 0.5
+            evidence[certain] = np.stack([1 - hard, hard], axis=-1)[certain]
+        else:
+            evidence = _evidence(kind, n_chains, 6, block_len, seed)
+        _assert_margin_pruning_exact(evidence, seed)
+
+
+def test_rounding_margins_at_the_edges():
+    edge = 2.0 ** -40
+    uniforms = np.array([0.0, 2.0 ** -53, edge / 2, edge, 0.25, 0.5, 0.75,
+                         1.0 - edge, 1.0 - edge / 2, 1.0 - 2.0 ** -53])
+    margins = _rounding_margins(uniforms)
+    assert np.isinf(margins[[0, 1, 2, 8, 9]]).all()
+    np.testing.assert_allclose(margins[[3, 7]], 40 * np.log(2.0), rtol=1e-12)
+    np.testing.assert_allclose(margins[4:7], [np.log(3.0), 0.0, np.log(3.0)],
+                               rtol=1e-15)
+
+
+class TestPlantedMargins:
+    """Single leaves where the sign rule and rounding disagree must reach
+    decide, and the guard's comparison is strict."""
+
+    def _one_leaf_apart(self, leaf_llr_sign, planted_u):
+        """Eight FREE leaves in one block beside a control block, evidence
+        L = 30 at every position but one flipped to -30 for a negative
+        leaf_llr_sign; leaf 0, the box-plus of them all, then has L about
+        +-28.  U = 0.5 everywhere except planted_u at leaf 0 of block 0."""
+        evidence = np.tile([1 - 1e-13, 1e-13], (1, 2, 8, 1))
+        if leaf_llr_sign < 0:
+            evidence[0, 0, 5] = [1e-13, 1 - 1e-13]
+        uniforms = np.full((2, 8), 0.5)
+        uniforms[0, 0] = planted_u
+        kinds = np.full(8, LEAF_FREE)
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        return _margin_passes(evidence, kinds, bits, uniforms), evidence, uniforms
+
+    @pytest.mark.parametrize("sign,planted_u,bit", [
+        (+1, 0.0, 1),               # U = 0 rounds to 1 whatever L is
+        (-1, 1.0 - 2.0 ** -53, 0),  # L = -28 > t = -36.7: rounds to 0
+    ])
+    def test_edge_uniforms_reach_decide(self, sign, planted_u, bit):
+        ((u, x), (u_ref, x_ref), asked), evidence, uniforms = (
+            self._one_leaf_apart(sign, planted_u))
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+        # the leaf disagrees with its sign rule, which only decide can know
+        leaf_llr = _node_llrs(evidence, u)[0, 1][0, 0, 0]
+        assert 20 < abs(leaf_llr) < 30 and np.sign(leaf_llr) == sign
+        assert u[0, 0] == bit != map_bits(leaf_llr)
+        assert asked[0] == 0
+        assert asked == _expected_asked(evidence, u, np.full(8, LEAF_FREE),
+                                        _rounding_margins(uniforms))
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_guard_is_strict(self, above):
+        """Margins set so that the guard of a width-2 node sits one float
+        step below (shortcut) or at/above (no shortcut) its min |L|; with
+        decide the sign rule itself, the promise holds at any margin."""
+        evidence = _polarized(1, 1, 2, seed=4, doubt=1e-5)
+        low = np.abs(sc_module._llrs(evidence)[0][0]).min()
+        base = sc_module._LN2 * 1 + 1.0
+        margin = low - base
+        if above:
+            while base + margin >= low:
+                margin = np.nextafter(margin, -np.inf)
+        else:
+            while base + margin < low:
+                margin = np.nextafter(margin, np.inf)
+        asked = []
+
+        def decide(i, llr):
+            asked.append(i)
+            return map_bits(llr[0])
+
+        plan = (np.full(2, LEAF_FREE), np.zeros((1, 2), np.uint8),
+                np.full((1, 2), margin))
+        u, x = sc_traverse(evidence, decide, plan=plan)
+        assert asked == ([] if above else [0, 1])
+        u_ref, x_ref = sc_traverse(evidence, lambda i, llr: map_bits(llr[0]))
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+
+
+class TestMarginsChecked:
+    @pytest.mark.parametrize("margins", [np.zeros((2, 4)), np.full((2, 8), -1.0),
+                                         np.full((2, 8), np.nan)])
+    def test_bad_margins_rejected(self, margins):
+        evidence = np.full((1, 2, 8, 2), 0.5)
+        plan = (np.zeros(8), np.zeros((2, 8), np.uint8), margins)
+        with pytest.raises(ValueError, match="margins"):
+            sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
