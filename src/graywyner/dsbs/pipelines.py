@@ -19,6 +19,11 @@ from the polar coding layer:
 * ``LossyLopsided(d1, d2)``: codes only the tighter coordinate and serves
   the copy to both decoders.
 
+Each branch of run_dsbs_pipeline sets only the rates, theory figures,
+region, targets and reconstructions (lossless points keep the sources), and
+one RunRecord is built from them.  LossyCoupled and LossyLopsided share a
+branch: both serve one quantized bit to both decoders.
+
 Rates are measured, not assumed: lossless branches charge their stored set
 plus log2(N) + 1 bits per recorded correction, lossy branches charge their
 payload fraction.  Every lossy stage also replays the decoder path and
@@ -131,7 +136,6 @@ class LossyLopsided:
 class _Stages:
     """Construction context shared by the stage helpers."""
 
-    model: DsbsModel
     block_len: int
     seed: int
     cache_dir: Optional[str]
@@ -141,26 +145,20 @@ class _Stages:
     # channel (the X and Y branches) share one construction
     profiles: dict = field(default_factory=dict)
 
-    def profile_for(self, channel, cap_fraction=None):
-        profile = self.profiles.get(channel.channel_id())
-        if profile is None:
-            if self.cache_dir is not None:
-                profile = construct_profile_cached(
-                    channel, self.block_len, self.cache_dir,
-                    sample_count=self.sample_count, seed=self.construction_seed)
-            else:
-                profile = construct_profile(
-                    channel, self.block_len,
-                    sample_count=self.sample_count, seed=self.construction_seed)
-            self.profiles[channel.channel_id()] = profile
-        if cap_fraction is not None:
-            profile = profile.with_payload_cap(cap_fraction)
-        return profile
+    def profile_for(self, channel):
+        key = channel.channel_id()
+        if key not in self.profiles:
+            kw = dict(sample_count=self.sample_count, seed=self.construction_seed)
+            self.profiles[key] = (
+                construct_profile(channel, self.block_len, **kw)
+                if self.cache_dir is None else
+                construct_profile_cached(channel, self.block_len, self.cache_dir, **kw))
+        return self.profiles[key]
 
     def quantize(self, channel, obs, cap_margin, level):
         """Lossy stage: returns (rate fraction, reconstruction blocks)."""
         cap = channel.mutual_information() + _scaled(cap_margin, self.block_len)
-        profile = self.profile_for(channel, cap_fraction=cap)
+        profile = self.profile_for(channel).with_payload_cap(cap)
         payload, recon = sc_lossy_encode(obs, channel, profile,
                                          shared_seed=self.seed, level=level)
         replay = sc_lossy_reconstruct(payload, channel, profile,
@@ -189,28 +187,22 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
     """Run one operating point for one seed over a batch of source blocks."""
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
-    stages = _Stages(model, block_len, seed, cache_dir, sample_count,
-                     construction_seed)
+    stages = _Stages(block_len, seed, cache_dir, sample_count, construction_seed)
     x, y = model.sample(n_blocks, block_len, rng.stream(seed, rng.STREAM_SOURCE))
-    zeros = np.zeros(n_blocks)
-    ones = np.ones(n_blocks)
-    h_a1 = binary_entropy(model.a1)
+    # lossless points reconstruct exactly; lossy branches replace these
+    x_hat, y_hat = x, y
+    region, theory_ci, targets = None, model.wyner_ci(), (0.0, 0.0)
 
     if isinstance(point, PointA):
-        residual_rate = stages.lossless(x ^ y, lossless_source(model.a0),
-                                        PLAIN_LOSSLESS_MARGIN)
+        rates = (1.0, 0.0, stages.lossless(x ^ y, lossless_source(model.a0),
+                                           PLAIN_LOSSLESS_MARGIN))
         theory = RateTriple(1.0, 0.0, binary_entropy(model.a0))
-        return RunRecord(
-            point_label=point.label, block_len=block_len, seed=seed,
-            region=None, theory=theory, theory_ci=model.wyner_ci(),
-            target_dx=0.0, target_dy=0.0,
-            r0=ones.copy(), r1=zeros.copy(), r2=residual_rate,
-            dist_x=zeros.copy(), dist_y=zeros.copy())
 
-    if isinstance(point, (PointG, LineAG, CurveGB)):
+    elif isinstance(point, (PointG, LineAG, CurveGB)):
         if isinstance(point, PointG):
             channel = build_point_g_channel(model)
             cross_x, cross_y = model.a1, model.a1
+            h_a1 = binary_entropy(model.a1)
             theory = RateTriple(model.wyner_ci(), h_a1, h_a1)
         elif isinstance(point, LineAG):
             channel = build_ag_channel(model, point.d1)
@@ -225,18 +217,13 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
             theory = gb_theory_triple(model, point.beta)
         r0_frac, w_hat = stages.quantize(channel, pair_observation(x, y),
                                          COMMON_MARGIN, COMMON_LEVEL)
-        r1 = stages.lossless(x, crossover_side_info(cross_x),
-                             SIDE_LOSSLESS_MARGIN, side=w_hat)
-        r2 = stages.lossless(y, crossover_side_info(cross_y),
-                             SIDE_LOSSLESS_MARGIN, side=w_hat)
-        return RunRecord(
-            point_label=point.label, block_len=block_len, seed=seed,
-            region=None, theory=theory, theory_ci=model.wyner_ci(),
-            target_dx=0.0, target_dy=0.0,
-            r0=r0_frac * ones, r1=r1, r2=r2,
-            dist_x=zeros.copy(), dist_y=zeros.copy())
+        rates = (r0_frac,
+                 stages.lossless(x, crossover_side_info(cross_x),
+                                 SIDE_LOSSLESS_MARGIN, side=w_hat),
+                 stages.lossless(y, crossover_side_info(cross_y),
+                                 SIDE_LOSSLESS_MARGIN, side=w_hat))
 
-    if isinstance(point, LossyTinyBoth):
+    elif isinstance(point, LossyTinyBoth):
         delta = point.delta
         region = classify_dsbs(delta, delta, model)
         if region is not DsbsRegion.TINY_BOTH:
@@ -253,57 +240,47 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                                       PRIVATE_X_LEVEL)
         r2_frac, vy = stages.quantize(refine, y ^ w_hat, REFINE_MARGIN,
                                       PRIVATE_Y_LEVEL)
+        rates = (r0_frac, r1_frac, r2_frac)
         x_hat, y_hat = w_hat ^ vx, w_hat ^ vy
         rate = binary_entropy(model.a1) - binary_entropy(delta)
         theory = RateTriple(model.wyner_ci(), rate, rate)
-        return RunRecord(
-            point_label=point.label, block_len=block_len, seed=seed,
-            region=region.value, theory=theory,
-            theory_ci=lossy_ci_dsbs(delta, delta, model),
-            target_dx=delta, target_dy=delta,
-            r0=r0_frac * ones, r1=r1_frac * ones, r2=r2_frac * ones,
-            dist_x=_hamming(x, x_hat), dist_y=_hamming(y, y_hat))
+        theory_ci = lossy_ci_dsbs(delta, delta, model)
+        targets = (delta, delta)
 
-    if isinstance(point, LossyCoupled):
-        region = classify_dsbs(point.d1, point.d2, model)
-        if region is not DsbsRegion.COUPLED:
-            raise ValueError(f"({point.d1}, {point.d2}) falls in {region.name}; "
-                             "this pipeline needs the coupled region")
-        channel = build_eps2_channel(point.d1, point.d2, model)
-        r0_frac, w_hat = stages.quantize(channel, pair_observation(x, y),
-                                         COUPLED_MARGIN, COMMON_LEVEL)
-        theory = RateTriple(r_xy_dsbs(point.d1, point.d2, model), 0.0, 0.0)
-        return RunRecord(
-            point_label=point.label, block_len=block_len, seed=seed,
-            region=region.value, theory=theory,
-            theory_ci=lossy_ci_dsbs(point.d1, point.d2, model),
-            target_dx=point.d1, target_dy=point.d2,
-            r0=r0_frac * ones, r1=zeros.copy(), r2=zeros.copy(),
-            dist_x=_hamming(x, w_hat), dist_y=_hamming(y, w_hat))
+    elif isinstance(point, (LossyCoupled, LossyLopsided)):
+        # one quantized bit on the common branch, served to both decoders
+        d1, d2 = point.d1, point.d2
+        needed = (DsbsRegion.COUPLED if isinstance(point, LossyCoupled)
+                  else DsbsRegion.LOPSIDED)
+        region = classify_dsbs(d1, d2, model)
+        if region is not needed:
+            raise ValueError(f"({d1}, {d2}) falls in {region.name}; this "
+                             f"pipeline needs the {needed.name.lower()} region")
+        if needed is DsbsRegion.COUPLED:
+            channel = build_eps2_channel(d1, d2, model)
+            obs, margin = pair_observation(x, y), COUPLED_MARGIN
+        else:
+            # lopsided membership guarantees d_loose > conv(a0, d_tight), so
+            # the tight reconstruction meets both targets at both decoders
+            d_tight = min(d1, d2)
+            forward = np.array([[1.0 - d_tight, d_tight],
+                                [d_tight, 1.0 - d_tight]])
+            channel = test_channel_source(0.5, forward, name="single-coordinate")
+            obs, margin = (y if d1 > d2 else x), COMMON_MARGIN
+        r0_frac, w_hat = stages.quantize(channel, obs, margin, COMMON_LEVEL)
+        rates = (r0_frac, 0.0, 0.0)
+        x_hat = y_hat = w_hat
+        theory = RateTriple(r_xy_dsbs(d1, d2, model), 0.0, 0.0)
+        theory_ci = lossy_ci_dsbs(d1, d2, model)
+        targets = (d1, d2)
 
-    if isinstance(point, LossyLopsided):
-        d_tight, d_loose = point.d1, point.d2
-        swap = d_tight > d_loose
-        if swap:
-            d_tight, d_loose = d_loose, d_tight
-        region = classify_dsbs(point.d1, point.d2, model)
-        if region is not DsbsRegion.LOPSIDED:
-            raise ValueError(f"({point.d1}, {point.d2}) falls in {region.name}; "
-                             "this pipeline needs the lopsided region")
-        # lopsided membership guarantees d_loose > conv(a0, d_tight), so
-        # serving the tight reconstruction to both decoders meets both targets
-        tight_src = y if swap else x
-        forward = np.array([[1.0 - d_tight, d_tight], [d_tight, 1.0 - d_tight]])
-        channel = test_channel_source(0.5, forward, name="single-coordinate")
-        r0_frac, w_hat = stages.quantize(channel, tight_src,
-                                         COMMON_MARGIN, COMMON_LEVEL)
-        theory = RateTriple(r_xy_dsbs(point.d1, point.d2, model), 0.0, 0.0)
-        return RunRecord(
-            point_label=point.label, block_len=block_len, seed=seed,
-            region=region.value, theory=theory,
-            theory_ci=lossy_ci_dsbs(point.d1, point.d2, model),
-            target_dx=point.d1, target_dy=point.d2,
-            r0=r0_frac * ones, r1=zeros.copy(), r2=zeros.copy(),
-            dist_x=_hamming(x, w_hat), dist_y=_hamming(y, w_hat))
+    else:
+        raise TypeError(f"unknown operating point: {point!r}")
 
-    raise TypeError(f"unknown operating point: {point!r}")
+    r0, r1, r2 = (np.full(n_blocks, r, dtype=float) for r in rates)
+    return RunRecord(
+        point_label=point.label, block_len=block_len, seed=seed,
+        region=None if region is None else region.value, theory=theory,
+        theory_ci=theory_ci, target_dx=targets[0], target_dy=targets[1],
+        r0=r0, r1=r1, r2=r2,
+        dist_x=_hamming(x, x_hat), dist_y=_hamming(y, y_hat))

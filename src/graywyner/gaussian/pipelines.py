@@ -1,17 +1,21 @@
 """End-to-end extraction of shared Gaussian descriptions.
 
-extract_common runs one multilevel lattice quantizer on the reduced scalar
-source and charges its payload to the common branch.  The route depends on
-the target:
+extract_common reduces every target to lossy compression of one scalar
+source U = weights . sources and charges the payload of one multilevel
+lattice quantizer on U to the common branch.  A route sets only its
+reduction, the gains by which the X and Y decoders scale the lattice point
+w, and its label, region, theory figures and targets; one build, one
+quantize-and-replay and one RunRecord serve every route:
 
-* ``GaussianPairModel``: quantize (X+Y)/2; the lattice point stands in for
-  the hidden variable and serves as both reconstructions.
-* ``LGaussianModel``: same with the L-source average.
-* ``(d1, d2, model)`` in the coupled region: quantize the tilted
-  combination from reduce_eps2; the decoders output the lattice point and
-  its fixed scaling.
-* ``(d1, d2, model)`` lopsided: quantize the tighter coordinate alone and
-  hand the other decoder rho times that reconstruction.
+* ``GaussianPairModel``: U = (X+Y)/2; w stands in for the hidden variable
+  and serves as both reconstructions (gains 1 and 1).
+* ``LGaussianModel``: U is the L-source average; both distortions are the
+  mean error over all L coordinates.
+* ``(d1, d2, model)`` in the coupled region: U is the tilted combination
+  from reduce_eps2; the decoders output w and its fixed scaling (gains 1
+  and the channel slope).
+* ``(d1, d2, model)`` lopsided: U is the tighter coordinate alone (weights
+  1 and 0); the other decoder outputs rho times w.
 
 refine_private_eps10 adds the private branches for targets inside the
 tiny-distortion region: one conditional quantizer per coordinate on the
@@ -45,6 +49,7 @@ from .model import (
     GaussianPairModel,
     GaussianRegion,
     LGaussianModel,
+    ReductionResult,
     build_eps2_channel,
     classify_gaussian,
     lossy_ci_gaussian,
@@ -94,96 +99,67 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
-    build = dict(cache_dir=cache_dir, sample_count=sample_count,
-                 construction_seed=construction_seed)
-    gen = rng.stream(seed, rng.STREAM_SOURCE)
-    zeros = np.zeros(n_blocks)
-
-    if isinstance(target, GaussianPairModel):
-        red = reduce_pair(target)
-        x, y = target.sample(n_blocks, block_len, gen)
-        code = _build_code(red.mmse, block_len, **build)
-        r0, w = _quantize_checked(red.combine(np.stack([x, y])), code, seed)
-        ci = target.wyner_ci()
-        base = 1.0 - target.rho
-        return RunRecord(
-            point_label="COMMON", block_len=block_len, seed=seed,
-            region=GaussianRegion.TINY_BOTH.value,
-            theory=RateTriple(ci, 0.0, 0.0), theory_ci=ci,
-            target_dx=base, target_dy=base,
-            r0=r0, r1=zeros.copy(), r2=zeros.copy(),
-            dist_x=_mse(x, w), dist_y=_mse(y, w), common=w)
-
-    if isinstance(target, LGaussianModel):
-        red = reduce_L(target)
-        sources = target.sample(n_blocks, block_len, gen)
-        code = _build_code(red.mmse, block_len, **build)
-        r0, w = _quantize_checked(red.combine(sources), code, seed)
-        ci = target.wyner_ci()
-        per_coord = ((sources - w[None]) ** 2).mean(axis=(0, 2))
-        base = 1.0 - target.rho
-        return RunRecord(
-            point_label=f"COMMON_L{target.n_sources}", block_len=block_len,
-            seed=seed, region=None,
-            theory=RateTriple(ci, 0.0, 0.0), theory_ci=ci,
-            target_dx=base, target_dy=base,
-            r0=r0, r1=zeros.copy(), r2=zeros.copy(),
-            dist_x=per_coord, dist_y=per_coord.copy(), common=w)
-
-    try:
-        d1, d2, model = target
-    except (TypeError, ValueError):
-        raise TypeError(
-            "target must be a GaussianPairModel, an LGaussianModel or a "
-            f"(d1, d2, model) tuple, got {target!r}") from None
-    if not isinstance(model, GaussianPairModel):
-        raise TypeError(f"expected a GaussianPairModel, got {type(model).__name__}")
-    region = classify_gaussian(d1, d2, model)
-
-    if region is GaussianRegion.COUPLED:
-        red = reduce_eps2(d1, d2, model)
-        channel = build_eps2_channel(d1, d2, model)
-        x, y = model.sample(n_blocks, block_len, gen)
-        code = _build_code(red.mmse, block_len, **build)
-        r0, w = _quantize_checked(red.combine(np.stack([x, y])), code, seed)
-        rate = r_xy_gaussian(d1, d2, model)
-        return RunRecord(
-            point_label="COUPLED", block_len=block_len, seed=seed,
-            region=region.value,
-            theory=RateTriple(rate, 0.0, 0.0),
-            theory_ci=lossy_ci_gaussian(d1, d2, model),
-            target_dx=d1, target_dy=d2,
-            r0=r0, r1=zeros.copy(), r2=zeros.copy(),
-            dist_x=_mse(x, w), dist_y=_mse(y, channel.slope * w), common=w)
-
-    if region is GaussianRegion.LOPSIDED:
-        d_min = min(d1, d2)
-        if not 0.0 < d_min < 1.0:
+    if isinstance(target, (GaussianPairModel, LGaussianModel)):
+        model = target
+        if isinstance(target, GaussianPairModel):
+            red, label, gains = reduce_pair(target), "COMMON", (1.0, 1.0)
+            region = GaussianRegion.TINY_BOTH.value
+        else:
+            red, label, gains = reduce_L(target), f"COMMON_L{target.n_sources}", None
+            region = None
+        rate = ci = target.wyner_ci()
+        targets = (1.0 - target.rho,) * 2
+    else:
+        try:
+            d1, d2, model = target
+        except (TypeError, ValueError):
+            raise TypeError(
+                "target must be a GaussianPairModel, an LGaussianModel or a "
+                f"(d1, d2, model) tuple, got {target!r}") from None
+        if not isinstance(model, GaussianPairModel):
+            raise TypeError(
+                f"expected a GaussianPairModel, got {type(model).__name__}")
+        region = classify_gaussian(d1, d2, model)
+        if region is GaussianRegion.COUPLED:
+            red = reduce_eps2(d1, d2, model)
+            gains = (1.0, build_eps2_channel(d1, d2, model).slope)
+        elif region is GaussianRegion.LOPSIDED:
+            d_min = min(d1, d2)
+            if not 0.0 < d_min < 1.0:
+                raise ValueError(
+                    f"lopsided target ({d1}, {d2}) admits no scalar quantizer: "
+                    "the tighter distortion must sit strictly inside (0, 1)")
+            # the tighter coordinate alone; the other decoder scales by rho
+            tight_x = d1 <= d2
+            red = ReductionResult(weights=(1.0, 0.0) if tight_x else (0.0, 1.0),
+                                  mmse=mmse_params(1.0, 1.0 - d_min))
+            gains = (1.0, model.rho) if tight_x else (model.rho, 1.0)
+        elif region is GaussianRegion.TINY_BOTH:
             raise ValueError(
-                f"lopsided target ({d1}, {d2}) admits no scalar quantizer: "
-                "the tighter distortion must sit strictly inside (0, 1)")
-        x, y = model.sample(n_blocks, block_len, gen)
-        tight, loose = (x, y) if d1 <= d2 else (y, x)
-        code = _build_code(mmse_params(1.0, 1.0 - d_min), block_len, **build)
-        r0, w = _quantize_checked(tight, code, seed)
-        dist_tight = _mse(tight, w)
-        dist_loose = _mse(loose, model.rho * w)
-        rate = r_xy_gaussian(d1, d2, model)
-        return RunRecord(
-            point_label="LOPSIDED", block_len=block_len, seed=seed,
-            region=region.value,
-            theory=RateTriple(rate, 0.0, 0.0),
-            theory_ci=lossy_ci_gaussian(d1, d2, model),
-            target_dx=d1, target_dy=d2,
-            r0=r0, r1=zeros.copy(), r2=zeros.copy(),
-            dist_x=dist_tight if d1 <= d2 else dist_loose,
-            dist_y=dist_loose if d1 <= d2 else dist_tight, common=w)
+                "tiny-both targets take the hidden-pair route: call "
+                "extract_common(model, ...) and refine_private_eps10")
+        else:
+            raise ValueError(f"no extraction pipeline for region {region.value}")
+        label, region = region.name, region.value
+        rate, ci = r_xy_gaussian(d1, d2, model), lossy_ci_gaussian(d1, d2, model)
+        targets = (d1, d2)
 
-    if region is GaussianRegion.TINY_BOTH:
-        raise ValueError(
-            "tiny-both targets take the hidden-pair route: call "
-            "extract_common(model, ...) and refine_private_eps10")
-    raise ValueError(f"no extraction pipeline for region {region.value}")
+    sources = np.asarray(model.sample(n_blocks, block_len,
+                                      rng.stream(seed, rng.STREAM_SOURCE)))
+    code = _build_code(red.mmse, block_len, cache_dir, sample_count,
+                       construction_seed)
+    r0, w = _quantize_checked(red.combine(sources), code, seed)
+    if gains is None:  # both distortions: the mean error over all L coordinates
+        dist_x = ((sources - w[None]) ** 2).mean(axis=(0, 2))
+        dist_y = dist_x.copy()
+    else:
+        dist_x, dist_y = (_mse(src, gain * w) for src, gain in zip(sources, gains))
+    return RunRecord(
+        point_label=label, block_len=block_len, seed=seed, region=region,
+        theory=RateTriple(rate, 0.0, 0.0), theory_ci=ci,
+        target_dx=targets[0], target_dy=targets[1],
+        r0=r0, r1=np.zeros(n_blocks), r2=np.zeros(n_blocks),
+        dist_x=dist_x, dist_y=dist_y, common=w)
 
 
 def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
@@ -219,31 +195,27 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
     x, y = model.sample(n_blocks, block_len, gen)
     base = 1.0 - model.rho
 
-    rates, dists, theory_rates = [], [], []
     codes = {}  # by target distortion: d1 == d2 builds one code
-    for target_d, src, stream_base in ((d1, x, REFINE_X_STREAM_BASE),
-                                       (d2, y, REFINE_Y_STREAM_BASE)):
+
+    def refine(target_d, src, stream_base):
+        """(rates, distortions, theory rate) of one coordinate's branch."""
         if target_d >= base * (1.0 - 1e-12):
-            rates.append(np.zeros(n_blocks))
-            dists.append(_mse(src, w))
-            theory_rates.append(0.0)
-            continue
+            return np.zeros(n_blocks), _mse(src, w), 0.0
         if target_d not in codes:
             codes[target_d] = _build_code(
                 mmse_params(base, base - target_d), block_len, cache_dir,
                 sample_count, construction_seed)
-        code = codes[target_d]
-        rate, q = _quantize_checked(src - w, code, common_run.seed,
+        rate, q = _quantize_checked(src - w, codes[target_d], common_run.seed,
                                     stream_base=stream_base)
-        rates.append(rate)
-        dists.append(_mse(src, w + q))
-        theory_rates.append(0.5 * math.log2(base / target_d))
+        return rate, _mse(src, w + q), 0.5 * math.log2(base / target_d)
 
+    r1, dist_x, theory_r1 = refine(d1, x, REFINE_X_STREAM_BASE)
+    r2, dist_y, theory_r2 = refine(d2, y, REFINE_Y_STREAM_BASE)
     return RunRecord(
         point_label="REFINED", block_len=block_len, seed=common_run.seed,
         region=region.value,
-        theory=RateTriple(common_run.theory.r0, *theory_rates),
+        theory=RateTriple(common_run.theory.r0, theory_r1, theory_r2),
         theory_ci=lossy_ci_gaussian(d1, d2, model),
         target_dx=d1, target_dy=d2,
-        r0=common_run.r0.copy(), r1=rates[0], r2=rates[1],
-        dist_x=dists[0], dist_y=dists[1], common=w)
+        r0=common_run.r0.copy(), r1=r1, r2=r2,
+        dist_x=dist_x, dist_y=dist_y, common=w)

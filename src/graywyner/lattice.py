@@ -49,16 +49,11 @@ import numpy as np
 from . import rng
 from .numerics import flatness_factor
 from .polar.coding import lossy_encode_from_evidence, lossy_reconstruct_from_evidence
-from .polar.profile import (
-    construct_from_evidence,
-    load_cached_profile,
-    profile_cache_key,
-    profile_path,
-    save_profile,
-)
-# unused here since the levels run through the polar layer's shared core;
-# kept because perfbench/spans.py patches these names on this module
-from .polar.profile import load_profile  # noqa: F401
+from .polar.profile import cached_profiles, construct_from_evidence
+# unused here since the levels run through the polar layer's shared core
+# and cache path; kept because perfbench/spans.py patches these names on
+# this module
+from .polar.profile import load_profile, save_profile  # noqa: F401
 from .polar.sc import sc_traverse  # noqa: F401
 from .polar.transform import polar_transform  # noqa: F401
 
@@ -374,10 +369,10 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     more than _FLATNESS_GATE (its flatness factor) is refused; planned
     chains pass with a wide margin, so the gate guards hand-built ones.
     The measured value is recorded on the returned code.
-    With cache_dir, each level is cached as an ordinary profile entry,
-    keyed and checked as in construct_profile_cached.  The levels come from
-    one joint construction stream, so a miss at any level rebuilds and
-    stores them all.
+    With cache_dir, each level is cached as an ordinary profile entry
+    through cached_profiles, the path construct_profile_cached takes too.
+    The levels come from one joint construction stream, so a miss at any
+    level rebuilds and stores them all.
     """
     r2 = chain.sigma_r ** 2
     if abs(r2 - mmse.sigma_r2) > 1e-9 * max(r2, mmse.sigma_r2):
@@ -389,26 +384,13 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
         raise ValueError(
             f"flatness factor {eps:.3e} exceeds {_FLATNESS_GATE:g}; "
             "shrink base_scale")
-    profiles = None
-    if cache_dir is not None:
-        profiles = []
-        for level in range(1, chain.levels + 1):
-            header = (_level_channel_id(chain, mmse, level), block_len, beta,
-                      sample_count, seed)
-            profiles.append(load_cached_profile(
-                profile_path(cache_dir, profile_cache_key(*header)), *header))
-        if any(p is None for p in profiles):
-            profiles = None
-    if profiles is None:
-        profiles = _construct_levels(chain, mmse, block_len, beta,
-                                     sample_count, seed)
-        if cache_dir is not None:
-            for profile in profiles:
-                save_profile(profile, cache_dir)
+    headers = [(_level_channel_id(chain, mmse, level), block_len, beta,
+                sample_count, seed) for level in range(1, chain.levels + 1)]
+    profiles = cached_profiles(cache_dir, headers, lambda: _construct_levels(
+        chain, mmse, block_len, beta, sample_count, seed))
     return MultilevelLatticeCode(
         chain=chain, mmse=mmse, block_len=block_len, beta=beta,
-        sample_count=sample_count, seed=seed, flatness=eps,
-        profiles=tuple(profiles))
+        sample_count=sample_count, seed=seed, flatness=eps, profiles=profiles)
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,15 @@ def _side_symbols(channel, side, shape):
     side = np.asarray(side)
     if side.shape != shape:
         raise ValueError(f"side must have shape {shape}, got {side.shape}")
-    side = side.astype(np.intp)
+    if side.dtype.kind not in "biuf":
+        raise ValueError(f"side symbols must be integers, got dtype {side.dtype}")
+    # the cast below would truncate 0.7 to 0 and map NaN to any integer
+    if side.dtype.kind == "f" and not (np.floor(side) == side).all():
+        raise ValueError("side symbols must be integer-valued (no fractions or NaN)")
     k = channel.side_alphabet_size
     if side.size and (side.min() < 0 or side.max() >= k):
         raise ValueError(f"side symbols must lie in [0, {k})")
-    return side
+    return side.astype(np.intp)
 
 
 # ---------------------------------------------------------------------------

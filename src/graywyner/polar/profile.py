@@ -275,11 +275,7 @@ def profile_cache_key(channel_id: str, block_len: int, beta: float,
             f"_s{sample_count}_r{seed}")
 
 
-def profile_path(cache_dir, profile_or_key) -> Path:
-    key = (profile_or_key if isinstance(profile_or_key, str)
-           else profile_cache_key(profile_or_key.channel_id, profile_or_key.block_len,
-                                  profile_or_key.beta, profile_or_key.sample_count,
-                                  profile_or_key.seed))
+def profile_path(cache_dir, key: str) -> Path:
     return Path(cache_dir) / f"{key}.json"
 
 
@@ -299,7 +295,9 @@ def save_profile(profile: PolarProfile, cache_dir) -> Path:
         "h_prior": profile.h_prior.tolist(),
         "classes": profile.classes.tolist(),
     }
-    return atomic_write_text(profile_path(cache_dir, profile), json.dumps(payload))
+    key = profile_cache_key(profile.channel_id, profile.block_len, profile.beta,
+                            profile.sample_count, profile.seed)
+    return atomic_write_text(profile_path(cache_dir, key), json.dumps(payload))
 
 
 def load_profile(path) -> PolarProfile:
@@ -317,10 +315,12 @@ def load_profile(path) -> PolarProfile:
         classes=np.array(data["classes"], dtype=np.int8))
 
 
-def load_cached_profile(path, *header):
-    """The profile at path if it is readable and its (channel_id, N, beta,
-    sample_count, seed) equal header; None, a cache miss, otherwise."""
-    if not Path(path).exists():
+def load_cached_profile(cache_dir, header):
+    """The profile cached for header = (channel_id, N, beta, sample_count,
+    seed) if its entry is readable and was built for header; None, a cache
+    miss, otherwise."""
+    path = profile_path(cache_dir, profile_cache_key(*header))
+    if not path.exists():
         return None
     try:
         p = load_profile(path)
@@ -328,7 +328,25 @@ def load_cached_profile(path, *header):
             OverflowError):
         return None
     built_for = (p.channel_id, p.block_len, p.beta, p.sample_count, p.seed)
-    return p if built_for == header else None
+    return p if built_for == tuple(header) else None
+
+
+def cached_profiles(cache_dir, headers, build) -> tuple:
+    """The profiles for headers, loaded from cache_dir or built and stored.
+
+    All or nothing: unless every header's entry loads (see
+    load_cached_profile), build() constructs the profiles of all headers,
+    in order, and each is saved over whatever entry it had.  Without a
+    cache_dir the profiles are built and nothing is read or written.
+    """
+    if cache_dir is None:
+        return tuple(build())
+    profiles = [load_cached_profile(cache_dir, header) for header in headers]
+    if any(p is None for p in profiles):
+        profiles = build()
+        for profile in profiles:
+            save_profile(profile, cache_dir)
+    return tuple(profiles)
 
 
 def construct_profile_cached(channel: BinarySourceWithSideInfo, block_len: int,
@@ -340,10 +358,6 @@ def construct_profile_cached(channel: BinarySourceWithSideInfo, block_len: int,
     rebuilt and overwritten.
     """
     header = (channel.channel_id(), block_len, beta, sample_count, seed)
-    profile = load_cached_profile(
-        profile_path(cache_dir, profile_cache_key(*header)), *header)
-    if profile is None:
-        profile = construct_profile(channel, block_len, beta=beta,
-                                    sample_count=sample_count, seed=seed)
-        save_profile(profile, cache_dir)
+    (profile,) = cached_profiles(cache_dir, [header], lambda: [construct_profile(
+        channel, block_len, beta=beta, sample_count=sample_count, seed=seed)])
     return profile

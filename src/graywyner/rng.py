@@ -20,6 +20,8 @@ Every random draw in this package is reproducible from small integers:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # stream_id values used across the package; kept here so no two callers collide
@@ -42,8 +44,15 @@ def philox(seed: int, stream_id: int, block: int = 0) -> np.random.Generator:
 
     The counter addressing makes draws for distinct blocks independent and
     order-free: requesting block 7 first and block 3 later yields the same
-    values as the opposite order.
+    values as the opposite order.  seed and stream_id must be integers in
+    [0, 2**64) and block a nonnegative integer (NumPy integer types count,
+    bool does not); anything else raises ValueError.
     """
+    for name, value in (("seed", seed), ("stream_id", stream_id), ("block", block)):
+        # a float or bool would silently address the stream of another integer
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    seed, stream_id, block = int(seed), int(stream_id), int(block)
     if seed < 0 or stream_id < 0 or block < 0:
         raise ValueError("seed, stream_id and block must be nonnegative")
     if seed >= 1 << 64 or stream_id >= 1 << 64:

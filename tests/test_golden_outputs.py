@@ -9,10 +9,15 @@ digest and says why in CHANGES.md.
 GOLDEN covers every route at 4 blocks or fewer; GOLDEN_BATCH covers two
 DSBS points at 64 blocks and a Gaussian pair at 32, where the SC passes'
 batch-wide decisions (the rate-1 guards take a minimum over the batch)
-meet many blocks at once.
+meet many blocks at once.  GOLDEN_SCALARS hashes the repr of each record's
+scalar fields (SCALAR_FIELDS, with the theory triple spelled out) over the
+runs of both lists, so a label, region, theory figure or target cannot
+change unseen either.
 """
 
 import hashlib
+import itertools
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,7 +41,10 @@ from graywyner.gaussian import (
 
 GOLDEN = "d9c01ed951152cee7485b4cb00e40abbf45fbd619ac8ee2cec413980d10dc1f2"
 GOLDEN_BATCH = "6373e80e574950d8495dfa39771b30df9e754f219776dddff78c13ec59e5d308"
+GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
+SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",
+                 "theory.r1", "theory.r2", "theory_ci", "target_dx", "target_dy")
 
 
 def golden_runs():
@@ -76,9 +84,21 @@ def digest_of(runs) -> str:
     return digest.hexdigest()
 
 
+def scalar_digest_of(runs) -> str:
+    digest = hashlib.sha256()
+    for run in runs:
+        digest.update(repr(attrgetter(*SCALAR_FIELDS)(run)).encode())
+    return digest.hexdigest()
+
+
 def test_outputs_match_golden_digest():
     assert digest_of(golden_runs()) == GOLDEN
 
 
 def test_batch_outputs_match_golden_digest():
     assert digest_of(golden_batch_runs()) == GOLDEN_BATCH
+
+
+def test_scalar_fields_match_golden_digest():
+    runs = itertools.chain(golden_runs(), golden_batch_runs())
+    assert scalar_digest_of(runs) == GOLDEN_SCALARS

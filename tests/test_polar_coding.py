@@ -241,6 +241,44 @@ class TestSymbolRange:
             sc_lossless_decode(code, channel, profile, side=side)
 
 
+class TestNonIntegerSymbols:
+    """Fractional or NaN side symbols are refused, never truncated; bool
+    side arrays stay accepted."""
+
+    @pytest.mark.parametrize("bad", [0.7, 2.9, np.nan])
+    def test_lossy_observation_not_integer(self, profile_store, bad):
+        channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
+        profile = profile_store(channel, 1024)
+        obs = np.zeros((2, 1024))
+        obs[1, 5] = bad
+        with pytest.raises(ValueError, match="integer-valued"):
+            sc_lossy_encode(obs, channel, profile, shared_seed=1)
+
+    @pytest.mark.parametrize("bad", [0.7, np.nan])
+    def test_lossless_encode_side_not_integer(self, profile_store, bad):
+        channel = crossover_side_info(0.1)
+        profile = profile_store(channel, 256)
+        side = np.zeros((2, 256))
+        side[0, 3] = bad
+        with pytest.raises(ValueError, match="integer-valued"):
+            sc_lossless_encode(np.zeros((2, 256), dtype=np.uint8), channel,
+                               profile, stored_fraction=0.6, side=side)
+
+    @pytest.mark.parametrize("bad", [0.7, np.nan])
+    def test_lossless_decode_side_not_integer(self, profile_store, bad):
+        channel = crossover_side_info(0.1)
+        profile = profile_store(channel, 256)
+        x = np.zeros((2, 256), dtype=np.uint8)
+        side = np.zeros((2, 256), dtype=bool)
+        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.6, side=side)
+        np.testing.assert_array_equal(
+            sc_lossless_decode(code, channel, profile, side=side), x)
+        fractional = side.astype(float)
+        fractional[1, 7] = bad
+        with pytest.raises(ValueError, match="integer-valued"):
+            sc_lossless_decode(code, channel, profile, side=fractional)
+
+
 class TestMalformedBlocks:
     """Encoders refuse blocks that are not (B, N) arrays of the coded alphabet."""
 

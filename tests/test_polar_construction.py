@@ -206,6 +206,13 @@ class TestRateControl:
         assert inside >= outside - 1e-12
 
 
+def _entry(cache_dir, profile):
+    """Cache path of the entry for profile's header."""
+    return profile_path(cache_dir, profile_cache_key(
+        profile.channel_id, profile.block_len, profile.beta,
+        profile.sample_count, profile.seed))
+
+
 class TestProfileCache:
     def test_round_trip_is_bit_identical(self, tmp_path):
         profile = construct_profile(lossless_source(0.11), 64,
@@ -237,8 +244,8 @@ class TestProfileCache:
         channel = lossless_source(0.11)
         p1 = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=9)
         p2 = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=10)
-        assert profile_path(tmp_path, p1) != profile_path(tmp_path, p2)
-        assert a.parent == profile_path(tmp_path, p1).parent
+        assert _entry(tmp_path, p1) != _entry(tmp_path, p2)
+        assert a.parent == _entry(tmp_path, p1).parent
 
     def test_close_betas_never_share_an_entry(self, tmp_path):
         channel = lossless_source(0.11)
@@ -246,7 +253,7 @@ class TestProfileCache:
         first = construct_profile_cached(channel, 64, tmp_path, beta=0.1234561, **kw)
         second = construct_profile_cached(channel, 64, tmp_path, beta=0.1234564, **kw)
         assert (first.beta, second.beta) == (0.1234561, 0.1234564)
-        assert profile_path(tmp_path, first) != profile_path(tmp_path, second)
+        assert _entry(tmp_path, first) != _entry(tmp_path, second)
 
     def test_entry_built_for_other_parameters_is_a_miss(self, tmp_path):
         channel = lossless_source(0.11)
@@ -270,7 +277,7 @@ class TestProfileCache:
     def test_corrupt_entry_is_rebuilt(self, tmp_path, content):
         channel = lossless_source(0.11)
         fresh = construct_profile(channel, 64, sample_count=60, seed=9)
-        path = profile_path(tmp_path, fresh)
+        path = _entry(tmp_path, fresh)
         if not isinstance(content, str):  # a valid entry with one value spoiled
             name, value = content
             entry = json.loads(save_profile(fresh, tmp_path).read_text())
