@@ -22,6 +22,9 @@ import numpy as np
 
 from ..numerics import binary_entropy
 
+# symbols per row chunk of BinarySourceWithSideInfo.sample
+_SAMPLE_VALUES = 1 << 16
+
 
 def _entropy_bits(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float).ravel()
@@ -104,12 +107,26 @@ class BinarySourceWithSideInfo:
         return np.broadcast_to(pair, tuple(shape) + (2,))
 
     def sample(self, n_blocks: int, block_len: int, gen: np.random.Generator):
-        """Draw iid (x, y) pairs; returns x:(B,N) uint8 and y:(B,N) intp."""
+        """Draw iid (x, y) pairs; returns x:(B,N) uint8 and y:(B,N) intp.
+
+        Outcome idx = K x + y is drawn as gen.choice(2 K, size=(B, N),
+        p=joint.ravel()) draws it: one uniform per symbol in row-major
+        order, located in the normalized CDF by searchsorted(side="right").
+        Drawing the uniforms a few rows at a time takes the same values from
+        gen and gives the same outcomes, without (B, N) temporaries.
+        """
         k = self.side_alphabet_size
-        flat = self.joint.ravel()
-        idx = gen.choice(flat.size, size=(n_blocks, block_len), p=flat)
-        x = (idx // k).astype(np.uint8)
-        y = (idx % k).astype(np.intp)
+        cdf = self.joint.ravel().cumsum()
+        cdf /= cdf[-1]
+        x = np.empty((n_blocks, block_len), dtype=np.uint8)
+        y = np.empty((n_blocks, block_len), dtype=np.intp)
+        rows = max(1, _SAMPLE_VALUES // max(1, block_len))
+        for start in range(0, n_blocks, rows):
+            stop = min(start + rows, n_blocks)
+            idx = cdf.searchsorted(gen.random((stop - start, block_len)),
+                                   side="right")
+            np.floor_divide(idx, k, out=x[start:stop], casting="unsafe")
+            np.remainder(idx, k, out=y[start:stop])
         return x, y
 
 

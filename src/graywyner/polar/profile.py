@@ -13,7 +13,10 @@ tree level, see sc.py) and the statistics of all leaves are taken at once:
   log-likelihood (chain rule), a sharp check against closed-form entropies.
 
 construct_from_evidence does this for any coded variable given callables
-for its evidence; binary channels and lattice levels both supply them.
+for its evidence; binary channels and lattice levels both supply them.  The
+sampled blocks pass through the recursion in cache-sized slices (see
+traverse_batches), and their statistics enter the running sums one block
+at a time in block order, so a profile does not depend on the slicing.
 
 Indices are then classified against the threshold t = 2^(-N^beta), compared
 in the log domain so tiny values never underflow:
@@ -176,11 +179,16 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     on the leaf plan (kinds, then bits and optional margins over all
     n_blocks), if any, and decide sees only its FREE leaves (see
     sc_traverse).
+    Each kind of pass has its own slice budget (see sc.chunked_batches):
+    breadth-first slices are cache-sized, so construction and the lossless
+    encoder hold the evidence of a few blocks at a time, while depth-first
+    slices are large, so a coded batch shares one walk of the tree.
     Returns (u, x) over all blocks, as sc_traverse does.
     """
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
     x = np.empty((n_blocks, block_len), dtype=np.uint8)
-    for start, stop in chunked_batches(n_blocks, len(chains), block_len):
+    for start, stop in chunked_batches(n_blocks, len(chains), block_len,
+                                       breadth_first=known is not None):
         # one chain needs no stacked copy, only a leading chain axis
         evidence = (chains[0](start, stop)[None] if len(chains) == 1
                     else np.stack([chain(start, stop) for chain in chains]))
@@ -223,7 +231,11 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
                             channel_id: str, channel_name: str) -> PolarProfile:
     """Monte Carlo construction from (sample_count, N) true blocks of the
     coded variable and evidence callables over their slices (see
-    traverse_batches); prior=None means a uniform prior, with no prior chain."""
+    traverse_batches); prior=None means a uniform prior, with no prior chain.
+
+    z and h enter their running sums one block at a time, in block order,
+    so the sums, and the profile, do not depend on how the blocks are
+    sliced into passes."""
     sample_count, block_len = x_true.shape
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -236,8 +248,9 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
 
     def leaf_stats(leaves, llr, start, stop):
         z, h = _leaf_statistics(llr, u_true[start:stop, leaves])
-        z_sum[:, leaves] += z.sum(axis=1)
-        h_sum[:, leaves] += h.sum(axis=1)
+        for block in range(stop - start):
+            z_sum[:, leaves] += z[:, block]
+            h_sum[:, leaves] += h[:, block]
 
     traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true)
     z = z_sum / sample_count
@@ -300,19 +313,31 @@ def save_profile(profile: PolarProfile, cache_dir) -> Path:
     return atomic_write_text(profile_path(cache_dir, key), json.dumps(payload))
 
 
+def _typed(value, types):
+    """value, or every item of a list value, if its type is one of types;
+    ValueError otherwise, so that no bool, numeric string or fractional
+    count in a cache entry is cast into a valid-looking profile."""
+    if not set(map(type, value if isinstance(value, list) else [value])) <= types:
+        raise ValueError(f"cache entry value of the wrong type: {value!r:.60}")
+    return value
+
+
 def load_profile(path) -> PolarProfile:
     data = json.loads(Path(path).read_text())
     if data.get("version") != PROFILE_CACHE_VERSION or data.get("kind") != "profile":
         raise ValueError(f"unrecognized profile file: {path}")
+    ints, numbers = {int}, {int, float}
     return PolarProfile(
         channel_id=data["channel_id"], channel_name=data.get("channel_name", ""),
-        block_len=int(data["N"]), beta=float(data["beta"]),
-        sample_count=int(data["sample_count"]), seed=int(data["seed"]),
-        z_cond=np.array(data["z_cond"], dtype=float),
-        z_prior=np.array(data["z_prior"], dtype=float),
-        h_cond=np.array(data["h_cond"], dtype=float),
-        h_prior=np.array(data["h_prior"], dtype=float),
-        classes=np.array(data["classes"], dtype=np.int8))
+        block_len=_typed(data["N"], ints),
+        beta=float(_typed(data["beta"], numbers)),
+        sample_count=_typed(data["sample_count"], ints),
+        seed=_typed(data["seed"], ints),
+        z_cond=np.array(_typed(data["z_cond"], numbers), dtype=float),
+        z_prior=np.array(_typed(data["z_prior"], numbers), dtype=float),
+        h_cond=np.array(_typed(data["h_cond"], numbers), dtype=float),
+        h_prior=np.array(_typed(data["h_prior"], numbers), dtype=float),
+        classes=np.array(_typed(data["classes"], ints), dtype=np.int8))
 
 
 def load_cached_profile(cache_dir, header):

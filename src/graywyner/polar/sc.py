@@ -40,6 +40,11 @@ There are two passes, chosen by the input:
   evaluated one level at a time over all nodes at once; ``stats`` is called
   once with the LLRs of every leaf.
 
+Each pass runs over the whole batch it is given.  Callers slice large
+batches with ``chunked_batches``, whose budget depends on the pass: small
+cache-sized slices for the breadth-first pass, large ones for the
+depth-first pass (see there).
+
 The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
 nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
 2011; Sarkis et al., "Fast polar decoders", IEEE JSAC 2014):
@@ -131,9 +136,9 @@ _LN2 = float(np.log(2.0))
 # log1p off their slow underflow paths and moves a result by less than
 # 1e-25 of its size, far below one rounding unit
 _TERM_CAP = 60.0
-# values per block group of the breadth-first pass
+# chains * blocks * N values per batch slice of chunked_batches: a
+# cache-sized slice for breadth-first passes, a large one for depth-first
 _GROUP_VALUES = 1 << 16
-# chains * blocks * N values per batch slice of chunked_batches
 _BATCH_VALUES = 1 << 23
 
 
@@ -285,10 +290,10 @@ def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
     nodes = llr.reshape(n_chains, n_blocks, block_len, 1)
     spare = np.empty_like(llr)
     del llr
-    # the steps run over groups of blocks small enough for their scratch
-    # buffers to stay in cache
-    group = max(1, _GROUP_VALUES // (n_chains * block_len))
-    work = np.empty((4, n_chains * min(group, n_blocks) * block_len // 2))
+    # every stage runs over the whole batch at once: traverse_batches hands
+    # this pass slices of _GROUP_VALUES values, small enough for the node
+    # arrays and the scratch buffers to stay in cache
+    work = np.empty((4, n_chains * n_blocks * block_len // 2))
     width = block_len
     while width > 1:
         half, count = width // 2, block_len // width
@@ -296,14 +301,11 @@ def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
         stage[:, :, 0, :] ^= stage[:, :, 1, :]
         v = np.ascontiguousarray(stage[:, :, 0, :].transpose(0, 2, 1))
         children = spare.reshape(n_chains, n_blocks, half, count, 2)
-        for lo in range(0, n_blocks, group):
-            rows = slice(lo, lo + group)
-            first, second = nodes[:, rows, :half], nodes[:, rows, half:]
-            scratch = work[:, :first.size].reshape((4,) + first.shape)
-            _f_step(first, second, has_inf, out=children[:, rows, ..., 0],
-                    work=scratch[:3])
-            _g_step(first, second, v[None, rows], has_inf,
-                    out=children[:, rows, ..., 1], work=scratch[3])
+        first, second = nodes[:, :, :half], nodes[:, :, half:]
+        scratch = work.reshape((4,) + first.shape)
+        _f_step(first, second, has_inf, out=children[..., 0], work=scratch[:3])
+        _g_step(first, second, v[None], has_inf, out=children[..., 1],
+                work=scratch[3])
         nodes, spare = children.reshape(n_chains, n_blocks, half, 2 * count), nodes
         del children
         width = half
@@ -380,14 +382,22 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
         return _breadth_first(evidence, u, decide)
 
 
-def chunked_batches(n_blocks: int, n_chains: int, block_len: int):
-    """Yield (start, stop) batch slices keeping chains*blocks*N within
-    _BATCH_VALUES.
+def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
+                    breadth_first: bool):
+    """Yield (start, stop) batch slices keeping chains*blocks*N within the
+    budget of the pass: _GROUP_VALUES for a breadth-first pass,
+    _BATCH_VALUES for a depth-first one (at least one block either way).
 
-    Keeps the transient memory of a traversal bounded while letting large
-    batches share the fixed per-traversal overhead.
+    A breadth-first pass does a fixed number of vectorized steps per slice,
+    so small slices cost it little overhead, and they keep its node arrays
+    in cache and its memory bounded by the slice instead of the batch.  A
+    depth-first pass pays its per-node Python overhead once per slice, so
+    it takes slices as large as memory allows: a 64-block two-chain coding
+    pass at N=4096 (2^19 values) must stay one slice, or every coded batch
+    would walk the tree several times.
     """
     per_block = max(1, n_chains * block_len)
-    chunk = max(1, _BATCH_VALUES // per_block)
+    budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES
+    chunk = max(1, budget // per_block)
     for start in range(0, n_blocks, chunk):
         yield start, min(start + chunk, n_blocks)

@@ -12,7 +12,10 @@ batch-wide decisions (the rate-1 guards take a minimum over the batch)
 meet many blocks at once.  GOLDEN_SCALARS hashes the repr of each record's
 scalar fields (SCALAR_FIELDS, with the theory triple spelled out) over the
 runs of both lists, so a label, region, theory figure or target cannot
-change unseen either.
+change unseen either.  GOLDEN_PROFILES hashes the constructions themselves
+(PROFILE_FIELDS of each profile): three DSBS channels and the levels of a
+Gaussian pair's lattice code, so a change to the construction that happens
+not to move any pipeline output is still seen.
 """
 
 import hashlib
@@ -30,21 +33,28 @@ from graywyner.dsbs import (
     LossyTinyBoth,
     PointA,
     PointG,
+    build_point_g_channel,
     run_dsbs_pipeline,
 )
 from graywyner.gaussian import (
     GaussianPairModel,
     LGaussianModel,
     extract_common,
+    reduce_pair,
     refine_private_eps10,
 )
+from graywyner.lattice import build_multilevel_code, plan_chain
+from graywyner.polar import construct_profile, crossover_side_info
+from graywyner.polar import test_channel_source as make_quantizer_source
 
 GOLDEN = "d9c01ed951152cee7485b4cb00e40abbf45fbd619ac8ee2cec413980d10dc1f2"
 GOLDEN_BATCH = "6373e80e574950d8495dfa39771b30df9e754f219776dddff78c13ec59e5d308"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
+GOLDEN_PROFILES = "6c39d8f1cbaae9b87f4586c6ae302d1b41a043d80ca5ba9b8785f0e0e611c735"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",
                  "theory.r1", "theory.r2", "theory_ci", "target_dx", "target_dy")
+PROFILE_FIELDS = ("z_cond", "z_prior", "h_cond", "h_prior", "classes")
 
 
 def golden_runs():
@@ -74,10 +84,27 @@ def golden_batch_runs():
                          sample_count=32)
 
 
-def digest_of(runs) -> str:
+def golden_profiles():
+    """The PointG W channel, the lossless X-given-W channel and the
+    LossyTinyBoth(0.05) refinement channel at N=1024, then the levels of
+    the Gaussian pair's lattice code at N=512."""
+    model = DsbsModel(0.11)
+    delta = 0.05
+    refine = make_quantizer_source(
+        (model.a1 - delta) / (1.0 - 2.0 * delta),
+        np.array([[1.0 - delta, delta], [delta, 1.0 - delta]]))
+    for channel in (build_point_g_channel(model), crossover_side_info(model.a1),
+                    refine):
+        yield construct_profile(channel, 1024, sample_count=64, seed=3)
+    mmse = reduce_pair(GaussianPairModel(0.8)).mmse
+    yield from build_multilevel_code(plan_chain(mmse), mmse, 512,
+                                     sample_count=32, seed=3).profiles
+
+
+def digest_of(runs, fields=FIELDS) -> str:
     digest = hashlib.sha256()
     for run in runs:
-        for name in FIELDS:
+        for name in fields:
             values = getattr(run, name)
             if values is not None:
                 digest.update(np.ascontiguousarray(values).tobytes())
@@ -102,3 +129,7 @@ def test_batch_outputs_match_golden_digest():
 def test_scalar_fields_match_golden_digest():
     runs = itertools.chain(golden_runs(), golden_batch_runs())
     assert scalar_digest_of(runs) == GOLDEN_SCALARS
+
+
+def test_profiles_match_golden_digest():
+    assert digest_of(golden_profiles(), PROFILE_FIELDS) == GOLDEN_PROFILES

@@ -1,18 +1,24 @@
 """Construction tests: exact chain-rule telescoping, entropy estimates
-against closed forms, polarization trends, classification rules, caching."""
+against closed forms, polarization trends, classification rules, caching,
+the construction sampler, breadth-first passes that do not depend on their
+slice size, and the construction's traced memory peak."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graywyner import rng
+from graywyner.gaussian import GaussianPairModel, reduce_pair
+from graywyner.lattice import build_multilevel_code, plan_chain
 from graywyner.numerics import binary_entropy
 from graywyner.polar import (
     CLASS_FROZEN_DETERMINISTIC,
     CLASS_FROZEN_RANDOM,
     CLASS_INFO,
+    BinarySourceWithSideInfo,
     classify_indices,
     construct_profile,
     construct_profile_cached,
@@ -23,8 +29,13 @@ from graywyner.polar import (
     profile_cache_key,
     profile_path,
     save_profile,
+    sc_lossless_encode,
     sc_traverse,
 )
+from graywyner.polar import channel as channel_module
+from graywyner.polar import profile as profile_module
+from graywyner.polar import sc as sc_module
+from graywyner.polar import test_channel_source as make_quantizer_source
 from graywyner.polar.profile import below_log_threshold
 
 A1 = 0.0584119566836076573
@@ -273,15 +284,28 @@ class TestProfileCache:
         pytest.param(("classes", 7), id="class-7"),
         pytest.param(("z_cond", math.nan), id="nan-z_cond"),
         pytest.param(("N", math.inf), id="N-infinite"),
+        # values a cast would turn into a valid-looking profile
+        pytest.param(("classes", lambda c: [v + 0.9 for v in c]),
+                     id="classes-fractional"),
+        pytest.param(("classes", lambda c: [v == CLASS_INFO for v in c]),
+                     id="classes-bool"),
+        pytest.param(("z_cond", lambda z: [str(v) for v in z]), id="z_cond-strings"),
+        pytest.param(("h_prior", lambda h: [str(v) for v in h]),
+                     id="h_prior-strings"),
+        pytest.param(("N", "64"), id="N-string"),
+        pytest.param(("sample_count", 60.5), id="sample_count-fractional"),
     ])
     def test_corrupt_entry_is_rebuilt(self, tmp_path, content):
         channel = lossless_source(0.11)
         fresh = construct_profile(channel, 64, sample_count=60, seed=9)
         path = _entry(tmp_path, fresh)
+        rebuilt = save_profile(fresh, tmp_path).read_text()
         if not isinstance(content, str):  # a valid entry with one value spoiled
             name, value = content
-            entry = json.loads(save_profile(fresh, tmp_path).read_text())
-            if isinstance(entry[name], list):
+            entry = json.loads(rebuilt)
+            if callable(value):
+                entry[name] = value(entry[name])
+            elif isinstance(entry[name], list):
                 entry[name][0] = value
             else:
                 entry[name] = value
@@ -290,3 +314,130 @@ class TestProfileCache:
         got = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=9)
         np.testing.assert_array_equal(got.z_cond, fresh.z_cond)
         np.testing.assert_array_equal(load_profile(path).classes, fresh.classes)
+        # a miss overwrites the entry; a served entry would stay as planted
+        assert path.read_text() == rebuilt
+
+
+PROFILE_FIELDS = ("z_cond", "z_prior", "h_cond", "h_prior", "classes")
+
+
+def _assert_same_profiles(profiles, reference):
+    assert len(profiles) == len(reference)
+    for got, want in zip(profiles, reference):
+        for name in PROFILE_FIELDS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestSampler:
+    """sample draws exactly what Generator.choice draws over the joint law,
+    a few rows at a time."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 7, 37])
+    def test_matches_generator_choice(self, monkeypatch, k, n_blocks):
+        weights = rng.stream(k, rng.STREAM_SOURCE).random((2, k)) + 0.1
+        weights[1, 0] = 0.0  # a zero-probability outcome
+        channel = BinarySourceWithSideInfo(weights / weights.sum())
+        # 3 rows per chunk, so 7 and 37 rows end in a partial chunk
+        monkeypatch.setattr(channel_module, "_SAMPLE_VALUES", 3 * 64)
+        gen, ref = (rng.stream(61, rng.STREAM_CONSTRUCTION) for _ in range(2))
+        x, y = channel.sample(n_blocks, 64, gen)
+        idx = ref.choice(2 * k, size=(n_blocks, 64), p=channel.joint.ravel())
+        assert (x.dtype, y.dtype) == (np.uint8, np.intp)
+        np.testing.assert_array_equal(x, idx // k)
+        np.testing.assert_array_equal(y, idx % k)
+        np.testing.assert_array_equal(gen.random(5), ref.random(5))
+
+
+class TestSliceIndependence:
+    """Breadth-first passes give the same bits whatever their slice budget
+    (the counterpart of test_lossy_outputs_independent_of_batch_size):
+    slices of one block, of three, and of the whole batch."""
+
+    @staticmethod
+    def _per_budget(monkeypatch, n_chains, block_len, n_blocks, run):
+        """run() under each budget, checking that the budget sets the
+        slices; returns the outputs and whether any evidence was certain."""
+        traverse = profile_module.sc_traverse
+        seen = {"slices": 0, "certain": False}
+
+        def recording(evidence, decide, **kwargs):
+            seen["slices"] += 1
+            seen["certain"] |= bool((evidence == 0.0).any())
+            return traverse(evidence, decide, **kwargs)
+
+        monkeypatch.setattr(profile_module, "sc_traverse", recording)
+        budgets = (n_blocks, 3, 1)  # whole batch first: the reference
+        outputs, slices = [], []
+        for blocks in budgets:
+            monkeypatch.setattr(sc_module, "_GROUP_VALUES",
+                                blocks * n_chains * block_len)
+            before = seen["slices"]
+            outputs.append(run())
+            slices.append(seen["slices"] - before)
+        # one slice per pass with the whole batch, ceil(B / blocks) otherwise
+        assert slices == [slices[0] * -(-n_blocks // b) for b in budgets]
+        return outputs, seen["certain"]
+
+    def test_two_chain_profile(self, monkeypatch):
+        channel = make_quantizer_source(0.2, np.array([[0.9, 0.1], [0.1, 0.9]]))
+        assert not channel.prior_is_uniform
+        outputs, _ = self._per_budget(monkeypatch, 2, 256, 20, lambda: [
+            construct_profile(channel, 256, sample_count=20, seed=4)])
+        for profiles in outputs[1:]:
+            _assert_same_profiles(profiles, outputs[0])
+
+    def test_lattice_levels_with_infinite_evidence(self, monkeypatch):
+        mmse = reduce_pair(GaussianPairModel(0.99)).mmse
+        chain = plan_chain(mmse)
+        outputs, certain = self._per_budget(monkeypatch, 2, 256, 12, lambda: (
+            build_multilevel_code(chain, mmse, 256, sample_count=12,
+                                  seed=3).profiles))
+        assert certain  # some level's evidence holds L = +-inf
+        for profiles in outputs[1:]:
+            _assert_same_profiles(profiles, outputs[0])
+
+    def test_lossless_encoder(self, monkeypatch):
+        channel = crossover_side_info(0.11)
+        profile = construct_profile(channel, 256, sample_count=40, seed=6)
+        x, y = channel.sample(10, 256, rng.stream(8, rng.STREAM_SOURCE))
+        outputs, _ = self._per_budget(monkeypatch, 1, 256, 10, lambda: [
+            sc_lossless_encode(x, channel, profile, 0.6, side=y)])
+        (want,) = outputs[0]
+        assert any(len(c) for c in want.corrections)
+        for (got,) in outputs[1:]:
+            np.testing.assert_array_equal(got.stored_mask, want.stored_mask)
+            np.testing.assert_array_equal(got.stored_bits, want.stored_bits)
+            assert len(got.corrections) == len(want.corrections)
+            for a, b in zip(got.corrections, want.corrections):
+                np.testing.assert_array_equal(a, b)
+
+
+def _traced_peak_mib(build) -> float:
+    """Peak traced memory of build(), NumPy buffers included, in MiB."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestConstructionMemory:
+    """Construction holds one cache-sized slice of evidence and node arrays
+    at a time, not the whole sample: its peak is the sampled blocks
+    themselves plus a small constant."""
+
+    def test_two_chain_profile_peak(self):
+        channel = make_quantizer_source(0.2, np.array([[0.9, 0.1], [0.1, 0.9]]))
+        assert not channel.prior_is_uniform
+        peak = _traced_peak_mib(lambda: construct_profile(
+            channel, 4096, sample_count=1024, seed=2))
+        assert peak < 64.0
+
+    def test_lattice_build_peak(self):
+        mmse = reduce_pair(GaussianPairModel(0.8)).mmse
+        peak = _traced_peak_mib(lambda: build_multilevel_code(
+            plan_chain(mmse), mmse, 2048, sample_count=256, seed=2))
+        assert peak < 32.0
