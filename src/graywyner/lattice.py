@@ -438,9 +438,9 @@ def lattice_reconstruct(payloads, code: MultilevelLatticeCode, shared_seed: int,
                         stream_base: int = LATTICE_STREAM_BASE) -> np.ndarray:
     """Rebuild the quantizer output from payload bits and the shared seed.
 
-    Each level replays through the polar layer's lossy reconstruction with
-    the prior evidence of its cosets; levels without prior-replayable
-    indices need no traversal there.
+    Each level runs the polar layer's one replay, which decides its
+    frozen-deterministic indices by the prior evidence of its cosets;
+    levels without them need no traversal there.
     """
     if len(payloads) != code.levels:
         raise ValueError(f"expected {code.levels} payload arrays, got {len(payloads)}")

@@ -4,31 +4,30 @@ Lossless mode stores the bits at the least predictable indices verbatim and
 recovers the rest by maximum-posterior decisions; the encoder runs the same
 decisions and records the positions where they disagree with the truth, so
 decoding is exact by construction.  The encoder knows every bit, so it runs
-the breadth-first pass; the decoder runs depth-first, with the stored
-indices KNOWN, the indices corrected in some block of the batch FREE
-(decided by maximum posterior, flipped where corrected) and every other
-index PRIOR, decided in the plan by the sign of the one chain, so that
-rate-1 nodes skip them.  Both see the same leaf LLRs and decide them with
-the one sign rule of sc.map_bits.  The per-block rate charges each recorded
+the breadth-first pass.  The per-block rate charges each recorded
 correction log2(N) + 1 bits (index plus flag) on top of the stored set.
 
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
 identical on both sides without communication and independent of batch
 size.  Frozen-deterministic indices (present only for nonuniform priors)
-are replayed from the prior chain, whose arithmetic is elementwise and so
+are decided by the prior chain, whose arithmetic is elementwise and so
 bit-identical between the encoder's two-chain pass and the decoder's
 single-chain pass.  INFO decisions use randomized rounding on the
 conditional P(1) = 1/(1 + e^L).  The reconstruction is the codeword of
 the decided bit vector.  In the depth-first plan (see sc.py) the encoder
-has frozen-random leaves KNOWN, deterministic leaves PRIOR and INFO leaves
-FREE, with margins |ln((1 - U)/U)| from their rounding uniforms U, past
-which rounding is the sign rule and rate-1 nodes skip them; the replay
-has INFO and frozen-random leaves KNOWN and deterministic leaves PRIOR, so
-it decides nothing by callback.  When the profile has no
-deterministic indices the replay skips the traversal entirely and just
-transforms the assembled bit vector, which equals the traversal output
-exactly.
+has frozen-random leaves KNOWN, deterministic leaves PRIOR (with no
+corrections) and INFO leaves FREE, with margins |ln((1 - U)/U)| from
+their rounding uniforms U, past which rounding is the sign rule and
+rate-1 nodes skip them.
+
+Decoding is one replay (_replay), a one-chain plan with no FREE leaf, so
+no decoder asks a callback: sent bits (stored bits; payload and dither)
+are KNOWN, and every other leaf is PRIOR, sc.map_bits of the chain xor a
+per-block correction.  The lossless decoder's chain conditions on the
+side information and takes the encoder's corrections; the lossy and
+lattice replays run the prior chain with none.  Without PRIOR leaves the
+replay transforms the bits, which equals the traversal output exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
 prior(start, stop) that return the leaf posteriors of a block slice
@@ -47,7 +46,6 @@ from .. import rng
 from .channel import BinarySourceWithSideInfo
 from .profile import (
     CLASS_FROZEN_DETERMINISTIC,
-    CLASS_FROZEN_RANDOM,
     CLASS_INFO,
     PolarProfile,
     channel_evidence,
@@ -57,6 +55,18 @@ from .profile import (
 # traverse_batches; kept because perfbench/spans.py patches it on this module
 from .sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits, sc_traverse  # noqa: F401
 from .transform import polar_transform
+
+
+def _replay(chain, kinds, bits) -> np.ndarray:
+    """The codeword of a decoder plan over len(bits) blocks: KNOWN leaves
+    read bits, PRIOR leaves take map_bits of the one chain xor bits (their
+    corrections); without PRIOR leaves, the transform of bits."""
+    if not (kinds == LEAF_PRIOR).any():
+        return polar_transform(bits)
+    if chain is None:
+        raise ValueError("prior-decided indices need the prior evidence")
+    return traverse_batches((chain,), len(bits), len(kinds), None,
+                            plan=(kinds, bits))[1]
 
 
 def _check_pairing(channel: BinarySourceWithSideInfo, profile: PolarProfile) -> None:
@@ -95,8 +105,9 @@ class LosslessCode:
 
     stored_mask: (N,) bool, the stored index set.
     stored_bits: (B, |stored|) uint8, bits at the stored indices per block.
-    corrections: tuple of per-block int arrays, leaf indices whose
-        maximum-posterior decision must be flipped during decoding.
+    corrections: tuple of per-block int arrays, the distinct unstored leaf
+        indices whose maximum-posterior decision must be flipped during
+        decoding.
     """
 
     stored_mask: np.ndarray
@@ -159,26 +170,17 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
                          f"got {code.stored_bits.shape}")
     if np.any((code.stored_bits != 0) & (code.stored_bits != 1)):
         raise ValueError("stored_bits must hold bits in {0, 1}")
-    for idx in map(np.asarray, code.corrections):
+    bits = np.zeros((n_blocks, block_len), dtype=np.uint8)
+    bits[:, code.stored_mask] = code.stored_bits
+    for b, idx in enumerate(map(np.asarray, code.corrections)):
         if not np.issubdtype(idx.dtype, np.integer) or np.any((idx < 0) | (idx >= block_len)):
             raise ValueError(f"corrections must be integer indices in [0, {block_len})")
+        if code.stored_mask[idx].any() or np.unique(idx).size != idx.size:
+            raise ValueError("corrections must name distinct unstored indices")
+        bits[b, idx] = 1
     cond, _ = channel_evidence(
         channel, _side_symbols(channel, side, (n_blocks, block_len)))
-    flip = np.zeros((n_blocks, block_len), dtype=bool)
-    for b, idx in enumerate(code.corrections):
-        flip[b, idx] = True
-    stored = np.zeros((n_blocks, block_len), dtype=np.uint8)
-    stored[:, code.stored_mask] = code.stored_bits
-    # uncorrected leaves take the sign of the one chain in the plan, so
-    # rate-1 nodes skip them; only corrected ones need the callback
-    kinds = np.where(code.stored_mask, LEAF_KNOWN,
-                     np.where(flip.any(axis=0), LEAF_FREE, LEAF_PRIOR))
-
-    def decide(i, llr, start, stop):
-        return map_bits(llr[0]) ^ flip[start:stop, i]
-
-    return traverse_batches((cond,), n_blocks, block_len, decide,
-                            plan=(kinds, stored))[1]
+    return _replay(cond, np.where(code.stored_mask, LEAF_KNOWN, LEAF_PRIOR), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +193,6 @@ def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
     rows = [draw(shared_seed, stream_id, block_offset + b, block_len)
             for b in range(n_blocks)]
     return np.stack(rows) if rows else np.empty((0, block_len))
-
-
-def _lossy_pass(chains, profile: PolarProfile, n_blocks: int, bits,
-                info_bits=None, margins=None):
-    """Traverse with frozen-random bits from bits, prior-replayable bits
-    from the prior chain's argmax (the last chain) and INFO bits from
-    info_bits(i, llr, start, stop) with its margins, or from bits when
-    info_bits is None (replay); returns (u, x)."""
-    if chains[-1] is None:
-        raise ValueError("prior-replayable indices need the prior evidence")
-    kinds = np.full(profile.block_len, LEAF_KNOWN, dtype=np.int8)
-    kinds[profile.classes == CLASS_FROZEN_DETERMINISTIC] = LEAF_PRIOR
-    if info_bits is not None:
-        kinds[profile.classes == CLASS_INFO] = LEAF_FREE
-    plan = (kinds, bits) if margins is None else (kinds, bits, margins)
-    return traverse_batches(chains, n_blocks, profile.block_len, info_bits,
-                            plan=plan)
 
 
 def _posterior_one(llr: np.ndarray) -> np.ndarray:
@@ -244,10 +229,17 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
     def rounded(i, llr, start, stop):
         return (uniforms[start:stop, i] < _posterior_one(llr[0])).astype(np.uint8)
 
+    if profile.has_deterministic and prior is None:
+        raise ValueError("prior-decided indices need the prior evidence")
+    info = profile.classes == CLASS_INFO
+    deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
+    kinds = np.where(info, LEAF_FREE, np.where(deterministic, LEAF_PRIOR, LEAF_KNOWN))
+    dither[:, deterministic] = 0  # the plan's bits at PRIOR leaves: no corrections
     chains = (cond, prior) if profile.has_deterministic else (cond,)
-    u, reconstruction = _lossy_pass(chains, profile, n_blocks, dither, rounded,
-                                    _rounding_margins(uniforms))
-    return u[:, profile.classes == CLASS_INFO], reconstruction
+    u, reconstruction = traverse_batches(
+        chains, n_blocks, block_len, rounded,
+        plan=(kinds, dither, _rounding_margins(uniforms)))
+    return u[:, info], reconstruction
 
 
 def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
@@ -266,13 +258,10 @@ def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
         raise ValueError("payload must hold bits in {0, 1}")
     dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
                             n_blocks, block_offset, block_len)
-    u = np.zeros((n_blocks, block_len), dtype=np.uint8)
-    u[:, info_pos] = payload
-    fr = profile.classes == CLASS_FROZEN_RANDOM
-    u[:, fr] = dither[:, fr]
-    if not profile.has_deterministic:
-        return polar_transform(u)
-    return _lossy_pass((prior,), profile, n_blocks, u)[1]
+    deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
+    dither[:, info_pos] = payload
+    dither[:, deterministic] = 0  # as in the encoder: no corrections
+    return _replay(prior, np.where(deterministic, LEAF_PRIOR, LEAF_KNOWN), dither)
 
 
 def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,

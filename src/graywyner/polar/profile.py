@@ -177,8 +177,8 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     With known (n_blocks, N) leaf bits the passes run breadth-first and
     decide sees every leaf of a slice at once; otherwise they run depth-first
     on the leaf plan (kinds, then bits and optional margins over all
-    n_blocks), if any, and decide sees only its FREE leaves (see
-    sc_traverse).
+    n_blocks), if any, and decide, None without FREE leaves, sees only
+    those (see sc_traverse).
     Each kind of pass has its own slice budget (see sc.chunked_batches):
     breadth-first slices are cache-sized, so construction and the lossless
     encoder hold the evidence of a few blocks at a time, while depth-first
@@ -198,7 +198,8 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
         if plan is not None:
             kw["plan"] = (plan[0],) + tuple(p[start:stop] for p in plan[1:])
         u[start:stop], x[start:stop] = sc_traverse(
-            evidence, lambda i, llr: decide(i, llr, start, stop), **kw)
+            evidence, None if decide is None
+            else lambda i, llr: decide(i, llr, start, stop), **kw)
     return u, x
 
 

@@ -30,10 +30,11 @@ There are two passes, chosen by the input:
 
 * depth-first (``sc_traverse(evidence, decide, plan=(kinds, bits))``):
   leaves are decided in index order, each by its kind in the plan:
-  KNOWN leaves take their bit from ``bits``, PRIOR leaves are decided in
-  the plan by the sign of the last chain's leaf LLR (the prior chain of a
-  two-chain pass, the only chain of a one-chain pass), and FREE leaves
-  take the bit the ``decide`` callback returns from the leaf's LLRs.
+  KNOWN leaves take their bit from ``bits``, PRIOR leaves take map_bits
+  of the last chain's leaf LLR (the prior chain of a two-chain pass, the
+  only chain of a one-chain pass) xor their bit in ``bits``, a per-block
+  correction, and FREE leaves take the bit the ``decide`` callback
+  returns from the leaf's LLRs (decide may be None without FREE leaves).
   Without a plan every leaf is FREE;
 * breadth-first (``sc_traverse(evidence, stats, known=u)``): every leaf bit
   is given, so all partial sums are known up front and the tree is
@@ -55,12 +56,12 @@ nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
 * rate-1, every leaf of a node of width M > 1 sign-decided: its codeword
   is the hard decision hard(L) = (L < 0) of the node's LLRs, taken only
   when in every block of the batch every |L| over the node exceeds the
-  guard ln 2 log2(M) + 1 + m.  A node of PRIOR leaves reads the last
-  chain with m = 0.  A node of FREE leaves qualifies only when the plan
-  carries margins; it reads chain 0, m is the block's largest margin
-  over the node, and ``decide`` is not asked for its leaves.  A margin
-  promises that decide returns hard(L) of chain 0 at its leaf wherever
-  |L| > margin + 1.
+  guard ln 2 log2(M) + 1 + m.  A node of PRIOR leaves, none corrected in
+  any block, reads the last chain with m = 0.  A node of FREE leaves
+  qualifies only when the plan carries margins; it reads chain 0, m is
+  the block's largest margin over the node, and ``decide`` is not asked
+  for its leaves.  A margin promises that decide returns hard(L) of
+  chain 0 at its leaf wherever |L| > margin + 1.
 
   One induction on M makes the shortcut exact for both kinds, per block
   (every step is elementwise in the block).  At M = 1 the leaf's |L| >
@@ -126,9 +127,9 @@ def _llrs(evidence: np.ndarray):
 
 
 # leaf kinds of a depth-first plan: FREE leaves are asked of decide, KNOWN
-# leaves read the plan's bits, and PRIOR leaves are decided a priori, in
-# the plan, by map_bits of the last chain (the prior chain when there are
-# two, the only chain when there is one)
+# leaves read the plan's bits, and PRIOR leaves are decided in the plan by
+# map_bits of the last chain (the prior chain when there are two, the only
+# chain when there is one) xor the plan's bit there, a per-block correction
 LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR = 0, 1, 2
 
 _LN2 = float(np.log(2.0))
@@ -198,15 +199,16 @@ def _depth_first(evidence: np.ndarray, decide, kinds, bits, margins):
     n_blocks, block_len = evidence.shape[1:3]
     u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
 
-    def counts_before(kind):
-        """Leaves of kind before index i, so a node's kinds are O(1) to test."""
-        return np.concatenate([[0], np.cumsum(kinds == kind)]).tolist()
+    def counts_before(leaves):
+        """Leaves in mask before index i: a node's kinds are O(1) to test."""
+        return np.concatenate([[0], np.cumsum(leaves)]).tolist()
 
-    known_before = counts_before(LEAF_KNOWN)
-    prior_before = counts_before(LEAF_PRIOR)
+    known_before = counts_before(kinds == LEAF_KNOWN)
+    # a PRIOR leaf corrected in some block of the batch is not sign-decided
+    prior_before = counts_before((kinds == LEAF_PRIOR) & ~bits.any(axis=0))
     free_before = margin_max = None
     if margins is not None:  # FREE nodes take the rate-1 shortcut
-        free_before = counts_before(LEAF_FREE)
+        free_before = counts_before(kinds == LEAF_FREE)
         # margin_max[k][b, j]: the largest margin of block b over the node
         # of width 2^k on leaves [j 2^k, (j + 1) 2^k)
         margin_max = [margins]
@@ -252,7 +254,7 @@ def _depth_first(evidence: np.ndarray, decide, kinds, bits, margins):
         width = node.shape[2]
         if width == 1:
             if kinds[lo] == LEAF_PRIOR:
-                leaf = map_bits(node[-1, :, 0])
+                leaf = map_bits(node[-1, :, 0]) ^ bits[:, lo]
             else:
                 leaf = np.asarray(decide(lo, node[:, :, 0]), dtype=np.uint8)
             u_out[:, lo] = leaf
@@ -318,7 +320,7 @@ def _checked_plan(plan, n_blocks: int, block_len: int):
     """(kinds, bits, margins) of a depth-first plan, margins None when the
     plan has none; every leaf FREE without a plan."""
     if plan is None:
-        return np.full(block_len, LEAF_FREE), None, None
+        plan = np.full(block_len, LEAF_FREE), np.zeros((n_blocks, block_len))
     if len(plan) not in (2, 3):
         raise ValueError("plan must be (kinds, bits) or (kinds, bits, margins)")
     kinds, bits = np.asarray(plan[0]), np.asarray(plan[1], dtype=np.uint8)
@@ -346,19 +348,22 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
         once per FREE leaf index i in increasing order; llr holds the
         (chains, blocks) LLRs ln p0 - ln p1 of leaf i, +-inf included, and
         bits must be a (blocks,) array over {0, 1}, fed back into every
-        chain.  With ``known``, it is called once as ``decide(slice(0, N),
-        llr)``, llr the (chains, blocks, N) LLRs of every leaf along the
-        known bits (which it may overwrite); its return value is ignored.
+        chain; None if no leaf is FREE.  With ``known``, it is called once
+        as ``decide(slice(0, N), llr)``, llr the (chains, blocks, N) LLRs of
+        every leaf along the known bits (which it may overwrite); its
+        return value is ignored.
     known: optional (blocks, N) bits of every leaf; selects the
         breadth-first pass.
     plan: optional ``(kinds, bits[, margins])`` of the depth-first pass:
         (N,) leaf kinds LEAF_FREE, LEAF_KNOWN or LEAF_PRIOR, (blocks, N)
-        bits read at the KNOWN leaves, and optional (blocks, N) nonnegative
-        margins read at the FREE leaves, with the promise that decide
-        returns map_bits of chain 0's LLR at leaf i of block b wherever that
-        |L| exceeds margins[b, i] + 1 (inf: no promise).  With margins,
-        FREE nodes past their guard are decided without decide (see the
-        module docstring).  Without a plan every leaf is FREE.
+        bits of the KNOWN leaves and corrections of the PRIOR leaves
+        (xored onto map_bits of the last chain), and optional (blocks, N)
+        nonnegative margins read at the FREE leaves, with the promise that
+        decide returns map_bits of chain 0's LLR at leaf i of block b
+        wherever that |L| exceeds margins[b, i] + 1 (inf: no promise).
+        With margins, FREE nodes past their guard are decided without
+        decide (see the module docstring).  Without a plan every leaf is
+        FREE.
 
     Returns (u, x), both (blocks, N) uint8, where u collects the decided
     bits in leaf order and x is the corresponding codeword (u equals the
@@ -373,8 +378,10 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
         raise ValueError("known selects the breadth-first pass, which takes no plan")
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:
-            return _depth_first(evidence, decide,
-                                *_checked_plan(plan, n_blocks, block_len))
+            kinds, bits, margins = _checked_plan(plan, n_blocks, block_len)
+            if decide is None and (kinds == LEAF_FREE).any():
+                raise ValueError("a pass with FREE leaves needs a decide callback")
+            return _depth_first(evidence, decide, kinds, bits, margins)
         u = np.asarray(known, dtype=np.uint8)
         if u.shape != (n_blocks, block_len):
             raise ValueError(

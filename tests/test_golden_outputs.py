@@ -15,7 +15,12 @@ runs of both lists, so a label, region, theory figure or target cannot
 change unseen either.  GOLDEN_PROFILES hashes the constructions themselves
 (PROFILE_FIELDS of each profile): three DSBS channels and the levels of a
 Gaussian pair's lattice code, so a change to the construction that happens
-not to move any pipeline output is still seen.
+not to move any pipeline output is still seen.  GOLDEN_CODES hashes the
+coders' own outputs, which the pipeline digests see only through rates and
+distortions: a lossless code (stored bits, corrections) with its decoded
+blocks, lossy payloads with their reconstructions and replays on two DSBS
+channels, and a Gaussian pair's lattice payloads, reconstruction and
+replay.
 """
 
 import hashlib
@@ -24,6 +29,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from graywyner import rng
 from graywyner.dsbs import (
     CurveGB,
     DsbsModel,
@@ -43,14 +49,27 @@ from graywyner.gaussian import (
     reduce_pair,
     refine_private_eps10,
 )
-from graywyner.lattice import build_multilevel_code, plan_chain
-from graywyner.polar import construct_profile, crossover_side_info
+from graywyner.lattice import (
+    build_multilevel_code,
+    lattice_quantize,
+    lattice_reconstruct,
+    plan_chain,
+)
+from graywyner.polar import (
+    construct_profile,
+    crossover_side_info,
+    sc_lossless_decode,
+    sc_lossless_encode,
+    sc_lossy_encode,
+    sc_lossy_reconstruct,
+)
 from graywyner.polar import test_channel_source as make_quantizer_source
 
 GOLDEN = "d9c01ed951152cee7485b4cb00e40abbf45fbd619ac8ee2cec413980d10dc1f2"
 GOLDEN_BATCH = "6373e80e574950d8495dfa39771b30df9e754f219776dddff78c13ec59e5d308"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
 GOLDEN_PROFILES = "6c39d8f1cbaae9b87f4586c6ae302d1b41a043d80ca5ba9b8785f0e0e611c735"
+GOLDEN_CODES = "6b9e154b8891f36c377c1d282db161c0667d6920f2ce9c67ec340912c4f95680"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",
                  "theory.r1", "theory.r2", "theory_ci", "target_dx", "target_dy")
@@ -84,31 +103,75 @@ def golden_batch_runs():
                          sample_count=32)
 
 
-def golden_profiles():
+def golden_channels():
     """The PointG W channel, the lossless X-given-W channel and the
-    LossyTinyBoth(0.05) refinement channel at N=1024, then the levels of
-    the Gaussian pair's lattice code at N=512."""
+    LossyTinyBoth(0.05) refinement channel."""
     model = DsbsModel(0.11)
     delta = 0.05
     refine = make_quantizer_source(
         (model.a1 - delta) / (1.0 - 2.0 * delta),
         np.array([[1.0 - delta, delta], [delta, 1.0 - delta]]))
-    for channel in (build_point_g_channel(model), crossover_side_info(model.a1),
-                    refine):
+    return build_point_g_channel(model), crossover_side_info(model.a1), refine
+
+
+def golden_lattice_code():
+    """The Gaussian pair's reduction and its lattice code at N=512."""
+    reduction = reduce_pair(GaussianPairModel(0.8))
+    mmse = reduction.mmse
+    return reduction, build_multilevel_code(plan_chain(mmse), mmse, 512,
+                                            sample_count=32, seed=3)
+
+
+def golden_profiles():
+    """The golden channels' profiles at N=1024, then the levels of the
+    Gaussian pair's lattice code."""
+    for channel in golden_channels():
         yield construct_profile(channel, 1024, sample_count=64, seed=3)
-    mmse = reduce_pair(GaussianPairModel(0.8)).mmse
-    yield from build_multilevel_code(plan_chain(mmse), mmse, 512,
-                                     sample_count=32, seed=3).profiles
+    yield from golden_lattice_code()[1].profiles
+
+
+def golden_codes():
+    """The coders' outputs on fixed seeds, as a flat sequence of arrays:
+    16 blocks of the lossless code of the X-given-W channel at stored
+    fraction 0.4 (stored bits, per-block correction counts, the
+    corrections, the decoded blocks), then 16 blocks of the lossy payload,
+    reconstruction and replay of the W and refinement channels at N=1024,
+    then 8 blocks of the Gaussian pair's lattice payloads, reconstruction
+    and replay."""
+    w_channel, side_channel, refine = golden_channels()
+    x, y = side_channel.sample(16, 1024, rng.stream(21, rng.STREAM_SOURCE))
+    profile = construct_profile(side_channel, 1024, sample_count=64, seed=3)
+    code = sc_lossless_encode(x, side_channel, profile, stored_fraction=0.4,
+                              side=y)
+    yield code.stored_bits
+    yield np.array([len(c) for c in code.corrections], dtype=np.int64)
+    yield from code.corrections
+    yield sc_lossless_decode(code, side_channel, profile, side=y)
+    for seed, channel in ((22, w_channel), (23, refine)):
+        profile = construct_profile(channel, 1024, sample_count=64, seed=3)
+        _, obs = channel.sample(16, 1024, rng.stream(seed, rng.STREAM_SOURCE))
+        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=seed)
+        yield from (payload, recon)
+        yield sc_lossy_reconstruct(payload, channel, profile, shared_seed=seed)
+    reduction, lattice = golden_lattice_code()
+    model = GaussianPairModel(0.8)
+    samples = reduction.combine(model.sample(8, 512, rng.stream(24, rng.STREAM_SOURCE)))
+    payloads, recon = lattice_quantize(samples, lattice, shared_seed=24)
+    yield from payloads
+    yield recon
+    yield lattice_reconstruct(payloads, lattice, shared_seed=24)
+
+
+def array_digest_of(arrays) -> str:
+    digest = hashlib.sha256()
+    for values in arrays:
+        digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
 
 
 def digest_of(runs, fields=FIELDS) -> str:
-    digest = hashlib.sha256()
-    for run in runs:
-        for name in fields:
-            values = getattr(run, name)
-            if values is not None:
-                digest.update(np.ascontiguousarray(values).tobytes())
-    return digest.hexdigest()
+    values = (getattr(run, name) for run in runs for name in fields)
+    return array_digest_of(v for v in values if v is not None)
 
 
 def scalar_digest_of(runs) -> str:
@@ -133,3 +196,7 @@ def test_scalar_fields_match_golden_digest():
 
 def test_profiles_match_golden_digest():
     assert digest_of(golden_profiles(), PROFILE_FIELDS) == GOLDEN_PROFILES
+
+
+def test_codes_match_golden_digest():
+    assert array_digest_of(golden_codes()) == GOLDEN_CODES

@@ -1,9 +1,9 @@
 """Coding-layer tests: exact lossless round trips, corrections accounting,
 shared-dither batch independence, encoder/decoder reconstruction agreement
 on both the fast path (uniform prior) and the prior-chain path, the
-coders' rate-1 shortcuts (no output moves with the batch, the lossless
-decoder asks for corrected leaves only), and the refusal of malformed
-blocks and codes."""
+coders' rate-1 shortcuts (no output moves with the batch), decoders that
+ask no leaf of a callback (lossless decoding and lossy and lattice replay
+are one replay), and the refusal of malformed blocks and codes."""
 
 from dataclasses import replace
 
@@ -11,6 +11,13 @@ import numpy as np
 import pytest
 
 from graywyner import rng
+from graywyner.gaussian import GaussianPairModel, reduce_pair
+from graywyner.lattice import (
+    build_multilevel_code,
+    lattice_quantize,
+    lattice_reconstruct,
+    plan_chain,
+)
 from graywyner.numerics import binary_entropy
 from graywyner.polar import (
     crossover_side_info,
@@ -324,6 +331,8 @@ class TestLosslessCodeShape:
         profile = profile_store(channel, 64)
         x, _ = channel.sample(2, 64, rng.stream(55, rng.STREAM_SOURCE))
         code = sc_lossless_encode(x, channel, profile, stored_fraction=0.5)
+        stored, decided = (np.flatnonzero(m) for m in (code.stored_mask,
+                                                      ~code.stored_mask))
         bad_codes = {
             "stored_bits": [replace(code, stored_bits=code.stored_bits[:, 1:]),
                             replace(code, stored_bits=code.stored_bits[:1]),
@@ -332,7 +341,12 @@ class TestLosslessCodeShape:
             "stored_mask": [replace(code, stored_mask=code.stored_mask.astype(float))],
             "corrections": [replace(code, corrections=(np.array([64]),) * 2),
                             replace(code, corrections=(np.array([-1]),) * 2),
-                            replace(code, corrections=(np.array([3.0]),) * 2)],
+                            replace(code, corrections=(np.array([3.0]),) * 2),
+                            # a stored bit is sent, not decided: nothing to
+                            # correct, though rate_per_block would charge it
+                            replace(code, corrections=(stored[:1],) * 2),
+                            # charged twice by rate_per_block, flipped once
+                            replace(code, corrections=(decided[[0, 0]],) * 2)],
         }
         for match, codes in bad_codes.items():
             for bad in codes:
@@ -368,27 +382,61 @@ class TestRate1Shortcuts:
     """Rate-1 nodes of sign-decided leaves skip their subtrees without
     moving any output."""
 
-    def test_lossless_decoder_asks_only_corrected_leaves(self, profile_store,
-                                                          monkeypatch):
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """Records the leaves any SC pass asks of decide, and how many
+        depth-first passes ran; a test resets it after encoding."""
+        record = {"leaves": [], "passes": 0}
+        traverse = profile_module.sc_traverse
+
+        def recording(evidence, decide, **kwargs):
+            if kwargs.get("plan") is not None:
+                record["passes"] += 1
+
+            def asking(i, llr):
+                record["leaves"].append(i)
+                return decide(i, llr)
+
+            return traverse(evidence, None if decide is None else asking, **kwargs)
+
+        monkeypatch.setattr(profile_module, "sc_traverse", recording)
+        return record
+
+    def test_lossless_decoder_asks_no_leaf(self, profile_store, asked):
+        """Corrected leaves are PRIOR leaves whose plan bit flips the sign
+        rule, so the decoder's pass has no FREE leaf."""
         channel = lossless_source(0.11)
         profile = profile_store(channel, 1024)
         x, _ = channel.sample(16, 1024, rng.stream(57, rng.STREAM_SOURCE))
         code = sc_lossless_encode(x, channel, profile, stored_fraction=0.55)
-        corrected = sorted(set(np.concatenate(code.corrections).tolist()))
-        assert corrected
-        asked = []
-        traverse = profile_module.sc_traverse
-
-        def recording(evidence, decide, **kwargs):
-            def asking(i, llr):
-                asked.append(i)
-                return decide(i, llr)
-
-            return traverse(evidence, asking, **kwargs)
-
-        monkeypatch.setattr(profile_module, "sc_traverse", recording)
+        assert sum(map(len, code.corrections))
+        asked.update(leaves=[], passes=0)
         np.testing.assert_array_equal(sc_lossless_decode(code, channel, profile), x)
-        assert asked == corrected
+        assert asked == {"leaves": [], "passes": 1}
+
+    def test_lossy_replay_asks_no_leaf(self, profile_store, asked):
+        channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
+        profile = profile_store(channel, 1024)
+        assert profile.has_deterministic
+        _, obs = channel.sample(8, 1024, rng.stream(58, rng.STREAM_SOURCE))
+        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
+        asked.update(leaves=[], passes=0)
+        np.testing.assert_array_equal(
+            sc_lossy_reconstruct(payload, channel, profile, shared_seed=86), recon)
+        assert asked == {"leaves": [], "passes": 1}
+
+    def test_lattice_replay_asks_no_leaf(self, cache_dir, asked):
+        mmse = reduce_pair(GaussianPairModel(0.8)).mmse
+        code = build_multilevel_code(plan_chain(mmse), mmse, 512, sample_count=32,
+                                     seed=3, cache_dir=cache_dir)
+        replayed = sum(p.has_deterministic for p in code.profiles)
+        assert replayed
+        samples = rng.stream(59, rng.STREAM_SOURCE).normal(size=(4, 512))
+        payloads, recon = lattice_quantize(samples, code, shared_seed=59)
+        asked.update(leaves=[], passes=0)
+        np.testing.assert_array_equal(
+            lattice_reconstruct(payloads, code, shared_seed=59), recon)
+        assert asked == {"leaves": [], "passes": replayed}
 
     @pytest.mark.parametrize("prior, crossover, name", [
         (0.5, 0.11, "bsc-quantizer"), (0.2, 0.1, "skewed-quantizer")])

@@ -1,7 +1,8 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
 bitwise agreement of the breadth-first and depth-first passes, pruned
 depth-first passes against unpruned ones (with and without the margins
-that let FREE nodes take the rate-1 shortcut), infinite and contradictory
+that let FREE nodes take the rate-1 shortcut, and with per-block
+corrections at PRIOR leaves), infinite and contradictory
 evidence, the leaf statistics and decisions read from LLRs against their
 pair formulas, and lossless round trips whose uncertain positions are
 mostly decided by maximum posterior."""
@@ -169,15 +170,20 @@ TIE_PAIRS = [[0.5, 0.5], [0.01, 0.99], [0.01, 0.99], [0.01, 0.99]]
 
 
 def _plans(block_len, n_blocks, gen):
-    """Leaf plans with random bits at every leaf (a pass may read them only
-    at KNOWN leaves): every leaf PRIOR; the kinds interleaved, so every
-    node above the leaves is mixed; then random plans with whole subtrees of
-    one kind as well as mixed ones."""
-    def bits():
-        return gen.integers(0, 2, (n_blocks, block_len)).astype(np.uint8)
+    """Leaf plans with random bits at KNOWN and FREE leaves (a pass reads
+    them only at KNOWN ones) and sparse per-block corrections at PRIOR
+    leaves, about 2% ones, so that corrected PRIOR nodes and PRIOR nodes
+    that take the rate-1 shortcut both occur: every leaf PRIOR; the kinds
+    interleaved, so every node above the leaves is mixed; then random plans
+    with whole subtrees of one kind as well as mixed ones."""
+    def planned(kinds):
+        random = gen.integers(0, 2, (n_blocks, block_len))
+        corrections = gen.random((n_blocks, block_len)) < 0.02
+        return kinds, np.where(kinds == LEAF_PRIOR, corrections,
+                               random).astype(np.uint8)
 
-    yield np.full(block_len, LEAF_PRIOR), bits()
-    yield np.arange(block_len) % 3, bits()
+    yield planned(np.full(block_len, LEAF_PRIOR))
+    yield planned(np.arange(block_len) % 3)
     for _ in range(3):
         kinds = np.empty(block_len, dtype=np.int8)
 
@@ -189,7 +195,7 @@ def _plans(block_len, n_blocks, gen):
                 fill(lo + width // 2, width // 2)
 
         fill(0, block_len)
-        yield kinds, bits()
+        yield planned(kinds)
 
 
 def _rounding_rule(uniforms):
@@ -217,7 +223,7 @@ def _planned_passes(evidence, kinds, bits, free, margins=None):
         if kinds[i] == LEAF_KNOWN:
             return bits[:, i]
         if kinds[i] == LEAF_PRIOR:
-            return map_bits(llr[-1])
+            return map_bits(llr[-1]) ^ bits[:, i]
         return free(i, llr)
 
     plan = (kinds, bits) if margins is None else (kinds, bits, margins)
@@ -318,13 +324,36 @@ class TestPruningSkipsWork:
 
     @pytest.mark.parametrize("kind", [LEAF_KNOWN, LEAF_PRIOR])
     def test_uniform_plan_is_one_step(self, counted, kind):
+        """All KNOWN with random bits, or all PRIOR with no correction."""
         evidence = _evidence("near-deterministic", 2, 3, 1024, seed=5)
         bits = np.random.default_rng(5).integers(0, 2, (3, 1024)).astype(np.uint8)
+        if kind == LEAF_PRIOR:
+            bits[:] = 0
         u, x = sc_traverse(evidence, None, plan=(np.full(1024, kind), bits))
         assert counted == {"f": 0, "g": 0}
         if kind == LEAF_KNOWN:
             np.testing.assert_array_equal(u, bits)
+        else:
+            np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][-1]))
         np.testing.assert_array_equal(x, polar_transform(u))
+
+    def test_one_correction_flips_one_block(self, counted):
+        """One correction in one block of an all-PRIOR plan: that leaf flips
+        in that block and nowhere else, every other block and every earlier
+        leaf keeps the uncorrected decision, and the root's shortcut is
+        refused, so the pass computes f- and g-steps."""
+        evidence = _evidence("near-deterministic", 2, 3, 1024, seed=5)
+        kinds, bits = np.full(1024, LEAF_PRIOR), np.zeros((3, 1024), np.uint8)
+        u_plain, _ = sc_traverse(evidence, None, plan=(kinds, bits))
+        bits[1, 300] = 1
+        (u, x), (u_ref, x_ref), _ = _planned_passes(
+            evidence, kinds, bits, _free_rule(3, 1024, 0))
+        assert counted["f"] > 0 and counted["g"] > 0
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(u[[0, 2]], u_plain[[0, 2]])
+        np.testing.assert_array_equal(u[1, :300], u_plain[1, :300])
+        assert u[1, 300] != u_plain[1, 300]
 
     def test_unresolved_prior_recurses(self, counted):
         evidence = _evidence("random", 1, 3, 64, seed=5)
@@ -338,7 +367,11 @@ class TestPruningSkipsWork:
         evidence = _polarized(2, 4, 1024, seed=6)
         uniforms = np.random.default_rng(6).uniform(0.25, 0.75, (4, 1024))
         kinds, bits = np.full(1024, LEAF_FREE), np.zeros((4, 1024), np.uint8)
-        u, x = sc_traverse(evidence, None,
+
+        def never(i, llr):
+            raise AssertionError(f"leaf {i} asked of decide")
+
+        u, x = sc_traverse(evidence, never,
                            plan=(kinds, bits, _rounding_margins(uniforms)))
         assert counted == {"f": 0, "g": 0}
         _, (u_ref, x_ref), _ = _margin_passes(evidence, kinds, bits, uniforms)
@@ -355,6 +388,20 @@ class TestPlanChecked:
                      (np.zeros(8), bits[:1])]:
             with pytest.raises(ValueError, match="plan"):
                 sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
+
+    def test_free_leaves_need_decide(self):
+        """decide may be None only when no leaf is FREE: a plan with FREE
+        leaves, or a pass without a plan, is refused up front."""
+        evidence = np.full((1, 2, 8, 2), 0.5)
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        kinds = np.full(8, LEAF_KNOWN)
+        kinds[5] = LEAF_FREE
+        for plan in [(kinds, bits), (kinds, bits, np.full((2, 8), np.inf)), None]:
+            with pytest.raises(ValueError, match="decide"):
+                sc_traverse(evidence, None, plan=plan)
+        kinds[5] = LEAF_PRIOR
+        u, x = sc_traverse(evidence, None, plan=(kinds, bits))
+        np.testing.assert_array_equal(x, polar_transform(u))
 
     def test_plan_and_known_exclusive(self):
         evidence = np.full((1, 2, 8, 2), 0.5)
