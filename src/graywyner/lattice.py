@@ -313,9 +313,13 @@ def _construction_stream(chain, mmse, block_len, sample_count, seed):
     build_multilevel_code contract."""
     gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
     cdf = np.cumsum(chain.window_pmf())
-    v = np.searchsorted(cdf, gen.random((sample_count, block_len)))
-    noise = gen.standard_normal((sample_count, block_len))
-    obs = chain.reconstruction_values()[v] + noise * math.sqrt(mmse.distortion)
+    # labels in the smallest dtype that holds them and samples built in the
+    # noise buffer (x + y == y + x in floats), so the build holds few arrays
+    v = np.searchsorted(cdf, gen.random((sample_count, block_len))).astype(
+        np.min_scalar_type(len(cdf)))
+    obs = gen.standard_normal((sample_count, block_len))
+    obs *= math.sqrt(mmse.distortion)
+    obs += chain.reconstruction_values()[v]
     return v, obs
 
 

@@ -107,7 +107,8 @@ class BinarySourceWithSideInfo:
         return np.broadcast_to(pair, tuple(shape) + (2,))
 
     def sample(self, n_blocks: int, block_len: int, gen: np.random.Generator):
-        """Draw iid (x, y) pairs; returns x:(B,N) uint8 and y:(B,N) intp.
+        """Draw iid (x, y) pairs; returns x:(B,N) uint8 and y:(B,N) in the
+        smallest unsigned dtype that holds K - 1 (uint8 for K <= 256).
 
         Outcome idx = K x + y is drawn as gen.choice(2 K, size=(B, N),
         p=joint.ravel()) draws it: one uniform per symbol in row-major
@@ -119,14 +120,14 @@ class BinarySourceWithSideInfo:
         cdf = self.joint.ravel().cumsum()
         cdf /= cdf[-1]
         x = np.empty((n_blocks, block_len), dtype=np.uint8)
-        y = np.empty((n_blocks, block_len), dtype=np.intp)
+        y = np.empty((n_blocks, block_len), dtype=np.min_scalar_type(k - 1))
         rows = max(1, _SAMPLE_VALUES // max(1, block_len))
         for start in range(0, n_blocks, rows):
             stop = min(start + rows, n_blocks)
             idx = cdf.searchsorted(gen.random((stop - start, block_len)),
                                    side="right")
             np.floor_divide(idx, k, out=x[start:stop], casting="unsafe")
-            np.remainder(idx, k, out=y[start:stop])
+            np.remainder(idx, k, out=y[start:stop], casting="unsafe")
         return x, y
 
 

@@ -15,8 +15,13 @@ tree level, see sc.py) and the statistics of all leaves are taken at once:
 construct_from_evidence does this for any coded variable given callables
 for its evidence; binary channels and lattice levels both supply them.  The
 sampled blocks pass through the recursion in cache-sized slices (see
-traverse_batches), and their statistics enter the running sums one block
-at a time in block order, so a profile does not depend on the slicing.
+traverse_batches), which run on up to _WORKERS threads at once: each slice's
+evidence, pass and statistics are computed on whichever thread claims it,
+and the statistics enter the running sums in the calling thread, one block
+at a time in block order.  Each slice's statistics depend only on its own
+blocks and the sums are always taken in the same order, so a profile does
+not depend on the slicing, on the thread count or on which slice finished
+first.
 
 Indices are then classified against the threshold t = 2^(-N^beta), compared
 in the log domain so tiny values never underflow:
@@ -35,7 +40,10 @@ prior chain is run.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -167,38 +175,184 @@ class PolarProfile:
         return mask
 
 
+# threads that run the slices of a breadth-first pass, the calling thread
+# among them: the CPUs this process may use, at most four
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# (_WORKERS, ThreadPoolExecutor of _WORKERS - 1 helpers), made on first use
+_pool = None
+
+
+def _helper_pool():
+    """The process's pool of _WORKERS - 1 helper threads, made once and
+    kept (and made again only if _WORKERS changed).  Its threads start as
+    passes first need them.
+
+    concurrent.futures imports logging, so it loads here, on the first
+    pass that has more than one slice, not when the package is imported.
+    """
+    global _pool
+    if _pool is None or _pool[0] != _WORKERS:
+        from concurrent.futures import ThreadPoolExecutor
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = _WORKERS, ThreadPoolExecutor(_WORKERS - 1,
+                                             thread_name_prefix="graywyner-slice")
+    return _pool[1]
+
+
+def _drop_pool():
+    global _pool
+    _pool = None
+
+
+# a forked child inherits the pool but none of its threads: it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_slices(work, fold, slices) -> None:
+    """fold(work(start, stop)) for every (start, stop) of slices, with work
+    on up to _WORKERS threads and fold in the calling thread in slice order.
+
+    The calling thread runs slices too; the others are helpers from the
+    process pool, each running under a copy of the caller's context, so
+    NumPy's errstate there is the caller's.  A slice is claimed only while
+    fewer slices than threads are claimed and not yet folded, so no more
+    than one slice per thread is in flight, its result included.  The first
+    exception work raises stops further claims and is raised, unchanged,
+    once no helper is running any more.  One slice (or one worker) runs
+    inline and starts no thread.
+    """
+    threads = min(_WORKERS, len(slices))
+    if threads < 2:
+        for start, stop in slices:
+            fold(work(start, stop))
+        return
+    from concurrent.futures import wait
+    turn = threading.Condition()
+    done, errors = {}, []  # done: slice index -> result, until folded
+    claimed = folded = 0
+    stopped = False
+
+    def claim():
+        """Under turn: the index of the next slice, None if none may be
+        claimed now."""
+        nonlocal claimed
+        if stopped or claimed == len(slices) or claimed - folded == threads:
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def run(i):
+        nonlocal stopped
+        try:
+            result = work(*slices[i])
+        except BaseException as exc:
+            with turn:
+                errors.append(exc)
+                stopped = True
+                turn.notify_all()
+            return
+        with turn:
+            done[i] = result
+            turn.notify_all()
+
+    def helper():
+        while True:
+            with turn:
+                while (i := claim()) is None:
+                    if stopped or claimed == len(slices):
+                        return
+                    turn.wait()
+            run(i)
+
+    pool = _helper_pool()
+    helpers = [pool.submit(contextvars.copy_context().run, helper)
+               for _ in range(threads - 1)]
+    try:
+        while folded < len(slices):
+            with turn:
+                while not stopped and folded not in done and (i := claim()) is None:
+                    turn.wait()
+                if stopped:
+                    break
+                ready = folded in done
+                result = done.pop(folded) if ready else None
+            if not ready:
+                run(i)
+                continue
+            fold(result)
+            with turn:
+                folded += 1
+                turn.notify_all()
+    finally:
+        with turn:
+            stopped = True
+            turn.notify_all()
+        for future in helpers:  # one still queued (the pool busy) never starts
+            future.cancel()
+        wait(helpers)
+    if errors:
+        raise errors[0]
+
+
 def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
-                     plan=None):
+                     plan=None, fold=None):
     """SC passes over n_blocks blocks in bounded batch slices.
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
-    for a slice, conditional chain first and prior chain (if any) last;
-    decide(i, llr, start, stop) decides leaf i of that slice from its LLRs.
+    for a slice, conditional chain first and prior chain (if any) last.
+
     With known (n_blocks, N) leaf bits the passes run breadth-first and
-    decide sees every leaf of a slice at once; otherwise they run depth-first
-    on the leaf plan (kinds, then bits and optional margins over all
-    n_blocks), if any, and decide, None without FREE leaves, sees only
-    those (see sc_traverse).
+    return None.  decide(leaves, llr, start, stop) sees every leaf of a
+    slice at once, leaves = slice(0, N) and llr the slice's (C, stop-start,
+    N) leaf LLRs along the known bits, and fold, if given, receives what
+    it returns.  The slices run on up to _WORKERS threads (see
+    _run_slices): building a slice's evidence, its pass and decide run on
+    whichever thread claims the slice, so they must read shared inputs and
+    write only the slice's own rows.  fold runs in the calling thread, in
+    slice order, so whatever depends on order (construction's running
+    sums) comes out the same however the slices were scheduled.
+
+    Otherwise the passes run depth-first, one slice after another in the
+    calling thread, on the leaf plan (kinds, then bits and optional margins
+    over all n_blocks), if any; decide(i, llr, start, stop), None without
+    FREE leaves, sees only those (see sc_traverse).  Returns (u, x) over
+    all blocks, as sc_traverse does.
+
     Each kind of pass has its own slice budget (see sc.chunked_batches):
     breadth-first slices are cache-sized, so construction and the lossless
-    encoder hold the evidence of a few blocks at a time, while depth-first
-    slices are large, so a coded batch shares one walk of the tree.
-    Returns (u, x) over all blocks, as sc_traverse does.
+    encoder hold the evidence of a few blocks per thread at a time, while
+    depth-first slices are large, so a coded batch shares one walk of the
+    tree.
     """
+    slices = list(chunked_batches(n_blocks, len(chains), block_len,
+                                  breadth_first=known is not None))
+
+    def evidence(start, stop):
+        # one chain needs no stacked copy, only a leading chain axis
+        return (chains[0](start, stop)[None] if len(chains) == 1
+                else np.stack([chain(start, stop) for chain in chains]))
+
+    if known is not None:
+        def work(start, stop):
+            out = []
+            sc_traverse(evidence(start, stop),
+                        lambda leaves, llr: out.append(decide(leaves, llr, start, stop)),
+                        known=known[start:stop])
+            return out[0]
+
+        _run_slices(work, fold or (lambda _: None), slices)
+        return None
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
     x = np.empty((n_blocks, block_len), dtype=np.uint8)
-    for start, stop in chunked_batches(n_blocks, len(chains), block_len,
-                                       breadth_first=known is not None):
-        # one chain needs no stacked copy, only a leading chain axis
-        evidence = (chains[0](start, stop)[None] if len(chains) == 1
-                    else np.stack([chain(start, stop) for chain in chains]))
+    for start, stop in slices:
         kw = {}
-        if known is not None:
-            kw["known"] = known[start:stop]
         if plan is not None:
             kw["plan"] = (plan[0],) + tuple(p[start:stop] for p in plan[1:])
         u[start:stop], x[start:stop] = sc_traverse(
-            evidence, None if decide is None
+            evidence(start, stop), None if decide is None
             else lambda i, llr: decide(i, llr, start, stop), **kw)
     return u, x
 
@@ -233,10 +387,14 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     """Monte Carlo construction from (sample_count, N) true blocks of the
     coded variable and evidence callables over their slices (see
     traverse_batches); prior=None means a uniform prior, with no prior chain.
+    The callables may be called from several threads at once.
 
-    z and h enter their running sums one block at a time, in block order,
-    so the sums, and the profile, do not depend on how the blocks are
-    sliced into passes."""
+    Each slice's z and h are computed on the thread that runs the slice,
+    from that slice's blocks alone, and enter the running sums in the
+    calling thread one block at a time, in block order (traverse_batches
+    folds slices in slice order), so the sums, and the profile, do not
+    depend on how the blocks are sliced into passes, on how many threads
+    run them or on the order in which they finish."""
     sample_count, block_len = x_true.shape
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -247,13 +405,17 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     z_sum = np.zeros((len(chains), block_len))
     h_sum = np.zeros((len(chains), block_len))
 
-    def leaf_stats(leaves, llr, start, stop):
-        z, h = _leaf_statistics(llr, u_true[start:stop, leaves])
-        for block in range(stop - start):
-            z_sum[:, leaves] += z[:, block]
-            h_sum[:, leaves] += h[:, block]
+    def leaf_stats(leaves, llr, start, stop):  # on any thread
+        return _leaf_statistics(llr, u_true[start:stop, leaves])
 
-    traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true)
+    def add(stats):  # in the calling thread, in slice order
+        z, h = stats
+        for block in range(z.shape[1]):
+            z_sum[:] += z[:, block]
+            h_sum[:] += h[:, block]
+
+    traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true,
+                     fold=add)
     z = z_sum / sample_count
     h = h_sum / sample_count
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform

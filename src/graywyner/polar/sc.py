@@ -41,10 +41,13 @@ There are two passes, chosen by the input:
   evaluated one level at a time over all nodes at once; ``stats`` is called
   once with the LLRs of every leaf.
 
-Each pass runs over the whole batch it is given.  Callers slice large
-batches with ``chunked_batches``, whose budget depends on the pass: small
-cache-sized slices for the breadth-first pass, large ones for the
-depth-first pass (see there).
+Each pass runs over the whole batch it is given, and turns its evidence
+into LLRs before it starts, so the posteriors are freed for the pass.
+Callers slice large batches with ``chunked_batches``, whose budget depends
+on the pass: small cache-sized slices for the breadth-first pass, large
+ones for the depth-first pass (see there).  The engine keeps no state
+between passes, so the slices of a breadth-first batch may run on several
+threads at once (polar/profile.py does).
 
 The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
 nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
@@ -195,8 +198,8 @@ def map_bits(llr: np.ndarray) -> np.ndarray:
     return (llr < 0).astype(np.uint8)
 
 
-def _depth_first(evidence: np.ndarray, decide, kinds, bits, margins):
-    n_blocks, block_len = evidence.shape[1:3]
+def _depth_first(llr: np.ndarray, has_inf: bool, decide, kinds, bits, margins):
+    n_blocks, block_len = llr.shape[1:]
     u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
 
     def counts_before(leaves):
@@ -245,11 +248,6 @@ def _depth_first(evidence: np.ndarray, decide, kinds, bits, margins):
         u_out[:, lo:lo + width] = polar_transform(x)
         return x
 
-    root = rate0(0, block_len)
-    if root is not None:
-        return u_out, root
-    llr, has_inf = _llrs(evidence)
-
     def rec(node: np.ndarray, lo: int) -> np.ndarray:
         width = node.shape[2]
         if width == 1:
@@ -277,8 +275,7 @@ def _depth_first(evidence: np.ndarray, decide, kinds, bits, margins):
     return u_out, x
 
 
-def _breadth_first(evidence: np.ndarray, u: np.ndarray, stats):
-    llr, has_inf = _llrs(evidence)
+def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
     n_chains, n_blocks, block_len = llr.shape
     codeword = polar_transform(u)
     # partial holds the transform of u over every aligned slice of the
@@ -376,17 +373,23 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
         raise ValueError(f"block length must be a power of two, got {block_len}")
     if known is not None and plan is not None:
         raise ValueError("known selects the breadth-first pass, which takes no plan")
-    with np.errstate(invalid="ignore", over="ignore"):
-        if known is None:
-            kinds, bits, margins = _checked_plan(plan, n_blocks, block_len)
-            if decide is None and (kinds == LEAF_FREE).any():
-                raise ValueError("a pass with FREE leaves needs a decide callback")
-            return _depth_first(evidence, decide, kinds, bits, margins)
+    if known is None:
+        kinds, bits, margins = _checked_plan(plan, n_blocks, block_len)
+        if decide is None and (kinds == LEAF_FREE).any():
+            raise ValueError("a pass with FREE leaves needs a decide callback")
+        if (kinds == LEAF_KNOWN).all():  # a rate-0 root reads no evidence
+            return bits.copy(), polar_transform(bits)
+    else:
         u = np.asarray(known, dtype=np.uint8)
         if u.shape != (n_blocks, block_len):
             raise ValueError(
                 f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")
-        return _breadth_first(evidence, u, decide)
+    llr, has_inf = _llrs(evidence)
+    del evidence  # the pass reads only the LLRs: free the posteriors now
+    with np.errstate(invalid="ignore", over="ignore"):
+        if known is None:
+            return _depth_first(llr, has_inf, decide, kinds, bits, margins)
+        return _breadth_first(llr, has_inf, u, decide)
 
 
 def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
@@ -397,11 +400,17 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
 
     A breadth-first pass does a fixed number of vectorized steps per slice,
     so small slices cost it little overhead, and they keep its node arrays
-    in cache and its memory bounded by the slice instead of the batch.  A
-    depth-first pass pays its per-node Python overhead once per slice, so
-    it takes slices as large as memory allows: a 64-block two-chain coding
-    pass at N=4096 (2^19 values) must stay one slice, or every coded batch
-    would walk the tree several times.
+    in cache and its memory bounded by the slice instead of the batch.
+    Its slices are independent, and nearly all its time goes to NumPy
+    calls on a whole slice, which release the GIL, so traverse_batches
+    (polar/profile.py) runs them on several threads, one slice per thread
+    at a time, and folds their results in slice order.
+
+    A depth-first pass pays its per-node Python overhead, which holds the
+    GIL, once per slice, so its slices run one after another and are as
+    large as memory allows: a 64-block two-chain coding pass at N=4096
+    (2^19 values) must stay one slice, or every coded batch would walk the
+    tree several times.
     """
     per_block = max(1, n_chains * block_len)
     budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES
