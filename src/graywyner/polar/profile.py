@@ -15,13 +15,13 @@ tree level, see sc.py) and the statistics of all leaves are taken at once:
 construct_from_evidence does this for any coded variable given callables
 for its evidence; binary channels and lattice levels both supply them.  The
 sampled blocks pass through the recursion in cache-sized slices (see
-traverse_batches), which run on up to _WORKERS threads at once: each slice's
-evidence, pass and statistics are computed on whichever thread claims it,
-and the statistics enter the running sums in the calling thread, one block
-at a time in block order.  Each slice's statistics depend only on its own
-blocks and the sums are always taken in the same order, so a profile does
-not depend on the slicing, on the thread count or on which slice finished
-first.
+traverse_batches), which run in waves of up to _WORKERS slices, one per
+thread: each slice's evidence, pass and statistics are computed on the
+thread that runs it, and once the wave has finished its statistics enter
+the running sums in the calling thread, one block at a time in block
+order.  Each slice's statistics depend only on its own blocks and the sums
+are always taken in the same order, so a profile does not depend on the
+slicing, on the thread count or on which slice finished first.
 
 Indices are then classified against the threshold t = 2^(-N^beta), compared
 in the log domain so tiny values never underflow:
@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextvars
 import json
 import os
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -215,13 +214,14 @@ def _run_slices(work, fold, slices) -> None:
     """fold(work(start, stop)) for every (start, stop) of slices, with work
     on up to _WORKERS threads and fold in the calling thread in slice order.
 
-    The calling thread runs slices too; the others are helpers from the
-    process pool, each running under a copy of the caller's context, so
-    NumPy's errstate there is the caller's.  A slice is claimed only while
-    fewer slices than threads are claimed and not yet folded, so no more
-    than one slice per thread is in flight, its result included.  The first
-    exception work raises stops further claims and is raised, unchanged,
-    once no helper is running any more.  One slice (or one worker) runs
+    The slices run in waves of one slice per thread: the calling thread
+    runs a wave's first slice and helpers from the process pool run the
+    others, each under a copy of the caller's context, so NumPy's errstate
+    there is the caller's.  Once every slice of the wave has finished, its
+    results are folded in slice order and the next wave starts, so no more
+    than one slice per thread is in flight, its result included.  A failing
+    wave raises the exception of its first failing slice, unchanged, once
+    none of its slices is running any more.  One slice (or one worker) runs
     inline and starts no thread.
     """
     threads = min(_WORKERS, len(slices))
@@ -230,71 +230,17 @@ def _run_slices(work, fold, slices) -> None:
             fold(work(start, stop))
         return
     from concurrent.futures import wait
-    turn = threading.Condition()
-    done, errors = {}, []  # done: slice index -> result, until folded
-    claimed = folded = 0
-    stopped = False
-
-    def claim():
-        """Under turn: the index of the next slice, None if none may be
-        claimed now."""
-        nonlocal claimed
-        if stopped or claimed == len(slices) or claimed - folded == threads:
-            return None
-        claimed += 1
-        return claimed - 1
-
-    def run(i):
-        nonlocal stopped
-        try:
-            result = work(*slices[i])
-        except BaseException as exc:
-            with turn:
-                errors.append(exc)
-                stopped = True
-                turn.notify_all()
-            return
-        with turn:
-            done[i] = result
-            turn.notify_all()
-
-    def helper():
-        while True:
-            with turn:
-                while (i := claim()) is None:
-                    if stopped or claimed == len(slices):
-                        return
-                    turn.wait()
-            run(i)
-
     pool = _helper_pool()
-    helpers = [pool.submit(contextvars.copy_context().run, helper)
-               for _ in range(threads - 1)]
-    try:
-        while folded < len(slices):
-            with turn:
-                while not stopped and folded not in done and (i := claim()) is None:
-                    turn.wait()
-                if stopped:
-                    break
-                ready = folded in done
-                result = done.pop(folded) if ready else None
-            if not ready:
-                run(i)
-                continue
+    for first in range(0, len(slices), threads):
+        (start, stop), *rest = slices[first:first + threads]
+        helpers = [pool.submit(contextvars.copy_context().run, work, *s)
+                   for s in rest]
+        try:
+            results = [work(start, stop)]
+        finally:
+            wait(helpers)
+        for result in results + [future.result() for future in helpers]:
             fold(result)
-            with turn:
-                folded += 1
-                turn.notify_all()
-    finally:
-        with turn:
-            stopped = True
-            turn.notify_all()
-        for future in helpers:  # one still queued (the pool busy) never starts
-            future.cancel()
-        wait(helpers)
-    if errors:
-        raise errors[0]
 
 
 def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
@@ -308,12 +254,13 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     return None.  decide(leaves, llr, start, stop) sees every leaf of a
     slice at once, leaves = slice(0, N) and llr the slice's (C, stop-start,
     N) leaf LLRs along the known bits, and fold, if given, receives what
-    it returns.  The slices run on up to _WORKERS threads (see
-    _run_slices): building a slice's evidence, its pass and decide run on
-    whichever thread claims the slice, so they must read shared inputs and
-    write only the slice's own rows.  fold runs in the calling thread, in
-    slice order, so whatever depends on order (construction's running
-    sums) comes out the same however the slices were scheduled.
+    it returns.  The slices run in waves of up to _WORKERS slices, one
+    per thread (see _run_slices): building a slice's evidence, its pass
+    and decide run on whichever thread runs the slice, so they must read
+    shared inputs and write only the slice's own rows.  fold runs in the
+    calling thread, in slice order, so whatever depends on order
+    (construction's running sums) comes out the same however the slices
+    were scheduled.
 
     Otherwise the passes run depth-first, one slice after another in the
     calling thread, on the leaf plan (kinds, then bits and optional margins
@@ -421,10 +368,11 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform
         z = np.vstack([z, np.ones(block_len)])
         h = np.vstack([h, np.ones(block_len)])
+    # plain int and float: a NumPy scalar seed or beta would not serialize
     return PolarProfile(
         channel_id=channel_id, channel_name=channel_name,
-        block_len=block_len, beta=beta, sample_count=sample_count, seed=seed,
-        z_cond=z[0], z_prior=z[1], h_cond=h[0], h_prior=h[1],
+        block_len=block_len, beta=float(beta), sample_count=sample_count,
+        seed=int(seed), z_cond=z[0], z_prior=z[1], h_cond=h[0], h_prior=h[1],
         classes=classify_indices(z[0], z[1], block_len, beta))
 
 

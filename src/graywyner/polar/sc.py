@@ -47,7 +47,7 @@ Callers slice large batches with ``chunked_batches``, whose budget depends
 on the pass: small cache-sized slices for the breadth-first pass, large
 ones for the depth-first pass (see there).  The engine keeps no state
 between passes, so the slices of a breadth-first batch may run on several
-threads at once (polar/profile.py does).
+threads at once (polar/profile.py runs them in waves, one slice per thread).
 
 The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
 nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
@@ -403,8 +403,8 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
     in cache and its memory bounded by the slice instead of the batch.
     Its slices are independent, and nearly all its time goes to NumPy
     calls on a whole slice, which release the GIL, so traverse_batches
-    (polar/profile.py) runs them on several threads, one slice per thread
-    at a time, and folds their results in slice order.
+    (polar/profile.py) runs them in waves of one slice per thread and
+    folds each wave's results in slice order before the next wave starts.
 
     A depth-first pass pays its per-node Python overhead, which holds the
     GIL, once per slice, so its slices run one after another and are as

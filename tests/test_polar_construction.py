@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graywyner import lattice as lattice_module
 from graywyner import rng
 from graywyner.gaussian import GaussianPairModel, reduce_pair
 from graywyner.lattice import build_multilevel_code, plan_chain
@@ -39,6 +40,7 @@ from graywyner.polar import test_channel_source as make_quantizer_source
 from graywyner.polar.profile import below_log_threshold
 
 A1 = 0.0584119566836076573
+_LATTICE_MMSE = reduce_pair(GaussianPairModel(0.8)).mmse
 
 
 def _surprisal(llr, bits):
@@ -316,6 +318,28 @@ class TestProfileCache:
         np.testing.assert_array_equal(load_profile(path).classes, fresh.classes)
         # a miss overwrites the entry; a served entry would stay as planted
         assert path.read_text() == rebuilt
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda d: (construct_profile_cached(
+            crossover_side_info(0.1), 64, d, sample_count=8, seed=np.int64(3)),),
+            id="int64-seed"),
+        pytest.param(lambda d: (construct_profile_cached(
+            crossover_side_info(0.1), 64, d, sample_count=8, beta=np.float32(0.25)),),
+            id="float32-beta"),
+        pytest.param(lambda d: build_multilevel_code(
+            plan_chain(_LATTICE_MMSE), _LATTICE_MMSE, 64, sample_count=8,
+            seed=np.int64(2), cache_dir=d).profiles, id="int64-lattice-seed"),
+    ])
+    def test_numpy_scalar_parameters_are_cached(self, tmp_path, monkeypatch, build):
+        first = build(tmp_path)
+        assert len(list(tmp_path.glob("profile_*.json"))) == len(first)
+
+        def no_construction(*args, **kwargs):
+            raise AssertionError("a cached profile was constructed again")
+
+        monkeypatch.setattr(profile_module, "construct_from_evidence", no_construction)
+        monkeypatch.setattr(lattice_module, "construct_from_evidence", no_construction)
+        _assert_same_profiles(build(tmp_path), first)
 
 
 PROFILE_FIELDS = ("z_cond", "z_prior", "h_cond", "h_prior", "classes")

@@ -1,7 +1,8 @@
 """Breadth-first slices on several threads: construction profiles and
 lossless codes are byte-equal for every thread count, even when slices
-finish out of order; a failing slice raises its own exception once no
-slice is running; one-slice passes and tiny pipelines start no thread;
+finish out of order; no more slices are started and unfolded than there
+are threads; a failing slice raises its own exception once no slice is
+running; one-slice passes and tiny pipelines start no thread;
 a forked child makes its own pool; workers see the caller's NumPy errstate."""
 
 import hashlib
@@ -141,13 +142,16 @@ class TestSameBytesForEveryThreadCount:
 
 class TestFailuresAndThreads:
 
-    def test_failure_reaches_the_caller_after_every_slice_stopped(self, monkeypatch):
+    # slice 5 runs on a helper, slice 6 (the first of a wave) in the caller
+    @pytest.mark.parametrize("failing_slice", [5, 6])
+    def test_failure_reaches_the_caller_after_every_slice_stopped(
+            self, monkeypatch, failing_slice):
         channel = _two_chain_channel()
         x, y = channel.sample(16, 128, rng.stream(10, rng.STREAM_CONSTRUCTION))
         cond, prior = channel_evidence(channel, y)
         _slice_blocks(monkeypatch, 1, 2, 128)  # 16 slices
         monkeypatch.setattr(profile_module, "_WORKERS", 3)
-        error = RuntimeError("slice 5 failed")
+        error = RuntimeError(f"slice {failing_slice} failed")
         running, lock = [0], threading.Lock()
 
         def failing(start, stop):
@@ -155,7 +159,7 @@ class TestFailuresAndThreads:
                 running[0] += 1
             try:
                 time.sleep(0.002)
-                if start == 5:
+                if start == failing_slice:
                     raise error
                 return cond(start, stop)
             finally:
@@ -170,6 +174,30 @@ class TestFailuresAndThreads:
         construct_from_evidence(x, cond, prior, beta=0.25, seed=0,
                                 channel_id="c", channel_name="c")
         assert running[0] == 0
+
+    def test_at_most_one_unfolded_slice_per_thread(self, monkeypatch):
+        """Slices started but not yet folded, their results included, never
+        outnumber the threads, even when folding is slower than the slices;
+        the results are folded in slice order."""
+        monkeypatch.setattr(profile_module, "_WORKERS", 3)
+        lock = threading.Lock()
+        started, folded, peak = [0], [], [0]
+
+        def work(start, stop):
+            with lock:
+                started[0] += 1
+                peak[0] = max(peak[0], started[0] - len(folded))
+            time.sleep(0.001)
+            return start
+
+        def fold(result):
+            time.sleep(0.003)
+            with lock:
+                folded.append(result)
+
+        profile_module._run_slices(work, fold, [(i, i + 1) for i in range(12)])
+        assert folded == list(range(12))
+        assert 1 < peak[0] <= 3
 
     def test_one_slice_runs_inline(self, monkeypatch):
         def no_pool():
