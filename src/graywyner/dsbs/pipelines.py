@@ -22,7 +22,10 @@ from the polar coding layer:
 Each branch of run_dsbs_pipeline sets only the rates, theory figures,
 region, targets and reconstructions (lossless points keep the sources), and
 one RunRecord is built from them.  LossyCoupled and LossyLopsided share a
-branch: both serve one quantized bit to both decoders.
+branch: both serve one quantized bit to both decoders.  Private branches
+that code with one channel (the X and Y branches of PointG and CurveGB,
+the two refinements of LossyTinyBoth) are stacked into one batch that
+shares each SC pass; every block is coded exactly as it would be alone.
 
 Rates are measured, not assumed: lossless branches charge their stored set
 plus log2(N) + 1 bits per recorded correction, lossy branches charge their
@@ -155,26 +158,61 @@ class _Stages:
                 construct_profile_cached(channel, self.block_len, self.cache_dir, **kw))
         return self.profiles[key]
 
-    def quantize(self, channel, obs, cap_margin, level):
-        """Lossy stage: returns (rate fraction, reconstruction blocks)."""
-        cap = channel.mutual_information() + _scaled(cap_margin, self.block_len)
-        profile = self.profile_for(channel).with_payload_cap(cap)
-        payload, recon = sc_lossy_encode(obs, channel, profile,
-                                         shared_seed=self.seed, level=level)
-        replay = sc_lossy_reconstruct(payload, channel, profile,
-                                      shared_seed=self.seed, level=level)
-        check_replay(replay, recon, "lossy replay")
-        return profile.payload_fraction, recon
+    def quantize(self, cap_margin, *branches):
+        """Lossy stages of (channel, obs, level) branches: returns one (rate
+        fraction, reconstruction blocks) per branch.  Branches that share a
+        channel are one encode and one replay (see _by_channel), each
+        branch's dither at its own level."""
+        def code(channel, obs, levels):
+            cap = channel.mutual_information() + _scaled(cap_margin, self.block_len)
+            profile = self.profile_for(channel).with_payload_cap(cap)
+            payload, recon = sc_lossy_encode(obs, channel, profile,
+                                             shared_seed=self.seed, level=levels)
+            replay = sc_lossy_reconstruct(payload, channel, profile,
+                                          shared_seed=self.seed, level=levels)
+            check_replay(replay, recon, "lossy replay")
+            return [(profile.payload_fraction, part)
+                    for part in np.split(recon, len(levels))]
 
-    def lossless(self, bits, channel, margin, side=None):
-        """Lossless stage: returns per-block rates; verifies exactness."""
-        stored = channel.entropy_x_given_y() + _scaled(margin, self.block_len)
-        profile = self.profile_for(channel)
-        code = sc_lossless_encode(bits, channel, profile,
-                                  stored_fraction=min(stored, 1.0), side=side)
-        decoded = sc_lossless_decode(code, channel, profile, side=side)
-        check_replay(decoded, bits, "lossless branch")
-        return code.rate_per_block(self.block_len)
+        return _by_channel(branches, code)
+
+    def lossless(self, margin, *branches):
+        """Lossless stages of (channel, bits, side) branches: returns the
+        per-block rates of each branch; verifies exactness.  Branches that
+        share a channel are one encode and one decode (see _by_channel)."""
+        def code(channel, bits, sides):
+            stored = channel.entropy_x_given_y() + _scaled(margin, self.block_len)
+            profile = self.profile_for(channel)
+            side = None if sides[0] is None else np.concatenate(sides)
+            packed = sc_lossless_encode(bits, channel, profile,
+                                        stored_fraction=min(stored, 1.0), side=side)
+            decoded = sc_lossless_decode(packed, channel, profile, side=side)
+            check_replay(decoded, bits, "lossless branch")
+            return np.split(packed.rate_per_block(self.block_len), len(sides))
+
+        return _by_channel(branches, code)
+
+
+def _by_channel(branches, code):
+    """Code (channel, blocks, extra) branches, one batch per channel id.
+
+    code(channel, blocks, extras) receives the blocks of the branches that
+    share the channel stacked in branch order, and their extras as a tuple;
+    it returns one result per branch of the group.  The branches of an op
+    that code with one profile (its X and Y twins) so share one SC pass.
+    Returns the results in branch order.
+    """
+    groups = {}
+    for i, branch in enumerate(branches):
+        groups.setdefault(branch[0].channel_id(), []).append(i)
+    results = [None] * len(branches)
+    for members in groups.values():
+        group = [branches[i] for i in members]
+        for i, result in zip(members, code(
+                group[0][0], np.concatenate([b[1] for b in group]),
+                tuple(b[2] for b in group))):
+            results[i] = result
+    return results
 
 
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,8 +232,9 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
     region, theory_ci, targets = None, model.wyner_ci(), (0.0, 0.0)
 
     if isinstance(point, PointA):
-        rates = (1.0, 0.0, stages.lossless(x ^ y, lossless_source(model.a0),
-                                           PLAIN_LOSSLESS_MARGIN))
+        (r2,) = stages.lossless(PLAIN_LOSSLESS_MARGIN,
+                                (lossless_source(model.a0), x ^ y, None))
+        rates = (1.0, 0.0, r2)
         theory = RateTriple(1.0, 0.0, binary_entropy(model.a0))
 
     elif isinstance(point, (PointG, LineAG, CurveGB)):
@@ -215,13 +254,11 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
             channel = build_gb_channel(model, point.beta)
             cross_x = cross_y = point.beta
             theory = gb_theory_triple(model, point.beta)
-        r0_frac, w_hat = stages.quantize(channel, pair_observation(x, y),
-                                         COMMON_MARGIN, COMMON_LEVEL)
-        rates = (r0_frac,
-                 stages.lossless(x, crossover_side_info(cross_x),
-                                 SIDE_LOSSLESS_MARGIN, side=w_hat),
-                 stages.lossless(y, crossover_side_info(cross_y),
-                                 SIDE_LOSSLESS_MARGIN, side=w_hat))
+        ((r0_frac, w_hat),) = stages.quantize(
+            COMMON_MARGIN, (channel, pair_observation(x, y), COMMON_LEVEL))
+        rates = (r0_frac, *stages.lossless(
+            SIDE_LOSSLESS_MARGIN, (crossover_side_info(cross_x), x, w_hat),
+            (crossover_side_info(cross_y), y, w_hat)))
 
     elif isinstance(point, LossyTinyBoth):
         delta = point.delta
@@ -229,17 +266,16 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
         if region is not DsbsRegion.TINY_BOTH:
             raise ValueError(f"delta={delta} falls in {region.name}; this "
                              "pipeline needs both distortions at most a1")
-        r0_frac, w_hat = stages.quantize(build_point_g_channel(model),
-                                         pair_observation(x, y),
-                                         COMMON_MARGIN, COMMON_LEVEL)
+        ((r0_frac, w_hat),) = stages.quantize(
+            COMMON_MARGIN,
+            (build_point_g_channel(model), pair_observation(x, y), COMMON_LEVEL))
         refine_prior = (model.a1 - delta) / (1.0 - 2.0 * delta)
         forward = np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
         refine = test_channel_source(refine_prior, forward,
                                      name="residual-refinement")
-        r1_frac, vx = stages.quantize(refine, x ^ w_hat, REFINE_MARGIN,
-                                      PRIVATE_X_LEVEL)
-        r2_frac, vy = stages.quantize(refine, y ^ w_hat, REFINE_MARGIN,
-                                      PRIVATE_Y_LEVEL)
+        (r1_frac, vx), (r2_frac, vy) = stages.quantize(
+            REFINE_MARGIN, (refine, x ^ w_hat, PRIVATE_X_LEVEL),
+            (refine, y ^ w_hat, PRIVATE_Y_LEVEL))
         rates = (r0_frac, r1_frac, r2_frac)
         x_hat, y_hat = w_hat ^ vx, w_hat ^ vy
         rate = binary_entropy(model.a1) - binary_entropy(delta)
@@ -267,7 +303,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                                 [d_tight, 1.0 - d_tight]])
             channel = test_channel_source(0.5, forward, name="single-coordinate")
             obs, margin = (y if d1 > d2 else x), COMMON_MARGIN
-        r0_frac, w_hat = stages.quantize(channel, obs, margin, COMMON_LEVEL)
+        ((r0_frac, w_hat),) = stages.quantize(margin, (channel, obs, COMMON_LEVEL))
         rates = (r0_frac, 0.0, 0.0)
         x_hat = y_hat = w_hat
         theory = RateTriple(r_xy_dsbs(d1, d2, model), 0.0, 0.0)

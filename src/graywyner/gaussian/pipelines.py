@@ -195,22 +195,27 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
     x, y = model.sample(n_blocks, block_len, gen)
     base = 1.0 - model.rho
 
-    codes = {}  # by target distortion: d1 == d2 builds one code
-
-    def refine(target_d, src, stream_base):
-        """(rates, distortions, theory rate) of one coordinate's branch."""
-        if target_d >= base * (1.0 - 1e-12):
-            return np.zeros(n_blocks), _mse(src, w), 0.0
-        if target_d not in codes:
-            codes[target_d] = _build_code(
-                mmse_params(base, base - target_d), block_len, cache_dir,
-                sample_count, construction_seed)
-        rate, q = _quantize_checked(src - w, codes[target_d], common_run.seed,
-                                    stream_base=stream_base)
-        return rate, _mse(src, w + q), 0.5 * math.log2(base / target_d)
-
-    r1, dist_x, theory_r1 = refine(d1, x, REFINE_X_STREAM_BASE)
-    r2, dist_y, theory_r2 = refine(d2, y, REFINE_Y_STREAM_BASE)
+    coords = ((d1, x, REFINE_X_STREAM_BASE), (d2, y, REFINE_Y_STREAM_BASE))
+    # (rates, distortions, theory rate) of each coordinate's branch; one at
+    # the boundary distortion rides the common reconstruction
+    branches = [(np.zeros(n_blocks), _mse(src, w), 0.0) for _, src, _ in coords]
+    # the others by target distortion: d1 == d2 is one code, one quantize
+    # and one replay, the two residuals stacked with their own stream bases
+    groups = {}
+    for i, (target_d, _, _) in enumerate(coords):
+        if target_d < base * (1.0 - 1e-12):
+            groups.setdefault(target_d, []).append(i)
+    for target_d, members in groups.items():
+        code = _build_code(mmse_params(base, base - target_d), block_len,
+                           cache_dir, sample_count, construction_seed)
+        rate, q = _quantize_checked(
+            np.concatenate([coords[i][1] - w for i in members]), code,
+            common_run.seed, stream_base=tuple(coords[i][2] for i in members))
+        for i, part_rate, part in zip(members, np.split(rate, len(members)),
+                                      np.split(q, len(members))):
+            branches[i] = (part_rate, _mse(coords[i][1], w + part),
+                           0.5 * math.log2(base / target_d))
+    (r1, dist_x, theory_r1), (r2, dist_y, theory_r2) = branches
     return RunRecord(
         point_label="REFINED", block_len=block_len, seed=common_run.seed,
         region=region.value,

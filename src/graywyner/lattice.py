@@ -401,6 +401,14 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
 # quantization
 # ---------------------------------------------------------------------------
 
+def _level_streams(stream_base, level: int):
+    """The stream level of one chain level: stream_base + level - 1, taken
+    per base when stream_base is a tuple of bases."""
+    if isinstance(stream_base, tuple):
+        return tuple(base + level - 1 for base in stream_base)
+    return stream_base + level - 1
+
+
 def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
                      block_offset: int = 0,
                      stream_base: int = LATTICE_STREAM_BASE):
@@ -414,7 +422,9 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
     Dither and rounding streams are addressed by (shared_seed,
     stream_base + level - 1, block_offset + block), so results do not
     depend on batch splits and several quantizers can share one seed by
-    taking distinct stream bases.
+    taking distinct stream bases.  stream_base may be a tuple of G bases:
+    the B rows then form G equal groups, group g quantized as a call on its
+    rows alone with stream_base[g] would, all in one pass per level.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
@@ -431,7 +441,7 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
         cond, prior = _level_evidence(code.chain, code.mmse, level, labels, samples)
         payload, w_bits = lossy_encode_from_evidence(
             cond, prior, profile, n_blocks, shared_seed, block_offset,
-            stream_base + level - 1)
+            _level_streams(stream_base, level))
         labels += w_bits.astype(np.int64) << (level - 1)
         payloads.append(payload)
     return tuple(payloads), code.chain.reconstruction_values()[labels]
@@ -444,7 +454,8 @@ def lattice_reconstruct(payloads, code: MultilevelLatticeCode, shared_seed: int,
 
     Each level runs the polar layer's one replay, which decides its
     frozen-deterministic indices by the prior evidence of its cosets;
-    levels without them need no traversal there.
+    levels without them need no traversal there.  stream_base as in
+    lattice_quantize.
     """
     if len(payloads) != code.levels:
         raise ValueError(f"expected {code.levels} payload arrays, got {len(payloads)}")
@@ -454,6 +465,6 @@ def lattice_reconstruct(payloads, code: MultilevelLatticeCode, shared_seed: int,
         _, prior = _level_evidence(code.chain, code.mmse, level, labels)
         w_bits = lossy_reconstruct_from_evidence(
             payload, prior, profile, n_blocks, shared_seed, block_offset,
-            stream_base + level - 1)
+            _level_streams(stream_base, level))
         labels += w_bits.astype(np.int64) << (level - 1)
     return code.chain.reconstruction_values()[labels]

@@ -98,8 +98,14 @@ class BinarySourceWithSideInfo:
         return self._cond.T.copy()
 
     def leaf_evidence(self, y: np.ndarray) -> np.ndarray:
-        """Per-position posterior (..., 2) for observed side symbols y."""
-        return self.conditional_table()[np.asarray(y, dtype=np.intp)]
+        """Per-position posterior (..., 2) for observed side symbols y.
+
+        Integer symbols index the table in their own dtype, with no intp
+        copy; anything else is cast to intp first."""
+        y = np.asarray(y)
+        if y.dtype.kind not in "iu":
+            y = y.astype(np.intp)
+        return self.conditional_table()[y]
 
     def prior_evidence(self, shape) -> np.ndarray:
         """Read-only broadcast array of the prior pair over the given shape."""

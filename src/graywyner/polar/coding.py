@@ -10,10 +10,15 @@ correction log2(N) + 1 bits (index plus flag) on top of the stored set.
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
 identical on both sides without communication and independent of batch
-size.  Frozen-deterministic indices (present only for nonuniform priors)
-are decided by the prior chain, whose arithmetic is elementwise and so
-bit-identical between the encoder's two-chain pass and the decoder's
-single-chain pass.  INFO decisions use randomized rounding on the
+size.  level may also be a tuple of G levels: the n_blocks rows of a call
+then form G equal groups, and row r of group g draws its dither and
+rounding uniforms at (shared seed, level[g], block_offset + r), as a call
+on group g alone with level[g] would.  So branches that code with one
+profile (an op's X and Y twins) share one SC pass, every row coded as it
+would be on its own.  Frozen-deterministic indices (present only for
+nonuniform priors) are decided by the prior chain, whose arithmetic is
+elementwise and so bit-identical between the encoder's two-chain pass and
+the decoder's single-chain pass.  INFO decisions use randomized rounding on the
 conditional P(1) = 1/(1 + e^L).  The reconstruction is the codeword of
 the decided bit vector.  In the depth-first plan (see sc.py) the encoder
 has frozen-random leaves KNOWN, deterministic leaves PRIOR (with no
@@ -77,10 +82,13 @@ def _check_pairing(channel: BinarySourceWithSideInfo, profile: PolarProfile) -> 
 
 
 def _side_symbols(channel, side, shape):
+    """Checked side symbols in the smallest unsigned dtype that holds K - 1,
+    which leaf_evidence indexes with as they are."""
+    symbols = np.min_scalar_type(channel.side_alphabet_size - 1)
     if side is None:
         if channel.side_alphabet_size != 1:
             raise ValueError("channel has side information; pass the side array")
-        return np.zeros(shape, dtype=np.intp)
+        return np.zeros(shape, dtype=symbols)
     side = np.asarray(side)
     if side.shape != shape:
         raise ValueError(f"side must have shape {shape}, got {side.shape}")
@@ -92,7 +100,7 @@ def _side_symbols(channel, side, shape):
     k = channel.side_alphabet_size
     if side.size and (side.min() < 0 or side.max() >= k):
         raise ValueError(f"side symbols must lie in [0, {k})")
-    return side.astype(np.intp)
+    return side.astype(symbols, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +197,16 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
 
 def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
                    block_len):
-    stream_id = rng.substream(stream, level)
-    rows = [draw(shared_seed, stream_id, block_offset + b, block_len)
-            for b in range(n_blocks)]
+    """(n_blocks, N) draws, row r of group g at (shared_seed, substream
+    level[g], block_offset + r) for a tuple level of G levels (n_blocks
+    rows in G equal groups), or at level itself for an integer level."""
+    levels = level if isinstance(level, tuple) else (level,)
+    if not levels or n_blocks % len(levels):
+        raise ValueError(f"{n_blocks} blocks do not form {len(levels)} equal "
+                         f"groups, one per level of {level!r}")
+    per_level = n_blocks // len(levels)
+    rows = [draw(shared_seed, rng.substream(stream, lv), block_offset + b, block_len)
+            for lv in levels for b in range(per_level)]
     return np.stack(rows) if rows else np.empty((0, block_len))
 
 
@@ -219,7 +234,9 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
                                shared_seed: int, block_offset: int = 0,
                                level: int = 0):
     """sc_lossy_encode on evidence callables (see traverse_batches); the
-    prior chain runs only when the profile has prior-replayable indices."""
+    prior chain runs only when the profile has prior-replayable indices.
+    level is an integer or a tuple of levels, one per equal group of rows
+    (see the module docstring)."""
     block_len = profile.block_len
     dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
                             n_blocks, block_offset, block_len)
@@ -247,7 +264,8 @@ def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
                                     block_offset: int = 0,
                                     level: int = 0) -> np.ndarray:
     """sc_lossy_reconstruct on the prior evidence callable alone, which
-    only profiles with prior-replayable indices consult."""
+    only profiles with prior-replayable indices consult; level as in
+    lossy_encode_from_evidence."""
     payload = np.asarray(payload)
     block_len = profile.block_len
     info_pos = profile.info_positions()
@@ -273,6 +291,9 @@ def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
     payload: (B, |INFO|) uint8 bits at the INFO indices.
     reconstruction: (B, N) coded-variable blocks, identical to what
         sc_lossy_reconstruct produces from the payload.
+    level: the stream level, or a tuple of G levels, one per group of B/G
+        rows, which codes G stacked branches in one pass (see the module
+        docstring).
     """
     _check_pairing(channel, profile)
     obs = np.asarray(obs)
@@ -289,7 +310,8 @@ def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
 def sc_lossy_reconstruct(payload: np.ndarray, channel: BinarySourceWithSideInfo,
                          profile: PolarProfile, shared_seed: int,
                          block_offset: int = 0, level: int = 0) -> np.ndarray:
-    """Rebuild reconstruction blocks from payload bits and shared dither."""
+    """Rebuild reconstruction blocks from payload bits and shared dither;
+    level as in sc_lossy_encode."""
     _check_pairing(channel, profile)
 
     def prior(start, stop):

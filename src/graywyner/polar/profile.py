@@ -40,6 +40,7 @@ prior chain is run.
 
 from __future__ import annotations
 
+import base64
 import contextvars
 import json
 import os
@@ -58,7 +59,7 @@ CLASS_INFO = 0
 CLASS_FROZEN_RANDOM = 1
 CLASS_FROZEN_DETERMINISTIC = 2
 
-PROFILE_CACHE_VERSION = 5
+PROFILE_CACHE_VERSION = 6
 
 _CLASSES = (CLASS_INFO, CLASS_FROZEN_RANDOM, CLASS_FROZEN_DETERMINISTIC)
 
@@ -295,12 +296,13 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     u = np.empty((n_blocks, block_len), dtype=np.uint8)
     x = np.empty((n_blocks, block_len), dtype=np.uint8)
     for start, stop in slices:
-        kw = {}
-        if plan is not None:
-            kw["plan"] = (plan[0],) + tuple(p[start:stop] for p in plan[1:])
+        # plain arguments, not **: a ** call keeps its argument tuple, and
+        # with it the posteriors sc_traverse frees, until the walk returns
         u[start:stop], x[start:stop] = sc_traverse(
             evidence(start, stop), None if decide is None
-            else lambda i, llr: decide(i, llr, start, stop), **kw)
+            else lambda i, llr: decide(i, llr, start, stop),
+            plan=None if plan is None
+            else (plan[0],) + tuple(p[start:stop] for p in plan[1:]))
     return u, x
 
 
@@ -392,6 +394,13 @@ def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
 # profile cache (JSON, atomic writes, bit-identical reload)
 # ---------------------------------------------------------------------------
 
+# per-index arrays of a cache entry, each stored as base64 of its
+# little-endian bytes in this dtype: parsing thousands of JSON numbers took
+# ten times as long as decoding one string
+_ARRAY_DTYPES = {"z_cond": "<f8", "z_prior": "<f8", "h_cond": "<f8",
+                 "h_prior": "<f8", "classes": "<i1"}
+
+
 def profile_cache_key(channel_id: str, block_len: int, beta: float,
                       sample_count: int, seed: int) -> str:
     # float.hex keeps betas that agree to many digits apart (":g" merged them)
@@ -413,24 +422,30 @@ def save_profile(profile: PolarProfile, cache_dir) -> Path:
         "beta": profile.beta,
         "sample_count": profile.sample_count,
         "seed": profile.seed,
-        "z_cond": profile.z_cond.tolist(),
-        "z_prior": profile.z_prior.tolist(),
-        "h_cond": profile.h_cond.tolist(),
-        "h_prior": profile.h_prior.tolist(),
-        "classes": profile.classes.tolist(),
     }
+    for name, dtype in _ARRAY_DTYPES.items():
+        raw = getattr(profile, name).astype(dtype).tobytes()
+        payload[name] = base64.b64encode(raw).decode("ascii")
     key = profile_cache_key(profile.channel_id, profile.block_len, profile.beta,
                             profile.sample_count, profile.seed)
     return atomic_write_text(profile_path(cache_dir, key), json.dumps(payload))
 
 
 def _typed(value, types):
-    """value, or every item of a list value, if its type is one of types;
-    ValueError otherwise, so that no bool, numeric string or fractional
-    count in a cache entry is cast into a valid-looking profile."""
-    if not set(map(type, value if isinstance(value, list) else [value])) <= types:
+    """value if its type is one of types; ValueError otherwise, so that no
+    bool, numeric string or fractional count in a cache entry is cast into
+    a valid-looking profile."""
+    if type(value) not in types:
         raise ValueError(f"cache entry value of the wrong type: {value!r:.60}")
     return value
+
+
+def _array(text, dtype) -> np.ndarray:
+    """A cache entry's array from its base64 text, in native byte order;
+    ValueError for a value that is not base64 of whole dtype items (the
+    profile checks the length, finiteness and classes)."""
+    raw = base64.b64decode(_typed(text, {str}), validate=True)
+    return np.frombuffer(raw, dtype=dtype).astype(np.dtype(dtype).newbyteorder("="))
 
 
 def load_profile(path) -> PolarProfile:
@@ -444,11 +459,7 @@ def load_profile(path) -> PolarProfile:
         beta=float(_typed(data["beta"], numbers)),
         sample_count=_typed(data["sample_count"], ints),
         seed=_typed(data["seed"], ints),
-        z_cond=np.array(_typed(data["z_cond"], numbers), dtype=float),
-        z_prior=np.array(_typed(data["z_prior"], numbers), dtype=float),
-        h_cond=np.array(_typed(data["h_cond"], numbers), dtype=float),
-        h_prior=np.array(_typed(data["h_prior"], numbers), dtype=float),
-        classes=np.array(_typed(data["classes"], ints), dtype=np.int8))
+        **{name: _array(data[name], dtype) for name, dtype in _ARRAY_DTYPES.items()})
 
 
 def load_cached_profile(cache_dir, header):

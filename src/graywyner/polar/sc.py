@@ -119,12 +119,18 @@ from .transform import polar_transform
 
 
 def _llrs(evidence: np.ndarray):
-    """L = ln p0 - ln p1 of (..., 2) pairs, a (0, 0) pair giving L = 0, and
-    whether any L is infinite."""
+    """L = ln p0 - ln p1 of (C, B, N, 2) pairs, a (0, 0) pair giving L = 0,
+    and whether any L is infinite.  ln p1 is subtracted a few rows
+    (_GROUP_VALUES values) at a time, so no second (C, B, N) array is made."""
     evidence = np.asarray(evidence, dtype=float)
+    n_chains, n_blocks, block_len = evidence.shape[:3]
+    rows = max(1, _GROUP_VALUES // max(1, block_len))
     with np.errstate(divide="ignore", invalid="ignore"):
         llr = np.log(evidence[..., 0])
-        llr -= np.log(evidence[..., 1])
+        for c in range(n_chains):
+            for start in range(0, n_blocks, rows):
+                llr[c, start:start + rows] -= np.log(
+                    evidence[c, start:start + rows, :, 1])
     llr[np.isnan(llr)] = 0.0
     return llr, not np.isfinite(llr).all()
 
@@ -143,7 +149,7 @@ _TERM_CAP = 60.0
 # chains * blocks * N values per batch slice of chunked_batches: a
 # cache-sized slice for breadth-first passes, a large one for depth-first
 _GROUP_VALUES = 1 << 16
-_BATCH_VALUES = 1 << 23
+_BATCH_VALUES = 1 << 19
 
 
 def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
@@ -151,13 +157,16 @@ def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
 
     sign(a) sign(b) [m + ln(1 + e^-(M+m)) - ln(1 + e^-(M-m))] with m, M the
     smaller and larger of |a|, |b|; both log terms lie in [0, ln 2].  work
-    is an optional (3,) + a.shape float scratch buffer.
+    is an optional (2,) + a.shape float scratch buffer; out holds -m until
+    the result overwrites it, so it must not overlap a or b, which the
+    last step reads again.
     """
     if out is None:
         out = np.empty(a.shape)
     if work is None:
-        work = np.empty((3,) + a.shape)
-    sum_term, gap_term, neg_near = work
+        work = np.empty((2,) + a.shape)
+    sum_term, gap_term = work
+    neg_near = out
     np.copysign(a, -1.0, out=sum_term)  # -|a|
     np.copysign(b, -1.0, out=gap_term)  # -|b|
     np.maximum(sum_term, gap_term, out=neg_near)  # -m
@@ -292,7 +301,7 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
     # every stage runs over the whole batch at once: traverse_batches hands
     # this pass slices of _GROUP_VALUES values, small enough for the node
     # arrays and the scratch buffers to stay in cache
-    work = np.empty((4, n_chains * n_blocks * block_len // 2))
+    work = np.empty((3, n_chains * n_blocks * block_len // 2))
     width = block_len
     while width > 1:
         half, count = width // 2, block_len // width
@@ -301,10 +310,13 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
         v = np.ascontiguousarray(stage[:, :, 0, :].transpose(0, 2, 1))
         children = spare.reshape(n_chains, n_blocks, half, count, 2)
         first, second = nodes[:, :, :half], nodes[:, :, half:]
-        scratch = work.reshape((4,) + first.shape)
-        _f_step(first, second, has_inf, out=children[..., 0], work=scratch[:3])
+        scratch = work.reshape((3,) + first.shape)
+        # the f-step runs in contiguous scratch, which its strided slot in
+        # children would slow, and is copied there once
+        children[..., 0] = _f_step(first, second, has_inf, out=scratch[2],
+                                   work=scratch[:2])
         _g_step(first, second, v[None], has_inf, out=children[..., 1],
-                work=scratch[3])
+                work=scratch[0])
         nodes, spare = children.reshape(n_chains, n_blocks, half, 2 * count), nodes
         del children
         width = half
@@ -408,9 +420,14 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
 
     A depth-first pass pays its per-node Python overhead, which holds the
     GIL, once per slice, so its slices run one after another and are as
-    large as memory allows: a 64-block two-chain coding pass at N=4096
-    (2^19 values) must stay one slice, or every coded batch would walk the
-    tree several times.
+    large as its memory budget allows.  The budget, 2^19 values, is one
+    64-block two-chain coding pass at N=4096: such a pass is one walk, and
+    so are the 128 blocks of a one-chain pass (a lossless decode or a
+    lossy replay of both branches of an op), while a 128-block two-chain
+    pass takes two walks of 64 blocks.  So a walk's working set (its
+    posteriors until they are freed, its LLRs and the node arrays along
+    one root-to-leaf path) never outgrows that of a 2^19-value walk,
+    whatever the batch.
     """
     per_block = max(1, n_chains * block_len)
     budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES

@@ -3,8 +3,12 @@ shared-dither batch independence, encoder/decoder reconstruction agreement
 on both the fast path (uniform prior) and the prior-chain path, the
 coders' rate-1 shortcuts (no output moves with the batch), decoders that
 ask no leaf of a callback (lossless decoding and lossy and lattice replay
-are one replay), and the refusal of malformed blocks and codes."""
+are one replay), the refusal of malformed blocks and codes, stacked twin
+branches that code every row as it would be coded alone, and bounded
+depth-first walks."""
 
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +17,8 @@ import pytest
 from graywyner import rng
 from graywyner.gaussian import GaussianPairModel, reduce_pair
 from graywyner.lattice import (
+    LATTICE_STREAM_BASE,
+    MAX_LEVELS,
     build_multilevel_code,
     lattice_quantize,
     lattice_reconstruct,
@@ -32,6 +38,7 @@ from graywyner.polar import coding as coding_module
 from graywyner.polar import profile as profile_module
 from graywyner.polar import sc as sc_module
 from graywyner.polar import test_channel_source as make_quantizer_source
+from graywyner.polar.sc import map_bits
 
 A1 = 0.0584119566836076573
 
@@ -462,3 +469,134 @@ class TestRate1Shortcuts:
             np.testing.assert_array_equal(other_recon, recon)
         np.testing.assert_array_equal(
             sc_lossy_reconstruct(payload, channel, profile, shared_seed=87), recon)
+
+
+class TestGroupedBranches:
+    """Branches that code with one profile, stacked into one call with a
+    tuple of stream levels (or lattice stream bases), one per equal group
+    of rows: every row is coded as a call on its group alone codes it."""
+
+    @pytest.mark.parametrize("block_offset", [0, 5])
+    def test_lossy_levels_match_separate_calls(self, profile_store, block_offset):
+        channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
+        profile = profile_store(channel, 1024)
+        assert profile.has_deterministic  # both chains, and a replay that walks
+        _, obs = channel.sample(6, 1024, rng.stream(75, rng.STREAM_SOURCE))
+        kw = dict(shared_seed=88, block_offset=block_offset)
+        payload, recon = sc_lossy_encode(obs, channel, profile, level=(1, 2), **kw)
+        for rows, level in ((slice(0, 3), 1), (slice(3, 6), 2)):
+            alone_payload, alone_recon = sc_lossy_encode(obs[rows], channel, profile,
+                                                         level=level, **kw)
+            np.testing.assert_array_equal(payload[rows], alone_payload)
+            np.testing.assert_array_equal(recon[rows], alone_recon)
+            np.testing.assert_array_equal(
+                sc_lossy_reconstruct(alone_payload, channel, profile, level=level,
+                                     **kw), recon[rows])
+        np.testing.assert_array_equal(
+            sc_lossy_reconstruct(payload, channel, profile, level=(1, 2), **kw), recon)
+
+    def test_lattice_stream_bases_match_separate_calls(self, cache_dir):
+        mmse = reduce_pair(GaussianPairModel(0.8)).mmse
+        code = build_multilevel_code(plan_chain(mmse), mmse, 512, sample_count=32,
+                                     seed=3, cache_dir=cache_dir)
+        samples = rng.stream(60, rng.STREAM_SOURCE).normal(size=(6, 512))
+        bases = (LATTICE_STREAM_BASE, LATTICE_STREAM_BASE + MAX_LEVELS)
+        payloads, recon = lattice_quantize(samples, code, shared_seed=61,
+                                           stream_base=bases)
+        for rows, base in ((slice(0, 3), bases[0]), (slice(3, 6), bases[1])):
+            alone_payloads, alone_recon = lattice_quantize(
+                samples[rows], code, shared_seed=61, stream_base=base)
+            for payload, alone in zip(payloads, alone_payloads, strict=True):
+                np.testing.assert_array_equal(payload[rows], alone)
+            np.testing.assert_array_equal(recon[rows], alone_recon)
+        np.testing.assert_array_equal(
+            lattice_reconstruct(payloads, code, shared_seed=61, stream_base=bases),
+            recon)
+
+    def test_lossless_stacked_blocks_match_separate_calls(self, profile_store):
+        channel = crossover_side_info(A1)
+        profile = profile_store(channel, 1024)
+        x, y = channel.sample(6, 1024, rng.stream(76, rng.STREAM_SOURCE))
+        fraction = binary_entropy(A1) + 0.04
+        stacked = sc_lossless_encode(x, channel, profile, fraction, side=y)
+        for rows in (slice(0, 3), slice(3, 6)):
+            alone = sc_lossless_encode(x[rows], channel, profile, fraction, side=y[rows])
+            np.testing.assert_array_equal(stacked.stored_bits[rows], alone.stored_bits)
+            for got, want in zip(stacked.corrections[rows], alone.corrections,
+                                 strict=True):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                sc_lossless_decode(alone, channel, profile, side=y[rows]), x[rows])
+        assert sum(map(len, stacked.corrections))  # the decoder corrects leaves
+        np.testing.assert_array_equal(
+            sc_lossless_decode(stacked, channel, profile, side=y), x)
+
+    @pytest.mark.parametrize("level, blocks", [((1, 2), 5), ((1, 2, 3), 4), ((), 4)])
+    def test_levels_that_do_not_split_the_rows_are_refused(
+            self, profile_store, level, blocks):
+        channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
+        profile = profile_store(channel, 1024)
+        _, obs = channel.sample(blocks, 1024, rng.stream(77, rng.STREAM_SOURCE))
+        with pytest.raises(ValueError, match="equal groups"):
+            sc_lossy_encode(obs, channel, profile, shared_seed=89, level=level)
+        payload = np.zeros((blocks, len(profile.info_positions())), dtype=np.uint8)
+        with pytest.raises(ValueError, match="equal groups"):
+            sc_lossy_reconstruct(payload, channel, profile, shared_seed=89, level=level)
+
+    def test_stream_bases_that_do_not_split_the_rows_are_refused(self, cache_dir):
+        mmse = reduce_pair(GaussianPairModel(0.8)).mmse
+        code = build_multilevel_code(plan_chain(mmse), mmse, 512, sample_count=32,
+                                     seed=3, cache_dir=cache_dir)
+        samples = rng.stream(62, rng.STREAM_SOURCE).normal(size=(3, 512))
+        for bases in ((LATTICE_STREAM_BASE, LATTICE_STREAM_BASE + MAX_LEVELS), ()):
+            with pytest.raises(ValueError, match="equal groups"):
+                lattice_quantize(samples, code, shared_seed=63, stream_base=bases)
+
+
+class TestDepthFirstWalks:
+    """Depth-first walks are bounded by sc._BATCH_VALUES and free the
+    posteriors they are given before their first leaf."""
+
+    def test_two_chain_pass_of_128_blocks_takes_two_walks(self, profile_store,
+                                                          monkeypatch):
+        channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
+        profile = profile_store(channel, 4096)
+        assert profile.has_deterministic  # a two-chain encoder pass
+        _, obs = channel.sample(128, 4096, rng.stream(78, rng.STREAM_SOURCE))
+        traverse = profile_module.sc_traverse
+        walks = []
+
+        def recording(evidence, decide, **kwargs):
+            u, x = traverse(evidence, decide, **kwargs)
+            walks.append((evidence.shape[:2], u, x))
+            return u, x
+
+        monkeypatch.setattr(profile_module, "sc_traverse", recording)
+        sc_lossy_encode(obs, channel, profile, shared_seed=90)
+        assert [shape for shape, _, _ in walks] == [(2, 64), (2, 64)]
+        monkeypatch.setattr(sc_module, "_BATCH_VALUES", 1 << 23)
+        sc_lossy_encode(obs, channel, profile, shared_seed=90)
+        assert [shape for shape, _, _ in walks[2:]] == [(2, 128)]
+        for k in (1, 2):  # u, then x
+            np.testing.assert_array_equal(
+                np.concatenate([walk[k] for walk in walks[:2]]), walks[2][k])
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before 3.11 CPython keeps every call argument on the caller's stack "
+        "until the call returns"))
+    def test_walk_frees_its_posteriors_before_the_first_leaf(self):
+        channel = crossover_side_info(A1)
+        _, y = channel.sample(4, 64, rng.stream(79, rng.STREAM_SOURCE))
+        returned, alive = [], []
+
+        def cond(start, stop):
+            evidence = channel.leaf_evidence(y[start:stop])
+            returned.append(weakref.ref(evidence))
+            return evidence
+
+        def decide(i, llr, start, stop):
+            alive.append(returned[-1]() is not None)
+            return map_bits(llr[0])
+
+        profile_module.traverse_batches((cond,), 4, 64, decide)
+        assert len(alive) == 64 and not any(alive)

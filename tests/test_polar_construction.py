@@ -3,6 +3,7 @@ against closed forms, polarization trends, classification rules, caching,
 the construction sampler, breadth-first passes that do not depend on their
 slice size, and the construction's traced memory peak."""
 
+import base64
 import json
 import math
 import tracemalloc
@@ -219,6 +220,13 @@ class TestRateControl:
         assert inside >= outside - 1e-12
 
 
+def _base64(values: np.ndarray) -> str:
+    """values as a cache entry stores an array: base64 of its little-endian
+    bytes."""
+    little = values.astype(values.dtype.newbyteorder("<"))
+    return base64.b64encode(little.tobytes()).decode("ascii")
+
+
 def _entry(cache_dir, profile):
     """Cache path of the entry for profile's header."""
     return profile_path(cache_dir, profile_cache_key(
@@ -234,7 +242,13 @@ class TestProfileCache:
         loaded = load_profile(path)
         for name in ("z_cond", "z_prior", "h_cond", "h_prior"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(profile, name))
+            assert getattr(loaded, name).dtype == np.float64
         np.testing.assert_array_equal(loaded.classes, profile.classes)
+        assert loaded.classes.dtype == np.int8
+        # arrays are stored as base64 text of their little-endian bytes
+        entry = json.loads(path.read_text())
+        assert entry["z_cond"] == _base64(profile.z_cond)
+        assert entry["classes"] == _base64(profile.classes)
         assert (loaded.channel_id, loaded.block_len, loaded.beta,
                 loaded.sample_count, loaded.seed) == (
             profile.channel_id, profile.block_len, profile.beta,
@@ -282,18 +296,29 @@ class TestProfileCache:
 
     @pytest.mark.parametrize("content", [
         "{not json", "[1, 2]", '{"version": 2}', "",
-        pytest.param(("classes", 300), id="class-300"),
-        pytest.param(("classes", 7), id="class-7"),
-        pytest.param(("z_cond", math.nan), id="nan-z_cond"),
-        pytest.param(("N", math.inf), id="N-infinite"),
-        # values a cast would turn into a valid-looking profile
-        pytest.param(("classes", lambda c: [v + 0.9 for v in c]),
+        # an array spoiled through its decoded values, then stored as the
+        # base64 of the spoiled array's own little-endian bytes
+        pytest.param(("classes", lambda c: np.r_[np.int16(300), c[1:]]),
+                     id="class-300"),  # two bytes a class: the wrong length
+        pytest.param(("classes", lambda c: np.r_[np.int8(7), c[1:]]), id="class-7"),
+        pytest.param(("classes", lambda c: np.r_[np.int8(-1), c[1:]]),
+                     id="class-negative"),
+        pytest.param(("z_cond", lambda z: np.r_[math.nan, z[1:]]), id="nan-z_cond"),
+        pytest.param(("h_cond", lambda h: np.r_[h[:-1], math.inf]),
+                     id="inf-h_cond"),
+        pytest.param(("z_prior", lambda z: z[:-1]), id="z_prior-short"),
+        pytest.param(("classes", lambda c: c.astype("<f8") + 0.9),
                      id="classes-fractional"),
-        pytest.param(("classes", lambda c: [v == CLASS_INFO for v in c]),
+        # text that is not base64, and values that are not text
+        pytest.param(("z_cond", "not base64!"), id="z_cond-bad-base64"),
+        pytest.param(("classes", "AAE"), id="classes-unpadded-base64"),
+        pytest.param(("classes", lambda c: [bool(v == CLASS_INFO) for v in c]),
                      id="classes-bool"),
         pytest.param(("z_cond", lambda z: [str(v) for v in z]), id="z_cond-strings"),
         pytest.param(("h_prior", lambda h: [str(v) for v in h]),
                      id="h_prior-strings"),
+        pytest.param(("h_prior", lambda h: h.tolist()), id="h_prior-number-list"),
+        pytest.param(("N", math.inf), id="N-infinite"),
         pytest.param(("N", "64"), id="N-string"),
         pytest.param(("sample_count", 60.5), id="sample_count-fractional"),
     ])
@@ -306,9 +331,9 @@ class TestProfileCache:
             name, value = content
             entry = json.loads(rebuilt)
             if callable(value):
-                entry[name] = value(entry[name])
-            elif isinstance(entry[name], list):
-                entry[name][0] = value
+                spoiled = value(getattr(fresh, name))
+                entry[name] = (_base64(spoiled) if isinstance(spoiled, np.ndarray)
+                               else spoiled)
             else:
                 entry[name] = value
             content = json.dumps(entry)
