@@ -27,9 +27,9 @@ that code with one channel (the X and Y branches of PointG and CurveGB,
 the two refinements of LossyTinyBoth) are stacked into one batch that
 shares each SC pass; every block is coded exactly as it would be alone.
 
-Rates are measured, not assumed: lossless branches charge their stored set
-plus log2(N) + 1 bits per recorded correction, lossy branches charge their
-payload fraction.  Every lossy stage also replays the decoder path and
+Rates are measured per block, not assumed: lossless branches charge their
+stored set and lossy branches their payload, each plus log2(N) + 1 bits
+per recorded correction.  Every lossy stage also replays the decoder path and
 verifies it reproduces the encoder-side reconstruction bit for bit, and
 every lossless branch is decoded and compared against the source exactly.
 
@@ -58,6 +58,7 @@ from ..polar import (
     sc_lossy_reconstruct,
     test_channel_source,
 )
+from ..polar.coding import rate_per_block
 from ..rates import RateTriple, RunRecord, check_replay
 from .model import (
     DsbsModel,
@@ -159,20 +160,21 @@ class _Stages:
         return self.profiles[key]
 
     def quantize(self, cap_margin, *branches):
-        """Lossy stages of (channel, obs, level) branches: returns one (rate
-        fraction, reconstruction blocks) per branch.  Branches that share a
-        channel are one encode and one replay (see _by_channel), each
-        branch's dither at its own level."""
+        """Lossy stages of (channel, obs, level) branches: returns one
+        (per-block rates, reconstruction blocks) per branch.  Branches that
+        share a channel are one encode and one replay (see _by_channel),
+        each branch's dither at its own level."""
         def code(channel, obs, levels):
             cap = channel.mutual_information() + _scaled(cap_margin, self.block_len)
             profile = self.profile_for(channel).with_payload_cap(cap)
-            payload, recon = sc_lossy_encode(obs, channel, profile,
-                                             shared_seed=self.seed, level=levels)
-            replay = sc_lossy_reconstruct(payload, channel, profile,
+            payload, corrections, recon = sc_lossy_encode(
+                obs, channel, profile, shared_seed=self.seed, level=levels)
+            replay = sc_lossy_reconstruct(payload, corrections, channel, profile,
                                           shared_seed=self.seed, level=levels)
             check_replay(replay, recon, "lossy replay")
-            return [(profile.payload_fraction, part)
-                    for part in np.split(recon, len(levels))]
+            rates = rate_per_block(payload.shape[1], corrections, self.block_len)
+            return list(zip(np.split(rates, len(levels)),
+                            np.split(recon, len(levels))))
 
         return _by_channel(branches, code)
 
@@ -254,9 +256,9 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
             channel = build_gb_channel(model, point.beta)
             cross_x = cross_y = point.beta
             theory = gb_theory_triple(model, point.beta)
-        ((r0_frac, w_hat),) = stages.quantize(
+        ((r0, w_hat),) = stages.quantize(
             COMMON_MARGIN, (channel, pair_observation(x, y), COMMON_LEVEL))
-        rates = (r0_frac, *stages.lossless(
+        rates = (r0, *stages.lossless(
             SIDE_LOSSLESS_MARGIN, (crossover_side_info(cross_x), x, w_hat),
             (crossover_side_info(cross_y), y, w_hat)))
 
@@ -266,17 +268,17 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
         if region is not DsbsRegion.TINY_BOTH:
             raise ValueError(f"delta={delta} falls in {region.name}; this "
                              "pipeline needs both distortions at most a1")
-        ((r0_frac, w_hat),) = stages.quantize(
+        ((r0, w_hat),) = stages.quantize(
             COMMON_MARGIN,
             (build_point_g_channel(model), pair_observation(x, y), COMMON_LEVEL))
         refine_prior = (model.a1 - delta) / (1.0 - 2.0 * delta)
         forward = np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
         refine = test_channel_source(refine_prior, forward,
                                      name="residual-refinement")
-        (r1_frac, vx), (r2_frac, vy) = stages.quantize(
+        (r1, vx), (r2, vy) = stages.quantize(
             REFINE_MARGIN, (refine, x ^ w_hat, PRIVATE_X_LEVEL),
             (refine, y ^ w_hat, PRIVATE_Y_LEVEL))
-        rates = (r0_frac, r1_frac, r2_frac)
+        rates = (r0, r1, r2)
         x_hat, y_hat = w_hat ^ vx, w_hat ^ vy
         rate = binary_entropy(model.a1) - binary_entropy(delta)
         theory = RateTriple(model.wyner_ci(), rate, rate)
@@ -303,8 +305,8 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                                 [d_tight, 1.0 - d_tight]])
             channel = test_channel_source(0.5, forward, name="single-coordinate")
             obs, margin = (y if d1 > d2 else x), COMMON_MARGIN
-        ((r0_frac, w_hat),) = stages.quantize(margin, (channel, obs, COMMON_LEVEL))
-        rates = (r0_frac, 0.0, 0.0)
+        ((r0, w_hat),) = stages.quantize(margin, (channel, obs, COMMON_LEVEL))
+        rates = (r0, 0.0, 0.0)
         x_hat = y_hat = w_hat
         theory = RateTriple(r_xy_dsbs(d1, d2, model), 0.0, 0.0)
         theory_ci = lossy_ci_dsbs(d1, d2, model)

@@ -21,8 +21,9 @@ refine_private_eps10 adds the private branches for targets inside the
 tiny-distortion region: one conditional quantizer per coordinate on the
 residual against the common reconstruction.
 
-Rates are measured payload fractions, never formulas.  Every quantizer is
-replayed through the decoder path and must reproduce the encoder-side
+Rates are measured per block, never formulas: the payload fraction plus
+log2(N) + 1 bits per correction of a prior-decided index.  Every quantizer
+is replayed through the decoder path and must reproduce the encoder-side
 reconstruction bit for bit.  Payloads come from the polarized index sets
 alone, so they carry the partially polarized band above the information
 limit, which shrinks as blocks grow.
@@ -44,6 +45,7 @@ from ..lattice import (
     mmse_params,
     plan_chain,
 )
+from ..polar.coding import rate_per_block
 from ..rates import RateTriple, RunRecord, check_replay
 from .model import (
     GaussianPairModel,
@@ -77,13 +79,16 @@ def _build_code(mmse, block_len, cache_dir, sample_count, construction_seed):
 
 
 def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
-    """Quantize and replay through the decoder; the two must agree exactly."""
-    payloads, recon = lattice_quantize(samples, code, shared_seed=seed,
-                                       stream_base=stream_base)
-    replay = lattice_reconstruct(payloads, code, shared_seed=seed,
+    """Quantize and replay through the decoder; the two must agree exactly.
+    Returns (per-block rates of every level's payload and corrections,
+    reconstruction)."""
+    payloads, corrections, recon = lattice_quantize(
+        samples, code, shared_seed=seed, stream_base=stream_base)
+    replay = lattice_reconstruct(payloads, corrections, code, shared_seed=seed,
                                  stream_base=stream_base)
     check_replay(replay, recon, "lattice replay")
-    return np.full(samples.shape[0], code.total_rate), recon
+    return sum(rate_per_block(payload.shape[1], fixes, code.block_len)
+               for payload, fixes in zip(payloads, corrections)), recon
 
 
 def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,

@@ -412,12 +412,16 @@ def _level_streams(stream_base, level: int):
 def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
                      block_offset: int = 0,
                      stream_base: int = LATTICE_STREAM_BASE):
-    """Quantize sample blocks; returns (per-level payloads, reconstruction).
+    """Quantize sample blocks; returns (per-level payloads, per-level
+    corrections, reconstruction).
 
     samples: (B, N) float blocks of the source variable.
     payloads: tuple of (B, |INFO|) uint8 arrays, finest level first.
+    corrections: tuple of the levels' corrections, each B int64 arrays of
+        frozen-deterministic indices (see polar.coding), finest level first.
     reconstruction: (B, N) lattice points on the fundamental window,
-        identical to what lattice_reconstruct produces from the payloads.
+        identical to what lattice_reconstruct produces from the payloads
+        and corrections.
 
     Dither and rounding streams are addressed by (shared_seed,
     stream_base + level - 1, block_offset + block), so results do not
@@ -436,35 +440,40 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
         raise ValueError(
             f"blocks have length {block_len}, code expects {code.block_len}")
     labels = np.zeros(samples.shape, dtype=np.int64)
-    payloads = []
+    payloads, corrections = [], []
     for level, profile in enumerate(code.profiles, start=1):
         cond, prior = _level_evidence(code.chain, code.mmse, level, labels, samples)
-        payload, w_bits = lossy_encode_from_evidence(
+        payload, fixes, w_bits = lossy_encode_from_evidence(
             cond, prior, profile, n_blocks, shared_seed, block_offset,
             _level_streams(stream_base, level))
         labels += w_bits.astype(np.int64) << (level - 1)
         payloads.append(payload)
-    return tuple(payloads), code.chain.reconstruction_values()[labels]
+        corrections.append(fixes)
+    return (tuple(payloads), tuple(corrections),
+            code.chain.reconstruction_values()[labels])
 
 
-def lattice_reconstruct(payloads, code: MultilevelLatticeCode, shared_seed: int,
-                        block_offset: int = 0,
+def lattice_reconstruct(payloads, corrections, code: MultilevelLatticeCode,
+                        shared_seed: int, block_offset: int = 0,
                         stream_base: int = LATTICE_STREAM_BASE) -> np.ndarray:
-    """Rebuild the quantizer output from payload bits and the shared seed.
+    """Rebuild the quantizer output from payload bits, corrections and the
+    shared seed.
 
     Each level runs the polar layer's one replay, which decides its
-    frozen-deterministic indices by the prior evidence of its cosets;
-    levels without them need no traversal there.  stream_base as in
-    lattice_quantize.
+    frozen-deterministic indices by the prior evidence of its cosets,
+    flipped where the level's corrections say; levels without them need
+    no traversal there.  stream_base as in lattice_quantize.
     """
-    if len(payloads) != code.levels:
-        raise ValueError(f"expected {code.levels} payload arrays, got {len(payloads)}")
+    if len(payloads) != code.levels or len(corrections) != code.levels:
+        raise ValueError(f"expected {code.levels} payload arrays and correction "
+                         f"tuples, got {len(payloads)} and {len(corrections)}")
     n_blocks = len(payloads[0])
     labels = np.zeros((n_blocks, code.block_len), dtype=np.int64)
-    for level, (profile, payload) in enumerate(zip(code.profiles, payloads), start=1):
+    for level, (profile, payload, fixes) in enumerate(
+            zip(code.profiles, payloads, corrections), start=1):
         _, prior = _level_evidence(code.chain, code.mmse, level, labels)
         w_bits = lossy_reconstruct_from_evidence(
-            payload, prior, profile, n_blocks, shared_seed, block_offset,
+            payload, fixes, prior, profile, n_blocks, shared_seed, block_offset,
             _level_streams(stream_base, level))
         labels += w_bits.astype(np.int64) << (level - 1)
     return code.chain.reconstruction_values()[labels]

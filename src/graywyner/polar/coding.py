@@ -4,8 +4,7 @@ Lossless mode stores the bits at the least predictable indices verbatim and
 recovers the rest by maximum-posterior decisions; the encoder runs the same
 decisions and records the positions where they disagree with the truth, so
 decoding is exact by construction.  The encoder knows every bit, so it runs
-the breadth-first pass.  The per-block rate charges each recorded
-correction log2(N) + 1 bits (index plus flag) on top of the stored set.
+the breadth-first pass.
 
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
@@ -15,24 +14,29 @@ then form G equal groups, and row r of group g draws its dither and
 rounding uniforms at (shared seed, level[g], block_offset + r), as a call
 on group g alone with level[g] would.  So branches that code with one
 profile (an op's X and Y twins) share one SC pass, every row coded as it
-would be on its own.  Frozen-deterministic indices (present only for
-nonuniform priors) are decided by the prior chain, whose arithmetic is
-elementwise and so bit-identical between the encoder's two-chain pass and
-the decoder's single-chain pass.  INFO decisions use randomized rounding on the
+would be on its own.  INFO decisions use randomized rounding on the
 conditional P(1) = 1/(1 + e^L).  The reconstruction is the codeword of
 the decided bit vector.  In the depth-first plan (see sc.py) the encoder
-has frozen-random leaves KNOWN, deterministic leaves PRIOR (with no
-corrections) and INFO leaves FREE, with margins |ln((1 - U)/U)| from
-their rounding uniforms U, past which rounding is the sign rule and
-rate-1 nodes skip them.
+walks the conditional chain alone, with frozen-random leaves KNOWN and
+INFO leaves FREE, with margins |ln((1 - U)/U)| from their rounding
+uniforms U, past which rounding is the sign rule and rate-1 nodes skip
+them.  Frozen-deterministic (D) indices (present only for nonuniform
+priors) are FREE leaves with U = 1/2, which is the sign rule with margin
+0; the decoder decides them by the prior chain's sign.
+
+Both encoders find their corrections one way (_corrections): a
+breadth-first pass of the decoder's chain along the encoder's bits, whose
+leaf LLRs are the decoder's, flags the decoder-decided leaves where
+map_bits differs from the bits.  Each costs log2(N) + 1 bits (index plus
+flag) on top of the sent bits (rate_per_block).
 
 Decoding is one replay (_replay), a one-chain plan with no FREE leaf, so
 no decoder asks a callback: sent bits (stored bits; payload and dither)
 are KNOWN, and every other leaf is PRIOR, sc.map_bits of the chain xor a
-per-block correction.  The lossless decoder's chain conditions on the
-side information and takes the encoder's corrections; the lossy and
-lattice replays run the prior chain with none.  Without PRIOR leaves the
-replay transforms the bits, which equals the traversal output exactly.
+per-block correction, checked and scattered by _correction_bits.  The
+lossless decoder's chain conditions on the side information; the lossy
+and lattice replays run the prior chain.  Without PRIOR leaves the replay
+transforms the bits, which equals the traversal output exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
 prior(start, stop) that return the leaf posteriors of a block slice
@@ -60,6 +64,46 @@ from .profile import (
 # traverse_batches; kept because perfbench/spans.py patches it on this module
 from .sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits, sc_traverse  # noqa: F401
 from .transform import polar_transform
+
+
+def _corrections(chain, u, mask) -> tuple:
+    """Per-block int64 indices inside the (N,) bool mask where map_bits of
+    the chain's leaf LLR along the bits u differs from u: the leaves a
+    decoder deciding them by sign must flip.  No pass runs for no mask."""
+    n_blocks, block_len = u.shape
+    wrong = np.zeros((n_blocks, block_len), dtype=bool)
+    if mask.any():
+        def guesses(leaves, llr, start, stop):
+            wrong[start:stop] = (map_bits(llr[0]) != u[start:stop]) & mask
+
+        traverse_batches((chain,), n_blocks, block_len, guesses, known=u)
+    return tuple(np.flatnonzero(row).astype(np.int64) for row in wrong)
+
+
+def _correction_bits(corrections, allowed, n_blocks: int) -> np.ndarray:
+    """(n_blocks, N) uint8 bits, 1 at every corrected leaf; ValueError
+    unless corrections holds n_blocks arrays of distinct integer indices
+    inside the (N,) bool mask allowed."""
+    block_len = len(allowed)
+    if len(corrections) != n_blocks:
+        raise ValueError(f"corrections must hold {n_blocks} per-block index "
+                         f"arrays, got {len(corrections)}")
+    bits = np.zeros((n_blocks, block_len), dtype=np.uint8)
+    for b, idx in enumerate(map(np.asarray, corrections)):
+        if (idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer)
+                or np.any((idx < 0) | (idx >= block_len))):
+            raise ValueError(f"corrections must be integer indices in [0, {block_len})")
+        if not allowed[idx].all() or np.unique(idx).size != idx.size:
+            raise ValueError("corrections must name distinct decoder-decided indices")
+        bits[b, idx] = 1
+    return bits
+
+
+def rate_per_block(sent: int, corrections, block_len: int) -> np.ndarray:
+    """Bits per source symbol for each block: the sent bits plus log2(N) + 1
+    bits per correction."""
+    fixes = np.array([len(c) for c in corrections], dtype=float)
+    return (sent + fixes * (np.log2(block_len) + 1.0)) / block_len
 
 
 def _replay(chain, kinds, bits) -> np.ndarray:
@@ -127,12 +171,9 @@ class LosslessCode:
         return self.stored_bits.shape[0]
 
     def rate_per_block(self, block_len: int) -> np.ndarray:
-        """Bits per source symbol for each block, corrections charged
-        log2(N) + 1 bits apiece."""
-        stored = int(self.stored_mask.sum())
-        per_fix = np.log2(block_len) + 1.0
-        fixes = np.array([len(t) for t in self.corrections], dtype=float)
-        return (stored + fixes * per_fix) / block_len
+        """Bits per source symbol for each block (see rate_per_block)."""
+        return rate_per_block(int(self.stored_mask.sum()), self.corrections,
+                              block_len)
 
 
 def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
@@ -152,15 +193,8 @@ def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
     cond, _ = channel_evidence(channel, _side_symbols(channel, side, x.shape))
     u_true = polar_transform(x)
     mask = profile.stored_mask(stored_fraction)
-    wrong = np.empty((n_blocks, block_len), dtype=bool)
-
-    def guesses(leaves, llr, start, stop):
-        wrong[start:stop] = (map_bits(llr[0]) != u_true[start:stop]) & ~mask
-
-    traverse_batches((cond,), n_blocks, block_len, guesses, known=u_true)
-    return LosslessCode(
-        stored_mask=mask, stored_bits=u_true[:, mask],
-        corrections=tuple(np.flatnonzero(row).astype(np.int64) for row in wrong))
+    return LosslessCode(stored_mask=mask, stored_bits=u_true[:, mask],
+                        corrections=_corrections(cond, u_true, ~mask))
 
 
 def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
@@ -178,14 +212,8 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
                          f"got {code.stored_bits.shape}")
     if np.any((code.stored_bits != 0) & (code.stored_bits != 1)):
         raise ValueError("stored_bits must hold bits in {0, 1}")
-    bits = np.zeros((n_blocks, block_len), dtype=np.uint8)
+    bits = _correction_bits(code.corrections, ~code.stored_mask, n_blocks)
     bits[:, code.stored_mask] = code.stored_bits
-    for b, idx in enumerate(map(np.asarray, code.corrections)):
-        if not np.issubdtype(idx.dtype, np.integer) or np.any((idx < 0) | (idx >= block_len)):
-            raise ValueError(f"corrections must be integer indices in [0, {block_len})")
-        if code.stored_mask[idx].any() or np.unique(idx).size != idx.size:
-            raise ValueError("corrections must name distinct unstored indices")
-        bits[b, idx] = 1
     cond, _ = channel_evidence(
         channel, _side_symbols(channel, side, (n_blocks, block_len)))
     return _replay(cond, np.where(code.stored_mask, LEAF_KNOWN, LEAF_PRIOR), bits)
@@ -234,37 +262,36 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
                                shared_seed: int, block_offset: int = 0,
                                level: int = 0):
     """sc_lossy_encode on evidence callables (see traverse_batches); the
-    prior chain runs only when the profile has prior-replayable indices.
-    level is an integer or a tuple of levels, one per equal group of rows
-    (see the module docstring)."""
+    prior chain runs only when the profile has frozen-deterministic
+    indices.  level is an integer or a tuple of levels, one per equal group
+    of rows (see the module docstring)."""
     block_len = profile.block_len
+    info = profile.classes == CLASS_INFO
+    deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
+    if deterministic.any() and prior is None:
+        raise ValueError("prior-decided indices need the prior evidence")
     dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
                             n_blocks, block_offset, block_len)
     uniforms = _stream_matrix(rng.block_uniforms, rng.STREAM_ROUNDING, shared_seed,
                               level, n_blocks, block_offset, block_len)
+    uniforms[:, deterministic] = 0.5  # the sign rule, with margin 0
 
     def rounded(i, llr, start, stop):
-        return (uniforms[start:stop, i] < _posterior_one(llr[0])).astype(np.uint8)
+        return (uniforms[start:stop, i] < _posterior_one(llr)).astype(np.uint8)
 
-    if profile.has_deterministic and prior is None:
-        raise ValueError("prior-decided indices need the prior evidence")
-    info = profile.classes == CLASS_INFO
-    deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
-    kinds = np.where(info, LEAF_FREE, np.where(deterministic, LEAF_PRIOR, LEAF_KNOWN))
-    dither[:, deterministic] = 0  # the plan's bits at PRIOR leaves: no corrections
-    chains = (cond, prior) if profile.has_deterministic else (cond,)
     u, reconstruction = traverse_batches(
-        chains, n_blocks, block_len, rounded,
-        plan=(kinds, dither, _rounding_margins(uniforms)))
-    return u[:, info], reconstruction
+        (cond,), n_blocks, block_len, rounded,
+        plan=(np.where(info | deterministic, LEAF_FREE, LEAF_KNOWN), dither,
+              _rounding_margins(uniforms)))
+    return u[:, info], _corrections(prior, u, deterministic), reconstruction
 
 
-def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
-                                    n_blocks: int, shared_seed: int,
-                                    block_offset: int = 0,
+def lossy_reconstruct_from_evidence(payload, corrections, prior,
+                                    profile: PolarProfile, n_blocks: int,
+                                    shared_seed: int, block_offset: int = 0,
                                     level: int = 0) -> np.ndarray:
     """sc_lossy_reconstruct on the prior evidence callable alone, which
-    only profiles with prior-replayable indices consult; level as in
+    only profiles with frozen-deterministic indices consult; level as in
     lossy_encode_from_evidence."""
     payload = np.asarray(payload)
     block_len = profile.block_len
@@ -274,23 +301,27 @@ def lossy_reconstruct_from_evidence(payload, prior, profile: PolarProfile,
                          f"got {payload.shape}")
     if np.any((payload != 0) & (payload != 1)):
         raise ValueError("payload must hold bits in {0, 1}")
-    dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
-                            n_blocks, block_offset, block_len)
     deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
-    dither[:, info_pos] = payload
-    dither[:, deterministic] = 0  # as in the encoder: no corrections
-    return _replay(prior, np.where(deterministic, LEAF_PRIOR, LEAF_KNOWN), dither)
+    flips = _correction_bits(corrections, deterministic, n_blocks)
+    bits = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
+                          n_blocks, block_offset, block_len)
+    bits[:, info_pos] = payload
+    bits[:, deterministic] = flips[:, deterministic]
+    return _replay(prior, np.where(deterministic, LEAF_PRIOR, LEAF_KNOWN), bits)
 
 
 def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
                     profile: PolarProfile, shared_seed: int,
                     block_offset: int = 0, level: int = 0):
-    """Quantize observation blocks; returns (payload, reconstruction).
+    """Quantize observation blocks; returns (payload, corrections,
+    reconstruction).
 
     obs: (B, N) side-information symbols (the thing being compressed).
     payload: (B, |INFO|) uint8 bits at the INFO indices.
+    corrections: B int64 arrays, the frozen-deterministic indices of each
+        block where the decoder's prior-chain decision must be flipped.
     reconstruction: (B, N) coded-variable blocks, identical to what
-        sc_lossy_reconstruct produces from the payload.
+        sc_lossy_reconstruct produces from the payload and corrections.
     level: the stream level, or a tuple of G levels, one per group of B/G
         rows, which codes G stacked branches in one pass (see the module
         docstring).
@@ -307,15 +338,17 @@ def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
                                       shared_seed, block_offset, level)
 
 
-def sc_lossy_reconstruct(payload: np.ndarray, channel: BinarySourceWithSideInfo,
+def sc_lossy_reconstruct(payload: np.ndarray, corrections,
+                         channel: BinarySourceWithSideInfo,
                          profile: PolarProfile, shared_seed: int,
                          block_offset: int = 0, level: int = 0) -> np.ndarray:
-    """Rebuild reconstruction blocks from payload bits and shared dither;
-    level as in sc_lossy_encode."""
+    """Rebuild reconstruction blocks from payload bits, the encoder's
+    corrections and shared dither; level as in sc_lossy_encode."""
     _check_pairing(channel, profile)
 
     def prior(start, stop):
         return channel.prior_evidence((stop - start, profile.block_len))
 
-    return lossy_reconstruct_from_evidence(payload, prior, profile, len(payload),
-                                           shared_seed, block_offset, level)
+    return lossy_reconstruct_from_evidence(payload, corrections, prior, profile,
+                                           len(payload), shared_seed,
+                                           block_offset, level)

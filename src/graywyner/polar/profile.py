@@ -27,7 +27,8 @@ Indices are then classified against the threshold t = 2^(-N^beta), compared
 in the log domain so tiny values never underflow:
 
 * FROZEN_DETERMINISTIC  when z_prior <= t: the bit is pinned by its prefix
-  alone, so encoder and decoder can both derive it (wins ties with the
+  alone, so the decoder derives it from the prior chain, and the lossy
+  encoder sends corrections where it does not (wins ties with the
   frozen-random rule);
 * FROZEN_RANDOM when z_cond >= 1 - t (and not deterministic): the bit stays
   uniform even given the observation, so a shared dither bit replaces it;
@@ -124,10 +125,6 @@ class PolarProfile:
     def payload_fraction(self) -> float:
         """Payload rate |INFO| / N of the lossy code."""
         return len(self.info_positions()) / self.block_len
-
-    @property
-    def has_deterministic(self) -> bool:
-        return bool(np.any(self.classes == CLASS_FROZEN_DETERMINISTIC))
 
     def conditional_entropy_estimate(self) -> float:
         """Mean of h_cond; a chain-rule estimate of H(X | Y) in bits/symbol."""
@@ -249,7 +246,8 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     """SC passes over n_blocks blocks in bounded batch slices.
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
-    for a slice, conditional chain first and prior chain (if any) last.
+    for a slice, conditional chain first and prior chain (if any) last; a
+    depth-first pass takes one chain.
 
     With known (n_blocks, N) leaf bits the passes run breadth-first and
     return None.  decide(leaves, llr, start, stop) sees every leaf of a

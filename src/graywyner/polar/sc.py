@@ -1,19 +1,18 @@
 """Batched successive-cancellation traversal in log-likelihood ratios.
 
 One engine serves construction, lossless coding and lossy coding.  It walks
-the polarization recursion over a batch of blocks, carrying one or two
-evidence chains side by side:
+the polarization recursion over a batch of blocks.  A breadth-first pass
+may carry two evidence chains side by side, which construction uses:
 
 * chain 0 conditions on the observed side information,
 * an optional chain 1 conditions on nothing (the prior chain), used when the
   coded variable has a nonuniform prior and some decisions must be
   reproducible from the prior alone.
 
-Both chains always receive the same decided bits, so their per-position
-values stay aligned.  All chain arithmetic is elementwise per chain; running
-the prior chain alone therefore reproduces bit-for-bit the values it takes
-inside a two-chain traversal, which is what lets an encoder (two chains) and
-a decoder (prior chain only) agree exactly on deterministic decisions.
+Both chains receive the same known bits, so their per-position values stay
+aligned.  All chain arithmetic is elementwise per chain, so a chain run
+alone takes bit-for-bit the values it takes beside another.  A depth-first
+pass walks one chain: the coders need no second one inside a walk.
 
 Evidence enters as normalized per-position posteriors (chains, blocks, N, 2)
 and is carried as one log-likelihood ratio L = ln p0 - ln p1 per position.
@@ -28,11 +27,10 @@ uninformative L = 0.
 
 There are two passes, chosen by the input:
 
-* depth-first (``sc_traverse(evidence, decide, plan=(kinds, bits))``):
-  leaves are decided in index order, each by its kind in the plan:
-  KNOWN leaves take their bit from ``bits``, PRIOR leaves take map_bits
-  of the last chain's leaf LLR (the prior chain of a two-chain pass, the
-  only chain of a one-chain pass) xor their bit in ``bits``, a per-block
+* depth-first (``sc_traverse(evidence, decide, plan=(kinds, bits))``), on
+  one chain: leaves are decided in index order, each by its kind in the
+  plan: KNOWN leaves take their bit from ``bits``, PRIOR leaves take
+  map_bits of the leaf LLR xor their bit in ``bits``, a per-block
   correction, and FREE leaves take the bit the ``decide`` callback
   returns from the leaf's LLRs (decide may be None without FREE leaves).
   Without a plan every leaf is FREE;
@@ -60,11 +58,10 @@ nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
   is the hard decision hard(L) = (L < 0) of the node's LLRs, taken only
   when in every block of the batch every |L| over the node exceeds the
   guard ln 2 log2(M) + 1 + m.  A node of PRIOR leaves, none corrected in
-  any block, reads the last chain with m = 0.  A node of FREE leaves
-  qualifies only when the plan carries margins; it reads chain 0, m is
-  the block's largest margin over the node, and ``decide`` is not asked
-  for its leaves.  A margin promises that decide returns hard(L) of
-  chain 0 at its leaf wherever |L| > margin + 1.
+  any block, has m = 0.  A node of FREE leaves qualifies only when the
+  plan carries margins; m is the block's largest margin over the node,
+  and ``decide`` is not asked for its leaves.  A margin promises that
+  decide returns hard(L) at its leaf wherever |L| > margin + 1.
 
   One induction on M makes the shortcut exact for both kinds, per block
   (every step is elementwise in the block).  At M = 1 the leaf's |L| >
@@ -137,8 +134,7 @@ def _llrs(evidence: np.ndarray):
 
 # leaf kinds of a depth-first plan: FREE leaves are asked of decide, KNOWN
 # leaves read the plan's bits, and PRIOR leaves are decided in the plan by
-# map_bits of the last chain (the prior chain when there are two, the only
-# chain when there is one) xor the plan's bit there, a per-block correction
+# map_bits of the leaf LLR xor the plan's bit there, a per-block correction
 LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR = 0, 1, 2
 
 _LN2 = float(np.log(2.0))
@@ -148,6 +144,7 @@ _LN2 = float(np.log(2.0))
 _TERM_CAP = 60.0
 # chains * blocks * N values per batch slice of chunked_batches: a
 # cache-sized slice for breadth-first passes, a large one for depth-first
+# (whose passes have one chain)
 _GROUP_VALUES = 1 << 16
 _BATCH_VALUES = 1 << 19
 
@@ -208,7 +205,7 @@ def map_bits(llr: np.ndarray) -> np.ndarray:
 
 
 def _depth_first(llr: np.ndarray, has_inf: bool, decide, kinds, bits, margins):
-    n_blocks, block_len = llr.shape[1:]
+    n_blocks, block_len = llr.shape
     u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
 
     def counts_before(leaves):
@@ -237,46 +234,42 @@ def _depth_first(llr: np.ndarray, has_inf: bool, decide, kinds, bits, margins):
 
     def rate1(node: np.ndarray, lo: int):
         """The codeword map_bits(L) of a node of width > 1 whose leaves are
-        all PRIOR (L the last chain's, margin 0) or all FREE (L chain 0's,
-        the plan's margins), when every block's min |L| over the node passes
-        its guard; else None."""
-        width = node.shape[2]
+        all PRIOR (margin 0) or all FREE (the plan's margins), when every
+        block's min |L| over the node passes its guard; else None."""
+        width = node.shape[1]
         depth = width.bit_length() - 1
         guard = _LN2 * depth + 1.0
-        if prior_before[lo + width] - prior_before[lo] == width:
-            llr = node[-1]
-        elif (free_before is not None
-              and free_before[lo + width] - free_before[lo] == width):
-            llr = node[0]
+        if prior_before[lo + width] - prior_before[lo] != width:
+            if (free_before is None
+                    or free_before[lo + width] - free_before[lo] != width):
+                return None
             guard = guard + margin_max[depth][:, lo >> depth]
-        else:
+        if not (np.abs(node).min(axis=1, initial=np.inf) > guard).all():
             return None
-        if not (np.abs(llr).min(axis=1, initial=np.inf) > guard).all():
-            return None
-        x = map_bits(llr)
+        x = map_bits(node)
         u_out[:, lo:lo + width] = polar_transform(x)
         return x
 
     def rec(node: np.ndarray, lo: int) -> np.ndarray:
-        width = node.shape[2]
+        width = node.shape[1]
         if width == 1:
             if kinds[lo] == LEAF_PRIOR:
-                leaf = map_bits(node[-1, :, 0]) ^ bits[:, lo]
+                leaf = map_bits(node[:, 0]) ^ bits[:, lo]
             else:
-                leaf = np.asarray(decide(lo, node[:, :, 0]), dtype=np.uint8)
+                leaf = np.asarray(decide(lo, node[:, 0]), dtype=np.uint8)
             u_out[:, lo] = leaf
             return leaf[:, None]
         x = rate1(node, lo)
         if x is not None:
             return x
         half = width // 2
-        first, second = node[:, :, :half], node[:, :, half:]
+        first, second = node[:, :half], node[:, half:]
         v = rate0(lo, half)  # codeword of the first child
         if v is None:
             v = rec(_f_step(first, second, has_inf), lo)
         tail = rate0(lo + half, half)
         if tail is None:
-            tail = rec(_g_step(first, second, v[None], has_inf), lo + half)
+            tail = rec(_g_step(first, second, v, has_inf), lo + half)
         return np.concatenate([v ^ tail, tail], axis=1)
 
     x = rec(llr, 0)
@@ -352,24 +345,23 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
     """Run one successive-cancellation pass over a batch of blocks.
 
     evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
-        of two.
+        of two; one chain for the depth-first pass.
     decide: without ``known``, a callback ``decide(i, llr) -> bits`` called
         once per FREE leaf index i in increasing order; llr holds the
-        (chains, blocks) LLRs ln p0 - ln p1 of leaf i, +-inf included, and
-        bits must be a (blocks,) array over {0, 1}, fed back into every
-        chain; None if no leaf is FREE.  With ``known``, it is called once
-        as ``decide(slice(0, N), llr)``, llr the (chains, blocks, N) LLRs of
-        every leaf along the known bits (which it may overwrite); its
-        return value is ignored.
+        (blocks,) LLRs ln p0 - ln p1 of leaf i, +-inf included, and bits
+        must be a (blocks,) array over {0, 1}; None if no leaf is FREE.
+        With ``known``, it is called once as ``decide(slice(0, N), llr)``,
+        llr the (chains, blocks, N) LLRs of every leaf along the known bits
+        (which it may overwrite); its return value is ignored.
     known: optional (blocks, N) bits of every leaf; selects the
         breadth-first pass.
     plan: optional ``(kinds, bits[, margins])`` of the depth-first pass:
         (N,) leaf kinds LEAF_FREE, LEAF_KNOWN or LEAF_PRIOR, (blocks, N)
         bits of the KNOWN leaves and corrections of the PRIOR leaves
-        (xored onto map_bits of the last chain), and optional (blocks, N)
+        (xored onto map_bits of the leaf LLR), and optional (blocks, N)
         nonnegative margins read at the FREE leaves, with the promise that
-        decide returns map_bits of chain 0's LLR at leaf i of block b
-        wherever that |L| exceeds margins[b, i] + 1 (inf: no promise).
+        decide returns map_bits of the LLR at leaf i of block b wherever
+        that |L| exceeds margins[b, i] + 1 (inf: no promise).
         With margins, FREE nodes past their guard are decided without
         decide (see the module docstring).  Without a plan every leaf is
         FREE.
@@ -380,12 +372,14 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
     """
     if evidence.ndim != 4 or evidence.shape[-1] != 2:
         raise ValueError(f"evidence must have shape (C, B, N, 2), got {evidence.shape}")
-    _, n_blocks, block_len, _ = evidence.shape
+    n_chains, n_blocks, block_len, _ = evidence.shape
     if block_len < 1 or (block_len & (block_len - 1)) != 0:
         raise ValueError(f"block length must be a power of two, got {block_len}")
     if known is not None and plan is not None:
         raise ValueError("known selects the breadth-first pass, which takes no plan")
     if known is None:
+        if n_chains != 1:
+            raise ValueError(f"a depth-first pass walks one chain, got {n_chains}")
         kinds, bits, margins = _checked_plan(plan, n_blocks, block_len)
         if decide is None and (kinds == LEAF_FREE).any():
             raise ValueError("a pass with FREE leaves needs a decide callback")
@@ -400,7 +394,7 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
     del evidence  # the pass reads only the LLRs: free the posteriors now
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:
-            return _depth_first(llr, has_inf, decide, kinds, bits, margins)
+            return _depth_first(llr[0], has_inf, decide, kinds, bits, margins)
         return _breadth_first(llr, has_inf, u, decide)
 
 
@@ -421,13 +415,11 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
     A depth-first pass pays its per-node Python overhead, which holds the
     GIL, once per slice, so its slices run one after another and are as
     large as its memory budget allows.  The budget, 2^19 values, is one
-    64-block two-chain coding pass at N=4096: such a pass is one walk, and
-    so are the 128 blocks of a one-chain pass (a lossless decode or a
-    lossy replay of both branches of an op), while a 128-block two-chain
-    pass takes two walks of 64 blocks.  So a walk's working set (its
-    posteriors until they are freed, its LLRs and the node arrays along
-    one root-to-leaf path) never outgrows that of a 2^19-value walk,
-    whatever the batch.
+    128-block pass at N=4096 (a lossy encode, a lossless decode or a
+    lossy replay of both branches of an op), so such a pass is one walk,
+    and a walk's working set (its posteriors until they are freed, its
+    LLRs and the node arrays along one root-to-leaf path) never outgrows
+    that of a 2^19-value walk, whatever the batch.
     """
     per_block = max(1, n_chains * block_len)
     budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES

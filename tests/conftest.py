@@ -3,17 +3,27 @@ constructions are reused across test modules and across test sessions.
 
 Entries that no load can serve any more (written under an earlier cache
 version, not a profile, or unreadable) are deleted when a session starts,
-so superseded entries do not pile up in the store."""
+so superseded entries do not pile up in the store.
+
+The Hypothesis profile named by the HYPOTHESIS_PROFILE environment
+variable is loaded, "default" without it.  The "ci" profile derandomizes
+the examples and lifts the deadline, so @given tests cannot flake on slow
+runners, and prints the blob that reproduces a failing example."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from graywyner.polar import construct_profile_cached
 from graywyner.polar.profile import PROFILE_CACHE_VERSION
 
 CACHE_DIR = Path(__file__).parent / ".cache"
+
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def is_current_entry(path: Path) -> bool:

@@ -15,6 +15,7 @@ from graywyner.gaussian import (
     GaussianPairModel,
     LGaussianModel,
     r_xy_gaussian,
+    reduce_pair,
 )
 from graywyner.gaussian.pipelines import (
     REFINE_X_STREAM_BASE,
@@ -22,7 +23,7 @@ from graywyner.gaussian.pipelines import (
     extract_common,
     refine_private_eps10,
 )
-from graywyner.lattice import LATTICE_STREAM_BASE
+from graywyner.lattice import LATTICE_STREAM_BASE, build_multilevel_code, plan_chain
 from graywyner.rates import RateTriple, RunRecord
 
 PM8 = GaussianPairModel(0.8)
@@ -49,9 +50,16 @@ class TestPairRoute:
         assert run.common.shape == (12, 1024)
 
     def test_rate_above_limit_by_the_band(self, cache_dir):
+        """Each block pays the payload fraction, fixed by the profile, plus
+        log2(N) + 1 bits per correction."""
         run = pair_run(cache_dir)
-        assert np.ptp(run.r0) == 0.0  # payload size is fixed by the profile
-        assert run.theory.r0 < run.r0[0] < run.theory.r0 + 0.5
+        mmse = reduce_pair(PM8).mmse
+        code = build_multilevel_code(plan_chain(mmse), mmse, 1024, seed=3,
+                                     cache_dir=cache_dir)
+        fixes = (run.r0 - code.total_rate) * 1024 / (math.log2(1024) + 1)
+        np.testing.assert_allclose(fixes, np.rint(fixes), atol=1e-9)
+        assert np.rint(fixes).min() >= 0 and fixes.mean() < 1.0
+        assert run.theory.r0 < run.r0.min() <= run.r0.max() < run.theory.r0 + 0.5
 
     def test_distortions_near_target(self, cache_dir):
         run = pair_run(cache_dir)

@@ -18,9 +18,9 @@ Gaussian pair's lattice code, so a change to the construction that happens
 not to move any pipeline output is still seen.  GOLDEN_CODES hashes the
 coders' own outputs, which the pipeline digests see only through rates and
 distortions: a lossless code (stored bits, corrections) with its decoded
-blocks, lossy payloads with their reconstructions and replays on two DSBS
-channels, and a Gaussian pair's lattice payloads, reconstruction and
-replay.
+blocks, lossy payloads and corrections with their reconstructions and
+replays on two DSBS channels, and a Gaussian pair's lattice payloads,
+corrections, reconstruction and replay.
 """
 
 import hashlib
@@ -65,11 +65,11 @@ from graywyner.polar import (
 )
 from graywyner.polar import test_channel_source as make_quantizer_source
 
-GOLDEN = "d9c01ed951152cee7485b4cb00e40abbf45fbd619ac8ee2cec413980d10dc1f2"
-GOLDEN_BATCH = "6373e80e574950d8495dfa39771b30df9e754f219776dddff78c13ec59e5d308"
+GOLDEN = "5c2ffd904b9174d3e0dd91283313f6ca949061be92e5ceebe6ecc7686a421e25"
+GOLDEN_BATCH = "f51dfa43c240856bfcc78a728a8d33f5164cf09590cbb3a3a3f9d59bf855c067"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
 GOLDEN_PROFILES = "6c39d8f1cbaae9b87f4586c6ae302d1b41a043d80ca5ba9b8785f0e0e611c735"
-GOLDEN_CODES = "6b9e154b8891f36c377c1d282db161c0667d6920f2ce9c67ec340912c4f95680"
+GOLDEN_CODES = "a625f51793996d2a3ea957fd6e7e5d223cc53f2f5aeefd46e3bcaf1363ff7047"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",
                  "theory.r1", "theory.r2", "theory_ci", "target_dx", "target_dy")
@@ -133,33 +133,44 @@ def golden_profiles():
 def golden_codes():
     """The coders' outputs on fixed seeds, as a flat sequence of arrays:
     16 blocks of the lossless code of the X-given-W channel at stored
-    fraction 0.4 (stored bits, per-block correction counts, the
-    corrections, the decoded blocks), then 16 blocks of the lossy payload,
-    reconstruction and replay of the W and refinement channels at N=1024,
-    then 8 blocks of the Gaussian pair's lattice payloads, reconstruction
-    and replay."""
+    fraction 0.4 (stored bits, corrections, the decoded blocks), then 16
+    blocks of the lossy payload, corrections, reconstruction and replay of
+    the W and refinement channels at N=1024, then 8 blocks of the Gaussian
+    pair's lattice payloads, corrections per level, reconstruction and
+    replay.  Corrections enter as per-block counts, then the indices."""
     w_channel, side_channel, refine = golden_channels()
     x, y = side_channel.sample(16, 1024, rng.stream(21, rng.STREAM_SOURCE))
     profile = construct_profile(side_channel, 1024, sample_count=64, seed=3)
     code = sc_lossless_encode(x, side_channel, profile, stored_fraction=0.4,
                               side=y)
     yield code.stored_bits
-    yield np.array([len(c) for c in code.corrections], dtype=np.int64)
-    yield from code.corrections
+    yield from corrections_arrays(code.corrections)
     yield sc_lossless_decode(code, side_channel, profile, side=y)
     for seed, channel in ((22, w_channel), (23, refine)):
         profile = construct_profile(channel, 1024, sample_count=64, seed=3)
         _, obs = channel.sample(16, 1024, rng.stream(seed, rng.STREAM_SOURCE))
-        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=seed)
-        yield from (payload, recon)
-        yield sc_lossy_reconstruct(payload, channel, profile, shared_seed=seed)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile,
+                                                shared_seed=seed)
+        yield payload
+        yield from corrections_arrays(fixes)
+        yield recon
+        yield sc_lossy_reconstruct(payload, fixes, channel, profile,
+                                   shared_seed=seed)
     reduction, lattice = golden_lattice_code()
     model = GaussianPairModel(0.8)
     samples = reduction.combine(model.sample(8, 512, rng.stream(24, rng.STREAM_SOURCE)))
-    payloads, recon = lattice_quantize(samples, lattice, shared_seed=24)
+    payloads, fixes, recon = lattice_quantize(samples, lattice, shared_seed=24)
     yield from payloads
+    for level_fixes in fixes:
+        yield from corrections_arrays(level_fixes)
     yield recon
-    yield lattice_reconstruct(payloads, lattice, shared_seed=24)
+    yield lattice_reconstruct(payloads, fixes, lattice, shared_seed=24)
+
+
+def corrections_arrays(corrections):
+    """The per-block correction counts, then each block's indices."""
+    yield np.array([len(c) for c in corrections], dtype=np.int64)
+    yield from corrections
 
 
 def array_digest_of(arrays) -> str:

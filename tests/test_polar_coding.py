@@ -26,6 +26,7 @@ from graywyner.lattice import (
 )
 from graywyner.numerics import binary_entropy
 from graywyner.polar import (
+    CLASS_FROZEN_DETERMINISTIC,
     crossover_side_info,
     lossless_source,
     polar_transform,
@@ -41,6 +42,11 @@ from graywyner.polar import test_channel_source as make_quantizer_source
 from graywyner.polar.sc import map_bits
 
 A1 = 0.0584119566836076573
+
+
+def has_deterministic(profile):
+    """Whether the profile has frozen-deterministic (prior-decided) indices."""
+    return bool((profile.classes == CLASS_FROZEN_DETERMINISTIC).any())
 
 
 def bsc_forward(crossover):
@@ -107,22 +113,22 @@ class TestLossyUniformPrior:
         channel = make_quantizer_source(0.5, np.eye(2), name="identity-observation")
         profile = profile_store(channel, 512)
         obs = rng.stream(60, rng.STREAM_SOURCE).integers(0, 2, size=(6, 512))
-        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=77)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=77)
         np.testing.assert_array_equal(recon, obs)
 
     def test_decoder_matches_encoder_reconstruction(self, profile_store):
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 1024)
         obs = rng.stream(61, rng.STREAM_SOURCE).integers(0, 2, size=(6, 1024))
-        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=78)
-        rebuilt = sc_lossy_reconstruct(payload, channel, profile, shared_seed=78)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=78)
+        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=78)
         np.testing.assert_array_equal(rebuilt, recon)
 
     def test_payload_is_info_bits(self, profile_store):
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 1024)
         obs = rng.stream(62, rng.STREAM_SOURCE).integers(0, 2, size=(3, 1024))
-        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=79)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=79)
         u = polar_transform(recon)
         np.testing.assert_array_equal(payload, u[:, profile.info_positions()])
 
@@ -130,7 +136,7 @@ class TestLossyUniformPrior:
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 4096)
         obs = rng.stream(63, rng.STREAM_SOURCE).integers(0, 2, size=(16, 4096))
-        _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=80)
+        _, _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=80)
         distortion = float(np.mean(recon != obs))
         assert 0.07 < distortion < 0.16
 
@@ -138,13 +144,14 @@ class TestLossyUniformPrior:
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 512)
         obs = rng.stream(64, rng.STREAM_SOURCE).integers(0, 2, size=(9, 512))
-        pay_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=81)
-        pay_a, rec_a = sc_lossy_encode(obs[:5], channel, profile, shared_seed=81)
-        pay_b, rec_b = sc_lossy_encode(obs[5:], channel, profile, shared_seed=81,
+        pay_all, fix_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=81)
+        pay_a, fix_a, rec_a = sc_lossy_encode(obs[:5], channel, profile, shared_seed=81)
+        pay_b, fix_b, rec_b = sc_lossy_encode(obs[5:], channel, profile, shared_seed=81,
                                        block_offset=5)
         np.testing.assert_array_equal(np.vstack([pay_a, pay_b]), pay_all)
         np.testing.assert_array_equal(np.vstack([rec_a, rec_b]), rec_all)
-        rebuilt_b = sc_lossy_reconstruct(pay_b, channel, profile, shared_seed=81,
+        assert not any(map(len, fix_all + fix_a + fix_b))  # no D index here
+        rebuilt_b = sc_lossy_reconstruct(pay_b, fix_b, channel, profile, shared_seed=81,
                                          block_offset=5)
         np.testing.assert_array_equal(rebuilt_b, rec_b)
 
@@ -152,8 +159,8 @@ class TestLossyUniformPrior:
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 512)
         obs = rng.stream(65, rng.STREAM_SOURCE).integers(0, 2, size=(4, 512))
-        _, rec0 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=0)
-        _, rec1 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=1)
+        _, _, rec0 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=0)
+        _, _, rec1 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=1)
         assert np.any(rec0 != rec1)
 
     def test_payload_cap_reduces_rate(self, profile_store):
@@ -161,43 +168,64 @@ class TestLossyUniformPrior:
         profile = profile_store(channel, 1024)
         capped = profile.with_payload_cap(0.4)
         obs = rng.stream(66, rng.STREAM_SOURCE).integers(0, 2, size=(4, 1024))
-        payload, recon = sc_lossy_encode(obs, channel, capped, shared_seed=83)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, capped, shared_seed=83)
         assert payload.shape[1] <= int(0.4 * 1024)
-        rebuilt = sc_lossy_reconstruct(payload, channel, capped, shared_seed=83)
+        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, capped, shared_seed=83)
         np.testing.assert_array_equal(rebuilt, recon)
         assert float(np.mean(recon != obs)) < 0.5
 
 
 class TestLossyNonuniformPrior:
     """Nonuniform reconstruction prior: deterministic indices replayed from
-    the prior chain must agree bit for bit between the encoder's two-chain
-    pass and the decoder's single-chain pass."""
+    the prior chain, flipped where the encoder's corrections say, must
+    agree bit for bit with the encoder's one-chain pass."""
 
     def test_decoder_matches_encoder_reconstruction(self, profile_store):
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 1024)
-        assert profile.has_deterministic
+        assert has_deterministic(profile)
         gen = rng.stream(70, rng.STREAM_SOURCE)
         _, obs = channel.sample(6, 1024, gen)
-        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=84)
-        rebuilt = sc_lossy_reconstruct(payload, channel, profile, shared_seed=84)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=84)
+        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=84)
         np.testing.assert_array_equal(rebuilt, recon)
 
     def test_batch_independence(self, profile_store):
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 512)
         _, obs = channel.sample(7, 512, rng.stream(71, rng.STREAM_SOURCE))
-        pay_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=85)
-        pay_b, rec_b = sc_lossy_encode(obs[3:], channel, profile, shared_seed=85,
+        pay_all, fix_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=85)
+        pay_b, fix_b, rec_b = sc_lossy_encode(obs[3:], channel, profile, shared_seed=85,
                                        block_offset=3)
         np.testing.assert_array_equal(pay_b, pay_all[3:])
         np.testing.assert_array_equal(rec_b, rec_all[3:])
+        for got, want in zip(fix_b, fix_all[3:], strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_corrections_flip_the_prior_decisions(self, profile_store):
+        """Corrections name distinct D indices, and the replay without them
+        differs from the encoder's reconstruction in exactly the blocks
+        that have some."""
+        channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
+        profile = profile_store(channel, 1024)
+        _, obs = channel.sample(32, 1024, rng.stream(71, rng.STREAM_SOURCE))
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=85)
+        deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
+        for idx in fixes:
+            assert idx.dtype == np.int64 and deterministic[idx].all()
+            assert np.unique(idx).size == idx.size
+        corrected = np.array([len(idx) > 0 for idx in fixes])
+        assert corrected.any()
+        none = tuple(np.empty(0, np.int64) for _ in fixes)
+        uncorrected = sc_lossy_reconstruct(payload, none, channel, profile,
+                                           shared_seed=85)
+        np.testing.assert_array_equal((uncorrected != recon).any(axis=1), corrected)
 
     def test_reconstruction_biased_toward_prior(self, profile_store):
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 1024)
         _, obs = channel.sample(8, 1024, rng.stream(72, rng.STREAM_SOURCE))
-        _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
+        _, _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
         ones = float(np.mean(recon))
         assert 0.1 < ones < 0.3  # matches the Ber(0.2) prior, not uniform
 
@@ -210,13 +238,13 @@ class TestEmptyBatch:
     def test_lossy(self, profile_store, prior, crossover, name):
         channel = make_quantizer_source(prior, bsc_forward(crossover), name=name)
         profile = profile_store(channel, 512)
-        assert profile.has_deterministic == (prior != 0.5)
+        assert has_deterministic(profile) == (prior != 0.5)
         obs = np.zeros((0, 512), dtype=np.int64)
-        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=1)
-        assert payload.shape == (0, len(profile.info_positions()))
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=1)
+        assert payload.shape == (0, len(profile.info_positions())) and fixes == ()
         assert payload.dtype == recon.dtype == np.uint8
         assert recon.shape == (0, 512)
-        rebuilt = sc_lossy_reconstruct(payload, channel, profile, shared_seed=1)
+        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=1)
         assert rebuilt.shape == (0, 512) and rebuilt.dtype == np.uint8
 
     def test_lossless(self, profile_store):
@@ -361,6 +389,54 @@ class TestLosslessCodeShape:
                     sc_lossless_decode(bad, channel, profile)
 
 
+def _bad_corrections(deterministic, n_blocks):
+    """Corrections a lossy decoder must refuse, for the (N,) D mask: a wrong
+    block count, indices outside [0, N), a float index, an index repeated
+    within a block and an index outside the D set."""
+    block_len = len(deterministic)
+    inside = np.flatnonzero(deterministic)
+    outside = np.flatnonzero(~deterministic)
+    per_block = [np.array([block_len]), np.array([-1]), inside[:1].astype(float),
+                 inside[[0, 0]], outside[:1]]
+    empty = np.empty(0, np.int64)
+    return ([(empty,) * (n_blocks - 1), (empty,) * (n_blocks + 1)]
+            + [(empty,) * (n_blocks - 1) + (idx,) for idx in per_block])
+
+
+class TestLossyCorrectionsChecked:
+    """The lossy and lattice replays refuse malformed corrections, as the
+    lossless decoder does (TestLosslessCodeShape)."""
+
+    def test_inconsistent_lossy_corrections(self, profile_store):
+        channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
+        profile = profile_store(channel, 512)
+        _, obs = channel.sample(2, 512, rng.stream(80, rng.STREAM_SOURCE))
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=4)
+        np.testing.assert_array_equal(
+            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=4),
+            recon)
+        for bad in _bad_corrections(profile.classes == CLASS_FROZEN_DETERMINISTIC, 2):
+            with pytest.raises(ValueError, match="corrections"):
+                sc_lossy_reconstruct(payload, bad, channel, profile, shared_seed=4)
+
+    def test_inconsistent_lattice_corrections(self, cache_dir):
+        mmse = reduce_pair(GaussianPairModel(0.8)).mmse
+        code = build_multilevel_code(plan_chain(mmse), mmse, 512, sample_count=32,
+                                     seed=3, cache_dir=cache_dir)
+        samples = rng.stream(81, rng.STREAM_SOURCE).normal(size=(2, 512))
+        payloads, fixes, recon = lattice_quantize(samples, code, shared_seed=5)
+        np.testing.assert_array_equal(
+            lattice_reconstruct(payloads, fixes, code, shared_seed=5), recon)
+        with pytest.raises(ValueError, match="correction"):
+            lattice_reconstruct(payloads, fixes[:-1], code, shared_seed=5)
+        level = next(k for k, p in enumerate(code.profiles) if has_deterministic(p))
+        deterministic = code.profiles[level].classes == CLASS_FROZEN_DETERMINISTIC
+        for bad in _bad_corrections(deterministic, 2):
+            bad_fixes = fixes[:level] + (bad,) + fixes[level + 1:]
+            with pytest.raises(ValueError, match="corrections"):
+                lattice_reconstruct(payloads, bad_fixes, code, shared_seed=5)
+
+
 class TestDecoderBitAlphabet:
     """Decoders refuse stored bits and payloads outside {0, 1} rather than
     decoding them into blocks over a wider alphabet."""
@@ -378,11 +454,11 @@ class TestDecoderBitAlphabet:
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 512)
         _, obs = channel.sample(2, 512, rng.stream(73, rng.STREAM_SOURCE))
-        payload, _ = sc_lossy_encode(obs, channel, profile, shared_seed=3)
+        payload, fixes, _ = sc_lossy_encode(obs, channel, profile, shared_seed=3)
         bad = payload.astype(np.int64)
         bad[1, 0] = -1
         with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
-            sc_lossy_reconstruct(bad, channel, profile, shared_seed=3)
+            sc_lossy_reconstruct(bad, fixes, channel, profile, shared_seed=3)
 
 
 class TestRate1Shortcuts:
@@ -424,25 +500,25 @@ class TestRate1Shortcuts:
     def test_lossy_replay_asks_no_leaf(self, profile_store, asked):
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 1024)
-        assert profile.has_deterministic
+        assert has_deterministic(profile)
         _, obs = channel.sample(8, 1024, rng.stream(58, rng.STREAM_SOURCE))
-        payload, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
         asked.update(leaves=[], passes=0)
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, channel, profile, shared_seed=86), recon)
+            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=86), recon)
         assert asked == {"leaves": [], "passes": 1}
 
     def test_lattice_replay_asks_no_leaf(self, cache_dir, asked):
         mmse = reduce_pair(GaussianPairModel(0.8)).mmse
         code = build_multilevel_code(plan_chain(mmse), mmse, 512, sample_count=32,
                                      seed=3, cache_dir=cache_dir)
-        replayed = sum(p.has_deterministic for p in code.profiles)
+        replayed = sum(map(has_deterministic, code.profiles))
         assert replayed
         samples = rng.stream(59, rng.STREAM_SOURCE).normal(size=(4, 512))
-        payloads, recon = lattice_quantize(samples, code, shared_seed=59)
+        payloads, fixes, recon = lattice_quantize(samples, code, shared_seed=59)
         asked.update(leaves=[], passes=0)
         np.testing.assert_array_equal(
-            lattice_reconstruct(payloads, code, shared_seed=59), recon)
+            lattice_reconstruct(payloads, fixes, code, shared_seed=59), recon)
         assert asked == {"leaves": [], "passes": replayed}
 
     @pytest.mark.parametrize("prior, crossover, name", [
@@ -455,20 +531,21 @@ class TestRate1Shortcuts:
         channel = make_quantizer_source(prior, bsc_forward(crossover), name=name)
         profile = profile_store(channel, 1024)
         _, obs = channel.sample(64, 1024, rng.stream(74, rng.STREAM_SOURCE))
-        chains = 2 if profile.has_deterministic else 1
         outputs = []
         for batch in (64, 7, 1):
-            monkeypatch.setattr(sc_module, "_BATCH_VALUES", batch * chains * 1024)
+            monkeypatch.setattr(sc_module, "_BATCH_VALUES", batch * 1024)
             outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
         monkeypatch.setattr(coding_module, "_rounding_margins",
                             lambda uniforms: np.full(uniforms.shape, np.inf))
         outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
-        payload, recon = outputs[0]
-        for other_payload, other_recon in outputs[1:]:
+        payload, fixes, recon = outputs[0]
+        for other_payload, other_fixes, other_recon in outputs[1:]:
             np.testing.assert_array_equal(other_payload, payload)
+            for got, want in zip(other_fixes, fixes, strict=True):
+                np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(other_recon, recon)
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, channel, profile, shared_seed=87), recon)
+            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=87), recon)
 
 
 class TestGroupedBranches:
@@ -480,20 +557,22 @@ class TestGroupedBranches:
     def test_lossy_levels_match_separate_calls(self, profile_store, block_offset):
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 1024)
-        assert profile.has_deterministic  # both chains, and a replay that walks
+        assert has_deterministic(profile)  # corrections, and a replay that walks
         _, obs = channel.sample(6, 1024, rng.stream(75, rng.STREAM_SOURCE))
         kw = dict(shared_seed=88, block_offset=block_offset)
-        payload, recon = sc_lossy_encode(obs, channel, profile, level=(1, 2), **kw)
+        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, level=(1, 2), **kw)
         for rows, level in ((slice(0, 3), 1), (slice(3, 6), 2)):
-            alone_payload, alone_recon = sc_lossy_encode(obs[rows], channel, profile,
-                                                         level=level, **kw)
+            alone_payload, alone_fixes, alone_recon = sc_lossy_encode(
+                obs[rows], channel, profile, level=level, **kw)
             np.testing.assert_array_equal(payload[rows], alone_payload)
             np.testing.assert_array_equal(recon[rows], alone_recon)
+            for got, want in zip(fixes[rows], alone_fixes, strict=True):
+                np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(
-                sc_lossy_reconstruct(alone_payload, channel, profile, level=level,
-                                     **kw), recon[rows])
+                sc_lossy_reconstruct(alone_payload, alone_fixes, channel, profile,
+                                     level=level, **kw), recon[rows])
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, channel, profile, level=(1, 2), **kw), recon)
+            sc_lossy_reconstruct(payload, fixes, channel, profile, level=(1, 2), **kw), recon)
 
     def test_lattice_stream_bases_match_separate_calls(self, cache_dir):
         mmse = reduce_pair(GaussianPairModel(0.8)).mmse
@@ -501,16 +580,19 @@ class TestGroupedBranches:
                                      seed=3, cache_dir=cache_dir)
         samples = rng.stream(60, rng.STREAM_SOURCE).normal(size=(6, 512))
         bases = (LATTICE_STREAM_BASE, LATTICE_STREAM_BASE + MAX_LEVELS)
-        payloads, recon = lattice_quantize(samples, code, shared_seed=61,
+        payloads, fixes, recon = lattice_quantize(samples, code, shared_seed=61,
                                            stream_base=bases)
         for rows, base in ((slice(0, 3), bases[0]), (slice(3, 6), bases[1])):
-            alone_payloads, alone_recon = lattice_quantize(
+            alone_payloads, alone_fixes, alone_recon = lattice_quantize(
                 samples[rows], code, shared_seed=61, stream_base=base)
             for payload, alone in zip(payloads, alone_payloads, strict=True):
                 np.testing.assert_array_equal(payload[rows], alone)
+            for level_fixes, alone in zip(fixes, alone_fixes, strict=True):
+                for got, want in zip(level_fixes[rows], alone, strict=True):
+                    np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(recon[rows], alone_recon)
         np.testing.assert_array_equal(
-            lattice_reconstruct(payloads, code, shared_seed=61, stream_base=bases),
+            lattice_reconstruct(payloads, fixes, code, shared_seed=61, stream_base=bases),
             recon)
 
     def test_lossless_stacked_blocks_match_separate_calls(self, profile_store):
@@ -540,8 +622,10 @@ class TestGroupedBranches:
         with pytest.raises(ValueError, match="equal groups"):
             sc_lossy_encode(obs, channel, profile, shared_seed=89, level=level)
         payload = np.zeros((blocks, len(profile.info_positions())), dtype=np.uint8)
+        fixes = tuple(np.empty(0, np.int64) for _ in range(blocks))
         with pytest.raises(ValueError, match="equal groups"):
-            sc_lossy_reconstruct(payload, channel, profile, shared_seed=89, level=level)
+            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=89,
+                                 level=level)
 
     def test_stream_bases_that_do_not_split_the_rows_are_refused(self, cache_dir):
         mmse = reduce_pair(GaussianPairModel(0.8)).mmse
@@ -557,26 +641,30 @@ class TestDepthFirstWalks:
     """Depth-first walks are bounded by sc._BATCH_VALUES and free the
     posteriors they are given before their first leaf."""
 
-    def test_two_chain_pass_of_128_blocks_takes_two_walks(self, profile_store,
+    def test_one_chain_pass_of_256_blocks_takes_two_walks(self, profile_store,
                                                           monkeypatch):
+        """The encoder walks one chain, also where the profile has D
+        indices, so 256 blocks at N=4096 are two walks of 128 blocks, which
+        agree with one walk of 256."""
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 4096)
-        assert profile.has_deterministic  # a two-chain encoder pass
-        _, obs = channel.sample(128, 4096, rng.stream(78, rng.STREAM_SOURCE))
+        assert has_deterministic(profile)
+        _, obs = channel.sample(256, 4096, rng.stream(78, rng.STREAM_SOURCE))
         traverse = profile_module.sc_traverse
         walks = []
 
         def recording(evidence, decide, **kwargs):
             u, x = traverse(evidence, decide, **kwargs)
-            walks.append((evidence.shape[:2], u, x))
+            if kwargs.get("plan") is not None:  # not the corrections' pass
+                walks.append((evidence.shape[:2], u, x))
             return u, x
 
         monkeypatch.setattr(profile_module, "sc_traverse", recording)
         sc_lossy_encode(obs, channel, profile, shared_seed=90)
-        assert [shape for shape, _, _ in walks] == [(2, 64), (2, 64)]
+        assert [shape for shape, _, _ in walks] == [(1, 128), (1, 128)]
         monkeypatch.setattr(sc_module, "_BATCH_VALUES", 1 << 23)
         sc_lossy_encode(obs, channel, profile, shared_seed=90)
-        assert [shape for shape, _, _ in walks[2:]] == [(2, 128)]
+        assert [shape for shape, _, _ in walks[2:]] == [(1, 256)]
         for k in (1, 2):  # u, then x
             np.testing.assert_array_equal(
                 np.concatenate([walk[k] for walk in walks[:2]]), walks[2][k])
@@ -596,7 +684,7 @@ class TestDepthFirstWalks:
 
         def decide(i, llr, start, stop):
             alive.append(returned[-1]() is not None)
-            return map_bits(llr[0])
+            return map_bits(llr)
 
         profile_module.traverse_batches((cond,), 4, 64, decide)
         assert len(alive) == 64 and not any(alive)

@@ -65,7 +65,7 @@ class TestChainRuleExact:
 
         def decide(i, llr):
             bits = u_true[:, i]
-            surprisal[:] += _surprisal(llr[0], bits)
+            surprisal[:] += _surprisal(llr, bits)
             return bits
 
         sc_traverse(evidence, decide)
@@ -83,7 +83,7 @@ class TestChainRuleExact:
 
         def decide(i, llr):
             bits = u_true[:, i]
-            surprisal[:] += _surprisal(llr[0], bits)
+            surprisal[:] += _surprisal(llr, bits)
             return bits
 
         sc_traverse(evidence, decide)
@@ -163,7 +163,7 @@ class TestClassification:
     def test_uniform_prior_has_no_deterministic(self):
         profile = construct_profile(crossover_side_info(0.2), 256,
                                     sample_count=200, seed=6)
-        assert not profile.has_deterministic
+        assert not (profile.classes == CLASS_FROZEN_DETERMINISTIC).any()
 
     @pytest.mark.parametrize("beta", [math.nan, 0.0, 1.0])
     def test_beta_outside_open_unit_interval_rejected(self, beta):

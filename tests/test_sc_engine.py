@@ -1,9 +1,10 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
-bitwise agreement of the breadth-first and depth-first passes, pruned
-depth-first passes against unpruned ones (with and without the margins
-that let FREE nodes take the rate-1 shortcut, and with per-block
-corrections at PRIOR leaves), infinite and contradictory
-evidence, the leaf statistics and decisions read from LLRs against their
+bitwise agreement of the breadth-first pass (one or two chains) and the
+one-chain depth-first pass on each chain, pruned depth-first passes
+against unpruned ones (with and without the margins that let FREE nodes
+take the rate-1 shortcut, and with per-block corrections at PRIOR
+leaves), each chain of C-chain evidence walked in its own pass, infinite
+and contradictory evidence, the leaf statistics and decisions read from LLRs against their
 pair formulas, and lossless round trips whose uncertain positions are
 mostly decided by maximum posterior."""
 
@@ -73,14 +74,21 @@ def _evidence(kind, n_chains, n_blocks, block_len, seed):
     return np.stack([1.0 - p1, p1], axis=-1)
 
 
+def _per_chain(evidence):
+    """One-chain slices of (C, B, N, 2) evidence: a depth-first pass walks
+    one chain, so C-chain evidence is walked one chain per pass."""
+    return [evidence[c:c + 1] for c in range(len(evidence))]
+
+
 def _depth_first_leaves(evidence, u):
+    """(C, B, N) leaf LLRs of one depth-first pass per chain along u."""
     seen = np.empty(evidence.shape[:3])
+    for c, chain in enumerate(_per_chain(evidence)):
+        def decide(i, llr, c=c):
+            seen[c, :, i] = llr
+            return u[:, i]
 
-    def decide(i, llr):
-        seen[:, :, i] = llr
-        return u[:, i]
-
-    sc_traverse(evidence, decide)
+        sc_traverse(chain, decide)
     return seen
 
 
@@ -151,7 +159,7 @@ class TestPassesShareLeafLlrs:
             evidence, lambda leaves, llr: breadth.append(llr), known=u)
         u_df, x_df = sc_traverse(
             evidence, lambda i, llr: depth.append(llr.copy()) or u[:, i])
-        np.testing.assert_array_equal(breadth[0], np.stack(depth, axis=-1))
+        np.testing.assert_array_equal(breadth[0][0], np.stack(depth, axis=-1))
         np.testing.assert_array_equal(u_bf, u_df)
         np.testing.assert_array_equal(x_bf, x_df)
         np.testing.assert_array_equal(x_bf, x)
@@ -199,9 +207,9 @@ def _plans(block_len, n_blocks, gen):
 
 
 def _rounding_rule(uniforms):
-    """A FREE-leaf decision that reads the LLRs: randomized rounding on
-    chain 0 with the given uniforms per (block, leaf)."""
-    return lambda i, llr: (uniforms[:, i] < _posterior_one(llr[0])).astype(np.uint8)
+    """A FREE-leaf decision that reads the LLRs: randomized rounding with
+    the given uniforms per (block, leaf)."""
+    return lambda i, llr: (uniforms[:, i] < _posterior_one(llr)).astype(np.uint8)
 
 
 def _free_rule(n_blocks, block_len, seed):
@@ -223,7 +231,7 @@ def _planned_passes(evidence, kinds, bits, free, margins=None):
         if kinds[i] == LEAF_KNOWN:
             return bits[:, i]
         if kinds[i] == LEAF_PRIOR:
-            return map_bits(llr[-1]) ^ bits[:, i]
+            return map_bits(llr) ^ bits[:, i]
         return free(i, llr)
 
     plan = (kinds, bits) if margins is None else (kinds, bits, margins)
@@ -232,8 +240,9 @@ def _planned_passes(evidence, kinds, bits, free, margins=None):
 
 
 def _assert_pruning_exact(evidence, seed):
-    """Every plan of _plans, with the tie of TIE_PAIRS planted in the prior
-    chain of block 0."""
+    """Every plan of _plans on every chain of the evidence, walked one
+    chain per pass, with the tie of TIE_PAIRS planted in the last chain of
+    block 0."""
     evidence = evidence.copy()
     evidence[-1, 0] = TIE_PAIRS[-1]
     evidence[-1, 0, 0] = TIE_PAIRS[0]
@@ -241,13 +250,18 @@ def _assert_pruning_exact(evidence, seed):
     n_blocks, block_len = evidence.shape[1:3]
     for trial, (kinds, bits) in enumerate(_plans(block_len, n_blocks, gen)):
         free = _free_rule(n_blocks, block_len, seed + trial)
-        (u, x), (u_ref, x_ref), asked = _planned_passes(evidence, kinds, bits, free)
-        np.testing.assert_array_equal(u, u_ref)
-        np.testing.assert_array_equal(x, x_ref)
-        np.testing.assert_array_equal(x, polar_transform(u))
-        known = kinds == LEAF_KNOWN
-        np.testing.assert_array_equal(u[:, known], bits[:, known])
-        assert asked == np.flatnonzero(kinds == LEAF_FREE).tolist()
+        for chain in _per_chain(evidence):
+            _assert_plan_exact(chain, kinds, bits, free)
+
+
+def _assert_plan_exact(evidence, kinds, bits, free):
+    (u, x), (u_ref, x_ref), asked = _planned_passes(evidence, kinds, bits, free)
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(x, polar_transform(u))
+    known = kinds == LEAF_KNOWN
+    np.testing.assert_array_equal(u[:, known], bits[:, known])
+    assert asked == np.flatnonzero(kinds == LEAF_FREE).tolist()
 
 
 def _confidence_mix(n_chains, n_blocks, block_len, seed):
@@ -265,7 +279,7 @@ def _confidence_mix(n_chains, n_blocks, block_len, seed):
 class TestPrunedPass:
     """The plan's pruned pass against the unpruned pass that decides every
     leaf by callback: bit-identical (u, x), and decide sees FREE leaves
-    only."""
+    only, on each of n_chains evidence chains in its own pass."""
 
     @pytest.mark.parametrize("kind", ["random", "near-deterministic", "mixed"])
     def test_random_evidence(self, kind, n_chains, block_len):
@@ -325,7 +339,7 @@ class TestPruningSkipsWork:
     @pytest.mark.parametrize("kind", [LEAF_KNOWN, LEAF_PRIOR])
     def test_uniform_plan_is_one_step(self, counted, kind):
         """All KNOWN with random bits, or all PRIOR with no correction."""
-        evidence = _evidence("near-deterministic", 2, 3, 1024, seed=5)
+        evidence = _evidence("near-deterministic", 1, 3, 1024, seed=5)
         bits = np.random.default_rng(5).integers(0, 2, (3, 1024)).astype(np.uint8)
         if kind == LEAF_PRIOR:
             bits[:] = 0
@@ -334,7 +348,7 @@ class TestPruningSkipsWork:
         if kind == LEAF_KNOWN:
             np.testing.assert_array_equal(u, bits)
         else:
-            np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][-1]))
+            np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
         np.testing.assert_array_equal(x, polar_transform(u))
 
     def test_one_correction_flips_one_block(self, counted):
@@ -342,7 +356,7 @@ class TestPruningSkipsWork:
         in that block and nowhere else, every other block and every earlier
         leaf keeps the uncorrected decision, and the root's shortcut is
         refused, so the pass computes f- and g-steps."""
-        evidence = _evidence("near-deterministic", 2, 3, 1024, seed=5)
+        evidence = _evidence("near-deterministic", 1, 3, 1024, seed=5)
         kinds, bits = np.full(1024, LEAF_PRIOR), np.zeros((3, 1024), np.uint8)
         u_plain, _ = sc_traverse(evidence, None, plan=(kinds, bits))
         bits[1, 300] = 1
@@ -364,7 +378,7 @@ class TestPruningSkipsWork:
     def test_polarized_free_plan_is_one_step(self, counted):
         """An all-FREE plan whose every |L| clears the root's guard with
         the rounding margins is decided at the root, with no callback."""
-        evidence = _polarized(2, 4, 1024, seed=6)
+        evidence = _polarized(1, 4, 1024, seed=6)
         uniforms = np.random.default_rng(6).uniform(0.25, 0.75, (4, 1024))
         kinds, bits = np.full(1024, LEAF_FREE), np.zeros((4, 1024), np.uint8)
 
@@ -402,6 +416,17 @@ class TestPlanChecked:
         kinds[5] = LEAF_PRIOR
         u, x = sc_traverse(evidence, None, plan=(kinds, bits))
         np.testing.assert_array_equal(x, polar_transform(u))
+
+    def test_depth_first_pass_walks_one_chain(self):
+        """Two chains are refused by the depth-first pass, with or without
+        a plan, and accepted by the breadth-first one."""
+        evidence = np.full((2, 2, 8, 2), 0.5)
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        for plan in [None, (np.full(8, LEAF_PRIOR), bits)]:
+            with pytest.raises(ValueError, match="one chain"):
+                sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
+        u, x = sc_traverse(evidence, lambda leaves, llr: None, known=bits)
+        np.testing.assert_array_equal(u, bits)
 
     def test_plan_and_known_exclusive(self):
         evidence = np.full((1, 2, 8, 2), 0.5)
@@ -444,9 +469,9 @@ class TestInfiniteEvidence:
             warnings.simplefilter("error")
             sc_traverse(evidence, lambda i, llr: seen.append(llr.copy()) or np.zeros(1))
             known = _breadth_first_leaves(evidence, np.zeros((1, 2), np.uint8))
-        assert seen[0][0, 0] == -np.inf
-        assert seen[1][0, 0] == 0.0
-        np.testing.assert_array_equal(known, np.stack(seen, axis=2))
+        assert seen[0][0] == -np.inf
+        assert seen[1][0] == 0.0
+        np.testing.assert_array_equal(known[0], np.stack(seen, axis=-1))
 
     def test_all_zero_pairs_read_as_uniform(self):
         evidence = np.zeros((2, 3, 16, 2))
@@ -533,7 +558,7 @@ def _node_llrs(evidence, u):
 
 def _expected_asked(evidence, u, kinds, margins):
     """The FREE leaves outside every all-FREE node of width > 1 whose
-    chain-0 |L| passes ln 2 log2(M) + 1 + the block's largest margin over
+    one-chain |L| passes ln 2 log2(M) + 1 + the block's largest margin over
     the node in every block, found top-down."""
     nodes = _node_llrs(evidence, u)
     asked = []
@@ -563,21 +588,23 @@ def _margin_passes(evidence, kinds, bits, uniforms):
 
 
 def _assert_margin_pruning_exact(evidence, seed):
-    """Every plan of _plans and an all-FREE plan: bit-identical to the
-    unpruned pass, and decide asked exactly outside the shortcut nodes."""
+    """Every plan of _plans and an all-FREE plan on every chain of the
+    evidence, one chain per pass: bit-identical to the unpruned pass, and
+    decide asked exactly outside the shortcut nodes."""
     gen = np.random.default_rng(seed)
     n_blocks, block_len = evidence.shape[1:3]
     plans = list(_plans(block_len, n_blocks, gen))
     plans.append((np.full(block_len, LEAF_FREE), plans[0][1]))
     for trial, (kinds, bits) in enumerate(plans):
         uniforms = _rounding_uniforms(n_blocks, block_len, seed + trial)
-        (u, x), (u_ref, x_ref), asked = _margin_passes(evidence, kinds, bits,
-                                                       uniforms)
-        np.testing.assert_array_equal(u, u_ref)
-        np.testing.assert_array_equal(x, x_ref)
-        np.testing.assert_array_equal(x, polar_transform(u))
-        assert asked == _expected_asked(evidence, u, kinds,
-                                        _rounding_margins(uniforms))
+        for chain in _per_chain(evidence):
+            (u, x), (u_ref, x_ref), asked = _margin_passes(chain, kinds, bits,
+                                                           uniforms)
+            np.testing.assert_array_equal(u, u_ref)
+            np.testing.assert_array_equal(x, x_ref)
+            np.testing.assert_array_equal(x, polar_transform(u))
+            assert asked == _expected_asked(chain, u, kinds,
+                                            _rounding_margins(uniforms))
 
 
 def _polarized(n_chains, n_blocks, block_len, seed, doubt=1e-12):
@@ -592,7 +619,8 @@ def _polarized(n_chains, n_blocks, block_len, seed, doubt=1e-12):
 @pytest.mark.parametrize("block_len", [8, 64, 1024])
 class TestMarginPrunedPass:
     """Plans with margins: FREE nodes past the shifted guard take the sign
-    of chain 0, bit-identical to rounding every leaf by callback."""
+    of their LLRs, bit-identical to rounding every leaf by callback, on
+    each of n_chains evidence chains in its own pass."""
 
     @pytest.mark.parametrize("kind", ["random", "near-deterministic", "mixed",
                                       "polarized", "infinite"])
@@ -678,13 +706,13 @@ class TestPlantedMargins:
 
         def decide(i, llr):
             asked.append(i)
-            return map_bits(llr[0])
+            return map_bits(llr)
 
         plan = (np.full(2, LEAF_FREE), np.zeros((1, 2), np.uint8),
                 np.full((1, 2), margin))
         u, x = sc_traverse(evidence, decide, plan=plan)
         assert asked == ([] if above else [0, 1])
-        u_ref, x_ref = sc_traverse(evidence, lambda i, llr: map_bits(llr[0]))
+        u_ref, x_ref = sc_traverse(evidence, lambda i, llr: map_bits(llr))
         np.testing.assert_array_equal(u, u_ref)
         np.testing.assert_array_equal(x, x_ref)
 
