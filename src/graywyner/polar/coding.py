@@ -33,10 +33,11 @@ flag) on top of the sent bits (rate_per_block).
 Decoding is one replay (_replay), a one-chain plan with no FREE leaf, so
 no decoder asks a callback: sent bits (stored bits; payload and dither)
 are KNOWN, and every other leaf is PRIOR, sc.map_bits of the chain xor a
-per-block correction, checked and scattered by _correction_bits.  The
-lossless decoder's chain conditions on the side information; the lossy
-and lattice replays run the prior chain.  Without PRIOR leaves the replay
-transforms the bits, which equals the traversal output exactly.
+per-block correction, checked and scattered straight into the plan's bits
+by _scatter_corrections.  The lossless decoder's chain conditions on the
+side information; the lossy and lattice replays run the prior chain.
+Without PRIOR leaves the replay transforms the bits, which equals the
+traversal output exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
 prior(start, stop) that return the leaf posteriors of a block slice
@@ -80,15 +81,16 @@ def _corrections(chain, u, mask) -> tuple:
     return tuple(np.flatnonzero(row).astype(np.int64) for row in wrong)
 
 
-def _correction_bits(corrections, allowed, n_blocks: int) -> np.ndarray:
-    """(n_blocks, N) uint8 bits, 1 at every corrected leaf; ValueError
-    unless corrections holds n_blocks arrays of distinct integer indices
-    inside the (N,) bool mask allowed."""
-    block_len = len(allowed)
+def _scatter_corrections(bits, corrections, allowed) -> None:
+    """Write the corrections into the (n_blocks, N) uint8 bits in place:
+    0 at every leaf of the (N,) bool mask allowed, 1 at every corrected
+    one.  ValueError unless corrections holds n_blocks arrays of distinct
+    integer indices inside allowed."""
+    n_blocks, block_len = bits.shape
     if len(corrections) != n_blocks:
         raise ValueError(f"corrections must hold {n_blocks} per-block index "
                          f"arrays, got {len(corrections)}")
-    bits = np.zeros((n_blocks, block_len), dtype=np.uint8)
+    bits[:, allowed] = 0
     for b, idx in enumerate(map(np.asarray, corrections)):
         if (idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer)
                 or np.any((idx < 0) | (idx >= block_len))):
@@ -96,7 +98,6 @@ def _correction_bits(corrections, allowed, n_blocks: int) -> np.ndarray:
         if not allowed[idx].all() or np.unique(idx).size != idx.size:
             raise ValueError("corrections must name distinct decoder-decided indices")
         bits[b, idx] = 1
-    return bits
 
 
 def rate_per_block(sent: int, corrections, block_len: int) -> np.ndarray:
@@ -212,8 +213,9 @@ def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
                          f"got {code.stored_bits.shape}")
     if np.any((code.stored_bits != 0) & (code.stored_bits != 1)):
         raise ValueError("stored_bits must hold bits in {0, 1}")
-    bits = _correction_bits(code.corrections, ~code.stored_mask, n_blocks)
+    bits = np.empty((n_blocks, block_len), dtype=np.uint8)
     bits[:, code.stored_mask] = code.stored_bits
+    _scatter_corrections(bits, code.corrections, ~code.stored_mask)
     cond, _ = channel_evidence(
         channel, _side_symbols(channel, side, (n_blocks, block_len)))
     return _replay(cond, np.where(code.stored_mask, LEAF_KNOWN, LEAF_PRIOR), bits)
@@ -302,11 +304,10 @@ def lossy_reconstruct_from_evidence(payload, corrections, prior,
     if np.any((payload != 0) & (payload != 1)):
         raise ValueError("payload must hold bits in {0, 1}")
     deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
-    flips = _correction_bits(corrections, deterministic, n_blocks)
     bits = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
                           n_blocks, block_offset, block_len)
     bits[:, info_pos] = payload
-    bits[:, deterministic] = flips[:, deterministic]
+    _scatter_corrections(bits, corrections, deterministic)
     return _replay(prior, np.where(deterministic, LEAF_PRIOR, LEAF_KNOWN), bits)
 
 

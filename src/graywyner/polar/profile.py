@@ -316,14 +316,37 @@ def channel_evidence(channel: BinarySourceWithSideInfo, side):
     return cond, (None if channel.prior_is_uniform else prior)
 
 
+# values per pass of the log1p term of _leaf_statistics: an eighth of a
+# breadth-first slice (sc._GROUP_VALUES), so its buffer takes no more
+# bytes than a bool mask of the slice
+_LEAF_TAIL_VALUES = 1 << 13
+
+
 def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
-    """z = 1/cosh(L/2) and h = log2(1 + e^(+-L)), + for a true 1, of leaf
-    LLRs along the true bits, with L capped at +-700 so h stays finite.
-    z is computed in llr's own buffer, which saves a batch-sized array."""
+    """z = 1/cosh(L/2) and h = log2(1 + e^s), s = +-L, + for a true 1, of
+    (C, B, N) leaf LLRs along the (B, N) true bits, with L capped at +-700
+    so h stays finite.
+
+    h is taken as (max(s, 0) + log1p(e^-|s|)) / ln 2, the recipe of
+    np.logaddexp(0, s) run as SIMD exp and log1p calls; these differ from
+    the scalar ones inside logaddexp by at most a rounding unit, which
+    moves h by as much and leaves z untouched.
+    z is computed in llr's own buffer, which saves a batch-sized array,
+    and the log1p term _LEAF_TAIL_VALUES values at a time."""
     z = np.clip(llr, -700.0, 700.0, out=llr)
-    h = z.copy()
-    np.negative(h, out=h, where=bits == 0)
-    np.logaddexp(0.0, h, out=h)
+    sign = np.multiply(bits, 2, dtype=np.int8)
+    sign -= 1  # 2 bit - 1
+    h = np.multiply(z, sign)  # s
+    np.maximum(h, 0.0, out=h)
+    flat_z, flat_h = z.reshape(-1), h.reshape(-1)
+    tail = np.empty(min(z.size, _LEAF_TAIL_VALUES))
+    for start in range(0, z.size, _LEAF_TAIL_VALUES):
+        stop = min(start + _LEAF_TAIL_VALUES, z.size)
+        part = tail[:stop - start]
+        np.copysign(flat_z[start:stop], -1.0, out=part)  # -|s|
+        np.exp(part, out=part)
+        np.log1p(part, out=part)
+        flat_h[start:stop] += part
     h /= np.log(2.0)
     np.cosh(np.multiply(z, 0.5, out=z), out=z)
     return np.reciprocal(z, out=z), h

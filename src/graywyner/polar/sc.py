@@ -154,7 +154,8 @@ def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
 
     sign(a) sign(b) [m + ln(1 + e^-(M+m)) - ln(1 + e^-(M-m))] with m, M the
     smaller and larger of |a|, |b|; both log terms lie in [0, ln 2].  work
-    is an optional (2,) + a.shape float scratch buffer; out holds -m until
+    is an optional contiguous (2,) + a.shape float scratch buffer, whose
+    two terms take their clamp, exp and log1p together; out holds -m until
     the result overwrites it, so it must not overlap a or b, which the
     last step reads again.
     """
@@ -169,13 +170,13 @@ def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
     np.maximum(sum_term, gap_term, out=neg_near)  # -m
     np.minimum(sum_term, gap_term, out=sum_term)  # -M
     np.subtract(sum_term, neg_near, out=gap_term)  # -(M - m); nan if both infinite
-    if has_inf:
-        gap_term[np.isnan(gap_term)] = 0.0
+    if has_inf:  # every other gap is <= 0
+        np.fmin(gap_term, 0.0, out=gap_term)
     sum_term += neg_near  # -(M + m)
-    for term in (sum_term, gap_term):  # term <- ln(1 + e^term)
-        np.maximum(term, -_TERM_CAP, out=term)
-        np.exp(term, out=term)
-        np.log1p(term, out=term)
+    # both terms at once: term <- ln(1 + e^term)
+    np.maximum(work, -_TERM_CAP, out=work)
+    np.exp(work, out=work)
+    np.log1p(work, out=work)
     sum_term -= neg_near
     sum_term -= gap_term  # the magnitude
     # the sign of a * b is the xor of their signs even where the product
@@ -280,15 +281,16 @@ def _depth_first(llr: np.ndarray, has_inf: bool, decide, kinds, bits, margins):
 def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
     n_chains, n_blocks, block_len = llr.shape
     codeword = polar_transform(u)
-    # partial holds the transform of u over every aligned slice of the
-    # current node width M, which is what the depth-first pass returns from
-    # the node over that slice; undoing the butterfly stage of width M/2
-    # takes it to the slices of the next level
-    partial = codeword.copy()
     # nodes[c, b, j, k]: value j of node k of the current level, so the two
     # halves every node splits into are two contiguous slabs; node k's
     # children become nodes 2k and 2k + 1, which ends in leaf order
     nodes = llr.reshape(n_chains, n_blocks, block_len, 1)
+    # partial[b, j, k]: value j of the codeword of node k, the transform of
+    # u over the node's leaves, in the layout of nodes.  A codeword is
+    # [v ^ w, w] for v and w the codewords of the node's first and second
+    # child, so v is the xor of the two halves, already in the g-step's
+    # layout, and w is the second half; they are interleaved as nodes are
+    partial = codeword.reshape(n_blocks, block_len, 1)
     spare = np.empty_like(llr)
     del llr
     # every stage runs over the whole batch at once: traverse_batches hands
@@ -298,9 +300,10 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
     width = block_len
     while width > 1:
         half, count = width // 2, block_len // width
-        stage = partial.reshape(n_blocks, count, 2, half)
-        stage[:, :, 0, :] ^= stage[:, :, 1, :]
-        v = np.ascontiguousarray(stage[:, :, 0, :].transpose(0, 2, 1))
+        v = partial[:, :half] ^ partial[:, half:]
+        child_bits = np.empty((n_blocks, half, count, 2), dtype=np.uint8)
+        child_bits[..., 0] = v
+        child_bits[..., 1] = partial[:, half:]
         children = spare.reshape(n_chains, n_blocks, half, count, 2)
         first, second = nodes[:, :, :half], nodes[:, :, half:]
         scratch = work.reshape((3,) + first.shape)
@@ -311,6 +314,7 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
         _g_step(first, second, v[None], has_inf, out=children[..., 1],
                 work=scratch[0])
         nodes, spare = children.reshape(n_chains, n_blocks, half, 2 * count), nodes
+        partial = child_bits.reshape(n_blocks, half, 2 * count)
         del children
         width = half
     del spare, work  # free the buffers before stats makes its own

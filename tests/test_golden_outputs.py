@@ -15,7 +15,11 @@ runs of both lists, so a label, region, theory figure or target cannot
 change unseen either.  GOLDEN_PROFILES hashes the constructions themselves
 (PROFILE_FIELDS of each profile): three DSBS channels and the levels of a
 Gaussian pair's lattice code, so a change to the construction that happens
-not to move any pipeline output is still seen.  GOLDEN_CODES hashes the
+not to move any pipeline output is still seen.  GOLDEN_CLASSES hashes only
+the fields that decide the codes (CLASS_FIELDS: z_cond, z_prior and the
+classes) of the same profiles, so a change that moves the entropy
+estimates h by rounding units re-records GOLDEN_PROFILES while
+GOLDEN_CLASSES shows that no construction decision moved.  GOLDEN_CODES hashes the
 coders' own outputs, which the pipeline digests see only through rates and
 distortions: a lossless code (stored bits, corrections) with its decoded
 blocks, lossy payloads and corrections with their reconstructions and
@@ -68,12 +72,14 @@ from graywyner.polar import test_channel_source as make_quantizer_source
 GOLDEN = "5c2ffd904b9174d3e0dd91283313f6ca949061be92e5ceebe6ecc7686a421e25"
 GOLDEN_BATCH = "f51dfa43c240856bfcc78a728a8d33f5164cf09590cbb3a3a3f9d59bf855c067"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
-GOLDEN_PROFILES = "6c39d8f1cbaae9b87f4586c6ae302d1b41a043d80ca5ba9b8785f0e0e611c735"
+GOLDEN_PROFILES = "d0109f64fd203b3e259a4be9c1f0bc0c05d9234a7fe5ad51c75746268cef6add"
+GOLDEN_CLASSES = "3e4b877b91f8868b130d5372b8eafac59834fb1d08b2dcc8d8fefa47ea54f3a7"
 GOLDEN_CODES = "a625f51793996d2a3ea957fd6e7e5d223cc53f2f5aeefd46e3bcaf1363ff7047"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",
                  "theory.r1", "theory.r2", "theory_ci", "target_dx", "target_dy")
 PROFILE_FIELDS = ("z_cond", "z_prior", "h_cond", "h_prior", "classes")
+CLASS_FIELDS = ("z_cond", "z_prior", "classes")
 
 
 def golden_runs():
@@ -207,6 +213,10 @@ def test_scalar_fields_match_golden_digest():
 
 def test_profiles_match_golden_digest():
     assert digest_of(golden_profiles(), PROFILE_FIELDS) == GOLDEN_PROFILES
+
+
+def test_construction_decisions_match_golden_digest():
+    assert digest_of(golden_profiles(), CLASS_FIELDS) == GOLDEN_CLASSES
 
 
 def test_codes_match_golden_digest():

@@ -381,7 +381,9 @@ class TestSampler:
     """sample draws exactly what Generator.choice draws over the joint law,
     a few rows at a time."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    # K = 130: 2 K outcomes outgrow uint8, the symbols do not; K = 300:
+    # the symbols outgrow uint8 too
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 130, 300])
     @pytest.mark.parametrize("n_blocks", [0, 1, 7, 37])
     def test_matches_generator_choice(self, monkeypatch, k, n_blocks):
         weights = rng.stream(k, rng.STREAM_SOURCE).random((2, k)) + 0.1
@@ -392,7 +394,7 @@ class TestSampler:
         gen, ref = (rng.stream(61, rng.STREAM_CONSTRUCTION) for _ in range(2))
         x, y = channel.sample(n_blocks, 64, gen)
         idx = ref.choice(2 * k, size=(n_blocks, 64), p=channel.joint.ravel())
-        assert (x.dtype, y.dtype) == (np.uint8, np.uint8)
+        assert (x.dtype, y.dtype) == (np.uint8, np.min_scalar_type(k - 1))
         np.testing.assert_array_equal(x, idx // k)
         np.testing.assert_array_equal(y, idx % k)
         np.testing.assert_array_equal(gen.random(5), ref.random(5))

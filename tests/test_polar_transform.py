@@ -1,4 +1,5 @@
-"""Transform tests against a dense GF(2) matrix oracle."""
+"""Transform tests against a dense GF(2) matrix oracle and against the
+byte-stage transform the word stages replace."""
 
 import numpy as np
 import pytest
@@ -65,3 +66,66 @@ class TestAlgebra:
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ValueError):
             polar_transform(np.zeros(n, dtype=np.uint8))
+
+
+def byte_stage_transform(bits):
+    """The transform one byte per position, stage by stage, as it was
+    computed before the word stages: the oracle of TestWordStages."""
+    x = np.array(bits, dtype=np.uint8, copy=True)
+    n = x.shape[-1]
+    h = 1
+    while h < n:
+        v = x.reshape(x.shape[:-1] + (n // (2 * h), 2, h))
+        v[..., 0, :] ^= v[..., 1, :]
+        h *= 2
+    return x
+
+
+BLOCK_LENGTHS = [2 ** k for k in range(13)]  # 1 ... 4096
+
+
+class TestWordStages:
+    """The word-stage transform against the byte-stage oracle, over every
+    block length up to 4096 and the input layouts callers hand it."""
+
+    @staticmethod
+    def _check(x):
+        keep = np.array(x, copy=True)
+        out = polar_transform(x)
+        assert out.dtype == np.uint8 and out.shape == np.shape(x)
+        np.testing.assert_array_equal(out, byte_stage_transform(x))
+        np.testing.assert_array_equal(x, keep)  # the input is not modified
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_uint8_rows(self, n):
+        self._check(np.random.default_rng(n).integers(0, 2, (5, n), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_one_block(self, n):
+        self._check(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    @pytest.mark.parametrize("n", [4, 8, 64, 4096])
+    def test_other_dtypes(self, dtype, n):
+        self._check(np.random.default_rng(n).integers(0, 2, (3, n)).astype(dtype))
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 1024])
+    def test_transposed_view(self, n):
+        x = np.random.default_rng(n).integers(0, 2, (n, 6), dtype=np.uint8).T
+        assert not x.flags.c_contiguous
+        self._check(x)
+
+    @pytest.mark.parametrize("n", [2, 8, 512])
+    def test_three_dimensional(self, n):
+        self._check(np.random.default_rng(n).integers(0, 2, (2, 3, n), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 4096])
+    def test_zero_rows(self, n):
+        self._check(np.zeros((0, n), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [4, 8, 256])
+    def test_read_only_broadcast(self, n):
+        row = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        x = np.broadcast_to(row, (4, n))
+        assert not x.flags.writeable
+        self._check(x)

@@ -725,3 +725,45 @@ class TestMarginsChecked:
         plan = (np.zeros(8), np.zeros((2, 8), np.uint8), margins)
         with pytest.raises(ValueError, match="margins"):
             sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
+
+
+def _f_step_two_loops(a, b, has_inf):
+    """The f-step as it was computed before its two log terms shared one
+    clamp, exp and log1p: the oracle of test_f_step_matches_two_loop_formula."""
+    out = np.empty(a.shape)
+    sum_term, gap_term = np.empty((2,) + a.shape)
+    neg_near = out
+    np.copysign(a, -1.0, out=sum_term)
+    np.copysign(b, -1.0, out=gap_term)
+    np.maximum(sum_term, gap_term, out=neg_near)
+    np.minimum(sum_term, gap_term, out=sum_term)
+    np.subtract(sum_term, neg_near, out=gap_term)
+    if has_inf:
+        gap_term[np.isnan(gap_term)] = 0.0
+    sum_term += neg_near
+    for term in (sum_term, gap_term):
+        np.maximum(term, -60.0, out=term)
+        np.exp(term, out=term)
+        np.log1p(term, out=term)
+    sum_term -= neg_near
+    sum_term -= gap_term
+    np.multiply(a, b, out=gap_term)
+    return np.copysign(sum_term, gap_term, out=out)
+
+
+@pytest.mark.parametrize("shape", [(64, 4), (2, 16, 1024)])
+@pytest.mark.parametrize("has_inf", [False, True])
+def test_f_step_matches_two_loop_formula(shape, has_inf):
+    """Bit for bit, signed zeros and inf included, on values that mix +-0,
+    1e300 (whose product overflows), magnitudes on both sides of the term
+    cap at 60, and +-inf where the pass has infinite LLRs."""
+    gen = np.random.default_rng(sum(shape) + has_inf)
+    special = [0.0, -0.0, 1e300, -1e300, 59.5, -60.0, 60.0, 60.5, -120.0, 30.0]
+    if has_inf:
+        special += [np.inf, -np.inf]
+    a, b = (np.where(gen.random(shape) < 0.5, gen.choice(special, shape),
+                     gen.normal(0.0, 40.0, shape)) for _ in range(2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = sc_module._f_step(a, b, has_inf)
+        want = _f_step_two_loops(a, b, has_inf)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
