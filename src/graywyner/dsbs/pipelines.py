@@ -33,9 +33,9 @@ per recorded correction.  Every lossy stage also replays the decoder path and
 verifies it reproduces the encoder-side reconstruction bit for bit, and
 every lossless branch is decoded and compared against the source exactly.
 
-Each stage caps its rate at the exact channel figure plus a fixed
-per-stage margin that shrinks as (2^16/N)^(1/4), so measured rates improve
-with block length.
+Each code sends what its profile's decision-error rule picks (see
+polar.profile); lossy stages cap the payload at the mutual information plus
+a margin that shrinks as (2^16/N)^(1/4).
 """
 
 from __future__ import annotations
@@ -79,12 +79,8 @@ COMMON_LEVEL = 0
 PRIVATE_X_LEVEL = 1
 PRIVATE_Y_LEVEL = 2
 
-# per-stage rate headroom over the channel figure at block length 2^16
+# lossy payload headroom over the mutual information at block length 2^16
 COMMON_MARGIN = 0.06
-COUPLED_MARGIN = 0.085
-PLAIN_LOSSLESS_MARGIN = 0.05
-SIDE_LOSSLESS_MARGIN = 0.035
-REFINE_MARGIN = 0.05
 
 
 def _scaled(margin: float, block_len: int) -> float:
@@ -159,13 +155,13 @@ class _Stages:
                 construct_profile_cached(channel, self.block_len, self.cache_dir, **kw))
         return self.profiles[key]
 
-    def quantize(self, cap_margin, *branches):
+    def quantize(self, *branches):
         """Lossy stages of (channel, obs, level) branches: returns one
         (per-block rates, reconstruction blocks) per branch.  Branches that
         share a channel are one encode and one replay (see _by_channel),
         each branch's dither at its own level."""
         def code(channel, obs, levels):
-            cap = channel.mutual_information() + _scaled(cap_margin, self.block_len)
+            cap = channel.mutual_information() + _scaled(COMMON_MARGIN, self.block_len)
             profile = self.profile_for(channel).with_payload_cap(cap)
             payload, corrections, recon = sc_lossy_encode(
                 obs, channel, profile, shared_seed=self.seed, level=levels)
@@ -178,16 +174,14 @@ class _Stages:
 
         return _by_channel(branches, code)
 
-    def lossless(self, margin, *branches):
+    def lossless(self, *branches):
         """Lossless stages of (channel, bits, side) branches: returns the
         per-block rates of each branch; verifies exactness.  Branches that
         share a channel are one encode and one decode (see _by_channel)."""
         def code(channel, bits, sides):
-            stored = channel.entropy_x_given_y() + _scaled(margin, self.block_len)
             profile = self.profile_for(channel)
             side = None if sides[0] is None else np.concatenate(sides)
-            packed = sc_lossless_encode(bits, channel, profile,
-                                        stored_fraction=min(stored, 1.0), side=side)
+            packed = sc_lossless_encode(bits, channel, profile, side=side)
             decoded = sc_lossless_decode(packed, channel, profile, side=side)
             check_replay(decoded, bits, "lossless branch")
             return np.split(packed.rate_per_block(self.block_len), len(sides))
@@ -234,8 +228,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
     region, theory_ci, targets = None, model.wyner_ci(), (0.0, 0.0)
 
     if isinstance(point, PointA):
-        (r2,) = stages.lossless(PLAIN_LOSSLESS_MARGIN,
-                                (lossless_source(model.a0), x ^ y, None))
+        (r2,) = stages.lossless((lossless_source(model.a0), x ^ y, None))
         rates = (1.0, 0.0, r2)
         theory = RateTriple(1.0, 0.0, binary_entropy(model.a0))
 
@@ -257,10 +250,9 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
             cross_x = cross_y = point.beta
             theory = gb_theory_triple(model, point.beta)
         ((r0, w_hat),) = stages.quantize(
-            COMMON_MARGIN, (channel, pair_observation(x, y), COMMON_LEVEL))
-        rates = (r0, *stages.lossless(
-            SIDE_LOSSLESS_MARGIN, (crossover_side_info(cross_x), x, w_hat),
-            (crossover_side_info(cross_y), y, w_hat)))
+            (channel, pair_observation(x, y), COMMON_LEVEL))
+        rates = (r0, *stages.lossless((crossover_side_info(cross_x), x, w_hat),
+                                      (crossover_side_info(cross_y), y, w_hat)))
 
     elif isinstance(point, LossyTinyBoth):
         delta = point.delta
@@ -269,15 +261,13 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
             raise ValueError(f"delta={delta} falls in {region.name}; this "
                              "pipeline needs both distortions at most a1")
         ((r0, w_hat),) = stages.quantize(
-            COMMON_MARGIN,
             (build_point_g_channel(model), pair_observation(x, y), COMMON_LEVEL))
         refine_prior = (model.a1 - delta) / (1.0 - 2.0 * delta)
         forward = np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
         refine = test_channel_source(refine_prior, forward,
                                      name="residual-refinement")
         (r1, vx), (r2, vy) = stages.quantize(
-            REFINE_MARGIN, (refine, x ^ w_hat, PRIVATE_X_LEVEL),
-            (refine, y ^ w_hat, PRIVATE_Y_LEVEL))
+            (refine, x ^ w_hat, PRIVATE_X_LEVEL), (refine, y ^ w_hat, PRIVATE_Y_LEVEL))
         rates = (r0, r1, r2)
         x_hat, y_hat = w_hat ^ vx, w_hat ^ vy
         rate = binary_entropy(model.a1) - binary_entropy(delta)
@@ -296,7 +286,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                              f"pipeline needs the {needed.name.lower()} region")
         if needed is DsbsRegion.COUPLED:
             channel = build_eps2_channel(d1, d2, model)
-            obs, margin = pair_observation(x, y), COUPLED_MARGIN
+            obs = pair_observation(x, y)
         else:
             # lopsided membership guarantees d_loose > conv(a0, d_tight), so
             # the tight reconstruction meets both targets at both decoders
@@ -304,8 +294,8 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
             forward = np.array([[1.0 - d_tight, d_tight],
                                 [d_tight, 1.0 - d_tight]])
             channel = test_channel_source(0.5, forward, name="single-coordinate")
-            obs, margin = (y if d1 > d2 else x), COMMON_MARGIN
-        ((r0, w_hat),) = stages.quantize(margin, (channel, obs, COMMON_LEVEL))
+            obs = y if d1 > d2 else x
+        ((r0, w_hat),) = stages.quantize((channel, obs, COMMON_LEVEL))
         rates = (r0, 0.0, 0.0)
         x_hat = y_hat = w_hat
         theory = RateTriple(r_xy_dsbs(d1, d2, model), 0.0, 0.0)

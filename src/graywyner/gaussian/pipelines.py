@@ -24,9 +24,9 @@ residual against the common reconstruction.
 Rates are measured per block, never formulas: the payload fraction plus
 log2(N) + 1 bits per correction of a prior-decided index.  Every quantizer
 is replayed through the decoder path and must reproduce the encoder-side
-reconstruction bit for bit.  Payloads come from the polarized index sets
-alone, so they carry the partially polarized band above the information
-limit, which shrinks as blocks grow.
+reconstruction bit for bit.  Payloads come from the decision-error rule
+(see polar.profile) alone, so they carry what is left of the partially
+polarized band above the information limit, which shrinks as blocks grow.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Lossless and lossy source coding on top of the traversal engine.
 
-Lossless mode stores the bits at the least predictable indices verbatim and
-recovers the rest by maximum-posterior decisions; the encoder runs the same
-decisions and records the positions where they disagree with the truth, so
-decoding is exact by construction.  The encoder knows every bit, so it runs
-the breadth-first pass.
+Lossless mode stores the bits at the profile's stored set (stored_mask)
+verbatim and recovers the rest by maximum-posterior decisions; the encoder
+runs the same decisions and records the positions where they disagree with
+the truth, so decoding is exact by construction.  The encoder knows every
+bit, so it runs the breadth-first pass.
 
 Lossy mode emits the payload bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
@@ -21,14 +21,15 @@ walks the conditional chain alone, with frozen-random leaves KNOWN and
 INFO leaves FREE, with margins |ln((1 - U)/U)| from their rounding
 uniforms U, past which rounding is the sign rule and rate-1 nodes skip
 them.  Frozen-deterministic (D) indices (present only for nonuniform
-priors) are FREE leaves with U = 1/2, which is the sign rule with margin
-0; the decoder decides them by the prior chain's sign.
+priors) are rounded FREE leaves too, so INFO versus D decides only
+whether a bit is sent or corrected: the decoder takes D leaves from the
+prior chain's sign, corrected where it differs from the encoder's bits.
 
 Both encoders find their corrections one way (_corrections): a
 breadth-first pass of the decoder's chain along the encoder's bits, whose
 leaf LLRs are the decoder's, flags the decoder-decided leaves where
 map_bits differs from the bits.  Each costs log2(N) + 1 bits (index plus
-flag) on top of the sent bits (rate_per_block).
+flag, correction_bits) on top of the sent bits (rate_per_block).
 
 Decoding is one replay (_replay), a one-chain plan with no FREE leaf, so
 no decoder asks a callback: sent bits (stored bits; payload and dither)
@@ -59,6 +60,7 @@ from .profile import (
     CLASS_INFO,
     PolarProfile,
     channel_evidence,
+    correction_bits,
     traverse_batches,
 )
 # sc_traverse is unused here since the SC passes run through
@@ -101,10 +103,10 @@ def _scatter_corrections(bits, corrections, allowed) -> None:
 
 
 def rate_per_block(sent: int, corrections, block_len: int) -> np.ndarray:
-    """Bits per source symbol for each block: the sent bits plus log2(N) + 1
-    bits per correction."""
+    """Bits per source symbol for each block: the sent bits plus
+    correction_bits(N) = log2(N) + 1 bits per correction."""
     fixes = np.array([len(c) for c in corrections], dtype=float)
-    return (sent + fixes * (np.log2(block_len) + 1.0)) / block_len
+    return (sent + fixes * correction_bits(block_len)) / block_len
 
 
 def _replay(chain, kinds, bits) -> np.ndarray:
@@ -156,14 +158,12 @@ def _side_symbols(channel, side, shape):
 class LosslessCode:
     """Compressed representation of a batch of blocks.
 
-    stored_mask: (N,) bool, the stored index set.
     stored_bits: (B, |stored|) uint8, bits at the stored indices per block.
     corrections: tuple of per-block int arrays, the distinct unstored leaf
         indices whose maximum-posterior decision must be flipped during
         decoding.
     """
 
-    stored_mask: np.ndarray
     stored_bits: np.ndarray
     corrections: tuple
 
@@ -173,14 +173,14 @@ class LosslessCode:
 
     def rate_per_block(self, block_len: int) -> np.ndarray:
         """Bits per source symbol for each block (see rate_per_block)."""
-        return rate_per_block(int(self.stored_mask.sum()), self.corrections,
+        return rate_per_block(self.stored_bits.shape[1], self.corrections,
                               block_len)
 
 
 def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
-                       profile: PolarProfile, stored_fraction: float,
-                       side=None) -> LosslessCode:
-    """Compress blocks x (B, N) of the channel's coded variable."""
+                       profile: PolarProfile, side=None) -> LosslessCode:
+    """Compress blocks x (B, N) of the channel's coded variable; the bits
+    at profile.stored_mask() are stored."""
     _check_pairing(channel, profile)
     x = np.asarray(x)
     if x.ndim != 2:
@@ -193,32 +193,31 @@ def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
         raise ValueError(f"blocks have length {block_len}, profile expects {profile.block_len}")
     cond, _ = channel_evidence(channel, _side_symbols(channel, side, x.shape))
     u_true = polar_transform(x)
-    mask = profile.stored_mask(stored_fraction)
-    return LosslessCode(stored_mask=mask, stored_bits=u_true[:, mask],
+    mask = profile.stored_mask()
+    return LosslessCode(stored_bits=u_true[:, mask],
                         corrections=_corrections(cond, u_true, ~mask))
 
 
 def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
                        profile: PolarProfile, side=None) -> np.ndarray:
-    """Recover the source blocks exactly from their compressed form."""
+    """Recover the source blocks exactly from their compressed form; the
+    stored set is profile.stored_mask(), as for the encoder."""
     _check_pairing(channel, profile)
     n_blocks = len(code.corrections)
     block_len = profile.block_len
-    if code.stored_mask.shape != (block_len,) or code.stored_mask.dtype != bool:
-        raise ValueError(f"stored_mask must be a ({block_len},) bool array, got "
-                         f"{code.stored_mask.shape} {code.stored_mask.dtype}")
-    stored_shape = (n_blocks, int(code.stored_mask.sum()))
+    mask = profile.stored_mask()
+    stored_shape = (n_blocks, int(mask.sum()))
     if code.stored_bits.shape != stored_shape:
         raise ValueError(f"stored_bits must have shape {stored_shape}, "
                          f"got {code.stored_bits.shape}")
     if np.any((code.stored_bits != 0) & (code.stored_bits != 1)):
         raise ValueError("stored_bits must hold bits in {0, 1}")
     bits = np.empty((n_blocks, block_len), dtype=np.uint8)
-    bits[:, code.stored_mask] = code.stored_bits
-    _scatter_corrections(bits, code.corrections, ~code.stored_mask)
+    bits[:, mask] = code.stored_bits
+    _scatter_corrections(bits, code.corrections, ~mask)
     cond, _ = channel_evidence(
         channel, _side_symbols(channel, side, (n_blocks, block_len)))
-    return _replay(cond, np.where(code.stored_mask, LEAF_KNOWN, LEAF_PRIOR), bits)
+    return _replay(cond, np.where(mask, LEAF_KNOWN, LEAF_PRIOR), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,6 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
                             n_blocks, block_offset, block_len)
     uniforms = _stream_matrix(rng.block_uniforms, rng.STREAM_ROUNDING, shared_seed,
                               level, n_blocks, block_offset, block_len)
-    uniforms[:, deterministic] = 0.5  # the sign rule, with margin 0
 
     def rounded(i, llr, start, stop):
         return (uniforms[start:stop, i] < _posterior_one(llr)).astype(np.uint8)

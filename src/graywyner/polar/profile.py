@@ -1,7 +1,7 @@
 """Monte Carlo code construction and index classification.
 
 Construction samples blocks from the joint source law, follows the true bit
-path through the successive-cancellation recursion, and accumulates two
+path through the successive-cancellation recursion, and accumulates three
 statistics per leaf index i and per chain.  Every bit of that path is known
 in advance, so the recursion runs breadth-first (one vectorized step per
 tree level, see sc.py) and the statistics of all leaves are taken at once:
@@ -10,7 +10,8 @@ tree level, see sc.py) and the statistics of all leaves are taken at once:
   0 for a perfectly decided bit and 1 for a perfectly uniform one;
 * the entropy proxy h[i], the mean of -log2 p(true bit) = log2(1 + e^(+-L)),
   + for a true 1, whose sum over i telescopes to the exact block
-  log-likelihood (chain rule), a sharp check against closed-form entropies.
+  log-likelihood (chain rule), a sharp check against closed-form entropies;
+* the decision error e[i], how often sc.map_bits(L) misses the true bit.
 
 construct_from_evidence does this for any coded variable given callables
 for its evidence; binary channels and lattice levels both supply them.  The
@@ -23,20 +24,22 @@ order.  Each slice's statistics depend only on its own blocks and the sums
 are always taken in the same order, so a profile does not depend on the
 slicing, on the thread count or on which slice finished first.
 
-Indices are then classified against the threshold t = 2^(-N^beta), compared
-in the log domain so tiny values never underflow:
+A decoder's miss costs c = correction_bits(N) = log2(N) + 1 bits (index
+and flag), so e * c in expectation against 1 bit to send the bit; both
+codes send it only where that is cheaper, a tie e * c = 1 being neither:
 
-* FROZEN_DETERMINISTIC  when z_prior <= t: the bit is pinned by its prefix
-  alone, so the decoder derives it from the prior chain, and the lossy
-  encoder sends corrections where it does not (wins ties with the
-  frozen-random rule);
-* FROZEN_RANDOM when z_cond >= 1 - t (and not deterministic): the bit stays
-  uniform even given the observation, so a shared dither bit replaces it;
+* the lossless stored set (stored_mask) is {e_cond * c > 1};
+* FROZEN_DETERMINISTIC when e_prior * c < 1 and a prior chain exists: the
+  decoder derives the bit from the prior chain, and the lossy encoder sends
+  corrections where it misses (wins ties with the frozen-random rule);
+* FROZEN_RANDOM when z_cond >= 1 - 2^(-N^beta), compared in the log domain
+  so tiny values never underflow: the bit stays uniform even given the
+  observation, so a shared dither bit replaces it;
 * INFO otherwise: the payload positions.
 
-When the coded variable has a uniform prior, every prefix-conditional law is
-exactly uniform, so z_prior and h_prior are set to 1 without sampling and no
-prior chain is run.
+When the coded variable has a uniform prior, every prefix-conditional law
+is exactly uniform, so h_prior and e_prior are set to 1 and 1/2 without
+sampling, no prior chain is run and no index is deterministic.
 """
 
 from __future__ import annotations
@@ -53,14 +56,14 @@ import numpy as np
 from .. import rng
 from .._fileio import atomic_write_text
 from .channel import BinarySourceWithSideInfo
-from .sc import chunked_batches, sc_traverse
+from .sc import chunked_batches, map_bits, sc_traverse
 from .transform import polar_transform
 
 CLASS_INFO = 0
 CLASS_FROZEN_RANDOM = 1
 CLASS_FROZEN_DETERMINISTIC = 2
 
-PROFILE_CACHE_VERSION = 6
+PROFILE_CACHE_VERSION = 7
 
 _CLASSES = (CLASS_INFO, CLASS_FROZEN_RANDOM, CLASS_FROZEN_DETERMINISTIC)
 
@@ -78,15 +81,22 @@ def below_log_threshold(values, threshold_exponent: float) -> np.ndarray:
     return out
 
 
-def classify_indices(z_cond: np.ndarray, z_prior: np.ndarray, block_len: int,
+def correction_bits(block_len: int) -> float:
+    """Bits a correction costs: log2(N) bits of index and a flag."""
+    return np.log2(block_len) + 1.0
+
+
+def classify_indices(z_cond: np.ndarray, e_prior, block_len: int,
                      beta: float) -> np.ndarray:
-    """Class labels (INFO / FROZEN_RANDOM / FROZEN_DETERMINISTIC) per index."""
-    exponent = float(block_len) ** float(beta)
-    deterministic = below_log_threshold(z_prior, exponent)
-    nearly_uniform = below_log_threshold(1.0 - np.asarray(z_cond, dtype=float), exponent)
+    """Class labels (INFO / FROZEN_RANDOM / FROZEN_DETERMINISTIC) per index;
+    e_prior None means no prior chain, so no index is deterministic."""
+    nearly_uniform = below_log_threshold(1.0 - np.asarray(z_cond, dtype=float),
+                                         float(block_len) ** float(beta))
     classes = np.full(block_len, CLASS_INFO, dtype=np.int8)
     classes[nearly_uniform] = CLASS_FROZEN_RANDOM
-    classes[deterministic] = CLASS_FROZEN_DETERMINISTIC
+    if e_prior is not None:
+        deterministic = np.asarray(e_prior) * correction_bits(block_len) < 1.0
+        classes[deterministic] = CLASS_FROZEN_DETERMINISTIC
     return classes
 
 
@@ -101,18 +111,21 @@ class PolarProfile:
     sample_count: int
     seed: int
     z_cond: np.ndarray
-    z_prior: np.ndarray
     h_cond: np.ndarray
     h_prior: np.ndarray
+    e_cond: np.ndarray
+    e_prior: np.ndarray
     classes: np.ndarray
 
     def __post_init__(self):
-        for name in ("z_cond", "z_prior", "h_cond", "h_prior", "classes"):
+        for name in ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes"):
             arr = getattr(self, name)
             if arr.shape != (self.block_len,):
                 raise ValueError(f"{name} must have shape ({self.block_len},)")
             if name != "classes" and not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
+            if name.startswith("e_") and not ((arr >= 0.0) & (arr <= 1.0)).all():
+                raise ValueError(f"{name} must lie in [0, 1]")
         if not np.isin(self.classes, _CLASSES).all():
             raise ValueError(f"classes must lie in {_CLASSES}")
 
@@ -156,20 +169,11 @@ class PolarProfile:
         classes[demote] = CLASS_FROZEN_RANDOM
         return replace(self, classes=classes)
 
-    def stored_mask(self, stored_fraction: float) -> np.ndarray:
-        """Lossless storage set: top ceil(N * fraction) indices by z_cond.
-
-        These are the positions with the least predictable bits given the
-        decoder's knowledge; everything outside the mask is recovered by
-        maximum-posterior decisions plus the recorded corrections.
-        """
-        if not 0.0 <= stored_fraction <= 1.0:
-            raise ValueError(f"stored_fraction out of [0, 1]: {stored_fraction}")
-        count = int(np.ceil(stored_fraction * self.block_len))
-        mask = np.zeros(self.block_len, dtype=bool)
-        order = np.argsort(-self.z_cond, kind="stable")
-        mask[order[:count]] = True
-        return mask
+    def stored_mask(self) -> np.ndarray:
+        """Lossless storage set, e_cond * correction_bits(N) > 1: where
+        correcting the maximum-posterior decision would cost more than the
+        bit.  The rest is recovered by those decisions and corrections."""
+        return self.e_cond * correction_bits(self.block_len) > 1.0
 
 
 # threads that run the slices of a breadth-first pass, the calling thread
@@ -323,9 +327,9 @@ _LEAF_TAIL_VALUES = 1 << 13
 
 
 def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
-    """z = 1/cosh(L/2) and h = log2(1 + e^s), s = +-L, + for a true 1, of
-    (C, B, N) leaf LLRs along the (B, N) true bits, with L capped at +-700
-    so h stays finite.
+    """Of (C, B, N) leaf LLRs along the (B, N) uint8 true bits: the (C, N)
+    miss counts of map_bits, h = log2(1 + e^s), s = +-L, + for a true 1, and
+    z = 1/cosh(L/2) of the first chain, L capped at +-700 so h stays finite.
 
     h is taken as (max(s, 0) + log1p(e^-|s|)) / ln 2, the recipe of
     np.logaddexp(0, s) run as SIMD exp and log1p calls; these differ from
@@ -333,6 +337,9 @@ def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
     moves h by as much and leaves z untouched.
     z is computed in llr's own buffer, which saves a batch-sized array,
     and the log1p term _LEAF_TAIL_VALUES values at a time."""
+    misses = map_bits(llr)
+    misses ^= bits  # 1 where the decision misses the true bit
+    misses = np.add.reduce(misses, axis=1, dtype=np.int32)
     z = np.clip(llr, -700.0, 700.0, out=llr)
     sign = np.multiply(bits, 2, dtype=np.int8)
     sign -= 1  # 2 bit - 1
@@ -348,8 +355,9 @@ def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
         np.log1p(part, out=part)
         flat_h[start:stop] += part
     h /= np.log(2.0)
+    z = z[0]
     np.cosh(np.multiply(z, 0.5, out=z), out=z)
-    return np.reciprocal(z, out=z), h
+    return misses, np.reciprocal(z, out=z), h
 
 
 def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
@@ -359,12 +367,12 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     traverse_batches); prior=None means a uniform prior, with no prior chain.
     The callables may be called from several threads at once.
 
-    Each slice's z and h are computed on the thread that runs the slice,
+    Each slice's statistics are computed on the thread that runs the slice,
     from that slice's blocks alone, and enter the running sums in the
-    calling thread one block at a time, in block order (traverse_batches
-    folds slices in slice order), so the sums, and the profile, do not
-    depend on how the blocks are sliced into passes, on how many threads
-    run them or on the order in which they finish."""
+    calling thread in slice order (see traverse_batches), z and h one block
+    at a time and the integer miss counts at once, so the sums, and the
+    profile, do not depend on how the blocks are sliced into passes, on how
+    many threads run them or on the order in which they finish."""
     sample_count, block_len = x_true.shape
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -372,31 +380,33 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
         raise ValueError(f"beta must be finite and in (0, 1), got {beta}")
     u_true = polar_transform(x_true)
     chains = (cond,) if prior is None else (cond, prior)
-    z_sum = np.zeros((len(chains), block_len))
+    z_sum = np.zeros(block_len)
     h_sum = np.zeros((len(chains), block_len))
+    miss_sum = np.zeros((len(chains), block_len), dtype=np.int64)
 
     def leaf_stats(leaves, llr, start, stop):  # on any thread
         return _leaf_statistics(llr, u_true[start:stop, leaves])
 
     def add(stats):  # in the calling thread, in slice order
-        z, h = stats
-        for block in range(z.shape[1]):
-            z_sum[:] += z[:, block]
+        misses, z, h = stats
+        miss_sum[:] += misses
+        for block in range(z.shape[0]):
+            z_sum[:] += z[block]
             h_sum[:] += h[:, block]
 
     traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true,
                      fold=add)
-    z = z_sum / sample_count
-    h = h_sum / sample_count
+    z, h, e = z_sum / sample_count, h_sum / sample_count, miss_sum / sample_count
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform
-        z = np.vstack([z, np.ones(block_len)])
         h = np.vstack([h, np.ones(block_len)])
+        e = np.vstack([e, np.full(block_len, 0.5)])
     # plain int and float: a NumPy scalar seed or beta would not serialize
     return PolarProfile(
         channel_id=channel_id, channel_name=channel_name,
         block_len=block_len, beta=float(beta), sample_count=sample_count,
-        seed=int(seed), z_cond=z[0], z_prior=z[1], h_cond=h[0], h_prior=h[1],
-        classes=classify_indices(z[0], z[1], block_len, beta))
+        seed=int(seed), z_cond=z, h_cond=h[0], h_prior=h[1], e_cond=e[0],
+        e_prior=e[1], classes=classify_indices(
+            z, None if prior is None else e[1], block_len, beta))
 
 
 def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
@@ -418,8 +428,8 @@ def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
 # per-index arrays of a cache entry, each stored as base64 of its
 # little-endian bytes in this dtype: parsing thousands of JSON numbers took
 # ten times as long as decoding one string
-_ARRAY_DTYPES = {"z_cond": "<f8", "z_prior": "<f8", "h_cond": "<f8",
-                 "h_prior": "<f8", "classes": "<i1"}
+_ARRAY_DTYPES = {"z_cond": "<f8", "h_cond": "<f8", "h_prior": "<f8",
+                 "e_cond": "<f8", "e_prior": "<f8", "classes": "<i1"}
 
 
 def profile_cache_key(channel_id: str, block_len: int, beta: float,

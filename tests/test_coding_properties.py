@@ -2,9 +2,10 @@
 
 Each example draws a joint law of a binary X and a side variable Y on
 K <= 4 symbols, with exact-zero and 1e-12 entries among its cells, a block
-length N from 1 to 256, 1 to 5 blocks and a fraction in [0, 1] (the
-lossless stored fraction, and the lossy payload cap).  Construction runs on
-few samples, so its index classes are often wrong, which is what the
+length N from 1 to 256, 1 to 5 blocks, a fraction in [0, 1] (the lossy
+payload cap) and the lossless stored set: the profile's own, none (e_cond
+0) or, for N > 1, all (e_cond 1).  Construction runs on few samples, so its
+index classes and decision errors are often wrong, which is what the
 corrections are for.  In every example:
 
 * lossless decoding returns the source blocks exactly;
@@ -13,6 +14,8 @@ corrections are for.  In every example:
   for the lossless code) do not depend on how the batch is split, since
   dither is addressed by block.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given
@@ -48,21 +51,23 @@ def _assert_corrections_equal(got, want):
 
 
 @given(joint=joints(), log_n=st.integers(0, 8), n_blocks=st.integers(1, 5),
-       fraction=st.floats(0.0, 1.0), split=st.integers(0, 5),
-       seed=st.integers(0, 2 ** 16))
+       fraction=st.floats(0.0, 1.0), e_cond=st.sampled_from([None, 0.0, 1.0]),
+       split=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
 def test_coders_exact_and_split_independent(joint, log_n, n_blocks, fraction,
-                                            split, seed):
+                                            e_cond, split, seed):
     block_len = 1 << log_n
     split = min(split, n_blocks)
     channel = BinarySourceWithSideInfo(joint)
     profile = construct_profile(channel, block_len, sample_count=8, seed=seed)
     x, y = channel.sample(n_blocks, block_len, rng.stream(seed, rng.STREAM_SOURCE))
 
-    code = sc_lossless_encode(x, channel, profile, fraction, side=y)
+    stored = (profile if e_cond is None
+              else replace(profile, e_cond=np.full(block_len, e_cond)))
+    code = sc_lossless_encode(x, channel, stored, side=y)
     np.testing.assert_array_equal(
-        sc_lossless_decode(code, channel, profile, side=y), x)
-    head = sc_lossless_encode(x[:split], channel, profile, fraction, side=y[:split])
-    tail = sc_lossless_encode(x[split:], channel, profile, fraction, side=y[split:])
+        sc_lossless_decode(code, channel, stored, side=y), x)
+    head = sc_lossless_encode(x[:split], channel, stored, side=y[:split])
+    tail = sc_lossless_encode(x[split:], channel, stored, side=y[split:])
     np.testing.assert_array_equal(
         np.vstack([head.stored_bits, tail.stored_bits]), code.stored_bits)
     _assert_corrections_equal(head.corrections + tail.corrections, code.corrections)

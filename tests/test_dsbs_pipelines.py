@@ -22,7 +22,7 @@ from graywyner.dsbs import (
     gb_theory_triple,
     run_dsbs_pipeline,
 )
-from graywyner.dsbs.pipelines import COUPLED_MARGIN, _scaled
+from graywyner.dsbs.pipelines import COMMON_MARGIN, _scaled
 from graywyner.numerics import binary_convolve, binary_entropy
 from graywyner.rates import RunRecord
 
@@ -147,11 +147,11 @@ class TestRunContract:
         np.testing.assert_allclose(out.total, out.r0 + out.r1 + out.r2)
 
     def test_margin_policy_scales_rates(self, model, cache_dir):
-        # the common stage caps its payload at I(W; X, Y) plus the coupled
-        # margin scaled to the block length
+        # the common stage caps its payload at I(W; X, Y) plus the one
+        # lossy margin scaled to the block length
         out = run(LossyCoupled(0.3, 0.3), model, cache_dir, n=1024)
         limit = build_eps2_channel(0.3, 0.3, model).mutual_information()
-        assert limit < out.r0[0] <= limit + _scaled(COUPLED_MARGIN, 1024)
+        assert limit < out.r0[0] <= limit + _scaled(COMMON_MARGIN, 1024)
 
     def test_unknown_point_rejected(self, model, cache_dir):
         with pytest.raises(TypeError):

@@ -24,6 +24,7 @@ from graywyner.gaussian.pipelines import (
     refine_private_eps10,
 )
 from graywyner.lattice import LATTICE_STREAM_BASE, build_multilevel_code, plan_chain
+from graywyner.polar import CLASS_FROZEN_DETERMINISTIC
 from graywyner.rates import RateTriple, RunRecord
 
 PM8 = GaussianPairModel(0.8)
@@ -56,9 +57,19 @@ class TestPairRoute:
         mmse = reduce_pair(PM8).mmse
         code = build_multilevel_code(plan_chain(mmse), mmse, 1024, seed=3,
                                      cache_dir=cache_dir)
-        fixes = (run.r0 - code.total_rate) * 1024 / (math.log2(1024) + 1)
+        per_fix = math.log2(1024) + 1
+        fixes = (run.r0 - code.total_rate) * 1024 / per_fix
         np.testing.assert_allclose(fixes, np.rint(fixes), atol=1e-9)
-        assert np.rint(fixes).min() >= 0 and fixes.mean() < 1.0
+        assert np.rint(fixes).min() >= 0
+        # a D position is one whose prior-chain decision misses less than
+        # once per correction's cost, e_prior * (log2 N + 1) < 1; the
+        # corrections per block then stay near the count the profiles
+        # expect, the sum of e_prior over the D positions of every level
+        deterministic = [p.classes == CLASS_FROZEN_DETERMINISTIC for p in code.profiles]
+        assert all((p.e_prior[d] * per_fix < 1.0).all()
+                   for p, d in zip(code.profiles, deterministic))
+        expected = sum(p.e_prior[d].sum() for p, d in zip(code.profiles, deterministic))
+        assert 0.0 < fixes.mean() < 2.0 * expected
         assert run.theory.r0 < run.r0.min() <= run.r0.max() < run.theory.r0 + 0.5
 
     def test_distortions_near_target(self, cache_dir):

@@ -16,15 +16,20 @@ change unseen either.  GOLDEN_PROFILES hashes the constructions themselves
 (PROFILE_FIELDS of each profile): three DSBS channels and the levels of a
 Gaussian pair's lattice code, so a change to the construction that happens
 not to move any pipeline output is still seen.  GOLDEN_CLASSES hashes only
-the fields that decide the codes (CLASS_FIELDS: z_cond, z_prior and the
-classes) of the same profiles, so a change that moves the entropy
-estimates h by rounding units re-records GOLDEN_PROFILES while
-GOLDEN_CLASSES shows that no construction decision moved.  GOLDEN_CODES hashes the
+the fields that decide the codes (CLASS_FIELDS: z_cond, the decision
+errors e_cond and e_prior, and the classes) of the same profiles, so a
+change that moves the entropy estimates h by rounding units re-records
+GOLDEN_PROFILES while GOLDEN_CLASSES shows that no construction decision
+moved.  GOLDEN_CODES hashes the
 coders' own outputs, which the pipeline digests see only through rates and
 distortions: a lossless code (stored bits, corrections) with its decoded
 blocks, lossy payloads and corrections with their reconstructions and
 replays on two DSBS channels, and a Gaussian pair's lattice payloads,
 corrections, reconstruction and replay.
+
+Run as a script (python tests/test_golden_outputs.py, with the package
+importable) to print the six digests of the current code by name, for
+re-recording them.
 """
 
 import hashlib
@@ -69,17 +74,17 @@ from graywyner.polar import (
 )
 from graywyner.polar import test_channel_source as make_quantizer_source
 
-GOLDEN = "5c2ffd904b9174d3e0dd91283313f6ca949061be92e5ceebe6ecc7686a421e25"
-GOLDEN_BATCH = "f51dfa43c240856bfcc78a728a8d33f5164cf09590cbb3a3a3f9d59bf855c067"
+GOLDEN = "f8a872c3ee5c4ac654649d7a43130e9e89fea47bad604b7223de5d1d2c1611b4"
+GOLDEN_BATCH = "1ef5387858d927d5dc27ee2ed21c390f0ebb067c43870f8ad1da1c9ac954e8b9"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
-GOLDEN_PROFILES = "d0109f64fd203b3e259a4be9c1f0bc0c05d9234a7fe5ad51c75746268cef6add"
-GOLDEN_CLASSES = "3e4b877b91f8868b130d5372b8eafac59834fb1d08b2dcc8d8fefa47ea54f3a7"
-GOLDEN_CODES = "a625f51793996d2a3ea957fd6e7e5d223cc53f2f5aeefd46e3bcaf1363ff7047"
+GOLDEN_PROFILES = "ea5da831bb0a2fc5dd40db1f8d8ee6b7afb5c0d89459155665d1a0293c3d4402"
+GOLDEN_CLASSES = "0bdf9a14ea14553722992fa643d4a8d0f3c248c62923a4a53c944ee9a75c1e94"
+GOLDEN_CODES = "a434fb39e9dc0958f9b781575ccf8f9690625eee6b08c5b4c0a6ab8027ca1565"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",
                  "theory.r1", "theory.r2", "theory_ci", "target_dx", "target_dy")
-PROFILE_FIELDS = ("z_cond", "z_prior", "h_cond", "h_prior", "classes")
-CLASS_FIELDS = ("z_cond", "z_prior", "classes")
+PROFILE_FIELDS = ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes")
+CLASS_FIELDS = ("z_cond", "e_cond", "e_prior", "classes")
 
 
 def golden_runs():
@@ -138,8 +143,8 @@ def golden_profiles():
 
 def golden_codes():
     """The coders' outputs on fixed seeds, as a flat sequence of arrays:
-    16 blocks of the lossless code of the X-given-W channel at stored
-    fraction 0.4 (stored bits, corrections, the decoded blocks), then 16
+    16 blocks of the lossless code of the X-given-W channel (stored bits,
+    corrections, the decoded blocks), then 16
     blocks of the lossy payload, corrections, reconstruction and replay of
     the W and refinement channels at N=1024, then 8 blocks of the Gaussian
     pair's lattice payloads, corrections per level, reconstruction and
@@ -147,8 +152,7 @@ def golden_codes():
     w_channel, side_channel, refine = golden_channels()
     x, y = side_channel.sample(16, 1024, rng.stream(21, rng.STREAM_SOURCE))
     profile = construct_profile(side_channel, 1024, sample_count=64, seed=3)
-    code = sc_lossless_encode(x, side_channel, profile, stored_fraction=0.4,
-                              side=y)
+    code = sc_lossless_encode(x, side_channel, profile, side=y)
     yield code.stored_bits
     yield from corrections_arrays(code.corrections)
     yield sc_lossless_decode(code, side_channel, profile, side=y)
@@ -221,3 +225,23 @@ def test_construction_decisions_match_golden_digest():
 
 def test_codes_match_golden_digest():
     assert array_digest_of(golden_codes()) == GOLDEN_CODES
+
+
+def current_digests() -> dict:
+    """The six digests of the current code, by the names they are recorded
+    under."""
+    runs, batch = list(golden_runs()), list(golden_batch_runs())
+    profiles = list(golden_profiles())
+    return {
+        "GOLDEN": digest_of(runs),
+        "GOLDEN_BATCH": digest_of(batch),
+        "GOLDEN_SCALARS": scalar_digest_of(runs + batch),
+        "GOLDEN_PROFILES": digest_of(profiles, PROFILE_FIELDS),
+        "GOLDEN_CLASSES": digest_of(profiles, CLASS_FIELDS),
+        "GOLDEN_CODES": array_digest_of(golden_codes()),
+    }
+
+
+if __name__ == "__main__":
+    for name, value in current_digests().items():
+        print(f'{name} = "{value}"')

@@ -24,7 +24,6 @@ from graywyner.lattice import (
     lattice_reconstruct,
     plan_chain,
 )
-from graywyner.numerics import binary_entropy
 from graywyner.polar import (
     CLASS_FROZEN_DETERMINISTIC,
     crossover_side_info,
@@ -49,6 +48,15 @@ def has_deterministic(profile):
     return bool((profile.classes == CLASS_FROZEN_DETERMINISTIC).any())
 
 
+def storing(profile, fraction):
+    """The profile with e_cond 1 at the ceil(fraction N) indices of largest
+    z_cond and 0 elsewhere, so (for N > 1) its stored set is those indices."""
+    count = int(np.ceil(fraction * profile.block_len))
+    e_cond = np.zeros(profile.block_len)
+    e_cond[np.argsort(-profile.z_cond, kind="stable")[:count]] = 1.0
+    return replace(profile, e_cond=e_cond)
+
+
 def bsc_forward(crossover):
     a = float(crossover)
     return np.array([[1.0 - a, a], [a, 1.0 - a]])
@@ -59,23 +67,22 @@ class TestLossless:
         channel = lossless_source(0.11)
         profile = profile_store(channel, 1024)
         x, _ = channel.sample(8, 1024, rng.stream(50, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.62)
+        code = sc_lossless_encode(x, channel, profile)
         np.testing.assert_array_equal(sc_lossless_decode(code, channel, profile), x)
 
     def test_side_info_round_trip_exact(self, profile_store):
         channel = crossover_side_info(A1)
         profile = profile_store(channel, 1024)
         x, y = channel.sample(8, 1024, rng.stream(51, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile,
-                                  stored_fraction=binary_entropy(A1) + 0.08, side=y)
+        code = sc_lossless_encode(x, channel, profile, side=y)
         decoded = sc_lossless_decode(code, channel, profile, side=y)
         np.testing.assert_array_equal(decoded, x)
 
     def test_store_everything_needs_no_corrections(self, profile_store):
         channel = lossless_source(0.11)
-        profile = profile_store(channel, 256)
+        profile = replace(profile_store(channel, 256), e_cond=np.ones(256))
         x, _ = channel.sample(4, 256, rng.stream(52, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=1.0)
+        code = sc_lossless_encode(x, channel, profile)
         assert all(len(t) == 0 for t in code.corrections)
         assert np.all(code.rate_per_block(256) == 1.0)
         np.testing.assert_array_equal(sc_lossless_decode(code, channel, profile), x)
@@ -84,8 +91,9 @@ class TestLossless:
         channel = lossless_source(0.11)
         profile = profile_store(channel, 256)
         x, _ = channel.sample(4, 256, rng.stream(53, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.7)
-        stored = int(np.ceil(0.7 * 256))
+        code = sc_lossless_encode(x, channel, profile)
+        stored = int(profile.stored_mask().sum())
+        assert code.stored_bits.shape == (4, stored)
         per_block = code.rate_per_block(256)
         fixes = np.array([len(t) for t in code.corrections])
         np.testing.assert_allclose(
@@ -95,8 +103,7 @@ class TestLossless:
         channel = lossless_source(0.11)
         profile = profile_store(channel, 4096)
         x, _ = channel.sample(10, 4096, rng.stream(54, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile,
-                                  stored_fraction=binary_entropy(0.11) + 0.12)
+        code = sc_lossless_encode(x, channel, profile)
         total_fixes = sum(len(t) for t in code.corrections)
         assert total_fixes / (10 * 4096) < 5e-3
 
@@ -105,7 +112,7 @@ class TestLossless:
         other = lossless_source(0.2)
         x = np.zeros((2, 256), dtype=np.uint8)
         with pytest.raises(ValueError):
-            sc_lossless_encode(x, other, profile, stored_fraction=0.6)
+            sc_lossless_encode(x, other, profile)
 
 
 class TestLossyUniformPrior:
@@ -251,7 +258,7 @@ class TestEmptyBatch:
         channel = lossless_source(0.11)
         profile = profile_store(channel, 256)
         code = sc_lossless_encode(np.zeros((0, 256), dtype=np.uint8), channel,
-                                  profile, stored_fraction=0.7)
+                                  profile)
         assert code.n_blocks == 0
         assert sc_lossless_decode(code, channel, profile).shape == (0, 256)
 
@@ -276,8 +283,8 @@ class TestSymbolRange:
         side = np.zeros((2, 256), dtype=np.int64)
         side[0, 3] = bad
         with pytest.raises(ValueError, match="side symbols"):
-            sc_lossless_encode(x, channel, profile, stored_fraction=0.6, side=side)
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.6,
+            sc_lossless_encode(x, channel, profile, side=side)
+        code = sc_lossless_encode(x, channel, profile,
                                   side=np.zeros((2, 256), dtype=np.int64))
         with pytest.raises(ValueError, match="side symbols"):
             sc_lossless_decode(code, channel, profile, side=side)
@@ -304,7 +311,7 @@ class TestNonIntegerSymbols:
         side[0, 3] = bad
         with pytest.raises(ValueError, match="integer-valued"):
             sc_lossless_encode(np.zeros((2, 256), dtype=np.uint8), channel,
-                               profile, stored_fraction=0.6, side=side)
+                               profile, side=side)
 
     @pytest.mark.parametrize("bad", [0.7, np.nan])
     def test_lossless_decode_side_not_integer(self, profile_store, bad):
@@ -312,7 +319,7 @@ class TestNonIntegerSymbols:
         profile = profile_store(channel, 256)
         x = np.zeros((2, 256), dtype=np.uint8)
         side = np.zeros((2, 256), dtype=bool)
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.6, side=side)
+        code = sc_lossless_encode(x, channel, profile, side=side)
         np.testing.assert_array_equal(
             sc_lossless_decode(code, channel, profile, side=side), x)
         fractional = side.astype(float)
@@ -328,8 +335,7 @@ class TestMalformedBlocks:
         channel = lossless_source(0.11)
         profile = profile_store(channel, 256)
         with pytest.raises(ValueError, match=r"\(B, N\)"):
-            sc_lossless_encode(np.zeros(256, dtype=np.uint8), channel, profile,
-                               stored_fraction=0.7)
+            sc_lossless_encode(np.zeros(256, dtype=np.uint8), channel, profile)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5])
     def test_lossless_rejects_values_outside_bits(self, profile_store, bad):
@@ -338,7 +344,7 @@ class TestMalformedBlocks:
         x = np.zeros((2, 256))
         x[1, 7] = bad
         with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
-            sc_lossless_encode(x, channel, profile, stored_fraction=0.7)
+            sc_lossless_encode(x, channel, profile)
 
     def test_lossy_rejects_one_dimensional_blocks(self, profile_store):
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
@@ -355,25 +361,25 @@ class TestLosslessCodeShape:
     def test_code_for_another_block_length(self, profile_store, stored_fraction):
         channel = lossless_source(0.11)
         x, _ = channel.sample(2, 64, rng.stream(54, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile_store(channel, 64),
-                                  stored_fraction=stored_fraction)
+        code = sc_lossless_encode(
+            x, channel, storing(profile_store(channel, 64), stored_fraction))
         assert any(len(t) for t in code.corrections) == (stored_fraction < 1.0)
-        with pytest.raises(ValueError, match="stored_mask"):
-            sc_lossless_decode(code, channel, profile_store(channel, 32))
+        with pytest.raises(ValueError, match="stored_bits"):
+            sc_lossless_decode(code, channel,
+                               storing(profile_store(channel, 32), stored_fraction))
 
     def test_inconsistent_code(self, profile_store):
         channel = lossless_source(0.11)
         profile = profile_store(channel, 64)
         x, _ = channel.sample(2, 64, rng.stream(55, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.5)
-        stored, decided = (np.flatnonzero(m) for m in (code.stored_mask,
-                                                      ~code.stored_mask))
+        code = sc_lossless_encode(x, channel, profile)
+        mask = profile.stored_mask()
+        assert 0 < mask.sum() < 64
+        stored, decided = np.flatnonzero(mask), np.flatnonzero(~mask)
         bad_codes = {
             "stored_bits": [replace(code, stored_bits=code.stored_bits[:, 1:]),
                             replace(code, stored_bits=code.stored_bits[:1]),
                             replace(code, stored_bits=code.stored_bits[0])],
-            # a float mask or index array would reach numpy indexing
-            "stored_mask": [replace(code, stored_mask=code.stored_mask.astype(float))],
             "corrections": [replace(code, corrections=(np.array([64]),) * 2),
                             replace(code, corrections=(np.array([-1]),) * 2),
                             replace(code, corrections=(np.array([3.0]),) * 2),
@@ -445,7 +451,7 @@ class TestDecoderBitAlphabet:
         channel = lossless_source(0.11)
         profile = profile_store(channel, 64)
         x, _ = channel.sample(2, 64, rng.stream(56, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.5)
+        code = sc_lossless_encode(x, channel, profile)
         bad = replace(code, stored_bits=code.stored_bits + 2)
         with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
             sc_lossless_decode(bad, channel, profile)
@@ -491,7 +497,7 @@ class TestRate1Shortcuts:
         channel = lossless_source(0.11)
         profile = profile_store(channel, 1024)
         x, _ = channel.sample(16, 1024, rng.stream(57, rng.STREAM_SOURCE))
-        code = sc_lossless_encode(x, channel, profile, stored_fraction=0.55)
+        code = sc_lossless_encode(x, channel, profile)
         assert sum(map(len, code.corrections))
         asked.update(leaves=[], passes=0)
         np.testing.assert_array_equal(sc_lossless_decode(code, channel, profile), x)
@@ -599,10 +605,9 @@ class TestGroupedBranches:
         channel = crossover_side_info(A1)
         profile = profile_store(channel, 1024)
         x, y = channel.sample(6, 1024, rng.stream(76, rng.STREAM_SOURCE))
-        fraction = binary_entropy(A1) + 0.04
-        stacked = sc_lossless_encode(x, channel, profile, fraction, side=y)
+        stacked = sc_lossless_encode(x, channel, profile, side=y)
         for rows in (slice(0, 3), slice(3, 6)):
-            alone = sc_lossless_encode(x[rows], channel, profile, fraction, side=y[rows])
+            alone = sc_lossless_encode(x[rows], channel, profile, side=y[rows])
             np.testing.assert_array_equal(stacked.stored_bits[rows], alone.stored_bits)
             for got, want in zip(stacked.corrections[rows], alone.corrections,
                                  strict=True):

@@ -1,12 +1,14 @@
 """Construction tests: exact chain-rule telescoping, entropy estimates
-against closed forms, polarization trends, classification rules, caching,
-the construction sampler, breadth-first passes that do not depend on their
-slice size, and the construction's traced memory peak."""
+against closed forms, decision errors against an oracle count, polarization
+trends, classification rules, caching, the construction sampler,
+breadth-first passes that do not depend on their slice size, and the
+construction's traced memory peak."""
 
 import base64
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from graywyner.polar import (
     CLASS_FROZEN_RANDOM,
     CLASS_INFO,
     BinarySourceWithSideInfo,
+    PolarProfile,
     classify_indices,
     construct_profile,
     construct_profile_cached,
@@ -32,13 +35,16 @@ from graywyner.polar import (
     profile_path,
     save_profile,
     sc_lossless_encode,
+    sc_lossy_encode,
+    sc_lossy_reconstruct,
     sc_traverse,
 )
 from graywyner.polar import channel as channel_module
 from graywyner.polar import profile as profile_module
 from graywyner.polar import sc as sc_module
 from graywyner.polar import test_channel_source as make_quantizer_source
-from graywyner.polar.profile import below_log_threshold
+from graywyner.polar.profile import below_log_threshold, channel_evidence
+from graywyner.polar.sc import map_bits
 
 A1 = 0.0584119566836076573
 _LATTICE_MMSE = reduce_pair(GaussianPairModel(0.8)).mmse
@@ -106,14 +112,36 @@ class TestEntropyEstimates:
         assert profile.conditional_entropy_estimate() == pytest.approx(
             binary_entropy(A1), abs=0.01)
         # uniform coded variable: prior chain is exactly uniform
-        np.testing.assert_array_equal(profile.z_prior, np.ones(1024))
         np.testing.assert_array_equal(profile.h_prior, np.ones(1024))
+        np.testing.assert_array_equal(profile.e_prior, np.full(1024, 0.5))
         assert profile.prior_entropy_estimate() == 1.0
+
+
+class TestDecisionErrors:
+    @pytest.mark.parametrize("channel", [
+        make_quantizer_source(0.2, np.array([[0.9, 0.1], [0.1, 0.9]])),
+        crossover_side_info(0.17)], ids=["two-chain", "uniform-prior"])
+    def test_errors_match_oracle_count(self, channel):
+        """e is the rate at which map_bits of each chain's leaf LLR along the
+        true path misses the true bit, over the construction's own blocks."""
+        profile = construct_profile(channel, 32, sample_count=40, seed=12)
+        x, y = channel.sample(40, 32, rng.stream(12, rng.STREAM_CONSTRUCTION))
+        u = polar_transform(x)
+        chains = [c for c in channel_evidence(channel, y) if c is not None]
+        seen = []
+        sc_traverse(np.stack([chain(0, 40) for chain in chains]),
+                    lambda leaves, llr: seen.append(llr.copy()), known=u)
+        misses = (map_bits(seen[0]) != u).sum(axis=1)
+        np.testing.assert_array_equal(profile.e_cond, misses[0] / 40)
+        np.testing.assert_array_equal(
+            profile.e_prior, misses[1] / 40 if len(chains) == 2 else 0.5)
+        assert profile.e_cond.any()
 
 
 class TestPolarizationTrend:
     @pytest.mark.parametrize("channel_factory,stat", [
-        (lambda: lossless_source(0.11), "z_prior"),
+        # no side information: the conditional chain is the prior chain
+        (lambda: lossless_source(0.11), "z_cond"),
         (lambda: crossover_side_info(A1), "z_cond"),
     ])
     def test_extreme_fractions_grow_with_block_length(self, channel_factory, stat):
@@ -142,17 +170,63 @@ class TestClassification:
     def test_rules_reproduce_classes(self):
         profile = construct_profile(lossless_source(0.11), 256,
                                     sample_count=300, seed=41)
-        expected = classify_indices(profile.z_cond, profile.z_prior, 256, profile.beta)
+        expected = classify_indices(profile.z_cond, profile.e_prior, 256, profile.beta)
         np.testing.assert_array_equal(profile.classes, expected)
         assert set(np.unique(profile.classes)) <= {CLASS_INFO, CLASS_FROZEN_RANDOM,
                                                    CLASS_FROZEN_DETERMINISTIC}
 
     def test_deterministic_wins_ties(self):
         z_cond = np.array([1.0, 1.0])
-        z_prior = np.array([0.0, 1.0])
-        classes = classify_indices(z_cond, z_prior, 2, 0.25)
+        e_prior = np.array([0.0, 0.5])  # correction_bits(2) = 2: 0 and 1 bit
+        classes = classify_indices(z_cond, e_prior, 2, 0.25)
         assert classes[0] == CLASS_FROZEN_DETERMINISTIC
         assert classes[1] == CLASS_FROZEN_RANDOM
+
+    def test_one_rule_sends_a_bit_only_where_correcting_costs_more(self):
+        """At N = 16 a correction costs log2(16) + 1 = 5 bits: a bit is
+        stored where e_cond * 5 > 1 and deterministic where e_prior * 5 < 1;
+        the tie e * 5 = 1 is neither."""
+        e = np.array([0.0, 0.1, 0.2, 0.25, 0.5] + [0.3] * 11)
+        z_cond = np.full(16, 0.5)
+        classes = classify_indices(z_cond, e, 16, 0.25)
+        np.testing.assert_array_equal(
+            classes[:5], [CLASS_FROZEN_DETERMINISTIC] * 2 + [CLASS_INFO] * 3)
+        profile = PolarProfile(
+            channel_id="hand", channel_name="hand", block_len=16, beta=0.25,
+            sample_count=20, seed=0, z_cond=z_cond, h_cond=np.ones(16),
+            h_prior=np.ones(16), e_cond=e, e_prior=e, classes=classes)
+        np.testing.assert_array_equal(profile.stored_mask()[:5],
+                                      [False, False, False, True, True])
+        assert profile.stored_mask()[5:].all()
+        # without a prior chain no index is deterministic, whatever e_prior
+        assert not (classify_indices(z_cond, None, 16, 0.25)
+                    == CLASS_FROZEN_DETERMINISTIC).any()
+
+    @pytest.mark.parametrize("block_len", [1, 2, 1024])
+    def test_uniform_prior_profile_has_no_deterministic_at_any_length(self, block_len):
+        """e_prior is 1/2 without a prior chain; at N = 1 a correction costs
+        1 bit, so 1/2 would pass the D rule, which only profiles with a prior
+        chain apply."""
+        channel = crossover_side_info(0.2)
+        profile = construct_profile(channel, block_len, sample_count=16, seed=6)
+        np.testing.assert_array_equal(profile.e_prior, np.full(block_len, 0.5))
+        assert not (profile.classes == CLASS_FROZEN_DETERMINISTIC).any()
+        _, y = channel.sample(2, block_len, rng.stream(6, rng.STREAM_SOURCE))
+        payload, fixes, recon = sc_lossy_encode(y, channel, profile, shared_seed=6)
+        assert all(len(f) == 0 for f in fixes)
+        np.testing.assert_array_equal(
+            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=6),
+            recon)
+
+    @pytest.mark.parametrize("name,bad", [
+        ("e_cond", -0.25), ("e_prior", 1.5), ("e_cond", math.nan),
+        ("e_prior", math.inf)])
+    def test_errors_outside_unit_interval_rejected(self, name, bad):
+        profile = construct_profile(lossless_source(0.11), 16, sample_count=4, seed=1)
+        values = getattr(profile, name).copy()
+        values[3] = bad
+        with pytest.raises(ValueError, match=name):
+            replace(profile, **{name: values})
 
     def test_constant_source_is_all_deterministic(self):
         profile = construct_profile(lossless_source(0.0), 128,
@@ -209,16 +283,6 @@ class TestRateControl:
         assert len(profile.info_positions()) > 0
         assert len(profile.with_payload_cap(0.0).info_positions()) == 0
 
-    def test_stored_mask_picks_highest_z(self):
-        profile = construct_profile(lossless_source(0.11), 128,
-                                    sample_count=100, seed=8)
-        mask = profile.stored_mask(0.25)
-        count = int(np.ceil(0.25 * 128))
-        assert mask.sum() == count
-        inside = profile.z_cond[mask].min()
-        outside = profile.z_cond[~mask].max()
-        assert inside >= outside - 1e-12
-
 
 def _base64(values: np.ndarray) -> str:
     """values as a cache entry stores an array: base64 of its little-endian
@@ -240,7 +304,7 @@ class TestProfileCache:
                                     sample_count=60, seed=9)
         path = save_profile(profile, tmp_path)
         loaded = load_profile(path)
-        for name in ("z_cond", "z_prior", "h_cond", "h_prior"):
+        for name in ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(profile, name))
             assert getattr(loaded, name).dtype == np.float64
         np.testing.assert_array_equal(loaded.classes, profile.classes)
@@ -306,7 +370,12 @@ class TestProfileCache:
         pytest.param(("z_cond", lambda z: np.r_[math.nan, z[1:]]), id="nan-z_cond"),
         pytest.param(("h_cond", lambda h: np.r_[h[:-1], math.inf]),
                      id="inf-h_cond"),
-        pytest.param(("z_prior", lambda z: z[:-1]), id="z_prior-short"),
+        pytest.param(("e_prior", lambda e: e[:-1]), id="e_prior-short"),
+        pytest.param(("e_cond", lambda e: np.r_[-0.5, e[1:]]), id="e_cond-negative"),
+        pytest.param(("e_prior", lambda e: np.r_[e[:-1], 1.5]), id="e_prior-above-one"),
+        pytest.param(("e_cond", lambda e: np.r_[math.nan, e[1:]]), id="nan-e_cond"),
+        pytest.param(("e_prior", lambda e: np.r_[e[:-1], math.inf]), id="inf-e_prior"),
+        pytest.param(("e_cond", lambda e: e.astype("<f4")), id="e_cond-float32"),
         pytest.param(("classes", lambda c: c.astype("<f8") + 0.9),
                      id="classes-fractional"),
         # text that is not base64, and values that are not text
@@ -367,7 +436,7 @@ class TestProfileCache:
         _assert_same_profiles(build(tmp_path), first)
 
 
-PROFILE_FIELDS = ("z_cond", "z_prior", "h_cond", "h_prior", "classes")
+PROFILE_FIELDS = ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes")
 
 
 def _assert_same_profiles(profiles, reference):
@@ -453,11 +522,10 @@ class TestSliceIndependence:
         profile = construct_profile(channel, 256, sample_count=40, seed=6)
         x, y = channel.sample(10, 256, rng.stream(8, rng.STREAM_SOURCE))
         outputs, _ = self._per_budget(monkeypatch, 1, 256, 10, lambda: [
-            sc_lossless_encode(x, channel, profile, 0.6, side=y)])
+            sc_lossless_encode(x, channel, profile, side=y)])
         (want,) = outputs[0]
         assert any(len(c) for c in want.corrections)
         for (got,) in outputs[1:]:
-            np.testing.assert_array_equal(got.stored_mask, want.stored_mask)
             np.testing.assert_array_equal(got.stored_bits, want.stored_bits)
             assert len(got.corrections) == len(want.corrections)
             for a, b in zip(got.corrections, want.corrections):

@@ -9,6 +9,7 @@ pair formulas, and lossless round trips whose uncertain positions are
 mostly decided by maximum posterior."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -442,7 +443,7 @@ class TestInfiniteEvidence:
             warnings.simplefilter("error")
             for channel in (lossless_source(0.0), crossover_side_info(0.0)):
                 profile = construct_profile(channel, 64, sample_count=20, seed=2)
-                for name in ("z_cond", "z_prior", "h_cond", "h_prior"):
+                for name in ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior"):
                     assert np.all(np.isfinite(getattr(profile, name)))
                 np.testing.assert_allclose(profile.h_cond, 0.0, atol=1e-12)
 
@@ -454,8 +455,9 @@ class TestInfiniteEvidence:
             profile = construct_profile(channel, 64, sample_count=20, seed=2)
             x, y = channel.sample(4, 64, rng.stream(5, rng.STREAM_SOURCE))
             side = y if with_side else None
-            code = sc_lossless_encode(x, channel, profile, stored_fraction=0.0,
-                                      side=side)
+            code = sc_lossless_encode(x, channel, profile, side=side)
+            # certain decisions never miss: nothing is stored or corrected
+            assert code.stored_bits.shape == (4, 0)
             assert all(len(c) == 0 for c in code.corrections)
             decoded = sc_lossless_decode(code, channel, profile, side=side)
         np.testing.assert_array_equal(decoded, x)
@@ -482,18 +484,22 @@ class TestInfiniteEvidence:
 
 
 def test_leaf_formulas_match_pair_formulas():
-    """z, h and P(1) read from L against the pair formulas they replace:
-    p = (1 / (1 + e^-L), 1 / (1 + e^L)) with L capped at +-700, z = 2
-    sqrt(p0 p1), h = -log2 p(bit); ties decide 0 whatever the zero's sign."""
+    """z, h, the misses and P(1) read from L against the pair formulas they
+    replace: p = (1 / (1 + e^-L), 1 / (1 + e^L)) with L capped at +-700,
+    z = 2 sqrt(p0 p1), h = -log2 p(bit), a miss where map_bits(L) != bit;
+    ties decide 0 whatever the zero's sign."""
     llr = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
                     700.0, -700.0, 800.0, -800.0, np.inf, -np.inf])
     capped = np.clip(llr, -700.0, 700.0)
     pairs = np.stack([1 / (1 + np.exp(-capped)), 1 / (1 + np.exp(capped))], -1)
     for bit in (0, 1):
-        z, h = _leaf_statistics(llr[None].copy(), np.full((1, llr.size), bit))
+        # one chain, one block: (C, B, N) LLRs and (B, N) bits
+        misses, z, h = _leaf_statistics(llr[None, None].copy(),
+                                        np.full((1, llr.size), bit, np.uint8))
+        np.testing.assert_array_equal(misses[0], map_bits(llr) != bit)
         np.testing.assert_allclose(z[0], 2 * np.sqrt(pairs[:, 0] * pairs[:, 1]),
                                    rtol=1e-14, atol=0)
-        np.testing.assert_allclose(h[0], -np.log2(pairs[:, bit]),
+        np.testing.assert_allclose(h[0, 0], -np.log2(pairs[:, bit]),
                                    rtol=1e-14, atol=1e-15)
     assert np.all(np.isfinite(h))
     np.testing.assert_array_equal(_posterior_one(llr), pairs[:, 1])
@@ -512,12 +518,14 @@ def test_leaf_formulas_match_pair_formulas():
     ids=["side-info", "plain"])
 def test_round_trip_at_low_stored_fraction(profile_store, channel, with_side,
                                            block_len, seed):
-    """Most uncertain positions are left to the maximum-posterior rule, so
-    the encoder and decoder must apply it to identical values."""
-    profile = profile_store(channel, block_len)
+    """Every position, the most uncertain ones included, is left to the
+    maximum-posterior rule (e_cond 0 stores none), so the encoder and
+    decoder must apply it to identical values."""
+    profile = replace(profile_store(channel, block_len), e_cond=np.zeros(block_len))
     x, y = channel.sample(32, block_len, rng.stream(seed, rng.STREAM_SOURCE))
     side = y if with_side else None
-    code = sc_lossless_encode(x, channel, profile, stored_fraction=0.2, side=side)
+    code = sc_lossless_encode(x, channel, profile, side=side)
+    assert code.stored_bits.shape == (32, 0)
     np.testing.assert_array_equal(
         sc_lossless_decode(code, channel, profile, side=side), x)
 

@@ -38,7 +38,7 @@ from graywyner.polar import test_channel_source as make_quantizer_source
 from graywyner.polar.profile import channel_evidence, construct_from_evidence
 
 THREAD_COUNTS = (1, 2, 3)
-PROFILE_FIELDS = ("z_cond", "z_prior", "h_cond", "h_prior", "classes")
+PROFILE_FIELDS = ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes")
 
 
 def _two_chain_channel():
@@ -103,7 +103,7 @@ class TestSameBytesForEveryThreadCount:
         _slice_blocks(monkeypatch, 5, 1, 256)  # 13 slices
 
         def encode():
-            code = sc_lossless_encode(x, channel, profile, 0.6, side=y)
+            code = sc_lossless_encode(x, channel, profile, side=y)
             return (code.stored_bits.tobytes(),
                     tuple(c.tobytes() for c in code.corrections))
 
