@@ -27,11 +27,12 @@ that code with one channel (the X and Y branches of PointG and CurveGB,
 the two refinements of LossyTinyBoth) are stacked into one batch that
 shares each SC pass; every block is coded exactly as it would be alone.
 
-Rates are measured per block, not assumed: lossless branches charge their
-stored set and lossy branches their payload, each plus log2(N) + 1 bits
-per recorded correction.  Every lossy stage also replays the decoder path and
-verifies it reproduces the encoder-side reconstruction bit for bit, and
-every lossless branch is decoded and compared against the source exactly.
+Rates are measured per block, not assumed: every branch charges its code's
+PolarCode.rate_per_block, the sent bits (the lossless stored set or the
+lossy payload) plus log2(N) + 1 bits per recorded correction.  Every lossy
+stage also replays the decoder path and verifies it reproduces the
+encoder-side reconstruction bit for bit, and every lossless branch is
+decoded and compared against the source exactly.
 
 Each code sends what its profile's decision-error rule picks (see
 polar.profile); lossy stages cap the payload at the mutual information plus
@@ -58,7 +59,6 @@ from ..polar import (
     sc_lossy_reconstruct,
     test_channel_source,
 )
-from ..polar.coding import rate_per_block
 from ..rates import RateTriple, RunRecord, check_replay
 from .model import (
     DsbsModel,
@@ -163,13 +163,12 @@ class _Stages:
         def code(channel, obs, levels):
             cap = channel.mutual_information() + _scaled(COMMON_MARGIN, self.block_len)
             profile = self.profile_for(channel).with_payload_cap(cap)
-            payload, corrections, recon = sc_lossy_encode(
+            packed, recon = sc_lossy_encode(
                 obs, channel, profile, shared_seed=self.seed, level=levels)
-            replay = sc_lossy_reconstruct(payload, corrections, channel, profile,
+            replay = sc_lossy_reconstruct(packed, channel, profile,
                                           shared_seed=self.seed, level=levels)
             check_replay(replay, recon, "lossy replay")
-            rates = rate_per_block(payload.shape[1], corrections, self.block_len)
-            return list(zip(np.split(rates, len(levels)),
+            return list(zip(np.split(packed.rate_per_block(self.block_len), len(levels)),
                             np.split(recon, len(levels))))
 
         return _by_channel(branches, code)

@@ -21,8 +21,9 @@ refine_private_eps10 adds the private branches for targets inside the
 tiny-distortion region: one conditional quantizer per coordinate on the
 residual against the common reconstruction.
 
-Rates are measured per block, never formulas: the payload fraction plus
-log2(N) + 1 bits per correction of a prior-decided index.  Every quantizer
+Rates are measured per block, never formulas: the sum over the levels'
+codes of PolarCode.rate_per_block, the payload fraction plus log2(N) + 1
+bits per correction of a prior-decided index.  Every quantizer
 is replayed through the decoder path and must reproduce the encoder-side
 reconstruction bit for bit.  Payloads come from the decision-error rule
 (see polar.profile) alone, so they carry what is left of the partially
@@ -45,7 +46,6 @@ from ..lattice import (
     mmse_params,
     plan_chain,
 )
-from ..polar.coding import rate_per_block
 from ..rates import RateTriple, RunRecord, check_replay
 from .model import (
     GaussianPairModel,
@@ -80,15 +80,13 @@ def _build_code(mmse, block_len, cache_dir, sample_count, construction_seed):
 
 def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
     """Quantize and replay through the decoder; the two must agree exactly.
-    Returns (per-block rates of every level's payload and corrections,
-    reconstruction)."""
-    payloads, corrections, recon = lattice_quantize(
-        samples, code, shared_seed=seed, stream_base=stream_base)
-    replay = lattice_reconstruct(payloads, corrections, code, shared_seed=seed,
-                                 stream_base=stream_base)
+    Returns (per-block rates, reconstruction), the rates summed over the
+    levels' codes (PolarCode.rate_per_block)."""
+    codes, recon = lattice_quantize(samples, code, shared_seed=seed,
+                                    stream_base=stream_base)
+    replay = lattice_reconstruct(codes, code, shared_seed=seed, stream_base=stream_base)
     check_replay(replay, recon, "lattice replay")
-    return sum(rate_per_block(payload.shape[1], fixes, code.block_len)
-               for payload, fixes in zip(payloads, corrections)), recon
+    return sum(level_code.rate_per_block(code.block_len) for level_code in codes), recon
 
 
 def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,

@@ -366,9 +366,11 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     then runs one true-path construction per level, finest first, with the
     conditional chain centered at alpha * obs and the prior chain at 0.
 
-    The classes come from the polarized index sets alone, so the payload
-    exceeds the level-rate estimates by the partially polarized band,
-    which shrinks as the block grows.
+    The classes come from the decision-error rule (D where a prior-chain
+    miss costs less than the bit) and the z rule (frozen-random where the
+    bit stays uniform given the sample; see polar.profile), so the payload
+    exceeds the level-rate estimates by what is left of the partially
+    polarized band, which shrinks as the block grows.
     A chain whose finest-level aliased posterior deviates from uniform by
     more than _FLATNESS_GATE (its flatness factor) is refused; planned
     chains pass with a wide margin, so the gate guards hand-built ones.
@@ -412,16 +414,14 @@ def _level_streams(stream_base, level: int):
 def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
                      block_offset: int = 0,
                      stream_base: int = LATTICE_STREAM_BASE):
-    """Quantize sample blocks; returns (per-level payloads, per-level
-    corrections, reconstruction).
+    """Quantize sample blocks; returns (per-level codes, reconstruction).
 
     samples: (B, N) float blocks of the source variable.
-    payloads: tuple of (B, |INFO|) uint8 arrays, finest level first.
-    corrections: tuple of the levels' corrections, each B int64 arrays of
-        frozen-deterministic indices (see polar.coding), finest level first.
+    codes: tuple of the levels' PolarCodes, finest level first, each
+        sending its level's bits at the INFO indices and correcting its
+        frozen-deterministic ones (see polar.coding).
     reconstruction: (B, N) lattice points on the fundamental window,
-        identical to what lattice_reconstruct produces from the payloads
-        and corrections.
+        identical to what lattice_reconstruct produces from the codes.
 
     Dither and rounding streams are addressed by (shared_seed,
     stream_base + level - 1, block_offset + block), so results do not
@@ -440,40 +440,38 @@ def lattice_quantize(samples, code: MultilevelLatticeCode, shared_seed: int,
         raise ValueError(
             f"blocks have length {block_len}, code expects {code.block_len}")
     labels = np.zeros(samples.shape, dtype=np.int64)
-    payloads, corrections = [], []
+    codes = []
     for level, profile in enumerate(code.profiles, start=1):
         cond, prior = _level_evidence(code.chain, code.mmse, level, labels, samples)
-        payload, fixes, w_bits = lossy_encode_from_evidence(
+        level_code, w_bits = lossy_encode_from_evidence(
             cond, prior, profile, n_blocks, shared_seed, block_offset,
             _level_streams(stream_base, level))
         labels += w_bits.astype(np.int64) << (level - 1)
-        payloads.append(payload)
-        corrections.append(fixes)
-    return (tuple(payloads), tuple(corrections),
-            code.chain.reconstruction_values()[labels])
+        codes.append(level_code)
+    return tuple(codes), code.chain.reconstruction_values()[labels]
 
 
-def lattice_reconstruct(payloads, corrections, code: MultilevelLatticeCode,
-                        shared_seed: int, block_offset: int = 0,
+def lattice_reconstruct(codes, code: MultilevelLatticeCode, shared_seed: int,
+                        block_offset: int = 0,
                         stream_base: int = LATTICE_STREAM_BASE) -> np.ndarray:
-    """Rebuild the quantizer output from payload bits, corrections and the
-    shared seed.
+    """Rebuild the quantizer output from the per-level codes and the shared
+    seed.
 
     Each level runs the polar layer's one replay, which decides its
     frozen-deterministic indices by the prior evidence of its cosets,
     flipped where the level's corrections say; levels without them need
-    no traversal there.  stream_base as in lattice_quantize.
+    no traversal there.  Every level's code must cover the same blocks.
+    stream_base as in lattice_quantize.
     """
-    if len(payloads) != code.levels or len(corrections) != code.levels:
-        raise ValueError(f"expected {code.levels} payload arrays and correction "
-                         f"tuples, got {len(payloads)} and {len(corrections)}")
-    n_blocks = len(payloads[0])
-    labels = np.zeros((n_blocks, code.block_len), dtype=np.int64)
-    for level, (profile, payload, fixes) in enumerate(
-            zip(code.profiles, payloads, corrections), start=1):
+    blocks = [len(level_code) for level_code in codes]
+    if len(blocks) != code.levels or len(set(blocks)) != 1:
+        raise ValueError(f"expected {code.levels} per-level codes whose corrections "
+                         f"cover the same blocks, got {blocks} blocks")
+    labels = np.zeros((blocks[0], code.block_len), dtype=np.int64)
+    for level, (profile, level_code) in enumerate(zip(code.profiles, codes), start=1):
         _, prior = _level_evidence(code.chain, code.mmse, level, labels)
         w_bits = lossy_reconstruct_from_evidence(
-            payload, fixes, prior, profile, n_blocks, shared_seed, block_offset,
+            level_code, prior, profile, shared_seed, block_offset,
             _level_streams(stream_base, level))
         labels += w_bits.astype(np.int64) << (level - 1)
     return code.chain.reconstruction_values()[labels]

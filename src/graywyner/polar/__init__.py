@@ -7,7 +7,7 @@ from .channel import (
     test_channel_source,
 )
 from .coding import (
-    LosslessCode,
+    PolarCode,
     sc_lossless_decode,
     sc_lossless_encode,
     sc_lossy_encode,
@@ -34,7 +34,7 @@ __all__ = [
     "CLASS_FROZEN_DETERMINISTIC",
     "CLASS_FROZEN_RANDOM",
     "CLASS_INFO",
-    "LosslessCode",
+    "PolarCode",
     "PolarProfile",
     "classify_indices",
     "construct_profile",

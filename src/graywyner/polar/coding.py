@@ -1,12 +1,12 @@
 """Lossless and lossy source coding on top of the traversal engine.
 
-Lossless mode stores the bits at the profile's stored set (stored_mask)
-verbatim and recovers the rest by maximum-posterior decisions; the encoder
-runs the same decisions and records the positions where they disagree with
-the truth, so decoding is exact by construction.  The encoder knows every
-bit, so it runs the breadth-first pass.
+Both modes make one kind of code (PolarCode): it sends each block's leaf
+bits on one index set, and the decoder decides every other leaf by the
+sign rule (sc.map_bits) of one chain, flipped where the code's per-block
+corrections say.  Lossless mode sends the profile's stored set
+(stored_mask); its encoder knows every bit, so u is the transform of x.
 
-Lossy mode emits the payload bits at the INFO indices.  Frozen-random
+Lossy mode sends the bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
 identical on both sides without communication and independent of batch
 size.  level may also be a tuple of G levels: the n_blocks rows of a call
@@ -25,20 +25,21 @@ priors) are rounded FREE leaves too, so INFO versus D decides only
 whether a bit is sent or corrected: the decoder takes D leaves from the
 prior chain's sign, corrected where it differs from the encoder's bits.
 
-Both encoders find their corrections one way (_corrections): a
-breadth-first pass of the decoder's chain along the encoder's bits, whose
-leaf LLRs are the decoder's, flags the decoder-decided leaves where
-map_bits differs from the bits.  Each costs log2(N) + 1 bits (index plus
-flag, correction_bits) on top of the sent bits (rate_per_block).
+Both encoders build their code one way (_encode): the sent bits, and the
+corrections from one breadth-first pass of the decoder's chain along the
+encoder's bits, whose leaf LLRs are the decoder's, which flags the
+decoder-decided leaves where map_bits differs from the bits.  Each
+correction costs log2(N) + 1 bits (index plus flag, correction_bits) on
+top of the sent bits (PolarCode.rate_per_block).
 
-Decoding is one replay (_replay), a one-chain plan with no FREE leaf, so
-no decoder asks a callback: sent bits (stored bits; payload and dither)
-are KNOWN, and every other leaf is PRIOR, sc.map_bits of the chain xor a
-per-block correction, checked and scattered straight into the plan's bits
-by _scatter_corrections.  The lossless decoder's chain conditions on the
-side information; the lossy and lattice replays run the prior chain.
-Without PRIOR leaves the replay transforms the bits, which equals the
-traversal output exactly.
+Both decoders rebuild one way (_decode), a one-chain replay with no FREE
+leaf, so no decoder asks a callback: the sent bits (stored bits; payload,
+over the dither) are KNOWN, and every decoder-decided leaf is PRIOR,
+sc.map_bits of the chain xor a per-block correction, checked and
+scattered straight into the plan's bits by _scatter_corrections.  The
+lossless decoder's chain conditions on the side information; the lossy
+and lattice replays run the prior chain.  Without PRIOR leaves the replay
+transforms the bits, which equals the traversal output exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
 prior(start, stop) that return the leaf posteriors of a block slice
@@ -63,35 +64,64 @@ from .profile import (
     correction_bits,
     traverse_batches,
 )
+from .sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, checked_bits, map_bits
 # sc_traverse is unused here since the SC passes run through
 # traverse_batches; kept because perfbench/spans.py patches it on this module
-from .sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits, sc_traverse  # noqa: F401
+from .sc import sc_traverse  # noqa: F401
 from .transform import polar_transform
 
 
-def _corrections(chain, u, mask) -> tuple:
-    """Per-block int64 indices inside the (N,) bool mask where map_bits of
-    the chain's leaf LLR along the bits u differs from u: the leaves a
-    decoder deciding them by sign must flip.  No pass runs for no mask."""
+@dataclass(frozen=True)
+class PolarCode:
+    """A batch of blocks as a polar code sends them.
+
+    sent: (B, |sent|) uint8, each block's bits at the code's sent indices
+        (the lossless stored set, or the lossy INFO set).
+    corrections: B int64 arrays, each block's distinct decoder-decided
+        indices whose map_bits decision the decoder must flip.
+    len(code) is its block count B, the length of corrections.
+    """
+
+    sent: np.ndarray
+    corrections: tuple
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.corrections)
+
+    def __len__(self) -> int:
+        return self.n_blocks
+
+    def rate_per_block(self, block_len: int) -> np.ndarray:
+        """Bits per source symbol for each block: the sent bits plus
+        correction_bits(N) = log2(N) + 1 bits per correction."""
+        fixes = np.array([len(c) for c in self.corrections], dtype=float)
+        return (self.sent.shape[1] + fixes * correction_bits(block_len)) / block_len
+
+
+def _encode(u, sent_mask, decided_mask, chain) -> PolarCode:
+    """The code of the (B, N) uint8 leaf bits u: its bits at the (N,) bool
+    sent_mask, and per block the int64 indices inside decided_mask where
+    map_bits of the decoder's chain along u differs from u, the leaves a
+    decoder deciding them by sign must flip.  No pass runs for an empty
+    decided_mask."""
     n_blocks, block_len = u.shape
     wrong = np.zeros((n_blocks, block_len), dtype=bool)
-    if mask.any():
+    if decided_mask.any():
         def guesses(leaves, llr, start, stop):
-            wrong[start:stop] = (map_bits(llr[0]) != u[start:stop]) & mask
+            wrong[start:stop] = (map_bits(llr[0]) != u[start:stop]) & decided_mask
 
         traverse_batches((chain,), n_blocks, block_len, guesses, known=u)
-    return tuple(np.flatnonzero(row).astype(np.int64) for row in wrong)
+    return PolarCode(u[:, sent_mask],
+                     tuple(np.flatnonzero(row).astype(np.int64) for row in wrong))
 
 
 def _scatter_corrections(bits, corrections, allowed) -> None:
     """Write the corrections into the (n_blocks, N) uint8 bits in place:
     0 at every leaf of the (N,) bool mask allowed, 1 at every corrected
-    one.  ValueError unless corrections holds n_blocks arrays of distinct
-    integer indices inside allowed."""
-    n_blocks, block_len = bits.shape
-    if len(corrections) != n_blocks:
-        raise ValueError(f"corrections must hold {n_blocks} per-block index "
-                         f"arrays, got {len(corrections)}")
+    one.  ValueError unless each of the n_blocks entries of corrections
+    holds distinct integer indices inside allowed."""
+    block_len = bits.shape[1]
     bits[:, allowed] = 0
     for b, idx in enumerate(map(np.asarray, corrections)):
         if (idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer)
@@ -102,23 +132,28 @@ def _scatter_corrections(bits, corrections, allowed) -> None:
         bits[b, idx] = 1
 
 
-def rate_per_block(sent: int, corrections, block_len: int) -> np.ndarray:
-    """Bits per source symbol for each block: the sent bits plus
-    correction_bits(N) = log2(N) + 1 bits per correction."""
-    fixes = np.array([len(c) for c in corrections], dtype=float)
-    return (sent + fixes * correction_bits(block_len)) / block_len
-
-
-def _replay(chain, kinds, bits) -> np.ndarray:
-    """The codeword of a decoder plan over len(bits) blocks: KNOWN leaves
-    read bits, PRIOR leaves take map_bits of the one chain xor bits (their
-    corrections); without PRIOR leaves, the transform of bits."""
-    if not (kinds == LEAF_PRIOR).any():
+def _decode(code: PolarCode, bits, sent_mask, decided_mask, chain) -> np.ndarray:
+    """The codeword of a code over its (code.n_blocks, N) uint8 base bits,
+    which it overwrites: code.sent at the (N,) bool sent_mask, and the
+    corrections at decided_mask.  The replay is a one-chain plan: leaves
+    in decided_mask are PRIOR, map_bits of the chain xor their corrections,
+    and every other leaf is KNOWN; without PRIOR leaves, the transform of
+    the bits.  ValueError unless code.sent is a (code.n_blocks, |sent|)
+    array of bits and the corrections are well formed."""
+    sent = np.asarray(code.sent)
+    n_blocks, block_len = bits.shape
+    shape = (n_blocks, int(sent_mask.sum()))
+    if sent.shape != shape:
+        raise ValueError(f"sent must have shape {shape}, one row per block of "
+                         f"corrections, got {sent.shape}")
+    bits[:, sent_mask] = checked_bits(sent, "sent")
+    _scatter_corrections(bits, code.corrections, decided_mask)
+    if not decided_mask.any():
         return polar_transform(bits)
     if chain is None:
         raise ValueError("prior-decided indices need the prior evidence")
-    return traverse_batches((chain,), len(bits), len(kinds), None,
-                            plan=(kinds, bits))[1]
+    return traverse_batches((chain,), n_blocks, block_len, None, plan=(
+        np.where(decided_mask, LEAF_PRIOR, LEAF_KNOWN), bits))[1]
 
 
 def _check_pairing(channel: BinarySourceWithSideInfo, profile: PolarProfile) -> None:
@@ -154,70 +189,32 @@ def _side_symbols(channel, side, shape):
 # lossless
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LosslessCode:
-    """Compressed representation of a batch of blocks.
-
-    stored_bits: (B, |stored|) uint8, bits at the stored indices per block.
-    corrections: tuple of per-block int arrays, the distinct unstored leaf
-        indices whose maximum-posterior decision must be flipped during
-        decoding.
-    """
-
-    stored_bits: np.ndarray
-    corrections: tuple
-
-    @property
-    def n_blocks(self) -> int:
-        return self.stored_bits.shape[0]
-
-    def rate_per_block(self, block_len: int) -> np.ndarray:
-        """Bits per source symbol for each block (see rate_per_block)."""
-        return rate_per_block(self.stored_bits.shape[1], self.corrections,
-                              block_len)
-
-
 def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
-                       profile: PolarProfile, side=None) -> LosslessCode:
-    """Compress blocks x (B, N) of the channel's coded variable; the bits
-    at profile.stored_mask() are stored."""
+                       profile: PolarProfile, side=None) -> PolarCode:
+    """Compress blocks x (B, N) of the channel's coded variable into a code
+    that sends the bits at profile.stored_mask() and corrects the rest."""
     _check_pairing(channel, profile)
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"x must have shape (B, N), got {x.shape}")
-    if np.any((x != 0) & (x != 1)):
-        raise ValueError("x must hold bits in {0, 1}")
-    x = x.astype(np.uint8)
-    n_blocks, block_len = x.shape
+    x = checked_bits(x, "x")
+    block_len = x.shape[1]
     if block_len != profile.block_len:
         raise ValueError(f"blocks have length {block_len}, profile expects {profile.block_len}")
     cond, _ = channel_evidence(channel, _side_symbols(channel, side, x.shape))
-    u_true = polar_transform(x)
     mask = profile.stored_mask()
-    return LosslessCode(stored_bits=u_true[:, mask],
-                        corrections=_corrections(cond, u_true, ~mask))
+    return _encode(polar_transform(x), mask, ~mask, cond)
 
 
-def sc_lossless_decode(code: LosslessCode, channel: BinarySourceWithSideInfo,
+def sc_lossless_decode(code: PolarCode, channel: BinarySourceWithSideInfo,
                        profile: PolarProfile, side=None) -> np.ndarray:
-    """Recover the source blocks exactly from their compressed form; the
-    stored set is profile.stored_mask(), as for the encoder."""
+    """Recover the source blocks exactly from their code; the sent set is
+    profile.stored_mask(), as for the encoder."""
     _check_pairing(channel, profile)
-    n_blocks = len(code.corrections)
-    block_len = profile.block_len
+    shape = (code.n_blocks, profile.block_len)
+    cond, _ = channel_evidence(channel, _side_symbols(channel, side, shape))
     mask = profile.stored_mask()
-    stored_shape = (n_blocks, int(mask.sum()))
-    if code.stored_bits.shape != stored_shape:
-        raise ValueError(f"stored_bits must have shape {stored_shape}, "
-                         f"got {code.stored_bits.shape}")
-    if np.any((code.stored_bits != 0) & (code.stored_bits != 1)):
-        raise ValueError("stored_bits must hold bits in {0, 1}")
-    bits = np.empty((n_blocks, block_len), dtype=np.uint8)
-    bits[:, mask] = code.stored_bits
-    _scatter_corrections(bits, code.corrections, ~mask)
-    cond, _ = channel_evidence(
-        channel, _side_symbols(channel, side, (n_blocks, block_len)))
-    return _replay(cond, np.where(mask, LEAF_KNOWN, LEAF_PRIOR), bits)
+    return _decode(code, np.empty(shape, dtype=np.uint8), mask, ~mask, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -283,44 +280,32 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
         (cond,), n_blocks, block_len, rounded,
         plan=(np.where(info | deterministic, LEAF_FREE, LEAF_KNOWN), dither,
               _rounding_margins(uniforms)))
-    return u[:, info], _corrections(prior, u, deterministic), reconstruction
+    return _encode(u, info, deterministic, prior), reconstruction
 
 
-def lossy_reconstruct_from_evidence(payload, corrections, prior,
-                                    profile: PolarProfile, n_blocks: int,
+def lossy_reconstruct_from_evidence(code: PolarCode, prior, profile: PolarProfile,
                                     shared_seed: int, block_offset: int = 0,
                                     level: int = 0) -> np.ndarray:
     """sc_lossy_reconstruct on the prior evidence callable alone, which
     only profiles with frozen-deterministic indices consult; level as in
     lossy_encode_from_evidence."""
-    payload = np.asarray(payload)
-    block_len = profile.block_len
-    info_pos = profile.info_positions()
-    if payload.shape != (n_blocks, len(info_pos)):
-        raise ValueError(f"payload must have shape ({n_blocks}, {len(info_pos)}), "
-                         f"got {payload.shape}")
-    if np.any((payload != 0) & (payload != 1)):
-        raise ValueError("payload must hold bits in {0, 1}")
-    deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
-    bits = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
-                          n_blocks, block_offset, block_len)
-    bits[:, info_pos] = payload
-    _scatter_corrections(bits, corrections, deterministic)
-    return _replay(prior, np.where(deterministic, LEAF_PRIOR, LEAF_KNOWN), bits)
+    dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
+                            code.n_blocks, block_offset, profile.block_len)
+    return _decode(code, dither, profile.classes == CLASS_INFO,
+                   profile.classes == CLASS_FROZEN_DETERMINISTIC, prior)
 
 
 def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
                     profile: PolarProfile, shared_seed: int,
                     block_offset: int = 0, level: int = 0):
-    """Quantize observation blocks; returns (payload, corrections,
-    reconstruction).
+    """Quantize observation blocks; returns (code, reconstruction).
 
     obs: (B, N) side-information symbols (the thing being compressed).
-    payload: (B, |INFO|) uint8 bits at the INFO indices.
-    corrections: B int64 arrays, the frozen-deterministic indices of each
-        block where the decoder's prior-chain decision must be flipped.
+    code: the PolarCode that sends each block's bits at the INFO indices
+        and corrects the frozen-deterministic indices where the decoder's
+        prior-chain decision misses.
     reconstruction: (B, N) coded-variable blocks, identical to what
-        sc_lossy_reconstruct produces from the payload and corrections.
+        sc_lossy_reconstruct produces from the code.
     level: the stream level, or a tuple of G levels, one per group of B/G
         rows, which codes G stacked branches in one pass (see the module
         docstring).
@@ -337,17 +322,15 @@ def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
                                       shared_seed, block_offset, level)
 
 
-def sc_lossy_reconstruct(payload: np.ndarray, corrections,
-                         channel: BinarySourceWithSideInfo,
+def sc_lossy_reconstruct(code: PolarCode, channel: BinarySourceWithSideInfo,
                          profile: PolarProfile, shared_seed: int,
                          block_offset: int = 0, level: int = 0) -> np.ndarray:
-    """Rebuild reconstruction blocks from payload bits, the encoder's
-    corrections and shared dither; level as in sc_lossy_encode."""
+    """Rebuild reconstruction blocks from the encoder's code and shared
+    dither; level as in sc_lossy_encode."""
     _check_pairing(channel, profile)
 
     def prior(start, stop):
         return channel.prior_evidence((stop - start, profile.block_len))
 
-    return lossy_reconstruct_from_evidence(payload, corrections, prior, profile,
-                                           len(payload), shared_seed,
+    return lossy_reconstruct_from_evidence(code, prior, profile, shared_seed,
                                            block_offset, level)

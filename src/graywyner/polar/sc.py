@@ -322,6 +322,15 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
     return u.copy(), codeword
 
 
+def checked_bits(values, name: str) -> np.ndarray:
+    """values as uint8; ValueError naming them unless every value is 0 or 1,
+    checked before the cast, which would pass 2 on and wrap -1 to 255."""
+    values = np.asarray(values)
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{name} must hold bits in {{0, 1}}")
+    return values.astype(np.uint8, copy=False)
+
+
 def _checked_plan(plan, n_blocks: int, block_len: int):
     """(kinds, bits, margins) of a depth-first plan, margins None when the
     plan has none; every leaf FREE without a plan."""
@@ -329,7 +338,7 @@ def _checked_plan(plan, n_blocks: int, block_len: int):
         plan = np.full(block_len, LEAF_FREE), np.zeros((n_blocks, block_len))
     if len(plan) not in (2, 3):
         raise ValueError("plan must be (kinds, bits) or (kinds, bits, margins)")
-    kinds, bits = np.asarray(plan[0]), np.asarray(plan[1], dtype=np.uint8)
+    kinds, bits = np.asarray(plan[0]), checked_bits(plan[1], "plan bits")
     if kinds.shape != (block_len,) or not np.isin(
             kinds, (LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR)).all():
         raise ValueError(f"plan kinds must be ({block_len},) leaf kinds")
@@ -390,7 +399,7 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
         if (kinds == LEAF_KNOWN).all():  # a rate-0 root reads no evidence
             return bits.copy(), polar_transform(bits)
     else:
-        u = np.asarray(known, dtype=np.uint8)
+        u = checked_bits(known, "known")
         if u.shape != (n_blocks, block_len):
             raise ValueError(
                 f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")

@@ -69,17 +69,17 @@ def test_coders_exact_and_split_independent(joint, log_n, n_blocks, fraction,
     head = sc_lossless_encode(x[:split], channel, stored, side=y[:split])
     tail = sc_lossless_encode(x[split:], channel, stored, side=y[split:])
     np.testing.assert_array_equal(
-        np.vstack([head.stored_bits, tail.stored_bits]), code.stored_bits)
+        np.vstack([head.sent, tail.sent]), code.sent)
     _assert_corrections_equal(head.corrections + tail.corrections, code.corrections)
 
     capped = profile.with_payload_cap(fraction)
-    payload, fixes, recon = sc_lossy_encode(y, channel, capped, shared_seed=seed)
+    lossy, recon = sc_lossy_encode(y, channel, capped, shared_seed=seed)
     np.testing.assert_array_equal(
-        sc_lossy_reconstruct(payload, fixes, channel, capped, shared_seed=seed),
-        recon)
+        sc_lossy_reconstruct(lossy, channel, capped, shared_seed=seed), recon)
     parts = [sc_lossy_encode(y[rows], channel, capped, shared_seed=seed,
                              block_offset=rows.start)
              for rows in (slice(0, split), slice(split, n_blocks))]
-    np.testing.assert_array_equal(np.vstack([p[0] for p in parts]), payload)
-    _assert_corrections_equal(parts[0][1] + parts[1][1], fixes)
-    np.testing.assert_array_equal(np.vstack([p[2] for p in parts]), recon)
+    np.testing.assert_array_equal(np.vstack([p[0].sent for p in parts]), lossy.sent)
+    _assert_corrections_equal(parts[0][0].corrections + parts[1][0].corrections,
+                              lossy.corrections)
+    np.testing.assert_array_equal(np.vstack([p[1] for p in parts]), recon)

@@ -22,10 +22,10 @@ change that moves the entropy estimates h by rounding units re-records
 GOLDEN_PROFILES while GOLDEN_CLASSES shows that no construction decision
 moved.  GOLDEN_CODES hashes the
 coders' own outputs, which the pipeline digests see only through rates and
-distortions: a lossless code (stored bits, corrections) with its decoded
-blocks, lossy payloads and corrections with their reconstructions and
-replays on two DSBS channels, and a Gaussian pair's lattice payloads,
-corrections, reconstruction and replay.
+distortions: a lossless code (sent bits, corrections) with its decoded
+blocks, lossy codes with their reconstructions and replays on two DSBS
+channels, and a Gaussian pair's per-level lattice codes, reconstruction
+and replay.
 
 Run as a script (python tests/test_golden_outputs.py, with the package
 importable) to print the six digests of the current code by name, for
@@ -143,38 +143,38 @@ def golden_profiles():
 
 def golden_codes():
     """The coders' outputs on fixed seeds, as a flat sequence of arrays:
-    16 blocks of the lossless code of the X-given-W channel (stored bits,
-    corrections, the decoded blocks), then 16
-    blocks of the lossy payload, corrections, reconstruction and replay of
-    the W and refinement channels at N=1024, then 8 blocks of the Gaussian
-    pair's lattice payloads, corrections per level, reconstruction and
-    replay.  Corrections enter as per-block counts, then the indices."""
+    16 blocks of the lossless code of the X-given-W channel (sent bits,
+    corrections, the decoded blocks), then 16 blocks of the lossy code
+    (sent bits, corrections), reconstruction and replay of the W and
+    refinement channels at N=1024, then 8 blocks of the Gaussian pair's
+    lattice codes (every level's sent bits, then every level's
+    corrections), reconstruction and replay.  Corrections enter as
+    per-block counts, then the indices."""
     w_channel, side_channel, refine = golden_channels()
     x, y = side_channel.sample(16, 1024, rng.stream(21, rng.STREAM_SOURCE))
     profile = construct_profile(side_channel, 1024, sample_count=64, seed=3)
     code = sc_lossless_encode(x, side_channel, profile, side=y)
-    yield code.stored_bits
+    yield code.sent
     yield from corrections_arrays(code.corrections)
     yield sc_lossless_decode(code, side_channel, profile, side=y)
     for seed, channel in ((22, w_channel), (23, refine)):
         profile = construct_profile(channel, 1024, sample_count=64, seed=3)
         _, obs = channel.sample(16, 1024, rng.stream(seed, rng.STREAM_SOURCE))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile,
-                                                shared_seed=seed)
-        yield payload
-        yield from corrections_arrays(fixes)
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=seed)
+        yield code.sent
+        yield from corrections_arrays(code.corrections)
         yield recon
-        yield sc_lossy_reconstruct(payload, fixes, channel, profile,
-                                   shared_seed=seed)
+        yield sc_lossy_reconstruct(code, channel, profile, shared_seed=seed)
     reduction, lattice = golden_lattice_code()
     model = GaussianPairModel(0.8)
     samples = reduction.combine(model.sample(8, 512, rng.stream(24, rng.STREAM_SOURCE)))
-    payloads, fixes, recon = lattice_quantize(samples, lattice, shared_seed=24)
-    yield from payloads
-    for level_fixes in fixes:
-        yield from corrections_arrays(level_fixes)
+    codes, recon = lattice_quantize(samples, lattice, shared_seed=24)
+    for level_code in codes:
+        yield level_code.sent
+    for level_code in codes:
+        yield from corrections_arrays(level_code.corrections)
     yield recon
-    yield lattice_reconstruct(payloads, fixes, lattice, shared_seed=24)
+    yield lattice_reconstruct(codes, lattice, shared_seed=24)
 
 
 def corrections_arrays(corrections):

@@ -13,6 +13,7 @@ Oracles used here are independent of the implementation:
 import base64
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -547,17 +548,17 @@ def sample_sources(mmse, n_blocks, block_len, seed=21):
 class TestLatticeQuantize:
     def test_payload_lengths_match_info_counts(self, eps2_code):
         samples = sample_sources(EPS2, 3, 4096)
-        payloads, fixes, recon = lattice_quantize(samples, eps2_code, shared_seed=17)
-        assert len(payloads) == len(fixes) == eps2_code.levels
-        for payload, level_fixes, profile in zip(payloads, fixes, eps2_code.profiles):
-            assert payload.shape == (3, len(profile.info_positions()))
-            assert len(level_fixes) == 3
+        codes, recon = lattice_quantize(samples, eps2_code, shared_seed=17)
+        assert len(codes) == eps2_code.levels
+        for level_code, profile in zip(codes, eps2_code.profiles):
+            assert level_code.sent.shape == (3, len(profile.info_positions()))
+            assert len(level_code.corrections) == len(level_code) == 3
         assert recon.shape == samples.shape
 
     def test_reconstruction_replay_is_exact(self, eps2_code):
         samples = sample_sources(EPS2, 2, 4096)
-        payloads, fixes, recon = lattice_quantize(samples, eps2_code, shared_seed=17)
-        replay = lattice_reconstruct(payloads, fixes, eps2_code, shared_seed=17)
+        codes, recon = lattice_quantize(samples, eps2_code, shared_seed=17)
+        replay = lattice_reconstruct(codes, eps2_code, shared_seed=17)
         assert np.array_equal(recon, replay)
 
     def test_reconstructions_live_on_the_window(self, eps2_code):
@@ -574,23 +575,22 @@ class TestLatticeQuantize:
 
     def test_block_offset_addressing(self, eps2_code):
         samples = sample_sources(EPS2, 4, 4096)
-        payloads, fixes, recon = lattice_quantize(samples, eps2_code, shared_seed=23)
-        p_head, f_head, r_head = lattice_quantize(samples[:2], eps2_code,
-                                                  shared_seed=23)
-        p_tail, f_tail, r_tail = lattice_quantize(samples[2:], eps2_code,
-                                                  shared_seed=23, block_offset=2)
+        codes, recon = lattice_quantize(samples, eps2_code, shared_seed=23)
+        c_head, r_head = lattice_quantize(samples[:2], eps2_code, shared_seed=23)
+        c_tail, r_tail = lattice_quantize(samples[2:], eps2_code,
+                                          shared_seed=23, block_offset=2)
         assert np.array_equal(recon[:2], r_head)
         assert np.array_equal(recon[2:], r_tail)
-        for full, head, tail in zip(payloads, p_head, p_tail):
-            assert np.array_equal(full, np.vstack([head, tail]))
-        for full, head, tail in zip(fixes, f_head, f_tail):
-            for got, want in zip(full, head + tail, strict=True):
+        for full, head, tail in zip(codes, c_head, c_tail, strict=True):
+            assert np.array_equal(full.sent, np.vstack([head.sent, tail.sent]))
+            for got, want in zip(full.corrections, head.corrections + tail.corrections,
+                                 strict=True):
                 assert np.array_equal(got, want)
 
     def test_shared_seed_changes_dither(self, eps2_code):
         samples = sample_sources(EPS2, 1, 4096)
-        *_, a = lattice_quantize(samples, eps2_code, shared_seed=1)
-        *_, b = lattice_quantize(samples, eps2_code, shared_seed=2)
+        _, a = lattice_quantize(samples, eps2_code, shared_seed=1)
+        _, b = lattice_quantize(samples, eps2_code, shared_seed=2)
         assert not np.array_equal(a, b)
 
     def test_scale_consistency_power_of_two(self, cache_dir):
@@ -601,12 +601,12 @@ class TestLatticeQuantize:
         mmse2 = mmse_params(4.0 * EPS2.sigma_s2, 4.0 * EPS2.sigma_r2)
         big = build_multilevel_code(chain2, mmse2, 1024, sample_count=64, seed=5)
         samples = sample_sources(EPS2, 2, 1024)
-        pay_a, fix_a, rec_a = lattice_quantize(samples, small, shared_seed=31)
-        pay_b, fix_b, rec_b = lattice_quantize(2.0 * samples, big, shared_seed=31)
-        for a, b in zip(pay_a, pay_b):
-            assert np.array_equal(a, b)
-        for a, b in zip(fix_a, fix_b):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+        codes_a, rec_a = lattice_quantize(samples, small, shared_seed=31)
+        codes_b, rec_b = lattice_quantize(2.0 * samples, big, shared_seed=31)
+        for a, b in zip(codes_a, codes_b):
+            assert np.array_equal(a.sent, b.sent)
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(a.corrections, b.corrections, strict=True))
         assert np.array_equal(2.0 * rec_a, rec_b)
         mse_a = float(np.mean((samples - rec_a) ** 2))
         mse_b = float(np.mean((2.0 * samples - rec_b) ** 2))
@@ -625,27 +625,29 @@ class TestLatticeQuantize:
             profiles=_construct_levels(chain, m, 256, 0.25, 16, 4))
         assert all(np.all(p.classes == CLASS_INFO) for p in code.profiles)
         samples = np.zeros((2, 256))
-        *_, recon = lattice_quantize(samples, code, shared_seed=8)
+        _, recon = lattice_quantize(samples, code, shared_seed=8)
         assert np.array_equal(recon, samples)
 
     def test_wrong_width_level_payload_rejected(self, eps2_code):
         samples = rng.stream(31, rng.STREAM_SOURCE).standard_normal((2, 4096))
-        payloads, fixes, _ = lattice_quantize(samples, eps2_code, shared_seed=5)
-        level = max(range(eps2_code.levels), key=lambda l: payloads[l].shape[1])
-        bad = list(payloads)
-        bad[level] = bad[level][:, :-1]
+        codes, _ = lattice_quantize(samples, eps2_code, shared_seed=5)
+        level = max(range(eps2_code.levels), key=lambda l: codes[l].sent.shape[1])
+        bad = list(codes)
+        bad[level] = replace(bad[level], sent=bad[level].sent[:, :-1])
         with pytest.raises(ValueError, match="must have shape"):
-            lattice_reconstruct(bad, fixes, eps2_code, shared_seed=5)
+            lattice_reconstruct(bad, eps2_code, shared_seed=5)
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_non_bit_payload_rejected(self, eps2_code, bad):
         samples = rng.stream(32, rng.STREAM_SOURCE).standard_normal((2, 4096))
-        payloads, fixes, _ = lattice_quantize(samples, eps2_code, shared_seed=5)
-        level = max(range(eps2_code.levels), key=lambda l: payloads[l].shape[1])
-        bad_payloads = [p.astype(np.int64) for p in payloads]
-        bad_payloads[level][1, 0] = bad
+        codes, _ = lattice_quantize(samples, eps2_code, shared_seed=5)
+        level = max(range(eps2_code.levels), key=lambda l: codes[l].sent.shape[1])
+        bad_sent = codes[level].sent.astype(np.int64)
+        bad_sent[1, 0] = bad
+        bad_codes = list(codes)
+        bad_codes[level] = replace(codes[level], sent=bad_sent)
         with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
-            lattice_reconstruct(bad_payloads, fixes, eps2_code, shared_seed=5)
+            lattice_reconstruct(bad_codes, eps2_code, shared_seed=5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, eps2_code, bad):
@@ -663,12 +665,11 @@ class TestLatticeQuantize:
             lattice_quantize(np.zeros(4096), eps2_code, shared_seed=0)
 
     def test_empty_batch_gives_empty_arrays(self, eps2_code):
-        payloads, fixes, recon = lattice_quantize(np.zeros((0, 4096)), eps2_code,
-                                                  shared_seed=0)
-        for payload, profile in zip(payloads, eps2_code.profiles):
-            assert payload.shape == (0, len(profile.info_positions()))
-            assert payload.dtype == np.uint8
-        assert fixes == ((),) * eps2_code.levels
+        codes, recon = lattice_quantize(np.zeros((0, 4096)), eps2_code, shared_seed=0)
+        for level_code, profile in zip(codes, eps2_code.profiles, strict=True):
+            assert level_code.sent.shape == (0, len(profile.info_positions()))
+            assert level_code.sent.dtype == np.uint8
+            assert level_code.corrections == ()
         assert recon.shape == (0, 4096)
-        replay = lattice_reconstruct(payloads, fixes, eps2_code, shared_seed=0)
+        replay = lattice_reconstruct(codes, eps2_code, shared_seed=0)
         assert replay.shape == (0, 4096)

@@ -1,14 +1,20 @@
 """Every function the benchmark tracer patches still exists under the
 module name it is patched at, so renaming one fails here and not only in
-traced benchmark runs.  perfbench/ is read, never imported as a package."""
+traced benchmark runs; the probes read the counts they report from the
+calls' arguments (block and level counts) as the library passes them; and
+every import src/ keeps alive only for the tracer names a patched target.
+perfbench/ is read, never imported as a package."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+SRC = ROOT / "src"
 
 
 def _load_spans():
@@ -85,3 +91,61 @@ def test_traced_lattice_op_keeps_sc_contract():
     counts = spans.layer_counts(recorded, 0)
     assert counts["construct.calls"] == 0
     assert counts["sc.lattice.busy_s"] > 0
+
+
+def test_traced_lossy_op_counts_the_blocks_it_replays():
+    """Each lossy_reconstruct span reports the blocks of the code it
+    replays, the rows of the lossy_encode span that made the code: n_blocks
+    for W, then 2 n_blocks for the stacked refinement twins."""
+    from graywyner.dsbs.model import DsbsModel
+    from graywyner.dsbs.pipelines import LossyTinyBoth, run_dsbs_pipeline
+
+    n_blocks = 3
+    recorded = _traced(lambda: run_dsbs_pipeline(
+        LossyTinyBoth(0.05), DsbsModel(0.11), 256, 1, n_blocks=n_blocks,
+        sample_count=32, construction_seed=5))
+    encodes = [s.info["blocks"] for s in recorded if s.name == "lossy_encode"]
+    replays = [s.info["blocks"] for s in recorded if s.name == "lossy_reconstruct"]
+    assert encodes == replays == [n_blocks, 2 * n_blocks]
+
+
+def test_traced_lattice_replay_counts_the_levels():
+    """The lattice.reconstruct span reports the level count of the lattice
+    that the lattice.build span built."""
+    from graywyner.gaussian.model import GaussianPairModel
+    from graywyner.gaussian.pipelines import extract_common
+
+    recorded = _traced(lambda: extract_common(
+        GaussianPairModel(0.8), 128, 1, n_blocks=2, sample_count=32,
+        construction_seed=5))
+    (build,) = [s for s in recorded if s.name == "lattice.build"]
+    (replay,) = [s for s in recorded if s.name == "lattice.reconstruct"]
+    assert replay.info["levels"] == build.info["levels"] > 1
+
+
+def _unused_marked_imports(text: str) -> list:
+    """Names a module imports in a statement marked `# noqa: F401` and
+    never reads."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and any("noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names if (alias.asname or alias.name) not in read]
+
+
+def test_keep_alive_imports_name_patched_targets():
+    """A name src/ imports only so that the tracer can patch it there must
+    be a target the tracer patches at that module; once a target retires,
+    its import is dead and fails here."""
+    text = "from a import b, c  # noqa: F401\nfrom d import e\nc()\n"
+    assert _unused_marked_imports(text) == ["b"]  # the scan itself
+    patched = {(path, attr) for _, path, attr in spans.TARGETS}
+    kept = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        kept += [(module, name) for name in _unused_marked_imports(path.read_text())]
+    assert [pair for pair in kept if pair not in patched] == []

@@ -26,6 +26,7 @@ from graywyner.lattice import (
 )
 from graywyner.polar import (
     CLASS_FROZEN_DETERMINISTIC,
+    PolarCode,
     crossover_side_info,
     lossless_source,
     polar_transform,
@@ -55,6 +56,14 @@ def storing(profile, fraction):
     e_cond = np.zeros(profile.block_len)
     e_cond[np.argsort(-profile.z_cond, kind="stable")[:count]] = 1.0
     return replace(profile, e_cond=e_cond)
+
+
+def assert_same_code(got, want, rows=slice(None)):
+    """got equals the rows of want: the same sent bits and corrections."""
+    np.testing.assert_array_equal(got.sent, want.sent[rows])
+    for got_fixes, want_fixes in zip(got.corrections, want.corrections[rows],
+                                     strict=True):
+        np.testing.assert_array_equal(got_fixes, want_fixes)
 
 
 def bsc_forward(crossover):
@@ -93,7 +102,7 @@ class TestLossless:
         x, _ = channel.sample(4, 256, rng.stream(53, rng.STREAM_SOURCE))
         code = sc_lossless_encode(x, channel, profile)
         stored = int(profile.stored_mask().sum())
-        assert code.stored_bits.shape == (4, stored)
+        assert code.sent.shape == (4, stored)
         per_block = code.rate_per_block(256)
         fixes = np.array([len(t) for t in code.corrections])
         np.testing.assert_allclose(
@@ -120,30 +129,30 @@ class TestLossyUniformPrior:
         channel = make_quantizer_source(0.5, np.eye(2), name="identity-observation")
         profile = profile_store(channel, 512)
         obs = rng.stream(60, rng.STREAM_SOURCE).integers(0, 2, size=(6, 512))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=77)
+        _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=77)
         np.testing.assert_array_equal(recon, obs)
 
     def test_decoder_matches_encoder_reconstruction(self, profile_store):
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 1024)
         obs = rng.stream(61, rng.STREAM_SOURCE).integers(0, 2, size=(6, 1024))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=78)
-        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=78)
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=78)
+        rebuilt = sc_lossy_reconstruct(code, channel, profile, shared_seed=78)
         np.testing.assert_array_equal(rebuilt, recon)
 
     def test_payload_is_info_bits(self, profile_store):
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 1024)
         obs = rng.stream(62, rng.STREAM_SOURCE).integers(0, 2, size=(3, 1024))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=79)
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=79)
         u = polar_transform(recon)
-        np.testing.assert_array_equal(payload, u[:, profile.info_positions()])
+        np.testing.assert_array_equal(code.sent, u[:, profile.info_positions()])
 
     def test_distortion_near_design_point(self, profile_store):
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 4096)
         obs = rng.stream(63, rng.STREAM_SOURCE).integers(0, 2, size=(16, 4096))
-        _, _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=80)
+        _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=80)
         distortion = float(np.mean(recon != obs))
         assert 0.07 < distortion < 0.16
 
@@ -151,14 +160,16 @@ class TestLossyUniformPrior:
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 512)
         obs = rng.stream(64, rng.STREAM_SOURCE).integers(0, 2, size=(9, 512))
-        pay_all, fix_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=81)
-        pay_a, fix_a, rec_a = sc_lossy_encode(obs[:5], channel, profile, shared_seed=81)
-        pay_b, fix_b, rec_b = sc_lossy_encode(obs[5:], channel, profile, shared_seed=81,
-                                       block_offset=5)
-        np.testing.assert_array_equal(np.vstack([pay_a, pay_b]), pay_all)
+        code_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=81)
+        code_a, rec_a = sc_lossy_encode(obs[:5], channel, profile, shared_seed=81)
+        code_b, rec_b = sc_lossy_encode(obs[5:], channel, profile, shared_seed=81,
+                                        block_offset=5)
+        np.testing.assert_array_equal(np.vstack([code_a.sent, code_b.sent]), code_all.sent)
         np.testing.assert_array_equal(np.vstack([rec_a, rec_b]), rec_all)
-        assert not any(map(len, fix_all + fix_a + fix_b))  # no D index here
-        rebuilt_b = sc_lossy_reconstruct(pay_b, fix_b, channel, profile, shared_seed=81,
+        # no D index here
+        assert not any(map(len, code_all.corrections + code_a.corrections
+                           + code_b.corrections))
+        rebuilt_b = sc_lossy_reconstruct(code_b, channel, profile, shared_seed=81,
                                          block_offset=5)
         np.testing.assert_array_equal(rebuilt_b, rec_b)
 
@@ -166,8 +177,8 @@ class TestLossyUniformPrior:
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 512)
         obs = rng.stream(65, rng.STREAM_SOURCE).integers(0, 2, size=(4, 512))
-        _, _, rec0 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=0)
-        _, _, rec1 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=1)
+        _, rec0 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=0)
+        _, rec1 = sc_lossy_encode(obs, channel, profile, shared_seed=82, level=1)
         assert np.any(rec0 != rec1)
 
     def test_payload_cap_reduces_rate(self, profile_store):
@@ -175,9 +186,9 @@ class TestLossyUniformPrior:
         profile = profile_store(channel, 1024)
         capped = profile.with_payload_cap(0.4)
         obs = rng.stream(66, rng.STREAM_SOURCE).integers(0, 2, size=(4, 1024))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, capped, shared_seed=83)
-        assert payload.shape[1] <= int(0.4 * 1024)
-        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, capped, shared_seed=83)
+        code, recon = sc_lossy_encode(obs, channel, capped, shared_seed=83)
+        assert code.sent.shape[1] <= int(0.4 * 1024)
+        rebuilt = sc_lossy_reconstruct(code, channel, capped, shared_seed=83)
         np.testing.assert_array_equal(rebuilt, recon)
         assert float(np.mean(recon != obs)) < 0.5
 
@@ -193,21 +204,19 @@ class TestLossyNonuniformPrior:
         assert has_deterministic(profile)
         gen = rng.stream(70, rng.STREAM_SOURCE)
         _, obs = channel.sample(6, 1024, gen)
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=84)
-        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=84)
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=84)
+        rebuilt = sc_lossy_reconstruct(code, channel, profile, shared_seed=84)
         np.testing.assert_array_equal(rebuilt, recon)
 
     def test_batch_independence(self, profile_store):
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 512)
         _, obs = channel.sample(7, 512, rng.stream(71, rng.STREAM_SOURCE))
-        pay_all, fix_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=85)
-        pay_b, fix_b, rec_b = sc_lossy_encode(obs[3:], channel, profile, shared_seed=85,
-                                       block_offset=3)
-        np.testing.assert_array_equal(pay_b, pay_all[3:])
+        code_all, rec_all = sc_lossy_encode(obs, channel, profile, shared_seed=85)
+        code_b, rec_b = sc_lossy_encode(obs[3:], channel, profile, shared_seed=85,
+                                        block_offset=3)
+        assert_same_code(code_b, code_all, slice(3, None))
         np.testing.assert_array_equal(rec_b, rec_all[3:])
-        for got, want in zip(fix_b, fix_all[3:], strict=True):
-            np.testing.assert_array_equal(got, want)
 
     def test_corrections_flip_the_prior_decisions(self, profile_store):
         """Corrections name distinct D indices, and the replay without them
@@ -216,23 +225,23 @@ class TestLossyNonuniformPrior:
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 1024)
         _, obs = channel.sample(32, 1024, rng.stream(71, rng.STREAM_SOURCE))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=85)
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=85)
         deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
-        for idx in fixes:
+        for idx in code.corrections:
             assert idx.dtype == np.int64 and deterministic[idx].all()
             assert np.unique(idx).size == idx.size
-        corrected = np.array([len(idx) > 0 for idx in fixes])
+        corrected = np.array([len(idx) > 0 for idx in code.corrections])
         assert corrected.any()
-        none = tuple(np.empty(0, np.int64) for _ in fixes)
-        uncorrected = sc_lossy_reconstruct(payload, none, channel, profile,
-                                           shared_seed=85)
+        none = tuple(np.empty(0, np.int64) for _ in code.corrections)
+        uncorrected = sc_lossy_reconstruct(replace(code, corrections=none), channel,
+                                           profile, shared_seed=85)
         np.testing.assert_array_equal((uncorrected != recon).any(axis=1), corrected)
 
     def test_reconstruction_biased_toward_prior(self, profile_store):
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 1024)
         _, obs = channel.sample(8, 1024, rng.stream(72, rng.STREAM_SOURCE))
-        _, _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
+        _, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
         ones = float(np.mean(recon))
         assert 0.1 < ones < 0.3  # matches the Ber(0.2) prior, not uniform
 
@@ -247,11 +256,12 @@ class TestEmptyBatch:
         profile = profile_store(channel, 512)
         assert has_deterministic(profile) == (prior != 0.5)
         obs = np.zeros((0, 512), dtype=np.int64)
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=1)
-        assert payload.shape == (0, len(profile.info_positions())) and fixes == ()
-        assert payload.dtype == recon.dtype == np.uint8
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=1)
+        assert code.sent.shape == (0, len(profile.info_positions()))
+        assert code.corrections == () and len(code) == 0
+        assert code.sent.dtype == recon.dtype == np.uint8
         assert recon.shape == (0, 512)
-        rebuilt = sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=1)
+        rebuilt = sc_lossy_reconstruct(code, channel, profile, shared_seed=1)
         assert rebuilt.shape == (0, 512) and rebuilt.dtype == np.uint8
 
     def test_lossless(self, profile_store):
@@ -364,7 +374,7 @@ class TestLosslessCodeShape:
         code = sc_lossless_encode(
             x, channel, storing(profile_store(channel, 64), stored_fraction))
         assert any(len(t) for t in code.corrections) == (stored_fraction < 1.0)
-        with pytest.raises(ValueError, match="stored_bits"):
+        with pytest.raises(ValueError, match="sent"):
             sc_lossless_decode(code, channel,
                                storing(profile_store(channel, 32), stored_fraction))
 
@@ -377,16 +387,16 @@ class TestLosslessCodeShape:
         assert 0 < mask.sum() < 64
         stored, decided = np.flatnonzero(mask), np.flatnonzero(~mask)
         bad_codes = {
-            "stored_bits": [replace(code, stored_bits=code.stored_bits[:, 1:]),
-                            replace(code, stored_bits=code.stored_bits[:1]),
-                            replace(code, stored_bits=code.stored_bits[0])],
+            "sent": [replace(code, sent=code.sent[:, 1:]),
+                     replace(code, sent=code.sent[:1]),
+                     replace(code, sent=code.sent[0])],
             "corrections": [replace(code, corrections=(np.array([64]),) * 2),
                             replace(code, corrections=(np.array([-1]),) * 2),
                             replace(code, corrections=(np.array([3.0]),) * 2),
                             # a stored bit is sent, not decided: nothing to
-                            # correct, though rate_per_block would charge it
+                            # correct, though code.rate_per_block would charge it
                             replace(code, corrections=(stored[:1],) * 2),
-                            # charged twice by rate_per_block, flipped once
+                            # charged twice by code.rate_per_block, flipped once
                             replace(code, corrections=(decided[[0, 0]],) * 2)],
         }
         for match, codes in bad_codes.items():
@@ -417,30 +427,31 @@ class TestLossyCorrectionsChecked:
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 512)
         _, obs = channel.sample(2, 512, rng.stream(80, rng.STREAM_SOURCE))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=4)
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=4)
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=4),
-            recon)
+            sc_lossy_reconstruct(code, channel, profile, shared_seed=4), recon)
         for bad in _bad_corrections(profile.classes == CLASS_FROZEN_DETERMINISTIC, 2):
             with pytest.raises(ValueError, match="corrections"):
-                sc_lossy_reconstruct(payload, bad, channel, profile, shared_seed=4)
+                sc_lossy_reconstruct(replace(code, corrections=bad), channel, profile,
+                                     shared_seed=4)
 
     def test_inconsistent_lattice_corrections(self, cache_dir):
         mmse = reduce_pair(GaussianPairModel(0.8)).mmse
         code = build_multilevel_code(plan_chain(mmse), mmse, 512, sample_count=32,
                                      seed=3, cache_dir=cache_dir)
         samples = rng.stream(81, rng.STREAM_SOURCE).normal(size=(2, 512))
-        payloads, fixes, recon = lattice_quantize(samples, code, shared_seed=5)
+        codes, recon = lattice_quantize(samples, code, shared_seed=5)
         np.testing.assert_array_equal(
-            lattice_reconstruct(payloads, fixes, code, shared_seed=5), recon)
-        with pytest.raises(ValueError, match="correction"):
-            lattice_reconstruct(payloads, fixes[:-1], code, shared_seed=5)
+            lattice_reconstruct(codes, code, shared_seed=5), recon)
+        with pytest.raises(ValueError, match="per-level codes"):
+            lattice_reconstruct(codes[:-1], code, shared_seed=5)
         level = next(k for k, p in enumerate(code.profiles) if has_deterministic(p))
         deterministic = code.profiles[level].classes == CLASS_FROZEN_DETERMINISTIC
         for bad in _bad_corrections(deterministic, 2):
-            bad_fixes = fixes[:level] + (bad,) + fixes[level + 1:]
+            bad_codes = (codes[:level] + (replace(codes[level], corrections=bad),)
+                         + codes[level + 1:])
             with pytest.raises(ValueError, match="corrections"):
-                lattice_reconstruct(payloads, bad_fixes, code, shared_seed=5)
+                lattice_reconstruct(bad_codes, code, shared_seed=5)
 
 
 class TestDecoderBitAlphabet:
@@ -452,7 +463,7 @@ class TestDecoderBitAlphabet:
         profile = profile_store(channel, 64)
         x, _ = channel.sample(2, 64, rng.stream(56, rng.STREAM_SOURCE))
         code = sc_lossless_encode(x, channel, profile)
-        bad = replace(code, stored_bits=code.stored_bits + 2)
+        bad = replace(code, sent=code.sent + 2)
         with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
             sc_lossless_decode(bad, channel, profile)
 
@@ -460,11 +471,11 @@ class TestDecoderBitAlphabet:
         channel = make_quantizer_source(0.5, bsc_forward(0.11), name="bsc-quantizer")
         profile = profile_store(channel, 512)
         _, obs = channel.sample(2, 512, rng.stream(73, rng.STREAM_SOURCE))
-        payload, fixes, _ = sc_lossy_encode(obs, channel, profile, shared_seed=3)
-        bad = payload.astype(np.int64)
+        code, _ = sc_lossy_encode(obs, channel, profile, shared_seed=3)
+        bad = code.sent.astype(np.int64)
         bad[1, 0] = -1
         with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
-            sc_lossy_reconstruct(bad, fixes, channel, profile, shared_seed=3)
+            sc_lossy_reconstruct(replace(code, sent=bad), channel, profile, shared_seed=3)
 
 
 class TestRate1Shortcuts:
@@ -508,10 +519,10 @@ class TestRate1Shortcuts:
         profile = profile_store(channel, 1024)
         assert has_deterministic(profile)
         _, obs = channel.sample(8, 1024, rng.stream(58, rng.STREAM_SOURCE))
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
+        code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=86)
         asked.update(leaves=[], passes=0)
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=86), recon)
+            sc_lossy_reconstruct(code, channel, profile, shared_seed=86), recon)
         assert asked == {"leaves": [], "passes": 1}
 
     def test_lattice_replay_asks_no_leaf(self, cache_dir, asked):
@@ -521,10 +532,10 @@ class TestRate1Shortcuts:
         replayed = sum(map(has_deterministic, code.profiles))
         assert replayed
         samples = rng.stream(59, rng.STREAM_SOURCE).normal(size=(4, 512))
-        payloads, fixes, recon = lattice_quantize(samples, code, shared_seed=59)
+        codes, recon = lattice_quantize(samples, code, shared_seed=59)
         asked.update(leaves=[], passes=0)
         np.testing.assert_array_equal(
-            lattice_reconstruct(payloads, fixes, code, shared_seed=59), recon)
+            lattice_reconstruct(codes, code, shared_seed=59), recon)
         assert asked == {"leaves": [], "passes": replayed}
 
     @pytest.mark.parametrize("prior, crossover, name", [
@@ -544,14 +555,12 @@ class TestRate1Shortcuts:
         monkeypatch.setattr(coding_module, "_rounding_margins",
                             lambda uniforms: np.full(uniforms.shape, np.inf))
         outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
-        payload, fixes, recon = outputs[0]
-        for other_payload, other_fixes, other_recon in outputs[1:]:
-            np.testing.assert_array_equal(other_payload, payload)
-            for got, want in zip(other_fixes, fixes, strict=True):
-                np.testing.assert_array_equal(got, want)
+        code, recon = outputs[0]
+        for other_code, other_recon in outputs[1:]:
+            assert_same_code(other_code, code)
             np.testing.assert_array_equal(other_recon, recon)
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=87), recon)
+            sc_lossy_reconstruct(code, channel, profile, shared_seed=87), recon)
 
 
 class TestGroupedBranches:
@@ -566,19 +575,17 @@ class TestGroupedBranches:
         assert has_deterministic(profile)  # corrections, and a replay that walks
         _, obs = channel.sample(6, 1024, rng.stream(75, rng.STREAM_SOURCE))
         kw = dict(shared_seed=88, block_offset=block_offset)
-        payload, fixes, recon = sc_lossy_encode(obs, channel, profile, level=(1, 2), **kw)
+        code, recon = sc_lossy_encode(obs, channel, profile, level=(1, 2), **kw)
         for rows, level in ((slice(0, 3), 1), (slice(3, 6), 2)):
-            alone_payload, alone_fixes, alone_recon = sc_lossy_encode(
+            alone, alone_recon = sc_lossy_encode(
                 obs[rows], channel, profile, level=level, **kw)
-            np.testing.assert_array_equal(payload[rows], alone_payload)
+            assert_same_code(alone, code, rows)
             np.testing.assert_array_equal(recon[rows], alone_recon)
-            for got, want in zip(fixes[rows], alone_fixes, strict=True):
-                np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(
-                sc_lossy_reconstruct(alone_payload, alone_fixes, channel, profile,
-                                     level=level, **kw), recon[rows])
+                sc_lossy_reconstruct(alone, channel, profile, level=level, **kw),
+                recon[rows])
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, fixes, channel, profile, level=(1, 2), **kw), recon)
+            sc_lossy_reconstruct(code, channel, profile, level=(1, 2), **kw), recon)
 
     def test_lattice_stream_bases_match_separate_calls(self, cache_dir):
         mmse = reduce_pair(GaussianPairModel(0.8)).mmse
@@ -586,19 +593,16 @@ class TestGroupedBranches:
                                      seed=3, cache_dir=cache_dir)
         samples = rng.stream(60, rng.STREAM_SOURCE).normal(size=(6, 512))
         bases = (LATTICE_STREAM_BASE, LATTICE_STREAM_BASE + MAX_LEVELS)
-        payloads, fixes, recon = lattice_quantize(samples, code, shared_seed=61,
-                                           stream_base=bases)
+        codes, recon = lattice_quantize(samples, code, shared_seed=61,
+                                        stream_base=bases)
         for rows, base in ((slice(0, 3), bases[0]), (slice(3, 6), bases[1])):
-            alone_payloads, alone_fixes, alone_recon = lattice_quantize(
+            alone_codes, alone_recon = lattice_quantize(
                 samples[rows], code, shared_seed=61, stream_base=base)
-            for payload, alone in zip(payloads, alone_payloads, strict=True):
-                np.testing.assert_array_equal(payload[rows], alone)
-            for level_fixes, alone in zip(fixes, alone_fixes, strict=True):
-                for got, want in zip(level_fixes[rows], alone, strict=True):
-                    np.testing.assert_array_equal(got, want)
+            for level_code, alone in zip(codes, alone_codes, strict=True):
+                assert_same_code(alone, level_code, rows)
             np.testing.assert_array_equal(recon[rows], alone_recon)
         np.testing.assert_array_equal(
-            lattice_reconstruct(payloads, fixes, code, shared_seed=61, stream_base=bases),
+            lattice_reconstruct(codes, code, shared_seed=61, stream_base=bases),
             recon)
 
     def test_lossless_stacked_blocks_match_separate_calls(self, profile_store):
@@ -608,10 +612,7 @@ class TestGroupedBranches:
         stacked = sc_lossless_encode(x, channel, profile, side=y)
         for rows in (slice(0, 3), slice(3, 6)):
             alone = sc_lossless_encode(x[rows], channel, profile, side=y[rows])
-            np.testing.assert_array_equal(stacked.stored_bits[rows], alone.stored_bits)
-            for got, want in zip(stacked.corrections[rows], alone.corrections,
-                                 strict=True):
-                np.testing.assert_array_equal(got, want)
+            assert_same_code(alone, stacked, rows)
             np.testing.assert_array_equal(
                 sc_lossless_decode(alone, channel, profile, side=y[rows]), x[rows])
         assert sum(map(len, stacked.corrections))  # the decoder corrects leaves
@@ -626,11 +627,10 @@ class TestGroupedBranches:
         _, obs = channel.sample(blocks, 1024, rng.stream(77, rng.STREAM_SOURCE))
         with pytest.raises(ValueError, match="equal groups"):
             sc_lossy_encode(obs, channel, profile, shared_seed=89, level=level)
-        payload = np.zeros((blocks, len(profile.info_positions())), dtype=np.uint8)
-        fixes = tuple(np.empty(0, np.int64) for _ in range(blocks))
+        code = PolarCode(np.zeros((blocks, len(profile.info_positions())), dtype=np.uint8),
+                         tuple(np.empty(0, np.int64) for _ in range(blocks)))
         with pytest.raises(ValueError, match="equal groups"):
-            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=89,
-                                 level=level)
+            sc_lossy_reconstruct(code, channel, profile, shared_seed=89, level=level)
 
     def test_stream_bases_that_do_not_split_the_rows_are_refused(self, cache_dir):
         mmse = reduce_pair(GaussianPairModel(0.8)).mmse

@@ -212,11 +212,10 @@ class TestClassification:
         np.testing.assert_array_equal(profile.e_prior, np.full(block_len, 0.5))
         assert not (profile.classes == CLASS_FROZEN_DETERMINISTIC).any()
         _, y = channel.sample(2, block_len, rng.stream(6, rng.STREAM_SOURCE))
-        payload, fixes, recon = sc_lossy_encode(y, channel, profile, shared_seed=6)
-        assert all(len(f) == 0 for f in fixes)
+        code, recon = sc_lossy_encode(y, channel, profile, shared_seed=6)
+        assert all(len(f) == 0 for f in code.corrections)
         np.testing.assert_array_equal(
-            sc_lossy_reconstruct(payload, fixes, channel, profile, shared_seed=6),
-            recon)
+            sc_lossy_reconstruct(code, channel, profile, shared_seed=6), recon)
 
     @pytest.mark.parametrize("name,bad", [
         ("e_cond", -0.25), ("e_prior", 1.5), ("e_cond", math.nan),
@@ -526,7 +525,7 @@ class TestSliceIndependence:
         (want,) = outputs[0]
         assert any(len(c) for c in want.corrections)
         for (got,) in outputs[1:]:
-            np.testing.assert_array_equal(got.stored_bits, want.stored_bits)
+            np.testing.assert_array_equal(got.sent, want.sent)
             assert len(got.corrections) == len(want.corrections)
             for a, b in zip(got.corrections, want.corrections):
                 np.testing.assert_array_equal(a, b)

@@ -170,6 +170,11 @@ class TestPassesShareLeafLlrs:
         with pytest.raises(ValueError):
             sc_traverse(evidence, lambda leaves, llr: None,
                         known=np.zeros((2, 4), dtype=np.uint8))
+        # values outside {0, 1} are refused before the uint8 cast, which
+        # would keep 2 and wrap -1 to 255
+        for known in [np.full((2, 8), 2), np.full((2, 8), -1, dtype=np.int64)]:
+            with pytest.raises(ValueError, match="known"):
+                sc_traverse(evidence, lambda leaves, llr: None, known=known)
 
 
 # an uninformative prior pair at leaf 0 and confident 1s beside it: SC
@@ -399,8 +404,13 @@ class TestPlanChecked:
     def test_bad_plans_rejected(self):
         evidence = np.full((1, 2, 8, 2), 0.5)
         bits = np.zeros((2, 8), dtype=np.uint8)
+        # plan bits outside {0, 1}: KNOWN bits of 3 would come out as 3s, and
+        # a PRIOR correction of 2 would decide u[0] = 2
+        correction = bits.copy()
+        correction[0, 0] = 2
         for plan in [(np.zeros(4), bits), (np.full(8, 3), bits),
-                     (np.zeros(8), bits[:1])]:
+                     (np.zeros(8), bits[:1]), (np.full(8, LEAF_KNOWN), bits + 3),
+                     (np.full(8, LEAF_PRIOR), correction)]:
             with pytest.raises(ValueError, match="plan"):
                 sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
 
@@ -457,7 +467,7 @@ class TestInfiniteEvidence:
             side = y if with_side else None
             code = sc_lossless_encode(x, channel, profile, side=side)
             # certain decisions never miss: nothing is stored or corrected
-            assert code.stored_bits.shape == (4, 0)
+            assert code.sent.shape == (4, 0)
             assert all(len(c) == 0 for c in code.corrections)
             decoded = sc_lossless_decode(code, channel, profile, side=side)
         np.testing.assert_array_equal(decoded, x)
@@ -525,7 +535,7 @@ def test_round_trip_at_low_stored_fraction(profile_store, channel, with_side,
     x, y = channel.sample(32, block_len, rng.stream(seed, rng.STREAM_SOURCE))
     side = y if with_side else None
     code = sc_lossless_encode(x, channel, profile, side=side)
-    assert code.stored_bits.shape == (32, 0)
+    assert code.sent.shape == (32, 0)
     np.testing.assert_array_equal(
         sc_lossless_decode(code, channel, profile, side=side), x)
 

@@ -104,7 +104,7 @@ class TestSameBytesForEveryThreadCount:
 
         def encode():
             code = sc_lossless_encode(x, channel, profile, side=y)
-            return (code.stored_bits.tobytes(),
+            return (code.sent.tobytes(),
                     tuple(c.tobytes() for c in code.corrections))
 
         outputs = _per_thread_count(monkeypatch, encode)

@@ -40,10 +40,11 @@ SENT_BY_Z_THRESHOLD = {"lattice-0.8": 1990 / 1024, "lattice-0.999": 5974 / 1024,
                        "refinement": 156 / 1024}
 
 
-def _sent(payloads, *corrections):
-    """Mean bits per symbol of the payloads and corrections, over all blocks."""
-    fixes = sum(len(idx) for level in corrections for idx in level)
-    bits = sum(p.shape[1] for p in payloads) + fixes * PER_CORRECTION / N_BLOCKS
+def _sent(codes):
+    """Mean bits per symbol of the codes' sent bits and corrections, over
+    all blocks."""
+    fixes = sum(len(idx) for code in codes for idx in code.corrections)
+    bits = sum(code.sent.shape[1] for code in codes) + fixes * PER_CORRECTION / N_BLOCKS
     return bits / BLOCK_LEN
 
 
@@ -55,11 +56,11 @@ def test_lattice_pair_route_has_no_tail(cache_dir, rho):
     code = build_multilevel_code(plan_chain(mmse), mmse, BLOCK_LEN,
                                  seed=CONSTRUCTION_SEED, cache_dir=cache_dir)
     x, y = model.sample(N_BLOCKS, BLOCK_LEN, rng.stream(SOURCE_SEED, rng.STREAM_SOURCE))
-    payloads, fixes, w = lattice_quantize(reduction.combine(np.stack([x, y])), code,
-                                          shared_seed=SHARED_SEED)
+    codes, w = lattice_quantize(reduction.combine(np.stack([x, y])), code,
+                                shared_seed=SHARED_SEED)
     worst = np.maximum(((x - w) ** 2).mean(axis=1), ((y - w) ** 2).mean(axis=1))
     assert worst.max() < 2.0 * (1.0 - rho)
-    assert _sent(payloads, *fixes) < SENT_BY_Z_THRESHOLD[f"lattice-{rho}"]
+    assert _sent(codes) < SENT_BY_Z_THRESHOLD[f"lattice-{rho}"]
 
 
 def test_refinement_channel_has_no_tail(profile_store):
@@ -70,6 +71,6 @@ def test_refinement_channel_has_no_tail(profile_store):
         name="residual-refinement")
     profile = profile_store(refine, BLOCK_LEN, seed=CONSTRUCTION_SEED)
     _, obs = refine.sample(N_BLOCKS, BLOCK_LEN, rng.stream(SOURCE_SEED, rng.STREAM_SOURCE))
-    payload, fixes, recon = sc_lossy_encode(obs, refine, profile, shared_seed=SHARED_SEED)
+    code, recon = sc_lossy_encode(obs, refine, profile, shared_seed=SHARED_SEED)
     assert (recon != obs).mean(axis=1).max() < 2.0 * delta
-    assert _sent([payload], fixes) < SENT_BY_Z_THRESHOLD["refinement"]
+    assert _sent([code]) < SENT_BY_Z_THRESHOLD["refinement"]
