@@ -41,7 +41,7 @@ a margin that shrinks as (2^16/N)^(1/4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,19 +141,12 @@ class _Stages:
     cache_dir: Optional[str]
     sample_count: int
     construction_seed: int
-    # uncapped profiles by channel_id: stages of one call that code the same
-    # channel (the X and Y branches) share one construction
-    profiles: dict = field(default_factory=dict)
 
     def profile_for(self, channel):
-        key = channel.channel_id()
-        if key not in self.profiles:
-            kw = dict(sample_count=self.sample_count, seed=self.construction_seed)
-            self.profiles[key] = (
-                construct_profile(channel, self.block_len, **kw)
-                if self.cache_dir is None else
-                construct_profile_cached(channel, self.block_len, self.cache_dir, **kw))
-        return self.profiles[key]
+        kw = dict(sample_count=self.sample_count, seed=self.construction_seed)
+        if self.cache_dir is None:
+            return construct_profile(channel, self.block_len, **kw)
+        return construct_profile_cached(channel, self.block_len, self.cache_dir, **kw)
 
     def quantize(self, *branches):
         """Lossy stages of (channel, obs, level) branches: returns one

@@ -108,7 +108,7 @@ def _encode(u, sent_mask, decided_mask, chain) -> PolarCode:
     n_blocks, block_len = u.shape
     wrong = np.zeros((n_blocks, block_len), dtype=bool)
     if decided_mask.any():
-        def guesses(leaves, llr, start, stop):
+        def guesses(llr, start, stop):
             wrong[start:stop] = (map_bits(llr[0]) != u[start:stop]) & decided_mask
 
         traverse_batches((chain,), n_blocks, block_len, guesses, known=u)

@@ -17,12 +17,13 @@ construct_from_evidence does this for any coded variable given callables
 for its evidence; binary channels and lattice levels both supply them.  The
 sampled blocks pass through the recursion in cache-sized slices (see
 traverse_batches), which run in waves of up to _WORKERS slices, one per
-thread: each slice's evidence, pass and statistics are computed on the
-thread that runs it, and once the wave has finished its statistics enter
-the running sums in the calling thread, one block at a time in block
-order.  Each slice's statistics depend only on its own blocks and the sums
-are always taken in the same order, so a profile does not depend on the
-slicing, on the thread count or on which slice finished first.
+thread, on helper threads that each pass starts and stops for itself: each
+slice's evidence, pass and statistics are computed on the thread that runs
+it, and once the wave has finished its statistics enter the running sums
+in the calling thread, one block at a time in block order.  Each slice's
+statistics depend only on its own blocks and the sums are always taken in
+the same order, so a profile does not depend on the slicing, on the thread
+count or on which slice finished first.
 
 A decoder's miss costs c = correction_bits(N) = log2(N) + 1 bits (index
 and flag), so e * c in expectation against 1 bit to send the bit; both
@@ -180,36 +181,6 @@ class PolarProfile:
 # among them: the CPUs this process may use, at most four
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# (_WORKERS, ThreadPoolExecutor of _WORKERS - 1 helpers), made on first use
-_pool = None
-
-
-def _helper_pool():
-    """The process's pool of _WORKERS - 1 helper threads, made once and
-    kept (and made again only if _WORKERS changed).  Its threads start as
-    passes first need them.
-
-    concurrent.futures imports logging, so it loads here, on the first
-    pass that has more than one slice, not when the package is imported.
-    """
-    global _pool
-    if _pool is None or _pool[0] != _WORKERS:
-        from concurrent.futures import ThreadPoolExecutor
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = _WORKERS, ThreadPoolExecutor(_WORKERS - 1,
-                                             thread_name_prefix="graywyner-slice")
-    return _pool[1]
-
-
-def _drop_pool():
-    global _pool
-    _pool = None
-
-
-# a forked child inherits the pool but none of its threads: it makes its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _run_slices(work, fold, slices) -> None:
@@ -217,32 +188,37 @@ def _run_slices(work, fold, slices) -> None:
     on up to _WORKERS threads and fold in the calling thread in slice order.
 
     The slices run in waves of one slice per thread: the calling thread
-    runs a wave's first slice and helpers from the process pool run the
-    others, each under a copy of the caller's context, so NumPy's errstate
-    there is the caller's.  Once every slice of the wave has finished, its
-    results are folded in slice order and the next wave starts, so no more
-    than one slice per thread is in flight, its result included.  A failing
-    wave raises the exception of its first failing slice, unchanged, once
-    none of its slices is running any more.  One slice (or one worker) runs
-    inline and starts no thread.
+    runs a wave's first slice and helper threads of the call's own pool
+    run the others, each under a copy of the caller's context, so NumPy's
+    errstate there is the caller's.  Once every slice of the wave has
+    finished, its results are folded in slice order and the next wave
+    starts, so no more than one slice per thread is in flight, its result
+    included.  A failing wave raises the exception of its first failing
+    slice, unchanged, once none of its slices is running any more.  The
+    helpers stop before the call returns, so no thread outlives its pass
+    and a process forked between passes inherits none.  One slice (or one
+    worker) runs inline and starts no thread.
+
+    concurrent.futures imports logging, so it loads here, on the first
+    pass that has more than one slice, not when the package is imported.
     """
     threads = min(_WORKERS, len(slices))
     if threads < 2:
         for start, stop in slices:
             fold(work(start, stop))
         return
-    from concurrent.futures import wait
-    pool = _helper_pool()
-    for first in range(0, len(slices), threads):
-        (start, stop), *rest = slices[first:first + threads]
-        helpers = [pool.submit(contextvars.copy_context().run, work, *s)
-                   for s in rest]
-        try:
-            results = [work(start, stop)]
-        finally:
-            wait(helpers)
-        for result in results + [future.result() for future in helpers]:
-            fold(result)
+    from concurrent.futures import ThreadPoolExecutor, wait
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="graywyner-slice") as pool:
+        for first in range(0, len(slices), threads):
+            (start, stop), *rest = slices[first:first + threads]
+            helpers = [pool.submit(contextvars.copy_context().run, work, *s)
+                       for s in rest]
+            try:
+                results = [work(start, stop)]
+            finally:
+                wait(helpers)
+            for result in results + [future.result() for future in helpers]:
+                fold(result)
 
 
 def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
@@ -254,16 +230,16 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     depth-first pass takes one chain.
 
     With known (n_blocks, N) leaf bits the passes run breadth-first and
-    return None.  decide(leaves, llr, start, stop) sees every leaf of a
-    slice at once, leaves = slice(0, N) and llr the slice's (C, stop-start,
-    N) leaf LLRs along the known bits, and fold, if given, receives what
-    it returns.  The slices run in waves of up to _WORKERS slices, one
-    per thread (see _run_slices): building a slice's evidence, its pass
-    and decide run on whichever thread runs the slice, so they must read
-    shared inputs and write only the slice's own rows.  fold runs in the
-    calling thread, in slice order, so whatever depends on order
-    (construction's running sums) comes out the same however the slices
-    were scheduled.
+    return None.  decide(llr, start, stop) sees every leaf of a slice at
+    once, llr the slice's (C, stop-start, N) leaf LLRs along the known
+    bits, and fold, if given, receives what it returns.  The slices run in
+    waves of up to _WORKERS slices, one per thread, on helper threads the
+    pass starts and stops (see _run_slices): building a slice's evidence,
+    its pass and decide run on whichever thread runs the slice, so they
+    must read shared inputs and write only the slice's own rows.  fold
+    runs in the calling thread, in slice order, so whatever depends on
+    order (construction's running sums) comes out the same however the
+    slices were scheduled.
 
     Otherwise the passes run depth-first, one slice after another in the
     calling thread, on the leaf plan (kinds, then bits and optional margins
@@ -289,7 +265,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
         def work(start, stop):
             out = []
             sc_traverse(evidence(start, stop),
-                        lambda leaves, llr: out.append(decide(leaves, llr, start, stop)),
+                        lambda leaves, llr: out.append(decide(llr, start, stop)),
                         known=known[start:stop])
             return out[0]
 
@@ -384,8 +360,8 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
     h_sum = np.zeros((len(chains), block_len))
     miss_sum = np.zeros((len(chains), block_len), dtype=np.int64)
 
-    def leaf_stats(leaves, llr, start, stop):  # on any thread
-        return _leaf_statistics(llr, u_true[start:stop, leaves])
+    def leaf_stats(llr, start, stop):  # on any thread
+        return _leaf_statistics(llr, u_true[start:stop])
 
     def add(stats):  # in the calling thread, in slice order
         misses, z, h = stats

@@ -422,8 +422,9 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
     in cache and its memory bounded by the slice instead of the batch.
     Its slices are independent, and nearly all its time goes to NumPy
     calls on a whole slice, which release the GIL, so traverse_batches
-    (polar/profile.py) runs them in waves of one slice per thread and
-    folds each wave's results in slice order before the next wave starts.
+    (polar/profile.py) runs them in waves of one slice per thread, on
+    helper threads the pass starts and stops for itself, and folds each
+    wave's results in slice order before the next wave starts.
 
     A depth-first pass pays its per-node Python overhead, which holds the
     GIL, once per slice, so its slices run one after another and are as

@@ -22,6 +22,7 @@ from graywyner.dsbs import (
     gb_theory_triple,
     run_dsbs_pipeline,
 )
+from graywyner.dsbs import pipelines as pipelines_module
 from graywyner.dsbs.pipelines import COMMON_MARGIN, _scaled
 from graywyner.numerics import binary_convolve, binary_entropy
 from graywyner.rates import RunRecord
@@ -118,6 +119,19 @@ class TestLossyPoints:
         out = run(LossyLopsided(0.40, 0.12), model, cache_dir, n=4096)
         assert 0.04 < out.dist_y.mean() < 0.20
         assert out.dist_x.mean() < binary_convolve(A0, 0.20)
+
+    def test_payload_cap_binds_at_lopsided(self, model, cache_dir, monkeypatch):
+        # at N=4096 construction marks more INFO positions here than
+        # I(W; Y) + the scaled margin allows, and the cap demotes the excess;
+        # the uniform-prior quantizer sends no corrections, so r0 is its
+        # payload fraction
+        point, n = LossyLopsided(0.40, 0.12), 4096
+        cap = 1 - binary_entropy(0.12) + _scaled(COMMON_MARGIN, n)
+        capped = run(point, model, cache_dir, n=n)
+        monkeypatch.setattr(pipelines_module, "COMMON_MARGIN", 1e9)
+        uncapped = run(point, model, cache_dir, n=n)
+        np.testing.assert_array_equal(capped.r0, np.floor(cap * n) / n)
+        assert (uncapped.r0 > cap).all()
 
     def test_region_mismatch_raises(self, model, cache_dir):
         with pytest.raises(ValueError, match="coupled"):

@@ -2,9 +2,11 @@
 lossless codes are byte-equal for every thread count, even when slices
 finish out of order; no more slices are started and unfolded than there
 are threads; a failing slice raises its own exception once no slice is
-running; one-slice passes and tiny pipelines start no thread;
-a forked child makes its own pool; workers see the caller's NumPy errstate."""
+running; one-slice passes and tiny pipelines start no thread; no helper
+thread outlives its pass, so a child forked after a threaded pass builds
+the parent's profile; workers see the caller's NumPy errstate."""
 
+import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -199,11 +201,7 @@ class TestFailuresAndThreads:
         assert folded == list(range(12))
         assert 1 < peak[0] <= 3
 
-    def test_one_slice_runs_inline(self, monkeypatch):
-        def no_pool():
-            raise AssertionError("a one-slice pass asked for helper threads")
-
-        monkeypatch.setattr(profile_module, "_helper_pool", no_pool)
+    def test_one_slice_runs_inline(self, no_executor, monkeypatch):
         monkeypatch.setattr(profile_module, "_WORKERS", 3)
         channel = _two_chain_channel()
         x, y = channel.sample(8, 256, rng.stream(11, rng.STREAM_CONSTRUCTION))
@@ -220,11 +218,7 @@ class TestFailuresAndThreads:
         assert threads == {threading.get_ident()}
         assert threading.active_count() == before
 
-    def test_tiny_pipelines_start_no_thread(self, monkeypatch):
-        def no_pool():
-            raise AssertionError("a tiny op asked for helper threads")
-
-        monkeypatch.setattr(profile_module, "_helper_pool", no_pool)
+    def test_tiny_pipelines_start_no_thread(self, no_executor, monkeypatch):
         monkeypatch.setattr(profile_module, "_WORKERS", 4)
         model = DsbsModel(0.11)
         for point in (PointG(), LossyTinyBoth(0.05)):
@@ -236,16 +230,24 @@ class TestFailuresAndThreads:
         refine_private_eps10(0.1, 0.1, model, first, sample_count=32,
                              construction_seed=1)
 
-    def test_thread_count_stays_within_the_cap(self, monkeypatch, fresh_pool):
+    def test_no_executor_stub_catches_a_threaded_pass(self, no_executor,
+                                                      monkeypatch):
+        """The stub of the two tests above is reached by a threaded pass."""
+        monkeypatch.setattr(profile_module, "_WORKERS", 2)
+        with pytest.raises(AssertionError, match="helper threads"):
+            profile_module._run_slices(lambda s, e: s, lambda _: None,
+                                       [(0, 1), (1, 2)])
+
+    def test_thread_count_stays_within_the_cap(self, monkeypatch):
         channel = _two_chain_channel()
         x, y = channel.sample(12, 128, rng.stream(12, rng.STREAM_CONSTRUCTION))
         cond, prior = channel_evidence(channel, y)
         _slice_blocks(monkeypatch, 1, 2, 128)  # 12 slices
-        before = threading.active_count()
-        peak = [before]
+        peak = {}
 
         def counted(start, stop):
-            peak[0] = max(peak[0], threading.active_count())
+            workers = profile_module._WORKERS
+            peak[workers] = max(peak.get(workers, 0), len(_slice_threads()))
             time.sleep(0.001)
             return cond(start, stop)
 
@@ -253,19 +255,22 @@ class TestFailuresAndThreads:
             monkeypatch.setattr(profile_module, "_WORKERS", workers)
             construct_from_evidence(x, counted, prior, beta=0.25, seed=0,
                                     channel_id="c", channel_name="c")
-            # one pool per process, replaced when the count changes: helpers
-            # of earlier counts do not pile up
-            assert threading.active_count() <= before + 2
-        assert peak[0] > before  # helpers ran
-        assert peak[0] - before <= 2  # at most _WORKERS - 1 = 2 helpers
+            assert _slice_threads() == []  # no helper outlives its pass
+        assert peak == {3: 2, 2: 1, 1: 0}  # _WORKERS - 1 helpers
+
+
+def _slice_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("graywyner-slice")]
 
 
 @pytest.fixture
-def fresh_pool():
-    """No helper pool at the start of the test."""
-    if profile_module._pool is not None:
-        profile_module._pool[1].shutdown()
-        profile_module._pool = None
+def no_executor(monkeypatch):
+    """A pass that asks for helper threads fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pass asked for helper threads")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
 def _child_digest(conn):
@@ -276,12 +281,12 @@ def _child_digest(conn):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
-def test_forked_child_builds_with_its_own_pool(monkeypatch, fresh_pool):
+def test_forked_child_builds_with_its_own_pool(monkeypatch):
     monkeypatch.setattr(profile_module, "_WORKERS", 2)
     _slice_blocks(monkeypatch, 4, 2, 256)  # 10 slices
     want = _digest([construct_profile(_two_chain_channel(), 256, sample_count=40,
                                       seed=4)])
-    assert profile_module._pool is not None  # the parent's helpers are running
+    assert _slice_threads() == []  # the child inherits no helper
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_child_digest, args=(send,))
@@ -332,7 +337,7 @@ def test_breadth_first_passes_return_no_block_outputs():
     u = polar_transform(x)
     assert profile_module.traverse_batches(
         (lambda s, e: np.full((e - s, 64, 2), 0.5),), 3, 64,
-        lambda leaves, llr, s, e: None, known=u) is None
+        lambda llr, s, e: None, known=u) is None
 
 
 def test_thread_pool_module_loads_on_the_first_threaded_pass():
