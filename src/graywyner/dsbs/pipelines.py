@@ -59,7 +59,7 @@ from ..polar import (
     sc_lossy_reconstruct,
     test_channel_source,
 )
-from ..rates import RateTriple, RunRecord, check_replay
+from ..rates import RateTriple, RunRecord, check_replay, check_run_size
 from .model import (
     DsbsModel,
     DsbsRegion,
@@ -211,8 +211,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                       n_blocks: int = 10, cache_dir=None, sample_count: int = 256,
                       construction_seed: int = 11) -> RunRecord:
     """Run one operating point for one seed over a batch of source blocks."""
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
+    check_run_size(block_len, n_blocks)
     stages = _Stages(block_len, seed, cache_dir, sample_count, construction_seed)
     x, y = model.sample(n_blocks, block_len, rng.stream(seed, rng.STREAM_SOURCE))
     # lossless points reconstruct exactly; lossy branches replace these

@@ -46,7 +46,7 @@ from ..lattice import (
     mmse_params,
     plan_chain,
 )
-from ..rates import RateTriple, RunRecord, check_replay
+from ..rates import RateTriple, RunRecord, check_replay, check_run_size
 from .model import (
     GaussianPairModel,
     GaussianRegion,
@@ -100,8 +100,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
     chain comes from plan_chain on the reduced model; construction_seed and
     sample_count set its Monte Carlo construction, and cache_dir stores it.
     """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
+    check_run_size(block_len, n_blocks)
     if isinstance(target, (GaussianPairModel, LGaussianModel)):
         model = target
         if isinstance(target, GaussianPairModel):
@@ -180,6 +179,10 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
     if region is not GaussianRegion.TINY_BOTH:
         raise ValueError(
             f"({d1}, {d2}) lies in {region.value}, not in the tiny-both region")
+    if not (d1 > 0.0 and d2 > 0.0):
+        raise ValueError(
+            f"tiny-both target ({d1}, {d2}) admits no refinement quantizer: "
+            "both distortions must be positive")
     if common_run.common is None or common_run.point_label != "COMMON":
         raise ValueError(
             "common_run must be an extract_common pair-route result carrying "

@@ -17,13 +17,13 @@ profile (an op's X and Y twins) share one SC pass, every row coded as it
 would be on its own.  INFO decisions use randomized rounding on the
 conditional P(1) = 1/(1 + e^L).  The reconstruction is the codeword of
 the decided bit vector.  In the depth-first plan (see sc.py) the encoder
-walks the conditional chain alone, with frozen-random leaves KNOWN and
-INFO leaves FREE, with margins |ln((1 - U)/U)| from their rounding
-uniforms U, past which rounding is the sign rule and rate-1 nodes skip
-them.  Frozen-deterministic (D) indices (present only for nonuniform
-priors) are rounded FREE leaves too, so INFO versus D decides only
-whether a bit is sent or corrected: the decoder takes D leaves from the
-prior chain's sign, corrected where it differs from the encoder's bits.
+walks the conditional chain alone: frozen-random leaves are known, and
+every coded leaf rounds by the engine's leaf rule L < t, with threshold
+t = ln((1 - U)/U) from its rounding uniform U and no flip (_thresholds).
+Frozen-deterministic (D) indices (present only for nonuniform priors) are
+rounded too, so INFO versus D decides only whether a bit is sent or
+corrected: the decoder takes D leaves from the prior chain's sign,
+corrected where it differs from the encoder's bits.
 
 Both encoders build their code one way (_encode): the sent bits, and the
 corrections from one breadth-first pass of the decoder's chain along the
@@ -32,14 +32,14 @@ decoder-decided leaves where map_bits differs from the bits.  Each
 correction costs log2(N) + 1 bits (index plus flag, correction_bits) on
 top of the sent bits (PolarCode.rate_per_block).
 
-Both decoders rebuild one way (_decode), a one-chain replay with no FREE
-leaf, so no decoder asks a callback: the sent bits (stored bits; payload,
-over the dither) are KNOWN, and every decoder-decided leaf is PRIOR,
-sc.map_bits of the chain xor a per-block correction, checked and
-scattered straight into the plan's bits by _scatter_corrections.  The
-lossless decoder's chain conditions on the side information; the lossy
-and lattice replays run the prior chain.  Without PRIOR leaves the replay
-transforms the bits, which equals the traversal output exactly.
+Both decoders rebuild one way (_decode), a one-chain replay without
+thresholds: the sent bits (stored bits; payload, over the dither) are
+known, and every decoder-decided leaf takes sc.map_bits of the chain xor
+a per-block correction, checked and scattered straight into the plan's
+bits by _scatter_corrections.  The lossless decoder's chain conditions on
+the side information; the lossy and lattice replays run the prior chain.
+Without decoder-decided leaves the replay transforms the bits, which
+equals the traversal output exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
 prior(start, stop) that return the leaf posteriors of a block slice
@@ -64,7 +64,7 @@ from .profile import (
     correction_bits,
     traverse_batches,
 )
-from .sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, checked_bits, map_bits
+from .sc import checked_bits, map_bits
 # sc_traverse is unused here since the SC passes run through
 # traverse_batches; kept because perfbench/spans.py patches it on this module
 from .sc import sc_traverse  # noqa: F401
@@ -136,8 +136,8 @@ def _decode(code: PolarCode, bits, sent_mask, decided_mask, chain) -> np.ndarray
     """The codeword of a code over its (code.n_blocks, N) uint8 base bits,
     which it overwrites: code.sent at the (N,) bool sent_mask, and the
     corrections at decided_mask.  The replay is a one-chain plan: leaves
-    in decided_mask are PRIOR, map_bits of the chain xor their corrections,
-    and every other leaf is KNOWN; without PRIOR leaves, the transform of
+    in decided_mask take map_bits of the chain xor their corrections, and
+    every other leaf is known; without decided leaves, the transform of
     the bits.  ValueError unless code.sent is a (code.n_blocks, |sent|)
     array of bits and the corrections are well formed."""
     sent = np.asarray(code.sent)
@@ -152,8 +152,8 @@ def _decode(code: PolarCode, bits, sent_mask, decided_mask, chain) -> np.ndarray
         return polar_transform(bits)
     if chain is None:
         raise ValueError("prior-decided indices need the prior evidence")
-    return traverse_batches((chain,), n_blocks, block_len, None, plan=(
-        np.where(decided_mask, LEAF_PRIOR, LEAF_KNOWN), bits))[1]
+    return traverse_batches((chain,), n_blocks, block_len, None,
+                            plan=(~decided_mask, bits))[1]
 
 
 def _check_pairing(channel: BinarySourceWithSideInfo, profile: PolarProfile) -> None:
@@ -236,24 +236,13 @@ def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
     return np.stack(rows) if rows else np.empty((0, block_len))
 
 
-def _posterior_one(llr: np.ndarray) -> np.ndarray:
-    """P(1) = 1/(1 + e^L) of leaf LLRs, L capped at 700 so e^L stays finite."""
-    return 1.0 / (1.0 + np.exp(np.minimum(llr, 700.0)))
-
-
-# uniforms within this distance of 0 or 1 get an infinite rounding margin
-_MARGIN_EDGE = 2.0 ** -40
-
-
-def _rounding_margins(uniforms: np.ndarray) -> np.ndarray:
-    """|ln((1 - U)/U)| of rounding uniforms, inf within _MARGIN_EDGE of 0
-    or 1: past |L| = margin + 1, U < _posterior_one(L) is L < 0 (sc.py
-    proves it), so rate-1 nodes may take map_bits(L) instead."""
-    margins = np.full(uniforms.shape, np.inf)
-    inner = (uniforms >= _MARGIN_EDGE) & (uniforms <= 1.0 - _MARGIN_EDGE)
-    u = uniforms[inner]
-    margins[inner] = np.abs(np.log((1.0 - u) / u))
-    return margins
+def _thresholds(uniforms: np.ndarray) -> np.ndarray:
+    """t = ln((1 - U)/U) of rounding uniforms U in [0, 1), +inf at U = 0:
+    the leaf rule L < t rounds to 1 with probability 1/(1 + e^L)."""
+    t = np.subtract(1.0, uniforms)
+    with np.errstate(divide="ignore"):
+        t /= uniforms
+        return np.log(t, out=t)
 
 
 def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int,
@@ -268,18 +257,15 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
     deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
     if deterministic.any() and prior is None:
         raise ValueError("prior-decided indices need the prior evidence")
+    coded = info | deterministic
     dither = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, shared_seed, level,
                             n_blocks, block_offset, block_len)
-    uniforms = _stream_matrix(rng.block_uniforms, rng.STREAM_ROUNDING, shared_seed,
-                              level, n_blocks, block_offset, block_len)
-
-    def rounded(i, llr, start, stop):
-        return (uniforms[start:stop, i] < _posterior_one(llr)).astype(np.uint8)
-
+    dither[:, coded] = 0  # no flip at the rounded leaves
+    thresholds = _thresholds(_stream_matrix(
+        rng.block_uniforms, rng.STREAM_ROUNDING, shared_seed, level, n_blocks,
+        block_offset, block_len))
     u, reconstruction = traverse_batches(
-        (cond,), n_blocks, block_len, rounded,
-        plan=(np.where(info | deterministic, LEAF_FREE, LEAF_KNOWN), dither,
-              _rounding_margins(uniforms)))
+        (cond,), n_blocks, block_len, None, plan=(~coded, dither, thresholds))
     return _encode(u, info, deterministic, prior), reconstruction
 
 

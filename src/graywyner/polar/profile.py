@@ -221,7 +221,7 @@ def _run_slices(work, fold, slices) -> None:
                 fold(result)
 
 
-def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
+def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
                      plan=None, fold=None):
     """SC passes over n_blocks blocks in bounded batch slices.
 
@@ -230,22 +230,22 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
     depth-first pass takes one chain.
 
     With known (n_blocks, N) leaf bits the passes run breadth-first and
-    return None.  decide(llr, start, stop) sees every leaf of a slice at
+    return None.  stats(llr, start, stop) sees every leaf of a slice at
     once, llr the slice's (C, stop-start, N) leaf LLRs along the known
     bits, and fold, if given, receives what it returns.  The slices run in
     waves of up to _WORKERS slices, one per thread, on helper threads the
     pass starts and stops (see _run_slices): building a slice's evidence,
-    its pass and decide run on whichever thread runs the slice, so they
+    its pass and stats run on whichever thread runs the slice, so they
     must read shared inputs and write only the slice's own rows.  fold
     runs in the calling thread, in slice order, so whatever depends on
     order (construction's running sums) comes out the same however the
     slices were scheduled.
 
     Otherwise the passes run depth-first, one slice after another in the
-    calling thread, on the leaf plan (kinds, then bits and optional margins
-    over all n_blocks), if any; decide(i, llr, start, stop), None without
-    FREE leaves, sees only those (see sc_traverse).  Returns (u, x) over
-    all blocks, as sc_traverse does.
+    calling thread, on the leaf plan (the known mask, then bits and
+    optional thresholds over all n_blocks), if any, and stats is never
+    called (see sc_traverse).  Returns (u, x) over all blocks, as
+    sc_traverse does.
 
     Each kind of pass has its own slice budget (see sc.chunked_batches):
     breadth-first slices are cache-sized, so construction and the lossless
@@ -265,7 +265,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
         def work(start, stop):
             out = []
             sc_traverse(evidence(start, stop),
-                        lambda leaves, llr: out.append(decide(llr, start, stop)),
+                        lambda leaves, llr: out.append(stats(llr, start, stop)),
                         known=known[start:stop])
             return out[0]
 
@@ -277,9 +277,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, decide, known=None,
         # plain arguments, not **: a ** call keeps its argument tuple, and
         # with it the posteriors sc_traverse frees, until the walk returns
         u[start:stop], x[start:stop] = sc_traverse(
-            evidence(start, stop), None if decide is None
-            else lambda i, llr: decide(i, llr, start, stop),
-            plan=None if plan is None
+            evidence(start, stop), None, plan=None if plan is None
             else (plan[0],) + tuple(p[start:stop] for p in plan[1:]))
     return u, x
 

@@ -27,13 +27,21 @@ uninformative L = 0.
 
 There are two passes, chosen by the input:
 
-* depth-first (``sc_traverse(evidence, decide, plan=(kinds, bits))``), on
-  one chain: leaves are decided in index order, each by its kind in the
-  plan: KNOWN leaves take their bit from ``bits``, PRIOR leaves take
-  map_bits of the leaf LLR xor their bit in ``bits``, a per-block
-  correction, and FREE leaves take the bit the ``decide`` callback
-  returns from the leaf's LLRs (decide may be None without FREE leaves).
-  Without a plan every leaf is FREE;
+* depth-first (``sc_traverse(evidence, stats, plan=(known, bits[,
+  thresholds]))``), on one chain: leaves are decided in index order.  A
+  leaf in the (N,) mask ``known`` takes its bit from ``bits``; every other
+  leaf i of block b is decided by the one leaf rule
+
+      u[b, i] = (L < t[b, i]) xor bits[b, i],
+
+  t from the optional (B, N) ``thresholds`` (0 without them) and
+  ``bits`` there a per-block flip.  At t = 0 the rule is the sign rule of
+  ``map_bits`` (1 exactly when L < 0, so a tie L = 0 of either sign
+  decides 0) xor a decoder's correction; at t = ln((1 - U)/U) it is
+  randomized rounding, bit 1 with probability 1/(1 + e^L) for a uniform U
+  (U = 0 gives t = +inf, so the bit is 1 for every finite L).  Without a
+  plan no leaf is known and none is flipped: every leaf is its sign.  The
+  pass never calls ``stats``;
 * breadth-first (``sc_traverse(evidence, stats, known=u)``): every leaf bit
   is given, so all partial sums are known up front and the tree is
   evaluated one level at a time over all nodes at once; ``stats`` is called
@@ -51,61 +59,35 @@ The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
 nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
 2011; Sarkis et al., "Fast polar decoders", IEEE JSAC 2014):
 
-* rate-0, every leaf of the node KNOWN: its codeword is the transform of
+* rate-0, every leaf of the node known: its codeword is the transform of
   the known bits, and neither its LLRs nor any step below it is computed.
   This is exact, because no decision inside reads an LLR.
-* rate-1, every leaf of a node of width M > 1 sign-decided: its codeword
-  is the hard decision hard(L) = (L < 0) of the node's LLRs, taken only
-  when in every block of the batch every |L| over the node exceeds the
-  guard ln 2 log2(M) + 1 + m.  A node of PRIOR leaves, none corrected in
-  any block, has m = 0.  A node of FREE leaves qualifies only when the
-  plan carries margins; m is the block's largest margin over the node,
-  and ``decide`` is not asked for its leaves.  A margin promises that
-  decide returns hard(L) at its leaf wherever |L| > margin + 1.
+* rate-1, a node of width M > 1 none of whose leaves is known or flipped
+  in any block of the batch: its codeword is the hard decision hard(L) =
+  (L < 0) of the node's LLRs, taken only when in every block of the batch
+  every |L| over the node exceeds the guard ln 2 log2(M) + 1 + m, m the
+  node's margin in the block: its largest |t| over the node (m = 0
+  without thresholds).
 
-  One induction on M makes the shortcut exact for both kinds, per block
-  (every step is elementwise in the block).  At M = 1 the leaf's |L| >
-  1 + m exceeds its margin, so it is decided by its sign.  At width M,
-  the f-step keeps the xor of the signs and loses at most ln 2 of
-  magnitude, |f(a, b)| >= min(|a|, |b|) - ln 2 > ln 2 log2(M/2) + 1 + m,
-  and a child's m is at most its parent's, so the first child returns
+  One induction on M makes the shortcut exact, per block (every step is
+  elementwise in the block).  At M = 1 the leaf's |L| > 1 + m >= |t| + 1,
+  and L < t is an exact float comparison, false where L > |t| and true
+  where L < -|t|: the leaf rule is hard(L), with no rounding argument.
+  An infinite t makes the guard infinite, which no |L| passes.
+  At width M, the f-step keeps the xor of the signs and loses at most ln 2
+  of magnitude, |f(a, b)| >= min(|a|, |b|) - ln 2 > ln 2 log2(M/2) + 1 +
+  m, and a child's m is at most its parent's, so the first child returns
   v = hard(a) xor hard(b).  The g-step b + (1 - 2v) a then adds two terms
   of the sign of b, so it never cancels, |g| >= |b|, and the second child
-  returns hard(b); the node returns [hard(a), hard(b)].  Infinite L obey
-  both bounds.  Without the guard, exact ties (L = 0) break the
-  induction, as f(0, b) = 0 decides 0 whatever the sign of b: the lattice
-  prior table has tie rows, and g-steps cancel to 0 on constant prior
-  evidence.
-
-The lossy encoder's FREE leaves round: bit 1 exactly when U <
-fl(1/(1 + e^min(L, 700))) for a uniform U in [0, 1) drawn per leaf and
-block.  Its margin is m = |t|, t = ln((1 - U)/U), and inf when U lies
-within 2^-40 of 0 or 1 (U = 0 rounds to 1 whatever L is).  In exact
-arithmetic U < 1/(1 + e^L) is L < t.  In floats the guard's slack of 1
-absorbs every rounding error: m is within 1e-14 of |t|, so |L| > m + 1
-gives |L| > |t| + 0.99, and the computed P(1) is within a relative
-4 * 2^-53 of 1/(1 + e^min(L, 700)).
-
-* L > 0, so L > t + 0.99 and L > 0.99: if L >= 700, P(1) < 1e-304 <
-  2^-40 <= U.  Otherwise P(1)/U = (1 + e^t)/(1 + e^L) < 2/(1 + e^0.99)
-  < 0.55, as (1 + e^s)/(1 + e^(s + 0.99)) falls in s.  So the float
-  P(1) stays below U: bit 0 = hard(L).
-* L < 0, so L < t - 0.99 and L < -0.99: 1 - P(1) = e^L/(1 + e^L) is
-  below 0.75 (1 - U), 1 - U = e^t/(1 + e^t) (for t <= 0 the ratio is
-  below 2 e^-0.99, for t > 0 1 - P(1) < e^-0.99 while 1 - U > 1/2).  So
-  P(1) - U > 0.25 (1 - U) >= 2^-42, while the float P(1) <= 1 is off by
-  at most 4 * 2^-53: bit 1 = hard(L).
-
-Without the 2^-40 edge the argument fails: past t > 700 the cap keeps
-P(1) above U for every L, and next to 1 the float spacing is no longer
-small against 1 - U (at U = 1 - 2^-52 the float rule flips near L =
--36.74, not at t = -36.04).
+  returns hard(b); the node returns [hard(a), hard(b)].  The float error
+  of a step is a few units in the last place of values that stay in the
+  slack of 1.  Infinite L obey both bounds.  Without the guard, exact ties
+  (L = 0) break the induction, as f(0, b) = 0 decides 0 whatever the sign
+  of b: the lattice prior table has tie rows, and g-steps cancel to 0 on
+  constant prior evidence.
 
 Both passes build their leaf LLRs from the same elementwise f- and g-steps,
-so for the same bits they hand their callbacks bitwise-identical values.
-Every maximum-posterior decision, PRIOR leaves and rate-1 nodes included,
-goes through the one sign rule of ``map_bits``: 1 exactly when L < 0, so a
-tie (L = 0, of either sign) decides 0.
+so for the same bits they reach bitwise-identical leaf LLRs.
 """
 
 from __future__ import annotations
@@ -131,11 +113,6 @@ def _llrs(evidence: np.ndarray):
     llr[np.isnan(llr)] = 0.0
     return llr, not np.isfinite(llr).all()
 
-
-# leaf kinds of a depth-first plan: FREE leaves are asked of decide, KNOWN
-# leaves read the plan's bits, and PRIOR leaves are decided in the plan by
-# map_bits of the leaf LLR xor the plan's bit there, a per-block correction
-LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR = 0, 1, 2
 
 _LN2 = float(np.log(2.0))
 # the f-step caps t at 60 in its ln(1 + e^-t) terms, which keeps exp and
@@ -205,29 +182,28 @@ def map_bits(llr: np.ndarray) -> np.ndarray:
     return (llr < 0).astype(np.uint8)
 
 
-def _depth_first(llr: np.ndarray, has_inf: bool, decide, kinds, bits, margins):
+def _depth_first(llr: np.ndarray, has_inf: bool, known, bits, thresholds):
     n_blocks, block_len = llr.shape
     u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
 
     def counts_before(leaves):
-        """Leaves in mask before index i: a node's kinds are O(1) to test."""
+        """Leaves in mask before index i: a node's leaves are O(1) to test."""
         return np.concatenate([[0], np.cumsum(leaves)]).tolist()
 
-    known_before = counts_before(kinds == LEAF_KNOWN)
-    # a PRIOR leaf corrected in some block of the batch is not sign-decided
-    prior_before = counts_before((kinds == LEAF_PRIOR) & ~bits.any(axis=0))
-    free_before = margin_max = None
-    if margins is not None:  # FREE nodes take the rate-1 shortcut
-        free_before = counts_before(kinds == LEAF_FREE)
-        # margin_max[k][b, j]: the largest margin of block b over the node
-        # of width 2^k on leaves [j 2^k, (j + 1) 2^k)
-        margin_max = [margins]
-        while margin_max[-1].shape[1] > 1:
-            level = margin_max[-1]
-            margin_max.append(np.maximum(level[:, 0::2], level[:, 1::2]))
+    known_before = counts_before(known)
+    # leaves neither known nor flipped in any block of the batch: the
+    # leaves of a rate-1 node
+    plain_before = counts_before(~known & ~bits.any(axis=0))
+    # margins[k - 1][b, j]: the margin of block b, its largest |t|, over
+    # the node of width 2^k on leaves [j 2^k, (j + 1) 2^k); from width 2,
+    # as rate1 reads no leaf level, and empty without thresholds
+    margins, level = [], thresholds
+    while level is not None and level.shape[1] > 1:
+        level = np.maximum(np.abs(level[:, 0::2]), np.abs(level[:, 1::2]))
+        margins.append(level)
 
     def rate0(lo: int, width: int):
-        """The codeword of leaves [lo, lo + width) if all are KNOWN, else None."""
+        """The codeword of leaves [lo, lo + width) if all are known, else None."""
         if known_before[lo + width] - known_before[lo] != width:
             return None
         u_out[:, lo:lo + width] = bits[:, lo:lo + width]
@@ -235,16 +211,15 @@ def _depth_first(llr: np.ndarray, has_inf: bool, decide, kinds, bits, margins):
 
     def rate1(node: np.ndarray, lo: int):
         """The codeword map_bits(L) of a node of width > 1 whose leaves are
-        all PRIOR (margin 0) or all FREE (the plan's margins), when every
-        block's min |L| over the node passes its guard; else None."""
+        all plain, when every block's min |L| over the node passes its
+        guard; else None."""
         width = node.shape[1]
+        if plain_before[lo + width] - plain_before[lo] != width:
+            return None
         depth = width.bit_length() - 1
         guard = _LN2 * depth + 1.0
-        if prior_before[lo + width] - prior_before[lo] != width:
-            if (free_before is None
-                    or free_before[lo + width] - free_before[lo] != width):
-                return None
-            guard = guard + margin_max[depth][:, lo >> depth]
+        if margins:
+            guard = guard + margins[depth - 1][:, lo >> depth]
         if not (np.abs(node).min(axis=1, initial=np.inf) > guard).all():
             return None
         x = map_bits(node)
@@ -253,12 +228,9 @@ def _depth_first(llr: np.ndarray, has_inf: bool, decide, kinds, bits, margins):
 
     def rec(node: np.ndarray, lo: int) -> np.ndarray:
         width = node.shape[1]
-        if width == 1:
-            if kinds[lo] == LEAF_PRIOR:
-                leaf = map_bits(node[:, 0]) ^ bits[:, lo]
-            else:
-                leaf = np.asarray(decide(lo, node[:, 0]), dtype=np.uint8)
-            u_out[:, lo] = leaf
+        if width == 1:  # never a known leaf: rate0 takes those
+            leaf = node[:, 0] < (0.0 if thresholds is None else thresholds[:, lo])
+            u_out[:, lo] = leaf = leaf ^ bits[:, lo]
             return leaf[:, None]
         x = rate1(node, lo)
         if x is not None:
@@ -332,52 +304,49 @@ def checked_bits(values, name: str) -> np.ndarray:
 
 
 def _checked_plan(plan, n_blocks: int, block_len: int):
-    """(kinds, bits, margins) of a depth-first plan, margins None when the
-    plan has none; every leaf FREE without a plan."""
+    """(known, bits, thresholds) of a depth-first plan, known as an (N,)
+    bool mask and thresholds None when the plan has none; without a plan
+    no leaf is known or flipped."""
     if plan is None:
-        plan = np.full(block_len, LEAF_FREE), np.zeros((n_blocks, block_len))
+        return (np.zeros(block_len, dtype=bool),
+                np.zeros((n_blocks, block_len), dtype=np.uint8), None)
     if len(plan) not in (2, 3):
-        raise ValueError("plan must be (kinds, bits) or (kinds, bits, margins)")
-    kinds, bits = np.asarray(plan[0]), checked_bits(plan[1], "plan bits")
-    if kinds.shape != (block_len,) or not np.isin(
-            kinds, (LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR)).all():
-        raise ValueError(f"plan kinds must be ({block_len},) leaf kinds")
+        raise ValueError("plan must be (known, bits) or (known, bits, thresholds)")
+    known = checked_bits(plan[0], "plan known").view(bool)
+    if known.shape != (block_len,):
+        raise ValueError(f"plan known must be a ({block_len},) mask, got {known.shape}")
+    bits = checked_bits(plan[1], "plan bits")
     if bits.shape != (n_blocks, block_len):
         raise ValueError(f"plan bits must have shape ({n_blocks}, {block_len}), "
                          f"got {bits.shape}")
     if len(plan) == 2:
-        return kinds, bits, None
-    margins = np.asarray(plan[2], dtype=float)
-    if margins.shape != (n_blocks, block_len) or not (margins >= 0.0).all():
-        raise ValueError(f"plan margins must be ({n_blocks}, {block_len}) and "
-                         f"nonnegative, inf allowed")
-    return kinds, bits, margins
+        return known, bits, None
+    thresholds = np.asarray(plan[2], dtype=float)
+    if thresholds.shape != (n_blocks, block_len) or np.isnan(thresholds).any():
+        raise ValueError(f"plan thresholds must be ({n_blocks}, {block_len}) "
+                         f"floats, inf allowed, NaN not")
+    return known, bits, thresholds
 
 
-def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
+def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None):
     """Run one successive-cancellation pass over a batch of blocks.
 
     evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
         of two; one chain for the depth-first pass.
-    decide: without ``known``, a callback ``decide(i, llr) -> bits`` called
-        once per FREE leaf index i in increasing order; llr holds the
-        (blocks,) LLRs ln p0 - ln p1 of leaf i, +-inf included, and bits
-        must be a (blocks,) array over {0, 1}; None if no leaf is FREE.
-        With ``known``, it is called once as ``decide(slice(0, N), llr)``,
-        llr the (chains, blocks, N) LLRs of every leaf along the known bits
-        (which it may overwrite); its return value is ignored.
+    stats: with ``known``, called once as ``stats(slice(0, N), llr)``, llr
+        the (chains, blocks, N) LLRs ln p0 - ln p1 of every leaf along the
+        known bits, +-inf included (it may overwrite them); its return
+        value is ignored.  Without ``known`` it is never called, and may
+        be anything.
     known: optional (blocks, N) bits of every leaf; selects the
         breadth-first pass.
-    plan: optional ``(kinds, bits[, margins])`` of the depth-first pass:
-        (N,) leaf kinds LEAF_FREE, LEAF_KNOWN or LEAF_PRIOR, (blocks, N)
-        bits of the KNOWN leaves and corrections of the PRIOR leaves
-        (xored onto map_bits of the leaf LLR), and optional (blocks, N)
-        nonnegative margins read at the FREE leaves, with the promise that
-        decide returns map_bits of the LLR at leaf i of block b wherever
-        that |L| exceeds margins[b, i] + 1 (inf: no promise).
-        With margins, FREE nodes past their guard are decided without
-        decide (see the module docstring).  Without a plan every leaf is
-        FREE.
+    plan: optional ``(known, bits[, thresholds])`` of the depth-first
+        pass: an (N,) mask of the known leaves, (blocks, N) bits, the
+        known leaves' bits and per-block flips at every other leaf, and
+        optional (blocks, N) float thresholds t (inf allowed).  Every leaf
+        outside the mask is decided as (L < t) xor its flip, t = 0 without
+        thresholds (see the module docstring).  Without a plan every leaf
+        is decided by its sign.
 
     Returns (u, x), both (blocks, N) uint8, where u collects the decided
     bits in leaf order and x is the corresponding codeword (u equals the
@@ -393,10 +362,8 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
     if known is None:
         if n_chains != 1:
             raise ValueError(f"a depth-first pass walks one chain, got {n_chains}")
-        kinds, bits, margins = _checked_plan(plan, n_blocks, block_len)
-        if decide is None and (kinds == LEAF_FREE).any():
-            raise ValueError("a pass with FREE leaves needs a decide callback")
-        if (kinds == LEAF_KNOWN).all():  # a rate-0 root reads no evidence
+        fixed, bits, thresholds = _checked_plan(plan, n_blocks, block_len)
+        if fixed.all():  # a rate-0 root reads no evidence
             return bits.copy(), polar_transform(bits)
     else:
         u = checked_bits(known, "known")
@@ -407,8 +374,8 @@ def sc_traverse(evidence: np.ndarray, decide, *, known=None, plan=None):
     del evidence  # the pass reads only the LLRs: free the posteriors now
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:
-            return _depth_first(llr[0], has_inf, decide, kinds, bits, margins)
-        return _breadth_first(llr, has_inf, u, decide)
+            return _depth_first(llr[0], has_inf, fixed, bits, thresholds)
+        return _breadth_first(llr, has_inf, u, stats)
 
 
 def chunked_batches(n_blocks: int, n_chains: int, block_len: int,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,6 +89,19 @@ class RunRecord:
     def mean_triple(self) -> RateTriple:
         return RateTriple(float(self.r0.mean()), float(self.r1.mean()),
                           float(self.r2.mean()))
+
+
+def check_run_size(block_len, n_blocks) -> None:
+    """ValueError unless block_len is a power of two and n_blocks a
+    positive integer, checked before either reaches NumPy or a rate
+    formula; a float or bool is refused, as rng.philox refuses seeds."""
+    for name, value in (("block_len", block_len), ("n_blocks", n_blocks)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if block_len < 1 or block_len & (block_len - 1):
+        raise ValueError(f"block length must be a power of two, got {block_len}")
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be at least 1, got {n_blocks}")
 
 
 def check_replay(decoded: np.ndarray, expected: np.ndarray, stage: str) -> None:

@@ -176,6 +176,18 @@ class TestRunContract:
         with pytest.raises(ValueError, match="n_blocks"):
             run(PointG(), model, cache_dir, blocks=blocks)
 
+    @pytest.mark.parametrize("blocks", [1.5, 2.0, True])
+    def test_non_integer_batch_rejected(self, model, cache_dir, blocks):
+        """A float or bool count is refused up front, not passed to NumPy."""
+        with pytest.raises(ValueError, match="n_blocks must be an integer"):
+            run(PointG(), model, cache_dir, blocks=blocks)
+
+    @pytest.mark.parametrize("n", [0, 12, 64.0])
+    def test_block_length_must_be_a_power_of_two(self, model, cache_dir, n):
+        """N = 0 used to divide by zero in the payload margin."""
+        with pytest.raises(ValueError, match="block"):
+            run(PointG(), model, cache_dir, n=n)
+
 
 def _assert_runs_clean(out, lossless):
     assert out.n_blocks == 4

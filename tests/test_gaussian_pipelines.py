@@ -94,6 +94,16 @@ class TestPairRoute:
         with pytest.raises(ValueError, match="n_blocks"):
             pair_run(cache_dir, blocks=blocks)
 
+    @pytest.mark.parametrize("blocks", [1.5, 2.0, True])
+    def test_non_integer_batch_rejected(self, cache_dir, blocks):
+        with pytest.raises(ValueError, match="n_blocks must be an integer"):
+            pair_run(cache_dir, blocks=blocks)
+
+    @pytest.mark.parametrize("n", [0, 12, 64.0])
+    def test_block_length_must_be_a_power_of_two(self, n):
+        with pytest.raises(ValueError, match="block"):
+            extract_common(PM8, n, 2, n_blocks=2, sample_count=4)
+
 
 @pytest.mark.parametrize("rho", [0.99, 0.999])
 def test_strong_correlation_runs_clean(rho):
@@ -240,6 +250,14 @@ class TestRefineRoute:
         run = pair_run(cache_dir, blocks=4)
         with pytest.raises(ValueError, match="E2"):
             refine_private_eps10(0.5, 0.5, PM8, run, cache_dir=str(cache_dir))
+
+    @pytest.mark.parametrize("d1, d2", [(0.0, 0.1), (0.1, 0.0)])
+    def test_zero_distortion_refused(self, cache_dir, d1, d2):
+        """A zero target has no refinement quantizer: refused by its
+        distortion, not by the MMSE parameters it would lead to."""
+        run = pair_run(cache_dir, blocks=4)
+        with pytest.raises(ValueError, match="distortions must be positive"):
+            refine_private_eps10(d1, d2, PM8, run, cache_dir=str(cache_dir))
 
     def test_needs_a_pair_route_run(self, cache_dir):
         run = pair_run(cache_dir, blocks=4)

@@ -1,15 +1,18 @@
 """Every function the benchmark tracer patches still exists under the
 module name it is patched at, so renaming one fails here and not only in
 traced benchmark runs; the probes read the counts they report from the
-calls' arguments (block and level counts) as the library passes them; and
-every import src/ keeps alive only for the tracer names a patched target.
+calls' arguments (block and level counts) as the library passes them;
+traced runs give the untraced outputs; and every import src/ keeps alive
+only for the tracer names a patched target.
 perfbench/ is read, never imported as a package."""
 
 import ast
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +124,44 @@ def test_traced_lattice_replay_counts_the_levels():
     (build,) = [s for s in recorded if s.name == "lattice.build"]
     (replay,) = [s for s in recorded if s.name == "lattice.reconstruct"]
     assert replay.info["levels"] == build.info["levels"] > 1
+
+
+def _dsbs_lossy_run():
+    from graywyner.dsbs.model import DsbsModel
+    from graywyner.dsbs.pipelines import LossyTinyBoth, run_dsbs_pipeline
+
+    return run_dsbs_pipeline(LossyTinyBoth(0.05), DsbsModel(0.11), 256, 1,
+                             n_blocks=3, sample_count=32, construction_seed=5)
+
+
+def _gaussian_refined_run():
+    from graywyner.gaussian.model import GaussianPairModel
+    from graywyner.gaussian.pipelines import extract_common, refine_private_eps10
+
+    model = GaussianPairModel(0.8)
+    common = extract_common(model, 128, 1, n_blocks=2, sample_count=32,
+                            construction_seed=5)
+    return refine_private_eps10(0.1, 0.1, model, common, sample_count=32,
+                                construction_seed=5)
+
+
+@pytest.mark.parametrize("run", [_dsbs_lossy_run, _gaussian_refined_run],
+                         ids=["dsbs-lossy", "gaussian-refined"])
+def test_tracing_moves_no_output(run):
+    """Traced and untraced runs give array-equal RunRecords.  The tracer
+    puts a timing wrapper in every sc_traverse's second slot, wrapping
+    whatever sat there (None for a depth-first pass), so the traced run
+    completing with the same outputs pins that no depth-first pass calls
+    its second argument."""
+    plain = run()
+    traced = []
+    _traced(lambda: traced.append(run()))
+    for field in dataclasses.fields(plain):
+        want, got = getattr(plain, field.name), getattr(traced[0], field.name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want, err_msg=field.name)
+        else:
+            assert got == want, field.name
 
 
 def _unused_marked_imports(text: str) -> list:

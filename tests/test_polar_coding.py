@@ -480,31 +480,35 @@ class TestDecoderBitAlphabet:
 
 class TestRate1Shortcuts:
     """Rate-1 nodes of sign-decided leaves skip their subtrees without
-    moving any output."""
+    moving any output, and no decoder pass calls back."""
 
     @pytest.fixture
     def asked(self, monkeypatch):
-        """Records the leaves any SC pass asks of decide, and how many
-        depth-first passes ran; a test resets it after encoding."""
+        """Records every call a depth-first SC pass makes to its second
+        argument, which is wrapped in a callable as perfbench's tracer
+        wraps it, and how many passes with a plan ran; a test resets it
+        after encoding."""
         record = {"leaves": [], "passes": 0}
         traverse = profile_module.sc_traverse
 
-        def recording(evidence, decide, **kwargs):
+        def recording(evidence, stats, **kwargs):
+            if kwargs.get("known") is not None:
+                return traverse(evidence, stats, **kwargs)
             if kwargs.get("plan") is not None:
                 record["passes"] += 1
 
             def asking(i, llr):
                 record["leaves"].append(i)
-                return decide(i, llr)
+                return stats(i, llr)
 
-            return traverse(evidence, None if decide is None else asking, **kwargs)
+            return traverse(evidence, asking, **kwargs)
 
         monkeypatch.setattr(profile_module, "sc_traverse", recording)
         return record
 
     def test_lossless_decoder_asks_no_leaf(self, profile_store, asked):
-        """Corrected leaves are PRIOR leaves whose plan bit flips the sign
-        rule, so the decoder's pass has no FREE leaf."""
+        """Corrected leaves take the sign rule flipped by their plan bit,
+        so the decoder's pass decides every leaf without a callback."""
         channel = lossless_source(0.11)
         profile = profile_store(channel, 1024)
         x, _ = channel.sample(16, 1024, rng.stream(57, rng.STREAM_SOURCE))
@@ -544,7 +548,8 @@ class TestRate1Shortcuts:
             self, profile_store, monkeypatch, prior, crossover, name):
         """The shortcut's guard takes a minimum over the batch, so passes
         over 64, 7 and 1 blocks skip different subtrees; payloads and
-        reconstructions stay those of the pass that skips no FREE leaf."""
+        reconstructions stay those of the pass that skips no subtree (an
+        infinite guard, with ln 2 patched to inf)."""
         channel = make_quantizer_source(prior, bsc_forward(crossover), name=name)
         profile = profile_store(channel, 1024)
         _, obs = channel.sample(64, 1024, rng.stream(74, rng.STREAM_SOURCE))
@@ -552,8 +557,7 @@ class TestRate1Shortcuts:
         for batch in (64, 7, 1):
             monkeypatch.setattr(sc_module, "_BATCH_VALUES", batch * 1024)
             outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
-        monkeypatch.setattr(coding_module, "_rounding_margins",
-                            lambda uniforms: np.full(uniforms.shape, np.inf))
+        monkeypatch.setattr(sc_module, "_LN2", np.inf)
         outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
         code, recon = outputs[0]
         for other_code, other_recon in outputs[1:]:
@@ -644,7 +648,7 @@ class TestGroupedBranches:
 
 class TestDepthFirstWalks:
     """Depth-first walks are bounded by sc._BATCH_VALUES and free the
-    posteriors they are given before their first leaf."""
+    posteriors they are given before their first f-step."""
 
     def test_one_chain_pass_of_256_blocks_takes_two_walks(self, profile_store,
                                                           monkeypatch):
@@ -658,8 +662,8 @@ class TestDepthFirstWalks:
         traverse = profile_module.sc_traverse
         walks = []
 
-        def recording(evidence, decide, **kwargs):
-            u, x = traverse(evidence, decide, **kwargs)
+        def recording(evidence, stats, **kwargs):
+            u, x = traverse(evidence, stats, **kwargs)
             if kwargs.get("plan") is not None:  # not the corrections' pass
                 walks.append((evidence.shape[:2], u, x))
             return u, x
@@ -677,7 +681,7 @@ class TestDepthFirstWalks:
     @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
         "before 3.11 CPython keeps every call argument on the caller's stack "
         "until the call returns"))
-    def test_walk_frees_its_posteriors_before_the_first_leaf(self):
+    def test_walk_frees_its_posteriors_before_the_first_leaf(self, monkeypatch):
         channel = crossover_side_info(A1)
         _, y = channel.sample(4, 64, rng.stream(79, rng.STREAM_SOURCE))
         returned, alive = [], []
@@ -687,9 +691,12 @@ class TestDepthFirstWalks:
             returned.append(weakref.ref(evidence))
             return evidence
 
-        def decide(i, llr, start, stop):
-            alive.append(returned[-1]() is not None)
-            return map_bits(llr)
+        f_step = sc_module._f_step
 
-        profile_module.traverse_batches((cond,), 4, 64, decide)
-        assert len(alive) == 64 and not any(alive)
+        def checking(*args, **kwargs):
+            alive.append(returned[-1]() is not None)
+            return f_step(*args, **kwargs)
+
+        monkeypatch.setattr(sc_module, "_f_step", checking)
+        profile_module.traverse_batches((cond,), 4, 64, None)
+        assert alive and not any(alive)

@@ -56,6 +56,14 @@ def _surprisal(llr, bits):
     return -np.log2(p_true)
 
 
+def _true_path_llrs(evidence, u):
+    """(B, N) leaf LLRs of one-chain evidence along the bits u, read from
+    the breadth-first pass."""
+    seen = []
+    sc_traverse(evidence, lambda leaves, llr: seen.append(llr[0]), known=u)
+    return seen[0]
+
+
 class TestChainRuleExact:
     """The per-block sum of leaf surprisals telescopes to the exact block
     log-likelihood; this pins the whole traversal arithmetic at once."""
@@ -67,14 +75,7 @@ class TestChainRuleExact:
         x, y = channel.sample(5, block_len, gen)
         u_true = polar_transform(x)
         evidence = channel.leaf_evidence(y)[None]
-        surprisal = np.zeros(5)
-
-        def decide(i, llr):
-            bits = u_true[:, i]
-            surprisal[:] += _surprisal(llr, bits)
-            return bits
-
-        sc_traverse(evidence, decide)
+        surprisal = _surprisal(_true_path_llrs(evidence, u_true), u_true).sum(axis=1)
         table = channel.conditional_table()
         direct = -np.log2(table[y, x.astype(np.intp)]).sum(axis=1)
         np.testing.assert_allclose(surprisal, direct, atol=1e-9)
@@ -85,14 +86,7 @@ class TestChainRuleExact:
         x, _ = channel.sample(6, 64, gen)
         u_true = polar_transform(x)
         evidence = np.asarray(channel.prior_evidence((6, 64)))[None]
-        surprisal = np.zeros(6)
-
-        def decide(i, llr):
-            bits = u_true[:, i]
-            surprisal[:] += _surprisal(llr, bits)
-            return bits
-
-        sc_traverse(evidence, decide)
+        surprisal = _surprisal(_true_path_llrs(evidence, u_true), u_true).sum(axis=1)
         weight = x.sum(axis=1)
         direct = -(weight * np.log2(0.11) + (64 - weight) * np.log2(0.89))
         np.testing.assert_allclose(surprisal, direct, atol=1e-9)
@@ -480,10 +474,10 @@ class TestSliceIndependence:
         traverse = profile_module.sc_traverse
         seen = []  # one entry per slice: whether its evidence was certain
 
-        def recording(evidence, decide, **kwargs):
+        def recording(evidence, stats, **kwargs):
             # list.append is atomic: slices may run on several threads
             seen.append(bool((evidence == 0.0).any()))
-            return traverse(evidence, decide, **kwargs)
+            return traverse(evidence, stats, **kwargs)
 
         monkeypatch.setattr(profile_module, "sc_traverse", recording)
         budgets = (n_blocks, 3, 1)  # whole batch first: the reference

@@ -1,13 +1,20 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
 bitwise agreement of the breadth-first pass (one or two chains) and the
 one-chain depth-first pass on each chain, pruned depth-first passes
-against unpruned ones (with and without the margins that let FREE nodes
-take the rate-1 shortcut, and with per-block corrections at PRIOR
-leaves), each chain of C-chain evidence walked in its own pass, infinite
-and contradictory evidence, the leaf statistics and decisions read from LLRs against their
-pair formulas, and lossless round trips whose uncertain positions are
-mostly decided by maximum posterior."""
+against the engine's unpruned recursion along their output (with and
+without the thresholds of the leaf rule, and with per-block flips), each
+chain of C-chain evidence walked in its own pass, infinite and
+contradictory evidence, the leaf statistics and decisions read from LLRs
+against their pair formulas, the rounding thresholds, and lossless round
+trips whose uncertain positions are mostly decided by maximum posterior.
 
+The oracle of a depth-first pass needs no callback: along the pass's
+output u, every known leaf equals its bit and every other leaf equals
+(L < t) xor its flip at the L of the engine's unpruned recursion along u
+(_node_llrs), which characterizes the SC output exactly, as a leaf's L
+depends only on the leaves before it."""
+
+import contextlib
 import warnings
 from dataclasses import replace
 
@@ -25,9 +32,9 @@ from graywyner.polar import (
     sc_traverse,
 )
 from graywyner.polar import sc as sc_module
-from graywyner.polar.coding import _posterior_one, _rounding_margins
+from graywyner.polar.coding import _thresholds
 from graywyner.polar.profile import _leaf_statistics
-from graywyner.polar.sc import LEAF_FREE, LEAF_KNOWN, LEAF_PRIOR, map_bits
+from graywyner.polar.sc import map_bits
 
 
 def _normalize_pairs(p0, p1):
@@ -81,16 +88,53 @@ def _per_chain(evidence):
     return [evidence[c:c + 1] for c in range(len(evidence))]
 
 
-def _depth_first_leaves(evidence, u):
-    """(C, B, N) leaf LLRs of one depth-first pass per chain along u."""
-    seen = np.empty(evidence.shape[:3])
-    for c, chain in enumerate(_per_chain(evidence)):
-        def decide(i, llr, c=c):
-            seen[c, :, i] = llr
-            return u[:, i]
+def _never(*args):
+    raise AssertionError("a depth-first pass called its second argument")
 
-        sc_traverse(chain, decide)
-    return seen
+
+def _node_llrs(evidence, u):
+    """{(lo, width): (chains, blocks, width) LLRs} of every node of the
+    unpruned tree along the decided bits u, from the engine's own steps."""
+    llr, has_inf = sc_module._llrs(evidence)
+    nodes = {}
+
+    def rec(node, lo):
+        width = node.shape[2]
+        nodes[lo, width] = node
+        if width > 1:
+            half = width // 2
+            first, second = node[:, :, :half], node[:, :, half:]
+            rec(sc_module._f_step(first, second, has_inf), lo)
+            v = polar_transform(u[:, lo:lo + half])
+            rec(sc_module._g_step(first, second, v[None], has_inf), lo + half)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        rec(llr, 0)
+    return nodes
+
+
+def _leaf_llrs(evidence, u, nodes=None):
+    """(chains, blocks, N) leaf LLRs of the unpruned recursion along u, or
+    of its nodes (_node_llrs) if given."""
+    nodes = _node_llrs(evidence, u) if nodes is None else nodes
+    return np.concatenate([nodes[i, 1] for i in range(u.shape[1])], axis=-1)
+
+
+def _depth_first_reads(chain, u, llr):
+    """Whether depth-first passes over one-chain evidence, along the bits
+    u, reach exactly the (B, N) leaf LLRs llr.  Planted at t = llr with
+    flip u, the leaf rule returns u at a leaf exactly when its L is not
+    below llr; at one float step above llr with flip u ^ 1, exactly when
+    its L is not above (where llr is +inf, with no step above it, t = -inf
+    and flip u return u whatever L is).  A pass returns u exactly when
+    every leaf does: the first leaf off u makes the output differ there."""
+    free = np.zeros(u.shape[1], dtype=bool)
+    top = llr == np.inf
+    plans = [(free, u, llr),
+             (free, np.where(top, u, u ^ 1),
+              np.where(top, -np.inf, np.nextafter(llr, np.inf)))]
+    return all(np.array_equal(sc_traverse(chain, _never, plan=plan)[0], u)
+               for plan in plans)
 
 
 def _breadth_first_leaves(evidence, u):
@@ -116,10 +160,12 @@ def _pair_llrs(pairs):
 @pytest.mark.parametrize("block_len", [8, 64, 1024])
 class TestAgainstPairReference:
     def test_leaf_posteriors_match_reference(self, kind, n_chains, block_len):
-        """The engine's leaf LLRs against ln p0 - ln p1 of the reference's
-        pairs.  dp1 = -p0 p1 dL and p0 p1 (1 + |L|) < 0.4, so the LLR
-        tolerance 1e-12 (1 + |L|) holds every pair within 4e-13.  Where a
-        reference entry underflowed, the engine's |L| must lie past it."""
+        """The engine's leaf LLRs (the breadth-first pass's; the depth-first
+        pass reaches the same, test_passes_agree_bitwise) against ln p0 -
+        ln p1 of the reference's pairs.  dp1 = -p0 p1 dL and p0 p1 (1 +
+        |L|) < 0.4, so the LLR tolerance 1e-12 (1 + |L|) holds every pair
+        within 4e-13.  Where a reference entry underflowed, the engine's
+        |L| must lie past it."""
         evidence = _evidence(kind, n_chains, 3, block_len, seed=block_len + n_chains)
         u = np.random.default_rng(block_len).integers(
             0, 2, (3, block_len)).astype(np.uint8)
@@ -131,7 +177,7 @@ class TestAgainstPairReference:
 
         _, x_ref = reference_traverse(evidence, decide)
         want, resolved = _pair_llrs(expected)
-        got = _depth_first_leaves(evidence, u)
+        got = _breadth_first_leaves(evidence, u)
         np.testing.assert_allclose(got[resolved], want[resolved],
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(np.sign(got[~resolved]),
@@ -140,11 +186,15 @@ class TestAgainstPairReference:
         np.testing.assert_array_equal(x_ref, polar_transform(u))
 
     def test_passes_agree_bitwise(self, kind, n_chains, block_len):
+        """The breadth-first pass's leaf LLRs are the unpruned recursion's,
+        and a depth-first pass on each chain reaches them bit for bit."""
         evidence = _evidence(kind, n_chains, 5, block_len, seed=7 * block_len)
         u = np.random.default_rng(block_len + 1).integers(
             0, 2, (5, block_len)).astype(np.uint8)
-        np.testing.assert_array_equal(_depth_first_leaves(evidence, u),
-                                      _breadth_first_leaves(evidence, u))
+        breadth = _breadth_first_leaves(evidence, u)
+        np.testing.assert_array_equal(breadth, _leaf_llrs(evidence, u))
+        for c, chain in enumerate(_per_chain(evidence)):
+            assert _depth_first_reads(chain, u, breadth[c])
 
 
 class TestPassesShareLeafLlrs:
@@ -155,14 +205,11 @@ class TestPassesShareLeafLlrs:
         x, y = channel.sample(n_blocks, block_len, rng.stream(3, rng.STREAM_SOURCE))
         evidence = channel.leaf_evidence(y)[None]
         u = polar_transform(x)
-        breadth, depth = [], []
+        breadth = []
         u_bf, x_bf = sc_traverse(
             evidence, lambda leaves, llr: breadth.append(llr), known=u)
-        u_df, x_df = sc_traverse(
-            evidence, lambda i, llr: depth.append(llr.copy()) or u[:, i])
-        np.testing.assert_array_equal(breadth[0][0], np.stack(depth, axis=-1))
-        np.testing.assert_array_equal(u_bf, u_df)
-        np.testing.assert_array_equal(x_bf, x_df)
+        assert _depth_first_reads(evidence, u, breadth[0][0])
+        np.testing.assert_array_equal(u_bf, u)
         np.testing.assert_array_equal(x_bf, x)
 
     def test_known_bits_shape_checked(self):
@@ -182,22 +229,55 @@ class TestPassesShareLeafLlrs:
 # L < 0 of the evidence, at any block length
 TIE_PAIRS = [[0.5, 0.5], [0.01, 0.99], [0.01, 0.99], [0.01, 0.99]]
 
+# leaf kinds of the test plans: rounded by a threshold without a flip,
+# known, and sign-decided (t = 0) with sparse per-block flips
+_ROUNDED, _KNOWN, _SIGN = 0, 1, 2
+
+
+@contextlib.contextmanager
+def _step_counts():
+    """Counts the f- and g-steps the engine computes inside the block."""
+    calls = {"f": 0, "g": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, key in (("_f_step", "f"), ("_g_step", "g")):
+            def counting(*args, _step=getattr(sc_module, name), _key=key,
+                         **kwargs):
+                calls[_key] += 1
+                return _step(*args, **kwargs)
+
+            patch.setattr(sc_module, name, counting)
+        yield calls
+
+
+def _rounding_uniforms(gen, n_blocks, block_len):
+    """Rounding uniforms with the edge values planted: U = 0 (t = +inf,
+    always rounds to 1) and U = 1 - 2^-53 (t about -36.7)."""
+    uniforms = gen.random((n_blocks, block_len))
+    uniforms.flat[::97] = 0.0
+    uniforms.flat[50::101] = 1.0 - 2.0 ** -53
+    return uniforms
+
+
+def _planned(kinds, n_blocks, gen):
+    """The plan (known, bits, thresholds) of per-leaf kinds: random bits at
+    known leaves, flips at about 2% of the sign-decided leaves' blocks,
+    and rounding thresholds at the rounded leaves (0 elsewhere)."""
+    block_len = kinds.size
+    random = gen.integers(0, 2, (n_blocks, block_len))
+    flips = (gen.random((n_blocks, block_len)) < 0.02) & (kinds == _SIGN)
+    known = kinds == _KNOWN
+    thresholds = np.where(kinds == _ROUNDED, _thresholds(
+        _rounding_uniforms(gen, n_blocks, block_len)), 0.0)
+    return known, np.where(known, random, flips).astype(np.uint8), thresholds
+
 
 def _plans(block_len, n_blocks, gen):
-    """Leaf plans with random bits at KNOWN and FREE leaves (a pass reads
-    them only at KNOWN ones) and sparse per-block corrections at PRIOR
-    leaves, about 2% ones, so that corrected PRIOR nodes and PRIOR nodes
-    that take the rate-1 shortcut both occur: every leaf PRIOR; the kinds
-    interleaved, so every node above the leaves is mixed; then random plans
-    with whole subtrees of one kind as well as mixed ones."""
-    def planned(kinds):
-        random = gen.integers(0, 2, (n_blocks, block_len))
-        corrections = gen.random((n_blocks, block_len)) < 0.02
-        return kinds, np.where(kinds == LEAF_PRIOR, corrections,
-                               random).astype(np.uint8)
-
-    yield planned(np.full(block_len, LEAF_PRIOR))
-    yield planned(np.arange(block_len) % 3)
+    """Leaf plans whose sparse flips make both flipped nodes and sign nodes
+    that take the rate-1 shortcut occur: every leaf sign-decided; the
+    kinds interleaved, so every node above the leaves is mixed; then
+    random plans with whole subtrees of one kind as well as mixed ones."""
+    yield _planned(np.full(block_len, _SIGN), n_blocks, gen)
+    yield _planned(np.arange(block_len) % 3, n_blocks, gen)
     for _ in range(3):
         kinds = np.empty(block_len, dtype=np.int8)
 
@@ -209,65 +289,72 @@ def _plans(block_len, n_blocks, gen):
                 fill(lo + width // 2, width // 2)
 
         fill(0, block_len)
-        yield planned(kinds)
+        yield _planned(kinds, n_blocks, gen)
 
 
-def _rounding_rule(uniforms):
-    """A FREE-leaf decision that reads the LLRs: randomized rounding with
-    the given uniforms per (block, leaf)."""
-    return lambda i, llr: (uniforms[:, i] < _posterior_one(llr)).astype(np.uint8)
+def _expected_steps(nodes, known, bits, thresholds):
+    """The f- and g-steps of the pruned walk over the unpruned recursion's
+    nodes (_node_llrs) along its output, found top-down: a
+    node of width M > 1 none of whose leaves is known or flipped in any
+    block is decided whole when every block's min |L| over it passes
+    ln 2 log2(M) + 1 + the block's largest |t| over it; a child whose
+    leaves are all known costs no step, any other child its step."""
+    plain = ~known & ~bits.any(axis=0)
+    steps = {"f": 0, "g": 0}
+
+    def walk(lo, width):
+        if width == 1:
+            return
+        if plain[lo:lo + width].all():
+            guard = sc_module._LN2 * (width.bit_length() - 1) + 1.0
+            if thresholds is not None:
+                guard = guard + np.abs(thresholds[:, lo:lo + width]).max(axis=1)
+            if (np.abs(nodes[lo, width][0]).min(axis=1) > guard).all():
+                return
+        half = width // 2
+        for key, start in (("f", lo), ("g", lo + half)):
+            if not known[start:start + half].all():
+                steps[key] += 1
+                walk(start, half)
+
+    if not known.all():
+        walk(0, known.size)
+    return steps
 
 
-def _free_rule(n_blocks, block_len, seed):
-    """_rounding_rule with fixed random uniforms."""
-    return _rounding_rule(np.random.default_rng(seed).random((n_blocks, block_len)))
+def _assert_plan_exact(evidence, known, bits, thresholds=None):
+    """The pass on one-chain evidence against the oracle (see the module
+    docstring), with the steps it computes those of _expected_steps and
+    its second argument never called; returns its (u, x)."""
+    plan = (known, bits) if thresholds is None else (known, bits, thresholds)
+    with _step_counts() as steps:
+        u, x = sc_traverse(evidence, _never, plan=plan)
+    np.testing.assert_array_equal(x, polar_transform(u))
+    np.testing.assert_array_equal(u[:, known], bits[:, known])
+    nodes = _node_llrs(evidence, u)
+    rule = _leaf_llrs(evidence, u, nodes)[0] < (0.0 if thresholds is None
+                                                else thresholds)
+    np.testing.assert_array_equal(u[:, ~known], (rule ^ bits)[:, ~known])
+    assert steps == _expected_steps(nodes, known, bits, thresholds)
+    return u, x
 
 
-def _planned_passes(evidence, kinds, bits, free, margins=None):
-    """(pruned (u, x), unpruned (u, x), FREE leaves the pruned pass asked
-    for); the unpruned pass decides every leaf by callback, as the plan
-    says.  With margins the pruned plan carries them."""
-    asked = []
-
-    def pruned_decide(i, llr):
-        asked.append(i)
-        return free(i, llr)
-
-    def every_leaf(i, llr):
-        if kinds[i] == LEAF_KNOWN:
-            return bits[:, i]
-        if kinds[i] == LEAF_PRIOR:
-            return map_bits(llr) ^ bits[:, i]
-        return free(i, llr)
-
-    plan = (kinds, bits) if margins is None else (kinds, bits, margins)
-    pruned = sc_traverse(evidence, pruned_decide, plan=plan)
-    return pruned, sc_traverse(evidence, every_leaf), asked
-
-
-def _assert_pruning_exact(evidence, seed):
+def _assert_pruning_exact(evidence, seed, rounded=False):
     """Every plan of _plans on every chain of the evidence, walked one
     chain per pass, with the tie of TIE_PAIRS planted in the last chain of
-    block 0."""
+    block 0.  Without rounded the plans drop their thresholds (t = 0 at
+    every leaf); with it an all-rounded plan without flips joins them."""
     evidence = evidence.copy()
     evidence[-1, 0] = TIE_PAIRS[-1]
     evidence[-1, 0, 0] = TIE_PAIRS[0]
     gen = np.random.default_rng(seed)
     n_blocks, block_len = evidence.shape[1:3]
-    for trial, (kinds, bits) in enumerate(_plans(block_len, n_blocks, gen)):
-        free = _free_rule(n_blocks, block_len, seed + trial)
+    plans = list(_plans(block_len, n_blocks, gen))
+    if rounded:
+        plans.append(_planned(np.full(block_len, _ROUNDED), n_blocks, gen))
+    for known, bits, thresholds in plans:
         for chain in _per_chain(evidence):
-            _assert_plan_exact(chain, kinds, bits, free)
-
-
-def _assert_plan_exact(evidence, kinds, bits, free):
-    (u, x), (u_ref, x_ref), asked = _planned_passes(evidence, kinds, bits, free)
-    np.testing.assert_array_equal(u, u_ref)
-    np.testing.assert_array_equal(x, x_ref)
-    np.testing.assert_array_equal(x, polar_transform(u))
-    known = kinds == LEAF_KNOWN
-    np.testing.assert_array_equal(u[:, known], bits[:, known])
-    assert asked == np.flatnonzero(kinds == LEAF_FREE).tolist()
+            _assert_plan_exact(chain, known, bits, thresholds if rounded else None)
 
 
 def _confidence_mix(n_chains, n_blocks, block_len, seed):
@@ -283,9 +370,8 @@ def _confidence_mix(n_chains, n_blocks, block_len, seed):
 @pytest.mark.parametrize("n_chains", [1, 2])
 @pytest.mark.parametrize("block_len", [8, 64, 1024])
 class TestPrunedPass:
-    """The plan's pruned pass against the unpruned pass that decides every
-    leaf by callback: bit-identical (u, x), and decide sees FREE leaves
-    only, on each of n_chains evidence chains in its own pass."""
+    """Plans without thresholds (the sign rule and its flips) against the
+    oracle, on each of n_chains evidence chains in its own pass."""
 
     @pytest.mark.parametrize("kind", ["random", "near-deterministic", "mixed"])
     def test_random_evidence(self, kind, n_chains, block_len):
@@ -316,126 +402,107 @@ def test_rate1_guard_at_a_posterior_tie():
     tie's hard decision L < 0 says 0 where SC's codeword says 1, so the
     shortcut must refuse the node."""
     evidence = np.array([[TIE_PAIRS]])
-    kinds = np.full(4, LEAF_PRIOR)
-    bits = np.zeros((1, 4), dtype=np.uint8)
-    (u, x), (u_ref, x_ref), asked = _planned_passes(
-        evidence, kinds, bits, _free_rule(1, 4, 0))
+    _, x = _assert_plan_exact(evidence, np.zeros(4, dtype=bool),
+                              np.zeros((1, 4), dtype=np.uint8))
     hard = (evidence[-1, ..., 1] > evidence[-1, ..., 0]).astype(np.uint8)
-    assert not np.array_equal(x_ref, hard)
-    np.testing.assert_array_equal(u, u_ref)
-    np.testing.assert_array_equal(x, x_ref)
-    assert asked == []
+    assert not np.array_equal(x, hard)
 
 
 class TestPruningSkipsWork:
     """Pruned subtrees compute no f-step and no g-step."""
 
     @pytest.fixture
-    def counted(self, monkeypatch):
-        calls = {"f": 0, "g": 0}
-        for name, key in (("_f_step", "f"), ("_g_step", "g")):
-            def counting(*args, _step=getattr(sc_module, name), _key=key,
-                         **kwargs):
-                calls[_key] += 1
-                return _step(*args, **kwargs)
+    def counted(self):
+        with _step_counts() as calls:
+            yield calls
 
-            monkeypatch.setattr(sc_module, name, counting)
-        return calls
-
-    @pytest.mark.parametrize("kind", [LEAF_KNOWN, LEAF_PRIOR])
+    @pytest.mark.parametrize("kind", ["known", "sign"])
     def test_uniform_plan_is_one_step(self, counted, kind):
-        """All KNOWN with random bits, or all PRIOR with no correction."""
+        """All known with random bits, or all sign-decided with no flip."""
         evidence = _evidence("near-deterministic", 1, 3, 1024, seed=5)
         bits = np.random.default_rng(5).integers(0, 2, (3, 1024)).astype(np.uint8)
-        if kind == LEAF_PRIOR:
+        if kind == "sign":
             bits[:] = 0
-        u, x = sc_traverse(evidence, None, plan=(np.full(1024, kind), bits))
+        u, x = sc_traverse(evidence, _never,
+                           plan=(np.full(1024, kind == "known"), bits))
         assert counted == {"f": 0, "g": 0}
-        if kind == LEAF_KNOWN:
+        if kind == "known":
             np.testing.assert_array_equal(u, bits)
         else:
             np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
         np.testing.assert_array_equal(x, polar_transform(u))
 
     def test_one_correction_flips_one_block(self, counted):
-        """One correction in one block of an all-PRIOR plan: that leaf flips
-        in that block and nowhere else, every other block and every earlier
-        leaf keeps the uncorrected decision, and the root's shortcut is
+        """One flip in one block of an all-sign plan: that leaf flips in
+        that block and nowhere else, every other block and every earlier
+        leaf keeps the unflipped decision, and the root's shortcut is
         refused, so the pass computes f- and g-steps."""
         evidence = _evidence("near-deterministic", 1, 3, 1024, seed=5)
-        kinds, bits = np.full(1024, LEAF_PRIOR), np.zeros((3, 1024), np.uint8)
-        u_plain, _ = sc_traverse(evidence, None, plan=(kinds, bits))
+        known, bits = np.zeros(1024, dtype=bool), np.zeros((3, 1024), np.uint8)
+        u_plain, _ = sc_traverse(evidence, _never, plan=(known, bits))
         bits[1, 300] = 1
-        (u, x), (u_ref, x_ref), _ = _planned_passes(
-            evidence, kinds, bits, _free_rule(3, 1024, 0))
+        u, _ = _assert_plan_exact(evidence, known, bits)
         assert counted["f"] > 0 and counted["g"] > 0
-        np.testing.assert_array_equal(u, u_ref)
-        np.testing.assert_array_equal(x, x_ref)
         np.testing.assert_array_equal(u[[0, 2]], u_plain[[0, 2]])
         np.testing.assert_array_equal(u[1, :300], u_plain[1, :300])
         assert u[1, 300] != u_plain[1, 300]
 
     def test_unresolved_prior_recurses(self, counted):
         evidence = _evidence("random", 1, 3, 64, seed=5)
-        sc_traverse(evidence, None,
-                    plan=(np.full(64, LEAF_PRIOR), np.zeros((3, 64), np.uint8)))
+        sc_traverse(evidence, _never,
+                    plan=(np.zeros(64, dtype=bool), np.zeros((3, 64), np.uint8)))
         assert counted["f"] > 0 and counted["g"] > 0
 
     def test_polarized_free_plan_is_one_step(self, counted):
-        """An all-FREE plan whose every |L| clears the root's guard with
-        the rounding margins is decided at the root, with no callback."""
+        """An all-rounded plan whose every |L| clears the root's guard with
+        its thresholds is decided at the root, without a callback."""
         evidence = _polarized(1, 4, 1024, seed=6)
-        uniforms = np.random.default_rng(6).uniform(0.25, 0.75, (4, 1024))
-        kinds, bits = np.full(1024, LEAF_FREE), np.zeros((4, 1024), np.uint8)
-
-        def never(i, llr):
-            raise AssertionError(f"leaf {i} asked of decide")
-
-        u, x = sc_traverse(evidence, never,
-                           plan=(kinds, bits, _rounding_margins(uniforms)))
+        thresholds = _thresholds(
+            np.random.default_rng(6).uniform(0.25, 0.75, (4, 1024)))
+        known, bits = np.zeros(1024, dtype=bool), np.zeros((4, 1024), np.uint8)
+        u, x = sc_traverse(evidence, _never, plan=(known, bits, thresholds))
         assert counted == {"f": 0, "g": 0}
-        _, (u_ref, x_ref), _ = _margin_passes(evidence, kinds, bits, uniforms)
-        np.testing.assert_array_equal(u, u_ref)
-        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(
+            (u, x), _assert_plan_exact(evidence, known, bits, thresholds))
         np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
 
 
 class TestPlanChecked:
     def test_bad_plans_rejected(self):
         evidence = np.full((1, 2, 8, 2), 0.5)
-        bits = np.zeros((2, 8), dtype=np.uint8)
-        # plan bits outside {0, 1}: KNOWN bits of 3 would come out as 3s, and
-        # a PRIOR correction of 2 would decide u[0] = 2
-        correction = bits.copy()
-        correction[0, 0] = 2
-        for plan in [(np.zeros(4), bits), (np.full(8, 3), bits),
-                     (np.zeros(8), bits[:1]), (np.full(8, LEAF_KNOWN), bits + 3),
-                     (np.full(8, LEAF_PRIOR), correction)]:
+        free, bits = np.zeros(8, dtype=bool), np.zeros((2, 8), dtype=np.uint8)
+        # plan bits outside {0, 1}: known bits of 3 would come out as 3s, and
+        # a flip of 2 would decide u[0] = 2
+        flip = bits.copy()
+        flip[0, 0] = 2
+        for plan in [(np.zeros(4, dtype=bool), bits), (np.full(8, 3), bits),
+                     (free, bits[:1]), (np.ones(8, dtype=bool), bits + 3),
+                     (free, flip), (free, bits, np.zeros((2, 4))),
+                     (free, bits, np.full((2, 8), np.nan)),
+                     (free, bits, np.zeros((2, 8)), None)]:
             with pytest.raises(ValueError, match="plan"):
-                sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
+                sc_traverse(evidence, _never, plan=plan)
 
-    def test_free_leaves_need_decide(self):
-        """decide may be None only when no leaf is FREE: a plan with FREE
-        leaves, or a pass without a plan, is refused up front."""
-        evidence = np.full((1, 2, 8, 2), 0.5)
-        bits = np.zeros((2, 8), dtype=np.uint8)
-        kinds = np.full(8, LEAF_KNOWN)
-        kinds[5] = LEAF_FREE
-        for plan in [(kinds, bits), (kinds, bits, np.full((2, 8), np.inf)), None]:
-            with pytest.raises(ValueError, match="decide"):
-                sc_traverse(evidence, None, plan=plan)
-        kinds[5] = LEAF_PRIOR
-        u, x = sc_traverse(evidence, None, plan=(kinds, bits))
+    def test_no_plan_decides_every_leaf_by_sign(self):
+        """Without a plan no leaf is known or flipped and t = 0, so every
+        leaf takes the sign of its LLR."""
+        evidence = _evidence("random", 1, 3, 64, seed=8)
+        u, x = sc_traverse(evidence, _never)
+        np.testing.assert_array_equal(u, map_bits(_leaf_llrs(evidence, u)[0]))
         np.testing.assert_array_equal(x, polar_transform(u))
+        plain = sc_traverse(evidence, _never, plan=(
+            np.zeros(64, dtype=bool), np.zeros((3, 64), np.uint8),
+            np.zeros((3, 64))))
+        np.testing.assert_array_equal(plain[0], u)
 
     def test_depth_first_pass_walks_one_chain(self):
         """Two chains are refused by the depth-first pass, with or without
         a plan, and accepted by the breadth-first one."""
         evidence = np.full((2, 2, 8, 2), 0.5)
         bits = np.zeros((2, 8), dtype=np.uint8)
-        for plan in [None, (np.full(8, LEAF_PRIOR), bits)]:
+        for plan in [None, (np.zeros(8, dtype=bool), bits)]:
             with pytest.raises(ValueError, match="one chain"):
-                sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
+                sc_traverse(evidence, _never, plan=plan)
         u, x = sc_traverse(evidence, lambda leaves, llr: None, known=bits)
         np.testing.assert_array_equal(u, bits)
 
@@ -444,7 +511,7 @@ class TestPlanChecked:
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="breadth-first"):
             sc_traverse(evidence, lambda leaves, llr: None, known=bits,
-                        plan=(np.zeros(8), bits))
+                        plan=(np.zeros(8, dtype=bool), bits))
 
 
 class TestInfiniteEvidence:
@@ -476,25 +543,26 @@ class TestInfiniteEvidence:
         # leaf 0 is certainly 1, but the path decides 0: the g-step then adds
         # +inf and -inf, which must read as no evidence at all
         evidence = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
-        seen = []
+        u = np.zeros((1, 2), np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sc_traverse(evidence, lambda i, llr: seen.append(llr.copy()) or np.zeros(1))
-            known = _breadth_first_leaves(evidence, np.zeros((1, 2), np.uint8))
-        assert seen[0][0] == -np.inf
-        assert seen[1][0] == 0.0
-        np.testing.assert_array_equal(known[0], np.stack(seen, axis=-1))
+            known = _breadth_first_leaves(evidence, u)
+            assert _depth_first_reads(evidence, u, known[0])
+        np.testing.assert_array_equal(known[0, 0], [-np.inf, 0.0])
 
     def test_all_zero_pairs_read_as_uniform(self):
         evidence = np.zeros((2, 3, 16, 2))
+        u = np.ones((3, 16), np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            leaves = _depth_first_leaves(evidence, np.ones((3, 16), np.uint8))
+            leaves = _breadth_first_leaves(evidence, u)
+            assert all(_depth_first_reads(chain, u, leaves[c])
+                       for c, chain in enumerate(_per_chain(evidence)))
         np.testing.assert_array_equal(leaves, 0.0)
 
 
 def test_leaf_formulas_match_pair_formulas():
-    """z, h, the misses and P(1) read from L against the pair formulas they
+    """z, h and the misses read from L against the pair formulas they
     replace: p = (1 / (1 + e^-L), 1 / (1 + e^L)) with L capped at +-700,
     z = 2 sqrt(p0 p1), h = -log2 p(bit), a miss where map_bits(L) != bit;
     ties decide 0 whatever the zero's sign."""
@@ -512,7 +580,6 @@ def test_leaf_formulas_match_pair_formulas():
         np.testing.assert_allclose(h[0, 0], -np.log2(pairs[:, bit]),
                                    rtol=1e-14, atol=1e-15)
     assert np.all(np.isfinite(h))
-    np.testing.assert_array_equal(_posterior_one(llr), pairs[:, 1])
     resolved = pairs[:, 0] != pairs[:, 1]
     np.testing.assert_array_equal(map_bits(llr)[resolved],
                                   (pairs[:, 1] > pairs[:, 0])[resolved])
@@ -541,89 +608,8 @@ def test_round_trip_at_low_stored_fraction(profile_store, channel, with_side,
 
 
 # ---------------------------------------------------------------------------
-# rate-1 pruning of FREE leaves with margins
+# the leaf rule with thresholds, and rate-1 pruning past their margins
 # ---------------------------------------------------------------------------
-
-def _rounding_uniforms(n_blocks, block_len, seed):
-    """Rounding uniforms with the edge values planted: U = 0 (always rounds
-    to 1) and U = 1 - 2^-53, both with infinite margins."""
-    uniforms = np.random.default_rng(seed).random((n_blocks, block_len))
-    uniforms.flat[::97] = 0.0
-    uniforms.flat[50::101] = 1.0 - 2.0 ** -53
-    return uniforms
-
-
-def _node_llrs(evidence, u):
-    """{(lo, width): (chains, blocks, width) LLRs} of every node of the
-    unpruned tree along the decided bits u, from the engine's own steps."""
-    llr, has_inf = sc_module._llrs(evidence)
-    nodes = {}
-
-    def rec(node, lo):
-        width = node.shape[2]
-        nodes[lo, width] = node
-        if width > 1:
-            half = width // 2
-            first, second = node[:, :, :half], node[:, :, half:]
-            rec(sc_module._f_step(first, second, has_inf), lo)
-            v = polar_transform(u[:, lo:lo + half])
-            rec(sc_module._g_step(first, second, v[None], has_inf), lo + half)
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        rec(llr, 0)
-    return nodes
-
-
-def _expected_asked(evidence, u, kinds, margins):
-    """The FREE leaves outside every all-FREE node of width > 1 whose
-    one-chain |L| passes ln 2 log2(M) + 1 + the block's largest margin over
-    the node in every block, found top-down."""
-    nodes = _node_llrs(evidence, u)
-    asked = []
-
-    def walk(lo, width):
-        if width == 1:
-            if kinds[lo] == LEAF_FREE:
-                asked.append(lo)
-            return
-        if (kinds[lo:lo + width] == LEAF_FREE).all():
-            guard = (sc_module._LN2 * (width.bit_length() - 1) + 1.0
-                     + margins[:, lo:lo + width].max(axis=1))
-            if (np.abs(nodes[lo, width][0]).min(axis=1) > guard).all():
-                return
-        walk(lo, width // 2)
-        walk(lo + width // 2, width // 2)
-
-    walk(0, evidence.shape[2])
-    return asked
-
-
-def _margin_passes(evidence, kinds, bits, uniforms):
-    """_planned_passes with FREE leaves rounding chain 0 with the uniforms,
-    the pruned plan carrying their rounding margins."""
-    return _planned_passes(evidence, kinds, bits, _rounding_rule(uniforms),
-                           _rounding_margins(uniforms))
-
-
-def _assert_margin_pruning_exact(evidence, seed):
-    """Every plan of _plans and an all-FREE plan on every chain of the
-    evidence, one chain per pass: bit-identical to the unpruned pass, and
-    decide asked exactly outside the shortcut nodes."""
-    gen = np.random.default_rng(seed)
-    n_blocks, block_len = evidence.shape[1:3]
-    plans = list(_plans(block_len, n_blocks, gen))
-    plans.append((np.full(block_len, LEAF_FREE), plans[0][1]))
-    for trial, (kinds, bits) in enumerate(plans):
-        uniforms = _rounding_uniforms(n_blocks, block_len, seed + trial)
-        for chain in _per_chain(evidence):
-            (u, x), (u_ref, x_ref), asked = _margin_passes(chain, kinds, bits,
-                                                           uniforms)
-            np.testing.assert_array_equal(u, u_ref)
-            np.testing.assert_array_equal(x, x_ref)
-            np.testing.assert_array_equal(x, polar_transform(u))
-            assert asked == _expected_asked(chain, u, kinds,
-                                            _rounding_margins(uniforms))
-
 
 def _polarized(n_chains, n_blocks, block_len, seed, doubt=1e-12):
     """Pairs within doubt of a random hard bit at every leaf, |L| about
@@ -636,9 +622,10 @@ def _polarized(n_chains, n_blocks, block_len, seed, doubt=1e-12):
 @pytest.mark.parametrize("n_chains", [1, 2])
 @pytest.mark.parametrize("block_len", [8, 64, 1024])
 class TestMarginPrunedPass:
-    """Plans with margins: FREE nodes past the shifted guard take the sign
-    of their LLRs, bit-identical to rounding every leaf by callback, on
-    each of n_chains evidence chains in its own pass."""
+    """Plans with thresholds: a node's margin is its largest |t|, and nodes
+    past the shifted guard take the sign of their LLRs, bit-identical to
+    the leaf rule at every leaf (the oracle), on each of n_chains evidence
+    chains in its own pass."""
 
     @pytest.mark.parametrize("kind", ["random", "near-deterministic", "mixed",
                                       "polarized", "infinite"])
@@ -647,7 +634,7 @@ class TestMarginPrunedPass:
         gen = np.random.default_rng(seed)
         if kind == "mixed":
             evidence = _confidence_mix(n_chains, 6, block_len, seed)
-        elif kind == "polarized":  # |L| about 69: most FREE nodes shortcut
+        elif kind == "polarized":  # |L| about 69: most rounded nodes shortcut
             evidence = _polarized(n_chains, 6, block_len, seed, doubt=1e-30)
         elif kind == "infinite":  # +-inf, and contradictions on some paths
             evidence = _polarized(n_chains, 6, block_len, seed)
@@ -656,60 +643,75 @@ class TestMarginPrunedPass:
             evidence[certain] = np.stack([1 - hard, hard], axis=-1)[certain]
         else:
             evidence = _evidence(kind, n_chains, 6, block_len, seed)
-        _assert_margin_pruning_exact(evidence, seed)
+        _assert_pruning_exact(evidence, seed, rounded=True)
 
 
-def test_rounding_margins_at_the_edges():
-    edge = 2.0 ** -40
-    uniforms = np.array([0.0, 2.0 ** -53, edge / 2, edge, 0.25, 0.5, 0.75,
-                         1.0 - edge, 1.0 - edge / 2, 1.0 - 2.0 ** -53])
-    margins = _rounding_margins(uniforms)
-    assert np.isinf(margins[[0, 1, 2, 8, 9]]).all()
-    np.testing.assert_allclose(margins[[3, 7]], 40 * np.log(2.0), rtol=1e-12)
-    np.testing.assert_allclose(margins[4:7], [np.log(3.0), 0.0, np.log(3.0)],
-                               rtol=1e-15)
+def _leaf_rule(llr, uniforms):
+    """(B,) bits of one leaf of LLRs llr (a scalar or (B,)) rounded with
+    the (B,) uniforms, read from depth-first passes of N = 1."""
+    llr = np.broadcast_to(llr, uniforms.shape)
+    p1 = 1.0 / (1.0 + np.exp(llr))
+    evidence = np.stack([1.0 - p1, p1], axis=-1)[None, :, None]
+    plan = (np.zeros(1, dtype=bool), np.zeros((uniforms.size, 1), np.uint8),
+            _thresholds(uniforms)[:, None])
+    return sc_traverse(evidence, _never, plan=plan)[0][:, 0]
+
+
+def test_thresholds_at_the_edges():
+    """U = 0 gives t = +inf and U = 1/2 gives t = 0; at an exact tie L = 0
+    a leaf decides 1 exactly when U < 1/2, one float step either side of
+    1/2 included."""
+    uniforms = np.array([0.0, 2.0 ** -53, 0.25, np.nextafter(0.5, 0.0), 0.5,
+                         np.nextafter(0.5, 1.0), 0.75, 1.0 - 2.0 ** -53])
+    t = _thresholds(uniforms)
+    assert t[0] == np.inf and t[4] == 0.0
+    np.testing.assert_allclose(t[[2, 6]], [np.log(3.0), -np.log(3.0)], rtol=1e-15)
+    assert (t[1:4] > 0.0).all() and (t[5:] < 0.0).all()
+    np.testing.assert_array_equal(_leaf_rule(0.0, uniforms), uniforms < 0.5)
+
+
+@pytest.mark.parametrize("llr", [-3.0, 0.0, 2.0])
+def test_rounding_frequency_follows_the_posterior(llr):
+    """Over 20,000 fixed-seed uniforms the fraction of 1s at a fixed L lies
+    within five binomial standard deviations of P(1) = 1/(1 + e^L)."""
+    n = 20_000
+    uniforms = np.random.default_rng(int(llr) + 10).random(n)
+    p1 = 1.0 / (1.0 + np.exp(llr))
+    ones = _leaf_rule(llr, uniforms).mean()
+    assert abs(ones - p1) < 5.0 * np.sqrt(p1 * (1.0 - p1) / n)
 
 
 class TestPlantedMargins:
-    """Single leaves where the sign rule and rounding disagree must reach
-    decide, and the guard's comparison is strict."""
-
-    def _one_leaf_apart(self, leaf_llr_sign, planted_u):
-        """Eight FREE leaves in one block beside a control block, evidence
-        L = 30 at every position but one flipped to -30 for a negative
-        leaf_llr_sign; leaf 0, the box-plus of them all, then has L about
-        +-28.  U = 0.5 everywhere except planted_u at leaf 0 of block 0."""
-        evidence = np.tile([1 - 1e-13, 1e-13], (1, 2, 8, 1))
-        if leaf_llr_sign < 0:
-            evidence[0, 0, 5] = [1e-13, 1 - 1e-13]
-        uniforms = np.full((2, 8), 0.5)
-        uniforms[0, 0] = planted_u
-        kinds = np.full(8, LEAF_FREE)
-        bits = np.zeros((2, 8), dtype=np.uint8)
-        return _margin_passes(evidence, kinds, bits, uniforms), evidence, uniforms
+    """Single leaves where the sign rule and rounding disagree are decided
+    at the leaf, and the guard's comparison is strict."""
 
     @pytest.mark.parametrize("sign,planted_u,bit", [
         (+1, 0.0, 1),               # U = 0 rounds to 1 whatever L is
         (-1, 1.0 - 2.0 ** -53, 0),  # L = -28 > t = -36.7: rounds to 0
     ])
     def test_edge_uniforms_reach_decide(self, sign, planted_u, bit):
-        ((u, x), (u_ref, x_ref), asked), evidence, uniforms = (
-            self._one_leaf_apart(sign, planted_u))
-        np.testing.assert_array_equal(u, u_ref)
-        np.testing.assert_array_equal(x, x_ref)
-        # the leaf disagrees with its sign rule, which only decide can know
+        """Eight rounded leaves in one block beside a control block,
+        evidence L = 30 at every position but one flipped to -30 for a
+        negative sign; leaf 0, the box-plus of them all, then has L about
+        +-28.  U = 0.5 everywhere except planted_u at leaf 0 of block 0."""
+        evidence = np.tile([1 - 1e-13, 1e-13], (1, 2, 8, 1))
+        if sign < 0:
+            evidence[0, 0, 5] = [1e-13, 1 - 1e-13]
+        uniforms = np.full((2, 8), 0.5)
+        uniforms[0, 0] = planted_u
+        u, _ = _assert_plan_exact(evidence, np.zeros(8, dtype=bool),
+                                  np.zeros((2, 8), np.uint8), _thresholds(uniforms))
+        # the leaf disagrees with its sign rule, so no shortcut may take it
         leaf_llr = _node_llrs(evidence, u)[0, 1][0, 0, 0]
         assert 20 < abs(leaf_llr) < 30 and np.sign(leaf_llr) == sign
         assert u[0, 0] == bit != map_bits(leaf_llr)
-        assert asked[0] == 0
-        assert asked == _expected_asked(evidence, u, np.full(8, LEAF_FREE),
-                                        _rounding_margins(uniforms))
 
     @pytest.mark.parametrize("above", [True, False])
     def test_guard_is_strict(self, above):
-        """Margins set so that the guard of a width-2 node sits one float
-        step below (shortcut) or at/above (no shortcut) its min |L|; with
-        decide the sign rule itself, the promise holds at any margin."""
+        """Thresholds +-m set so that the guard of a width-2 node sits one
+        float step below (shortcut, no f-step) or at/above (no shortcut,
+        one f-step) its min |L|; past |t| + 1 the leaf rule is the sign
+        rule, so the output is the oracle's either way."""
         evidence = _polarized(1, 1, 2, seed=4, doubt=1e-5)
         low = np.abs(sc_module._llrs(evidence)[0][0]).min()
         base = sc_module._LN2 * 1 + 1.0
@@ -720,29 +722,13 @@ class TestPlantedMargins:
         else:
             while base + margin < low:
                 margin = np.nextafter(margin, np.inf)
-        asked = []
-
-        def decide(i, llr):
-            asked.append(i)
-            return map_bits(llr)
-
-        plan = (np.full(2, LEAF_FREE), np.zeros((1, 2), np.uint8),
-                np.full((1, 2), margin))
-        u, x = sc_traverse(evidence, decide, plan=plan)
-        assert asked == ([] if above else [0, 1])
-        u_ref, x_ref = sc_traverse(evidence, lambda i, llr: map_bits(llr))
-        np.testing.assert_array_equal(u, u_ref)
-        np.testing.assert_array_equal(x, x_ref)
-
-
-class TestMarginsChecked:
-    @pytest.mark.parametrize("margins", [np.zeros((2, 4)), np.full((2, 8), -1.0),
-                                         np.full((2, 8), np.nan)])
-    def test_bad_margins_rejected(self, margins):
-        evidence = np.full((1, 2, 8, 2), 0.5)
-        plan = (np.zeros(8), np.zeros((2, 8), np.uint8), margins)
-        with pytest.raises(ValueError, match="margins"):
-            sc_traverse(evidence, lambda i, llr: np.zeros(2), plan=plan)
+        plan = (np.zeros(2, dtype=bool), np.zeros((1, 2), np.uint8),
+                np.array([[margin, -margin]]))
+        with _step_counts() as steps:
+            u, x = sc_traverse(evidence, _never, plan=plan)
+        assert steps["f"] == (0 if above else 1)
+        np.testing.assert_array_equal((u, x), _assert_plan_exact(evidence, *plan))
+        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
 
 
 def _f_step_two_loops(a, b, has_inf):

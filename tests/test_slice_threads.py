@@ -86,10 +86,10 @@ class TestSameBytesForEveryThreadCount:
         seen = []
         traverse = profile_module.sc_traverse
 
-        def recording(evidence, decide, **kwargs):
+        def recording(evidence, stats, **kwargs):
             if (evidence == 0.0).any():
                 seen.append(True)
-            return traverse(evidence, decide, **kwargs)
+            return traverse(evidence, stats, **kwargs)
 
         monkeypatch.setattr(profile_module, "sc_traverse", recording)
         digests = _per_thread_count(monkeypatch, lambda: _digest(
