@@ -477,9 +477,7 @@ class TestPlanChecked:
         flip[0, 0] = 2
         for plan in [(np.zeros(4, dtype=bool), bits), (np.full(8, 3), bits),
                      (free, bits[:1]), (np.ones(8, dtype=bool), bits + 3),
-                     (free, flip), (free, bits, np.zeros((2, 4))),
-                     (free, bits, np.full((2, 8), np.nan)),
-                     (free, bits, np.zeros((2, 8)), None)]:
+                     (free, flip), (free, bits, np.zeros((2, 8)), None)]:
             with pytest.raises(ValueError, match="plan"):
                 sc_traverse(evidence, _never, plan=plan)
 
@@ -513,6 +511,21 @@ class TestPlanChecked:
             sc_traverse(evidence, lambda leaves, llr: None, known=bits,
                         plan=(np.zeros(8, dtype=bool), bits))
 
+
+class TestMarginsChecked:
+    """Thresholds (from which each node's margin is taken) of the wrong
+    shape or with NaNs are refused.  The ids skip margins1, the negative
+    margins refused before thresholds replaced margins: a negative
+    threshold is valid."""
+
+    @pytest.mark.parametrize("thresholds", [
+        pytest.param(np.zeros((2, 4)), id="margins0"),
+        pytest.param(np.full((2, 8), np.nan), id="margins2")])
+    def test_bad_margins_rejected(self, thresholds):
+        evidence = np.full((1, 2, 8, 2), 0.5)
+        plan = (np.zeros(8, dtype=bool), np.zeros((2, 8), np.uint8), thresholds)
+        with pytest.raises(ValueError, match="plan thresholds"):
+            sc_traverse(evidence, _never, plan=plan)
 
 class TestInfiniteEvidence:
     def test_certain_evidence_constructs_without_warnings(self):
