@@ -120,16 +120,24 @@ def _scatter_corrections(bits, corrections, allowed) -> None:
     """Write the corrections into the (n_blocks, N) uint8 bits in place:
     0 at every leaf of the (N,) bool mask allowed, 1 at every corrected
     one.  ValueError unless each of the n_blocks entries of corrections
-    holds distinct integer indices inside allowed."""
-    block_len = bits.shape[1]
+    holds distinct integer indices inside allowed (an empty sequence of
+    any dtype holds none)."""
+    n_blocks, block_len = bits.shape
     bits[:, allowed] = 0
-    for b, idx in enumerate(map(np.asarray, corrections)):
-        if (idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer)
-                or np.any((idx < 0) | (idx >= block_len))):
-            raise ValueError(f"corrections must be integer indices in [0, {block_len})")
-        if not allowed[idx].all() or np.unique(idx).size != idx.size:
-            raise ValueError("corrections must name distinct decoder-decided indices")
-        bits[b, idx] = 1
+    rows = [np.asarray(idx) for idx in corrections]
+    if any(idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer))
+           for idx in rows):
+        raise ValueError(f"corrections must be integer indices in [0, {block_len})")
+    # unsafe: uint64 indices past the int64 range wrap negative, out of range
+    flat = np.concatenate([np.empty(0, np.int64)] + rows, dtype=np.int64,
+                          casting="unsafe")
+    if np.any((flat < 0) | (flat >= block_len)):
+        raise ValueError(f"corrections must be integer indices in [0, {block_len})")
+    blocks = np.repeat(np.arange(n_blocks), [idx.size for idx in rows])
+    if (not allowed[flat].all()
+            or np.unique(blocks * block_len + flat).size != flat.size):
+        raise ValueError("corrections must name distinct decoder-decided indices")
+    bits[blocks, flat] = 1
 
 
 def _decode(code: PolarCode, bits, sent_mask, decided_mask, chain) -> np.ndarray:

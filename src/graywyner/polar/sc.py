@@ -55,6 +55,26 @@ ones for the depth-first pass (see there).  The engine keeps no state
 between passes, so the slices of a breadth-first batch may run on several
 threads at once (polar/profile.py runs them in waves, one slice per thread).
 
+The depth-first walk holds its arrays blocks last, N first: its LLRs, its
+thresholds, the leaf bits u it fills in (the plan's bits until a leaf is
+decided) and every node are C-contiguous (width, B) arrays.  A node's two
+halves are then the contiguous slabs node[:M/2] and node[M/2:], a leaf is
+the contiguous row node[0], the rate-1 test reduces over axis 0, and a
+codeword [v ^ w, w] stacks along axis 0; u and x return as (B, N) views.
+Frames innermost is the layout of software SC decoders (Le Gal, Leroux &
+Jego, "Multi-Gb/s software decoding of polar codes", IEEE T-SP 2015): the
+walk pays per node, not per value, and NumPy's small ufuncs run 2-4 times
+slower on the strided (B, M/2) halves of a (B, N) node.  Every step stays
+elementwise, so the layout moves no value.  The LLRs are made
+_TRANSPOSE_ROWS blocks at a time straight into (N, B), so no (B, N) copy
+of them exists, and the plan's bits and thresholds are copied over the
+same way.  A node's margin is read off the (N, B) thresholds when its
+rate-1 test needs it, so no table of margins is kept beside them.  At its
+peak, the root's f-step, a walk holds about 2.5 float (N, B) arrays, 3.5
+with thresholds: the LLRs, the first child (half an array), the f-step's
+scratch and the thresholds.  The nodes along one root-to-leaf path hold
+fewer than N values per block together, so no deeper step needs more.
+
 The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
 nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
 2011; Sarkis et al., "Fast polar decoders", IEEE JSAC 2014):
@@ -124,6 +144,9 @@ _TERM_CAP = 60.0
 # (whose passes have one chain)
 _GROUP_VALUES = 1 << 16
 _BATCH_VALUES = 1 << 19
+# blocks per chunk when the depth-first pass moves a (B, N) array to its
+# (N, B) layout (_blocks_last)
+_TRANSPOSE_ROWS = 64
 
 
 def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
@@ -182,9 +205,34 @@ def map_bits(llr: np.ndarray) -> np.ndarray:
     return (llr < 0).astype(np.uint8)
 
 
+def _blocks_last(rows, n_blocks: int, block_len: int, dtype=float) -> np.ndarray:
+    """The C-contiguous (N, B) transpose of a (B, N) array, whose blocks
+    in the slice chunk rows(chunk) returns, taken _TRANSPOSE_ROWS blocks
+    at a time: no whole (B, N) copy is made, and each chunk's transpose
+    stays in cache, where that of 128 blocks at N = 4096 thrashes it."""
+    out = np.empty((block_len, n_blocks), dtype=dtype)
+    for start in range(0, n_blocks, _TRANSPOSE_ROWS):
+        chunk = slice(start, min(start + _TRANSPOSE_ROWS, n_blocks))
+        out[:, chunk] = rows(chunk).T
+    return out
+
+
+def _transform_rows(bits: np.ndarray) -> np.ndarray:
+    """polar_transform along axis 0 of (M, B) bits, as a new array: each
+    butterfly stage xors contiguous slabs of whole rows."""
+    out = np.array(bits, dtype=np.uint8, order="C", copy=True)
+    width, h = len(out), 1
+    while h < width:
+        v = out.reshape(width // (2 * h), 2, -1)
+        v[:, 0] ^= v[:, 1]
+        h *= 2
+    return out
+
+
 def _depth_first(llr: np.ndarray, has_inf: bool, known, bits, thresholds):
-    n_blocks, block_len = llr.shape
-    u_out = np.empty((n_blocks, block_len), dtype=np.uint8)
+    """The walk over (N, B) LLRs, blocks last (see the module docstring);
+    bits and thresholds come (B, N), as the plan gives them."""
+    block_len, n_blocks = llr.shape
 
     def counts_before(leaves):
         """Leaves in mask before index i: a node's leaves are O(1) to test."""
@@ -194,60 +242,60 @@ def _depth_first(llr: np.ndarray, has_inf: bool, known, bits, thresholds):
     # leaves neither known nor flipped in any block of the batch: the
     # leaves of a rate-1 node
     plain_before = counts_before(~known & ~bits.any(axis=0))
-    # margins[k - 1][b, j]: the margin of block b, its largest |t|, over
-    # the node of width 2^k on leaves [j 2^k, (j + 1) 2^k); from width 2,
-    # as rate1 reads no leaf level, and empty without thresholds
-    margins, level = [], thresholds
-    while level is not None and level.shape[1] > 1:
-        level = np.maximum(np.abs(level[:, 0::2]), np.abs(level[:, 1::2]))
-        margins.append(level)
+    # u_out[i]: leaf i's bits, the plan's until the leaf is decided (its
+    # known bits, or the flips its decision is xored with)
+    u_out = _blocks_last(bits.__getitem__, n_blocks, block_len, np.uint8)
+    if thresholds is not None:
+        thresholds = _blocks_last(thresholds.__getitem__, n_blocks, block_len)
 
     def rate0(lo: int, width: int):
         """The codeword of leaves [lo, lo + width) if all are known, else None."""
         if known_before[lo + width] - known_before[lo] != width:
             return None
-        u_out[:, lo:lo + width] = bits[:, lo:lo + width]
-        return polar_transform(bits[:, lo:lo + width])
+        return _transform_rows(u_out[lo:lo + width])
 
     def rate1(node: np.ndarray, lo: int):
         """The codeword map_bits(L) of a node of width > 1 whose leaves are
         all plain, when every block's min |L| over the node passes its
         guard; else None."""
-        width = node.shape[1]
+        width = len(node)
         if plain_before[lo + width] - plain_before[lo] != width:
             return None
-        depth = width.bit_length() - 1
-        guard = _LN2 * depth + 1.0
-        if margins:
-            guard = guard + margins[depth - 1][:, lo >> depth]
-        if not (np.abs(node).min(axis=1, initial=np.inf) > guard).all():
+        guard = _LN2 * (width.bit_length() - 1) + 1.0
+        magnitude = np.abs(node)
+        if not magnitude.min(initial=np.inf) > guard:
             return None
+        # the margin, each block's largest |t|, only moves the guard up,
+        # so it is taken only where the bare guard passes in every block
+        if thresholds is not None:
+            t = thresholds[lo:lo + width]
+            margin = np.maximum(t.max(axis=0), -t.min(axis=0))
+            if not (magnitude.min(axis=0) > guard + margin).all():
+                return None
         x = map_bits(node)
-        u_out[:, lo:lo + width] = polar_transform(x)
+        u_out[lo:lo + width] = _transform_rows(x)
         return x
 
     def rec(node: np.ndarray, lo: int) -> np.ndarray:
-        width = node.shape[1]
-        if width == 1:  # never a known leaf: rate0 takes those
-            leaf = node[:, 0] < (0.0 if thresholds is None else thresholds[:, lo])
-            u_out[:, lo] = leaf = leaf ^ bits[:, lo]
-            return leaf[:, None]
+        if len(node) == 1:  # never a known leaf: rate0 takes those
+            u_out[lo] ^= node[0] < (0.0 if thresholds is None else thresholds[lo])
+            return u_out[lo:lo + 1]
         x = rate1(node, lo)
         if x is not None:
             return x
-        half = width // 2
-        first, second = node[:, :half], node[:, half:]
+        half = len(node) // 2
+        first, second = node[:half], node[half:]
         v = rate0(lo, half)  # codeword of the first child
         if v is None:
             v = rec(_f_step(first, second, has_inf), lo)
         tail = rate0(lo + half, half)
         if tail is None:
             tail = rec(_g_step(first, second, v, has_inf), lo + half)
-        return np.concatenate([v ^ tail, tail], axis=1)
+        return np.concatenate([v ^ tail, tail])
 
     x = rec(llr, 0)
     del rec  # rec refers to itself; break the cycle so its buffers free now
-    return u_out, x
+    return u_out.T, x.T
 
 
 def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
@@ -365,16 +413,19 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None):
         fixed, bits, thresholds = _checked_plan(plan, n_blocks, block_len)
         if fixed.all():  # a rate-0 root reads no evidence
             return bits.copy(), polar_transform(bits)
+        llr = _blocks_last(lambda rows: _llrs(evidence[:, rows])[0][0],
+                           n_blocks, block_len)
+        has_inf = not np.isfinite(llr).all()
     else:
         u = checked_bits(known, "known")
         if u.shape != (n_blocks, block_len):
             raise ValueError(
                 f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")
-    llr, has_inf = _llrs(evidence)
+        llr, has_inf = _llrs(evidence)
     del evidence  # the pass reads only the LLRs: free the posteriors now
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:
-            return _depth_first(llr[0], has_inf, fixed, bits, thresholds)
+            return _depth_first(llr, has_inf, fixed, bits, thresholds)
         return _breadth_first(llr, has_inf, u, stats)
 
 
@@ -398,9 +449,12 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
     large as its memory budget allows.  The budget, 2^19 values, is one
     128-block pass at N=4096 (a lossy encode, a lossless decode or a
     lossy replay of both branches of an op), so such a pass is one walk,
-    and a walk's working set (its posteriors until they are freed, its
-    LLRs and the node arrays along one root-to-leaf path) never outgrows
-    that of a 2^19-value walk, whatever the batch.
+    and a walk's working set never outgrows that of a 2^19-value walk,
+    whatever the batch.  That set is its posteriors until they are freed,
+    then its blocks-last (N, B) arrays: the LLRs, the thresholds if any,
+    and the node arrays along one root-to-leaf path, which peak at the
+    root's f-step near 2.5 (3.5 with thresholds) float arrays of the
+    slice's size, 10.7 (14.7) MiB for 128 blocks at N=4096.
     """
     per_block = max(1, n_chains * block_len)
     budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES

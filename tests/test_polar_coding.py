@@ -454,6 +454,60 @@ class TestLossyCorrectionsChecked:
                 lattice_reconstruct(bad_codes, code, shared_seed=5)
 
 
+class TestCorrectionsAsSequences:
+    """A block's corrections may be any sequence of integer indices: an
+    empty one of any dtype, such as [] or () (np.asarray gives them
+    float64), holds none, and a duplicate within a block or an index
+    outside the decoder-decided set is refused."""
+
+    def test_lists_and_tuples_decode(self, profile_store):
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 64)
+        x, _ = channel.sample(6, 64, rng.stream(56, rng.STREAM_SOURCE))
+        code = sc_lossless_encode(x, channel, profile)
+        lengths = [len(c) for c in code.corrections]
+        assert 0 in lengths and max(lengths) > 0
+        for form in (list, tuple):
+            fixes = tuple(form(int(i) for i in c) for c in code.corrections)
+            assert () in fixes or [] in fixes
+            np.testing.assert_array_equal(sc_lossless_decode(
+                replace(code, corrections=fixes), channel, profile), x)
+
+    def test_scatter(self):
+        allowed = np.ones(8, dtype=bool)
+        allowed[0] = False
+        bits = np.ones((3, 8), dtype=np.uint8)
+        coding_module._scatter_corrections(
+            bits, ([], (), np.array([5, 3], np.uint64)), allowed)
+        want = np.zeros((3, 8), dtype=np.uint8)
+        want[:, 0] = 1  # outside allowed: left as it was
+        want[2, [3, 5]] = 1
+        np.testing.assert_array_equal(bits, want)
+        # the same index in two blocks is two corrections, not a duplicate
+        coding_module._scatter_corrections(bits, ([4], [4], ()), allowed)
+        want[2, [3, 5]] = 0
+        want[:2, 4] = 1
+        np.testing.assert_array_equal(bits, want)
+
+    @pytest.mark.parametrize("fixes,match", [
+        (([1, 1], [], []), "distinct"),
+        (((), [2, 6, 2], ()), "distinct"),
+        (([0], [], []), "decoder-decided"),
+        (([], [3], [8]), r"in \[0, 8\)"),
+        (([], [-1], []), r"in \[0, 8\)"),
+        (([1.0], [], []), "integer"),
+        (([True], [], []), "integer"),
+        (([[1]], [], []), "integer"),
+        ((np.array([2 ** 64 - 1], np.uint64), [], []), r"in \[0, 8\)"),
+    ])
+    def test_scatter_refuses(self, fixes, match):
+        allowed = np.ones(8, dtype=bool)
+        allowed[0] = False
+        with pytest.raises(ValueError, match=match):
+            coding_module._scatter_corrections(
+                np.zeros((3, 8), dtype=np.uint8), fixes, allowed)
+
+
 class TestDecoderBitAlphabet:
     """Decoders refuse stored bits and payloads outside {0, 1} rather than
     decoding them into blocks over a wider alphabet."""

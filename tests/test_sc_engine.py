@@ -2,8 +2,9 @@
 bitwise agreement of the breadth-first pass (one or two chains) and the
 one-chain depth-first pass on each chain, pruned depth-first passes
 against the engine's unpruned recursion along their output (with and
-without the thresholds of the leaf rule, and with per-block flips), each
-chain of C-chain evidence walked in its own pass, infinite and
+without the thresholds of the leaf rule, and with per-block flips, also at
+the batch sizes around the walk's transpose chunks), each chain of C-chain
+evidence walked in its own pass, the walk's peak memory, infinite and
 contradictory evidence, the leaf statistics and decisions read from LLRs
 against their pair formulas, the rounding thresholds, and lossless round
 trips whose uncertain positions are mostly decided by maximum posterior.
@@ -15,6 +16,7 @@ output u, every known leaf equals its bit and every other leaf equals
 depends only on the leaves before it."""
 
 import contextlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -397,6 +399,19 @@ class TestPrunedPass:
         _assert_pruning_exact(evidence, seed)
 
 
+@pytest.mark.parametrize("n_blocks", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("block_len", [1, 2, 4, 1024])
+@pytest.mark.parametrize("rounded", [False, True])
+def test_pruned_pass_at_batch_edges(n_blocks, block_len, rounded):
+    """The oracle, with and without thresholds, at batch sizes on both
+    sides of the sc._TRANSPOSE_ROWS-block chunks in which a walk moves its
+    inputs to the blocks-last layout, and at the smallest block lengths."""
+    assert sc_module._TRANSPOSE_ROWS == 64
+    seed = 3 * n_blocks + block_len + rounded
+    _assert_pruning_exact(_confidence_mix(1, n_blocks, block_len, seed), seed,
+                          rounded)
+
+
 def test_rate1_guard_at_a_posterior_tie():
     """The smallest node where the unguarded rate-1 shortcut is wrong: the
     tie's hard decision L < 0 says 0 where SC's codeword says 1, so the
@@ -742,6 +757,39 @@ class TestPlantedMargins:
         assert steps["f"] == (0 if above else 1)
         np.testing.assert_array_equal((u, x), _assert_plan_exact(evidence, *plan))
         np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
+
+
+def _traced_peak_mib(run) -> float:
+    """Peak traced memory of run(), NumPy buffers included, in MiB."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWalkMemory:
+    """A depth-first walk of 128 blocks at N=4096, the largest the coders
+    run (sc._BATCH_VALUES), every leaf decided by the leaf rule, with its
+    inputs made before tracing.  Its peak is the root's f-step (see the
+    sc module docstring), 10.8 MiB without thresholds and 14.8 MiB with
+    them before the walk held its arrays blocks last; it may grow by at
+    most 0.5 MiB, so the layout is made without a (B, N) LLR or threshold
+    array of the walk beside its (N, B) transpose, which would add 4 MiB."""
+
+    @pytest.mark.parametrize("rounded,limit", [(False, 10.8 + 0.5),
+                                               (True, 14.8 + 0.5)])
+    def test_walk_peak(self, rounded, limit):
+        assert sc_module._BATCH_VALUES == 128 * 4096
+        gen = np.random.default_rng(9)
+        evidence = _evidence("random", 1, 128, 4096, seed=9)
+        plan = (np.zeros(4096, dtype=bool), np.zeros((128, 4096), np.uint8))
+        if rounded:
+            plan += (_thresholds(gen.random((128, 4096))),)
+        peak = _traced_peak_mib(lambda: sc_traverse(evidence, _never, plan=plan))
+        assert peak < limit
 
 
 def _f_step_two_loops(a, b, has_inf):
