@@ -29,7 +29,7 @@ shares each SC pass; every block is coded exactly as it would be alone.
 
 Rates are measured per block, not assumed: every branch charges its code's
 PolarCode.rate_per_block, the sent bits (the lossless stored set or the
-lossy payload) plus log2(N) + 1 bits per recorded correction.  Every lossy
+lossy payload) plus log2(N) + 1 bits per flagged leaf.  Every lossy
 stage also replays the decoder path and verifies it reproduces the
 encoder-side reconstruction bit for bit, and every lossless branch is
 decoded and compared against the source exactly.
@@ -161,7 +161,7 @@ class _Stages:
             replay = sc_lossy_reconstruct(packed, channel, profile,
                                           shared_seed=self.seed, level=levels)
             check_replay(replay, recon, "lossy replay")
-            return list(zip(np.split(packed.rate_per_block(self.block_len), len(levels)),
+            return list(zip(np.split(packed.rate_per_block(), len(levels)),
                             np.split(recon, len(levels))))
 
         return _by_channel(branches, code)
@@ -176,7 +176,7 @@ class _Stages:
             packed = sc_lossless_encode(bits, channel, profile, side=side)
             decoded = sc_lossless_decode(packed, channel, profile, side=side)
             check_replay(decoded, bits, "lossless branch")
-            return np.split(packed.rate_per_block(self.block_len), len(sides))
+            return np.split(packed.rate_per_block(), len(sides))
 
         return _by_channel(branches, code)
 
@@ -211,7 +211,7 @@ def run_dsbs_pipeline(point, model: DsbsModel, block_len: int, seed: int, *,
                       n_blocks: int = 10, cache_dir=None, sample_count: int = 256,
                       construction_seed: int = 11) -> RunRecord:
     """Run one operating point for one seed over a batch of source blocks."""
-    check_run_size(block_len, n_blocks)
+    check_run_size(block_len, n_blocks, sample_count)
     stages = _Stages(block_len, seed, cache_dir, sample_count, construction_seed)
     x, y = model.sample(n_blocks, block_len, rng.stream(seed, rng.STREAM_SOURCE))
     # lossless points reconstruct exactly; lossy branches replace these

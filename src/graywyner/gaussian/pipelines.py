@@ -23,7 +23,7 @@ residual against the common reconstruction.
 
 Rates are measured per block, never formulas: the sum over the levels'
 codes of PolarCode.rate_per_block, the payload fraction plus log2(N) + 1
-bits per correction of a prior-decided index.  Every quantizer
+bits per flagged prior-decided index.  Every quantizer
 is replayed through the decoder path and must reproduce the encoder-side
 reconstruction bit for bit.  Payloads come from the decision-error rule
 (see polar.profile) alone, so they carry what is left of the partially
@@ -86,7 +86,7 @@ def _quantize_checked(samples, code, seed, stream_base=LATTICE_STREAM_BASE):
                                     stream_base=stream_base)
     replay = lattice_reconstruct(codes, code, shared_seed=seed, stream_base=stream_base)
     check_replay(replay, recon, "lattice replay")
-    return sum(level_code.rate_per_block(code.block_len) for level_code in codes), recon
+    return sum(level_code.rate_per_block() for level_code in codes), recon
 
 
 def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
@@ -100,7 +100,7 @@ def extract_common(target, block_len: int, seed: int, *, n_blocks: int = 10,
     chain comes from plan_chain on the reduced model; construction_seed and
     sample_count set its Monte Carlo construction, and cache_dir stores it.
     """
-    check_run_size(block_len, n_blocks)
+    check_run_size(block_len, n_blocks, sample_count)
     if isinstance(target, (GaussianPairModel, LGaussianModel)):
         model = target
         if isinstance(target, GaussianPairModel):
@@ -195,6 +195,7 @@ def refine_private_eps10(d1: float, d2: float, model: GaussianPairModel,
             f"({model.wyner_ci():.6g} bits)")
     w = common_run.common
     n_blocks, block_len = w.shape
+    check_run_size(block_len, n_blocks, sample_count)
     if block_len != common_run.block_len:
         raise ValueError("common_run reconstruction shape is inconsistent")
     gen = rng.stream(common_run.seed, rng.STREAM_SOURCE)

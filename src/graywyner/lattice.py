@@ -459,13 +459,13 @@ def lattice_reconstruct(codes, code: MultilevelLatticeCode, shared_seed: int,
 
     Each level runs the polar layer's one replay, which decides its
     frozen-deterministic indices by the prior evidence of its cosets,
-    flipped where the level's corrections say; levels without them need
-    no traversal there.  Every level's code must cover the same blocks.
+    flipped where the level's flags say; levels without them need no
+    traversal there.  Every level's code must cover the same blocks.
     stream_base as in lattice_quantize.
     """
     blocks = [len(level_code) for level_code in codes]
     if len(blocks) != code.levels or len(set(blocks)) != 1:
-        raise ValueError(f"expected {code.levels} per-level codes whose corrections "
+        raise ValueError(f"expected {code.levels} per-level codes whose flags "
                          f"cover the same blocks, got {blocks} blocks")
     labels = np.zeros((blocks[0], code.block_len), dtype=np.int64)
     for level, (profile, level_code) in enumerate(zip(code.profiles, codes), start=1):

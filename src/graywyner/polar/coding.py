@@ -2,9 +2,10 @@
 
 Both modes make one kind of code (PolarCode): it sends each block's leaf
 bits on one index set, and the decoder decides every other leaf by the
-sign rule (sc.map_bits) of one chain, flipped where the code's per-block
-corrections say.  Lossless mode sends the profile's stored set
-(stored_mask); its encoder knows every bit, so u is the transform of x.
+sign rule (sc.map_bits) of one chain xor the code's (B, N) flag matrix,
+which is 1 where that decision misses.  Lossless mode sends the profile's
+stored set (stored_mask); its encoder knows every bit, so u is the
+transform of x.
 
 Lossy mode sends the bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
@@ -22,22 +23,22 @@ every coded leaf rounds by the engine's leaf rule L < t, with threshold
 t = ln((1 - U)/U) from its rounding uniform U and no flip (_thresholds).
 Frozen-deterministic (D) indices (present only for nonuniform priors) are
 rounded too, so INFO versus D decides only whether a bit is sent or
-corrected: the decoder takes D leaves from the prior chain's sign,
-corrected where it differs from the encoder's bits.
+flagged: the decoder takes D leaves from the prior chain's sign,
+flipped where it differs from the encoder's bits.
 
 Both encoders build their code one way (_encode): the sent bits, and the
-corrections from one breadth-first pass of the decoder's chain along the
-encoder's bits, whose leaf LLRs are the decoder's, which flags the
-decoder-decided leaves where map_bits differs from the bits.  Each
-correction costs log2(N) + 1 bits (index plus flag, correction_bits) on
-top of the sent bits (PolarCode.rate_per_block).
+flags from one breadth-first pass of the decoder's chain along the
+encoder's bits, whose leaf LLRs are the decoder's, set at the
+decoder-decided leaves where map_bits differs from the bits.  Each flag
+is charged log2(N) + 1 bits (index plus flag, correction_bits) on top of
+the sent bits (PolarCode.rate_per_block).
 
 Both decoders rebuild one way (_decode), a one-chain replay without
 thresholds: the sent bits (stored bits; payload, over the dither) are
 known, and every decoder-decided leaf takes sc.map_bits of the chain xor
-a per-block correction, checked and scattered straight into the plan's
-bits by _scatter_corrections.  The lossless decoder's chain conditions on
-the side information; the lossy and lattice replays run the prior chain.
+its flag, checked and written straight into the plan's bits.  The
+lossless decoder's chain conditions on the side information; the lossy
+and lattice replays run the prior chain.
 Without decoder-decided leaves the replay transforms the bits, which
 equals the traversal output exactly.
 
@@ -77,85 +78,73 @@ class PolarCode:
 
     sent: (B, |sent|) uint8, each block's bits at the code's sent indices
         (the lossless stored set, or the lossy INFO set).
-    corrections: B int64 arrays, each block's distinct decoder-decided
-        indices whose map_bits decision the decoder must flip.
-    len(code) is its block count B, the length of corrections.
+    flags: (B, N) uint8, 1 at each decoder-decided leaf whose map_bits
+        decision the decoder must flip and 0 at every other leaf.
+    len(code) is its block count B, the rows of flags.
     """
 
     sent: np.ndarray
-    corrections: tuple
+    flags: np.ndarray
 
     @property
     def n_blocks(self) -> int:
-        return len(self.corrections)
+        return len(self.flags)
 
     def __len__(self) -> int:
         return self.n_blocks
 
-    def rate_per_block(self, block_len: int) -> np.ndarray:
+    @property
+    def corrections(self) -> tuple:
+        """Each block's flagged leaf indices, as B int64 arrays."""
+        return tuple(np.flatnonzero(row).astype(np.int64) for row in self.flags)
+
+    def rate_per_block(self) -> np.ndarray:
         """Bits per source symbol for each block: the sent bits plus
-        correction_bits(N) = log2(N) + 1 bits per correction."""
-        fixes = np.array([len(c) for c in self.corrections], dtype=float)
+        correction_bits(N) = log2(N) + 1 bits per flag."""
+        block_len = np.shape(self.flags)[1]
+        fixes = np.count_nonzero(self.flags, axis=1)
         return (self.sent.shape[1] + fixes * correction_bits(block_len)) / block_len
 
 
 def _encode(u, sent_mask, decided_mask, chain) -> PolarCode:
     """The code of the (B, N) uint8 leaf bits u: its bits at the (N,) bool
-    sent_mask, and per block the int64 indices inside decided_mask where
-    map_bits of the decoder's chain along u differs from u, the leaves a
-    decoder deciding them by sign must flip.  No pass runs for an empty
+    sent_mask, and flags at the leaves inside decided_mask where map_bits
+    of the decoder's chain along u differs from u, the leaves a decoder
+    deciding them by sign must flip.  No pass runs for an empty
     decided_mask."""
     n_blocks, block_len = u.shape
-    wrong = np.zeros((n_blocks, block_len), dtype=bool)
+    flags = np.zeros((n_blocks, block_len), dtype=np.uint8)
     if decided_mask.any():
         def guesses(llr, start, stop):
-            wrong[start:stop] = (map_bits(llr[0]) != u[start:stop]) & decided_mask
+            flags[start:stop] = (map_bits(llr[0]) != u[start:stop]) & decided_mask
 
         traverse_batches((chain,), n_blocks, block_len, guesses, known=u)
-    return PolarCode(u[:, sent_mask],
-                     tuple(np.flatnonzero(row).astype(np.int64) for row in wrong))
-
-
-def _scatter_corrections(bits, corrections, allowed) -> None:
-    """Write the corrections into the (n_blocks, N) uint8 bits in place:
-    0 at every leaf of the (N,) bool mask allowed, 1 at every corrected
-    one.  ValueError unless each of the n_blocks entries of corrections
-    holds distinct integer indices inside allowed (an empty sequence of
-    any dtype holds none)."""
-    n_blocks, block_len = bits.shape
-    bits[:, allowed] = 0
-    rows = [np.asarray(idx) for idx in corrections]
-    if any(idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer))
-           for idx in rows):
-        raise ValueError(f"corrections must be integer indices in [0, {block_len})")
-    # unsafe: uint64 indices past the int64 range wrap negative, out of range
-    flat = np.concatenate([np.empty(0, np.int64)] + rows, dtype=np.int64,
-                          casting="unsafe")
-    if np.any((flat < 0) | (flat >= block_len)):
-        raise ValueError(f"corrections must be integer indices in [0, {block_len})")
-    blocks = np.repeat(np.arange(n_blocks), [idx.size for idx in rows])
-    if (not allowed[flat].all()
-            or np.unique(blocks * block_len + flat).size != flat.size):
-        raise ValueError("corrections must name distinct decoder-decided indices")
-    bits[blocks, flat] = 1
+    return PolarCode(u[:, sent_mask], flags)
 
 
 def _decode(code: PolarCode, bits, sent_mask, decided_mask, chain) -> np.ndarray:
     """The codeword of a code over its (code.n_blocks, N) uint8 base bits,
     which it overwrites: code.sent at the (N,) bool sent_mask, and the
-    corrections at decided_mask.  The replay is a one-chain plan: leaves
-    in decided_mask take map_bits of the chain xor their corrections, and
-    every other leaf is known; without decided leaves, the transform of
-    the bits.  ValueError unless code.sent is a (code.n_blocks, |sent|)
-    array of bits and the corrections are well formed."""
-    sent = np.asarray(code.sent)
+    flags at decided_mask.  The replay is a one-chain plan: leaves in
+    decided_mask take map_bits of the chain xor their flags, and every
+    other leaf is known; without decided leaves, the transform of the
+    bits.  ValueError unless code.sent is a (code.n_blocks, |sent|) array
+    of bits and code.flags a (code.n_blocks, N) array of bits that are 0
+    outside decided_mask."""
+    sent, flags = np.asarray(code.sent), np.asarray(code.flags)
     n_blocks, block_len = bits.shape
     shape = (n_blocks, int(sent_mask.sum()))
     if sent.shape != shape:
         raise ValueError(f"sent must have shape {shape}, one row per block of "
-                         f"corrections, got {sent.shape}")
+                         f"flags, got {sent.shape}")
+    if flags.shape != bits.shape:
+        raise ValueError(f"flags must have shape {bits.shape}, one flag per leaf, "
+                         f"got {flags.shape}")
+    flags = checked_bits(flags, "flags")
+    if flags[:, ~decided_mask].any():
+        raise ValueError("flags must be 0 outside the decoder-decided leaves")
     bits[:, sent_mask] = checked_bits(sent, "sent")
-    _scatter_corrections(bits, code.corrections, decided_mask)
+    np.copyto(bits, flags, where=decided_mask)
     if not decided_mask.any():
         return polar_transform(bits)
     if chain is None:
@@ -200,7 +189,8 @@ def _side_symbols(channel, side, shape):
 def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
                        profile: PolarProfile, side=None) -> PolarCode:
     """Compress blocks x (B, N) of the channel's coded variable into a code
-    that sends the bits at profile.stored_mask() and corrects the rest."""
+    that sends the bits at profile.stored_mask() and flags the decoder's
+    misses on the rest."""
     _check_pairing(channel, profile)
     x = np.asarray(x)
     if x.ndim != 2:
@@ -296,7 +286,7 @@ def sc_lossy_encode(obs: np.ndarray, channel: BinarySourceWithSideInfo,
 
     obs: (B, N) side-information symbols (the thing being compressed).
     code: the PolarCode that sends each block's bits at the INFO indices
-        and corrects the frozen-deterministic indices where the decoder's
+        and flags the frozen-deterministic indices where the decoder's
         prior-chain decision misses.
     reconstruction: (B, N) coded-variable blocks, identical to what
         sc_lossy_reconstruct produces from the code.

@@ -45,8 +45,8 @@ def philox(seed: int, stream_id: int, block: int = 0) -> np.random.Generator:
     The counter addressing makes draws for distinct blocks independent and
     order-free: requesting block 7 first and block 3 later yields the same
     values as the opposite order.  seed and stream_id must be integers in
-    [0, 2**64) and block a nonnegative integer (NumPy integer types count,
-    bool does not); anything else raises ValueError.
+    [0, 2**64) and block an integer in [0, 2**186) (NumPy integer types
+    count, bool does not); anything else raises ValueError.
     """
     for name, value in (("seed", seed), ("stream_id", stream_id), ("block", block)):
         # a float or bool would silently address the stream of another integer
@@ -57,9 +57,12 @@ def philox(seed: int, stream_id: int, block: int = 0) -> np.random.Generator:
         raise ValueError("seed, stream_id and block must be nonnegative")
     if seed >= 1 << 64 or stream_id >= 1 << 64:
         raise ValueError("seed and stream_id must be below 2**64")
-    bg = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
-    bg.advance(block << 70)  # jump to a per-block segment of 2**70 draws
-    return np.random.Generator(bg)
+    # each block starts a segment of 2**70 steps of the 256-bit counter, so
+    # 2**186 blocks fill it; a larger one would wrap onto a smaller block
+    if block >= 1 << 186:
+        raise ValueError(f"block must be below 2**186, got {block}")
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream_id], dtype=np.uint64), counter=block << 70))
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -182,6 +182,13 @@ class TestRunContract:
         with pytest.raises(ValueError, match="n_blocks must be an integer"):
             run(PointG(), model, cache_dir, blocks=blocks)
 
+    @pytest.mark.parametrize("count", [True, 32.0, -3, 0])
+    def test_bad_sample_count_rejected(self, model, cache_dir, count):
+        """A bool, float or nonpositive construction sample count is
+        refused up front, not by NumPy inside the construction."""
+        with pytest.raises(ValueError, match="sample_count must be"):
+            run(PointG(), model, cache_dir, sample_count=count)
+
     @pytest.mark.parametrize("n", [0, 12, 64.0])
     def test_block_length_must_be_a_power_of_two(self, model, cache_dir, n):
         """N = 0 used to divide by zero in the payload margin."""

@@ -99,6 +99,13 @@ class TestPairRoute:
         with pytest.raises(ValueError, match="n_blocks must be an integer"):
             pair_run(cache_dir, blocks=blocks)
 
+    @pytest.mark.parametrize("count", [True, 32.0, -3, 0])
+    def test_bad_sample_count_rejected(self, cache_dir, count):
+        """A bool, float or nonpositive construction sample count is
+        refused up front, not by NumPy inside the lattice build."""
+        with pytest.raises(ValueError, match="sample_count must be"):
+            pair_run(cache_dir, blocks=2, sample_count=count)
+
     @pytest.mark.parametrize("n", [0, 12, 64.0])
     def test_block_length_must_be_a_power_of_two(self, n):
         with pytest.raises(ValueError, match="block"):
@@ -264,6 +271,14 @@ class TestRefineRoute:
         ref = refine_private_eps10(0.1, 0.1, PM8, run, cache_dir=str(cache_dir))
         with pytest.raises(ValueError, match="pair-route"):
             refine_private_eps10(0.1, 0.1, PM8, ref, cache_dir=str(cache_dir))
+
+    @pytest.mark.parametrize("count", [True, 32.0, -3, 0])
+    def test_bad_sample_count_rejected(self, cache_dir, count):
+        run = extract_common(PM8, 256, 2, n_blocks=2, sample_count=16,
+                             cache_dir=str(cache_dir))
+        with pytest.raises(ValueError, match="sample_count must be"):
+            refine_private_eps10(0.1, 0.1, PM8, run, sample_count=count,
+                                 cache_dir=str(cache_dir))
 
     def test_run_of_another_model_refused(self, cache_dir):
         # the residuals would be taken against the wrong source blocks

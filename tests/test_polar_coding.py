@@ -1,11 +1,11 @@
-"""Coding-layer tests: exact lossless round trips, corrections accounting,
+"""Coding-layer tests: exact lossless round trips, flag accounting,
 shared-dither batch independence, encoder/decoder reconstruction agreement
 on both the fast path (uniform prior) and the prior-chain path, the
 coders' rate-1 shortcuts (no output moves with the batch), decoders that
 ask no leaf of a callback (lossless decoding and lossy and lattice replay
-are one replay), the refusal of malformed blocks and codes, stacked twin
-branches that code every row as it would be coded alone, and bounded
-depth-first walks."""
+are one replay), the refusal of malformed blocks, codes and flags,
+stacked twin branches that code every row as it would be coded alone, and
+bounded depth-first walks."""
 
 import sys
 import weakref
@@ -26,6 +26,7 @@ from graywyner.lattice import (
 )
 from graywyner.polar import (
     CLASS_FROZEN_DETERMINISTIC,
+    CLASS_INFO,
     PolarCode,
     crossover_side_info,
     lossless_source,
@@ -35,7 +36,6 @@ from graywyner.polar import (
     sc_lossy_encode,
     sc_lossy_reconstruct,
 )
-from graywyner.polar import coding as coding_module
 from graywyner.polar import profile as profile_module
 from graywyner.polar import sc as sc_module
 from graywyner.polar import test_channel_source as make_quantizer_source
@@ -59,11 +59,9 @@ def storing(profile, fraction):
 
 
 def assert_same_code(got, want, rows=slice(None)):
-    """got equals the rows of want: the same sent bits and corrections."""
+    """got equals the rows of want: the same sent bits and flags."""
     np.testing.assert_array_equal(got.sent, want.sent[rows])
-    for got_fixes, want_fixes in zip(got.corrections, want.corrections[rows],
-                                     strict=True):
-        np.testing.assert_array_equal(got_fixes, want_fixes)
+    np.testing.assert_array_equal(got.flags, want.flags[rows])
 
 
 def bsc_forward(crossover):
@@ -93,7 +91,7 @@ class TestLossless:
         x, _ = channel.sample(4, 256, rng.stream(52, rng.STREAM_SOURCE))
         code = sc_lossless_encode(x, channel, profile)
         assert all(len(t) == 0 for t in code.corrections)
-        assert np.all(code.rate_per_block(256) == 1.0)
+        assert np.all(code.rate_per_block() == 1.0)
         np.testing.assert_array_equal(sc_lossless_decode(code, channel, profile), x)
 
     def test_rate_accounting(self, profile_store):
@@ -103,7 +101,7 @@ class TestLossless:
         code = sc_lossless_encode(x, channel, profile)
         stored = int(profile.stored_mask().sum())
         assert code.sent.shape == (4, stored)
-        per_block = code.rate_per_block(256)
+        per_block = code.rate_per_block()
         fixes = np.array([len(t) for t in code.corrections])
         np.testing.assert_allclose(
             per_block, (stored + fixes * (np.log2(256) + 1)) / 256)
@@ -219,22 +217,23 @@ class TestLossyNonuniformPrior:
         np.testing.assert_array_equal(rec_b, rec_all[3:])
 
     def test_corrections_flip_the_prior_decisions(self, profile_store):
-        """Corrections name distinct D indices, and the replay without them
-        differs from the encoder's reconstruction in exactly the blocks
-        that have some."""
+        """Flags are bits set at D indices only, corrections lists each
+        block's flagged indices, and the replay without flags differs from
+        the encoder's reconstruction in exactly the blocks that have some."""
         channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
         profile = profile_store(channel, 1024)
         _, obs = channel.sample(32, 1024, rng.stream(71, rng.STREAM_SOURCE))
         code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=85)
         deterministic = profile.classes == CLASS_FROZEN_DETERMINISTIC
-        for idx in code.corrections:
-            assert idx.dtype == np.int64 and deterministic[idx].all()
-            assert np.unique(idx).size == idx.size
-        corrected = np.array([len(idx) > 0 for idx in code.corrections])
-        assert corrected.any()
-        none = tuple(np.empty(0, np.int64) for _ in code.corrections)
-        uncorrected = sc_lossy_reconstruct(replace(code, corrections=none), channel,
-                                           profile, shared_seed=85)
+        assert code.flags.dtype == np.uint8 and code.flags.shape == (32, 1024)
+        assert code.flags.max() == 1 and not code.flags[:, ~deterministic].any()
+        for row, idx in zip(code.flags, code.corrections, strict=True):
+            assert idx.dtype == np.int64
+            np.testing.assert_array_equal(idx, np.flatnonzero(row))
+        corrected = code.flags.any(axis=1)
+        uncorrected = sc_lossy_reconstruct(
+            replace(code, flags=np.zeros_like(code.flags)), channel, profile,
+            shared_seed=85)
         np.testing.assert_array_equal((uncorrected != recon).any(axis=1), corrected)
 
     def test_reconstruction_biased_toward_prior(self, profile_store):
@@ -258,7 +257,8 @@ class TestEmptyBatch:
         obs = np.zeros((0, 512), dtype=np.int64)
         code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=1)
         assert code.sent.shape == (0, len(profile.info_positions()))
-        assert code.corrections == () and len(code) == 0
+        assert code.flags.shape == (0, 512) and code.corrections == ()
+        assert len(code) == 0
         assert code.sent.dtype == recon.dtype == np.uint8
         assert recon.shape == (0, 512)
         rebuilt = sc_lossy_reconstruct(code, channel, profile, shared_seed=1)
@@ -373,7 +373,7 @@ class TestLosslessCodeShape:
         x, _ = channel.sample(2, 64, rng.stream(54, rng.STREAM_SOURCE))
         code = sc_lossless_encode(
             x, channel, storing(profile_store(channel, 64), stored_fraction))
-        assert any(len(t) for t in code.corrections) == (stored_fraction < 1.0)
+        assert code.flags.any() == (stored_fraction < 1.0)
         with pytest.raises(ValueError, match="sent"):
             sc_lossless_decode(code, channel,
                                storing(profile_store(channel, 32), stored_fraction))
@@ -383,21 +383,15 @@ class TestLosslessCodeShape:
         profile = profile_store(channel, 64)
         x, _ = channel.sample(2, 64, rng.stream(55, rng.STREAM_SOURCE))
         code = sc_lossless_encode(x, channel, profile)
-        mask = profile.stored_mask()
-        assert 0 < mask.sum() < 64
-        stored, decided = np.flatnonzero(mask), np.flatnonzero(~mask)
+        assert 0 < profile.stored_mask().sum() < 64
         bad_codes = {
             "sent": [replace(code, sent=code.sent[:, 1:]),
                      replace(code, sent=code.sent[:1]),
-                     replace(code, sent=code.sent[0])],
-            "corrections": [replace(code, corrections=(np.array([64]),) * 2),
-                            replace(code, corrections=(np.array([-1]),) * 2),
-                            replace(code, corrections=(np.array([3.0]),) * 2),
-                            # a stored bit is sent, not decided: nothing to
-                            # correct, though code.rate_per_block would charge it
-                            replace(code, corrections=(stored[:1],) * 2),
-                            # charged twice by code.rate_per_block, flipped once
-                            replace(code, corrections=(decided[[0, 0]],) * 2)],
+                     replace(code, sent=code.sent[0]),
+                     # the flags' rows are the code's blocks
+                     replace(code, flags=code.flags[:1])],
+            "flags must hold bits": [replace(code, flags=bad)
+                                     for bad in _odd_flags(code.flags)],
         }
         for match, codes in bad_codes.items():
             for bad in codes:
@@ -405,22 +399,18 @@ class TestLosslessCodeShape:
                     sc_lossless_decode(bad, channel, profile)
 
 
-def _bad_corrections(deterministic, n_blocks):
-    """Corrections a lossy decoder must refuse, for the (N,) D mask: a wrong
-    block count, indices outside [0, N), a float index, an index repeated
-    within a block and an index outside the D set."""
-    block_len = len(deterministic)
-    inside = np.flatnonzero(deterministic)
-    outside = np.flatnonzero(~deterministic)
-    per_block = [np.array([block_len]), np.array([-1]), inside[:1].astype(float),
-                 inside[[0, 0]], outside[:1]]
-    empty = np.empty(0, np.int64)
-    return ([(empty,) * (n_blocks - 1), (empty,) * (n_blocks + 1)]
-            + [(empty,) * (n_blocks - 1) + (idx,) for idx in per_block])
+def _odd_flags(flags):
+    """Non-bits in the (B, N) flags, which a uint8 cast would wrap or
+    truncate into bits: a -1 and a 0.5."""
+    negative = flags.astype(np.int64)
+    negative[0, 0] = -1
+    fraction = flags.astype(float)
+    fraction[1, 0] = 0.5
+    return [negative, fraction]
 
 
 class TestLossyCorrectionsChecked:
-    """The lossy and lattice replays refuse malformed corrections, as the
+    """The lossy and lattice replays refuse malformed flags, as the
     lossless decoder does (TestLosslessCodeShape)."""
 
     def test_inconsistent_lossy_corrections(self, profile_store):
@@ -430,9 +420,9 @@ class TestLossyCorrectionsChecked:
         code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=4)
         np.testing.assert_array_equal(
             sc_lossy_reconstruct(code, channel, profile, shared_seed=4), recon)
-        for bad in _bad_corrections(profile.classes == CLASS_FROZEN_DETERMINISTIC, 2):
-            with pytest.raises(ValueError, match="corrections"):
-                sc_lossy_reconstruct(replace(code, corrections=bad), channel, profile,
+        for bad in _odd_flags(code.flags):
+            with pytest.raises(ValueError, match="flags must hold bits"):
+                sc_lossy_reconstruct(replace(code, flags=bad), channel, profile,
                                      shared_seed=4)
 
     def test_inconsistent_lattice_corrections(self, cache_dir):
@@ -446,19 +436,84 @@ class TestLossyCorrectionsChecked:
         with pytest.raises(ValueError, match="per-level codes"):
             lattice_reconstruct(codes[:-1], code, shared_seed=5)
         level = next(k for k, p in enumerate(code.profiles) if has_deterministic(p))
-        deterministic = code.profiles[level].classes == CLASS_FROZEN_DETERMINISTIC
-        for bad in _bad_corrections(deterministic, 2):
-            bad_codes = (codes[:level] + (replace(codes[level], corrections=bad),)
+        for bad in _odd_flags(codes[level].flags):
+            bad_codes = (codes[:level] + (replace(codes[level], flags=bad),)
                          + codes[level + 1:])
-            with pytest.raises(ValueError, match="corrections"):
+            with pytest.raises(ValueError, match="flags must hold bits"):
                 lattice_reconstruct(bad_codes, code, shared_seed=5)
 
 
+def _flagged_code(kind, profile_store, cache_dir):
+    """(code, decode, sent, decided) for a decoder kind: a two-block code,
+    the decoder's map from such a code to its blocks, and the (N,) sent
+    and decoder-decided masks.  A lattice code is the level code of its
+    first level with decoder-decided leaves, the others held."""
+    if kind == "lossless":
+        channel = lossless_source(0.11)
+        profile = profile_store(channel, 64)
+        x, _ = channel.sample(2, 64, rng.stream(55, rng.STREAM_SOURCE))
+        stored = profile.stored_mask()
+
+        def decode(code):
+            return sc_lossless_decode(code, channel, profile)
+        return sc_lossless_encode(x, channel, profile), decode, stored, ~stored
+    if kind == "lossy":
+        channel = make_quantizer_source(0.2, bsc_forward(0.1), name="skewed-quantizer")
+        profile = profile_store(channel, 512)
+        _, obs = channel.sample(2, 512, rng.stream(80, rng.STREAM_SOURCE))
+        code, _ = sc_lossy_encode(obs, channel, profile, shared_seed=4)
+
+        def decode(code):
+            return sc_lossy_reconstruct(code, channel, profile, shared_seed=4)
+    else:
+        mmse = reduce_pair(GaussianPairModel(0.8)).mmse
+        lattice = build_multilevel_code(plan_chain(mmse), mmse, 512, sample_count=32,
+                                        seed=3, cache_dir=cache_dir)
+        samples = rng.stream(81, rng.STREAM_SOURCE).normal(size=(2, 512))
+        codes, _ = lattice_quantize(samples, lattice, shared_seed=5)
+        level = next(k for k, p in enumerate(lattice.profiles) if has_deterministic(p))
+        code, profile = codes[level], lattice.profiles[level]
+
+        def decode(code):
+            return lattice_reconstruct(codes[:level] + (code,) + codes[level + 1:],
+                                       lattice, shared_seed=5)
+    return (code, decode, profile.classes == CLASS_INFO,
+            profile.classes == CLASS_FROZEN_DETERMINISTIC)
+
+
+class TestFlagsChecked:
+    """Each decoder refuses flags that are not one bit per leaf of each
+    block, set at decoder-decided leaves only, and a code whose flags hold
+    no block while its sent bits hold two."""
+
+    @pytest.mark.parametrize("kind, case", [
+        (kind, case) for kind in ("lossless", "lossy", "lattice")
+        for case in ("shape", "two", "sent", "frozen", "no_blocks")
+        # a lossless code sends or decides every leaf
+        if (kind, case) != ("lossless", "frozen")])
+    def test_refused(self, profile_store, cache_dir, kind, case):
+        code, decode, sent, decided = _flagged_code(kind, profile_store, cache_dir)
+        decode(code)
+        flags = code.flags.copy()
+        match = "outside the decoder-decided"
+        if case == "shape":
+            flags, match = flags[:, 1:], "flags must have shape"
+        elif case == "two":
+            flags[1, np.flatnonzero(decided)[0]] = 2
+            match = r"flags must hold bits in \{0, 1\}"
+        elif case == "no_blocks":
+            flags = flags[:0]
+            match = "same blocks" if kind == "lattice" else "sent must have shape"
+        else:
+            leaves = np.flatnonzero(sent if case == "sent" else ~(sent | decided))
+            flags[0, leaves[0]] = 1
+        with pytest.raises(ValueError, match=match):
+            decode(replace(code, flags=flags))
+
+
 class TestCorrectionsAsSequences:
-    """A block's corrections may be any sequence of integer indices: an
-    empty one of any dtype, such as [] or () (np.asarray gives them
-    float64), holds none, and a duplicate within a block or an index
-    outside the decoder-decided set is refused."""
+    """A code's flags may be any nested sequence of bits: lists and tuples
+    decode as the array does, and count and list the same corrections."""
 
     def test_lists_and_tuples_decode(self, profile_store):
         channel = lossless_source(0.11)
@@ -468,44 +523,15 @@ class TestCorrectionsAsSequences:
         lengths = [len(c) for c in code.corrections]
         assert 0 in lengths and max(lengths) > 0
         for form in (list, tuple):
-            fixes = tuple(form(int(i) for i in c) for c in code.corrections)
-            assert () in fixes or [] in fixes
-            np.testing.assert_array_equal(sc_lossless_decode(
-                replace(code, corrections=fixes), channel, profile), x)
-
-    def test_scatter(self):
-        allowed = np.ones(8, dtype=bool)
-        allowed[0] = False
-        bits = np.ones((3, 8), dtype=np.uint8)
-        coding_module._scatter_corrections(
-            bits, ([], (), np.array([5, 3], np.uint64)), allowed)
-        want = np.zeros((3, 8), dtype=np.uint8)
-        want[:, 0] = 1  # outside allowed: left as it was
-        want[2, [3, 5]] = 1
-        np.testing.assert_array_equal(bits, want)
-        # the same index in two blocks is two corrections, not a duplicate
-        coding_module._scatter_corrections(bits, ([4], [4], ()), allowed)
-        want[2, [3, 5]] = 0
-        want[:2, 4] = 1
-        np.testing.assert_array_equal(bits, want)
-
-    @pytest.mark.parametrize("fixes,match", [
-        (([1, 1], [], []), "distinct"),
-        (((), [2, 6, 2], ()), "distinct"),
-        (([0], [], []), "decoder-decided"),
-        (([], [3], [8]), r"in \[0, 8\)"),
-        (([], [-1], []), r"in \[0, 8\)"),
-        (([1.0], [], []), "integer"),
-        (([True], [], []), "integer"),
-        (([[1]], [], []), "integer"),
-        ((np.array([2 ** 64 - 1], np.uint64), [], []), r"in \[0, 8\)"),
-    ])
-    def test_scatter_refuses(self, fixes, match):
-        allowed = np.ones(8, dtype=bool)
-        allowed[0] = False
-        with pytest.raises(ValueError, match=match):
-            coding_module._scatter_corrections(
-                np.zeros((3, 8), dtype=np.uint8), fixes, allowed)
+            flags = form(form(int(f) for f in row) for row in code.flags)
+            seq = replace(code, flags=flags)
+            assert len(seq) == 6
+            np.testing.assert_array_equal(seq.rate_per_block(),
+                                          code.rate_per_block())
+            for got, want in zip(seq.corrections, code.corrections, strict=True):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                sc_lossless_decode(seq, channel, profile), x)
 
 
 class TestDecoderBitAlphabet:
@@ -686,7 +712,7 @@ class TestGroupedBranches:
         with pytest.raises(ValueError, match="equal groups"):
             sc_lossy_encode(obs, channel, profile, shared_seed=89, level=level)
         code = PolarCode(np.zeros((blocks, len(profile.info_positions())), dtype=np.uint8),
-                         tuple(np.empty(0, np.int64) for _ in range(blocks)))
+                         np.zeros((blocks, 1024), dtype=np.uint8))
         with pytest.raises(ValueError, match="equal groups"):
             sc_lossy_reconstruct(code, channel, profile, shared_seed=89, level=level)
 

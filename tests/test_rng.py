@@ -42,3 +42,40 @@ def test_numpy_integers_accepted():
         assert not np.array_equal(got, expected)
     np.testing.assert_array_equal(rng.stream(np.uint64(3), 1).random(8),
                                   rng.stream(3, 1).random(8))
+
+
+# first draws at fixed (seed, stream_id, block) addresses, recorded when
+# blocks were reached by advancing a block-0 generator; the last two
+# addresses lie beyond 2**64
+PINNED_DRAWS = [
+    ((0, rng.STREAM_SOURCE, 0),
+     [0.8133540609793564, 0.7513314251083365, 0.6716490436969984],
+     [0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1]),
+    ((7, rng.STREAM_ROUNDING, 4095),
+     [0.8426693019711485, 0.48003017888432953, 0.20094041178143585],
+     [0, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0]),
+    ((11, rng.substream(rng.STREAM_DITHER, 2), 2 ** 64 + 5),
+     [0.9586069261896877, 0.3372949536829646, 0.6087859118316493],
+     [0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0]),
+    ((2 ** 64 - 1, rng.STREAM_NOISE, 2 ** 185 + 1),
+     [0.9195232299451098, 0.6269622463483194, 0.400474509452699],
+     [1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("address, uniforms, bits", PINNED_DRAWS)
+def test_block_addresses_draw_pinned_values(address, uniforms, bits):
+    assert rng.block_uniforms(*address, 3).tolist() == uniforms
+    assert rng.block_bits(*address, 16).tolist() == bits
+
+
+def test_blocks_past_the_counter_refused():
+    """A block at or above 2**186 would wrap the counter onto a smaller
+    block's draws; it is refused instead."""
+    last = rng.block_uniforms(7, 1, 2 ** 186 - 1, 8)
+    assert not np.array_equal(last, rng.block_uniforms(7, 1, 0, 8))
+    for block in (2 ** 186, 2 ** 186 + 3, 2 ** 300):
+        with pytest.raises(ValueError, match=r"below 2\*\*186"):
+            rng.block_uniforms(7, 1, block, 8)
+        with pytest.raises(ValueError, match=r"below 2\*\*186"):
+            rng.philox(7, 1, block)
