@@ -194,6 +194,13 @@ def plan_chain(mmse: MmseParams) -> PartitionChainSpec:
 # per-level evidence
 # ---------------------------------------------------------------------------
 
+# the coset sums' stopping exponent, exp's subnormal edge and the clamp
+# applied past it (see _coset_llr)
+_NEGLIGIBLE = 40.0
+_SUBNORMAL = 708.0
+_CLAMP = -700.0
+
+
 def _coset_llr(centers, sigma, offsets, step):
     """ln W0 - ln W1, where W_w sums exp(-(m - centers)^2 / (2 sigma^2)) over
     the coset m in offsets + step*w + 2*step*Z.
@@ -205,36 +212,62 @@ def _coset_llr(centers, sigma, offsets, step):
     term is exp of a nonpositive number and each relative sum is at least
     1: there is no running maximum, and the log-ratio stays finite even when
     the other coset's weight is far below the float range (step >> sigma).
-    Each sum takes every point within 9.5 sigma of the center: the points
-    left out weigh below 1e-19 of the nearest one, under half a rounding
-    unit of a sum that is at least 1.
+    Each sum adds the points 2 step i either side of its nearest point as
+    pairs, i = 1, 2, ..., and stops before the first pair whose larger term
+    is below e^-40 wherever the center lies: its anchor lies within step/2
+    (nearest coset) or step (other coset) of the center, so that term is at
+    most exp(-2 step i (step i - reach) / sigma^2) for that reach.  Such a
+    pair, and every later one, weighs under half a rounding unit of a sum
+    that is at least 1, so adding it would leave the sum's bits unchanged.
+    For the same reason, where a pair's smaller exponent can pass -708,
+    exp's slow subnormal range, exponents are clamped at -700: a term
+    there is absorbed whether it is e^-700 or smaller.
     """
-    k0 = np.rint((centers - offsets) / step).astype(np.int64)
-    near = offsets + step * k0 - centers
-    odd = (k0 & 1).astype(bool)
-    far = near - np.copysign(step, near)
+    # the evaluation order of the plain expressions, with their temporaries
+    # kept in a few buffers: near = offsets + step k0 - centers
+    near = np.asarray(centers - offsets, dtype=np.float64)
+    near /= step
+    np.rint(near, out=near)
+    k0 = near.astype(np.int64)
+    near *= step
+    near += offsets
+    near -= centers
+    far, llr, up, down, slope = (np.empty_like(near) for _ in range(5))
+    np.copysign(step, near, out=far)
+    np.subtract(near, far, out=far)
     inv = -1.0 / (2.0 * sigma * sigma)
-    llr = inv * (near * near - far * far)
+    np.multiply(near, near, out=llr)
+    llr -= np.multiply(far, far, out=up)
+    llr *= inv
     # a coset point at 2 step i from the nearest one, a, has exponent
     # inv ((a + 2 step i)^2 - a^2) = i slope + i^2 curve <= 0
     curve = 4.0 * inv * step * step
-    up = np.empty_like(near)
-    down = np.empty_like(near)
     sums = []
-    for anchor in (near, far):
-        slope = (4.0 * inv * step) * anchor
+    for anchor, reach in ((near, 0.5 * step), (far, step)):
+        np.multiply(anchor, 4.0 * inv * step, out=slope)
         total = np.ones_like(anchor)
-        for i in range(1, int(math.ceil(9.5 * sigma / (2.0 * step))) + 1):
+        i = 1
+        while 2.0 * step * i * (step * i - reach) <= _NEGLIGIBLE * sigma * sigma:
             shift = curve * (i * i)
             np.multiply(slope, i, out=up)
             np.subtract(shift, up, out=down)
             up += shift
+            if 2.0 * step * i * (step * i + reach) > _SUBNORMAL * sigma * sigma:
+                np.maximum(up, _CLAMP, out=up)
+                np.maximum(down, _CLAMP, out=down)
             # adding the +-i terms as one pair makes the sums of two cosets
             # mirrored about the center bitwise equal: an exact tie gives L = 0
             total += np.add(np.exp(up, out=up), np.exp(down, out=down), out=up)
+            i += 1
         sums.append(total)
-    llr += np.log(sums[0] / sums[1])
-    return np.where(odd, -llr, llr)
+    ratio = np.divide(sums[0], sums[1], out=sums[0])
+    llr += np.log(ratio, out=ratio)
+    # negate where the nearest point's index is odd, exactly, by flipping
+    # the sign bit: k0 << 63 moves k0's parity bit there (np.where with a
+    # random mask runs several times slower)
+    k0 <<= 63
+    llr.view(np.int64)[...] ^= k0
+    return llr
 
 
 def _coset_posteriors(centers, sigma, offsets, step):
@@ -267,7 +300,9 @@ def _level_evidence(chain, mmse, level, finer, samples=None):
                                  chain.base_scale * finer[start:stop], step)
 
     def prior(start, stop):
-        return table[finer[start:stop]]
+        # np.take gives the bytes of table[...] without fancy indexing's
+        # slow path for gathering rows of a 2-D table
+        return np.take(table, finer[start:stop], axis=0)
 
     return cond, prior
 

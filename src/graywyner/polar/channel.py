@@ -100,12 +100,14 @@ class BinarySourceWithSideInfo:
     def leaf_evidence(self, y: np.ndarray) -> np.ndarray:
         """Per-position posterior (..., 2) for observed side symbols y.
 
-        Integer symbols index the table in their own dtype, with no intp
-        copy; anything else is cast to intp first."""
+        The rows are gathered with np.take along the table's first axis,
+        which gives the bytes of table[y] several times faster than NumPy's
+        fancy indexing of a 2-D table; integer symbols go in as they are,
+        anything else is cast to intp first."""
         y = np.asarray(y)
         if y.dtype.kind not in "iu":
             y = y.astype(np.intp)
-        return self.conditional_table()[y]
+        return np.take(self.conditional_table(), y, axis=0)
 
     def prior_evidence(self, shape) -> np.ndarray:
         """Read-only broadcast array of the prior pair over the given shape."""

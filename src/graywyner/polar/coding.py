@@ -10,7 +10,9 @@ transform of x.
 Lossy mode sends the bits at the INFO indices.  Frozen-random
 indices take shared dither bits addressed by (shared seed, level, block),
 identical on both sides without communication and independent of batch
-size.  level may also be a tuple of G levels: the n_blocks rows of a call
+size; each level's rows of dither bits, and of rounding uniforms, come
+from one rng call over the call's range of blocks (_stream_matrix).
+level may also be a tuple of G levels: the n_blocks rows of a call
 then form G equal groups, and row r of group g draws its dither and
 rounding uniforms at (shared seed, level[g], block_offset + r), as a call
 on group g alone with level[g] would.  So branches that code with one
@@ -223,15 +225,16 @@ def _stream_matrix(draw, stream, shared_seed, level, n_blocks, block_offset,
                    block_len):
     """(n_blocks, N) draws, row r of group g at (shared_seed, substream
     level[g], block_offset + r) for a tuple level of G levels (n_blocks
-    rows in G equal groups), or at level itself for an integer level."""
+    rows in G equal groups), or at level itself for an integer level; one
+    draw call per level."""
     levels = level if isinstance(level, tuple) else (level,)
     if not levels or n_blocks % len(levels):
         raise ValueError(f"{n_blocks} blocks do not form {len(levels)} equal "
                          f"groups, one per level of {level!r}")
-    per_level = n_blocks // len(levels)
-    rows = [draw(shared_seed, rng.substream(stream, lv), block_offset + b, block_len)
-            for lv in levels for b in range(per_level)]
-    return np.stack(rows) if rows else np.empty((0, block_len))
+    blocks = rng.block_range(block_offset, n_blocks // len(levels))
+    groups = [draw(shared_seed, rng.substream(stream, lv), blocks, block_len)
+              for lv in levels]
+    return groups[0] if len(groups) == 1 else np.concatenate(groups)
 
 
 def _thresholds(uniforms: np.ndarray) -> np.ndarray:

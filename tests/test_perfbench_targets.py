@@ -112,6 +112,19 @@ def test_traced_lossy_op_counts_the_blocks_it_replays():
     assert encodes == replays == [n_blocks, 2 * n_blocks]
 
 
+def test_traced_lossy_op_records_one_rng_block_span_per_level():
+    """The coders draw each level's dither and rounding rows in one
+    rng.block call, and the tracer records it under the coder's span: W
+    codes one level and the refinement twins two, so the encoders make
+    2 and 4 calls (dither and rounding) and the replays 1 and 2."""
+    recorded = _traced(_dsbs_lossy_run)
+    calls = {name: [len(_children(recorded, s, "rng.block"))
+                    for s in recorded if s.name == name]
+             for name in ("lossy_encode", "lossy_reconstruct")}
+    assert calls == {"lossy_encode": [2, 4], "lossy_reconstruct": [1, 2]}
+    assert spans.layer_counts(recorded, 0)["rng.block_calls"] == 9
+
+
 def test_traced_lattice_replay_counts_the_levels():
     """The lattice.reconstruct span reports the level count of the lattice
     that the lattice.build span built."""

@@ -79,3 +79,85 @@ def test_blocks_past_the_counter_refused():
             rng.block_uniforms(7, 1, block, 8)
         with pytest.raises(ValueError, match=r"below 2\*\*186"):
             rng.philox(7, 1, block)
+
+
+# batched rows against the one-block calls, at offsets whose counters fill
+# one, two and three 64-bit words of the counter and at the last block
+BATCH_OFFSETS = [(0, 3), (2 ** 64, 3), (2 ** 100, 2), (2 ** 186 - 1, 1)]
+BATCH_LENGTHS = list(range(1, 10)) + [17, 4096]
+
+
+def generator_row(draw, seed, stream_id, block, n):
+    """One block's row as np.random.Generator draws it at the block's
+    counter: the definition the raw-word draws reproduce."""
+    gen = rng.philox(seed, stream_id, block)
+    if draw is rng.block_bits:
+        return gen.integers(0, 2, size=n, dtype=np.uint8)
+    return gen.random(n)
+
+
+@pytest.mark.parametrize("level", [2, (2, 0, 7)], ids=["integer", "tuple"])
+@pytest.mark.parametrize("offset, per_level", BATCH_OFFSETS,
+                         ids=["0", "2**64", "2**100", "2**186-1"])
+@pytest.mark.parametrize("n", BATCH_LENGTHS)
+def test_batched_rows_equal_one_block_rows(n, offset, per_level, level):
+    """_stream_matrix's rows, drawn one call per level, equal the rows of
+    one-block calls stacked in the documented order, and the Generator's
+    draws at those blocks."""
+    from graywyner.polar.coding import _stream_matrix
+
+    levels = level if isinstance(level, tuple) else (level,)
+    for draw, stream in ((rng.block_bits, rng.STREAM_DITHER),
+                         (rng.block_uniforms, rng.STREAM_ROUNDING)):
+        got = _stream_matrix(draw, stream, 9, level, per_level * len(levels),
+                             offset, n)
+        addresses = [(9, rng.substream(stream, lv), offset + b, n)
+                     for lv in levels for b in range(per_level)]
+        want = np.stack([draw(*address) for address in addresses])
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got, np.stack([generator_row(draw, *address) for address in addresses]))
+
+
+def test_range_rows_equal_one_block_rows():
+    blocks = range(2 ** 64 - 1, 2 ** 64 + 2)
+    for draw in (rng.block_bits, rng.block_uniforms):
+        np.testing.assert_array_equal(
+            draw(3, 5, blocks, 11), np.stack([draw(3, 5, b, 11) for b in blocks]))
+
+
+@pytest.mark.parametrize("level", [0, (1, 3)], ids=["integer", "tuple"])
+def test_empty_batch_keeps_the_dtypes(level):
+    from graywyner.polar.coding import _stream_matrix
+
+    bits = _stream_matrix(rng.block_bits, rng.STREAM_DITHER, 1, level, 0, 0, 64)
+    uniforms = _stream_matrix(rng.block_uniforms, rng.STREAM_ROUNDING, 1, level,
+                              0, 0, 64)
+    assert bits.shape == uniforms.shape == (0, 64)
+    assert bits.dtype == np.uint8 and uniforms.dtype == np.float64
+
+
+def test_batches_past_the_counter_refused():
+    from graywyner.polar.coding import _stream_matrix
+
+    for draw in (rng.block_bits, rng.block_uniforms):
+        with pytest.raises(ValueError, match=r"below 2\*\*186"):
+            draw(7, 1, range(2 ** 186 - 1, 2 ** 186 + 1), 8)
+        with pytest.raises(ValueError, match=r"below 2\*\*186"):
+            _stream_matrix(draw, rng.STREAM_DITHER, 7, 0, 2, 2 ** 186 - 1, 8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(7, 1, range(-1, 2), 8)
+
+
+@pytest.mark.parametrize("offset", [-1, True, 1.5, np.float64(2.0)],
+                         ids=["negative", "bool", "float", "numpy-float"])
+def test_bad_batch_offsets_refused(offset):
+    """An offset that is not a nonnegative integer is refused, as philox
+    refuses such a block, even for a batch without rows."""
+    from graywyner.polar.coding import _stream_matrix
+
+    for n_blocks in (0, 2):
+        with pytest.raises(ValueError, match="block must be"):
+            _stream_matrix(rng.block_bits, rng.STREAM_DITHER, 7, 0, n_blocks,
+                           offset, 8)
