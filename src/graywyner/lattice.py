@@ -343,15 +343,41 @@ class MultilevelLatticeCode:
         return float(sum(self.level_rates))
 
 
+# label rows drawn per pass of _window_labels, and the most thresholds it
+# counts with one comparison pass each; a longer CDF is binary searched
+_LABEL_ROWS = 32
+_COUNTED_THRESHOLDS = 64
+
+
+def _window_labels(cdf, gen, sample_count, block_len):
+    """(sample_count, block_len) labels of uniforms from gen: the number of
+    thresholds of cdf[:-1] below each U, which is searchsorted(cdf, U) for
+    every U <= cdf[-1] and the last label above it.  The CDF of a window's
+    pmf can end a few rounding units below 1, where a plain searchsorted
+    would give a label past the window.  A short CDF is counted with one
+    SIMD comparison per threshold, much faster than a binary search per
+    uniform, whose random keys defeat branch prediction; the uniforms come
+    _LABEL_ROWS rows at a time, the same values gen gives in one call."""
+    thresholds = cdf[:-1]
+    v = np.zeros((sample_count, block_len), dtype=np.min_scalar_type(len(cdf)))
+    for start in range(0, sample_count, _LABEL_ROWS):
+        rows = v[start:start + _LABEL_ROWS]
+        uniforms = gen.random(rows.shape)
+        if len(thresholds) > _COUNTED_THRESHOLDS:
+            rows[...] = np.searchsorted(thresholds, uniforms)
+            continue
+        for threshold in thresholds:
+            rows += uniforms > threshold
+    return v
+
+
 def _construction_stream(chain, mmse, block_len, sample_count, seed):
     """Label/sample pairs for construction; the exact recipe is part of the
     build_multilevel_code contract."""
     gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
-    cdf = np.cumsum(chain.window_pmf())
     # labels in the smallest dtype that holds them and samples built in the
     # noise buffer (x + y == y + x in floats), so the build holds few arrays
-    v = np.searchsorted(cdf, gen.random((sample_count, block_len))).astype(
-        np.min_scalar_type(len(cdf)))
+    v = _window_labels(np.cumsum(chain.window_pmf()), gen, sample_count, block_len)
     obs = gen.standard_normal((sample_count, block_len))
     obs *= math.sqrt(mmse.distortion)
     obs += chain.reconstruction_values()[v]
@@ -392,14 +418,18 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     prior together with noisy observations, exactly as::
 
         gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
-        v = np.searchsorted(np.cumsum(chain.window_pmf()),
-                            gen.random((sample_count, block_len)))
+        cdf = np.cumsum(chain.window_pmf())
+        u = gen.random((sample_count, block_len))
+        v = (u[..., None] > cdf[:-1]).sum(axis=-1)
         obs = (chain.reconstruction_values()[v]
                + gen.standard_normal((sample_count, block_len))
                * math.sqrt(mmse.distortion))
 
-    then runs one true-path construction per level, finest first, with the
-    conditional chain centered at alpha * obs and the prior chain at 0.
+    (v counts the CDF entries below u, searchsorted(cdf, u) wherever u <=
+    cdf[-1]: the cumulative sum may end a few rounding units below 1, and a
+    u above it takes the last label), then runs one true-path construction
+    per level, finest first, with the conditional chain centered at
+    alpha * obs and the prior chain at 0.
 
     The classes come from the decision-error rule (D where a prior-chain
     miss costs less than the bit) and the z rule (frozen-random where the

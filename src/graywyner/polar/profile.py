@@ -9,9 +9,20 @@ tree level, see sc.py) and the statistics of all leaves are taken at once:
 * the Bhattacharyya proxy z[i], the mean of 2 sqrt(p0 p1) = 1/cosh(L/2),
   0 for a perfectly decided bit and 1 for a perfectly uniform one;
 * the entropy proxy h[i], the mean of -log2 p(true bit) = log2(1 + e^(+-L)),
-  + for a true 1, whose sum over i telescopes to the exact block
-  log-likelihood (chain rule), a sharp check against closed-form entropies;
+  + for a true 1, whose sum over i telescopes to the block log-likelihood
+  (chain rule), a sharp check against closed-form entropies: exactly in a
+  float64 pass, and within float32 rounding in construction's passes;
 * the decision error e[i], how often sc.map_bits(L) misses the true bit.
+
+Construction's passes carry their LLRs in float32 (see sc.py): the leaf
+LLRs of the evidence are computed in float64, the tree is evaluated in
+float32 and the leaves return to float64 before the statistics are taken.
+Against a float64 pass, z and h move by float32 rounding of L (about 1e-7,
+far below the Monte Carlo noise of a few hundred blocks), and a decision
+moves only where L rounds to the other sign or to a tie, which happens at
+leaves whose law is close to uniform either way.  The coders' passes
+(polar/coding.py) stay in float64, so encoders and decoders replay each
+other bit for bit whatever the profile.
 
 construct_from_evidence does this for any coded variable given callables
 for its evidence; binary channels and lattice levels both supply them.  The
@@ -222,7 +233,7 @@ def _run_slices(work, fold, slices) -> None:
 
 
 def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
-                     plan=None, fold=None):
+                     plan=None, fold=None, *, dtype=np.float64):
     """SC passes over n_blocks blocks in bounded batch slices.
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
@@ -247,6 +258,10 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
     called (see sc_traverse).  Returns (u, x) over all blocks, as
     sc_traverse does.
 
+    dtype is the precision of the passes' LLRs (see sc_traverse):
+    construction's breadth-first passes run in float32, the coders' passes
+    in the float64 default, which a depth-first pass requires.
+
     Each kind of pass has its own slice budget (see sc.chunked_batches):
     breadth-first slices are cache-sized, so construction and the lossless
     encoder hold the evidence of a few blocks per thread at a time, while
@@ -266,7 +281,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
             out = []
             sc_traverse(evidence(start, stop),
                         lambda leaves, llr: out.append(stats(llr, start, stop)),
-                        known=known[start:stop])
+                        known=known[start:stop], dtype=dtype)
             return out[0]
 
         _run_slices(work, fold or (lambda _: None), slices)
@@ -278,7 +293,8 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
         # with it the posteriors sc_traverse frees, until the walk returns
         u[start:stop], x[start:stop] = sc_traverse(
             evidence(start, stop), None, plan=None if plan is None
-            else (plan[0],) + tuple(p[start:stop] for p in plan[1:]))
+            else (plan[0],) + tuple(p[start:stop] for p in plan[1:]),
+            dtype=dtype)
     return u, x
 
 
@@ -369,7 +385,7 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
             h_sum[:] += h[:, block]
 
     traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true,
-                     fold=add)
+                     fold=add, dtype=np.float32)
     z, h, e = z_sum / sample_count, h_sum / sample_count, miss_sum / sample_count
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform
         h = np.vstack([h, np.ones(block_len)])

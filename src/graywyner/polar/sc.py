@@ -47,6 +47,15 @@ There are two passes, chosen by the input:
   evaluated one level at a time over all nodes at once; ``stats`` is called
   once with the LLRs of every leaf.
 
+Each pass has its precision.  Every pass computes its leaf LLRs from the
+evidence in float64.  A depth-first pass walks in float64 only: its
+rate-1 guard below is proven for float64 steps, and the coders' decisions
+must replay bit for bit.  A breadth-first pass carries its LLRs in the
+``dtype`` it is given, float64 by default (the coders' flag passes) or
+float32 (construction's passes, whose f-steps then run about twice as
+fast on half the bytes).  The leaf LLRs are cast once to that dtype when
+the pass starts, and back to float64 for ``stats``.
+
 Each pass runs over the whole batch it is given, and turns its evidence
 into LLRs before it starts, so the posteriors are freed for the pass.
 Callers slice large batches with ``chunked_batches``, whose budget depends
@@ -107,7 +116,9 @@ nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
   constant prior evidence.
 
 Both passes build their leaf LLRs from the same elementwise f- and g-steps,
-so for the same bits they reach bitwise-identical leaf LLRs.
+so for the same bits a float64 breadth-first pass and a depth-first pass
+reach bitwise-identical leaf LLRs; a float32 pass reaches the same steps'
+float32 values, within float32 rounding of them.
 """
 
 from __future__ import annotations
@@ -136,8 +147,8 @@ def _llrs(evidence: np.ndarray):
 
 _LN2 = float(np.log(2.0))
 # the f-step caps t at 60 in its ln(1 + e^-t) terms, which keeps exp and
-# log1p off their slow underflow paths and moves a result by less than
-# 1e-25 of its size, far below one rounding unit
+# log1p off their slow underflow paths (e^-60 is a normal float32 too) and
+# moves a result by less than 1e-25 of its size, far below one rounding unit
 _TERM_CAP = 60.0
 # chains * blocks * N values per batch slice of chunked_batches: a
 # cache-sized slice for breadth-first passes, a large one for depth-first
@@ -160,9 +171,9 @@ def _f_step(a: np.ndarray, b: np.ndarray, has_inf: bool, out=None, work=None):
     last step reads again.
     """
     if out is None:
-        out = np.empty(a.shape)
+        out = np.empty_like(a)
     if work is None:
-        work = np.empty((2,) + a.shape)
+        work = np.empty((2,) + a.shape, dtype=a.dtype)
     sum_term, gap_term = work
     neg_near = out
     np.copysign(a, -1.0, out=sum_term)  # -|a|
@@ -190,8 +201,9 @@ def _g_step(a: np.ndarray, b: np.ndarray, v: np.ndarray, has_inf: bool,
     """b + a where the partial sum v is 0, b - a where it is 1, into out;
     work is an optional a.shape float scratch buffer."""
     if out is None:
-        out = np.empty(a.shape)
-    signed = np.multiply(v, -2.0, out=np.empty(a.shape) if work is None else work)
+        out = np.empty_like(a)
+    signed = np.multiply(v, -2.0, out=np.empty_like(a) if work is None else work,
+                         dtype=a.dtype)
     signed += 1.0
     signed *= a
     np.add(signed, b, out=out)
@@ -316,7 +328,7 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
     # every stage runs over the whole batch at once: traverse_batches hands
     # this pass slices of _GROUP_VALUES values, small enough for the node
     # arrays and the scratch buffers to stay in cache
-    work = np.empty((3, n_chains * n_blocks * block_len // 2))
+    work = np.empty((3, n_chains * n_blocks * block_len // 2), dtype=spare.dtype)
     width = block_len
     while width > 1:
         half, count = width // 2, block_len // width
@@ -338,7 +350,8 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
         del children
         width = half
     del spare, work  # free the buffers before stats makes its own
-    stats(slice(0, block_len), nodes.reshape(n_chains, n_blocks, block_len))
+    leaves = nodes.reshape(n_chains, n_blocks, block_len)
+    stats(slice(0, block_len), leaves.astype(float, copy=False))
     return u.copy(), codeword
 
 
@@ -376,7 +389,8 @@ def _checked_plan(plan, n_blocks: int, block_len: int):
     return known, bits, thresholds
 
 
-def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None):
+def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
+                dtype=np.float64):
     """Run one successive-cancellation pass over a batch of blocks.
 
     evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
@@ -395,6 +409,11 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None):
         outside the mask is decided as (L < t) xor its flip, t = 0 without
         thresholds (see the module docstring).  Without a plan every leaf
         is decided by its sign.
+    dtype: the float type a breadth-first pass carries its LLRs in, from
+        the float64 leaf LLRs of the evidence to the float64 LLRs handed
+        to stats: np.float64 (the default) or np.float32.  A depth-first
+        pass runs in float64 only, the precision its rate-1 guard is
+        proven for; ValueError for any other dtype there.
 
     Returns (u, x), both (blocks, N) uint8, where u collects the decided
     bits in leaf order and x is the corresponding codeword (u equals the
@@ -407,7 +426,12 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None):
         raise ValueError(f"block length must be a power of two, got {block_len}")
     if known is not None and plan is not None:
         raise ValueError("known selects the breadth-first pass, which takes no plan")
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype}")
     if known is None:
+        if dtype != np.float64:
+            raise ValueError(f"a depth-first pass runs in float64, got {dtype}")
         if n_chains != 1:
             raise ValueError(f"a depth-first pass walks one chain, got {n_chains}")
         fixed, bits, thresholds = _checked_plan(plan, n_blocks, block_len)
@@ -422,6 +446,7 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None):
             raise ValueError(
                 f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")
         llr, has_inf = _llrs(evidence)
+        llr = llr.astype(dtype, copy=False)  # |L| <= 745 or inf: no overflow
     del evidence  # the pass reads only the LLRs: free the posteriors now
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:

@@ -77,8 +77,8 @@ from graywyner.polar import test_channel_source as make_quantizer_source
 GOLDEN = "f8a872c3ee5c4ac654649d7a43130e9e89fea47bad604b7223de5d1d2c1611b4"
 GOLDEN_BATCH = "1ef5387858d927d5dc27ee2ed21c390f0ebb067c43870f8ad1da1c9ac954e8b9"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
-GOLDEN_PROFILES = "ea5da831bb0a2fc5dd40db1f8d8ee6b7afb5c0d89459155665d1a0293c3d4402"
-GOLDEN_CLASSES = "0bdf9a14ea14553722992fa643d4a8d0f3c248c62923a4a53c944ee9a75c1e94"
+GOLDEN_PROFILES = "2b8e41f0e7745514890c223838da45618fdb9646c0d9c80ba058e7ac6550bf5d"
+GOLDEN_CLASSES = "8485db70163b68d5e0d22061d8ad606c3f91591eafaec737a6e8e3763662b642"
 GOLDEN_CODES = "a434fb39e9dc0958f9b781575ccf8f9690625eee6b08c5b4c0a6ab8027ca1565"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",

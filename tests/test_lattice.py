@@ -21,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from graywyner import lattice as lattice_module
 from graywyner import rng
 from graywyner.gaussian import GaussianPairModel, reduce_pair
 from graywyner.lattice import (
@@ -93,7 +94,8 @@ def reproduce_construction_stream(chain, mmse, block_len, sample_count, seed):
     """The documented construction sampling recipe, reimplemented."""
     vals, pmf = window_pmf(chain)
     gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
-    v = np.searchsorted(np.cumsum(pmf), gen.random((sample_count, block_len)))
+    u = gen.random((sample_count, block_len))
+    v = (u[..., None] > np.cumsum(pmf)[:-1]).sum(axis=-1)
     noise = gen.standard_normal((sample_count, block_len))
     obs = vals[v] + noise * math.sqrt(mmse.sigma_s2 - mmse.sigma_r2)
     return v, vals[v], obs
@@ -534,6 +536,67 @@ class TestBuildMultilevelCode:
         bottom = eps2_code.profiles[-1]
         fd = np.sum(bottom.classes == CLASS_FROZEN_DETERMINISTIC)
         assert fd / bottom.block_len > 0.97
+
+
+class _TopUniforms:
+    """A construction generator whose every uniform is the largest double
+    below 1 and every normal 0."""
+
+    TOP = 1.0 - 2.0 ** -53
+
+    def random(self, shape):
+        return np.full(shape, self.TOP)
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+class TestConstructionLabels:
+    @pytest.mark.parametrize("rho", [0.1, 0.999])
+    def test_uniform_past_the_cdf_takes_the_last_label(self, rho, monkeypatch):
+        """The window CDFs of these chains end below 1 - 2^-53, so a
+        binary search would label the top uniform 2^levels, one past the
+        window, and the build would fail indexing the window's points."""
+        mmse = pair_mmse(rho)
+        chain = plan_chain(mmse)
+        assert np.cumsum(chain.window_pmf())[-1] < _TopUniforms.TOP
+        monkeypatch.setattr(rng, "stream", lambda seed, stream_id: _TopUniforms())
+        labels, obs = lattice_module._construction_stream(chain, mmse, 16, 40, 0)
+        np.testing.assert_array_equal(labels, (1 << chain.levels) - 1)
+        np.testing.assert_array_equal(obs, chain.reconstruction_values()[-1])
+        code = build_multilevel_code(chain, mmse, 16, sample_count=40, seed=0)
+        assert len(code.profiles) == chain.levels
+
+    @pytest.mark.parametrize("levels", [1, 4, 6, 7, 9])
+    def test_labels_are_the_binary_search_below_the_top(self, levels):
+        """Counted (up to 64 entries) and searched (past them) alike, the
+        labels are searchsorted's for every uniform up to the CDF's last
+        entry, ties with an entry included, in the dtype that holds
+        2^levels; a generator gives the uniforms of one call over all rows."""
+        chain = PartitionChainSpec(base_scale=12.0 / (1 << levels),
+                                   levels=levels, sigma_r=1.0)
+        cdf = np.cumsum(chain.window_pmf())
+        uniforms = np.random.default_rng(levels).random((70, 64))
+        uniforms[0, :len(cdf) - 1] = cdf[:-1][:64]
+        labels = lattice_module._window_labels(cdf, _Rows(uniforms), 70, 64)
+        assert labels.dtype == np.min_scalar_type(1 << levels)
+        np.testing.assert_array_equal(labels, np.searchsorted(cdf, uniforms))
+        drawn = lattice_module._window_labels(
+            cdf, np.random.default_rng(levels), 70, 64)
+        np.testing.assert_array_equal(drawn[1:], labels[1:])
+
+
+class _Rows:
+    """A generator whose uniforms are the rows of an array, in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.taken = uniforms, 0
+
+    def random(self, shape):
+        rows = self.uniforms[self.taken:self.taken + shape[0]]
+        self.taken += shape[0]
+        assert rows.shape == shape
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,16 @@ class TestDecisionErrors:
         crossover_side_info(0.17)], ids=["two-chain", "uniform-prior"])
     def test_errors_match_oracle_count(self, channel):
         """e is the rate at which map_bits of each chain's leaf LLR along the
-        true path misses the true bit, over the construction's own blocks."""
+        true path misses the true bit, over the construction's own blocks,
+        read from the float32 breadth-first pass construction runs."""
         profile = construct_profile(channel, 32, sample_count=40, seed=12)
         x, y = channel.sample(40, 32, rng.stream(12, rng.STREAM_CONSTRUCTION))
         u = polar_transform(x)
         chains = [c for c in channel_evidence(channel, y) if c is not None]
         seen = []
         sc_traverse(np.stack([chain(0, 40) for chain in chains]),
-                    lambda leaves, llr: seen.append(llr.copy()), known=u)
+                    lambda leaves, llr: seen.append(llr.copy()), known=u,
+                    dtype=np.float32)
         misses = (map_bits(seen[0]) != u).sum(axis=1)
         np.testing.assert_array_equal(profile.e_cond, misses[0] / 40)
         np.testing.assert_array_equal(
@@ -523,6 +525,35 @@ class TestSliceIndependence:
             assert len(got.corrections) == len(want.corrections)
             for a, b in zip(got.corrections, want.corrections):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestPassPrecision:
+    def test_construction_float32_coders_float64(self, monkeypatch):
+        """Construction's breadth-first passes carry float32 LLRs; the
+        coders' flag passes (lossy and lossless) and every depth-first walk
+        carry float64, so the coders' decisions keep their float64 bits."""
+        traverse = profile_module.sc_traverse
+        seen = set()
+
+        def recording(evidence, stats, **kwargs):
+            seen.add(("known" in kwargs, np.dtype(kwargs["dtype"]).name))
+            return traverse(evidence, stats, **kwargs)
+
+        monkeypatch.setattr(profile_module, "sc_traverse", recording)
+        channel = make_quantizer_source(0.2, np.array([[0.9, 0.1], [0.1, 0.9]]))
+        profile = construct_profile(channel, 64, sample_count=8, seed=1)
+        assert seen == {(True, "float32")}
+        seen.clear()
+        _, y = channel.sample(4, 64, rng.stream(2, rng.STREAM_SOURCE))
+        code, _ = sc_lossy_encode(y, channel, profile, shared_seed=3)
+        sc_lossy_reconstruct(code, channel, profile, shared_seed=3)
+        assert seen == {(True, "float64"), (False, "float64")}
+        side = crossover_side_info(0.11)
+        side_profile = construct_profile(side, 64, sample_count=8, seed=1)
+        seen.clear()
+        x, y = side.sample(4, 64, rng.stream(2, rng.STREAM_SOURCE))
+        sc_lossless_encode(x, side, side_profile, side=y)
+        assert seen == {(True, "float64")}
 
 
 def _traced_peak_mib(build) -> float:

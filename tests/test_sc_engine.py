@@ -33,6 +33,7 @@ from graywyner.polar import (
     sc_lossless_encode,
     sc_traverse,
 )
+from graywyner.polar import profile as profile_module
 from graywyner.polar import sc as sc_module
 from graywyner.polar.coding import _thresholds
 from graywyner.polar.profile import _leaf_statistics
@@ -94,10 +95,12 @@ def _never(*args):
     raise AssertionError("a depth-first pass called its second argument")
 
 
-def _node_llrs(evidence, u):
+def _node_llrs(evidence, u, dtype=np.float64):
     """{(lo, width): (chains, blocks, width) LLRs} of every node of the
-    unpruned tree along the decided bits u, from the engine's own steps."""
+    unpruned tree along the decided bits u, from the engine's own steps,
+    run in dtype on the evidence's float64 LLRs cast to it."""
     llr, has_inf = sc_module._llrs(evidence)
+    llr = llr.astype(dtype)
     nodes = {}
 
     def rec(node, lo):
@@ -115,10 +118,10 @@ def _node_llrs(evidence, u):
     return nodes
 
 
-def _leaf_llrs(evidence, u, nodes=None):
-    """(chains, blocks, N) leaf LLRs of the unpruned recursion along u, or
-    of its nodes (_node_llrs) if given."""
-    nodes = _node_llrs(evidence, u) if nodes is None else nodes
+def _leaf_llrs(evidence, u, nodes=None, dtype=np.float64):
+    """(chains, blocks, N) leaf LLRs of the unpruned recursion along u in
+    dtype, or of its nodes (_node_llrs) if given."""
+    nodes = _node_llrs(evidence, u, dtype) if nodes is None else nodes
     return np.concatenate([nodes[i, 1] for i in range(u.shape[1])], axis=-1)
 
 
@@ -139,13 +142,13 @@ def _depth_first_reads(chain, u, llr):
                for plan in plans)
 
 
-def _breadth_first_leaves(evidence, u):
+def _breadth_first_leaves(evidence, u, dtype=np.float64):
     seen = {}
 
     def stats(leaves, llr):
         seen["llr"] = llr
 
-    sc_traverse(evidence, stats, known=u)
+    sc_traverse(evidence, stats, known=u, dtype=dtype)
     return seen["llr"]
 
 
@@ -197,6 +200,28 @@ class TestAgainstPairReference:
         np.testing.assert_array_equal(breadth, _leaf_llrs(evidence, u))
         for c, chain in enumerate(_per_chain(evidence)):
             assert _depth_first_reads(chain, u, breadth[c])
+
+    def test_float32_pass(self, kind, n_chains, block_len):
+        """A float32 breadth-first pass (construction's) is the unpruned
+        recursion run in float32 on the float64 LLRs of the evidence, bit
+        for bit, and hands stats float64 LLRs within float32 rounding of
+        the float64 pass's, infinite L equal.  A node's |L| is at most
+        the sum of its leaves' evidence |L|, N max|L| at most, and each of
+        the log2(N) levels rounds it by at most a float32 unit (1.2e-7) of
+        that, so a g-step that cancels keeps an absolute error up to
+        log2(N) N max|L| 1.2e-7; elsewhere the error stays relative."""
+        evidence = _evidence(kind, n_chains, 5, block_len, seed=3 * block_len)
+        u = np.random.default_rng(block_len + 2).integers(
+            0, 2, (5, block_len)).astype(np.uint8)
+        single = _breadth_first_leaves(evidence, u, np.float32)
+        assert single.dtype == np.float64
+        np.testing.assert_array_equal(
+            single, _leaf_llrs(evidence, u, dtype=np.float32))
+        double = _breadth_first_leaves(evidence, u)
+        evidence_llr = np.abs(sc_module._llrs(evidence)[0])
+        reach = evidence_llr[np.isfinite(evidence_llr)].max() * block_len
+        np.testing.assert_allclose(single, double, rtol=1e-5, atol=1e-5 + (
+            np.log2(block_len) * reach * np.finfo(np.float32).eps))
 
 
 class TestPassesShareLeafLlrs:
@@ -519,6 +544,32 @@ class TestPlanChecked:
         u, x = sc_traverse(evidence, lambda leaves, llr: None, known=bits)
         np.testing.assert_array_equal(u, bits)
 
+    @pytest.mark.parametrize("dtype", [np.float32, "float32"])
+    def test_depth_first_pass_runs_in_float64(self, dtype):
+        """The rate-1 guard is proven for float64 steps, so a depth-first
+        pass given float32, with a plan or without one, rate-0 root
+        included, is refused, also through traverse_batches."""
+        evidence = np.full((1, 2, 8, 2), 0.5)
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        for plan in [None, (np.zeros(8, dtype=bool), bits),
+                     (np.ones(8, dtype=bool), bits)]:
+            with pytest.raises(ValueError, match="float64"):
+                sc_traverse(evidence, _never, plan=plan, dtype=dtype)
+        with pytest.raises(ValueError, match="float64"):
+            profile_module.traverse_batches(
+                (lambda start, stop: evidence[0, start:stop],), 2, 8, None,
+                dtype=dtype)
+        u, _ = sc_traverse(evidence, _never, plan=None, dtype=np.float64)
+        np.testing.assert_array_equal(u, bits)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.int32])
+    def test_other_dtypes_rejected(self, dtype):
+        evidence = np.full((1, 2, 8, 2), 0.5)
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="dtype"):
+            sc_traverse(evidence, lambda leaves, llr: None, known=bits,
+                        dtype=dtype)
+
     def test_plan_and_known_exclusive(self):
         evidence = np.full((1, 2, 8, 2), 0.5)
         bits = np.zeros((2, 8), dtype=np.uint8)
@@ -795,8 +846,8 @@ class TestWalkMemory:
 def _f_step_two_loops(a, b, has_inf):
     """The f-step as it was computed before its two log terms shared one
     clamp, exp and log1p: the oracle of test_f_step_matches_two_loop_formula."""
-    out = np.empty(a.shape)
-    sum_term, gap_term = np.empty((2,) + a.shape)
+    out = np.empty_like(a)
+    sum_term, gap_term = np.empty((2,) + a.shape, dtype=a.dtype)
     neg_near = out
     np.copysign(a, -1.0, out=sum_term)
     np.copysign(b, -1.0, out=gap_term)
@@ -819,16 +870,21 @@ def _f_step_two_loops(a, b, has_inf):
 @pytest.mark.parametrize("shape", [(64, 4), (2, 16, 1024)])
 @pytest.mark.parametrize("has_inf", [False, True])
 def test_f_step_matches_two_loop_formula(shape, has_inf):
-    """Bit for bit, signed zeros and inf included, on values that mix +-0,
-    1e300 (whose product overflows), magnitudes on both sides of the term
+    """Bit for bit, signed zeros and inf included, in float64 (the coders'
+    passes) and float32 (construction's), on values that mix +-0, huge
+    ones (whose product overflows), magnitudes on both sides of the term
     cap at 60, and +-inf where the pass has infinite LLRs."""
-    gen = np.random.default_rng(sum(shape) + has_inf)
-    special = [0.0, -0.0, 1e300, -1e300, 59.5, -60.0, 60.0, 60.5, -120.0, 30.0]
-    if has_inf:
-        special += [np.inf, -np.inf]
-    a, b = (np.where(gen.random(shape) < 0.5, gen.choice(special, shape),
-                     gen.normal(0.0, 40.0, shape)) for _ in range(2))
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = sc_module._f_step(a, b, has_inf)
-        want = _f_step_two_loops(a, b, has_inf)
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for dtype, bits, huge in [(np.float64, np.uint64, 1e300),
+                              (np.float32, np.uint32, 1e30)]:
+        gen = np.random.default_rng(sum(shape) + has_inf)
+        special = [0.0, -0.0, huge, -huge, 59.5, -60.0, 60.0, 60.5, -120.0, 30.0]
+        if has_inf:
+            special += [np.inf, -np.inf]
+        a, b = (np.where(gen.random(shape) < 0.5, gen.choice(special, shape),
+                         gen.normal(0.0, 40.0, shape)).astype(dtype)
+                for _ in range(2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = sc_module._f_step(a, b, has_inf)
+            want = _f_step_two_loops(a, b, has_inf)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
