@@ -343,32 +343,14 @@ class MultilevelLatticeCode:
         return float(sum(self.level_rates))
 
 
-# label rows drawn per pass of _window_labels, and the most thresholds it
-# counts with one comparison pass each; a longer CDF is binary searched
-_LABEL_ROWS = 32
-_COUNTED_THRESHOLDS = 64
-
-
 def _window_labels(cdf, gen, sample_count, block_len):
     """(sample_count, block_len) labels of uniforms from gen: the number of
-    thresholds of cdf[:-1] below each U, which is searchsorted(cdf, U) for
+    entries of cdf[:-1] below each U, which is searchsorted(cdf, U) for
     every U <= cdf[-1] and the last label above it.  The CDF of a window's
-    pmf can end a few rounding units below 1, where a plain searchsorted
-    would give a label past the window.  A short CDF is counted with one
-    SIMD comparison per threshold, much faster than a binary search per
-    uniform, whose random keys defeat branch prediction; the uniforms come
-    _LABEL_ROWS rows at a time, the same values gen gives in one call."""
-    thresholds = cdf[:-1]
-    v = np.zeros((sample_count, block_len), dtype=np.min_scalar_type(len(cdf)))
-    for start in range(0, sample_count, _LABEL_ROWS):
-        rows = v[start:start + _LABEL_ROWS]
-        uniforms = gen.random(rows.shape)
-        if len(thresholds) > _COUNTED_THRESHOLDS:
-            rows[...] = np.searchsorted(thresholds, uniforms)
-            continue
-        for threshold in thresholds:
-            rows += uniforms > threshold
-    return v
+    pmf can end a few rounding units below 1, where a search over the whole
+    CDF would give a label past the window."""
+    return np.searchsorted(cdf[:-1], gen.random((sample_count, block_len))).astype(
+        np.min_scalar_type(len(cdf)))
 
 
 def _construction_stream(chain, mmse, block_len, sample_count, seed):
@@ -420,7 +402,7 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
         gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
         cdf = np.cumsum(chain.window_pmf())
         u = gen.random((sample_count, block_len))
-        v = (u[..., None] > cdf[:-1]).sum(axis=-1)
+        v = np.searchsorted(cdf[:-1], u)
         obs = (chain.reconstruction_values()[v]
                + gen.standard_normal((sample_count, block_len))
                * math.sqrt(mmse.distortion))

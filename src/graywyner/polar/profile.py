@@ -258,9 +258,10 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
     called (see sc_traverse).  Returns (u, x) over all blocks, as
     sc_traverse does.
 
-    dtype is the precision of the passes' LLRs (see sc_traverse):
-    construction's breadth-first passes run in float32, the coders' passes
-    in the float64 default, which a depth-first pass requires.
+    dtype is the precision of the breadth-first passes' LLRs (see
+    sc_traverse): construction runs them in float32, the lossless
+    encoder's flag passes in the float64 default.  It applies to
+    breadth-first passes only; depth-first passes always run in float64.
 
     Each kind of pass has its own slice budget (see sc.chunked_batches):
     breadth-first slices are cache-sized, so construction and the lossless
@@ -293,8 +294,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
         # with it the posteriors sc_traverse frees, until the walk returns
         u[start:stop], x[start:stop] = sc_traverse(
             evidence(start, stop), None, plan=None if plan is None
-            else (plan[0],) + tuple(p[start:stop] for p in plan[1:]),
-            dtype=dtype)
+            else (plan[0],) + tuple(p[start:stop] for p in plan[1:]))
     return u, x
 
 

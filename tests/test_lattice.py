@@ -569,10 +569,9 @@ class TestConstructionLabels:
 
     @pytest.mark.parametrize("levels", [1, 4, 6, 7, 9])
     def test_labels_are_the_binary_search_below_the_top(self, levels):
-        """Counted (up to 64 entries) and searched (past them) alike, the
-        labels are searchsorted's for every uniform up to the CDF's last
-        entry, ties with an entry included, in the dtype that holds
-        2^levels; a generator gives the uniforms of one call over all rows."""
+        """The labels are searchsorted's for every uniform up to the CDF's
+        last entry, ties with an entry included, in the dtype that holds
+        2^levels."""
         chain = PartitionChainSpec(base_scale=12.0 / (1 << levels),
                                    levels=levels, sigma_r=1.0)
         cdf = np.cumsum(chain.window_pmf())
@@ -581,22 +580,17 @@ class TestConstructionLabels:
         labels = lattice_module._window_labels(cdf, _Rows(uniforms), 70, 64)
         assert labels.dtype == np.min_scalar_type(1 << levels)
         np.testing.assert_array_equal(labels, np.searchsorted(cdf, uniforms))
-        drawn = lattice_module._window_labels(
-            cdf, np.random.default_rng(levels), 70, 64)
-        np.testing.assert_array_equal(drawn[1:], labels[1:])
 
 
 class _Rows:
-    """A generator whose uniforms are the rows of an array, in order."""
+    """A generator whose uniforms are a given array."""
 
     def __init__(self, uniforms):
-        self.uniforms, self.taken = uniforms, 0
+        self.uniforms = uniforms
 
     def random(self, shape):
-        rows = self.uniforms[self.taken:self.taken + shape[0]]
-        self.taken += shape[0]
-        assert rows.shape == shape
-        return rows
+        assert self.uniforms.shape == shape
+        return self.uniforms
 
 
 # ---------------------------------------------------------------------------

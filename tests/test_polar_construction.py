@@ -536,7 +536,9 @@ class TestPassPrecision:
         seen = set()
 
         def recording(evidence, stats, **kwargs):
-            seen.add(("known" in kwargs, np.dtype(kwargs["dtype"]).name))
+            # a pass given no dtype runs in sc_traverse's float64 default
+            seen.add(("known" in kwargs,
+                      np.dtype(kwargs.get("dtype", np.float64)).name))
             return traverse(evidence, stats, **kwargs)
 
         monkeypatch.setattr(profile_module, "sc_traverse", recording)

@@ -33,7 +33,6 @@ from graywyner.polar import (
     sc_lossless_encode,
     sc_traverse,
 )
-from graywyner.polar import profile as profile_module
 from graywyner.polar import sc as sc_module
 from graywyner.polar.coding import _thresholds
 from graywyner.polar.profile import _leaf_statistics
@@ -548,17 +547,13 @@ class TestPlanChecked:
     def test_depth_first_pass_runs_in_float64(self, dtype):
         """The rate-1 guard is proven for float64 steps, so a depth-first
         pass given float32, with a plan or without one, rate-0 root
-        included, is refused, also through traverse_batches."""
+        included, is refused."""
         evidence = np.full((1, 2, 8, 2), 0.5)
         bits = np.zeros((2, 8), dtype=np.uint8)
         for plan in [None, (np.zeros(8, dtype=bool), bits),
                      (np.ones(8, dtype=bool), bits)]:
             with pytest.raises(ValueError, match="float64"):
                 sc_traverse(evidence, _never, plan=plan, dtype=dtype)
-        with pytest.raises(ValueError, match="float64"):
-            profile_module.traverse_batches(
-                (lambda start, stop: evidence[0, start:stop],), 2, 8, None,
-                dtype=dtype)
         u, _ = sc_traverse(evidence, _never, plan=None, dtype=np.float64)
         np.testing.assert_array_equal(u, bits)
 
