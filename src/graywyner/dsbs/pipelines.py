@@ -34,9 +34,8 @@ stage also replays the decoder path and verifies it reproduces the
 encoder-side reconstruction bit for bit, and every lossless branch is
 decoded and compared against the source exactly.
 
-Each code sends what its profile's decision-error rule picks (see
-polar.profile); lossy stages cap the payload at the mutual information plus
-a margin that shrinks as (2^16/N)^(1/4).
+Each code sends what its profile's classes and decision-error rule pick
+(see polar.profile).
 """
 
 from __future__ import annotations
@@ -78,15 +77,6 @@ from .model import (
 COMMON_LEVEL = 0
 PRIVATE_X_LEVEL = 1
 PRIVATE_Y_LEVEL = 2
-
-# lossy payload headroom over the mutual information at block length 2^16
-COMMON_MARGIN = 0.06
-
-
-def _scaled(margin: float, block_len: int) -> float:
-    """Headroom at block_len; larger blocks run closer to the limits."""
-    return margin * (2 ** 16 / block_len) ** 0.25
-
 
 # -- operating points -------------------------------------------------------
 
@@ -154,8 +144,7 @@ class _Stages:
         share a channel are one encode and one replay (see _by_channel),
         each branch's dither at its own level."""
         def code(channel, obs, levels):
-            cap = channel.mutual_information() + _scaled(COMMON_MARGIN, self.block_len)
-            profile = self.profile_for(channel).with_payload_cap(cap)
+            profile = self.profile_for(channel)
             packed, recon = sc_lossy_encode(
                 obs, channel, profile, shared_seed=self.seed, level=levels)
             replay = sc_lossy_reconstruct(packed, channel, profile,

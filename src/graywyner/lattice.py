@@ -49,7 +49,7 @@ import numpy as np
 from . import rng
 from .numerics import flatness_factor
 from .polar.coding import lossy_encode_from_evidence, lossy_reconstruct_from_evidence
-from .polar.profile import cached_profiles, construct_from_evidence
+from .polar.profile import _refuse_beta, cached_profiles, construct_from_evidence
 # unused here since the levels run through the polar layer's shared core
 # and cache path; kept because perfbench/spans.py patches these names on
 # this module
@@ -318,7 +318,6 @@ class MultilevelLatticeCode:
     chain: PartitionChainSpec
     mmse: MmseParams
     block_len: int
-    beta: float
     sample_count: int
     seed: int
     flatness: float
@@ -377,7 +376,7 @@ def _level_channel_id(chain, mmse, level) -> str:
     return f"mlq{_chain_tag(chain, mmse)}L{level}"
 
 
-def _construct_levels(chain, mmse, block_len, beta, sample_count, seed):
+def _construct_levels(chain, mmse, block_len, sample_count, seed):
     v, obs = _construction_stream(chain, mmse, block_len, sample_count, seed)
     out = []
     for level in range(1, chain.levels + 1):
@@ -385,13 +384,13 @@ def _construct_levels(chain, mmse, block_len, beta, sample_count, seed):
         cond, prior = _level_evidence(chain, mmse, level, finer, obs)
         out.append(construct_from_evidence(
             ((v >> (level - 1)) & 1).astype(np.uint8), cond, prior,
-            beta=beta, seed=seed, channel_id=_level_channel_id(chain, mmse, level),
+            seed=seed, channel_id=_level_channel_id(chain, mmse, level),
             channel_name=f"lattice-level-{level}of{chain.levels}"))
     return tuple(out)
 
 
 def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
-                          block_len: int, *, beta: float = 0.25,
+                          block_len: int, *, beta=None,
                           sample_count: int = 256, seed: int = 0,
                           cache_dir=None) -> MultilevelLatticeCode:
     """Construct (or load) the per-level codes for one chain and model.
@@ -414,10 +413,10 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     alpha * obs and the prior chain at 0.
 
     The classes come from the decision-error rule (D where a prior-chain
-    miss costs less than the bit) and the z rule (frozen-random where the
-    bit stays uniform given the sample; see polar.profile), so the payload
-    exceeds the level-rate estimates by what is left of the partially
-    polarized band, which shrinks as the block grows.
+    miss costs less than the bit) and the entropy rule (frozen-random where
+    the bit stays nearly uniform given the sample; see polar.profile), so
+    the payload exceeds the level-rate estimates by what is left of the
+    partially polarized band, which shrinks as the block grows.
     A chain whose finest-level aliased posterior deviates from uniform by
     more than _FLATNESS_GATE (its flatness factor) is refused; planned
     chains pass with a wide margin, so the gate guards hand-built ones.
@@ -425,8 +424,10 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     With cache_dir, each level is cached as an ordinary profile entry
     through cached_profiles, the path construct_profile_cached takes too.
     The levels come from one joint construction stream, so a miss at any
-    level rebuilds and stores them all.
+    level rebuilds and stores them all.  beta must be None (see
+    polar.profile._refuse_beta).
     """
+    _refuse_beta(beta)
     r2 = chain.sigma_r ** 2
     if abs(r2 - mmse.sigma_r2) > 1e-9 * max(r2, mmse.sigma_r2):
         raise ValueError(
@@ -437,12 +438,12 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
         raise ValueError(
             f"flatness factor {eps:.3e} exceeds {_FLATNESS_GATE:g}; "
             "shrink base_scale")
-    headers = [(_level_channel_id(chain, mmse, level), block_len, beta,
-                sample_count, seed) for level in range(1, chain.levels + 1)]
+    headers = [(_level_channel_id(chain, mmse, level), block_len, sample_count,
+                seed) for level in range(1, chain.levels + 1)]
     profiles = cached_profiles(cache_dir, headers, lambda: _construct_levels(
-        chain, mmse, block_len, beta, sample_count, seed))
+        chain, mmse, block_len, sample_count, seed))
     return MultilevelLatticeCode(
-        chain=chain, mmse=mmse, block_len=block_len, beta=beta,
+        chain=chain, mmse=mmse, block_len=block_len,
         sample_count=sample_count, seed=seed, flatness=eps, profiles=profiles)
 
 

@@ -6,8 +6,6 @@ statistics per leaf index i and per chain.  Every bit of that path is known
 in advance, so the recursion runs breadth-first (one vectorized step per
 tree level, see sc.py) and the statistics of all leaves are taken at once:
 
-* the Bhattacharyya proxy z[i], the mean of 2 sqrt(p0 p1) = 1/cosh(L/2),
-  0 for a perfectly decided bit and 1 for a perfectly uniform one;
 * the entropy proxy h[i], the mean of -log2 p(true bit) = log2(1 + e^(+-L)),
   + for a true 1, whose sum over i telescopes to the block log-likelihood
   (chain rule), a sharp check against closed-form entropies: exactly in a
@@ -17,7 +15,7 @@ tree level, see sc.py) and the statistics of all leaves are taken at once:
 Construction's passes carry their LLRs in float32 (see sc.py): the leaf
 LLRs of the evidence are computed in float64, the tree is evaluated in
 float32 and the leaves return to float64 before the statistics are taken.
-Against a float64 pass, z and h move by float32 rounding of L (about 1e-7,
+Against a float64 pass, h moves by float32 rounding of L (about 1e-7,
 far below the Monte Carlo noise of a few hundred blocks), and a decision
 moves only where L rounds to the other sign or to a tie, which happens at
 leaves whose law is close to uniform either way.  The coders' passes
@@ -38,15 +36,16 @@ count or on which slice finished first.
 
 A decoder's miss costs c = correction_bits(N) = log2(N) + 1 bits (index
 and flag), so e * c in expectation against 1 bit to send the bit; both
-codes send it only where that is cheaper, a tie e * c = 1 being neither:
+codes send it only where that is cheaper, a tie e * c = 1 being neither.
+The lossless stored set (stored_mask) is {e_cond * c > 1}.  The lossy
+code's classes (classify_indices) are, the first rule that holds winning:
 
-* the lossless stored set (stored_mask) is {e_cond * c > 1};
 * FROZEN_DETERMINISTIC when e_prior * c < 1 and a prior chain exists: the
   decoder derives the bit from the prior chain, and the lossy encoder sends
-  corrections where it misses (wins ties with the frozen-random rule);
-* FROZEN_RANDOM when z_cond >= 1 - 2^(-N^beta), compared in the log domain
-  so tiny values never underflow: the bit stays uniform even given the
-  observation, so a shared dither bit replaces it;
+  corrections where it misses;
+* FROZEN_RANDOM when h_cond >= 1 - FROZEN_RANDOM_KAPPA (0.02 bits): the
+  bit stays that close to uniform given the observation, so a shared
+  dither bit replaces it at a divergence cost of at most that much;
 * INFO otherwise: the payload positions.
 
 When the coded variable has a uniform prior, every prefix-conditional law
@@ -60,7 +59,7 @@ import base64
 import contextvars
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,22 +74,27 @@ CLASS_INFO = 0
 CLASS_FROZEN_RANDOM = 1
 CLASS_FROZEN_DETERMINISTIC = 2
 
-PROFILE_CACHE_VERSION = 7
+PROFILE_CACHE_VERSION = 8
 
 _CLASSES = (CLASS_INFO, CLASS_FROZEN_RANDOM, CLASS_FROZEN_DETERMINISTIC)
 
 
-def below_log_threshold(values, threshold_exponent: float) -> np.ndarray:
-    """Elementwise test v <= 2^(-threshold_exponent) without underflow.
+# Dithering leaf i instead of rounding it adds about 1 - h_cond[i] bits of
+# divergence between the coder's joint law and the test channel's (chain
+# rule, as in Honda & Yamamoto, "Polar coding without alphabet extension
+# for asymmetric models", IEEE T-IT 2013), so a leaf is frozen-random where
+# that cost is at most this many bits
+FROZEN_RANDOM_KAPPA = 0.02
 
-    Nonpositive v compares True (it is below any positive threshold).
-    """
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    out = np.zeros(v.shape, dtype=bool)
-    pos = v > 0.0
-    out[~pos] = True
-    out[pos] = np.log2(v[pos]) <= -threshold_exponent
-    return out
+
+def _refuse_beta(beta) -> None:
+    """TypeError unless beta is None.  No rule reads beta; the keyword
+    stays only because the benchmark's construct and lattice.build probes
+    bind it by name, and the benchmark change that drops it from their
+    keys (ROADMAP item 2 or 5) deletes it."""
+    if beta is not None:
+        raise TypeError(f"beta was removed (frozen-random leaves follow "
+                        f"h_cond >= 1 - {FROZEN_RANDOM_KAPPA}); got beta={beta!r}")
 
 
 def correction_bits(block_len: int) -> float:
@@ -98,14 +102,11 @@ def correction_bits(block_len: int) -> float:
     return np.log2(block_len) + 1.0
 
 
-def classify_indices(z_cond: np.ndarray, e_prior, block_len: int,
-                     beta: float) -> np.ndarray:
+def classify_indices(h_cond: np.ndarray, e_prior, block_len: int) -> np.ndarray:
     """Class labels (INFO / FROZEN_RANDOM / FROZEN_DETERMINISTIC) per index;
     e_prior None means no prior chain, so no index is deterministic."""
-    nearly_uniform = below_log_threshold(1.0 - np.asarray(z_cond, dtype=float),
-                                         float(block_len) ** float(beta))
     classes = np.full(block_len, CLASS_INFO, dtype=np.int8)
-    classes[nearly_uniform] = CLASS_FROZEN_RANDOM
+    classes[np.asarray(h_cond) >= 1.0 - FROZEN_RANDOM_KAPPA] = CLASS_FROZEN_RANDOM
     if e_prior is not None:
         deterministic = np.asarray(e_prior) * correction_bits(block_len) < 1.0
         classes[deterministic] = CLASS_FROZEN_DETERMINISTIC
@@ -119,10 +120,8 @@ class PolarProfile:
     channel_id: str
     channel_name: str
     block_len: int
-    beta: float
     sample_count: int
     seed: int
-    z_cond: np.ndarray
     h_cond: np.ndarray
     h_prior: np.ndarray
     e_cond: np.ndarray
@@ -130,7 +129,7 @@ class PolarProfile:
     classes: np.ndarray
 
     def __post_init__(self):
-        for name in ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes"):
+        for name in ("h_cond", "h_prior", "e_cond", "e_prior", "classes"):
             arr = getattr(self, name)
             if arr.shape != (self.block_len,):
                 raise ValueError(f"{name} must have shape ({self.block_len},)")
@@ -157,29 +156,6 @@ class PolarProfile:
 
     def prior_entropy_estimate(self) -> float:
         return float(self.h_prior.mean())
-
-    # -- rate control ---------------------------------------------------------
-
-    def with_payload_cap(self, max_fraction: float) -> "PolarProfile":
-        """Demote the least reliable payload indices to frozen-random.
-
-        Keeps at most floor(max_fraction * N) INFO positions, dropping those
-        with the largest z_cond first (they are the closest to uniform given
-        the observation, so dithering them costs the least).  A cap of 1 or
-        more keeps every INFO position.
-        """
-        if not max_fraction >= 0.0:
-            raise ValueError(
-                f"max_fraction must be nonnegative, got {max_fraction}")
-        info = self.info_positions()
-        if len(info) <= max_fraction * self.block_len:
-            return self
-        keep = int(np.floor(max_fraction * self.block_len))
-        order = info[np.argsort(-self.z_cond[info], kind="stable")]
-        demote = order[: len(info) - keep]
-        classes = self.classes.copy()
-        classes[demote] = CLASS_FROZEN_RANDOM
-        return replace(self, classes=classes)
 
     def stored_mask(self) -> np.ndarray:
         """Lossless storage set, e_cond * correction_bits(N) > 1: where
@@ -318,39 +294,37 @@ _LEAF_TAIL_VALUES = 1 << 13
 
 def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
     """Of (C, B, N) leaf LLRs along the (B, N) uint8 true bits: the (C, N)
-    miss counts of map_bits, h = log2(1 + e^s), s = +-L, + for a true 1, and
-    z = 1/cosh(L/2) of the first chain, L capped at +-700 so h stays finite.
+    miss counts of map_bits and h = log2(1 + e^s), s = +-L, + for a true 1,
+    L capped at +-700 so h stays finite.
 
     h is taken as (max(s, 0) + log1p(e^-|s|)) / ln 2, the recipe of
     np.logaddexp(0, s) run as SIMD exp and log1p calls; these differ from
     the scalar ones inside logaddexp by at most a rounding unit, which
-    moves h by as much and leaves z untouched.
-    z is computed in llr's own buffer, which saves a batch-sized array,
-    and the log1p term _LEAF_TAIL_VALUES values at a time."""
+    moves h by as much.  L is capped in llr's own buffer, which saves a
+    batch-sized array, and the log1p term is taken _LEAF_TAIL_VALUES
+    values at a time."""
     misses = map_bits(llr)
     misses ^= bits  # 1 where the decision misses the true bit
     misses = np.add.reduce(misses, axis=1, dtype=np.int32)
-    z = np.clip(llr, -700.0, 700.0, out=llr)
+    capped = np.clip(llr, -700.0, 700.0, out=llr)
     sign = np.multiply(bits, 2, dtype=np.int8)
     sign -= 1  # 2 bit - 1
-    h = np.multiply(z, sign)  # s
+    h = np.multiply(capped, sign)  # s
     np.maximum(h, 0.0, out=h)
-    flat_z, flat_h = z.reshape(-1), h.reshape(-1)
-    tail = np.empty(min(z.size, _LEAF_TAIL_VALUES))
-    for start in range(0, z.size, _LEAF_TAIL_VALUES):
-        stop = min(start + _LEAF_TAIL_VALUES, z.size)
+    flat_l, flat_h = capped.reshape(-1), h.reshape(-1)
+    tail = np.empty(min(capped.size, _LEAF_TAIL_VALUES))
+    for start in range(0, capped.size, _LEAF_TAIL_VALUES):
+        stop = min(start + _LEAF_TAIL_VALUES, capped.size)
         part = tail[:stop - start]
-        np.copysign(flat_z[start:stop], -1.0, out=part)  # -|s|
+        np.copysign(flat_l[start:stop], -1.0, out=part)  # -|s|
         np.exp(part, out=part)
         np.log1p(part, out=part)
         flat_h[start:stop] += part
     h /= np.log(2.0)
-    z = z[0]
-    np.cosh(np.multiply(z, 0.5, out=z), out=z)
-    return misses, np.reciprocal(z, out=z), h
+    return misses, h
 
 
-def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
+def construct_from_evidence(x_true, cond, prior=None, *, seed: int,
                             channel_id: str, channel_name: str) -> PolarProfile:
     """Monte Carlo construction from (sample_count, N) true blocks of the
     coded variable and evidence callables over their slices (see
@@ -359,18 +333,15 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
 
     Each slice's statistics are computed on the thread that runs the slice,
     from that slice's blocks alone, and enter the running sums in the
-    calling thread in slice order (see traverse_batches), z and h one block
-    at a time and the integer miss counts at once, so the sums, and the
+    calling thread in slice order (see traverse_batches), h one block at a
+    time and the integer miss counts at once, so the sums, and the
     profile, do not depend on how the blocks are sliced into passes, on how
     many threads run them or on the order in which they finish."""
     sample_count, block_len = x_true.shape
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    if not 0.0 < beta < 1.0:  # also false for nan
-        raise ValueError(f"beta must be finite and in (0, 1), got {beta}")
     u_true = polar_transform(x_true)
     chains = (cond,) if prior is None else (cond, prior)
-    z_sum = np.zeros(block_len)
     h_sum = np.zeros((len(chains), block_len))
     miss_sum = np.zeros((len(chains), block_len), dtype=np.int64)
 
@@ -378,36 +349,36 @@ def construct_from_evidence(x_true, cond, prior=None, *, beta: float, seed: int,
         return _leaf_statistics(llr, u_true[start:stop])
 
     def add(stats):  # in the calling thread, in slice order
-        misses, z, h = stats
+        misses, h = stats
         miss_sum[:] += misses
-        for block in range(z.shape[0]):
-            z_sum[:] += z[block]
+        for block in range(h.shape[1]):
             h_sum[:] += h[:, block]
 
     traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true,
                      fold=add, dtype=np.float32)
-    z, h, e = z_sum / sample_count, h_sum / sample_count, miss_sum / sample_count
+    h, e = h_sum / sample_count, miss_sum / sample_count
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform
         h = np.vstack([h, np.ones(block_len)])
         e = np.vstack([e, np.full(block_len, 0.5)])
-    # plain int and float: a NumPy scalar seed or beta would not serialize
+    # a plain int: a NumPy scalar seed would not serialize
     return PolarProfile(
         channel_id=channel_id, channel_name=channel_name,
-        block_len=block_len, beta=float(beta), sample_count=sample_count,
-        seed=int(seed), z_cond=z, h_cond=h[0], h_prior=h[1], e_cond=e[0],
-        e_prior=e[1], classes=classify_indices(
-            z, None if prior is None else e[1], block_len, beta))
+        block_len=block_len, sample_count=sample_count, seed=int(seed),
+        h_cond=h[0], h_prior=h[1], e_cond=e[0], e_prior=e[1],
+        classes=classify_indices(h[0], None if prior is None else e[1], block_len))
 
 
 def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
-                      beta: float = 0.25, sample_count: int = 256,
+                      beta=None, sample_count: int = 256,
                       seed: int = 0) -> PolarProfile:
-    """Monte Carlo construction over sample_count true-path traversals."""
+    """Monte Carlo construction over sample_count true-path traversals;
+    beta must be None (see _refuse_beta)."""
+    _refuse_beta(beta)
     gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
     x, y = channel.sample(sample_count, block_len, gen)
     cond, prior = channel_evidence(channel, y)
     return construct_from_evidence(
-        x, cond, prior, beta=beta, seed=seed,
+        x, cond, prior, seed=seed,
         channel_id=channel.channel_id(), channel_name=channel.name)
 
 
@@ -418,15 +389,13 @@ def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
 # per-index arrays of a cache entry, each stored as base64 of its
 # little-endian bytes in this dtype: parsing thousands of JSON numbers took
 # ten times as long as decoding one string
-_ARRAY_DTYPES = {"z_cond": "<f8", "h_cond": "<f8", "h_prior": "<f8",
-                 "e_cond": "<f8", "e_prior": "<f8", "classes": "<i1"}
+_ARRAY_DTYPES = {"h_cond": "<f8", "h_prior": "<f8", "e_cond": "<f8",
+                 "e_prior": "<f8", "classes": "<i1"}
 
 
-def profile_cache_key(channel_id: str, block_len: int, beta: float,
-                      sample_count: int, seed: int) -> str:
-    # float.hex keeps betas that agree to many digits apart (":g" merged them)
-    return (f"profile_{channel_id}_n{block_len}_b{float(beta).hex()}"
-            f"_s{sample_count}_r{seed}")
+def profile_cache_key(channel_id: str, block_len: int, sample_count: int,
+                      seed: int) -> str:
+    return f"profile_{channel_id}_n{block_len}_s{sample_count}_r{seed}"
 
 
 def profile_path(cache_dir, key: str) -> Path:
@@ -440,14 +409,13 @@ def save_profile(profile: PolarProfile, cache_dir) -> Path:
         "channel_id": profile.channel_id,
         "channel_name": profile.channel_name,
         "N": profile.block_len,
-        "beta": profile.beta,
         "sample_count": profile.sample_count,
         "seed": profile.seed,
     }
     for name, dtype in _ARRAY_DTYPES.items():
         raw = getattr(profile, name).astype(dtype).tobytes()
         payload[name] = base64.b64encode(raw).decode("ascii")
-    key = profile_cache_key(profile.channel_id, profile.block_len, profile.beta,
+    key = profile_cache_key(profile.channel_id, profile.block_len,
                             profile.sample_count, profile.seed)
     return atomic_write_text(profile_path(cache_dir, key), json.dumps(payload))
 
@@ -473,19 +441,17 @@ def load_profile(path) -> PolarProfile:
     data = json.loads(Path(path).read_text())
     if data.get("version") != PROFILE_CACHE_VERSION or data.get("kind") != "profile":
         raise ValueError(f"unrecognized profile file: {path}")
-    ints, numbers = {int}, {int, float}
     return PolarProfile(
         channel_id=data["channel_id"], channel_name=data.get("channel_name", ""),
-        block_len=_typed(data["N"], ints),
-        beta=float(_typed(data["beta"], numbers)),
-        sample_count=_typed(data["sample_count"], ints),
-        seed=_typed(data["seed"], ints),
+        block_len=_typed(data["N"], {int}),
+        sample_count=_typed(data["sample_count"], {int}),
+        seed=_typed(data["seed"], {int}),
         **{name: _array(data[name], dtype) for name, dtype in _ARRAY_DTYPES.items()})
 
 
 def load_cached_profile(cache_dir, header):
-    """The profile cached for header = (channel_id, N, beta, sample_count,
-    seed) if its entry is readable and was built for header; None, a cache
+    """The profile cached for header = (channel_id, N, sample_count, seed)
+    if its entry is readable and was built for header; None, a cache
     miss, otherwise."""
     path = profile_path(cache_dir, profile_cache_key(*header))
     if not path.exists():
@@ -495,7 +461,7 @@ def load_cached_profile(cache_dir, header):
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             OverflowError):
         return None
-    built_for = (p.channel_id, p.block_len, p.beta, p.sample_count, p.seed)
+    built_for = (p.channel_id, p.block_len, p.sample_count, p.seed)
     return p if built_for == tuple(header) else None
 
 
@@ -518,14 +484,15 @@ def cached_profiles(cache_dir, headers, build) -> tuple:
 
 
 def construct_profile_cached(channel: BinarySourceWithSideInfo, block_len: int,
-                             cache_dir, beta: float = 0.25,
+                             cache_dir, beta=None,
                              sample_count: int = 256, seed: int = 0) -> PolarProfile:
     """Load the profile from the cache directory or construct and store it.
 
     An entry that is unreadable or was built for other parameters is
-    rebuilt and overwritten.
+    rebuilt and overwritten.  beta must be None (see _refuse_beta).
     """
-    header = (channel.channel_id(), block_len, beta, sample_count, seed)
+    _refuse_beta(beta)
+    header = (channel.channel_id(), block_len, sample_count, seed)
     (profile,) = cached_profiles(cache_dir, [header], lambda: [construct_profile(
-        channel, block_len, beta=beta, sample_count=sample_count, seed=seed)])
+        channel, block_len, sample_count=sample_count, seed=seed)])
     return profile

@@ -62,8 +62,7 @@ def cache_dir():
 
 @pytest.fixture(scope="session")
 def profile_store(cache_dir):
-    def get(channel, block_len, beta=0.25, sample_count=256, seed=11):
+    def get(channel, block_len, sample_count=256, seed=11):
         return construct_profile_cached(
-            channel, block_len, cache_dir,
-            beta=beta, sample_count=sample_count, seed=seed)
+            channel, block_len, cache_dir, sample_count=sample_count, seed=seed)
     return get

@@ -2,11 +2,10 @@
 
 Each example draws a joint law of a binary X and a side variable Y on
 K <= 4 symbols, with exact-zero and 1e-12 entries among its cells, a block
-length N from 1 to 256, 1 to 5 blocks, a fraction in [0, 1] (the lossy
-payload cap) and the lossless stored set: the profile's own, none (e_cond
-0) or, for N > 1, all (e_cond 1).  Construction runs on few samples, so its
-index classes and decision errors are often wrong, which is what the
-corrections are for.  In every example:
+length N from 1 to 256, 1 to 5 blocks and the lossless stored set: the
+profile's own, none (e_cond 0) or, for N > 1, all (e_cond 1).
+Construction runs on few samples, so its index classes and decision errors
+are often wrong, which is what the corrections are for.  In every example:
 
 * lossless decoding returns the source blocks exactly;
 * lossy replay returns the encoder's reconstruction exactly;
@@ -51,10 +50,10 @@ def _assert_corrections_equal(got, want):
 
 
 @given(joint=joints(), log_n=st.integers(0, 8), n_blocks=st.integers(1, 5),
-       fraction=st.floats(0.0, 1.0), e_cond=st.sampled_from([None, 0.0, 1.0]),
-       split=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
-def test_coders_exact_and_split_independent(joint, log_n, n_blocks, fraction,
-                                            e_cond, split, seed):
+       e_cond=st.sampled_from([None, 0.0, 1.0]), split=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 16))
+def test_coders_exact_and_split_independent(joint, log_n, n_blocks, e_cond,
+                                            split, seed):
     block_len = 1 << log_n
     split = min(split, n_blocks)
     channel = BinarySourceWithSideInfo(joint)
@@ -72,11 +71,10 @@ def test_coders_exact_and_split_independent(joint, log_n, n_blocks, fraction,
         np.vstack([head.sent, tail.sent]), code.sent)
     _assert_corrections_equal(head.corrections + tail.corrections, code.corrections)
 
-    capped = profile.with_payload_cap(fraction)
-    lossy, recon = sc_lossy_encode(y, channel, capped, shared_seed=seed)
+    lossy, recon = sc_lossy_encode(y, channel, profile, shared_seed=seed)
     np.testing.assert_array_equal(
-        sc_lossy_reconstruct(lossy, channel, capped, shared_seed=seed), recon)
-    parts = [sc_lossy_encode(y[rows], channel, capped, shared_seed=seed,
+        sc_lossy_reconstruct(lossy, channel, profile, shared_seed=seed), recon)
+    parts = [sc_lossy_encode(y[rows], channel, profile, shared_seed=seed,
                              block_offset=rows.start)
              for rows in (slice(0, split), slice(split, n_blocks))]
     np.testing.assert_array_equal(np.vstack([p[0].sent for p in parts]), lossy.sent)

@@ -18,12 +18,9 @@ from graywyner.dsbs import (
     LossyTinyBoth,
     PointA,
     PointG,
-    build_eps2_channel,
     gb_theory_triple,
     run_dsbs_pipeline,
 )
-from graywyner.dsbs import pipelines as pipelines_module
-from graywyner.dsbs.pipelines import COMMON_MARGIN, _scaled
 from graywyner.numerics import binary_convolve, binary_entropy
 from graywyner.rates import RunRecord
 
@@ -120,18 +117,16 @@ class TestLossyPoints:
         assert 0.04 < out.dist_y.mean() < 0.20
         assert out.dist_x.mean() < binary_convolve(A0, 0.20)
 
-    def test_payload_cap_binds_at_lopsided(self, model, cache_dir, monkeypatch):
-        # at N=4096 construction marks more INFO positions here than
-        # I(W; Y) + the scaled margin allows, and the cap demotes the excess;
-        # the uniform-prior quantizer sends no corrections, so r0 is its
-        # payload fraction
+    def test_lopsided_rate_within_former_payload_cap(self, model, cache_dir):
+        # the pipelines used to cap this quantizer's payload at I(W; Y) plus
+        # a margin of 0.06 (2^16 / N)^(1/4) bits, which bound here; the
+        # frozen-random rule alone keeps r0 at or below that cap, and the
+        # uniform-prior quantizer sends no corrections, so r0 is its payload
         point, n = LossyLopsided(0.40, 0.12), 4096
-        cap = 1 - binary_entropy(0.12) + _scaled(COMMON_MARGIN, n)
-        capped = run(point, model, cache_dir, n=n)
-        monkeypatch.setattr(pipelines_module, "COMMON_MARGIN", 1e9)
-        uncapped = run(point, model, cache_dir, n=n)
-        np.testing.assert_array_equal(capped.r0, np.floor(cap * n) / n)
-        assert (uncapped.r0 > cap).all()
+        former_cap = 1 - binary_entropy(0.12) + 0.06 * (2 ** 16 / n) ** 0.25
+        out = run(point, model, cache_dir, n=n)
+        assert (out.r0 <= np.floor(former_cap * n) / n).all()
+        assert (out.r0 > 1 - binary_entropy(0.12)).all()
 
     def test_region_mismatch_raises(self, model, cache_dir):
         with pytest.raises(ValueError, match="coupled"):
@@ -159,13 +154,6 @@ class TestRunContract:
         out = run(PointA(), model, cache_dir, n=1024, blocks=6)
         assert out.n_blocks == 6
         np.testing.assert_allclose(out.total, out.r0 + out.r1 + out.r2)
-
-    def test_margin_policy_scales_rates(self, model, cache_dir):
-        # the common stage caps its payload at I(W; X, Y) plus the one
-        # lossy margin scaled to the block length
-        out = run(LossyCoupled(0.3, 0.3), model, cache_dir, n=1024)
-        limit = build_eps2_channel(0.3, 0.3, model).mutual_information()
-        assert limit < out.r0[0] <= limit + _scaled(COMMON_MARGIN, 1024)
 
     def test_unknown_point_rejected(self, model, cache_dir):
         with pytest.raises(TypeError):

@@ -15,11 +15,11 @@ runs of both lists, so a label, region, theory figure or target cannot
 change unseen either.  GOLDEN_PROFILES hashes the constructions themselves
 (PROFILE_FIELDS of each profile): three DSBS channels and the levels of a
 Gaussian pair's lattice code, so a change to the construction that happens
-not to move any pipeline output is still seen.  GOLDEN_CLASSES hashes only
-the fields that decide the codes (CLASS_FIELDS: z_cond, the decision
-errors e_cond and e_prior, and the classes) of the same profiles, so a
-change that moves the entropy estimates h by rounding units re-records
-GOLDEN_PROFILES while GOLDEN_CLASSES shows that no construction decision
+not to move any pipeline output is still seen.  GOLDEN_CLASSES hashes
+only the construction decisions of the same profiles (decisions_of: the
+lossy classes and the lossless stored set), so a change that moves h or e
+by rounding units, as NumPy's SIMD kernels do from one CPU to another,
+re-records GOLDEN_PROFILES while GOLDEN_CLASSES shows that no decision
 moved.  GOLDEN_CODES hashes the
 coders' own outputs, which the pipeline digests see only through rates and
 distortions: a lossless code (sent bits, corrections) with its decoded
@@ -74,17 +74,16 @@ from graywyner.polar import (
 )
 from graywyner.polar import test_channel_source as make_quantizer_source
 
-GOLDEN = "f8a872c3ee5c4ac654649d7a43130e9e89fea47bad604b7223de5d1d2c1611b4"
-GOLDEN_BATCH = "1ef5387858d927d5dc27ee2ed21c390f0ebb067c43870f8ad1da1c9ac954e8b9"
+GOLDEN = "be4d0bbd1c94d4a8814add5b91355adc80d0429eab6218630975c6213a04e4c1"
+GOLDEN_BATCH = "4940181b652a740cf07cc5705879827df88d4480e1c70abf224756307e5190b1"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
-GOLDEN_PROFILES = "2b8e41f0e7745514890c223838da45618fdb9646c0d9c80ba058e7ac6550bf5d"
-GOLDEN_CLASSES = "8485db70163b68d5e0d22061d8ad606c3f91591eafaec737a6e8e3763662b642"
-GOLDEN_CODES = "a434fb39e9dc0958f9b781575ccf8f9690625eee6b08c5b4c0a6ab8027ca1565"
+GOLDEN_PROFILES = "e7c75972211d35516d56d932ed040d1382bcbbdd2de0c0cd695329e5f38365d5"
+GOLDEN_CLASSES = "09e2282a848e029b6c41609aa3b579c84ecb1d226a17180ecff2f8b11b4ec493"
+GOLDEN_CODES = "8cab9f5969c499b5ec7d0369d2ea12062644b8725a1424465773800932eed691"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")
 SCALAR_FIELDS = ("point_label", "block_len", "seed", "region", "theory.r0",
                  "theory.r1", "theory.r2", "theory_ci", "target_dx", "target_dy")
-PROFILE_FIELDS = ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes")
-CLASS_FIELDS = ("z_cond", "e_cond", "e_prior", "classes")
+PROFILE_FIELDS = ("h_cond", "h_prior", "e_cond", "e_prior", "classes")
 
 
 def golden_runs():
@@ -190,6 +189,14 @@ def array_digest_of(arrays) -> str:
     return digest.hexdigest()
 
 
+def decisions_of(profiles):
+    """Each profile's classes, then its stored set, the decisions that
+    define its lossy and lossless codes."""
+    for profile in profiles:
+        yield profile.classes
+        yield profile.stored_mask()
+
+
 def digest_of(runs, fields=FIELDS) -> str:
     values = (getattr(run, name) for run in runs for name in fields)
     return array_digest_of(v for v in values if v is not None)
@@ -220,7 +227,7 @@ def test_profiles_match_golden_digest():
 
 
 def test_construction_decisions_match_golden_digest():
-    assert digest_of(golden_profiles(), CLASS_FIELDS) == GOLDEN_CLASSES
+    assert array_digest_of(decisions_of(golden_profiles())) == GOLDEN_CLASSES
 
 
 def test_codes_match_golden_digest():
@@ -237,7 +244,7 @@ def current_digests() -> dict:
         "GOLDEN_BATCH": digest_of(batch),
         "GOLDEN_SCALARS": scalar_digest_of(runs + batch),
         "GOLDEN_PROFILES": digest_of(profiles, PROFILE_FIELDS),
-        "GOLDEN_CLASSES": digest_of(profiles, CLASS_FIELDS),
+        "GOLDEN_CLASSES": array_digest_of(decisions_of(profiles)),
         "GOLDEN_CODES": array_digest_of(golden_codes()),
     }
 

@@ -477,7 +477,7 @@ class TestBuildMultilevelCode:
         assert first.flatness == again.flatness
         for p, q in zip(first.profiles, again.profiles):
             assert np.array_equal(p.classes, q.classes)
-            assert np.array_equal(p.z_cond, q.z_cond)
+            assert np.array_equal(p.h_cond, q.h_cond)
             assert np.array_equal(p.h_prior, q.h_prior)
 
     def test_corrupt_cache_entries_are_rebuilt(self, tmp_path):
@@ -489,38 +489,28 @@ class TestBuildMultilevelCode:
             broken.write_text("{truncated")
             again = build_multilevel_code(plan_chain(L3), L3, **kwargs)
             for p, q in zip(first.profiles, again.profiles):
-                assert np.array_equal(p.z_cond, q.z_cond)
+                assert np.array_equal(p.h_cond, q.h_cond)
             json.loads(broken.read_text())  # overwritten with a valid entry
         # mark every level entry; marked entries are still served as hits
         for path in level_files:
             data = json.loads(path.read_text())
-            z = load_profile(path).z_cond
-            z[0] = 0.5 + 0.25 * z[0]
-            data["z_cond"] = base64.b64encode(z.astype("<f8").tobytes()).decode()
+            h = load_profile(path).h_cond
+            h[0] = 0.5 + 0.25 * h[0]
+            data["h_cond"] = base64.b64encode(h.astype("<f8").tobytes()).decode()
             path.write_text(json.dumps(data))
         marked = build_multilevel_code(plan_chain(L3), L3, **kwargs)
         for p, q in zip(first.profiles, marked.profiles):
-            assert p.z_cond[0] != q.z_cond[0]
+            assert p.h_cond[0] != q.h_cond[0]
         # one deleted level is a miss: every level is rebuilt and stored afresh
         level_files[1].unlink()
         again = build_multilevel_code(plan_chain(L3), L3, **kwargs)
         for p, q, path in zip(first.profiles, again.profiles, level_files):
-            assert np.array_equal(p.z_cond, q.z_cond)
-            np.testing.assert_array_equal(load_profile(path).z_cond, p.z_cond)
-
-    def test_close_betas_never_share_a_bundle(self, tmp_path):
-        kwargs = dict(block_len=64, sample_count=8, seed=2, cache_dir=tmp_path)
-        a = build_multilevel_code(plan_chain(L3), L3, beta=0.1234561, **kwargs)
-        b = build_multilevel_code(plan_chain(L3), L3, beta=0.1234564, **kwargs)
-        assert (a.beta, b.beta) == (0.1234561, 0.1234564)
-        assert all(p.beta == 0.1234564 for p in b.profiles)
-        assert len(list(tmp_path.glob("profile_*.json"))) == 2 * b.levels
-        again = build_multilevel_code(plan_chain(L3), L3, beta=0.1234564, **kwargs)
-        assert all(p.beta == 0.1234564 for p in again.profiles)
+            assert np.array_equal(p.h_cond, q.h_cond)
+            np.testing.assert_array_equal(load_profile(path).h_cond, p.h_cond)
 
     @pytest.mark.parametrize("beta", [math.nan, 0.0, 1.0])
     def test_beta_outside_open_unit_interval_rejected(self, beta):
-        with pytest.raises(ValueError, match="beta"):
+        with pytest.raises(TypeError, match="beta was removed"):
             build_multilevel_code(plan_chain(L3), L3, 64, beta=beta,
                                   sample_count=8, seed=2)
 
@@ -677,9 +667,9 @@ class TestLatticeQuantize:
         m = mmse_params(1.0, 1.0 - 1e-8)
         chain = PartitionChainSpec(base_scale=0.25, levels=2, sigma_r=math.sqrt(m.sigma_r2))
         code = MultilevelLatticeCode(
-            chain=chain, mmse=m, block_len=256, beta=0.25, sample_count=16,
+            chain=chain, mmse=m, block_len=256, sample_count=16,
             seed=4, flatness=flatness_factor(0.25, math.sqrt(m.sigma_tilde2)),
-            profiles=_construct_levels(chain, m, 256, 0.25, 16, 4))
+            profiles=_construct_levels(chain, m, 256, 16, 4))
         assert all(np.all(p.classes == CLASS_INFO) for p in code.profiles)
         samples = np.zeros((2, 256))
         _, recon = lattice_quantize(samples, code, shared_seed=8)

@@ -43,7 +43,7 @@ from graywyner.polar import channel as channel_module
 from graywyner.polar import profile as profile_module
 from graywyner.polar import sc as sc_module
 from graywyner.polar import test_channel_source as make_quantizer_source
-from graywyner.polar.profile import below_log_threshold, channel_evidence
+from graywyner.polar.profile import FROZEN_RANDOM_KAPPA, channel_evidence
 from graywyner.polar.sc import map_bits
 
 A1 = 0.0584119566836076573
@@ -135,46 +135,36 @@ class TestDecisionErrors:
 
 
 class TestPolarizationTrend:
-    @pytest.mark.parametrize("channel_factory,stat", [
+    @pytest.mark.parametrize("channel_factory", [
         # no side information: the conditional chain is the prior chain
-        (lambda: lossless_source(0.11), "z_cond"),
-        (lambda: crossover_side_info(A1), "z_cond"),
+        lambda: lossless_source(0.11),
+        lambda: crossover_side_info(A1),
     ])
-    def test_extreme_fractions_grow_with_block_length(self, channel_factory, stat):
+    def test_extreme_fractions_grow_with_block_length(self, channel_factory):
         lows, highs = [], []
         for exponent in (8, 10, 12):
-            profile = construct_profile(channel_factory(), 2 ** exponent,
-                                        sample_count=200, seed=31)
-            z = getattr(profile, stat)
-            lows.append(float(np.mean(z < 0.01)))
-            highs.append(float(np.mean(z > 0.99)))
+            h = construct_profile(channel_factory(), 2 ** exponent,
+                                  sample_count=200, seed=31).h_cond
+            lows.append(float(np.mean(h < 0.01)))
+            highs.append(float(np.mean(h > 0.99)))
         assert lows[0] <= lows[1] <= lows[2]
         assert highs[0] <= highs[1] <= highs[2]
         assert lows[2] + highs[2] > 0.75
 
 
 class TestClassification:
-    def test_log_domain_threshold(self):
-        assert below_log_threshold(0.0, 16.0)[0]
-        assert below_log_threshold(-1e-18, 16.0)[0]
-        assert below_log_threshold(2.0 ** -17, 16.0)[0]
-        assert below_log_threshold(2.0 ** -16, 16.0)[0]
-        assert not below_log_threshold(2.0 ** -15, 16.0)[0]
-        # underflow-prone inputs still classify correctly
-        assert below_log_threshold(1e-320, 100.0)[0]
-
     def test_rules_reproduce_classes(self):
         profile = construct_profile(lossless_source(0.11), 256,
                                     sample_count=300, seed=41)
-        expected = classify_indices(profile.z_cond, profile.e_prior, 256, profile.beta)
+        expected = classify_indices(profile.h_cond, profile.e_prior, 256)
         np.testing.assert_array_equal(profile.classes, expected)
         assert set(np.unique(profile.classes)) <= {CLASS_INFO, CLASS_FROZEN_RANDOM,
                                                    CLASS_FROZEN_DETERMINISTIC}
 
     def test_deterministic_wins_ties(self):
-        z_cond = np.array([1.0, 1.0])
+        h_cond = np.array([1.0, 1.0])
         e_prior = np.array([0.0, 0.5])  # correction_bits(2) = 2: 0 and 1 bit
-        classes = classify_indices(z_cond, e_prior, 2, 0.25)
+        classes = classify_indices(h_cond, e_prior, 2)
         assert classes[0] == CLASS_FROZEN_DETERMINISTIC
         assert classes[1] == CLASS_FROZEN_RANDOM
 
@@ -183,19 +173,19 @@ class TestClassification:
         stored where e_cond * 5 > 1 and deterministic where e_prior * 5 < 1;
         the tie e * 5 = 1 is neither."""
         e = np.array([0.0, 0.1, 0.2, 0.25, 0.5] + [0.3] * 11)
-        z_cond = np.full(16, 0.5)
-        classes = classify_indices(z_cond, e, 16, 0.25)
+        h_cond = np.full(16, 0.5)
+        classes = classify_indices(h_cond, e, 16)
         np.testing.assert_array_equal(
             classes[:5], [CLASS_FROZEN_DETERMINISTIC] * 2 + [CLASS_INFO] * 3)
         profile = PolarProfile(
-            channel_id="hand", channel_name="hand", block_len=16, beta=0.25,
-            sample_count=20, seed=0, z_cond=z_cond, h_cond=np.ones(16),
+            channel_id="hand", channel_name="hand", block_len=16,
+            sample_count=20, seed=0, h_cond=h_cond,
             h_prior=np.ones(16), e_cond=e, e_prior=e, classes=classes)
         np.testing.assert_array_equal(profile.stored_mask()[:5],
                                       [False, False, False, True, True])
         assert profile.stored_mask()[5:].all()
         # without a prior chain no index is deterministic, whatever e_prior
-        assert not (classify_indices(z_cond, None, 16, 0.25)
+        assert not (classify_indices(h_cond, None, 16)
                     == CLASS_FROZEN_DETERMINISTIC).any()
 
     @pytest.mark.parametrize("block_len", [1, 2, 1024])
@@ -234,49 +224,34 @@ class TestClassification:
                                     sample_count=200, seed=6)
         assert not (profile.classes == CLASS_FROZEN_DETERMINISTIC).any()
 
+    def test_frozen_random_is_the_entropy_rule_less_deterministic(self):
+        """With a nonuniform prior, FROZEN_RANDOM is {h_cond >= 1 - kappa}
+        less the D set {e_prior * c < 1}, and every class occurs."""
+        channel = make_quantizer_source(0.3, np.array([[0.9, 0.1], [0.2, 0.8]]))
+        profile = construct_profile(channel, 512, sample_count=64, seed=4)
+        deterministic = profile.e_prior * (np.log2(512) + 1.0) < 1.0
+        nearly_uniform = profile.h_cond >= 1.0 - FROZEN_RANDOM_KAPPA
+        np.testing.assert_array_equal(profile.classes == CLASS_FROZEN_RANDOM,
+                                      nearly_uniform & ~deterministic)
+        np.testing.assert_array_equal(
+            profile.classes == CLASS_FROZEN_DETERMINISTIC, deterministic)
+        assert set(np.unique(profile.classes)) == {
+            CLASS_INFO, CLASS_FROZEN_RANDOM, CLASS_FROZEN_DETERMINISTIC}
+
     @pytest.mark.parametrize("beta", [math.nan, 0.0, 1.0])
     def test_beta_outside_open_unit_interval_rejected(self, beta):
-        with pytest.raises(ValueError, match="beta"):
+        with pytest.raises(TypeError, match="beta was removed"):
             construct_profile(lossless_source(0.11), 16, beta=beta,
                               sample_count=4, seed=1)
 
-
-class TestRateControl:
-    def test_payload_cap_demotes_least_reliable(self):
-        profile = construct_profile(crossover_side_info(0.2), 256,
-                                    sample_count=200, seed=6)
-        capped = profile.with_payload_cap(0.3)
-        assert len(capped.info_positions()) <= int(0.3 * 256)
-        demoted = np.setdiff1d(profile.info_positions(), capped.info_positions())
-        if len(demoted) and len(capped.info_positions()):
-            assert profile.z_cond[demoted].min() >= profile.z_cond[
-                capped.info_positions()].max() - 1e-12
-        # demoted indices became frozen-random
-        assert np.all(capped.classes[demoted] == CLASS_FROZEN_RANDOM)
-
-    def test_cap_wider_than_info_is_identity(self):
-        profile = construct_profile(crossover_side_info(0.2), 128,
-                                    sample_count=100, seed=7)
-        assert profile.with_payload_cap(1.0) is profile
-
-    @pytest.mark.parametrize("cap", [-0.5, -1e-300, float("nan")])
-    def test_payload_cap_rejects_negative_and_nan(self, cap):
-        profile = construct_profile(crossover_side_info(0.2), 64,
-                                    sample_count=50, seed=7)
-        with pytest.raises(ValueError, match="max_fraction"):
-            profile.with_payload_cap(cap)
-
-    @pytest.mark.parametrize("cap", [1.5, float("inf")])
-    def test_cap_above_one_is_identity(self, cap):
-        profile = construct_profile(crossover_side_info(0.2), 64,
-                                    sample_count=50, seed=7)
-        assert profile.with_payload_cap(cap) is profile
-
-    def test_zero_cap_demotes_every_info_position(self):
-        profile = construct_profile(crossover_side_info(0.2), 64,
-                                    sample_count=50, seed=7)
-        assert len(profile.info_positions()) > 0
-        assert len(profile.with_payload_cap(0.0).info_positions()) == 0
+    def test_beta_is_refused_unless_none(self, tmp_path):
+        channel = lossless_source(0.11)
+        for build in (lambda **kw: construct_profile(channel, 16, **kw),
+                      lambda **kw: construct_profile_cached(channel, 16, tmp_path,
+                                                            **kw)):
+            with pytest.raises(TypeError, match="beta was removed"):
+                build(beta=0.25, sample_count=4, seed=1)
+            assert build(beta=None, sample_count=4, seed=1).classes.shape == (16,)
 
 
 def _base64(values: np.ndarray) -> str:
@@ -289,8 +264,7 @@ def _base64(values: np.ndarray) -> str:
 def _entry(cache_dir, profile):
     """Cache path of the entry for profile's header."""
     return profile_path(cache_dir, profile_cache_key(
-        profile.channel_id, profile.block_len, profile.beta,
-        profile.sample_count, profile.seed))
+        profile.channel_id, profile.block_len, profile.sample_count, profile.seed))
 
 
 class TestProfileCache:
@@ -299,19 +273,18 @@ class TestProfileCache:
                                     sample_count=60, seed=9)
         path = save_profile(profile, tmp_path)
         loaded = load_profile(path)
-        for name in ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior"):
+        for name in ("h_cond", "h_prior", "e_cond", "e_prior"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(profile, name))
             assert getattr(loaded, name).dtype == np.float64
         np.testing.assert_array_equal(loaded.classes, profile.classes)
         assert loaded.classes.dtype == np.int8
         # arrays are stored as base64 text of their little-endian bytes
         entry = json.loads(path.read_text())
-        assert entry["z_cond"] == _base64(profile.z_cond)
+        assert entry["h_cond"] == _base64(profile.h_cond)
         assert entry["classes"] == _base64(profile.classes)
-        assert (loaded.channel_id, loaded.block_len, loaded.beta,
-                loaded.sample_count, loaded.seed) == (
-            profile.channel_id, profile.block_len, profile.beta,
-            profile.sample_count, profile.seed)
+        assert (loaded.channel_id, loaded.block_len, loaded.sample_count,
+                loaded.seed) == (profile.channel_id, profile.block_len,
+                                 profile.sample_count, profile.seed)
 
     def test_cached_constructor_prefers_disk(self, tmp_path):
         channel = lossless_source(0.11)
@@ -326,32 +299,24 @@ class TestProfileCache:
         np.testing.assert_array_equal(again.h_cond, first.h_cond + 1.0)
 
     def test_distinct_parameters_distinct_paths(self, tmp_path):
-        a = profile_path(tmp_path, "profile_xyz_n64_b0.25_s60_r9")
+        a = profile_path(tmp_path, "profile_xyz_n64_s60_r9")
         channel = lossless_source(0.11)
         p1 = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=9)
         p2 = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=10)
         assert _entry(tmp_path, p1) != _entry(tmp_path, p2)
         assert a.parent == _entry(tmp_path, p1).parent
 
-    def test_close_betas_never_share_an_entry(self, tmp_path):
-        channel = lossless_source(0.11)
-        kw = dict(sample_count=60, seed=9)
-        first = construct_profile_cached(channel, 64, tmp_path, beta=0.1234561, **kw)
-        second = construct_profile_cached(channel, 64, tmp_path, beta=0.1234564, **kw)
-        assert (first.beta, second.beta) == (0.1234561, 0.1234564)
-        assert _entry(tmp_path, first) != _entry(tmp_path, second)
-
     def test_entry_built_for_other_parameters_is_a_miss(self, tmp_path):
         channel = lossless_source(0.11)
-        wanted = dict(beta=0.1234564, sample_count=60, seed=9)
-        stale = construct_profile(channel, 64, beta=0.1234561, sample_count=60, seed=9)
+        wanted = dict(sample_count=60, seed=9)
+        stale = construct_profile(channel, 64, sample_count=60, seed=10)
         key = profile_cache_key(channel.channel_id(), 64, **wanted)
-        # plant the other beta's profile under the requested key
+        # plant the other seed's profile under the requested key
         path = profile_path(tmp_path, key)
         path.write_text(save_profile(stale, tmp_path).read_text())
         got = construct_profile_cached(channel, 64, tmp_path, **wanted)
-        assert got.beta == 0.1234564
-        assert load_profile(path).beta == 0.1234564
+        assert got.seed == 9
+        assert load_profile(path).seed == 9
 
     @pytest.mark.parametrize("content", [
         "{not json", "[1, 2]", '{"version": 2}', "",
@@ -362,7 +327,7 @@ class TestProfileCache:
         pytest.param(("classes", lambda c: np.r_[np.int8(7), c[1:]]), id="class-7"),
         pytest.param(("classes", lambda c: np.r_[np.int8(-1), c[1:]]),
                      id="class-negative"),
-        pytest.param(("z_cond", lambda z: np.r_[math.nan, z[1:]]), id="nan-z_cond"),
+        pytest.param(("h_prior", lambda h: np.r_[math.nan, h[1:]]), id="nan-h_prior"),
         pytest.param(("h_cond", lambda h: np.r_[h[:-1], math.inf]),
                      id="inf-h_cond"),
         pytest.param(("e_prior", lambda e: e[:-1]), id="e_prior-short"),
@@ -374,24 +339,30 @@ class TestProfileCache:
         pytest.param(("classes", lambda c: c.astype("<f8") + 0.9),
                      id="classes-fractional"),
         # text that is not base64, and values that are not text
-        pytest.param(("z_cond", "not base64!"), id="z_cond-bad-base64"),
+        pytest.param(("h_cond", "not base64!"), id="h_cond-bad-base64"),
         pytest.param(("classes", "AAE"), id="classes-unpadded-base64"),
         pytest.param(("classes", lambda c: [bool(v == CLASS_INFO) for v in c]),
                      id="classes-bool"),
-        pytest.param(("z_cond", lambda z: [str(v) for v in z]), id="z_cond-strings"),
+        pytest.param(("h_cond", lambda h: [str(v) for v in h]), id="h_cond-strings"),
         pytest.param(("h_prior", lambda h: [str(v) for v in h]),
                      id="h_prior-strings"),
         pytest.param(("h_prior", lambda h: h.tolist()), id="h_prior-number-list"),
         pytest.param(("N", math.inf), id="N-infinite"),
         pytest.param(("N", "64"), id="N-string"),
         pytest.param(("sample_count", 60.5), id="sample_count-fractional"),
+        # the previous cache format: its version, beta and Bhattacharyya
+        # array, under the key the current format uses
+        pytest.param(lambda entry: {**entry, "version": 7, "beta": 0.25,
+                                    "z_cond": entry["h_cond"]}, id="version-7-entry"),
     ])
     def test_corrupt_entry_is_rebuilt(self, tmp_path, content):
         channel = lossless_source(0.11)
         fresh = construct_profile(channel, 64, sample_count=60, seed=9)
         path = _entry(tmp_path, fresh)
         rebuilt = save_profile(fresh, tmp_path).read_text()
-        if not isinstance(content, str):  # a valid entry with one value spoiled
+        if callable(content):  # a valid entry rewritten as a whole
+            content = json.dumps(content(json.loads(rebuilt)))
+        elif not isinstance(content, str):  # a valid entry with one value spoiled
             name, value = content
             entry = json.loads(rebuilt)
             if callable(value):
@@ -403,7 +374,7 @@ class TestProfileCache:
             content = json.dumps(entry)
         path.write_text(content)
         got = construct_profile_cached(channel, 64, tmp_path, sample_count=60, seed=9)
-        np.testing.assert_array_equal(got.z_cond, fresh.z_cond)
+        np.testing.assert_array_equal(got.h_cond, fresh.h_cond)
         np.testing.assert_array_equal(load_profile(path).classes, fresh.classes)
         # a miss overwrites the entry; a served entry would stay as planted
         assert path.read_text() == rebuilt
@@ -413,8 +384,8 @@ class TestProfileCache:
             crossover_side_info(0.1), 64, d, sample_count=8, seed=np.int64(3)),),
             id="int64-seed"),
         pytest.param(lambda d: (construct_profile_cached(
-            crossover_side_info(0.1), 64, d, sample_count=8, beta=np.float32(0.25)),),
-            id="float32-beta"),
+            crossover_side_info(0.1), 64, d, sample_count=np.int64(8)),),
+            id="int64-sample_count"),
         pytest.param(lambda d: build_multilevel_code(
             plan_chain(_LATTICE_MMSE), _LATTICE_MMSE, 64, sample_count=8,
             seed=np.int64(2), cache_dir=d).profiles, id="int64-lattice-seed"),
@@ -431,7 +402,7 @@ class TestProfileCache:
         _assert_same_profiles(build(tmp_path), first)
 
 
-PROFILE_FIELDS = ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes")
+PROFILE_FIELDS = ("h_cond", "h_prior", "e_cond", "e_prior", "classes")
 
 
 def _assert_same_profiles(profiles, reference):

@@ -594,7 +594,7 @@ class TestInfiniteEvidence:
             warnings.simplefilter("error")
             for channel in (lossless_source(0.0), crossover_side_info(0.0)):
                 profile = construct_profile(channel, 64, sample_count=20, seed=2)
-                for name in ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior"):
+                for name in ("h_cond", "h_prior", "e_cond", "e_prior"):
                     assert np.all(np.isfinite(getattr(profile, name)))
                 np.testing.assert_allclose(profile.h_cond, 0.0, atol=1e-12)
 
@@ -636,21 +636,19 @@ class TestInfiniteEvidence:
 
 
 def test_leaf_formulas_match_pair_formulas():
-    """z, h and the misses read from L against the pair formulas they
+    """h and the misses read from L against the pair formulas they
     replace: p = (1 / (1 + e^-L), 1 / (1 + e^L)) with L capped at +-700,
-    z = 2 sqrt(p0 p1), h = -log2 p(bit), a miss where map_bits(L) != bit;
-    ties decide 0 whatever the zero's sign."""
+    h = -log2 p(bit), a miss where map_bits(L) != bit; ties decide 0
+    whatever the zero's sign."""
     llr = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
                     700.0, -700.0, 800.0, -800.0, np.inf, -np.inf])
     capped = np.clip(llr, -700.0, 700.0)
     pairs = np.stack([1 / (1 + np.exp(-capped)), 1 / (1 + np.exp(capped))], -1)
     for bit in (0, 1):
         # one chain, one block: (C, B, N) LLRs and (B, N) bits
-        misses, z, h = _leaf_statistics(llr[None, None].copy(),
-                                        np.full((1, llr.size), bit, np.uint8))
+        misses, h = _leaf_statistics(llr[None, None].copy(),
+                                     np.full((1, llr.size), bit, np.uint8))
         np.testing.assert_array_equal(misses[0], map_bits(llr) != bit)
-        np.testing.assert_allclose(z[0], 2 * np.sqrt(pairs[:, 0] * pairs[:, 1]),
-                                   rtol=1e-14, atol=0)
         np.testing.assert_allclose(h[0, 0], -np.log2(pairs[:, bit]),
                                    rtol=1e-14, atol=1e-15)
     assert np.all(np.isfinite(h))

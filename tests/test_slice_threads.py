@@ -40,7 +40,7 @@ from graywyner.polar import test_channel_source as make_quantizer_source
 from graywyner.polar.profile import channel_evidence, construct_from_evidence
 
 THREAD_COUNTS = (1, 2, 3)
-PROFILE_FIELDS = ("z_cond", "h_cond", "h_prior", "e_cond", "e_prior", "classes")
+PROFILE_FIELDS = ("h_cond", "h_prior", "e_cond", "e_prior", "classes")
 
 
 def _two_chain_channel():
@@ -131,7 +131,7 @@ class TestSameBytesForEveryThreadCount:
 
         def build(evidence):
             return _digest([construct_from_evidence(
-                x, evidence, prior, beta=0.25, seed=0, channel_id="c",
+                x, evidence, prior, seed=0, channel_id="c",
                 channel_name="c")])
 
         monkeypatch.setattr(profile_module, "_WORKERS", 1)
@@ -169,11 +169,11 @@ class TestFailuresAndThreads:
                     running[0] -= 1
 
         with pytest.raises(RuntimeError) as caught:
-            construct_from_evidence(x, failing, prior, beta=0.25, seed=0,
+            construct_from_evidence(x, failing, prior, seed=0,
                                     channel_id="c", channel_name="c")
         assert caught.value is error
         assert running[0] == 0
-        construct_from_evidence(x, cond, prior, beta=0.25, seed=0,
+        construct_from_evidence(x, cond, prior, seed=0,
                                 channel_id="c", channel_name="c")
         assert running[0] == 0
 
@@ -213,7 +213,7 @@ class TestFailuresAndThreads:
             return cond(start, stop)
 
         before = threading.active_count()
-        construct_from_evidence(x, recorded, prior, beta=0.25, seed=0,
+        construct_from_evidence(x, recorded, prior, seed=0,
                                 channel_id="c", channel_name="c")
         assert threads == {threading.get_ident()}
         assert threading.active_count() == before
@@ -253,7 +253,7 @@ class TestFailuresAndThreads:
 
         for workers in (3, 2, 3, 1):
             monkeypatch.setattr(profile_module, "_WORKERS", workers)
-            construct_from_evidence(x, counted, prior, beta=0.25, seed=0,
+            construct_from_evidence(x, counted, prior, seed=0,
                                     channel_id="c", channel_name="c")
             assert _slice_threads() == []  # no helper outlives its pass
         assert peak == {3: 2, 2: 1, 1: 0}  # _WORKERS - 1 helpers
@@ -323,7 +323,7 @@ def test_workers_run_under_the_callers_errstate(monkeypatch):
 
     with np.errstate(all="ignore", divide="raise"):
         wanted = np.geterr()
-        construct_from_evidence(x, recorded, prior, beta=0.25, seed=0,
+        construct_from_evidence(x, recorded, prior, seed=0,
                                 channel_id="c", channel_name="c")
     assert wanted != np.geterr()
     assert len({ident for ident, _ in seen}) > 1
