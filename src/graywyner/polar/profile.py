@@ -12,15 +12,16 @@ tree level, see sc.py) and the statistics of all leaves are taken at once:
   float64 pass, and within float32 rounding in construction's passes;
 * the decision error e[i], how often sc.map_bits(L) misses the true bit.
 
-Construction's passes carry their LLRs in float32 (see sc.py): the leaf
-LLRs of the evidence are computed in float64, the tree is evaluated in
-float32 and the leaves return to float64 before the statistics are taken.
-Against a float64 pass, h moves by float32 rounding of L (about 1e-7,
-far below the Monte Carlo noise of a few hundred blocks), and a decision
-moves only where L rounds to the other sign or to a tie, which happens at
-leaves whose law is close to uniform either way.  The coders' passes
-(polar/coding.py) stay in float64, so encoders and decoders replay each
-other bit for bit whatever the profile.
+Construction's passes, like every SC pass, carry their LLRs in float32
+(see sc.py): the leaf LLRs of the evidence are computed in float64, the
+tree is evaluated in float32 and the leaves return to float64 before the
+statistics are taken.  Against a float64 pass, h moves by float32
+rounding of L (about 1e-7, far below the Monte Carlo noise of a few
+hundred blocks), and a decision moves only where L rounds to the other
+sign or to a tie, which happens at leaves whose law is close to uniform
+either way.  The coders' passes (polar/coding.py) run the same float32
+steps on both sides, so encoders and decoders replay each other bit for
+bit whatever the profile.
 
 construct_from_evidence does this for any coded variable given callables
 for its evidence; binary channels and lattice levels both supply them.  The
@@ -209,7 +210,7 @@ def _run_slices(work, fold, slices) -> None:
 
 
 def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
-                     plan=None, fold=None, *, dtype=np.float64):
+                     plan=None, fold=None):
     """SC passes over n_blocks blocks in bounded batch slices.
 
     chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
@@ -234,11 +235,6 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
     called (see sc_traverse).  Returns (u, x) over all blocks, as
     sc_traverse does.
 
-    dtype is the precision of the breadth-first passes' LLRs (see
-    sc_traverse): construction runs them in float32, the lossless
-    encoder's flag passes in the float64 default.  It applies to
-    breadth-first passes only; depth-first passes always run in float64.
-
     Each kind of pass has its own slice budget (see sc.chunked_batches):
     breadth-first slices are cache-sized, so construction and the lossless
     encoder hold the evidence of a few blocks per thread at a time, while
@@ -258,7 +254,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
             out = []
             sc_traverse(evidence(start, stop),
                         lambda leaves, llr: out.append(stats(llr, start, stop)),
-                        known=known[start:stop], dtype=dtype)
+                        known=known[start:stop])
             return out[0]
 
         _run_slices(work, fold or (lambda _: None), slices)
@@ -355,7 +351,7 @@ def construct_from_evidence(x_true, cond, prior=None, *, seed: int,
             h_sum[:] += h[:, block]
 
     traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true,
-                     fold=add, dtype=np.float32)
+                     fold=add)
     h, e = h_sum / sample_count, miss_sum / sample_count
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform
         h = np.vstack([h, np.ones(block_len)])

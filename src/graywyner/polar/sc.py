@@ -47,14 +47,16 @@ There are two passes, chosen by the input:
   evaluated one level at a time over all nodes at once; ``stats`` is called
   once with the LLRs of every leaf.
 
-Each pass has its precision.  Every pass computes its leaf LLRs from the
-evidence in float64.  A depth-first pass walks in float64 only: its
-rate-1 guard below is proven for float64 steps, and the coders' decisions
-must replay bit for bit.  A breadth-first pass carries its LLRs in the
-``dtype`` it is given, float64 by default (the coders' flag passes) or
-float32 (construction's passes, whose f-steps then run about twice as
-fast on half the bytes).  The leaf LLRs are cast once to that dtype when
-the pass starts, and back to float64 for ``stats``.
+Every pass runs in one precision, float32.  It computes its leaf LLRs
+from the evidence in float64 and casts them once to float32, in which the
+tree is evaluated: the f-steps then run about twice as fast on half the
+bytes, and a walk's LLRs and nodes take half the memory.  A breadth-first
+pass hands its leaves to ``stats`` back in float64.  Thresholds stay
+float64, and the leaf rule L < t compares the float32 L with them
+exactly.  Encoders and decoders run the same float32 steps, so they
+replay each other bit for bit (see the last paragraph).
+``sc_traverse``'s ``dtype`` can run a pass in float64 instead, for the
+engine's exact-arithmetic tests; no pipeline passes it.
 
 Each pass runs over the whole batch it is given, and turns its evidence
 into LLRs before it starts, so the posteriors are freed for the pass.
@@ -79,10 +81,11 @@ _TRANSPOSE_ROWS blocks at a time straight into (N, B), so no (B, N) copy
 of them exists, and the plan's bits and thresholds are copied over the
 same way.  A node's margin is read off the (N, B) thresholds when its
 rate-1 test needs it, so no table of margins is kept beside them.  At its
-peak, the root's f-step, a walk holds about 2.5 float (N, B) arrays, 3.5
-with thresholds: the LLRs, the first child (half an array), the f-step's
-scratch and the thresholds.  The nodes along one root-to-leaf path hold
-fewer than N values per block together, so no deeper step needs more.
+peak, the root's f-step, a walk holds about 2.5 float32 (N, B) arrays,
+and the float64 thresholds if it has them: the LLRs, the first child
+(half an array), the f-step's scratch and the thresholds.  The nodes
+along one root-to-leaf path hold fewer than N values per block together,
+so no deeper step needs more.
 
 The depth-first pass prunes two kinds of subtree (the rate-0 and rate-1
 nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
@@ -99,26 +102,43 @@ nodes of simplified SC: Alamdar-Yazdi & Kschischang, IEEE Commun. Lett.
   without thresholds).
 
   One induction on M makes the shortcut exact, per block (every step is
-  elementwise in the block).  At M = 1 the leaf's |L| > 1 + m >= |t| + 1,
-  and L < t is an exact float comparison, false where L > |t| and true
-  where L < -|t|: the leaf rule is hard(L), with no rounding argument.
-  An infinite t makes the guard infinite, which no |L| passes.
-  At width M, the f-step keeps the xor of the signs and loses at most ln 2
-  of magnitude, |f(a, b)| >= min(|a|, |b|) - ln 2 > ln 2 log2(M/2) + 1 +
-  m, and a child's m is at most its parent's, so the first child returns
-  v = hard(a) xor hard(b).  The g-step b + (1 - 2v) a then adds two terms
-  of the sign of b, so it never cancels, |g| >= |b|, and the second child
-  returns hard(b); the node returns [hard(a), hard(b)].  The float error
-  of a step is a few units in the last place of values that stay in the
-  slack of 1.  Infinite L obey both bounds.  Without the guard, exact ties
-  (L = 0) break the induction, as f(0, b) = 0 decides 0 whatever the sign
-  of b: the lattice prior table has tie rows, and g-steps cancel to 0 on
-  constant prior evidence.
+  elementwise in the block).  Write G(M) = ln 2 log2(M) + 1 + m for the
+  guard; a child's m is at most its parent's, so G(M/2) <= G(M) - ln 2.
+  At M = 1 the leaf's |L| > 1 + m >= |t| + 1, and L < t is an exact
+  float comparison, false where L > |t| and true where L < -|t|: the
+  leaf rule is hard(L), with no rounding argument.  An infinite t makes
+  the guard infinite, which no |L| passes.  At width M, the exact f-step
+  keeps the xor of the signs and loses at most ln 2 of magnitude,
+  |f(a, b)| >= min(|a|, |b|) - ln 2, so the first child returns v =
+  hard(a) xor hard(b).  The g-step b + (1 - 2v) a then adds two terms of
+  the sign of b, so it never cancels: |g| >= |b|, and a rounded sum of
+  two terms of one sign is never smaller than either, so this holds in
+  floats too.  The second child returns hard(b), and the node returns
+  [hard(a), hard(b)].  Infinite L obey both bounds.  Without the guard,
+  exact ties (L = 0) break the induction, as f(0, b) = 0 decides 0
+  whatever the sign of b: the lattice prior table has tie rows, and
+  g-steps cancel to 0 on constant prior evidence.
 
-Both passes build their leaf LLRs from the same elementwise f- and g-steps,
-so for the same bits a float64 breadth-first pass and a depth-first pass
-reach bitwise-identical leaf LLRs; a float32 pass reaches the same steps'
-float32 values, within float32 rounding of them.
+  What the float f-step adds to its loss of ln 2 is its rounding, which
+  the slack of 1 in the guard absorbs.  Its magnitude is the smaller
+  |L|, n, plus and minus two log terms in [0, ln 2], each within a few
+  units of float32 rounding (u = 2^-24), and the two sums round by at
+  most u (n + 1) each, so a step loses at most ln 2 + 8u (n + 1).
+  Rounding thresholds come from 53-bit uniforms, so a finite |t| is at
+  most ln(2^53) = 36.7 and m <= 37, and G(M) < 52 for N <= 2^20.  An
+  input n within twice its guard is at most 104, so its step adds at
+  most 8u 105 = 5e-5, and over the <= log2 N f-steps of a path to a leaf
+  these sum to about 1e-3, far inside the slack.  An input n beyond
+  twice its guard G keeps a margin of half its size: its output exceeds
+  n - ln 2 - 8u (n + 1) > G - ln 2 + n/2 (1 - 16u) - 8u, far above the
+  child's guard.  So every value on the path stays above its guard less
+  1e-3, and the leaf's |L| exceeds |t|.  The same holds in float64 with
+  a smaller u.
+
+Both passes build their leaf LLRs from the same elementwise f- and g-steps
+in the same precision, so for the same bits a breadth-first pass and a
+depth-first pass reach bitwise-identical leaf LLRs: a lossless encoder's
+flag pass and its decoder's walk decide on the same values.
 """
 
 from __future__ import annotations
@@ -275,7 +295,9 @@ def _depth_first(llr: np.ndarray, has_inf: bool, known, bits, thresholds):
             return None
         guard = _LN2 * (width.bit_length() - 1) + 1.0
         magnitude = np.abs(node)
-        if not magnitude.min(initial=np.inf) > guard:
+        # float() compares in float64, as the margin test below does, and
+        # not against the guard rounded to the node's float32
+        if not float(magnitude.min(initial=np.inf)) > guard:
             return None
         # the margin, each block's largest |t|, only moves the guard up,
         # so it is taken only where the bare guard passes in every block
@@ -390,7 +412,7 @@ def _checked_plan(plan, n_blocks: int, block_len: int):
 
 
 def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
-                dtype=np.float64):
+                dtype=np.float32):
     """Run one successive-cancellation pass over a batch of blocks.
 
     evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
@@ -409,11 +431,11 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
         outside the mask is decided as (L < t) xor its flip, t = 0 without
         thresholds (see the module docstring).  Without a plan every leaf
         is decided by its sign.
-    dtype: the float type a breadth-first pass carries its LLRs in, from
-        the float64 leaf LLRs of the evidence to the float64 LLRs handed
-        to stats: np.float64 (the default) or np.float32.  A depth-first
-        pass runs in float64 only, the precision its rate-1 guard is
-        proven for; ValueError for any other dtype there.
+    dtype: the float type a pass carries its LLRs in, from the float64
+        leaf LLRs of the evidence to the float64 LLRs handed to stats:
+        np.float32 (the default, every pipeline's) or np.float64, which
+        the engine's exact-arithmetic tests run; ValueError for any
+        other dtype.
 
     Returns (u, x), both (blocks, N) uint8, where u collects the decided
     bits in leaf order and x is the corresponding codeword (u equals the
@@ -430,16 +452,20 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype}")
     if known is None:
-        if dtype != np.float64:
-            raise ValueError(f"a depth-first pass runs in float64, got {dtype}")
         if n_chains != 1:
             raise ValueError(f"a depth-first pass walks one chain, got {n_chains}")
         fixed, bits, thresholds = _checked_plan(plan, n_blocks, block_len)
         if fixed.all():  # a rate-0 root reads no evidence
             return bits.copy(), polar_transform(bits)
-        llr = _blocks_last(lambda rows: _llrs(evidence[:, rows])[0][0],
-                           n_blocks, block_len)
-        has_inf = not np.isfinite(llr).all()
+        found_inf = []
+
+        def rows(chunk):
+            chunk_llr, chunk_inf = _llrs(evidence[:, chunk])
+            found_inf.append(chunk_inf)
+            return chunk_llr[0]
+
+        llr = _blocks_last(rows, n_blocks, block_len, dtype)
+        has_inf = any(found_inf)
     else:
         u = checked_bits(known, "known")
         if u.shape != (n_blocks, block_len):
@@ -478,8 +504,9 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
     whatever the batch.  That set is its posteriors until they are freed,
     then its blocks-last (N, B) arrays: the LLRs, the thresholds if any,
     and the node arrays along one root-to-leaf path, which peak at the
-    root's f-step near 2.5 (3.5 with thresholds) float arrays of the
-    slice's size, 10.7 (14.7) MiB for 128 blocks at N=4096.
+    root's f-step near 2.5 float32 arrays of the slice's size and the
+    float64 thresholds, 5.7 MiB (9.7 with thresholds) for 128 blocks at
+    N=4096.
     """
     per_block = max(1, n_chains * block_len)
     budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES

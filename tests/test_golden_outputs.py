@@ -75,7 +75,7 @@ from graywyner.polar import (
 from graywyner.polar import test_channel_source as make_quantizer_source
 
 GOLDEN = "be4d0bbd1c94d4a8814add5b91355adc80d0429eab6218630975c6213a04e4c1"
-GOLDEN_BATCH = "4940181b652a740cf07cc5705879827df88d4480e1c70abf224756307e5190b1"
+GOLDEN_BATCH = "4bc3f4fa1b158e75dca7612651bba2a21645cf4bfad3b22246cd0d89f8d620b6"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
 GOLDEN_PROFILES = "e7c75972211d35516d56d932ed040d1382bcbbdd2de0c0cd695329e5f38365d5"
 GOLDEN_CLASSES = "09e2282a848e029b6c41609aa3b579c84ecb1d226a17180ecff2f8b11b4ec493"

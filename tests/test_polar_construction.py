@@ -16,7 +16,12 @@ import pytest
 from graywyner import lattice as lattice_module
 from graywyner import rng
 from graywyner.gaussian import GaussianPairModel, reduce_pair
-from graywyner.lattice import build_multilevel_code, plan_chain
+from graywyner.lattice import (
+    build_multilevel_code,
+    lattice_quantize,
+    lattice_reconstruct,
+    plan_chain,
+)
 from graywyner.numerics import binary_entropy
 from graywyner.polar import (
     CLASS_FROZEN_DETERMINISTIC,
@@ -34,6 +39,7 @@ from graywyner.polar import (
     profile_cache_key,
     profile_path,
     save_profile,
+    sc_lossless_decode,
     sc_lossless_encode,
     sc_lossy_encode,
     sc_lossy_reconstruct,
@@ -58,9 +64,10 @@ def _surprisal(llr, bits):
 
 def _true_path_llrs(evidence, u):
     """(B, N) leaf LLRs of one-chain evidence along the bits u, read from
-    the breadth-first pass."""
+    a float64 breadth-first pass, whose chain rule holds to 1e-9."""
     seen = []
-    sc_traverse(evidence, lambda leaves, llr: seen.append(llr[0]), known=u)
+    sc_traverse(evidence, lambda leaves, llr: seen.append(llr[0]), known=u,
+                dtype=np.float64)
     return seen[0]
 
 
@@ -499,34 +506,44 @@ class TestSliceIndependence:
 
 
 class TestPassPrecision:
-    def test_construction_float32_coders_float64(self, monkeypatch):
-        """Construction's breadth-first passes carry float32 LLRs; the
-        coders' flag passes (lossy and lossless) and every depth-first walk
-        carry float64, so the coders' decisions keep their float64 bits."""
-        traverse = profile_module.sc_traverse
+    def test_every_pass_runs_in_float32(self, monkeypatch):
+        """Every SC pass the pipelines run evaluates its tree in float32:
+        construction's breadth-first passes (binary and lattice), the
+        coders' breadth-first flag passes and their depth-first walks
+        (lossy encode and replay, lossless decode, lattice quantize and
+        reconstruct)."""
         seen = set()
+        for kind in ("_breadth_first", "_depth_first"):
+            def recording(llr, *args, _kind=kind, _pass=getattr(sc_module, kind)):
+                seen.add((_kind, llr.dtype.name))
+                return _pass(llr, *args)
 
-        def recording(evidence, stats, **kwargs):
-            # a pass given no dtype runs in sc_traverse's float64 default
-            seen.add(("known" in kwargs,
-                      np.dtype(kwargs.get("dtype", np.float64)).name))
-            return traverse(evidence, stats, **kwargs)
-
-        monkeypatch.setattr(profile_module, "sc_traverse", recording)
+            monkeypatch.setattr(sc_module, kind, recording)
+        every = {("_breadth_first", "float32"), ("_depth_first", "float32")}
         channel = make_quantizer_source(0.2, np.array([[0.9, 0.1], [0.1, 0.9]]))
         profile = construct_profile(channel, 64, sample_count=8, seed=1)
-        assert seen == {(True, "float32")}
+        assert seen == {("_breadth_first", "float32")}
         seen.clear()
         _, y = channel.sample(4, 64, rng.stream(2, rng.STREAM_SOURCE))
         code, _ = sc_lossy_encode(y, channel, profile, shared_seed=3)
         sc_lossy_reconstruct(code, channel, profile, shared_seed=3)
-        assert seen == {(True, "float64"), (False, "float64")}
+        assert seen == every
         side = crossover_side_info(0.11)
         side_profile = construct_profile(side, 64, sample_count=8, seed=1)
         seen.clear()
         x, y = side.sample(4, 64, rng.stream(2, rng.STREAM_SOURCE))
-        sc_lossless_encode(x, side, side_profile, side=y)
-        assert seen == {(True, "float64")}
+        code = sc_lossless_encode(x, side, side_profile, side=y)
+        sc_lossless_decode(code, side, side_profile, side=y)
+        assert seen == every
+        seen.clear()
+        lattice = build_multilevel_code(plan_chain(_LATTICE_MMSE), _LATTICE_MMSE,
+                                        64, sample_count=8, seed=1)
+        assert seen == {("_breadth_first", "float32")}
+        samples = np.random.default_rng(2).normal(0.0, 1.0, (4, 64))
+        codes, _ = lattice_quantize(samples, lattice, shared_seed=3)
+        lattice_reconstruct(codes, lattice, shared_seed=3)
+        assert ("_depth_first", "float32") in seen
+        assert {dtype for _, dtype in seen} == {"float32"}
 
 
 def _traced_peak_mib(build) -> float:

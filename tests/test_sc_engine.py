@@ -3,17 +3,20 @@ bitwise agreement of the breadth-first pass (one or two chains) and the
 one-chain depth-first pass on each chain, pruned depth-first passes
 against the engine's unpruned recursion along their output (with and
 without the thresholds of the leaf rule, and with per-block flips, also at
-the batch sizes around the walk's transpose chunks), each chain of C-chain
-evidence walked in its own pass, the walk's peak memory, infinite and
-contradictory evidence, the leaf statistics and decisions read from LLRs
-against their pair formulas, the rounding thresholds, and lossless round
-trips whose uncertain positions are mostly decided by maximum posterior.
+the batch sizes around the walk's transpose chunks), float32 walks on
+planted LLRs at the edges of the rate-1 guard (Hypothesis), each chain of
+C-chain evidence walked in its own pass, the walk's peak memory, infinite
+and contradictory evidence, the leaf statistics and decisions read from
+LLRs against their pair formulas, the rounding thresholds, and lossless
+round trips whose uncertain positions are mostly decided by maximum
+posterior.
 
 The oracle of a depth-first pass needs no callback: along the pass's
 output u, every known leaf equals its bit and every other leaf equals
 (L < t) xor its flip at the L of the engine's unpruned recursion along u
 (_node_llrs), which characterizes the SC output exactly, as a leaf's L
-depends only on the leaves before it."""
+depends only on the leaves before it.  Passes and oracles run in the
+engine's float32 unless a test asks for float64."""
 
 import contextlib
 import tracemalloc
@@ -22,6 +25,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graywyner import rng
 from graywyner.polar import (
@@ -94,12 +100,18 @@ def _never(*args):
     raise AssertionError("a depth-first pass called its second argument")
 
 
-def _node_llrs(evidence, u, dtype=np.float64):
+def _node_llrs(evidence, u, dtype=np.float32):
     """{(lo, width): (chains, blocks, width) LLRs} of every node of the
     unpruned tree along the decided bits u, from the engine's own steps,
-    run in dtype on the evidence's float64 LLRs cast to it."""
+    run in dtype (the engine's float32 by default) on the evidence's
+    float64 LLRs cast to it."""
     llr, has_inf = sc_module._llrs(evidence)
-    llr = llr.astype(dtype)
+    return _tree_llrs(llr.astype(dtype), has_inf, u)
+
+
+def _tree_llrs(llr, has_inf, u):
+    """_node_llrs over (chains, blocks, N) LLRs given as they are, in
+    their dtype."""
     nodes = {}
 
     def rec(node, lo):
@@ -117,16 +129,23 @@ def _node_llrs(evidence, u, dtype=np.float64):
     return nodes
 
 
-def _leaf_llrs(evidence, u, nodes=None, dtype=np.float64):
+def _leaf_llrs(evidence, u, nodes=None, dtype=np.float32):
     """(chains, blocks, N) leaf LLRs of the unpruned recursion along u in
     dtype, or of its nodes (_node_llrs) if given."""
     nodes = _node_llrs(evidence, u, dtype) if nodes is None else nodes
     return np.concatenate([nodes[i, 1] for i in range(u.shape[1])], axis=-1)
 
 
-def _depth_first_reads(chain, u, llr):
-    """Whether depth-first passes over one-chain evidence, along the bits
-    u, reach exactly the (B, N) leaf LLRs llr.  Planted at t = llr with
+def _depth_first_reads(chain, u, llr, dtype=np.float32):
+    """Whether depth-first passes in dtype over one-chain evidence, along
+    the bits u, reach exactly the (B, N) leaf LLRs llr (_walk_reads)."""
+    return _walk_reads(
+        lambda plan: sc_traverse(chain, _never, plan=plan, dtype=dtype)[0], u, llr)
+
+
+def _walk_reads(walk, u, llr):
+    """Whether the walks walk(plan) -> u along the bits u reach exactly
+    the (B, N) leaf LLRs llr.  Planted at t = llr with
     flip u, the leaf rule returns u at a leaf exactly when its L is not
     below llr; at one float step above llr with flip u ^ 1, exactly when
     its L is not above (where llr is +inf, with no step above it, t = -inf
@@ -137,11 +156,10 @@ def _depth_first_reads(chain, u, llr):
     plans = [(free, u, llr),
              (free, np.where(top, u, u ^ 1),
               np.where(top, -np.inf, np.nextafter(llr, np.inf)))]
-    return all(np.array_equal(sc_traverse(chain, _never, plan=plan)[0], u)
-               for plan in plans)
+    return all(np.array_equal(walk(plan), u) for plan in plans)
 
 
-def _breadth_first_leaves(evidence, u, dtype=np.float64):
+def _breadth_first_leaves(evidence, u, dtype=np.float32):
     seen = {}
 
     def stats(leaves, llr):
@@ -181,7 +199,7 @@ class TestAgainstPairReference:
 
         _, x_ref = reference_traverse(evidence, decide)
         want, resolved = _pair_llrs(expected)
-        got = _breadth_first_leaves(evidence, u)
+        got = _breadth_first_leaves(evidence, u, np.float64)
         np.testing.assert_allclose(got[resolved], want[resolved],
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(np.sign(got[~resolved]),
@@ -191,17 +209,20 @@ class TestAgainstPairReference:
 
     def test_passes_agree_bitwise(self, kind, n_chains, block_len):
         """The breadth-first pass's leaf LLRs are the unpruned recursion's,
-        and a depth-first pass on each chain reaches them bit for bit."""
+        and a depth-first pass on each chain reaches them bit for bit, in
+        the engine's float32 and in float64."""
         evidence = _evidence(kind, n_chains, 5, block_len, seed=7 * block_len)
         u = np.random.default_rng(block_len + 1).integers(
             0, 2, (5, block_len)).astype(np.uint8)
-        breadth = _breadth_first_leaves(evidence, u)
-        np.testing.assert_array_equal(breadth, _leaf_llrs(evidence, u))
-        for c, chain in enumerate(_per_chain(evidence)):
-            assert _depth_first_reads(chain, u, breadth[c])
+        for dtype in (np.float32, np.float64):
+            breadth = _breadth_first_leaves(evidence, u, dtype)
+            np.testing.assert_array_equal(breadth,
+                                          _leaf_llrs(evidence, u, dtype=dtype))
+            for c, chain in enumerate(_per_chain(evidence)):
+                assert _depth_first_reads(chain, u, breadth[c], dtype)
 
     def test_float32_pass(self, kind, n_chains, block_len):
-        """A float32 breadth-first pass (construction's) is the unpruned
+        """A float32 breadth-first pass (every pipeline's) is the unpruned
         recursion run in float32 on the float64 LLRs of the evidence, bit
         for bit, and hands stats float64 LLRs within float32 rounding of
         the float64 pass's, infinite L equal.  A node's |L| is at most
@@ -216,7 +237,7 @@ class TestAgainstPairReference:
         assert single.dtype == np.float64
         np.testing.assert_array_equal(
             single, _leaf_llrs(evidence, u, dtype=np.float32))
-        double = _breadth_first_leaves(evidence, u)
+        double = _breadth_first_leaves(evidence, u, np.float64)
         evidence_llr = np.abs(sc_module._llrs(evidence)[0])
         reach = evidence_llr[np.isfinite(evidence_llr)].max() * block_len
         np.testing.assert_allclose(single, double, rtol=1e-5, atol=1e-5 + (
@@ -335,7 +356,9 @@ def _expected_steps(nodes, known, bits, thresholds):
             guard = sc_module._LN2 * (width.bit_length() - 1) + 1.0
             if thresholds is not None:
                 guard = guard + np.abs(thresholds[:, lo:lo + width]).max(axis=1)
-            if (np.abs(nodes[lo, width][0]).min(axis=1) > guard).all():
+            # in float64, as the walk compares its float32 |L|
+            low = np.abs(nodes[lo, width][0]).min(axis=1).astype(float)
+            if (low > guard).all():
                 return
         half = width // 2
         for key, start in (("f", lo), ("g", lo + half)):
@@ -353,13 +376,23 @@ def _assert_plan_exact(evidence, known, bits, thresholds=None):
     docstring), with the steps it computes those of _expected_steps and
     its second argument never called; returns its (u, x)."""
     plan = (known, bits) if thresholds is None else (known, bits, thresholds)
+    llr, has_inf = sc_module._llrs(evidence)
+    return _assert_walk_exact(lambda: sc_traverse(evidence, _never, plan=plan),
+                              llr.astype(np.float32), has_inf, known, bits,
+                              thresholds)
+
+
+def _assert_walk_exact(walk, llr, has_inf, known, bits, thresholds):
+    """walk()'s (u, x) against the oracle over the (1, B, N) LLRs llr of
+    the walk, in their dtype, with the steps it computes those of
+    _expected_steps; returns (u, x)."""
     with _step_counts() as steps:
-        u, x = sc_traverse(evidence, _never, plan=plan)
+        u, x = walk()
     np.testing.assert_array_equal(x, polar_transform(u))
     np.testing.assert_array_equal(u[:, known], bits[:, known])
-    nodes = _node_llrs(evidence, u)
-    rule = _leaf_llrs(evidence, u, nodes)[0] < (0.0 if thresholds is None
-                                                else thresholds)
+    nodes = _tree_llrs(llr, has_inf, u)
+    rule = _leaf_llrs(None, u, nodes)[0] < (0.0 if thresholds is None
+                                            else thresholds)
     np.testing.assert_array_equal(u[:, ~known], (rule ^ bits)[:, ~known])
     assert steps == _expected_steps(nodes, known, bits, thresholds)
     return u, x
@@ -541,20 +574,6 @@ class TestPlanChecked:
             with pytest.raises(ValueError, match="one chain"):
                 sc_traverse(evidence, _never, plan=plan)
         u, x = sc_traverse(evidence, lambda leaves, llr: None, known=bits)
-        np.testing.assert_array_equal(u, bits)
-
-    @pytest.mark.parametrize("dtype", [np.float32, "float32"])
-    def test_depth_first_pass_runs_in_float64(self, dtype):
-        """The rate-1 guard is proven for float64 steps, so a depth-first
-        pass given float32, with a plan or without one, rate-0 root
-        included, is refused."""
-        evidence = np.full((1, 2, 8, 2), 0.5)
-        bits = np.zeros((2, 8), dtype=np.uint8)
-        for plan in [None, (np.zeros(8, dtype=bool), bits),
-                     (np.ones(8, dtype=bool), bits)]:
-            with pytest.raises(ValueError, match="float64"):
-                sc_traverse(evidence, _never, plan=plan, dtype=dtype)
-        u, _ = sc_traverse(evidence, _never, plan=None, dtype=np.float64)
         np.testing.assert_array_equal(u, bits)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.int32])
@@ -783,9 +802,10 @@ class TestPlantedMargins:
         """Thresholds +-m set so that the guard of a width-2 node sits one
         float step below (shortcut, no f-step) or at/above (no shortcut,
         one f-step) its min |L|; past |t| + 1 the leaf rule is the sign
-        rule, so the output is the oracle's either way."""
+        rule, so the output is the oracle's either way.  The guard is
+        compared with the walk's float32 |L| in float64."""
         evidence = _polarized(1, 1, 2, seed=4, doubt=1e-5)
-        low = np.abs(sc_module._llrs(evidence)[0][0]).min()
+        low = float(np.abs(sc_module._llrs(evidence)[0][0]).astype(np.float32).min())
         base = sc_module._LN2 * 1 + 1.0
         margin = low - base
         if above:
@@ -803,6 +823,109 @@ class TestPlantedMargins:
         np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
 
 
+# ---------------------------------------------------------------------------
+# float32 walks on planted LLRs: the rate-1 guard's edges
+# ---------------------------------------------------------------------------
+
+# leaf LLR kinds of planted walks: just above a guard, at least 2^24 (a
+# float32 unit there exceeds 1), infinite, an exact tie, and ordinary
+_ABOVE_GUARD, _HUGE, _INFINITE, _TIE, _ORDINARY = range(5)
+_THRESHOLD_EDGES = [0.0, 37.0, -37.0, np.inf, -np.inf]
+
+
+def _float32_above(values, steps):
+    """The float32 values steps + 1 units above the float64 values, the
+    first being the least float32 above each."""
+    out = values.astype(np.float32)
+    out = np.where(out > values, out, np.nextafter(out, np.float32(np.inf)))
+    for step in range(int(steps.max(initial=0))):
+        out = np.where(steps > step, np.nextafter(out, np.float32(np.inf)), out)
+    return out
+
+
+@st.composite
+def planted_walks(draw):
+    """(llr, known, bits, thresholds) of a float32 walk over (B, N) LLRs
+    given as they are, N up to 64.  An _ABOVE_GUARD leaf lies 1 to 4
+    float32 units above ln 2 log2(M) + 1 + m, M a node width up to N and
+    m its block's largest |t| (a huge value where m is infinite);
+    thresholds, when drawn, mix +-37, +-inf and 0 with values between;
+    few leaves are known or flipped, so rate-1 nodes occur, and some leaf
+    is not known."""
+    block_len = 1 << draw(st.integers(0, 6))
+    shape = (draw(st.integers(1, 3)), block_len)
+    thresholds = None
+    if draw(st.booleans()):
+        thresholds = draw(arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from(_THRESHOLD_EDGES), st.floats(-37.0, 37.0))))
+    margin = (np.zeros(shape[0]) if thresholds is None
+              else np.abs(thresholds).max(axis=1))
+    kinds = draw(arrays(np.int8, shape, elements=st.integers(0, 4)))
+    steps = draw(arrays(np.int8, shape, elements=st.integers(0, 3)))
+    widths = draw(arrays(np.int8, shape, elements=st.integers(
+        0, block_len.bit_length() - 1)))
+    guard = sc_module._LN2 * widths + 1.0 + margin[:, None]
+    huge = np.float32(2.0 ** 24) * (1 + steps)
+    magnitude = np.select(
+        [kinds == _ABOVE_GUARD, kinds == _HUGE, kinds == _INFINITE,
+         kinds == _TIE],
+        [np.where(np.isfinite(guard), _float32_above(guard, steps), huge),
+         huge, np.inf, 0.0],
+        draw(arrays(np.float32, shape, elements=st.floats(0.0, 60.0, width=32))))
+    negative = draw(arrays(np.bool_, shape))
+    llr = np.copysign(magnitude, np.where(negative, -1.0, 1.0)).astype(np.float32)
+    known = draw(arrays(np.bool_, block_len,
+                        elements=st.sampled_from([False, False, False, True])))
+    known[0] &= not known.all()  # sc_traverse answers a rate-0 root itself
+    flips = draw(arrays(np.bool_, shape, elements=st.sampled_from([False] * 7 + [True])))
+    given_bits = draw(arrays(np.bool_, shape))
+    bits = np.where(known, given_bits, flips & ~known).astype(np.uint8)
+    return llr, known, bits, thresholds
+
+
+def _planted_walk(llr, has_inf, plan):
+    """The depth-first walk over (B, N) float32 LLRs given as they are,
+    past the evidence: (u, x) as contiguous (B, N) arrays."""
+    known, bits, thresholds = (plan + (None,))[:3]
+    with np.errstate(invalid="ignore", over="ignore"):
+        u, x = sc_module._depth_first(np.ascontiguousarray(llr.T), has_inf,
+                                      known, bits, thresholds)
+    return np.ascontiguousarray(u), np.ascontiguousarray(x)
+
+
+class TestFloat32Walks:
+    """The float32 rate-1 guard (see the sc module docstring) at its edges:
+    planted node LLRs just above the guard, magnitudes past 2^24, +-inf,
+    exact ties, and thresholds at +-37 and +-inf."""
+
+    @given(planted_walks())
+    def test_pruned_walk_is_the_unpruned_recursion(self, walk):
+        """A float32 walk with its rate-0 and rate-1 shortcuts equals the
+        unpruned float32 recursion along its output bit for bit (the
+        oracle), and prunes exactly the nodes whose guard passes."""
+        llr, known, bits, thresholds = walk
+        has_inf = bool(np.isinf(llr).any())
+        plan = (known, bits, thresholds)
+        _assert_walk_exact(lambda: _planted_walk(llr, has_inf, plan),
+                           llr[None], has_inf, known, bits, thresholds)
+
+    @given(planted_walks())
+    def test_breadth_first_pass_reaches_the_walks_leaves(self, walk):
+        """A float32 breadth-first pass along bits u, a lossless encoder's
+        flag pass, and float32 walks along u, its decoder's, reach
+        bitwise-equal leaf LLRs: the premise of exact replay."""
+        llr, _, u, _ = walk
+        has_inf = bool(np.isinf(llr).any())
+        seen = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            sc_module._breadth_first(llr[None].copy(), has_inf, u,
+                                     lambda leaves, out: seen.append(out[0]))
+        np.testing.assert_array_equal(
+            seen[0], _leaf_llrs(None, u, _tree_llrs(llr[None], has_inf, u))[0])
+        assert _walk_reads(lambda plan: _planted_walk(llr, has_inf, plan)[0],
+                           u, seen[0])
+
+
 def _traced_peak_mib(run) -> float:
     """Peak traced memory of run(), NumPy buffers included, in MiB."""
     tracemalloc.start()
@@ -818,21 +941,27 @@ class TestWalkMemory:
     """A depth-first walk of 128 blocks at N=4096, the largest the coders
     run (sc._BATCH_VALUES), every leaf decided by the leaf rule, with its
     inputs made before tracing.  Its peak is the root's f-step (see the
-    sc module docstring), 10.8 MiB without thresholds and 14.8 MiB with
-    them before the walk held its arrays blocks last; it may grow by at
-    most 0.5 MiB, so the layout is made without a (B, N) LLR or threshold
-    array of the walk beside its (N, B) transpose, which would add 4 MiB."""
+    sc module docstring).  In the engine's float32 it was measured at 5.7
+    MiB without thresholds and 9.7 MiB with them (float64 thresholds).  In
+    float64 it was 10.8 and 14.8 MiB before the walk held its arrays
+    blocks last.  Each may grow by at most 0.5 MiB, so the layout is made
+    without a (B, N) LLR or threshold array of the walk beside its (N, B)
+    transpose, which would add 2 MiB (float32 LLRs) or 4 MiB."""
 
-    @pytest.mark.parametrize("rounded,limit", [(False, 10.8 + 0.5),
-                                               (True, 14.8 + 0.5)])
-    def test_walk_peak(self, rounded, limit):
+    @pytest.mark.parametrize("rounded,limit,dtype", [
+        pytest.param(False, 10.8 + 0.5, np.float64, id="False-11.3"),
+        pytest.param(True, 14.8 + 0.5, np.float64, id="True-15.3"),
+        pytest.param(False, 5.7 + 0.5, np.float32, id="float32-False-6.2"),
+        pytest.param(True, 9.7 + 0.5, np.float32, id="float32-True-10.2")])
+    def test_walk_peak(self, rounded, limit, dtype):
         assert sc_module._BATCH_VALUES == 128 * 4096
         gen = np.random.default_rng(9)
         evidence = _evidence("random", 1, 128, 4096, seed=9)
         plan = (np.zeros(4096, dtype=bool), np.zeros((128, 4096), np.uint8))
         if rounded:
             plan += (_thresholds(gen.random((128, 4096))),)
-        peak = _traced_peak_mib(lambda: sc_traverse(evidence, _never, plan=plan))
+        peak = _traced_peak_mib(
+            lambda: sc_traverse(evidence, _never, plan=plan, dtype=dtype))
         assert peak < limit
 
 
@@ -863,10 +992,10 @@ def _f_step_two_loops(a, b, has_inf):
 @pytest.mark.parametrize("shape", [(64, 4), (2, 16, 1024)])
 @pytest.mark.parametrize("has_inf", [False, True])
 def test_f_step_matches_two_loop_formula(shape, has_inf):
-    """Bit for bit, signed zeros and inf included, in float64 (the coders'
-    passes) and float32 (construction's), on values that mix +-0, huge
-    ones (whose product overflows), magnitudes on both sides of the term
-    cap at 60, and +-inf where the pass has infinite LLRs."""
+    """Bit for bit, signed zeros and inf included, in float64 (the test
+    oracles') and float32 (every pipeline's pass), on values that mix +-0,
+    huge ones (whose product overflows), magnitudes on both sides of the
+    term cap at 60, and +-inf where the pass has infinite LLRs."""
     for dtype, bits, huge in [(np.float64, np.uint64, 1e300),
                               (np.float32, np.uint32, 1e30)]:
         gen = np.random.default_rng(sum(shape) + has_inf)
