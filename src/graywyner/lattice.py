@@ -5,21 +5,22 @@ s*Z > 2s*Z > ... > 2^r s*Z: bit l of a label picks one coset of the
 (l+1)-th lattice inside the l-th, so a point of the 2^r-point fundamental
 window is described by r bits, finest level first.  Each level is a polar
 code for a binary-input channel, so this module only supplies per-level
-evidence callables: the bit posterior given a sample (from the Gaussian
-posterior over lattice points) and given nothing (from the shaping prior),
-within the coset the finer bits fixed.  The polar layer's one construction,
-lossy encoder and lossy reconstruction run on them level by level, exactly
-as in the binary pipelines; randomized rounding on the posteriors simulates
-the backward channel of the quantization test, so the reconstruction error
-approaches sigma_s^2 - sigma_r^2 per symbol.
+evidence callables: the bit's log-likelihood ratio given a sample (from the
+Gaussian posterior over lattice points) and given nothing (from the shaping
+prior), within the coset the finer bits fixed.  The polar layer's one
+construction, lossy encoder and lossy reconstruction run on them level by
+level, exactly as in the binary pipelines; randomized rounding on those
+LLRs simulates the backward channel of the quantization test, so the
+reconstruction error approaches sigma_s^2 - sigma_r^2 per symbol.
 
 Both coset weights of a level come from one call (_coset_llr), which sums
 each coset around its own point nearest the center, with no running
-maximum, and returns their log-ratio; the evidence posteriors of both
-chains read it.  The prior chain is centered at 0, so its evidence depends
-only on the finer label, which takes 2^(l-1) values at level l; each level
-tabulates it once and the prior chain gathers rows of that table instead
-of summing afresh at every sample position.
+maximum, and returns their log-ratio L; both chains' evidence is the
+log-weight pair (L, 0), which the SC engine reads as L, bit for bit.  The
+prior chain is centered at 0, so its evidence depends only on the finer
+label, which takes 2^(l-1) values at level l; each level tabulates it
+once and the prior chain gathers rows of that table instead of summing
+afresh at every sample position.
 
 The continuous model is a jointly Gaussian pair: the lattice point carries
 variance sigma_r^2 and the sample adds independent noise up to variance
@@ -270,34 +271,28 @@ def _coset_llr(centers, sigma, offsets, step):
     return llr
 
 
-def _coset_posteriors(centers, sigma, offsets, step):
-    """Normalized (..., 2) posteriors over the cosets offsets + step*w + 2*step*Z."""
-    llr = _coset_llr(centers, sigma, offsets, step)
-    out = np.empty(np.shape(llr) + (2,))
-    with np.errstate(over="ignore"):  # exp(|L| > 709) = inf: probability 0
-        np.exp(-llr, out=out[..., 0])
-        np.exp(llr, out=out[..., 1])
-    out += 1.0
-    return np.reciprocal(out, out=out)
-
-
 def _level_evidence(chain, mmse, level, finer, samples=None):
     """(cond, prior) evidence callables of one level over block slices of
-    the (B, N) integer finer labels; samples feed cond only.
+    the (B, N) integer finer labels; samples feed cond only.  Both return
+    the log-weight pairs (L, 0) of the level's coset LLRs L.
 
-    The prior chain is centered at 0, so its coset posteriors depend on the
+    The prior chain is centered at 0, so its coset LLRs depend on the
     finer label alone: they are tabulated once per call, one row per label
     in [0, 2^(level-1)), and prior gathers its slice from that table.  cond
     evaluates the coset sums at alpha * sample for each slice it is asked.
     """
     step = chain.level_step(level)
     sigma = math.sqrt(mmse.sigma_tilde2)
-    table = _coset_posteriors(np.zeros(1 << (level - 1)), chain.sigma_r,
-                              chain.base_scale * np.arange(1 << (level - 1)), step)
+
+    def pairs(llr):
+        return np.stack([llr, np.zeros_like(llr)], axis=-1)
+
+    table = pairs(_coset_llr(np.zeros(1 << (level - 1)), chain.sigma_r,
+                             chain.base_scale * np.arange(1 << (level - 1)), step))
 
     def cond(start, stop):
-        return _coset_posteriors(mmse.alpha * samples[start:stop], sigma,
-                                 chain.base_scale * finer[start:stop], step)
+        return pairs(_coset_llr(mmse.alpha * samples[start:stop], sigma,
+                                chain.base_scale * finer[start:stop], step))
 
     def prior(start, stop):
         # np.take gives the bytes of table[...] without fancy indexing's

@@ -9,7 +9,7 @@ source observation; the joint law is then prior(x) * P(y | x).
 
 The class stores the joint pmf P(X = x, Y = y) as a (2, K) matrix and
 derives everything else from it: exact entropies for oracle checks,
-conditional tables for successive-cancellation evidence, samplers for
+conditional log tables for successive-cancellation evidence, samplers for
 Monte Carlo construction, and a content hash used as the cache key.
 """
 
@@ -44,6 +44,7 @@ class BinarySourceWithSideInfo:
     joint: np.ndarray
     name: str = "channel"
     _cond: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_cond: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = np.array(self.joint, dtype=float)
@@ -54,10 +55,11 @@ class BinarySourceWithSideInfo:
         j.setflags(write=False)
         object.__setattr__(self, "joint", j)
         py = j.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(py[None, :] > 0.0, j / py[None, :], 0.5)
-        cond.setflags(write=False)
-        object.__setattr__(self, "_cond", cond)
+        with np.errstate(invalid="ignore", divide="ignore"):  # ln 0 = -inf
+            cond = np.where(py[None, :] > 0.0, j / py[None, :], 0.5).T.copy()
+            for name, table in (("_cond", cond), ("_log_cond", np.log(cond))):
+                table.setflags(write=False)
+                object.__setattr__(self, name, table)
 
     # -- scalar descriptors ------------------------------------------------
 
@@ -95,10 +97,10 @@ class BinarySourceWithSideInfo:
 
     def conditional_table(self) -> np.ndarray:
         """(K, 2) table with row y equal to (P(X=0 | y), P(X=1 | y))."""
-        return self._cond.T.copy()
+        return self._cond.copy()
 
     def leaf_evidence(self, y: np.ndarray) -> np.ndarray:
-        """Per-position posterior (..., 2) for observed side symbols y.
+        """Per-position log posteriors (..., 2) for observed side symbols y.
 
         The rows are gathered with np.take along the table's first axis,
         which gives the bytes of table[y] several times faster than NumPy's
@@ -107,11 +109,12 @@ class BinarySourceWithSideInfo:
         y = np.asarray(y)
         if y.dtype.kind not in "iu":
             y = y.astype(np.intp)
-        return np.take(self.conditional_table(), y, axis=0)
+        return np.take(self._log_cond, y, axis=0)
 
     def prior_evidence(self, shape) -> np.ndarray:
-        """Read-only broadcast array of the prior pair over the given shape."""
-        pair = np.array([1.0 - self.prior_one, self.prior_one])
+        """Read-only broadcast array of the prior pair's logs over the shape."""
+        with np.errstate(divide="ignore"):
+            pair = np.log([1.0 - self.prior_one, self.prior_one])
         return np.broadcast_to(pair, tuple(shape) + (2,))
 
     def sample(self, n_blocks: int, block_len: int, gen: np.random.Generator):

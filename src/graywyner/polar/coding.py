@@ -45,10 +45,10 @@ Without decoder-decided leaves the replay transforms the bits, which
 equals the traversal output exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
-prior(start, stop) that return the leaf posteriors of a block slice
-(lossy_encode_from_evidence, lossy_reconstruct_from_evidence); the
-sc_lossy_* entry points build them from a binary channel, and each lattice
-level builds them from its coset posteriors.
+prior(start, stop) that return the leaf log-weights of a block slice
+(lossy_encode_from_evidence, lossy_reconstruct_from_evidence; see
+traverse_batches); the sc_lossy_* entry points build them from a binary
+channel, and each lattice level builds them from its coset LLRs.
 """
 
 from __future__ import annotations

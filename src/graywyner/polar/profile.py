@@ -213,9 +213,9 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
                      plan=None, fold=None):
     """SC passes over n_blocks blocks in bounded batch slices.
 
-    chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf posteriors
-    for a slice, conditional chain first and prior chain (if any) last; a
-    depth-first pass takes one chain.
+    chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf
+    log-weights for a slice (see sc_traverse), conditional chain first and
+    prior chain (if any) last; a depth-first pass takes one chain.
 
     With known (n_blocks, N) leaf bits the passes run breadth-first and
     return None.  stats(llr, start, stop) sees every leaf of a slice at
@@ -263,7 +263,7 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
     x = np.empty((n_blocks, block_len), dtype=np.uint8)
     for start, stop in slices:
         # plain arguments, not **: a ** call keeps its argument tuple, and
-        # with it the posteriors sc_traverse frees, until the walk returns
+        # with it the evidence sc_traverse frees, until the walk returns
         u[start:stop], x[start:stop] = sc_traverse(
             evidence(start, stop), None, plan=None if plan is None
             else (plan[0],) + tuple(p[start:stop] for p in plan[1:]))

@@ -14,8 +14,10 @@ aligned.  All chain arithmetic is elementwise per chain, so a chain run
 alone takes bit-for-bit the values it takes beside another.  A depth-first
 pass walks one chain: the coders need no second one inside a walk.
 
-Evidence enters as normalized per-position posteriors (chains, blocks, N, 2)
-and is carried as one log-likelihood ratio L = ln p0 - ln p1 per position.
+Evidence enters as per-position log-weights (ln w0, ln w1), each pair up
+to a constant of its own, (chains, blocks, N, 2), and is carried as one
+log-likelihood ratio L = ln w0 - ln w1 per position; (-inf, -inf) reads
+as L = 0, and NaN evidence is a ValueError.
 The split at a node of width M pairs position j of the first half (a) with
 position j of the second half (b): the first child decodes the transform of
 (first xor second) from the exact box-plus f(a, b) = ln((1 + e^(a+b)) /
@@ -59,7 +61,7 @@ replay each other bit for bit (see the last paragraph).
 engine's exact-arithmetic tests; no pipeline passes it.
 
 Each pass runs over the whole batch it is given, and turns its evidence
-into LLRs before it starts, so the posteriors are freed for the pass.
+into LLRs before it starts, so the evidence is freed for the pass.
 Callers slice large batches with ``chunked_batches``, whose budget depends
 on the pass: small cache-sized slices for the breadth-first pass, large
 ones for the depth-first pass (see there).  The engine keeps no state
@@ -149,19 +151,16 @@ from .transform import polar_transform
 
 
 def _llrs(evidence: np.ndarray):
-    """L = ln p0 - ln p1 of (C, B, N, 2) pairs, a (0, 0) pair giving L = 0,
-    and whether any L is infinite.  ln p1 is subtracted a few rows
-    (_GROUP_VALUES values) at a time, so no second (C, B, N) array is made."""
+    """L = ln w0 - ln w1 of (C, B, N, 2) log-weight pairs, a pair of equal
+    infinities (no weight on either bit) giving L = 0, and whether any L is
+    infinite; ValueError for NaN evidence."""
     evidence = np.asarray(evidence, dtype=float)
-    n_chains, n_blocks, block_len = evidence.shape[:3]
-    rows = max(1, _GROUP_VALUES // max(1, block_len))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        llr = np.log(evidence[..., 0])
-        for c in range(n_chains):
-            for start in range(0, n_blocks, rows):
-                llr[c, start:start + rows] -= np.log(
-                    evidence[c, start:start + rows, :, 1])
-    llr[np.isnan(llr)] = 0.0
+    with np.errstate(invalid="ignore"):
+        llr = np.subtract(evidence[..., 0], evidence[..., 1])
+    undefined = np.isnan(llr)
+    if np.isnan(evidence[undefined]).any():
+        raise ValueError("evidence must not hold NaN")
+    llr[undefined] = 0.0
     return llr, not np.isfinite(llr).all()
 
 
@@ -415,10 +414,10 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
                 dtype=np.float32):
     """Run one successive-cancellation pass over a batch of blocks.
 
-    evidence: (chains, blocks, N, 2) normalized leaf posteriors, N a power
-        of two; one chain for the depth-first pass.
+    evidence: (chains, blocks, N, 2) leaf log-weights (see the module
+        docstring), N a power of two; one chain for the depth-first pass.
     stats: with ``known``, called once as ``stats(slice(0, N), llr)``, llr
-        the (chains, blocks, N) LLRs ln p0 - ln p1 of every leaf along the
+        the (chains, blocks, N) LLRs ln w0 - ln w1 of every leaf along the
         known bits, +-inf included (it may overwrite them); its return
         value is ignored.  Without ``known`` it is never called, and may
         be anything.
@@ -472,8 +471,8 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
             raise ValueError(
                 f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")
         llr, has_inf = _llrs(evidence)
-        llr = llr.astype(dtype, copy=False)  # |L| <= 745 or inf: no overflow
-    del evidence  # the pass reads only the LLRs: free the posteriors now
+        llr = llr.astype(dtype, copy=False)
+    del evidence  # the pass reads only the LLRs: free the evidence now
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:
             return _depth_first(llr, has_inf, fixed, bits, thresholds)
@@ -501,7 +500,7 @@ def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
     128-block pass at N=4096 (a lossy encode, a lossless decode or a
     lossy replay of both branches of an op), so such a pass is one walk,
     and a walk's working set never outgrows that of a 2^19-value walk,
-    whatever the batch.  That set is its posteriors until they are freed,
+    whatever the batch.  That set is its evidence until it is freed,
     then its blocks-last (N, B) arrays: the LLRs, the thresholds if any,
     and the node arrays along one root-to-leaf path, which peak at the
     root's f-step near 2.5 float32 arrays of the slice's size and the

@@ -1,21 +1,29 @@
 """The evidence gathers and coset sums are pinned bitwise to the plain
 forms they replace: leaf_evidence and the lattice prior against fancy
-indexing of their tables, and _coset_llr against the fixed 9.5-sigma
-loop it bounds, inlined here as the reference."""
+indexing of their tables, the leaf LLRs the engine reads off a binary
+channel's log-weights against ln p0 - ln p1 of its conditional table,
+and _coset_llr against the fixed 9.5-sigma loop it bounds, inlined here
+as the reference."""
 
 import math
 
 import numpy as np
 import pytest
 
+from graywyner.dsbs import DsbsModel, build_point_g_channel
 from graywyner.lattice import (
     _coset_llr,
-    _coset_posteriors,
     _level_evidence,
     mmse_params,
     plan_chain,
 )
-from graywyner.polar.channel import BinarySourceWithSideInfo
+from graywyner.polar import test_channel_source as make_quantizer_source
+from graywyner.polar.channel import (
+    BinarySourceWithSideInfo,
+    crossover_side_info,
+    lossless_source,
+)
+from graywyner.polar.sc import _llrs
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -24,7 +32,7 @@ def test_leaf_evidence_equals_row_by_row_table(k, dtype):
     gen = np.random.default_rng(k)
     joint = gen.random((2, k))
     channel = BinarySourceWithSideInfo(joint / joint.sum())
-    table = channel.conditional_table()
+    table = np.log(channel.conditional_table())
     y = gen.integers(0, k, size=(5, 64)).astype(dtype)
     got = channel.leaf_evidence(y)
     assert got.shape == (5, 64, 2) and got.dtype == np.float64
@@ -40,12 +48,40 @@ def test_lattice_prior_equals_table_rows(dtype):
     gen = np.random.default_rng(5)
     for level in range(1, chain.levels + 1):
         rows = 1 << (level - 1)
-        table = _coset_posteriors(np.zeros(rows), chain.sigma_r,
-                                  chain.base_scale * np.arange(rows),
-                                  chain.level_step(level))
+        llr = _coset_llr(np.zeros(rows), chain.sigma_r,
+                         chain.base_scale * np.arange(rows),
+                         chain.level_step(level))
+        table = np.stack([llr, np.zeros(rows)], axis=-1)
         finer = gen.integers(0, rows, size=(9, 64)).astype(dtype)
         _, prior = _level_evidence(chain, mmse, level, finer)
         np.testing.assert_array_equal(prior(2, 9), table[finer[2:9]])
+
+
+@pytest.mark.parametrize("channel,certain", [
+    pytest.param(lossless_source(0.0), True, id="certain-source"),
+    pytest.param(crossover_side_info(0.0), True, id="certain-side"),
+    pytest.param(build_point_g_channel(DsbsModel(0.1)), False, id="point-g"),
+    pytest.param(make_quantizer_source(0.3, np.array([[0.9, 0.05, 0.05],
+                                                      [0.2, 0.3, 0.5]])),
+                 False, id="nonuniform-prior")])
+def test_binary_leaf_llrs_equal_log_ratio_of_table(channel, certain):
+    """The leaf LLRs the engine reads off leaf_evidence and prior_evidence
+    are ln p0 - ln p1 of the gathered conditional_table rows and of the
+    prior pair, bit for bit, +-inf included: a certain channel's rows of
+    0 and 1 give L = +-inf at every leaf."""
+    k = channel.side_alphabet_size
+    y = np.random.default_rng(k).integers(0, k, size=(3, 64)).astype(np.uint8)
+    table = channel.conditional_table()[y]
+    prior = np.array([1.0 - channel.prior_one, channel.prior_one])
+    with np.errstate(divide="ignore"):
+        want = np.log(table[..., 0]) - np.log(table[..., 1])
+        want_prior = np.log(prior[0]) - np.log(prior[1])
+    got, _ = _llrs(channel.leaf_evidence(y)[None])
+    np.testing.assert_array_equal(got[0].view(np.int64), want.view(np.int64))
+    got, _ = _llrs(channel.prior_evidence(y.shape)[None])
+    np.testing.assert_array_equal(got[0].view(np.int64),
+                                  np.full(y.shape, want_prior).view(np.int64))
+    assert np.isinf(want).all() == certain
 
 
 def coset_llr_fixed_window(centers, sigma, offsets, step):

@@ -77,7 +77,7 @@ from graywyner.polar import test_channel_source as make_quantizer_source
 GOLDEN = "be4d0bbd1c94d4a8814add5b91355adc80d0429eab6218630975c6213a04e4c1"
 GOLDEN_BATCH = "4bc3f4fa1b158e75dca7612651bba2a21645cf4bfad3b22246cd0d89f8d620b6"
 GOLDEN_SCALARS = "5eed4e8cbb44cff99578c570d46446bd63d26c2edbb5d547f0c54f8f89931878"
-GOLDEN_PROFILES = "e7c75972211d35516d56d932ed040d1382bcbbdd2de0c0cd695329e5f38365d5"
+GOLDEN_PROFILES = "7d568543c6157f3fbbe4e154d4e0963d8cc8d2b3e4c8f65645a873ce8e1d6e80"
 GOLDEN_CLASSES = "09e2282a848e029b6c41609aa3b579c84ecb1d226a17180ecff2f8b11b4ec493"
 GOLDEN_CODES = "8cab9f5969c499b5ec7d0369d2ea12062644b8725a1424465773800932eed691"
 FIELDS = ("r0", "r1", "r2", "dist_x", "dist_y", "common")

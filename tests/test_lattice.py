@@ -30,7 +30,6 @@ from graywyner.lattice import (
     PartitionChainSpec,
     _construct_levels,
     _coset_llr,
-    _coset_posteriors,
     _level_evidence,
     build_multilevel_code,
     lattice_quantize,
@@ -40,6 +39,7 @@ from graywyner.lattice import (
 )
 from graywyner.numerics import flatness_factor
 from graywyner.polar import CLASS_FROZEN_DETERMINISTIC, CLASS_INFO, load_profile
+from graywyner.polar import sc as sc_module
 
 # the three reductions of the Gaussian routes (pair, coupled, L-source)
 PAIR = mmse_params(0.9, 0.8)        # symmetric pair average, correlation 0.8
@@ -306,21 +306,30 @@ def direct_coset_log_weights(centers, sigma, offsets, step, k_range=500):
 
 def direct_coset_posteriors(centers, sigma, offsets, step):
     lw0, lw1 = direct_coset_log_weights(centers, sigma, offsets, step)
-    p0 = 1.0 / (1.0 + np.exp(np.clip(lw1 - lw0, -700.0, 700.0)))
+    return llr_posteriors(lw0 - lw1)
+
+
+def llr_posteriors(llr):
+    """Posterior pairs (1 / (1 + e^-L), 1 / (1 + e^L)), L clipped at
+    +-700."""
+    p0 = 1.0 / (1.0 + np.exp(-np.clip(llr, -700.0, 700.0)))
     return np.stack([p0, 1.0 - p0], axis=-1)
 
 
 class TestCosetEvidence:
     """The one-pass coset sums against a direct sum, in the regimes that
     stress their anchoring: rint ties, odd negative anchors, a far-off
-    second coset (step >> sigma) and a wide window (sigma >> step)."""
+    second coset (step >> sigma) and a wide window (sigma >> step).  The
+    LLRs are compared directly and as the posterior pairs they give."""
 
     def assert_matches_direct(self, centers, sigma, offsets, step):
-        got = _coset_posteriors(centers, sigma, offsets, step)
-        want = direct_coset_posteriors(centers, sigma, offsets, step)
-        assert got.shape == want.shape
+        got = _coset_llr(centers, sigma, offsets, step)
+        lw0, lw1 = direct_coset_log_weights(centers, sigma, offsets, step)
+        assert got.shape == lw0.shape
         assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - want)) < 1e-12
+        np.testing.assert_allclose(got, lw0 - lw1, rtol=1e-12, atol=1e-12)
+        want = direct_coset_posteriors(centers, sigma, offsets, step)
+        assert np.max(np.abs(llr_posteriors(got) - want)) < 1e-12
 
     def test_prior_table_equals_elementwise_evaluation(self):
         mmse = mmse_params(1.0, 0.8)
@@ -329,10 +338,11 @@ class TestCosetEvidence:
         for level in range(1, chain.levels + 1):
             finer = gen.integers(0, 1 << (level - 1), size=(9, 64))
             _, prior = _level_evidence(chain, mmse, level, finer)
-            want = _coset_posteriors(np.zeros((7, 64)), chain.sigma_r,
-                                     chain.base_scale * finer[2:9].astype(float),
-                                     chain.level_step(level))
-            assert np.array_equal(prior(2, 9), want)
+            want = _coset_llr(np.zeros((7, 64)), chain.sigma_r,
+                              chain.base_scale * finer[2:9].astype(float),
+                              chain.level_step(level))
+            assert np.array_equal(prior(2, 9),
+                                  np.stack([want, np.zeros_like(want)], axis=-1))
 
     def test_centers_on_coset_midpoints(self):
         step = 0.5
@@ -340,17 +350,17 @@ class TestCosetEvidence:
         centers = step * (k + 0.5)  # exact rint ties
         offsets = np.where(k % 3 == 0, 0.0, step)  # keeps the ties
         self.assert_matches_direct(centers, 0.3, offsets, step)
-        # equidistant cosets tie exactly, so a tie-breaking rule sees 1/2
+        # equidistant cosets tie exactly, so a tie-breaking rule sees L = 0
         for sigma in (0.3, 2.0, 3.3):
-            assert np.all(_coset_posteriors(centers, sigma, 0.0, step) == 0.5)
+            assert np.all(_coset_llr(centers, sigma, 0.0, step) == 0.0)
 
     def test_negative_centers_with_odd_anchor(self):
         step = 0.75
         centers = -np.array([1.0, 3.0, 5.0, 7.0]) * step + np.array([0.1, -0.2, 0.3, 0.0])
         assert np.all(np.rint(centers / step).astype(np.int64) % 2 == 1)
         self.assert_matches_direct(centers, 0.4, 0.0, step)
-        got = _coset_posteriors(centers, 0.4, 0.0, step)
-        assert np.all(got[..., 1] > got[..., 0])  # the odd coset holds the anchor
+        got = _coset_llr(centers, 0.4, 0.0, step)
+        assert np.all(got < 0.0)  # the odd coset holds the anchor
 
     def test_step_far_above_sigma(self):
         # the other coset's weight is about e^-1000 relative to the anchor's
@@ -375,6 +385,37 @@ class TestCosetEvidence:
         offsets = step * np.arange(4) / 4.0
         self.assert_matches_direct(np.zeros(4), sigma, offsets, step)
         self.assert_matches_direct(np.linspace(-3.0, 3.0, 25), sigma, 0.1, step)
+
+    @pytest.mark.parametrize("rho,levels", [(0.8, 5), (0.999, 9)])
+    def test_engine_reads_coset_llrs_bitwise(self, rho, levels):
+        """Each level's cond and prior evidence, as the SC engine reads
+        it (sc._llrs), is _coset_llr bit for bit.  At rho 0.999 the
+        conditional LLRs of the coarse levels pass |L| = 745, where a
+        posterior pair rounds to (1, 0); they stay finite."""
+        model = GaussianPairModel(rho)
+        mmse = reduce_pair(model).mmse
+        chain = plan_chain(mmse)
+        assert chain.levels == levels
+        x, y = model.sample(4, 256, rng.stream(5, rng.STREAM_NOISE))
+        u = 0.5 * (x + y)
+        gen = np.random.default_rng(levels)
+        largest = 0.0
+        for level in range(1, levels + 1):
+            finer = gen.integers(0, 1 << (level - 1), size=u.shape)
+            cond, prior = _level_evidence(chain, mmse, level, finer, u)
+            step = chain.level_step(level)
+            for evidence, want in [
+                    (cond(1, 4), _coset_llr(mmse.alpha * u[1:4],
+                                            math.sqrt(mmse.sigma_tilde2),
+                                            chain.base_scale * finer[1:4], step)),
+                    (prior(1, 4), _coset_llr(np.zeros((3, 256)), chain.sigma_r,
+                                             chain.base_scale * finer[1:4], step))]:
+                got, has_inf = sc_module._llrs(evidence[None])
+                np.testing.assert_array_equal(got[0].view(np.int64),
+                                              want.view(np.int64))
+                assert not has_inf
+                largest = max(largest, float(np.abs(got).max()))
+        assert (largest > 745.0) == (rho == 0.999)
 
 
 # ---------------------------------------------------------------------------

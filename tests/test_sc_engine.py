@@ -45,6 +45,13 @@ from graywyner.polar.profile import _leaf_statistics
 from graywyner.polar.sc import map_bits
 
 
+def _log_weights(pairs):
+    """The log-weights ln p0, ln p1 of probability pairs, the engine's
+    evidence; a 0 gives -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(pairs)
+
+
 def _normalize_pairs(p0, p1):
     out = np.stack([p0, p1], axis=-1)
     s = out.sum(axis=-1, keepdims=True)
@@ -79,7 +86,7 @@ def reference_traverse(evidence, decide):
     return u_out, rec(np.asarray(evidence, dtype=float))
 
 
-def _evidence(kind, n_chains, n_blocks, block_len, seed):
+def _pairs(kind, n_chains, n_blocks, block_len, seed):
     gen = np.random.default_rng(seed)
     if kind == "random":
         p1 = gen.random((n_chains, n_blocks, block_len))
@@ -88,6 +95,11 @@ def _evidence(kind, n_chains, n_blocks, block_len, seed):
             gen.random((n_chains, n_blocks, block_len)) < 0.5, 1.0, -1.0) * 1e-12
         p1 = np.clip(p1, 0.0, 1.0)
     return np.stack([1.0 - p1, p1], axis=-1)
+
+
+def _evidence(kind, n_chains, n_blocks, block_len, seed):
+    """The log-weights of _pairs."""
+    return _log_weights(_pairs(kind, n_chains, n_blocks, block_len, seed))
 
 
 def _per_chain(evidence):
@@ -182,24 +194,25 @@ def _pair_llrs(pairs):
 @pytest.mark.parametrize("block_len", [8, 64, 1024])
 class TestAgainstPairReference:
     def test_leaf_posteriors_match_reference(self, kind, n_chains, block_len):
-        """The engine's leaf LLRs (the breadth-first pass's; the depth-first
-        pass reaches the same, test_passes_agree_bitwise) against ln p0 -
+        """The engine's leaf LLRs on the log-weights of the pairs (the
+        breadth-first pass's; the depth-first pass reaches the same,
+        test_passes_agree_bitwise) against ln p0 -
         ln p1 of the reference's pairs.  dp1 = -p0 p1 dL and p0 p1 (1 +
         |L|) < 0.4, so the LLR tolerance 1e-12 (1 + |L|) holds every pair
         within 4e-13.  Where a reference entry underflowed, the engine's
         |L| must lie past it."""
-        evidence = _evidence(kind, n_chains, 3, block_len, seed=block_len + n_chains)
+        pairs = _pairs(kind, n_chains, 3, block_len, seed=block_len + n_chains)
         u = np.random.default_rng(block_len).integers(
             0, 2, (3, block_len)).astype(np.uint8)
-        expected = np.empty(evidence.shape)
+        expected = np.empty(pairs.shape)
 
         def decide(i, probs):
             expected[:, :, i] = probs
             return u[:, i]
 
-        _, x_ref = reference_traverse(evidence, decide)
+        _, x_ref = reference_traverse(pairs, decide)
         want, resolved = _pair_llrs(expected)
-        got = _breadth_first_leaves(evidence, u, np.float64)
+        got = _breadth_first_leaves(_log_weights(pairs), u, np.float64)
         np.testing.assert_allclose(got[resolved], want[resolved],
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(np.sign(got[~resolved]),
@@ -260,7 +273,7 @@ class TestPassesShareLeafLlrs:
         np.testing.assert_array_equal(x_bf, x)
 
     def test_known_bits_shape_checked(self):
-        evidence = np.full((1, 2, 8, 2), 0.5)
+        evidence = np.full((1, 2, 8, 2), np.log(0.5))
         with pytest.raises(ValueError):
             sc_traverse(evidence, lambda leaves, llr: None,
                         known=np.zeros((2, 4), dtype=np.uint8))
@@ -404,8 +417,8 @@ def _assert_pruning_exact(evidence, seed, rounded=False):
     block 0.  Without rounded the plans drop their thresholds (t = 0 at
     every leaf); with it an all-rounded plan without flips joins them."""
     evidence = evidence.copy()
-    evidence[-1, 0] = TIE_PAIRS[-1]
-    evidence[-1, 0, 0] = TIE_PAIRS[0]
+    evidence[-1, 0] = np.log(TIE_PAIRS[-1])
+    evidence[-1, 0, 0] = np.log(TIE_PAIRS[0])
     gen = np.random.default_rng(seed)
     n_blocks, block_len = evidence.shape[1:3]
     plans = list(_plans(block_len, n_blocks, gen))
@@ -446,13 +459,14 @@ class TestPrunedPass:
         gen = np.random.default_rng(seed)
         evidence = _evidence("near-deterministic", n_chains, 5, block_len, seed)
         if special == "ties":  # exact L = 0 at about a third of the leaves
-            evidence[gen.random(evidence.shape[:3]) < 0.3] = 0.5
+            evidence[gen.random(evidence.shape[:3]) < 0.3] = np.log(0.5)
         elif special == "constant-prior":  # g-steps cancel to L = 0
-            evidence[-1] = [0.9, 0.1]
+            evidence[-1] = np.log([0.9, 0.1])
         else:  # +-inf, and contradictions where a path disagrees with them
             hard = gen.integers(0, 2, evidence.shape[:3])
             certain = gen.random(evidence.shape[:3]) < 0.5
-            evidence[certain] = np.stack([1 - hard, hard], axis=-1)[certain]
+            evidence[certain] = _log_weights(
+                np.stack([1 - hard, hard], axis=-1))[certain]
         _assert_pruning_exact(evidence, seed)
 
 
@@ -473,7 +487,7 @@ def test_rate1_guard_at_a_posterior_tie():
     """The smallest node where the unguarded rate-1 shortcut is wrong: the
     tie's hard decision L < 0 says 0 where SC's codeword says 1, so the
     shortcut must refuse the node."""
-    evidence = np.array([[TIE_PAIRS]])
+    evidence = np.log([[TIE_PAIRS]])
     _, x = _assert_plan_exact(evidence, np.zeros(4, dtype=bool),
                               np.zeros((1, 4), dtype=np.uint8))
     hard = (evidence[-1, ..., 1] > evidence[-1, ..., 0]).astype(np.uint8)
@@ -541,7 +555,7 @@ class TestPruningSkipsWork:
 
 class TestPlanChecked:
     def test_bad_plans_rejected(self):
-        evidence = np.full((1, 2, 8, 2), 0.5)
+        evidence = np.full((1, 2, 8, 2), np.log(0.5))
         free, bits = np.zeros(8, dtype=bool), np.zeros((2, 8), dtype=np.uint8)
         # plan bits outside {0, 1}: known bits of 3 would come out as 3s, and
         # a flip of 2 would decide u[0] = 2
@@ -568,7 +582,7 @@ class TestPlanChecked:
     def test_depth_first_pass_walks_one_chain(self):
         """Two chains are refused by the depth-first pass, with or without
         a plan, and accepted by the breadth-first one."""
-        evidence = np.full((2, 2, 8, 2), 0.5)
+        evidence = np.full((2, 2, 8, 2), np.log(0.5))
         bits = np.zeros((2, 8), dtype=np.uint8)
         for plan in [None, (np.zeros(8, dtype=bool), bits)]:
             with pytest.raises(ValueError, match="one chain"):
@@ -578,14 +592,14 @@ class TestPlanChecked:
 
     @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.int32])
     def test_other_dtypes_rejected(self, dtype):
-        evidence = np.full((1, 2, 8, 2), 0.5)
+        evidence = np.full((1, 2, 8, 2), np.log(0.5))
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="dtype"):
             sc_traverse(evidence, lambda leaves, llr: None, known=bits,
                         dtype=dtype)
 
     def test_plan_and_known_exclusive(self):
-        evidence = np.full((1, 2, 8, 2), 0.5)
+        evidence = np.full((1, 2, 8, 2), np.log(0.5))
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="breadth-first"):
             sc_traverse(evidence, lambda leaves, llr: None, known=bits,
@@ -602,7 +616,7 @@ class TestMarginsChecked:
         pytest.param(np.zeros((2, 4)), id="margins0"),
         pytest.param(np.full((2, 8), np.nan), id="margins2")])
     def test_bad_margins_rejected(self, thresholds):
-        evidence = np.full((1, 2, 8, 2), 0.5)
+        evidence = np.full((1, 2, 8, 2), np.log(0.5))
         plan = (np.zeros(8, dtype=bool), np.zeros((2, 8), np.uint8), thresholds)
         with pytest.raises(ValueError, match="plan thresholds"):
             sc_traverse(evidence, _never, plan=plan)
@@ -635,7 +649,7 @@ class TestInfiniteEvidence:
     def test_contradictory_evidence_falls_back_to_uninformative(self):
         # leaf 0 is certainly 1, but the path decides 0: the g-step then adds
         # +inf and -inf, which must read as no evidence at all
-        evidence = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
+        evidence = _log_weights(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
         u = np.zeros((1, 2), np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -644,7 +658,7 @@ class TestInfiniteEvidence:
         np.testing.assert_array_equal(known[0, 0], [-np.inf, 0.0])
 
     def test_all_zero_pairs_read_as_uniform(self):
-        evidence = np.zeros((2, 3, 16, 2))
+        evidence = _log_weights(np.zeros((2, 3, 16, 2)))
         u = np.ones((3, 16), np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -652,6 +666,23 @@ class TestInfiniteEvidence:
             assert all(_depth_first_reads(chain, u, leaves[c])
                        for c, chain in enumerate(_per_chain(evidence)))
         np.testing.assert_array_equal(leaves, 0.0)
+
+    @pytest.mark.parametrize("pair", [(np.nan, np.nan), (np.nan, 0.0),
+                                      (-np.inf, np.nan)])
+    def test_nan_evidence_rejected(self, pair):
+        """A NaN anywhere in the evidence, here in the second chain or in
+        the second transpose chunk of a walk, is an error in both passes,
+        not the L = 0 of a pair of equal infinities."""
+        evidence = np.full((2, 70, 16, 2), np.log(0.5))
+        evidence[1, 66, 9] = pair
+        u = np.zeros((70, 16), np.uint8)
+        with pytest.raises(ValueError, match="NaN"):
+            sc_traverse(evidence, _never, known=u)
+        with pytest.raises(ValueError, match="NaN"):
+            sc_traverse(evidence[1:], _never)
+        with pytest.raises(ValueError, match="NaN"):
+            sc_traverse(evidence[1:], _never, plan=(
+                np.zeros(16, dtype=bool), u, np.zeros((70, 16))))
 
 
 def test_leaf_formulas_match_pair_formulas():
@@ -707,7 +738,7 @@ def _polarized(n_chains, n_blocks, block_len, seed, doubt=1e-12):
     ln(1/doubt)."""
     gen = np.random.default_rng(seed)
     p1 = np.abs(gen.integers(0, 2, (n_chains, n_blocks, block_len)) - doubt)
-    return np.stack([1.0 - p1, p1], axis=-1)
+    return _log_weights(np.stack([1.0 - p1, p1], axis=-1))
 
 
 @pytest.mark.parametrize("n_chains", [1, 2])
@@ -731,7 +762,8 @@ class TestMarginPrunedPass:
             evidence = _polarized(n_chains, 6, block_len, seed)
             hard = gen.integers(0, 2, evidence.shape[:3])
             certain = gen.random(evidence.shape[:3]) < 0.5
-            evidence[certain] = np.stack([1 - hard, hard], axis=-1)[certain]
+            evidence[certain] = _log_weights(
+                np.stack([1 - hard, hard], axis=-1))[certain]
         else:
             evidence = _evidence(kind, n_chains, 6, block_len, seed)
         _assert_pruning_exact(evidence, seed, rounded=True)
@@ -742,7 +774,7 @@ def _leaf_rule(llr, uniforms):
     the (B,) uniforms, read from depth-first passes of N = 1."""
     llr = np.broadcast_to(llr, uniforms.shape)
     p1 = 1.0 / (1.0 + np.exp(llr))
-    evidence = np.stack([1.0 - p1, p1], axis=-1)[None, :, None]
+    evidence = np.log(np.stack([1.0 - p1, p1], axis=-1))[None, :, None]
     plan = (np.zeros(1, dtype=bool), np.zeros((uniforms.size, 1), np.uint8),
             _thresholds(uniforms)[:, None])
     return sc_traverse(evidence, _never, plan=plan)[0][:, 0]
@@ -785,9 +817,10 @@ class TestPlantedMargins:
         evidence L = 30 at every position but one flipped to -30 for a
         negative sign; leaf 0, the box-plus of them all, then has L about
         +-28.  U = 0.5 everywhere except planted_u at leaf 0 of block 0."""
-        evidence = np.tile([1 - 1e-13, 1e-13], (1, 2, 8, 1))
+        pairs = np.tile([1 - 1e-13, 1e-13], (1, 2, 8, 1))
         if sign < 0:
-            evidence[0, 0, 5] = [1e-13, 1 - 1e-13]
+            pairs[0, 0, 5] = [1e-13, 1 - 1e-13]
+        evidence = np.log(pairs)
         uniforms = np.full((2, 8), 0.5)
         uniforms[0, 0] = planted_u
         u, _ = _assert_plan_exact(evidence, np.zeros(8, dtype=bool),
