@@ -43,7 +43,6 @@ class BinarySourceWithSideInfo:
 
     joint: np.ndarray
     name: str = "channel"
-    _cond: np.ndarray = field(init=False, repr=False, compare=False)
     _log_cond: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,12 +53,10 @@ class BinarySourceWithSideInfo:
             raise ValueError("joint must be a probability matrix summing to 1")
         j.setflags(write=False)
         object.__setattr__(self, "joint", j)
-        py = j.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):  # ln 0 = -inf
-            cond = np.where(py[None, :] > 0.0, j / py[None, :], 0.5).T.copy()
-            for name, table in (("_cond", cond), ("_log_cond", np.log(cond))):
-                table.setflags(write=False)
-                object.__setattr__(self, name, table)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf
+            log_cond = np.log(self.conditional_table())
+        log_cond.setflags(write=False)
+        object.__setattr__(self, "_log_cond", log_cond)
 
     # -- scalar descriptors ------------------------------------------------
 
@@ -97,7 +94,9 @@ class BinarySourceWithSideInfo:
 
     def conditional_table(self) -> np.ndarray:
         """(K, 2) table with row y equal to (P(X=0 | y), P(X=1 | y))."""
-        return self._cond.copy()
+        py = self.joint.sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(py > 0.0, self.joint / py, 0.5).T.copy()
 
     def leaf_evidence(self, y: np.ndarray) -> np.ndarray:
         """Per-position log posteriors (..., 2) for observed side symbols y.

@@ -52,10 +52,11 @@ There are two passes, chosen by the input:
 Every pass runs in one precision, float32.  It computes its leaf LLRs
 from the evidence in float64 and casts them once to float32, in which the
 tree is evaluated: the f-steps then run about twice as fast on half the
-bytes, and a walk's LLRs and nodes take half the memory.  A breadth-first
-pass hands its leaves to ``stats`` back in float64.  Thresholds stay
-float64, and the leaf rule L < t compares the float32 L with them
-exactly.  Encoders and decoders run the same float32 steps, so they
+bytes, and a walk's LLRs and nodes take half the memory.  A finite L
+past float32's range (3.4e38) casts to +-inf and is carried as one.  A
+breadth-first pass hands its leaves to ``stats`` back in float64.
+Thresholds stay float64, and the leaf rule L < t compares the float32 L
+with them exactly.  Encoders and decoders run the same float32 steps, so they
 replay each other bit for bit (see the last paragraph).
 ``sc_traverse``'s ``dtype`` can run a pass in float64 instead, for the
 engine's exact-arithmetic tests; no pipeline passes it.
@@ -150,17 +151,19 @@ import numpy as np
 from .transform import polar_transform
 
 
-def _llrs(evidence: np.ndarray):
-    """L = ln w0 - ln w1 of (C, B, N, 2) log-weight pairs, a pair of equal
-    infinities (no weight on either bit) giving L = 0, and whether any L is
-    infinite; ValueError for NaN evidence."""
+def _llrs(evidence: np.ndarray, dtype):
+    """L = ln w0 - ln w1 of (C, B, N, 2) log-weight pairs, taken in float64
+    and cast to dtype, a pair of equal infinities giving L = 0, and whether
+    any L is infinite in dtype, past its range included; ValueError for NaN
+    evidence."""
     evidence = np.asarray(evidence, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         llr = np.subtract(evidence[..., 0], evidence[..., 1])
-    undefined = np.isnan(llr)
-    if np.isnan(evidence[undefined]).any():
-        raise ValueError("evidence must not hold NaN")
-    llr[undefined] = 0.0
+        undefined = np.isnan(llr)
+        if np.isnan(evidence[undefined]).any():
+            raise ValueError("evidence must not hold NaN")
+        llr[undefined] = 0.0
+        llr = llr.astype(dtype, copy=False)
     return llr, not np.isfinite(llr).all()
 
 
@@ -459,7 +462,7 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
         found_inf = []
 
         def rows(chunk):
-            chunk_llr, chunk_inf = _llrs(evidence[:, chunk])
+            chunk_llr, chunk_inf = _llrs(evidence[:, chunk], dtype)
             found_inf.append(chunk_inf)
             return chunk_llr[0]
 
@@ -470,8 +473,7 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
         if u.shape != (n_blocks, block_len):
             raise ValueError(
                 f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")
-        llr, has_inf = _llrs(evidence)
-        llr = llr.astype(dtype, copy=False)
+        llr, has_inf = _llrs(evidence, dtype)
     del evidence  # the pass reads only the LLRs: free the evidence now
     with np.errstate(invalid="ignore", over="ignore"):
         if known is None:

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from graywyner.polar import construct_profile_cached
+import numpy as np
+
+from graywyner.polar import construct_profile_cached, polar_transform
 from graywyner.polar.profile import PROFILE_CACHE_VERSION
 
 CACHE_DIR = Path(__file__).parent / ".cache"
@@ -48,6 +50,22 @@ def prune_stale_entries(cache_dir: Path) -> list:
     for path in stale:
         path.unlink(missing_ok=True)
     return [p.name for p in stale]
+
+
+def plant_certainty(evidence, known):
+    """A copy of breadth-first log-weight evidence, every chain made
+    certain of the true codeword bit (ln w = -inf on the other bit, so
+    L = +-inf) at every fourth position of each block whose codeword
+    starts with 1.  The choice depends on the block alone, so any slicing
+    of a batch plants the same leaves, and slices with and without
+    infinite L mix."""
+    x = polar_transform(np.asarray(known))
+    planted = np.array(evidence, dtype=float)
+    certain = np.zeros(x.shape, dtype=bool)
+    certain[:, ::4] = x[:, :1] == 1
+    for bit in (0, 1):
+        planted[..., bit][:, certain & (x != bit)] = -np.inf
+    return planted
 
 
 def pytest_sessionstart(session):

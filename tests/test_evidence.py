@@ -76,9 +76,9 @@ def test_binary_leaf_llrs_equal_log_ratio_of_table(channel, certain):
     with np.errstate(divide="ignore"):
         want = np.log(table[..., 0]) - np.log(table[..., 1])
         want_prior = np.log(prior[0]) - np.log(prior[1])
-    got, _ = _llrs(channel.leaf_evidence(y)[None])
+    got, _ = _llrs(channel.leaf_evidence(y)[None], np.float64)
     np.testing.assert_array_equal(got[0].view(np.int64), want.view(np.int64))
-    got, _ = _llrs(channel.prior_evidence(y.shape)[None])
+    got, _ = _llrs(channel.prior_evidence(y.shape)[None], np.float64)
     np.testing.assert_array_equal(got[0].view(np.int64),
                                   np.full(y.shape, want_prior).view(np.int64))
     assert np.isinf(want).all() == certain

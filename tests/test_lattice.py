@@ -410,7 +410,7 @@ class TestCosetEvidence:
                                             chain.base_scale * finer[1:4], step)),
                     (prior(1, 4), _coset_llr(np.zeros((3, 256)), chain.sigma_r,
                                              chain.base_scale * finer[1:4], step))]:
-                got, has_inf = sc_module._llrs(evidence[None])
+                got, has_inf = sc_module._llrs(evidence[None], np.float64)
                 np.testing.assert_array_equal(got[0].view(np.int64),
                                               want.view(np.int64))
                 assert not has_inf

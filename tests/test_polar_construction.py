@@ -13,6 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import plant_certainty
+
 from graywyner import lattice as lattice_module
 from graywyner import rng
 from graywyner.gaussian import GaussianPairModel, reduce_pair
@@ -448,15 +450,20 @@ class TestSliceIndependence:
     slices of one block, of three, and of the whole batch."""
 
     @staticmethod
-    def _per_budget(monkeypatch, n_chains, block_len, n_blocks, run):
+    def _per_budget(monkeypatch, n_chains, block_len, n_blocks, run,
+                    plant=False):
         """run() under each budget, checking that the budget sets the
-        slices; returns the outputs and whether any evidence was certain."""
+        slices, with certain leaves planted in some blocks (plant_certainty)
+        if plant; returns the outputs and each slice's evidence: whether it
+        was certain somewhere."""
         traverse = profile_module.sc_traverse
         seen = []  # one entry per slice: whether its evidence was certain
 
         def recording(evidence, stats, **kwargs):
+            if plant:
+                evidence = plant_certainty(evidence, kwargs["known"])
             # list.append is atomic: slices may run on several threads
-            seen.append(bool((evidence == 0.0).any()))
+            seen.append(bool(np.isinf(evidence).any()))
             return traverse(evidence, stats, **kwargs)
 
         monkeypatch.setattr(profile_module, "sc_traverse", recording)
@@ -470,7 +477,7 @@ class TestSliceIndependence:
             slices.append(len(seen) - before)
         # one slice per pass with the whole batch, ceil(B / blocks) otherwise
         assert slices == [slices[0] * -(-n_blocks // b) for b in budgets]
-        return outputs, any(seen)
+        return outputs, seen
 
     def test_two_chain_profile(self, monkeypatch):
         channel = make_quantizer_source(0.2, np.array([[0.9, 0.1], [0.1, 0.9]]))
@@ -483,10 +490,11 @@ class TestSliceIndependence:
     def test_lattice_levels_with_infinite_evidence(self, monkeypatch):
         mmse = reduce_pair(GaussianPairModel(0.99)).mmse
         chain = plan_chain(mmse)
+        # lattice L is finite: plant_certainty gives some slices +-inf
         outputs, certain = self._per_budget(monkeypatch, 2, 256, 12, lambda: (
             build_multilevel_code(chain, mmse, 256, sample_count=12,
-                                  seed=3).profiles))
-        assert certain  # some level's evidence holds L = +-inf
+                                  seed=3).profiles), plant=True)
+        assert any(certain) and not all(certain)
         for profiles in outputs[1:]:
             _assert_same_profiles(profiles, outputs[0])
 

@@ -117,8 +117,7 @@ def _node_llrs(evidence, u, dtype=np.float32):
     unpruned tree along the decided bits u, from the engine's own steps,
     run in dtype (the engine's float32 by default) on the evidence's
     float64 LLRs cast to it."""
-    llr, has_inf = sc_module._llrs(evidence)
-    return _tree_llrs(llr.astype(dtype), has_inf, u)
+    return _tree_llrs(*sc_module._llrs(evidence, dtype), u)
 
 
 def _tree_llrs(llr, has_inf, u):
@@ -251,7 +250,7 @@ class TestAgainstPairReference:
         np.testing.assert_array_equal(
             single, _leaf_llrs(evidence, u, dtype=np.float32))
         double = _breadth_first_leaves(evidence, u, np.float64)
-        evidence_llr = np.abs(sc_module._llrs(evidence)[0])
+        evidence_llr = np.abs(sc_module._llrs(evidence, np.float64)[0])
         reach = evidence_llr[np.isfinite(evidence_llr)].max() * block_len
         np.testing.assert_allclose(single, double, rtol=1e-5, atol=1e-5 + (
             np.log2(block_len) * reach * np.finfo(np.float32).eps))
@@ -389,10 +388,9 @@ def _assert_plan_exact(evidence, known, bits, thresholds=None):
     docstring), with the steps it computes those of _expected_steps and
     its second argument never called; returns its (u, x)."""
     plan = (known, bits) if thresholds is None else (known, bits, thresholds)
-    llr, has_inf = sc_module._llrs(evidence)
     return _assert_walk_exact(lambda: sc_traverse(evidence, _never, plan=plan),
-                              llr.astype(np.float32), has_inf, known, bits,
-                              thresholds)
+                              *sc_module._llrs(evidence, np.float32), known,
+                              bits, thresholds)
 
 
 def _assert_walk_exact(walk, llr, has_inf, known, bits, thresholds):
@@ -515,7 +513,7 @@ class TestPruningSkipsWork:
         if kind == "known":
             np.testing.assert_array_equal(u, bits)
         else:
-            np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
+            np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence, np.float64)[0][0]))
         np.testing.assert_array_equal(x, polar_transform(u))
 
     def test_one_correction_flips_one_block(self, counted):
@@ -550,7 +548,7 @@ class TestPruningSkipsWork:
         assert counted == {"f": 0, "g": 0}
         np.testing.assert_array_equal(
             (u, x), _assert_plan_exact(evidence, known, bits, thresholds))
-        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
+        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence, np.float64)[0][0]))
 
 
 class TestPlanChecked:
@@ -666,6 +664,26 @@ class TestInfiniteEvidence:
             assert all(_depth_first_reads(chain, u, leaves[c])
                        for c, chain in enumerate(_per_chain(evidence)))
         np.testing.assert_array_equal(leaves, 0.0)
+
+    def test_llrs_past_float32_range_read_as_infinite(self):
+        """A finite L beyond float32's range, or beyond float64's in the
+        subtraction, is carried as the infinity it casts to, in both
+        passes and without a warning: the leaves are those of the same
+        evidence made certain."""
+        finite = np.array([[[[1e39, 0.0], [-1e39, 0.0], [0.0, -1e39],
+                             [1e308, -1e308]]]])
+        certain = np.array([[[[np.inf, 0.0], [-np.inf, 0.0], [0.0, -np.inf],
+                              [np.inf, 0.0]]]])
+        u = np.zeros((1, 4), np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leaves = _breadth_first_leaves(finite, u)
+            np.testing.assert_array_equal(
+                leaves, _breadth_first_leaves(certain, u))
+            assert not np.isnan(leaves).any()
+            assert _depth_first_reads(finite, u, leaves[0])
+            np.testing.assert_array_equal(sc_traverse(finite, _never),
+                                          sc_traverse(certain, _never))
 
     @pytest.mark.parametrize("pair", [(np.nan, np.nan), (np.nan, 0.0),
                                       (-np.inf, np.nan)])
@@ -838,7 +856,7 @@ class TestPlantedMargins:
         rule, so the output is the oracle's either way.  The guard is
         compared with the walk's float32 |L| in float64."""
         evidence = _polarized(1, 1, 2, seed=4, doubt=1e-5)
-        low = float(np.abs(sc_module._llrs(evidence)[0][0]).astype(np.float32).min())
+        low = float(np.abs(sc_module._llrs(evidence, np.float64)[0][0]).astype(np.float32).min())
         base = sc_module._LN2 * 1 + 1.0
         margin = low - base
         if above:
@@ -853,7 +871,7 @@ class TestPlantedMargins:
             u, x = sc_traverse(evidence, _never, plan=plan)
         assert steps["f"] == (0 if above else 1)
         np.testing.assert_array_equal((u, x), _assert_plan_exact(evidence, *plan))
-        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence)[0][0]))
+        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence, np.float64)[0][0]))
 
 
 # ---------------------------------------------------------------------------
