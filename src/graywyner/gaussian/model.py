@@ -247,14 +247,6 @@ class ReductionResult:
     weights: tuple
     mmse: MmseParams
 
-    @property
-    def sigma_s2(self) -> float:
-        return self.mmse.sigma_s2
-
-    @property
-    def sigma_r2(self) -> float:
-        return self.mmse.sigma_r2
-
     def combine(self, sources) -> np.ndarray:
         """Apply the weights; sources stack along the first axis."""
         arr = np.asarray(sources, dtype=float)

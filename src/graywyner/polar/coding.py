@@ -30,12 +30,13 @@ flipped where it differs from the encoder's bits.
 
 Both encoders build their code one way (_encode): the sent bits, and the
 flags from one breadth-first pass of the decoder's chain along the
-encoder's bits, whose leaf LLRs are the decoder's, set at the
+encoder's codeword (the source block, or the lossy walk's
+reconstruction), whose leaf LLRs are the decoder's, set at the
 decoder-decided leaves where map_bits differs from the bits.  Each flag
 is charged log2(N) + 1 bits (index plus flag, correction_bits) on top of
 the sent bits (PolarCode.rate_per_block).
 
-Both decoders rebuild one way (_decode), a one-chain replay without
+Both decoders rebuild one way (_decode), a depth-first replay without
 thresholds: the sent bits (stored bits; payload, over the dither) are
 known, and every decoder-decided leaf takes sc.map_bits of the chain xor
 its flag, checked and written straight into the plan's bits.  The
@@ -108,34 +109,32 @@ class PolarCode:
         return (self.sent.shape[1] + fixes * correction_bits(block_len)) / block_len
 
 
-def _encode(u, sent_mask, decided_mask, chain) -> PolarCode:
-    """The code of the (B, N) uint8 leaf bits u: its bits at the (N,) bool
-    sent_mask, and flags at the leaves inside decided_mask where map_bits
-    of the decoder's chain along u differs from u, the leaves a decoder
-    deciding them by sign must flip.  No pass runs for an empty
-    decided_mask."""
-    n_blocks, block_len = u.shape
-    flags = np.zeros((n_blocks, block_len), dtype=np.uint8)
+def _encode(u, x, sent_mask, decided_mask, chain) -> PolarCode:
+    """The code of the (B, N) uint8 leaf bits u of the codeword x: its bits
+    at the (N,) bool sent_mask, and flags at the leaves inside
+    decided_mask where map_bits of the decoder's chain along u differs
+    from u, the leaves a decoder deciding them by sign must flip.  No pass
+    runs for an empty decided_mask."""
+    flags = np.zeros(u.shape, dtype=np.uint8)
     if decided_mask.any():
         def guesses(llr, start, stop):
-            flags[start:stop] = (map_bits(llr[0]) != u[start:stop]) & decided_mask
+            flags[start:stop] = (map_bits(llr) != u[start:stop]) & decided_mask
 
-        traverse_batches((chain,), n_blocks, block_len, guesses, known=u)
+        traverse_batches(chain, guesses, codeword=x)
     return PolarCode(u[:, sent_mask], flags)
 
 
 def _decode(code: PolarCode, bits, sent_mask, decided_mask, chain) -> np.ndarray:
     """The codeword of a code over its (code.n_blocks, N) uint8 base bits,
     which it overwrites: code.sent at the (N,) bool sent_mask, and the
-    flags at decided_mask.  The replay is a one-chain plan: leaves in
+    flags at decided_mask.  The replay is a depth-first plan: leaves in
     decided_mask take map_bits of the chain xor their flags, and every
     other leaf is known; without decided leaves, the transform of the
     bits.  ValueError unless code.sent is a (code.n_blocks, |sent|) array
     of bits and code.flags a (code.n_blocks, N) array of bits that are 0
     outside decided_mask."""
     sent, flags = np.asarray(code.sent), np.asarray(code.flags)
-    n_blocks, block_len = bits.shape
-    shape = (n_blocks, int(sent_mask.sum()))
+    shape = (len(bits), int(sent_mask.sum()))
     if sent.shape != shape:
         raise ValueError(f"sent must have shape {shape}, one row per block of "
                          f"flags, got {sent.shape}")
@@ -151,8 +150,7 @@ def _decode(code: PolarCode, bits, sent_mask, decided_mask, chain) -> np.ndarray
         return polar_transform(bits)
     if chain is None:
         raise ValueError("prior-decided indices need the prior evidence")
-    return traverse_batches((chain,), n_blocks, block_len, None,
-                            plan=(~decided_mask, bits))[1]
+    return traverse_batches(chain, None, plan=(~decided_mask, bits))[1]
 
 
 def _check_pairing(channel: BinarySourceWithSideInfo, profile: PolarProfile) -> None:
@@ -203,7 +201,7 @@ def sc_lossless_encode(x: np.ndarray, channel: BinarySourceWithSideInfo,
         raise ValueError(f"blocks have length {block_len}, profile expects {profile.block_len}")
     cond, _ = channel_evidence(channel, _side_symbols(channel, side, x.shape))
     mask = profile.stored_mask()
-    return _encode(polar_transform(x), mask, ~mask, cond)
+    return _encode(polar_transform(x), x, mask, ~mask, cond)
 
 
 def sc_lossless_decode(code: PolarCode, channel: BinarySourceWithSideInfo,
@@ -266,8 +264,8 @@ def lossy_encode_from_evidence(cond, prior, profile: PolarProfile, n_blocks: int
         rng.block_uniforms, rng.STREAM_ROUNDING, shared_seed, level, n_blocks,
         block_offset, block_len))
     u, reconstruction = traverse_batches(
-        (cond,), n_blocks, block_len, None, plan=(~coded, dither, thresholds))
-    return _encode(u, info, deterministic, prior), reconstruction
+        cond, None, plan=(~coded, dither, thresholds))
+    return _encode(u, reconstruction, info, deterministic, prior), reconstruction
 
 
 def lossy_reconstruct_from_evidence(code: PolarCode, prior, profile: PolarProfile,

@@ -2,9 +2,10 @@
 
 Construction samples blocks from the joint source law, follows the true bit
 path through the successive-cancellation recursion, and accumulates three
-statistics per leaf index i and per chain.  Every bit of that path is known
-in advance, so the recursion runs breadth-first (one vectorized step per
-tree level, see sc.py) and the statistics of all leaves are taken at once:
+statistics per leaf index i and per chain, one breadth-first pass per
+chain.  Every bit of that path is known in advance, so the recursion runs
+breadth-first (one vectorized step per tree level, see sc.py) and the
+statistics of all leaves are taken at once:
 
 * the entropy proxy h[i], the mean of -log2 p(true bit) = log2(1 + e^(+-L)),
   + for a true 1, whose sum over i telescopes to the block log-likelihood
@@ -68,7 +69,7 @@ import numpy as np
 from .. import rng
 from .._fileio import atomic_write_text
 from .channel import BinarySourceWithSideInfo
-from .sc import chunked_batches, map_bits, sc_traverse
+from .sc import map_bits, sc_traverse
 from .transform import polar_transform
 
 CLASS_INFO = 0
@@ -209,53 +210,75 @@ def _run_slices(work, fold, slices) -> None:
                 fold(result)
 
 
-def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
-                     plan=None, fold=None):
-    """SC passes over n_blocks blocks in bounded batch slices.
+# blocks * N values per batch slice of chunked_batches: a cache-sized
+# slice for breadth-first passes, a large one for depth-first
+_GROUP_VALUES = 1 << 16
+_BATCH_VALUES = 1 << 19
 
-    chains[k](start, stop) gives chain k's (stop-start, N, 2) leaf
-    log-weights for a slice (see sc_traverse), conditional chain first and
-    prior chain (if any) last; a depth-first pass takes one chain.
 
-    With known (n_blocks, N) leaf bits the passes run breadth-first and
-    return None.  stats(llr, start, stop) sees every leaf of a slice at
-    once, llr the slice's (C, stop-start, N) leaf LLRs along the known
-    bits, and fold, if given, receives what it returns.  The slices run in
-    waves of up to _WORKERS slices, one per thread, on helper threads the
-    pass starts and stops (see _run_slices): building a slice's evidence,
-    its pass and stats run on whichever thread runs the slice, so they
-    must read shared inputs and write only the slice's own rows.  fold
-    runs in the calling thread, in slice order, so whatever depends on
-    order (construction's running sums) comes out the same however the
-    slices were scheduled.
+def chunked_batches(n_blocks: int, block_len: int, breadth_first: bool):
+    """Yield (start, stop) batch slices keeping blocks*N within the budget
+    of the pass: _GROUP_VALUES for a breadth-first pass, _BATCH_VALUES for
+    a depth-first one (at least one block either way)."""
+    budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES
+    chunk = max(1, budget // max(1, block_len))
+    for start in range(0, n_blocks, chunk):
+        yield start, min(start + chunk, n_blocks)
 
-    Otherwise the passes run depth-first, one slice after another in the
-    calling thread, on the leaf plan (the known mask, then bits and
-    optional thresholds over all n_blocks), if any, and stats is never
-    called (see sc_traverse).  Returns (u, x) over all blocks, as
-    sc_traverse does.
 
-    Each kind of pass has its own slice budget (see sc.chunked_batches):
-    breadth-first slices are cache-sized, so construction and the lossless
-    encoder hold the evidence of a few blocks per thread at a time, while
-    depth-first slices are large, so a coded batch shares one walk of the
-    tree.
+def traverse_batches(chain, stats, codeword=None, plan=None, fold=None):
+    """SC passes of one chain over a batch of blocks in bounded slices.
+
+    chain(start, stop) gives the chain's (stop-start, N, 2) leaf
+    log-weights for a slice of blocks (see sc_traverse).
+
+    With a (B, N) codeword the passes run breadth-first along its leaf
+    bits and return None.  stats(llr, start, stop) sees every leaf of a
+    slice at once, llr the slice's (stop-start, N) leaf LLRs, and fold,
+    if given, receives what it returns.  The slices run in waves of up to
+    _WORKERS slices, one per thread, on helper threads the pass starts
+    and stops (see _run_slices): building a slice's evidence, its pass
+    and stats run on whichever thread runs the slice, so they must read
+    shared inputs and write only the slice's own rows.  fold runs in the
+    calling thread, in slice order, so whatever depends on order
+    (construction's running sums) comes out the same however the slices
+    were scheduled.
+
+    Otherwise the passes run depth-first on the leaf plan (the known
+    mask, then (B, N) bits and optional thresholds), one slice after
+    another in the calling thread, and stats is never called (see
+    sc_traverse).  Returns (u, x) over all blocks, as sc_traverse does.
+
+    Each kind of pass has its own slice budget (see chunked_batches).  A
+    breadth-first pass does a fixed number of vectorized steps per slice,
+    so small slices cost it little overhead, and they keep its node
+    arrays in cache and its memory bounded by the slice instead of the
+    batch: construction and the lossless encoder hold the evidence of a
+    few blocks per thread at a time.  Its slices are independent, and
+    nearly all its time goes to NumPy calls on a whole slice, which
+    release the GIL, so they run in waves, one slice per thread.
+
+    A depth-first pass pays its per-node Python overhead, which holds the
+    GIL, once per slice, so its slices run one after another and are as
+    large as its memory budget allows.  The budget, 2^19 values, is one
+    128-block pass at N=4096 (a lossy encode, a lossless decode or a
+    lossy replay of both branches of an op), so such a pass is one walk,
+    and a walk's working set never outgrows that of a 2^19-value walk,
+    whatever the batch.  That set is its evidence until it is freed,
+    then its blocks-last (N, B) arrays: the LLRs, the thresholds if any,
+    and the node arrays along one root-to-leaf path, which peak at the
+    root's f-step near 2.5 float32 arrays of the slice's size and the
+    float64 thresholds, 5.7 MiB (9.7 with thresholds) for 128 blocks at
+    N=4096.
     """
-    slices = list(chunked_batches(n_blocks, len(chains), block_len,
-                                  breadth_first=known is not None))
-
-    def evidence(start, stop):
-        # one chain needs no stacked copy, only a leading chain axis
-        return (chains[0](start, stop)[None] if len(chains) == 1
-                else np.stack([chain(start, stop) for chain in chains]))
-
-    if known is not None:
+    n_blocks, block_len = np.shape(plan[1] if codeword is None else codeword)
+    slices = list(chunked_batches(n_blocks, block_len,
+                                  breadth_first=codeword is not None))
+    if codeword is not None:
         def work(start, stop):
-            out = []
-            sc_traverse(evidence(start, stop),
-                        lambda leaves, llr: out.append(stats(llr, start, stop)),
-                        known=known[start:stop])
-            return out[0]
+            return sc_traverse(chain(start, stop)[None],
+                               lambda leaves, llr: stats(llr, start, stop),
+                               codeword=codeword[start:stop])
 
         _run_slices(work, fold or (lambda _: None), slices)
         return None
@@ -265,8 +288,8 @@ def traverse_batches(chains, n_blocks: int, block_len: int, stats, known=None,
         # plain arguments, not **: a ** call keeps its argument tuple, and
         # with it the evidence sc_traverse frees, until the walk returns
         u[start:stop], x[start:stop] = sc_traverse(
-            evidence(start, stop), None, plan=None if plan is None
-            else (plan[0],) + tuple(p[start:stop] for p in plan[1:]))
+            chain(start, stop)[None], None,
+            plan=(plan[0],) + tuple(p[start:stop] for p in plan[1:]))
     return u, x
 
 
@@ -283,15 +306,15 @@ def channel_evidence(channel: BinarySourceWithSideInfo, side):
 
 
 # values per pass of the log1p term of _leaf_statistics: an eighth of a
-# breadth-first slice (sc._GROUP_VALUES), so its buffer takes no more
+# breadth-first slice (_GROUP_VALUES), so its buffer takes no more
 # bytes than a bool mask of the slice
 _LEAF_TAIL_VALUES = 1 << 13
 
 
 def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
-    """Of (C, B, N) leaf LLRs along the (B, N) uint8 true bits: the (C, N)
-    miss counts of map_bits and h = log2(1 + e^s), s = +-L, + for a true 1,
-    L capped at +-700 so h stays finite.
+    """Of (B, N) leaf LLRs along the (B, N) uint8 true bits: the (N,)
+    miss counts of map_bits and the (B, N) h = log2(1 + e^s), s = +-L, +
+    for a true 1, L capped at +-700 so h stays finite.
 
     h is taken as (max(s, 0) + log1p(e^-|s|)) / ln 2, the recipe of
     np.logaddexp(0, s) run as SIMD exp and log1p calls; these differ from
@@ -301,7 +324,7 @@ def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
     values at a time."""
     misses = map_bits(llr)
     misses ^= bits  # 1 where the decision misses the true bit
-    misses = np.add.reduce(misses, axis=1, dtype=np.int32)
+    misses = np.add.reduce(misses, axis=0, dtype=np.int32)
     capped = np.clip(llr, -700.0, 700.0, out=llr)
     sign = np.multiply(bits, 2, dtype=np.int8)
     sign -= 1  # 2 bit - 1
@@ -325,7 +348,8 @@ def construct_from_evidence(x_true, cond, prior=None, *, seed: int,
     """Monte Carlo construction from (sample_count, N) true blocks of the
     coded variable and evidence callables over their slices (see
     traverse_batches); prior=None means a uniform prior, with no prior chain.
-    The callables may be called from several threads at once.
+    Each chain runs as breadth-first passes of its own, conditional chain
+    first.  The callables may be called from several threads at once.
 
     Each slice's statistics are computed on the thread that runs the slice,
     from that slice's blocks alone, and enter the running sums in the
@@ -337,31 +361,36 @@ def construct_from_evidence(x_true, cond, prior=None, *, seed: int,
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     u_true = polar_transform(x_true)
-    chains = (cond,) if prior is None else (cond, prior)
-    h_sum = np.zeros((len(chains), block_len))
-    miss_sum = np.zeros((len(chains), block_len), dtype=np.int64)
 
     def leaf_stats(llr, start, stop):  # on any thread
         return _leaf_statistics(llr, u_true[start:stop])
 
-    def add(stats):  # in the calling thread, in slice order
-        misses, h = stats
-        miss_sum[:] += misses
-        for block in range(h.shape[1]):
-            h_sum[:] += h[:, block]
+    def chain_stats(chain):
+        """(h, e) of one chain's pass, summed in slice order."""
+        h_sum = np.zeros(block_len)
+        miss_sum = np.zeros(block_len, dtype=np.int64)
 
-    traverse_batches(chains, sample_count, block_len, leaf_stats, known=u_true,
-                     fold=add)
-    h, e = h_sum / sample_count, miss_sum / sample_count
+        def add(stats):  # in the calling thread, in slice order
+            misses, h = stats
+            miss_sum[:] += misses
+            for row in h:
+                h_sum[:] += row
+
+        traverse_batches(chain, leaf_stats, codeword=x_true, fold=add)
+        return h_sum / sample_count, miss_sum / sample_count
+
+    h_cond, e_cond = chain_stats(cond)
     if prior is None:  # uniform prior: every prefix-conditional law is exactly uniform
-        h = np.vstack([h, np.ones(block_len)])
-        e = np.vstack([e, np.full(block_len, 0.5)])
+        h_prior, e_prior = np.ones(block_len), np.full(block_len, 0.5)
+    else:
+        h_prior, e_prior = chain_stats(prior)
     # a plain int: a NumPy scalar seed would not serialize
     return PolarProfile(
         channel_id=channel_id, channel_name=channel_name,
         block_len=block_len, sample_count=sample_count, seed=int(seed),
-        h_cond=h[0], h_prior=h[1], e_cond=e[0], e_prior=e[1],
-        classes=classify_indices(h[0], None if prior is None else e[1], block_len))
+        h_cond=h_cond, h_prior=h_prior, e_cond=e_cond, e_prior=e_prior,
+        classes=classify_indices(h_cond, None if prior is None else e_prior,
+                                 block_len))
 
 
 def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
@@ -455,7 +484,7 @@ def load_cached_profile(cache_dir, header):
     try:
         p = load_profile(path)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            OverflowError):
+            OverflowError, RecursionError):  # JSON nested past the parser's depth
         return None
     built_for = (p.channel_id, p.block_len, p.sample_count, p.seed)
     return p if built_for == tuple(header) else None

@@ -1,23 +1,13 @@
 """Batched successive-cancellation traversal in log-likelihood ratios.
 
-One engine serves construction, lossless coding and lossy coding.  It walks
-the polarization recursion over a batch of blocks.  A breadth-first pass
-may carry two evidence chains side by side, which construction uses:
-
-* chain 0 conditions on the observed side information,
-* an optional chain 1 conditions on nothing (the prior chain), used when the
-  coded variable has a nonuniform prior and some decisions must be
-  reproducible from the prior alone.
-
-Both chains receive the same known bits, so their per-position values stay
-aligned.  All chain arithmetic is elementwise per chain, so a chain run
-alone takes bit-for-bit the values it takes beside another.  A depth-first
-pass walks one chain: the coders need no second one inside a walk.
+One engine serves construction, lossless coding and lossy coding.  Each
+pass walks the polarization recursion of one evidence chain over a batch
+of blocks; construction runs its prior chain as a pass of its own.
 
 Evidence enters as per-position log-weights (ln w0, ln w1), each pair up
-to a constant of its own, (chains, blocks, N, 2), and is carried as one
-log-likelihood ratio L = ln w0 - ln w1 per position; (-inf, -inf) reads
-as L = 0, and NaN evidence is a ValueError.
+to a constant of its own, (1, blocks, N, 2) with a leading axis of 1, and
+is carried as one log-likelihood ratio L = ln w0 - ln w1 per position;
+(-inf, -inf) reads as L = 0, and NaN evidence is a ValueError.
 The split at a node of width M pairs position j of the first half (a) with
 position j of the second half (b): the first child decodes the transform of
 (first xor second) from the exact box-plus f(a, b) = ln((1 + e^(a+b)) /
@@ -30,7 +20,7 @@ uninformative L = 0.
 There are two passes, chosen by the input:
 
 * depth-first (``sc_traverse(evidence, stats, plan=(known, bits[,
-  thresholds]))``), on one chain: leaves are decided in index order.  A
+  thresholds]))``): leaves are decided in index order.  A
   leaf in the (N,) mask ``known`` takes its bit from ``bits``; every other
   leaf i of block b is decided by the one leaf rule
 
@@ -44,10 +34,10 @@ There are two passes, chosen by the input:
   (U = 0 gives t = +inf, so the bit is 1 for every finite L).  Without a
   plan no leaf is known and none is flipped: every leaf is its sign.  The
   pass never calls ``stats``;
-* breadth-first (``sc_traverse(evidence, stats, known=u)``): every leaf bit
-  is given, so all partial sums are known up front and the tree is
-  evaluated one level at a time over all nodes at once; ``stats`` is called
-  once with the LLRs of every leaf.
+* breadth-first (``sc_traverse(evidence, stats, codeword=x)``): the
+  codeword is given, so all partial sums are known up front and the tree
+  is evaluated one level at a time over all nodes at once; ``stats`` is
+  called once with the LLRs of every leaf along the leaf bits u of x.
 
 Every pass runs in one precision, float32.  It computes its leaf LLRs
 from the evidence in float64 and casts them once to float32, in which the
@@ -62,12 +52,10 @@ replay each other bit for bit (see the last paragraph).
 engine's exact-arithmetic tests; no pipeline passes it.
 
 Each pass runs over the whole batch it is given, and turns its evidence
-into LLRs before it starts, so the evidence is freed for the pass.
-Callers slice large batches with ``chunked_batches``, whose budget depends
-on the pass: small cache-sized slices for the breadth-first pass, large
-ones for the depth-first pass (see there).  The engine keeps no state
-between passes, so the slices of a breadth-first batch may run on several
-threads at once (polar/profile.py runs them in waves, one slice per thread).
+into LLRs before it starts, so the evidence is freed for the pass.  The
+engine keeps no state between passes; polar/profile.py's traverse_batches
+slices large batches and runs the slices of a breadth-first batch on
+several threads at once.
 
 The depth-first walk holds its arrays blocks last, N first: its LLRs, its
 thresholds, the leaf bits u it fills in (the plan's bits until a leaf is
@@ -152,7 +140,7 @@ from .transform import polar_transform
 
 
 def _llrs(evidence: np.ndarray, dtype):
-    """L = ln w0 - ln w1 of (C, B, N, 2) log-weight pairs, taken in float64
+    """L = ln w0 - ln w1 of (..., 2) log-weight pairs, taken in float64
     and cast to dtype, a pair of equal infinities giving L = 0, and whether
     any L is infinite in dtype, past its range included; ValueError for NaN
     evidence."""
@@ -172,11 +160,6 @@ _LN2 = float(np.log(2.0))
 # log1p off their slow underflow paths (e^-60 is a normal float32 too) and
 # moves a result by less than 1e-25 of its size, far below one rounding unit
 _TERM_CAP = 60.0
-# chains * blocks * N values per batch slice of chunked_batches: a
-# cache-sized slice for breadth-first passes, a large one for depth-first
-# (whose passes have one chain)
-_GROUP_VALUES = 1 << 16
-_BATCH_VALUES = 1 << 19
 # blocks per chunk when the depth-first pass moves a (B, N) array to its
 # (N, B) layout (_blocks_last)
 _TRANSPOSE_ROWS = 64
@@ -334,13 +317,12 @@ def _depth_first(llr: np.ndarray, has_inf: bool, known, bits, thresholds):
     return u_out.T, x.T
 
 
-def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
-    n_chains, n_blocks, block_len = llr.shape
-    codeword = polar_transform(u)
-    # nodes[c, b, j, k]: value j of node k of the current level, so the two
+def _breadth_first(llr: np.ndarray, has_inf: bool, codeword: np.ndarray, stats):
+    n_blocks, block_len = llr.shape
+    # nodes[b, j, k]: value j of node k of the current level, so the two
     # halves every node splits into are two contiguous slabs; node k's
     # children become nodes 2k and 2k + 1, which ends in leaf order
-    nodes = llr.reshape(n_chains, n_blocks, block_len, 1)
+    nodes = llr.reshape(n_blocks, block_len, 1)
     # partial[b, j, k]: value j of the codeword of node k, the transform of
     # u over the node's leaves, in the layout of nodes.  A codeword is
     # [v ^ w, w] for v and w the codewords of the node's first and second
@@ -350,9 +332,9 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
     spare = np.empty_like(llr)
     del llr
     # every stage runs over the whole batch at once: traverse_batches hands
-    # this pass slices of _GROUP_VALUES values, small enough for the node
-    # arrays and the scratch buffers to stay in cache
-    work = np.empty((3, n_chains * n_blocks * block_len // 2), dtype=spare.dtype)
+    # this pass cache-sized slices, small enough for the node arrays and
+    # the scratch buffers to stay in cache
+    work = np.empty((3, n_blocks * block_len // 2), dtype=spare.dtype)
     width = block_len
     while width > 1:
         half, count = width // 2, block_len // width
@@ -360,23 +342,22 @@ def _breadth_first(llr: np.ndarray, has_inf: bool, u: np.ndarray, stats):
         child_bits = np.empty((n_blocks, half, count, 2), dtype=np.uint8)
         child_bits[..., 0] = v
         child_bits[..., 1] = partial[:, half:]
-        children = spare.reshape(n_chains, n_blocks, half, count, 2)
-        first, second = nodes[:, :, :half], nodes[:, :, half:]
+        children = spare.reshape(n_blocks, half, count, 2)
+        first, second = nodes[:, :half], nodes[:, half:]
         scratch = work.reshape((3,) + first.shape)
         # the f-step runs in contiguous scratch, which its strided slot in
         # children would slow, and is copied there once
         children[..., 0] = _f_step(first, second, has_inf, out=scratch[2],
                                    work=scratch[:2])
-        _g_step(first, second, v[None], has_inf, out=children[..., 1],
+        _g_step(first, second, v, has_inf, out=children[..., 1],
                 work=scratch[0])
-        nodes, spare = children.reshape(n_chains, n_blocks, half, 2 * count), nodes
+        nodes, spare = children.reshape(n_blocks, half, 2 * count), nodes
         partial = child_bits.reshape(n_blocks, half, 2 * count)
         del children
         width = half
     del spare, work  # free the buffers before stats makes its own
-    leaves = nodes.reshape(n_chains, n_blocks, block_len)
-    stats(slice(0, block_len), leaves.astype(float, copy=False))
-    return u.copy(), codeword
+    leaves = nodes.reshape(n_blocks, block_len)
+    return stats(slice(0, block_len), leaves.astype(float, copy=False))
 
 
 def checked_bits(values, name: str) -> np.ndarray:
@@ -413,18 +394,19 @@ def _checked_plan(plan, n_blocks: int, block_len: int):
     return known, bits, thresholds
 
 
-def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
+def sc_traverse(evidence: np.ndarray, stats, *, codeword=None, plan=None,
                 dtype=np.float32):
     """Run one successive-cancellation pass over a batch of blocks.
 
-    evidence: (chains, blocks, N, 2) leaf log-weights (see the module
-        docstring), N a power of two; one chain for the depth-first pass.
-    stats: with ``known``, called once as ``stats(slice(0, N), llr)``, llr
-        the (chains, blocks, N) LLRs ln w0 - ln w1 of every leaf along the
-        known bits, +-inf included (it may overwrite them); its return
-        value is ignored.  Without ``known`` it is never called, and may
-        be anything.
-    known: optional (blocks, N) bits of every leaf; selects the
+    evidence: (1, blocks, N, 2) leaf log-weights of one chain (see the
+        module docstring), N a power of two; ValueError for a leading
+        axis other than 1.
+    stats: with ``codeword``, called once as ``stats(slice(0, N), llr)``,
+        llr the (blocks, N) LLRs ln w0 - ln w1 of every leaf along the
+        leaf bits of the codeword, +-inf included (it may overwrite them).
+        Without ``codeword`` it is never called, and may be anything.
+    codeword: optional (blocks, N) bits of the codeword x whose leaf bits
+        u (x = polar_transform(u)) the pass follows; selects the
         breadth-first pass.
     plan: optional ``(known, bits[, thresholds])`` of the depth-first
         pass: an (N,) mask of the known leaves, (blocks, N) bits, the
@@ -439,78 +421,44 @@ def sc_traverse(evidence: np.ndarray, stats, *, known=None, plan=None,
         the engine's exact-arithmetic tests run; ValueError for any
         other dtype.
 
-    Returns (u, x), both (blocks, N) uint8, where u collects the decided
-    bits in leaf order and x is the corresponding codeword (u equals the
-    polarization transform of x by construction).
+    The breadth-first pass returns what stats returns.  The depth-first
+    pass returns (u, x), both (blocks, N) uint8, where u collects the
+    decided bits in leaf order and x is the corresponding codeword (u
+    equals the polarization transform of x by construction).
     """
-    if evidence.ndim != 4 or evidence.shape[-1] != 2:
-        raise ValueError(f"evidence must have shape (C, B, N, 2), got {evidence.shape}")
-    n_chains, n_blocks, block_len, _ = evidence.shape
+    evidence = np.asarray(evidence)
+    if evidence.ndim != 4 or evidence.shape[0] != 1 or evidence.shape[-1] != 2:
+        raise ValueError(f"a pass walks one chain: evidence must have shape "
+                         f"(1, B, N, 2), got {evidence.shape}")
+    _, n_blocks, block_len, _ = evidence.shape
     if block_len < 1 or (block_len & (block_len - 1)) != 0:
         raise ValueError(f"block length must be a power of two, got {block_len}")
-    if known is not None and plan is not None:
-        raise ValueError("known selects the breadth-first pass, which takes no plan")
+    if codeword is not None and plan is not None:
+        raise ValueError("codeword selects the breadth-first pass, which takes no plan")
     dtype = np.dtype(dtype)
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-    if known is None:
-        if n_chains != 1:
-            raise ValueError(f"a depth-first pass walks one chain, got {n_chains}")
+    if codeword is None:
         fixed, bits, thresholds = _checked_plan(plan, n_blocks, block_len)
         if fixed.all():  # a rate-0 root reads no evidence
             return bits.copy(), polar_transform(bits)
         found_inf = []
 
         def rows(chunk):
-            chunk_llr, chunk_inf = _llrs(evidence[:, chunk], dtype)
+            chunk_llr, chunk_inf = _llrs(evidence[0, chunk], dtype)
             found_inf.append(chunk_inf)
-            return chunk_llr[0]
+            return chunk_llr
 
         llr = _blocks_last(rows, n_blocks, block_len, dtype)
         has_inf = any(found_inf)
     else:
-        u = checked_bits(known, "known")
-        if u.shape != (n_blocks, block_len):
-            raise ValueError(
-                f"known must have shape ({n_blocks}, {block_len}), got {u.shape}")
-        llr, has_inf = _llrs(evidence, dtype)
+        codeword = checked_bits(codeword, "codeword")
+        if codeword.shape != (n_blocks, block_len):
+            raise ValueError(f"codeword must have shape ({n_blocks}, {block_len}), "
+                             f"got {codeword.shape}")
+        llr, has_inf = _llrs(evidence[0], dtype)
     del evidence  # the pass reads only the LLRs: free the evidence now
     with np.errstate(invalid="ignore", over="ignore"):
-        if known is None:
+        if codeword is None:
             return _depth_first(llr, has_inf, fixed, bits, thresholds)
-        return _breadth_first(llr, has_inf, u, stats)
-
-
-def chunked_batches(n_blocks: int, n_chains: int, block_len: int,
-                    breadth_first: bool):
-    """Yield (start, stop) batch slices keeping chains*blocks*N within the
-    budget of the pass: _GROUP_VALUES for a breadth-first pass,
-    _BATCH_VALUES for a depth-first one (at least one block either way).
-
-    A breadth-first pass does a fixed number of vectorized steps per slice,
-    so small slices cost it little overhead, and they keep its node arrays
-    in cache and its memory bounded by the slice instead of the batch.
-    Its slices are independent, and nearly all its time goes to NumPy
-    calls on a whole slice, which release the GIL, so traverse_batches
-    (polar/profile.py) runs them in waves of one slice per thread, on
-    helper threads the pass starts and stops for itself, and folds each
-    wave's results in slice order before the next wave starts.
-
-    A depth-first pass pays its per-node Python overhead, which holds the
-    GIL, once per slice, so its slices run one after another and are as
-    large as its memory budget allows.  The budget, 2^19 values, is one
-    128-block pass at N=4096 (a lossy encode, a lossless decode or a
-    lossy replay of both branches of an op), so such a pass is one walk,
-    and a walk's working set never outgrows that of a 2^19-value walk,
-    whatever the batch.  That set is its evidence until it is freed,
-    then its blocks-last (N, B) arrays: the LLRs, the thresholds if any,
-    and the node arrays along one root-to-leaf path, which peak at the
-    root's f-step near 2.5 float32 arrays of the slice's size and the
-    float64 thresholds, 5.7 MiB (9.7 with thresholds) for 128 blocks at
-    N=4096.
-    """
-    per_block = max(1, n_chains * block_len)
-    budget = _GROUP_VALUES if breadth_first else _BATCH_VALUES
-    chunk = max(1, budget // per_block)
-    for start in range(0, n_blocks, chunk):
-        yield start, min(start + chunk, n_blocks)
+        return _breadth_first(llr, has_inf, codeword, stats)

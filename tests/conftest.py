@@ -19,7 +19,7 @@ from hypothesis import settings
 
 import numpy as np
 
-from graywyner.polar import construct_profile_cached, polar_transform
+from graywyner.polar import construct_profile_cached
 from graywyner.polar.profile import PROFILE_CACHE_VERSION
 
 CACHE_DIR = Path(__file__).parent / ".cache"
@@ -36,7 +36,7 @@ def is_current_entry(path: Path) -> bool:
         data = json.loads(path.read_text())
         return (data.get("kind") == "profile"
                 and data.get("version") == PROFILE_CACHE_VERSION)
-    except (OSError, ValueError, AttributeError):
+    except (OSError, ValueError, AttributeError, RecursionError):
         return False
 
 
@@ -52,14 +52,13 @@ def prune_stale_entries(cache_dir: Path) -> list:
     return [p.name for p in stale]
 
 
-def plant_certainty(evidence, known):
-    """A copy of breadth-first log-weight evidence, every chain made
-    certain of the true codeword bit (ln w = -inf on the other bit, so
-    L = +-inf) at every fourth position of each block whose codeword
-    starts with 1.  The choice depends on the block alone, so any slicing
-    of a batch plants the same leaves, and slices with and without
-    infinite L mix."""
-    x = polar_transform(np.asarray(known))
+def plant_certainty(evidence, codeword):
+    """A copy of breadth-first log-weight evidence made certain of the
+    true codeword bit (ln w = -inf on the other bit, so L = +-inf) at
+    every fourth position of each block whose codeword starts with 1.
+    The choice depends on the block alone, so any slicing of a batch
+    plants the same leaves, and slices with and without infinite L mix."""
+    x = np.asarray(codeword)
     planted = np.array(evidence, dtype=float)
     certain = np.zeros(x.shape, dtype=bool)
     certain[:, ::4] = x[:, :1] == 1

@@ -22,10 +22,11 @@ def test_prune_keeps_current_and_drops_stale(tmp_path):
     for name, data in entries.items():
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "truncated.json").write_text('{"version": ')
+    (tmp_path / "deeply_nested.json").write_text("[" * 200000)
     (tmp_path / "left_over.json123.tmp").write_text("{}")
     deleted = prune_stale_entries(tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == [current]
-    assert len(deleted) == 6
+    assert len(deleted) == 7
 
 
 def test_prune_of_missing_directory_is_a_no_op(tmp_path):

@@ -256,9 +256,9 @@ def test_reduction_is_sufficient(red, k_noise, gains, mi_target):
     matched = np.linalg.solve(k_noise, gains)
     np.testing.assert_allclose(weights, matched / (gains @ matched),
                                rtol=1e-12, atol=0.0)
-    v = red.sigma_s2 - red.sigma_r2
+    v = red.mmse.sigma_s2 - red.mmse.sigma_r2
     assert weights @ k_noise @ weights == pytest.approx(v, rel=1e-12, abs=0.0)
-    info = 0.5 * math.log2(red.sigma_s2 / v)
+    info = 0.5 * math.log2(red.mmse.sigma_s2 / v)
     assert info == pytest.approx(mi_target, rel=1e-12, abs=0.0)
 
 

@@ -85,7 +85,7 @@ class TestModelBasics:
         gen = np.random.default_rng(11)
         x, y = model.sample(250, 4096, gen)
         u = 0.5 * (x + y)
-        target = reduce_pair(model).sigma_s2
+        target = reduce_pair(model).mmse.sigma_s2
         stderr = math.sqrt(2.0 / u.size) * target
         assert abs(u.var() - target) < 3.0 * stderr
 
@@ -337,8 +337,8 @@ class TestReductions:
     def test_pair_constants(self, model):
         red = reduce_pair(model)
         assert red.weights == (0.5, 0.5)
-        assert red.sigma_s2 == pytest.approx(0.9, abs=1e-15)
-        assert red.sigma_r2 == pytest.approx(0.8, abs=1e-15)
+        assert red.mmse.sigma_s2 == pytest.approx(0.9, abs=1e-15)
+        assert red.mmse.sigma_r2 == pytest.approx(0.8, abs=1e-15)
         assert red.mmse.alpha == pytest.approx(2.0 * RHO / (1.0 + RHO), abs=1e-12)
         assert red.mmse.sigma_tilde2 == pytest.approx(
             RHO * (1.0 - RHO) / (1.0 + RHO), abs=1e-12)
@@ -350,17 +350,17 @@ class TestReductions:
     def test_l_constants(self):
         red = reduce_L(LGaussianModel(4, 0.5))
         assert red.weights == (0.25,) * 4
-        assert red.sigma_s2 == pytest.approx(0.625, abs=1e-15)
-        assert red.sigma_r2 == pytest.approx(0.5, abs=1e-15)
+        assert red.mmse.sigma_s2 == pytest.approx(0.625, abs=1e-15)
+        assert red.mmse.sigma_r2 == pytest.approx(0.5, abs=1e-15)
         red3 = reduce_L(LGaussianModel(3, 0.5))
-        assert red3.sigma_s2 == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert red3.mmse.sigma_s2 == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_l2_reduction_matches_pair(self, model):
         a = reduce_pair(model)
         b = reduce_L(LGaussianModel(2, RHO))
         assert a.weights == b.weights
-        assert a.sigma_s2 == pytest.approx(b.sigma_s2, abs=1e-15)
-        assert a.sigma_r2 == pytest.approx(b.sigma_r2, abs=1e-15)
+        assert a.mmse.sigma_s2 == pytest.approx(b.mmse.sigma_s2, abs=1e-15)
+        assert a.mmse.sigma_r2 == pytest.approx(b.mmse.sigma_r2, abs=1e-15)
 
     def test_posterior_width_decreases_in_source_count(self):
         widths = [reduce_L(LGaussianModel(size, 0.5)).mmse.sigma_tilde2
@@ -371,8 +371,8 @@ class TestReductions:
         red = reduce_eps2(0.5, 0.5, model)
         assert red.weights[0] == pytest.approx(0.5, abs=1e-12)
         assert red.weights[1] == pytest.approx(0.5, abs=1e-12)
-        assert red.sigma_s2 == pytest.approx(0.9, abs=1e-12)
-        assert red.sigma_r2 == pytest.approx(0.5, abs=1e-15)
+        assert red.mmse.sigma_s2 == pytest.approx(0.9, abs=1e-12)
+        assert red.mmse.sigma_r2 == pytest.approx(0.5, abs=1e-15)
         assert red.mmse.alpha == pytest.approx(5.0 / 9.0, abs=1e-12)
         assert red.mmse.sigma_tilde2 == pytest.approx(2.0 / 9.0, abs=1e-12)
 
@@ -380,7 +380,7 @@ class TestReductions:
         red = reduce_eps2(0.4, 0.6, model)
         assert red.weights[0] == pytest.approx(EPS2_WEIGHTS_04_06[0], abs=1e-12)
         assert red.weights[1] == pytest.approx(EPS2_WEIGHTS_04_06[1], abs=1e-12)
-        assert red.sigma_s2 == pytest.approx(EPS2_VAR_04_06, abs=1e-12)
+        assert red.mmse.sigma_s2 == pytest.approx(EPS2_VAR_04_06, abs=1e-12)
 
     def test_eps2_posterior_width_equals_noise_determinant_form(self, model):
         # sigma_tilde2 must equal delta1 * det(k_noise) / (1 - rho^2)
@@ -403,7 +403,7 @@ class TestReductions:
         red = reduce_eps2(d1, d2, m)
         w = np.asarray(red.weights)
         quad = float(w @ m.covariance() @ w)
-        assert quad == pytest.approx(red.sigma_s2, abs=1e-12)
+        assert quad == pytest.approx(red.mmse.sigma_s2, abs=1e-12)
 
     def test_eps2_symmetric_weights_match_pair(self):
         gen = np.random.default_rng(10)
@@ -440,5 +440,5 @@ class TestReductions:
         gen = np.random.default_rng(12)
         arr = m.sample(100, 4096, gen)
         u = red.combine(arr)
-        stderr = math.sqrt(2.0 / u.size) * red.sigma_s2
-        assert abs(u.var() - red.sigma_s2) < 3.0 * stderr
+        stderr = math.sqrt(2.0 / u.size) * red.mmse.sigma_s2
+        assert abs(u.var() - red.mmse.sigma_s2) < 3.0 * stderr

@@ -88,9 +88,9 @@ def test_traced_lattice_op_keeps_sc_contract():
     assert builds
     for span in builds:
         passes = _children(recorded, span, "sc")
-        assert len(passes) == span.info["levels"]
-        # every level runs the conditional and the prior chain
-        assert all(s.info["leaves"] == sample_count * block_len * 2 for s in passes)
+        # every level runs the conditional and the prior chain, one pass each
+        assert len(passes) == 2 * span.info["levels"]
+        assert all(s.info["leaves"] == sample_count * block_len for s in passes)
     counts = spans.layer_counts(recorded, 0)
     assert counts["construct.calls"] == 0
     assert counts["sc.lattice.busy_s"] > 0

@@ -624,7 +624,7 @@ class TestRate1Shortcuts:
         _, obs = channel.sample(64, 1024, rng.stream(74, rng.STREAM_SOURCE))
         outputs = []
         for batch in (64, 7, 1):
-            monkeypatch.setattr(sc_module, "_BATCH_VALUES", batch * 1024)
+            monkeypatch.setattr(profile_module, "_BATCH_VALUES", batch * 1024)
             outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
         monkeypatch.setattr(sc_module, "_LN2", np.inf)
         outputs.append(sc_lossy_encode(obs, channel, profile, shared_seed=87))
@@ -716,7 +716,7 @@ class TestGroupedBranches:
 
 
 class TestDepthFirstWalks:
-    """Depth-first walks are bounded by sc._BATCH_VALUES and free the
+    """Depth-first walks are bounded by profile._BATCH_VALUES and free the
     posteriors they are given before their first f-step."""
 
     def test_one_chain_pass_of_256_blocks_takes_two_walks(self, profile_store,
@@ -732,15 +732,15 @@ class TestDepthFirstWalks:
         walks = []
 
         def recording(evidence, stats, **kwargs):
-            u, x = traverse(evidence, stats, **kwargs)
+            out = traverse(evidence, stats, **kwargs)
             if kwargs.get("plan") is not None:  # not the corrections' pass
-                walks.append((evidence.shape[:2], u, x))
-            return u, x
+                walks.append((evidence.shape[:2], *out))
+            return out
 
         monkeypatch.setattr(profile_module, "sc_traverse", recording)
         sc_lossy_encode(obs, channel, profile, shared_seed=90)
         assert [shape for shape, _, _ in walks] == [(1, 128), (1, 128)]
-        monkeypatch.setattr(sc_module, "_BATCH_VALUES", 1 << 23)
+        monkeypatch.setattr(profile_module, "_BATCH_VALUES", 1 << 23)
         sc_lossy_encode(obs, channel, profile, shared_seed=90)
         assert [shape for shape, _, _ in walks[2:]] == [(1, 256)]
         for k in (1, 2):  # u, then x
@@ -767,5 +767,6 @@ class TestDepthFirstWalks:
             return f_step(*args, **kwargs)
 
         monkeypatch.setattr(sc_module, "_f_step", checking)
-        profile_module.traverse_batches((cond,), 4, 64, None)
+        profile_module.traverse_batches(cond, None, plan=(
+            np.zeros(64, dtype=bool), np.zeros((4, 64), np.uint8)))
         assert alive and not any(alive)

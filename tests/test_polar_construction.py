@@ -67,10 +67,8 @@ def _surprisal(llr, bits):
 def _true_path_llrs(evidence, u):
     """(B, N) leaf LLRs of one-chain evidence along the bits u, read from
     a float64 breadth-first pass, whose chain rule holds to 1e-9."""
-    seen = []
-    sc_traverse(evidence, lambda leaves, llr: seen.append(llr[0]), known=u,
-                dtype=np.float64)
-    return seen[0]
+    return sc_traverse(evidence, lambda leaves, llr: llr,
+                       codeword=polar_transform(u), dtype=np.float64)
 
 
 class TestChainRuleExact:
@@ -132,11 +130,11 @@ class TestDecisionErrors:
         x, y = channel.sample(40, 32, rng.stream(12, rng.STREAM_CONSTRUCTION))
         u = polar_transform(x)
         chains = [c for c in channel_evidence(channel, y) if c is not None]
-        seen = []
-        sc_traverse(np.stack([chain(0, 40) for chain in chains]),
-                    lambda leaves, llr: seen.append(llr.copy()), known=u,
-                    dtype=np.float32)
-        misses = (map_bits(seen[0]) != u).sum(axis=1)
+        # one pass per chain
+        misses = np.stack([
+            (map_bits(sc_traverse(chain(0, 40)[None], lambda leaves, llr: llr,
+                                  codeword=x, dtype=np.float32)) != u).sum(axis=0)
+            for chain in chains])
         np.testing.assert_array_equal(profile.e_cond, misses[0] / 40)
         np.testing.assert_array_equal(
             profile.e_prior, misses[1] / 40 if len(chains) == 2 else 0.5)
@@ -329,6 +327,8 @@ class TestProfileCache:
 
     @pytest.mark.parametrize("content", [
         "{not json", "[1, 2]", '{"version": 2}', "",
+        # nesting past the parser's recursion limit
+        pytest.param("[" * 200000, id="deeply-nested"),
         # an array spoiled through its decoded values, then stored as the
         # base64 of the spoiled array's own little-endian bytes
         pytest.param(("classes", lambda c: np.r_[np.int16(300), c[1:]]),
@@ -450,8 +450,7 @@ class TestSliceIndependence:
     slices of one block, of three, and of the whole batch."""
 
     @staticmethod
-    def _per_budget(monkeypatch, n_chains, block_len, n_blocks, run,
-                    plant=False):
+    def _per_budget(monkeypatch, block_len, n_blocks, run, plant=False):
         """run() under each budget, checking that the budget sets the
         slices, with certain leaves planted in some blocks (plant_certainty)
         if plant; returns the outputs and each slice's evidence: whether it
@@ -461,7 +460,7 @@ class TestSliceIndependence:
 
         def recording(evidence, stats, **kwargs):
             if plant:
-                evidence = plant_certainty(evidence, kwargs["known"])
+                evidence = plant_certainty(evidence, kwargs["codeword"])
             # list.append is atomic: slices may run on several threads
             seen.append(bool(np.isinf(evidence).any()))
             return traverse(evidence, stats, **kwargs)
@@ -470,8 +469,7 @@ class TestSliceIndependence:
         budgets = (n_blocks, 3, 1)  # whole batch first: the reference
         outputs, slices = [], []
         for blocks in budgets:
-            monkeypatch.setattr(sc_module, "_GROUP_VALUES",
-                                blocks * n_chains * block_len)
+            monkeypatch.setattr(profile_module, "_GROUP_VALUES", blocks * block_len)
             before = len(seen)
             outputs.append(run())
             slices.append(len(seen) - before)
@@ -482,7 +480,7 @@ class TestSliceIndependence:
     def test_two_chain_profile(self, monkeypatch):
         channel = make_quantizer_source(0.2, np.array([[0.9, 0.1], [0.1, 0.9]]))
         assert not channel.prior_is_uniform
-        outputs, _ = self._per_budget(monkeypatch, 2, 256, 20, lambda: [
+        outputs, _ = self._per_budget(monkeypatch, 256, 20, lambda: [
             construct_profile(channel, 256, sample_count=20, seed=4)])
         for profiles in outputs[1:]:
             _assert_same_profiles(profiles, outputs[0])
@@ -491,7 +489,7 @@ class TestSliceIndependence:
         mmse = reduce_pair(GaussianPairModel(0.99)).mmse
         chain = plan_chain(mmse)
         # lattice L is finite: plant_certainty gives some slices +-inf
-        outputs, certain = self._per_budget(monkeypatch, 2, 256, 12, lambda: (
+        outputs, certain = self._per_budget(monkeypatch, 256, 12, lambda: (
             build_multilevel_code(chain, mmse, 256, sample_count=12,
                                   seed=3).profiles), plant=True)
         assert any(certain) and not all(certain)
@@ -502,7 +500,7 @@ class TestSliceIndependence:
         channel = crossover_side_info(0.11)
         profile = construct_profile(channel, 256, sample_count=40, seed=6)
         x, y = channel.sample(10, 256, rng.stream(8, rng.STREAM_SOURCE))
-        outputs, _ = self._per_budget(monkeypatch, 1, 256, 10, lambda: [
+        outputs, _ = self._per_budget(monkeypatch, 256, 10, lambda: [
             sc_lossless_encode(x, channel, profile, side=y)])
         (want,) = outputs[0]
         assert any(len(c) for c in want.corrections)

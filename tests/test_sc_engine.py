@@ -1,11 +1,11 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
-bitwise agreement of the breadth-first pass (one or two chains) and the
-one-chain depth-first pass on each chain, pruned depth-first passes
+bitwise agreement of the breadth-first and depth-first passes on each
+chain of C-chain evidence, one chain per pass, pruned depth-first passes
 against the engine's unpruned recursion along their output (with and
 without the thresholds of the leaf rule, and with per-block flips, also at
 the batch sizes around the walk's transpose chunks), float32 walks on
-planted LLRs at the edges of the rate-1 guard (Hypothesis), each chain of
-C-chain evidence walked in its own pass, the walk's peak memory, infinite
+planted LLRs at the edges of the rate-1 guard (Hypothesis), the refusal
+of evidence with more than one chain, the walk's peak memory, infinite
 and contradictory evidence, the leaf statistics and decisions read from
 LLRs against their pair formulas, the rounding thresholds, and lossless
 round trips whose uncertain positions are mostly decided by maximum
@@ -39,6 +39,7 @@ from graywyner.polar import (
     sc_lossless_encode,
     sc_traverse,
 )
+from graywyner.polar import profile as profile_module
 from graywyner.polar import sc as sc_module
 from graywyner.polar.coding import _thresholds
 from graywyner.polar.profile import _leaf_statistics
@@ -103,8 +104,8 @@ def _evidence(kind, n_chains, n_blocks, block_len, seed):
 
 
 def _per_chain(evidence):
-    """One-chain slices of (C, B, N, 2) evidence: a depth-first pass walks
-    one chain, so C-chain evidence is walked one chain per pass."""
+    """One-chain slices of (C, B, N, 2) evidence: a pass walks one chain,
+    so C-chain evidence is run one chain per pass."""
     return [evidence[c:c + 1] for c in range(len(evidence))]
 
 
@@ -171,13 +172,12 @@ def _walk_reads(walk, u, llr):
 
 
 def _breadth_first_leaves(evidence, u, dtype=np.float32):
-    seen = {}
-
-    def stats(leaves, llr):
-        seen["llr"] = llr
-
-    sc_traverse(evidence, stats, known=u, dtype=dtype)
-    return seen["llr"]
+    """(C, B, N) leaf LLRs along the bits u of breadth-first passes over
+    (C, B, N, 2) evidence, one pass per chain."""
+    x = polar_transform(u)
+    return np.stack([sc_traverse(chain, lambda leaves, llr: llr, codeword=x,
+                                 dtype=dtype)
+                     for chain in _per_chain(evidence)])
 
 
 def _pair_llrs(pairs):
@@ -264,23 +264,24 @@ class TestPassesShareLeafLlrs:
         x, y = channel.sample(n_blocks, block_len, rng.stream(3, rng.STREAM_SOURCE))
         evidence = channel.leaf_evidence(y)[None]
         u = polar_transform(x)
-        breadth = []
-        u_bf, x_bf = sc_traverse(
-            evidence, lambda leaves, llr: breadth.append(llr), known=u)
-        assert _depth_first_reads(evidence, u, breadth[0][0])
-        np.testing.assert_array_equal(u_bf, u)
-        np.testing.assert_array_equal(x_bf, x)
+        # the breadth-first pass returns what stats returns
+        leaves, breadth = sc_traverse(
+            evidence, lambda leaves, llr: (leaves, llr), codeword=x)
+        assert leaves == slice(0, block_len)
+        assert breadth.shape == (n_blocks, block_len)
+        assert _depth_first_reads(evidence, u, breadth)
 
     def test_known_bits_shape_checked(self):
+        """The breadth-first pass's codeword bits are checked."""
         evidence = np.full((1, 2, 8, 2), np.log(0.5))
         with pytest.raises(ValueError):
             sc_traverse(evidence, lambda leaves, llr: None,
-                        known=np.zeros((2, 4), dtype=np.uint8))
+                        codeword=np.zeros((2, 4), dtype=np.uint8))
         # values outside {0, 1} are refused before the uint8 cast, which
         # would keep 2 and wrap -1 to 255
-        for known in [np.full((2, 8), 2), np.full((2, 8), -1, dtype=np.int64)]:
-            with pytest.raises(ValueError, match="known"):
-                sc_traverse(evidence, lambda leaves, llr: None, known=known)
+        for codeword in [np.full((2, 8), 2), np.full((2, 8), -1, dtype=np.int64)]:
+            with pytest.raises(ValueError, match="codeword"):
+                sc_traverse(evidence, lambda leaves, llr: None, codeword=codeword)
 
 
 # an uninformative prior pair at leaf 0 and confident 1s beside it: SC
@@ -579,28 +580,50 @@ class TestPlanChecked:
 
     def test_depth_first_pass_walks_one_chain(self):
         """Two chains are refused by the depth-first pass, with or without
-        a plan, and accepted by the breadth-first one."""
+        a plan, and by the breadth-first one."""
         evidence = np.full((2, 2, 8, 2), np.log(0.5))
         bits = np.zeros((2, 8), dtype=np.uint8)
         for plan in [None, (np.zeros(8, dtype=bool), bits)]:
             with pytest.raises(ValueError, match="one chain"):
                 sc_traverse(evidence, _never, plan=plan)
-        u, x = sc_traverse(evidence, lambda leaves, llr: None, known=bits)
-        np.testing.assert_array_equal(u, bits)
+        with pytest.raises(ValueError, match="one chain"):
+            sc_traverse(evidence, _never, codeword=bits)
+
+    @pytest.mark.parametrize("n_chains", [0, 3])
+    def test_leading_axis_other_than_one_rejected(self, n_chains):
+        """Evidence whose leading axis is neither 1 nor the 2 above is a
+        ValueError in both passes too."""
+        evidence = np.full((n_chains, 2, 8, 2), np.log(0.5))
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        for kwargs in [{}, {"plan": (np.zeros(8, dtype=bool), bits)},
+                       {"codeword": bits}]:
+            with pytest.raises(ValueError, match="one chain"):
+                sc_traverse(evidence, _never, **kwargs)
+
+    def test_list_evidence_accepted(self):
+        """Evidence given as nested lists runs as the same array does."""
+        evidence = _evidence("random", 1, 3, 16, seed=12)
+        bits = np.random.default_rng(12).integers(0, 2, (3, 16)).astype(np.uint8)
+        np.testing.assert_array_equal(sc_traverse(evidence.tolist(), _never),
+                                      sc_traverse(evidence, _never))
+        np.testing.assert_array_equal(
+            sc_traverse(evidence.tolist(), lambda leaves, llr: llr, codeword=bits),
+            sc_traverse(evidence, lambda leaves, llr: llr, codeword=bits))
 
     @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.int32])
     def test_other_dtypes_rejected(self, dtype):
         evidence = np.full((1, 2, 8, 2), np.log(0.5))
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="dtype"):
-            sc_traverse(evidence, lambda leaves, llr: None, known=bits,
+            sc_traverse(evidence, lambda leaves, llr: None, codeword=bits,
                         dtype=dtype)
 
     def test_plan_and_known_exclusive(self):
+        """A codeword (the breadth-first pass) and a plan are exclusive."""
         evidence = np.full((1, 2, 8, 2), np.log(0.5))
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="breadth-first"):
-            sc_traverse(evidence, lambda leaves, llr: None, known=bits,
+            sc_traverse(evidence, lambda leaves, llr: None, codeword=bits,
                         plan=(np.zeros(8, dtype=bool), bits))
 
 
@@ -688,18 +711,18 @@ class TestInfiniteEvidence:
     @pytest.mark.parametrize("pair", [(np.nan, np.nan), (np.nan, 0.0),
                                       (-np.inf, np.nan)])
     def test_nan_evidence_rejected(self, pair):
-        """A NaN anywhere in the evidence, here in the second chain or in
-        the second transpose chunk of a walk, is an error in both passes,
-        not the L = 0 of a pair of equal infinities."""
-        evidence = np.full((2, 70, 16, 2), np.log(0.5))
-        evidence[1, 66, 9] = pair
+        """A NaN anywhere in the evidence, here in the second transpose
+        chunk of a walk, is an error in both passes, not the L = 0 of a
+        pair of equal infinities."""
+        evidence = np.full((1, 70, 16, 2), np.log(0.5))
+        evidence[0, 66, 9] = pair
         u = np.zeros((70, 16), np.uint8)
         with pytest.raises(ValueError, match="NaN"):
-            sc_traverse(evidence, _never, known=u)
+            sc_traverse(evidence, _never, codeword=u)
         with pytest.raises(ValueError, match="NaN"):
-            sc_traverse(evidence[1:], _never)
+            sc_traverse(evidence, _never)
         with pytest.raises(ValueError, match="NaN"):
-            sc_traverse(evidence[1:], _never, plan=(
+            sc_traverse(evidence, _never, plan=(
                 np.zeros(16, dtype=bool), u, np.zeros((70, 16))))
 
 
@@ -713,11 +736,11 @@ def test_leaf_formulas_match_pair_formulas():
     capped = np.clip(llr, -700.0, 700.0)
     pairs = np.stack([1 / (1 + np.exp(-capped)), 1 / (1 + np.exp(capped))], -1)
     for bit in (0, 1):
-        # one chain, one block: (C, B, N) LLRs and (B, N) bits
-        misses, h = _leaf_statistics(llr[None, None].copy(),
+        # one block: (B, N) LLRs and (B, N) bits
+        misses, h = _leaf_statistics(llr[None].copy(),
                                      np.full((1, llr.size), bit, np.uint8))
-        np.testing.assert_array_equal(misses[0], map_bits(llr) != bit)
-        np.testing.assert_allclose(h[0, 0], -np.log2(pairs[:, bit]),
+        np.testing.assert_array_equal(misses, map_bits(llr) != bit)
+        np.testing.assert_allclose(h[0], -np.log2(pairs[:, bit]),
                                    rtol=1e-14, atol=1e-15)
     assert np.all(np.isfinite(h))
     resolved = pairs[:, 0] != pairs[:, 1]
@@ -967,14 +990,13 @@ class TestFloat32Walks:
         bitwise-equal leaf LLRs: the premise of exact replay."""
         llr, _, u, _ = walk
         has_inf = bool(np.isinf(llr).any())
-        seen = []
         with np.errstate(invalid="ignore", over="ignore"):
-            sc_module._breadth_first(llr[None].copy(), has_inf, u,
-                                     lambda leaves, out: seen.append(out[0]))
+            seen = sc_module._breadth_first(llr.copy(), has_inf, polar_transform(u),
+                                            lambda leaves, out: out)
         np.testing.assert_array_equal(
-            seen[0], _leaf_llrs(None, u, _tree_llrs(llr[None], has_inf, u))[0])
+            seen, _leaf_llrs(None, u, _tree_llrs(llr[None], has_inf, u))[0])
         assert _walk_reads(lambda plan: _planted_walk(llr, has_inf, plan)[0],
-                           u, seen[0])
+                           u, seen)
 
 
 def _traced_peak_mib(run) -> float:
@@ -990,7 +1012,7 @@ def _traced_peak_mib(run) -> float:
 
 class TestWalkMemory:
     """A depth-first walk of 128 blocks at N=4096, the largest the coders
-    run (sc._BATCH_VALUES), every leaf decided by the leaf rule, with its
+    run (profile._BATCH_VALUES), every leaf decided by the leaf rule, with its
     inputs made before tracing.  Its peak is the root's f-step (see the
     sc module docstring).  In the engine's float32 it was measured at 5.7
     MiB without thresholds and 9.7 MiB with them (float64 thresholds).  In
@@ -1005,7 +1027,7 @@ class TestWalkMemory:
         pytest.param(False, 5.7 + 0.5, np.float32, id="float32-False-6.2"),
         pytest.param(True, 9.7 + 0.5, np.float32, id="float32-True-10.2")])
     def test_walk_peak(self, rounded, limit, dtype):
-        assert sc_module._BATCH_VALUES == 128 * 4096
+        assert profile_module._BATCH_VALUES == 128 * 4096
         gen = np.random.default_rng(9)
         evidence = _evidence("random", 1, 128, 4096, seed=9)
         plan = (np.zeros(4096, dtype=bool), np.zeros((128, 4096), np.uint8))

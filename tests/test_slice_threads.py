@@ -33,11 +33,9 @@ from graywyner.lattice import build_multilevel_code, plan_chain
 from graywyner.polar import (
     construct_profile,
     crossover_side_info,
-    polar_transform,
     sc_lossless_encode,
 )
 from graywyner.polar import profile as profile_module
-from graywyner.polar import sc as sc_module
 from graywyner.polar import test_channel_source as make_quantizer_source
 from graywyner.polar.profile import channel_evidence, construct_from_evidence
 
@@ -59,9 +57,9 @@ def _digest(profiles) -> str:
     return digest.hexdigest()
 
 
-def _slice_blocks(monkeypatch, blocks, n_chains, block_len):
+def _slice_blocks(monkeypatch, blocks, block_len):
     """Breadth-first slices of `blocks` blocks each."""
-    monkeypatch.setattr(sc_module, "_GROUP_VALUES", blocks * n_chains * block_len)
+    monkeypatch.setattr(profile_module, "_GROUP_VALUES", blocks * block_len)
 
 
 def _per_thread_count(monkeypatch, run):
@@ -76,7 +74,7 @@ class TestSameBytesForEveryThreadCount:
 
     def test_two_chain_profile(self, monkeypatch):
         channel = _two_chain_channel()
-        _slice_blocks(monkeypatch, 3, 2, 256)  # 7 slices
+        _slice_blocks(monkeypatch, 3, 256)  # 7 slices per pass
         digests = _per_thread_count(monkeypatch, lambda: _digest(
             [construct_profile(channel, 256, sample_count=20, seed=4)]))
         assert len(set(digests)) == 1
@@ -84,13 +82,13 @@ class TestSameBytesForEveryThreadCount:
     def test_lattice_levels_with_infinite_evidence(self, monkeypatch):
         mmse = reduce_pair(GaussianPairModel(0.99)).mmse
         chain = plan_chain(mmse)
-        _slice_blocks(monkeypatch, 2, 2, 256)  # 6 slices per level
+        _slice_blocks(monkeypatch, 2, 256)  # 6 slices per pass
         seen = []
         traverse = profile_module.sc_traverse
 
         def recording(evidence, stats, **kwargs):
             # lattice L is finite: plant certain leaves in some blocks
-            evidence = plant_certainty(evidence, kwargs["known"])
+            evidence = plant_certainty(evidence, kwargs["codeword"])
             seen.append(bool(np.isinf(evidence).any()))
             return traverse(evidence, stats, **kwargs)
 
@@ -105,7 +103,7 @@ class TestSameBytesForEveryThreadCount:
         channel = crossover_side_info(0.11)
         profile = construct_profile(channel, 256, sample_count=40, seed=6)
         x, y = channel.sample(64, 256, rng.stream(8, rng.STREAM_SOURCE))
-        _slice_blocks(monkeypatch, 5, 1, 256)  # 13 slices
+        _slice_blocks(monkeypatch, 5, 256)  # 13 slices per pass
 
         def encode():
             code = sc_lossless_encode(x, channel, profile, side=y)
@@ -120,7 +118,7 @@ class TestSameBytesForEveryThreadCount:
         channel = _two_chain_channel()
         x, y = channel.sample(24, 128, rng.stream(9, rng.STREAM_CONSTRUCTION))
         cond, prior = channel_evidence(channel, y)
-        _slice_blocks(monkeypatch, 2, 2, 128)  # 12 slices
+        _slice_blocks(monkeypatch, 2, 128)  # 12 slices per pass
         finished, odd_done = [], threading.Event()
 
         def slow_even(start, stop):
@@ -154,7 +152,7 @@ class TestFailuresAndThreads:
         channel = _two_chain_channel()
         x, y = channel.sample(16, 128, rng.stream(10, rng.STREAM_CONSTRUCTION))
         cond, prior = channel_evidence(channel, y)
-        _slice_blocks(monkeypatch, 1, 2, 128)  # 16 slices
+        _slice_blocks(monkeypatch, 1, 128)  # 16 slices per pass
         monkeypatch.setattr(profile_module, "_WORKERS", 3)
         error = RuntimeError(f"slice {failing_slice} failed")
         running, lock = [0], threading.Lock()
@@ -245,7 +243,7 @@ class TestFailuresAndThreads:
         channel = _two_chain_channel()
         x, y = channel.sample(12, 128, rng.stream(12, rng.STREAM_CONSTRUCTION))
         cond, prior = channel_evidence(channel, y)
-        _slice_blocks(monkeypatch, 1, 2, 128)  # 12 slices
+        _slice_blocks(monkeypatch, 1, 128)  # 12 slices per pass
         peak = {}
 
         def counted(start, stop):
@@ -286,7 +284,7 @@ def _child_digest(conn):
                     reason="needs the fork start method")
 def test_forked_child_builds_with_its_own_pool(monkeypatch):
     monkeypatch.setattr(profile_module, "_WORKERS", 2)
-    _slice_blocks(monkeypatch, 4, 2, 256)  # 10 slices
+    _slice_blocks(monkeypatch, 4, 256)  # 10 slices per pass
     want = _digest([construct_profile(_two_chain_channel(), 256, sample_count=40,
                                       seed=4)])
     assert _slice_threads() == []  # the child inherits no helper
@@ -315,7 +313,7 @@ def test_workers_run_under_the_callers_errstate(monkeypatch):
     channel = _two_chain_channel()
     x, y = channel.sample(12, 128, rng.stream(13, rng.STREAM_CONSTRUCTION))
     cond, prior = channel_evidence(channel, y)
-    _slice_blocks(monkeypatch, 1, 2, 128)  # 12 slices
+    _slice_blocks(monkeypatch, 1, 128)  # 12 slices per pass
     monkeypatch.setattr(profile_module, "_WORKERS", 3)
     seen = []
 
@@ -334,13 +332,12 @@ def test_workers_run_under_the_callers_errstate(monkeypatch):
 
 
 def test_breadth_first_passes_return_no_block_outputs():
-    """Construction and the lossless encoder throw the (B, N) outputs away,
-    so the breadth-first route does not make them."""
+    """Construction and the lossless encoder read only the leaf LLRs, so
+    the breadth-first route makes no (B, N) outputs."""
     x, _ = crossover_side_info(0.1).sample(3, 64, rng.stream(14, rng.STREAM_SOURCE))
-    u = polar_transform(x)
     assert profile_module.traverse_batches(
-        (lambda s, e: np.full((e - s, 64, 2), 0.5),), 3, 64,
-        lambda llr, s, e: None, known=u) is None
+        lambda s, e: np.full((e - s, 64, 2), 0.5),
+        lambda llr, s, e: None, codeword=x) is None
 
 
 def test_thread_pool_module_loads_on_the_first_threaded_pass():
