@@ -15,12 +15,11 @@ reconstruction error approaches sigma_s^2 - sigma_r^2 per symbol.
 
 Both coset weights of a level come from one call (_coset_llr), which sums
 each coset around its own point nearest the center, with no running
-maximum, and returns their log-ratio L; both chains' evidence is the
-log-weight pair (L, 0), which the SC engine reads as L, bit for bit.  The
-prior chain is centered at 0, so its evidence depends only on the finer
-label, which takes 2^(l-1) values at level l; each level tabulates it
-once and the prior chain gathers rows of that table instead of summing
-afresh at every sample position.
+maximum, and returns their log-ratio L; both chains hand L to the SC
+engine as it is.  The prior chain is centered at 0, so its evidence
+depends only on the finer label, which takes 2^(l-1) values at level l;
+each level tabulates it once and the prior chain gathers from that table
+instead of summing afresh at every sample position.
 
 The continuous model is a jointly Gaussian pair: the lattice point carries
 variance sigma_r^2 and the sample adds independent noise up to variance
@@ -51,6 +50,7 @@ from . import rng
 from .numerics import flatness_factor
 from .polar.coding import lossy_encode_from_evidence, lossy_reconstruct_from_evidence
 from .polar.profile import _refuse_beta, cached_profiles, construct_from_evidence
+from .rates import check_count
 # unused here since the levels run through the polar layer's shared core
 # and cache path; kept because perfbench/spans.py patches these names on
 # this module
@@ -274,30 +274,24 @@ def _coset_llr(centers, sigma, offsets, step):
 def _level_evidence(chain, mmse, level, finer, samples=None):
     """(cond, prior) evidence callables of one level over block slices of
     the (B, N) integer finer labels; samples feed cond only.  Both return
-    the log-weight pairs (L, 0) of the level's coset LLRs L.
+    the level's (stop-start, N) coset LLRs.
 
     The prior chain is centered at 0, so its coset LLRs depend on the
-    finer label alone: they are tabulated once per call, one row per label
-    in [0, 2^(level-1)), and prior gathers its slice from that table.  cond
+    finer label alone: they are tabulated once per call, one per label in
+    [0, 2^(level-1)), and prior gathers its slice from that table.  cond
     evaluates the coset sums at alpha * sample for each slice it is asked.
     """
     step = chain.level_step(level)
     sigma = math.sqrt(mmse.sigma_tilde2)
-
-    def pairs(llr):
-        return np.stack([llr, np.zeros_like(llr)], axis=-1)
-
-    table = pairs(_coset_llr(np.zeros(1 << (level - 1)), chain.sigma_r,
-                             chain.base_scale * np.arange(1 << (level - 1)), step))
+    table = _coset_llr(np.zeros(1 << (level - 1)), chain.sigma_r,
+                       chain.base_scale * np.arange(1 << (level - 1)), step)
 
     def cond(start, stop):
-        return pairs(_coset_llr(mmse.alpha * samples[start:stop], sigma,
-                                chain.base_scale * finer[start:stop], step))
+        return _coset_llr(mmse.alpha * samples[start:stop], sigma,
+                          chain.base_scale * finer[start:stop], step)
 
     def prior(start, stop):
-        # np.take gives the bytes of table[...] without fancy indexing's
-        # slow path for gathering rows of a 2-D table
-        return np.take(table, finer[start:stop], axis=0)
+        return np.take(table, finer[start:stop])
 
     return cond, prior
 
@@ -419,10 +413,11 @@ def build_multilevel_code(chain: PartitionChainSpec, mmse: MmseParams,
     With cache_dir, each level is cached as an ordinary profile entry
     through cached_profiles, the path construct_profile_cached takes too.
     The levels come from one joint construction stream, so a miss at any
-    level rebuilds and stores them all.  beta must be None (see
-    polar.profile._refuse_beta).
+    level rebuilds and stores them all.  sample_count must be a positive
+    integer and beta None (see polar.profile._refuse_beta).
     """
     _refuse_beta(beta)
+    check_count("sample_count", sample_count)
     r2 = chain.sigma_r ** 2
     if abs(r2 - mmse.sigma_r2) > 1e-9 * max(r2, mmse.sigma_r2):
         raise ValueError(
@@ -506,7 +501,7 @@ def lattice_reconstruct(codes, code: MultilevelLatticeCode, shared_seed: int,
     traversal there.  Every level's code must cover the same blocks.
     stream_base as in lattice_quantize.
     """
-    blocks = [len(level_code) for level_code in codes]
+    blocks = [level_code.n_blocks for level_code in codes]
     if len(blocks) != code.levels or len(set(blocks)) != 1:
         raise ValueError(f"expected {code.levels} per-level codes whose flags "
                          f"cover the same blocks, got {blocks} blocks")

@@ -8,9 +8,10 @@ compression X is the reconstruction variable of a test channel and Y is the
 source observation; the joint law is then prior(x) * P(y | x).
 
 The class stores the joint pmf P(X = x, Y = y) as a (2, K) matrix and
-derives everything else from it: exact entropies for oracle checks,
-conditional log tables for successive-cancellation evidence, samplers for
-Monte Carlo construction, and a content hash used as the cache key.
+derives everything else from it: exact entropies for oracle checks, a
+table of LLRs ln P(X=0 | y) - ln P(X=1 | y) for successive-cancellation
+evidence, samplers for Monte Carlo construction, and a content hash used
+as the cache key.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class BinarySourceWithSideInfo:
 
     joint: np.ndarray
     name: str = "channel"
-    _log_cond: np.ndarray = field(init=False, repr=False, compare=False)
+    _llr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = np.array(self.joint, dtype=float)
@@ -55,8 +56,9 @@ class BinarySourceWithSideInfo:
         object.__setattr__(self, "joint", j)
         with np.errstate(divide="ignore"):  # ln 0 = -inf
             log_cond = np.log(self.conditional_table())
-        log_cond.setflags(write=False)
-        object.__setattr__(self, "_log_cond", log_cond)
+        llr = log_cond[:, 0] - log_cond[:, 1]  # a row is never (0, 0)
+        llr.setflags(write=False)
+        object.__setattr__(self, "_llr", llr)
 
     # -- scalar descriptors ------------------------------------------------
 
@@ -99,22 +101,23 @@ class BinarySourceWithSideInfo:
             return np.where(py > 0.0, self.joint / py, 0.5).T.copy()
 
     def leaf_evidence(self, y: np.ndarray) -> np.ndarray:
-        """Per-position log posteriors (..., 2) for observed side symbols y.
+        """Per-position LLRs ln P(X=0 | y) - ln P(X=1 | y), +-inf where X
+        is certain, in y's shape for observed side symbols y.
 
-        The rows are gathered with np.take along the table's first axis,
-        which gives the bytes of table[y] several times faster than NumPy's
-        fancy indexing of a 2-D table; integer symbols go in as they are,
-        anything else is cast to intp first."""
+        The LLRs are gathered from the channel's (K,) table with np.take;
+        integer symbols go in as they are, anything else is cast to intp
+        first."""
         y = np.asarray(y)
         if y.dtype.kind not in "iu":
             y = y.astype(np.intp)
-        return np.take(self._log_cond, y, axis=0)
+        return np.take(self._llr, y)
 
     def prior_evidence(self, shape) -> np.ndarray:
-        """Read-only broadcast array of the prior pair's logs over the shape."""
+        """Read-only broadcast array of the prior LLR ln P(X=0) - ln P(X=1)
+        over the shape."""
         with np.errstate(divide="ignore"):
-            pair = np.log([1.0 - self.prior_one, self.prior_one])
-        return np.broadcast_to(pair, tuple(shape) + (2,))
+            log_prior = np.log([1.0 - self.prior_one, self.prior_one])
+        return np.broadcast_to(log_prior[0] - log_prior[1], tuple(shape))
 
     def sample(self, n_blocks: int, block_len: int, gen: np.random.Generator):
         """Draw iid (x, y) pairs; returns x:(B,N) uint8 and y:(B,N) in the

@@ -46,10 +46,10 @@ Without decoder-decided leaves the replay transforms the bits, which
 equals the traversal output exactly.
 
 The lossy coder exists once, on evidence callables cond(start, stop) and
-prior(start, stop) that return the leaf log-weights of a block slice
+prior(start, stop) that return the leaf LLRs of a block slice
 (lossy_encode_from_evidence, lossy_reconstruct_from_evidence; see
-traverse_batches); the sc_lossy_* entry points build them from a binary
-channel, and each lattice level builds them from its coset LLRs.
+traverse_batches); the sc_lossy_* entry points gather them from a binary
+channel's LLR table, and each lattice level computes its coset LLRs.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class PolarCode:
         (the lossless stored set, or the lossy INFO set).
     flags: (B, N) uint8, 1 at each decoder-decided leaf whose map_bits
         decision the decoder must flip and 0 at every other leaf.
-    len(code) is its block count B, the rows of flags.
+    n_blocks is its block count B, the rows of flags.
     """
 
     sent: np.ndarray
@@ -94,6 +94,7 @@ class PolarCode:
         return len(self.flags)
 
     def __len__(self) -> int:
+        # only perfbench/spans.py's lossy_reconstruct probe reads len(code)
         return self.n_blocks
 
     @property

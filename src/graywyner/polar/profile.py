@@ -14,8 +14,8 @@ statistics of all leaves are taken at once:
 * the decision error e[i], how often sc.map_bits(L) misses the true bit.
 
 Construction's passes, like every SC pass, carry their LLRs in float32
-(see sc.py): the leaf LLRs of the evidence are computed in float64, the
-tree is evaluated in float32 and the leaves return to float64 before the
+(see sc.py): the evidence's float64 LLRs are cast to float32, the tree
+is evaluated in float32 and the leaves return to float64 before the
 statistics are taken.  Against a float64 pass, h moves by float32
 rounding of L (about 1e-7, far below the Monte Carlo noise of a few
 hundred blocks), and a decision moves only where L rounds to the other
@@ -68,6 +68,7 @@ import numpy as np
 
 from .. import rng
 from .._fileio import atomic_write_text
+from ..rates import check_count
 from .channel import BinarySourceWithSideInfo
 from .sc import map_bits, sc_traverse
 from .transform import polar_transform
@@ -229,8 +230,9 @@ def chunked_batches(n_blocks: int, block_len: int, breadth_first: bool):
 def traverse_batches(chain, stats, codeword=None, plan=None, fold=None):
     """SC passes of one chain over a batch of blocks in bounded slices.
 
-    chain(start, stop) gives the chain's (stop-start, N, 2) leaf
-    log-weights for a slice of blocks (see sc_traverse).
+    chain(start, stop) gives the chain's (stop-start, N) leaf LLRs for a
+    slice of blocks, which each pass hands sc_traverse as its (1,
+    stop-start, N, 1) evidence.
 
     With a (B, N) codeword the passes run breadth-first along its leaf
     bits and return None.  stats(llr, start, stop) sees every leaf of a
@@ -276,7 +278,7 @@ def traverse_batches(chain, stats, codeword=None, plan=None, fold=None):
                                   breadth_first=codeword is not None))
     if codeword is not None:
         def work(start, stop):
-            return sc_traverse(chain(start, stop)[None],
+            return sc_traverse(chain(start, stop)[None, ..., None],
                                lambda leaves, llr: stats(llr, start, stop),
                                codeword=codeword[start:stop])
 
@@ -288,7 +290,7 @@ def traverse_batches(chain, stats, codeword=None, plan=None, fold=None):
         # plain arguments, not **: a ** call keeps its argument tuple, and
         # with it the evidence sc_traverse frees, until the walk returns
         u[start:stop], x[start:stop] = sc_traverse(
-            chain(start, stop)[None], None,
+            chain(start, stop)[None, ..., None], None,
             plan=(plan[0],) + tuple(p[start:stop] for p in plan[1:]))
     return u, x
 
@@ -396,9 +398,11 @@ def construct_from_evidence(x_true, cond, prior=None, *, seed: int,
 def construct_profile(channel: BinarySourceWithSideInfo, block_len: int,
                       beta=None, sample_count: int = 256,
                       seed: int = 0) -> PolarProfile:
-    """Monte Carlo construction over sample_count true-path traversals;
-    beta must be None (see _refuse_beta)."""
+    """Monte Carlo construction over sample_count true-path traversals, a
+    positive integer (ValueError otherwise); beta must be None (see
+    _refuse_beta)."""
     _refuse_beta(beta)
+    check_count("sample_count", sample_count)
     gen = rng.stream(seed, rng.STREAM_CONSTRUCTION)
     x, y = channel.sample(sample_count, block_len, gen)
     cond, prior = channel_evidence(channel, y)
@@ -514,7 +518,7 @@ def construct_profile_cached(channel: BinarySourceWithSideInfo, block_len: int,
     """Load the profile from the cache directory or construct and store it.
 
     An entry that is unreadable or was built for other parameters is
-    rebuilt and overwritten.  beta must be None (see _refuse_beta).
+    rebuilt and overwritten.  beta and sample_count as in construct_profile.
     """
     _refuse_beta(beta)
     header = (channel.channel_id(), block_len, sample_count, seed)

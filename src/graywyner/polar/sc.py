@@ -4,10 +4,10 @@ One engine serves construction, lossless coding and lossy coding.  Each
 pass walks the polarization recursion of one evidence chain over a batch
 of blocks; construction runs its prior chain as a pass of its own.
 
-Evidence enters as per-position log-weights (ln w0, ln w1), each pair up
-to a constant of its own, (1, blocks, N, 2) with a leading axis of 1, and
-is carried as one log-likelihood ratio L = ln w0 - ln w1 per position;
-(-inf, -inf) reads as L = 0, and NaN evidence is a ValueError.
+Evidence is one log-likelihood ratio L = ln P(0) - ln P(1) per position,
+(1, blocks, N, 1), as binary channels and lattice levels compute it; the
+unit axes stay only because perfbench/spans.py's SC probe unpacks a 4-D
+evidence shape.  NaN evidence is a ValueError.
 The split at a node of width M pairs position j of the first half (a) with
 position j of the second half (b): the first child decodes the transform of
 (first xor second) from the exact box-plus f(a, b) = ln((1 + e^(a+b)) /
@@ -39,23 +39,23 @@ There are two passes, chosen by the input:
   is evaluated one level at a time over all nodes at once; ``stats`` is
   called once with the LLRs of every leaf along the leaf bits u of x.
 
-Every pass runs in one precision, float32.  It computes its leaf LLRs
-from the evidence in float64 and casts them once to float32, in which the
-tree is evaluated: the f-steps then run about twice as fast on half the
-bytes, and a walk's LLRs and nodes take half the memory.  A finite L
-past float32's range (3.4e38) casts to +-inf and is carried as one.  A
-breadth-first pass hands its leaves to ``stats`` back in float64.
+Every pass runs in one precision, float32.  It casts the evidence's
+float64 LLRs once to float32, in which the tree is evaluated: the f-steps
+then run about twice as fast on half the bytes, and a walk's LLRs and
+nodes take half the memory.  A finite L past float32's range (3.4e38)
+casts to +-inf and is carried as one.  A breadth-first pass hands its
+leaves to ``stats`` back in float64.
 Thresholds stay float64, and the leaf rule L < t compares the float32 L
 with them exactly.  Encoders and decoders run the same float32 steps, so they
 replay each other bit for bit (see the last paragraph).
 ``sc_traverse``'s ``dtype`` can run a pass in float64 instead, for the
 engine's exact-arithmetic tests; no pipeline passes it.
 
-Each pass runs over the whole batch it is given, and turns its evidence
-into LLRs before it starts, so the evidence is freed for the pass.  The
-engine keeps no state between passes; polar/profile.py's traverse_batches
-slices large batches and runs the slices of a breadth-first batch on
-several threads at once.
+Each pass runs over the whole batch it is given, and casts its evidence
+into LLRs of its own before it starts, so the evidence is freed for the
+pass.  The engine keeps no state between passes; polar/profile.py's
+traverse_batches slices large batches and runs the slices of a
+breadth-first batch on several threads at once.
 
 The depth-first walk holds its arrays blocks last, N first: its LLRs, its
 thresholds, the leaf bits u it fills in (the plan's bits until a leaf is
@@ -67,14 +67,14 @@ Frames innermost is the layout of software SC decoders (Le Gal, Leroux &
 Jego, "Multi-Gb/s software decoding of polar codes", IEEE T-SP 2015): the
 walk pays per node, not per value, and NumPy's small ufuncs run 2-4 times
 slower on the strided (B, M/2) halves of a (B, N) node.  Every step stays
-elementwise, so the layout moves no value.  The LLRs are made
-_TRANSPOSE_ROWS blocks at a time straight into (N, B), so no (B, N) copy
-of them exists, and the plan's bits and thresholds are copied over the
-same way.  A node's margin is read off the (N, B) thresholds when its
-rate-1 test needs it, so no table of margins is kept beside them.  At its
-peak, the root's f-step, a walk holds about 2.5 float32 (N, B) arrays,
-and the float64 thresholds if it has them: the LLRs, the first child
-(half an array), the f-step's scratch and the thresholds.  The nodes
+elementwise, so the layout moves no value.  The LLRs are moved
+_TRANSPOSE_ROWS blocks at a time into (N, B), and their (B, N) cast is
+freed before the walk starts; the plan's bits and thresholds are copied
+over the same way.  A node's margin is read off the (N, B) thresholds
+when its rate-1 test needs it, so no table of margins is kept beside them.
+At its peak, the root's f-step, a walk holds about 2.5 float32 (N, B)
+arrays, and the float64 thresholds if it has them: the LLRs, the first
+child (half an array), the f-step's scratch and the thresholds.  The nodes
 along one root-to-leaf path hold fewer than N values per block together,
 so no deeper step needs more.
 
@@ -140,19 +140,13 @@ from .transform import polar_transform
 
 
 def _llrs(evidence: np.ndarray, dtype):
-    """L = ln w0 - ln w1 of (..., 2) log-weight pairs, taken in float64
-    and cast to dtype, a pair of equal infinities giving L = 0, and whether
-    any L is infinite in dtype, past its range included; ValueError for NaN
-    evidence."""
-    evidence = np.asarray(evidence, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        llr = np.subtract(evidence[..., 0], evidence[..., 1])
-        undefined = np.isnan(llr)
-        if np.isnan(evidence[undefined]).any():
-            raise ValueError("evidence must not hold NaN")
-        llr[undefined] = 0.0
-        llr = llr.astype(dtype, copy=False)
-    return llr, not np.isfinite(llr).all()
+    """The LLRs as a new dtype array and whether any is infinite in dtype,
+    past its range included; ValueError for NaN evidence."""
+    llr = np.array(evidence, dtype=dtype)
+    has_inf = not np.isfinite(llr).all()
+    if has_inf and np.isnan(llr).any():
+        raise ValueError("evidence must not hold NaN")
+    return llr, has_inf
 
 
 _LN2 = float(np.log(2.0))
@@ -222,15 +216,15 @@ def map_bits(llr: np.ndarray) -> np.ndarray:
     return (llr < 0).astype(np.uint8)
 
 
-def _blocks_last(rows, n_blocks: int, block_len: int, dtype=float) -> np.ndarray:
-    """The C-contiguous (N, B) transpose of a (B, N) array, whose blocks
-    in the slice chunk rows(chunk) returns, taken _TRANSPOSE_ROWS blocks
-    at a time: no whole (B, N) copy is made, and each chunk's transpose
-    stays in cache, where that of 128 blocks at N = 4096 thrashes it."""
-    out = np.empty((block_len, n_blocks), dtype=dtype)
+def _blocks_last(values: np.ndarray) -> np.ndarray:
+    """The C-contiguous (N, B) transpose of a (B, N) array, taken
+    _TRANSPOSE_ROWS blocks at a time: each chunk's transpose stays in
+    cache, where that of 128 blocks at N = 4096 thrashes it."""
+    n_blocks, block_len = values.shape
+    out = np.empty((block_len, n_blocks), dtype=values.dtype)
     for start in range(0, n_blocks, _TRANSPOSE_ROWS):
         chunk = slice(start, min(start + _TRANSPOSE_ROWS, n_blocks))
-        out[:, chunk] = rows(chunk).T
+        out[:, chunk] = values[chunk].T
     return out
 
 
@@ -261,9 +255,9 @@ def _depth_first(llr: np.ndarray, has_inf: bool, known, bits, thresholds):
     plain_before = counts_before(~known & ~bits.any(axis=0))
     # u_out[i]: leaf i's bits, the plan's until the leaf is decided (its
     # known bits, or the flips its decision is xored with)
-    u_out = _blocks_last(bits.__getitem__, n_blocks, block_len, np.uint8)
+    u_out = _blocks_last(bits)
     if thresholds is not None:
-        thresholds = _blocks_last(thresholds.__getitem__, n_blocks, block_len)
+        thresholds = _blocks_last(thresholds)
 
     def rate0(lo: int, width: int):
         """The codeword of leaves [lo, lo + width) if all are known, else None."""
@@ -398,12 +392,12 @@ def sc_traverse(evidence: np.ndarray, stats, *, codeword=None, plan=None,
                 dtype=np.float32):
     """Run one successive-cancellation pass over a batch of blocks.
 
-    evidence: (1, blocks, N, 2) leaf log-weights of one chain (see the
-        module docstring), N a power of two; ValueError for a leading
-        axis other than 1.
+    evidence: (1, blocks, N, 1) float leaf LLRs of one chain (see the
+        module docstring), N a power of two; ValueError for any other
+        shape, so (1, blocks, N, 2) log-weight pairs are refused.
     stats: with ``codeword``, called once as ``stats(slice(0, N), llr)``,
-        llr the (blocks, N) LLRs ln w0 - ln w1 of every leaf along the
-        leaf bits of the codeword, +-inf included (it may overwrite them).
+        llr the (blocks, N) LLRs of every leaf along the leaf bits of the
+        codeword, +-inf included (it may overwrite them).
         Without ``codeword`` it is never called, and may be anything.
     codeword: optional (blocks, N) bits of the codeword x whose leaf bits
         u (x = polar_transform(u)) the pass follows; selects the
@@ -416,7 +410,7 @@ def sc_traverse(evidence: np.ndarray, stats, *, codeword=None, plan=None,
         thresholds (see the module docstring).  Without a plan every leaf
         is decided by its sign.
     dtype: the float type a pass carries its LLRs in, from the float64
-        leaf LLRs of the evidence to the float64 LLRs handed to stats:
+        LLRs of the evidence to the float64 LLRs handed to stats:
         np.float32 (the default, every pipeline's) or np.float64, which
         the engine's exact-arithmetic tests run; ValueError for any
         other dtype.
@@ -427,9 +421,9 @@ def sc_traverse(evidence: np.ndarray, stats, *, codeword=None, plan=None,
     equals the polarization transform of x by construction).
     """
     evidence = np.asarray(evidence)
-    if evidence.ndim != 4 or evidence.shape[0] != 1 or evidence.shape[-1] != 2:
-        raise ValueError(f"a pass walks one chain: evidence must have shape "
-                         f"(1, B, N, 2), got {evidence.shape}")
+    if evidence.ndim != 4 or evidence.shape[0] != 1 or evidence.shape[-1] != 1:
+        raise ValueError(f"a pass walks one chain: evidence must be (1, B, N, 1) "
+                         f"LLRs, got shape {evidence.shape}")
     _, n_blocks, block_len, _ = evidence.shape
     if block_len < 1 or (block_len & (block_len - 1)) != 0:
         raise ValueError(f"block length must be a power of two, got {block_len}")
@@ -442,23 +436,16 @@ def sc_traverse(evidence: np.ndarray, stats, *, codeword=None, plan=None,
         fixed, bits, thresholds = _checked_plan(plan, n_blocks, block_len)
         if fixed.all():  # a rate-0 root reads no evidence
             return bits.copy(), polar_transform(bits)
-        found_inf = []
-
-        def rows(chunk):
-            chunk_llr, chunk_inf = _llrs(evidence[0, chunk], dtype)
-            found_inf.append(chunk_inf)
-            return chunk_llr
-
-        llr = _blocks_last(rows, n_blocks, block_len, dtype)
-        has_inf = any(found_inf)
     else:
         codeword = checked_bits(codeword, "codeword")
         if codeword.shape != (n_blocks, block_len):
             raise ValueError(f"codeword must have shape ({n_blocks}, {block_len}), "
                              f"got {codeword.shape}")
-        llr, has_inf = _llrs(evidence[0], dtype)
-    del evidence  # the pass reads only the LLRs: free the evidence now
     with np.errstate(invalid="ignore", over="ignore"):
+        llr, has_inf = _llrs(evidence[0, :, :, 0], dtype)
+        del evidence  # the pass reads only the LLRs: free the evidence now
         if codeword is None:
+            # the walk's blocks-last layout; rebinding frees the (B, N) cast
+            llr = _blocks_last(llr)
             return _depth_first(llr, has_inf, fixed, bits, thresholds)
         return _breadth_first(llr, has_inf, codeword, stats)

@@ -91,20 +91,24 @@ class RunRecord:
                           float(self.r2.mean()))
 
 
+def check_count(name: str, value) -> None:
+    """ValueError naming the count unless value is a positive integer; a
+    float or bool is refused before NumPy sees it, as rng.philox does."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def check_run_size(block_len, n_blocks, sample_count) -> None:
     """ValueError unless block_len is a power of two and n_blocks and the
-    construction's sample_count are positive integers, checked before any
-    reaches NumPy or a rate formula; a float or bool is refused, as
-    rng.philox refuses seeds."""
-    counts = (("n_blocks", n_blocks), ("sample_count", sample_count))
-    for name, value in (("block_len", block_len),) + counts:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if block_len < 1 or block_len & (block_len - 1):
+    construction's sample_count are positive integers (check_count),
+    checked before any reaches NumPy or a rate formula."""
+    check_count("block_len", block_len)
+    if block_len & (block_len - 1):
         raise ValueError(f"block length must be a power of two, got {block_len}")
-    for name, value in counts:
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    check_count("n_blocks", n_blocks)
+    check_count("sample_count", sample_count)
 
 
 def check_replay(decoded: np.ndarray, expected: np.ndarray, stage: str) -> None:

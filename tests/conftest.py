@@ -53,17 +53,16 @@ def prune_stale_entries(cache_dir: Path) -> list:
 
 
 def plant_certainty(evidence, codeword):
-    """A copy of breadth-first log-weight evidence made certain of the
-    true codeword bit (ln w = -inf on the other bit, so L = +-inf) at
-    every fourth position of each block whose codeword starts with 1.
-    The choice depends on the block alone, so any slicing of a batch
-    plants the same leaves, and slices with and without infinite L mix."""
+    """A copy of (1, B, N, 1) breadth-first LLR evidence made certain of
+    the true codeword bit (L = +inf for a 0, -inf for a 1) at every fourth
+    position of each block whose codeword starts with 1.  The choice
+    depends on the block alone, so any slicing of a batch plants the same
+    leaves, and slices with and without infinite L mix."""
     x = np.asarray(codeword)
     planted = np.array(evidence, dtype=float)
     certain = np.zeros(x.shape, dtype=bool)
     certain[:, ::4] = x[:, :1] == 1
-    for bit in (0, 1):
-        planted[..., bit][:, certain & (x != bit)] = -np.inf
+    planted[0, :, :, 0][certain] = np.where(x[certain] == 1, -np.inf, np.inf)
     return planted
 
 

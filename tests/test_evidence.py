@@ -1,8 +1,7 @@
 """The evidence gathers and coset sums are pinned bitwise to the plain
 forms they replace: leaf_evidence and the lattice prior against fancy
-indexing of their tables, the leaf LLRs the engine reads off a binary
-channel's log-weights against ln p0 - ln p1 of its conditional table,
-and _coset_llr against the fixed 9.5-sigma loop it bounds, inlined here
+indexing of their LLR tables, the leaf LLRs the engine reads off a binary
+channel against ln p0 - ln p1 of its conditional table, and _coset_llr against the fixed 9.5-sigma loop it bounds, inlined here
 as the reference."""
 
 import math
@@ -32,11 +31,12 @@ def test_leaf_evidence_equals_row_by_row_table(k, dtype):
     gen = np.random.default_rng(k)
     joint = gen.random((2, k))
     channel = BinarySourceWithSideInfo(joint / joint.sum())
-    table = np.log(channel.conditional_table())
+    logs = np.log(channel.conditional_table())
+    table = logs[:, 0] - logs[:, 1]
     y = gen.integers(0, k, size=(5, 64)).astype(dtype)
     got = channel.leaf_evidence(y)
-    assert got.shape == (5, 64, 2) and got.dtype == np.float64
-    want = np.stack([np.stack([table[symbol] for symbol in row]) for row in y])
+    assert got.shape == (5, 64) and got.dtype == np.float64
+    want = np.array([[table[symbol] for symbol in row] for row in y])
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(channel.leaf_evidence(y[0]), want[0])
 
@@ -48,10 +48,9 @@ def test_lattice_prior_equals_table_rows(dtype):
     gen = np.random.default_rng(5)
     for level in range(1, chain.levels + 1):
         rows = 1 << (level - 1)
-        llr = _coset_llr(np.zeros(rows), chain.sigma_r,
-                         chain.base_scale * np.arange(rows),
-                         chain.level_step(level))
-        table = np.stack([llr, np.zeros(rows)], axis=-1)
+        table = _coset_llr(np.zeros(rows), chain.sigma_r,
+                           chain.base_scale * np.arange(rows),
+                           chain.level_step(level))
         finer = gen.integers(0, rows, size=(9, 64)).astype(dtype)
         _, prior = _level_evidence(chain, mmse, level, finer)
         np.testing.assert_array_equal(prior(2, 9), table[finer[2:9]])
@@ -76,10 +75,10 @@ def test_binary_leaf_llrs_equal_log_ratio_of_table(channel, certain):
     with np.errstate(divide="ignore"):
         want = np.log(table[..., 0]) - np.log(table[..., 1])
         want_prior = np.log(prior[0]) - np.log(prior[1])
-    got, _ = _llrs(channel.leaf_evidence(y)[None], np.float64)
-    np.testing.assert_array_equal(got[0].view(np.int64), want.view(np.int64))
-    got, _ = _llrs(channel.prior_evidence(y.shape)[None], np.float64)
-    np.testing.assert_array_equal(got[0].view(np.int64),
+    got, _ = _llrs(channel.leaf_evidence(y), np.float64)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    got, _ = _llrs(channel.prior_evidence(y.shape), np.float64)
+    np.testing.assert_array_equal(got.view(np.int64),
                                   np.full(y.shape, want_prior).view(np.int64))
     assert np.isinf(want).all() == certain
 

@@ -341,8 +341,7 @@ class TestCosetEvidence:
             want = _coset_llr(np.zeros((7, 64)), chain.sigma_r,
                               chain.base_scale * finer[2:9].astype(float),
                               chain.level_step(level))
-            assert np.array_equal(prior(2, 9),
-                                  np.stack([want, np.zeros_like(want)], axis=-1))
+            assert np.array_equal(prior(2, 9), want)
 
     def test_centers_on_coset_midpoints(self):
         step = 0.5
@@ -410,8 +409,8 @@ class TestCosetEvidence:
                                             chain.base_scale * finer[1:4], step)),
                     (prior(1, 4), _coset_llr(np.zeros((3, 256)), chain.sigma_r,
                                              chain.base_scale * finer[1:4], step))]:
-                got, has_inf = sc_module._llrs(evidence[None], np.float64)
-                np.testing.assert_array_equal(got[0].view(np.int64),
+                got, has_inf = sc_module._llrs(evidence, np.float64)
+                np.testing.assert_array_equal(got.view(np.int64),
                                               want.view(np.int64))
                 assert not has_inf
                 largest = max(largest, float(np.abs(got).max()))
@@ -555,6 +554,16 @@ class TestBuildMultilevelCode:
             build_multilevel_code(plan_chain(L3), L3, 64, beta=beta,
                                   sample_count=8, seed=2)
 
+    @pytest.mark.parametrize("count", [True, 2.5, 32.0, -3, 0])
+    def test_bad_sample_count_rejected(self, tmp_path, count):
+        """A bool, float or nonpositive sample count is refused with a
+        ValueError that names it, not by NumPy inside the construction
+        stream, and nothing is written to the cache."""
+        with pytest.raises(ValueError, match="sample_count must be"):
+            build_multilevel_code(plan_chain(L3), L3, 64, sample_count=count,
+                                  seed=2, cache_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
     def test_chain_mmse_mismatch_rejected(self):
         chain = PartitionChainSpec(base_scale=0.6, levels=4, sigma_r=1.0)
         with pytest.raises(ValueError, match="sigma_r"):
@@ -640,7 +649,7 @@ class TestLatticeQuantize:
         assert len(codes) == eps2_code.levels
         for level_code, profile in zip(codes, eps2_code.profiles):
             assert level_code.sent.shape == (3, len(profile.info_positions()))
-            assert len(level_code.corrections) == len(level_code) == 3
+            assert len(level_code.corrections) == level_code.n_blocks == 3
         assert recon.shape == samples.shape
 
     def test_reconstruction_replay_is_exact(self, eps2_code):

@@ -247,7 +247,7 @@ class TestEmptyBatch:
         code, recon = sc_lossy_encode(obs, channel, profile, shared_seed=1)
         assert code.sent.shape == (0, len(profile.info_positions()))
         assert code.flags.shape == (0, 512) and code.corrections == ()
-        assert len(code) == 0
+        assert code.n_blocks == 0
         assert code.sent.dtype == recon.dtype == np.uint8
         assert recon.shape == (0, 512)
         rebuilt = sc_lossy_reconstruct(code, channel, profile, shared_seed=1)
@@ -514,7 +514,7 @@ class TestCorrectionsAsSequences:
         for form in (list, tuple):
             flags = form(form(int(f) for f in row) for row in code.flags)
             seq = replace(code, flags=flags)
-            assert len(seq) == 6
+            assert seq.n_blocks == 6
             np.testing.assert_array_equal(seq.rate_per_block(),
                                           code.rate_per_block())
             for got, want in zip(seq.corrections, code.corrections, strict=True):

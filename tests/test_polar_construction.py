@@ -81,7 +81,7 @@ class TestChainRuleExact:
         gen = rng.stream(99, rng.STREAM_SOURCE)
         x, y = channel.sample(5, block_len, gen)
         u_true = polar_transform(x)
-        evidence = channel.leaf_evidence(y)[None]
+        evidence = channel.leaf_evidence(y)[None, ..., None]
         surprisal = _surprisal(_true_path_llrs(evidence, u_true), u_true).sum(axis=1)
         table = channel.conditional_table()
         direct = -np.log2(table[y, x.astype(np.intp)]).sum(axis=1)
@@ -92,7 +92,7 @@ class TestChainRuleExact:
         gen = rng.stream(4, rng.STREAM_SOURCE)
         x, _ = channel.sample(6, 64, gen)
         u_true = polar_transform(x)
-        evidence = np.asarray(channel.prior_evidence((6, 64)))[None]
+        evidence = np.asarray(channel.prior_evidence((6, 64)))[None, ..., None]
         surprisal = _surprisal(_true_path_llrs(evidence, u_true), u_true).sum(axis=1)
         weight = x.sum(axis=1)
         direct = -(weight * np.log2(0.11) + (64 - weight) * np.log2(0.89))
@@ -132,7 +132,8 @@ class TestDecisionErrors:
         chains = [c for c in channel_evidence(channel, y) if c is not None]
         # one pass per chain
         misses = np.stack([
-            (map_bits(sc_traverse(chain(0, 40)[None], lambda leaves, llr: llr,
+            (map_bits(sc_traverse(chain(0, 40)[None, ..., None],
+                                  lambda leaves, llr: llr,
                                   codeword=x, dtype=np.float32)) != u).sum(axis=0)
             for chain in chains])
         np.testing.assert_array_equal(profile.e_cond, misses[0] / 40)
@@ -259,6 +260,19 @@ class TestClassification:
             with pytest.raises(TypeError, match="beta was removed"):
                 build(beta=0.25, sample_count=4, seed=1)
             assert build(beta=None, sample_count=4, seed=1).classes.shape == (16,)
+
+    @pytest.mark.parametrize("count", [True, 2.5, 32.0, -3, 0])
+    def test_bad_sample_count_rejected(self, tmp_path, count):
+        """A bool, float or nonpositive sample count is refused with a
+        ValueError that names it, not by NumPy inside the sampler, and
+        nothing is written to the cache."""
+        channel = lossless_source(0.11)
+        for build in (lambda: construct_profile(channel, 64, sample_count=count),
+                      lambda: construct_profile_cached(channel, 64, tmp_path,
+                                                       sample_count=count)):
+            with pytest.raises(ValueError, match="sample_count must be"):
+                build()
+        assert not list(tmp_path.iterdir())
 
 
 def _base64(values: np.ndarray) -> str:

@@ -1,15 +1,16 @@
 """SC engine tests: the LLR recursion against a probability-pair reference,
+whose pairs reach the engine as their LLRs ln p0 - ln p1 (_llr_evidence),
 bitwise agreement of the breadth-first and depth-first passes on each
 chain of C-chain evidence, one chain per pass, pruned depth-first passes
 against the engine's unpruned recursion along their output (with and
 without the thresholds of the leaf rule, and with per-block flips, also at
 the batch sizes around the walk's transpose chunks), float32 walks on
 planted LLRs at the edges of the rate-1 guard (Hypothesis), the refusal
-of evidence with more than one chain, the walk's peak memory, infinite
-and contradictory evidence, the leaf statistics and decisions read from
-LLRs against their pair formulas, the rounding thresholds, and lossless
-round trips whose uncertain positions are mostly decided by maximum
-posterior.
+of evidence with more than one chain or other than one LLR per position,
+the walk's peak memory, infinite and contradictory evidence, the leaf
+statistics and decisions read from LLRs against their pair formulas, the
+rounding thresholds, and lossless round trips whose uncertain positions
+are mostly decided by maximum posterior.
 
 The oracle of a depth-first pass needs no callback: along the pass's
 output u, every known leaf equals its bit and every other leaf equals
@@ -46,11 +47,12 @@ from graywyner.polar.profile import _leaf_statistics
 from graywyner.polar.sc import map_bits
 
 
-def _log_weights(pairs):
-    """The log-weights ln p0, ln p1 of probability pairs, the engine's
-    evidence; a 0 gives -inf."""
+def _llr_evidence(pairs):
+    """The engine's evidence of (..., 2) probability pairs: their LLRs
+    ln p0 - ln p1, (..., 1); a 0 gives +-inf."""
     with np.errstate(divide="ignore"):
-        return np.log(pairs)
+        logs = np.log(pairs)
+    return logs[..., :1] - logs[..., 1:]
 
 
 def _normalize_pairs(p0, p1):
@@ -99,12 +101,12 @@ def _pairs(kind, n_chains, n_blocks, block_len, seed):
 
 
 def _evidence(kind, n_chains, n_blocks, block_len, seed):
-    """The log-weights of _pairs."""
-    return _log_weights(_pairs(kind, n_chains, n_blocks, block_len, seed))
+    """The (C, B, N, 1) LLR evidence of _pairs."""
+    return _llr_evidence(_pairs(kind, n_chains, n_blocks, block_len, seed))
 
 
 def _per_chain(evidence):
-    """One-chain slices of (C, B, N, 2) evidence: a pass walks one chain,
+    """One-chain slices of (C, B, N, 1) evidence: a pass walks one chain,
     so C-chain evidence is run one chain per pass."""
     return [evidence[c:c + 1] for c in range(len(evidence))]
 
@@ -118,7 +120,7 @@ def _node_llrs(evidence, u, dtype=np.float32):
     unpruned tree along the decided bits u, from the engine's own steps,
     run in dtype (the engine's float32 by default) on the evidence's
     float64 LLRs cast to it."""
-    return _tree_llrs(*sc_module._llrs(evidence, dtype), u)
+    return _tree_llrs(*sc_module._llrs(evidence[..., 0], dtype), u)
 
 
 def _tree_llrs(llr, has_inf, u):
@@ -173,7 +175,7 @@ def _walk_reads(walk, u, llr):
 
 def _breadth_first_leaves(evidence, u, dtype=np.float32):
     """(C, B, N) leaf LLRs along the bits u of breadth-first passes over
-    (C, B, N, 2) evidence, one pass per chain."""
+    (C, B, N, 1) evidence, one pass per chain."""
     x = polar_transform(u)
     return np.stack([sc_traverse(chain, lambda leaves, llr: llr, codeword=x,
                                  dtype=dtype)
@@ -183,9 +185,7 @@ def _breadth_first_leaves(evidence, u, dtype=np.float32):
 def _pair_llrs(pairs):
     """ln p0 - ln p1 of (..., 2) pairs and where both entries are normal
     floats, so that the difference is resolved."""
-    with np.errstate(divide="ignore"):
-        llr = np.log(pairs[..., 0]) - np.log(pairs[..., 1])
-    return llr, pairs.min(axis=-1) >= 1e-290
+    return _llr_evidence(pairs)[..., 0], pairs.min(axis=-1) >= 1e-290
 
 
 @pytest.mark.parametrize("kind", ["random", "near-deterministic"])
@@ -193,7 +193,7 @@ def _pair_llrs(pairs):
 @pytest.mark.parametrize("block_len", [8, 64, 1024])
 class TestAgainstPairReference:
     def test_leaf_posteriors_match_reference(self, kind, n_chains, block_len):
-        """The engine's leaf LLRs on the log-weights of the pairs (the
+        """The engine's leaf LLRs on the LLRs of the pairs (the
         breadth-first pass's; the depth-first pass reaches the same,
         test_passes_agree_bitwise) against ln p0 -
         ln p1 of the reference's pairs.  dp1 = -p0 p1 dL and p0 p1 (1 +
@@ -211,7 +211,7 @@ class TestAgainstPairReference:
 
         _, x_ref = reference_traverse(pairs, decide)
         want, resolved = _pair_llrs(expected)
-        got = _breadth_first_leaves(_log_weights(pairs), u, np.float64)
+        got = _breadth_first_leaves(_llr_evidence(pairs), u, np.float64)
         np.testing.assert_allclose(got[resolved], want[resolved],
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(np.sign(got[~resolved]),
@@ -250,7 +250,7 @@ class TestAgainstPairReference:
         np.testing.assert_array_equal(
             single, _leaf_llrs(evidence, u, dtype=np.float32))
         double = _breadth_first_leaves(evidence, u, np.float64)
-        evidence_llr = np.abs(sc_module._llrs(evidence, np.float64)[0])
+        evidence_llr = np.abs(evidence)
         reach = evidence_llr[np.isfinite(evidence_llr)].max() * block_len
         np.testing.assert_allclose(single, double, rtol=1e-5, atol=1e-5 + (
             np.log2(block_len) * reach * np.finfo(np.float32).eps))
@@ -262,7 +262,7 @@ class TestPassesShareLeafLlrs:
     def test_leaf_llrs_identical(self, channel):
         block_len, n_blocks = 256, 4
         x, y = channel.sample(n_blocks, block_len, rng.stream(3, rng.STREAM_SOURCE))
-        evidence = channel.leaf_evidence(y)[None]
+        evidence = channel.leaf_evidence(y)[None, ..., None]
         u = polar_transform(x)
         # the breadth-first pass returns what stats returns
         leaves, breadth = sc_traverse(
@@ -273,7 +273,7 @@ class TestPassesShareLeafLlrs:
 
     def test_known_bits_shape_checked(self):
         """The breadth-first pass's codeword bits are checked."""
-        evidence = np.full((1, 2, 8, 2), np.log(0.5))
+        evidence = np.zeros((1, 2, 8, 1))
         with pytest.raises(ValueError):
             sc_traverse(evidence, lambda leaves, llr: None,
                         codeword=np.zeros((2, 4), dtype=np.uint8))
@@ -390,8 +390,8 @@ def _assert_plan_exact(evidence, known, bits, thresholds=None):
     its second argument never called; returns its (u, x)."""
     plan = (known, bits) if thresholds is None else (known, bits, thresholds)
     return _assert_walk_exact(lambda: sc_traverse(evidence, _never, plan=plan),
-                              *sc_module._llrs(evidence, np.float32), known,
-                              bits, thresholds)
+                              *sc_module._llrs(evidence[..., 0], np.float32),
+                              known, bits, thresholds)
 
 
 def _assert_walk_exact(walk, llr, has_inf, known, bits, thresholds):
@@ -416,8 +416,8 @@ def _assert_pruning_exact(evidence, seed, rounded=False):
     block 0.  Without rounded the plans drop their thresholds (t = 0 at
     every leaf); with it an all-rounded plan without flips joins them."""
     evidence = evidence.copy()
-    evidence[-1, 0] = np.log(TIE_PAIRS[-1])
-    evidence[-1, 0, 0] = np.log(TIE_PAIRS[0])
+    evidence[-1, 0] = _llr_evidence(np.array(TIE_PAIRS[-1]))
+    evidence[-1, 0, 0] = _llr_evidence(np.array(TIE_PAIRS[0]))
     gen = np.random.default_rng(seed)
     n_blocks, block_len = evidence.shape[1:3]
     plans = list(_plans(block_len, n_blocks, gen))
@@ -458,13 +458,13 @@ class TestPrunedPass:
         gen = np.random.default_rng(seed)
         evidence = _evidence("near-deterministic", n_chains, 5, block_len, seed)
         if special == "ties":  # exact L = 0 at about a third of the leaves
-            evidence[gen.random(evidence.shape[:3]) < 0.3] = np.log(0.5)
+            evidence[gen.random(evidence.shape[:3]) < 0.3] = 0.0
         elif special == "constant-prior":  # g-steps cancel to L = 0
-            evidence[-1] = np.log([0.9, 0.1])
+            evidence[-1] = _llr_evidence(np.array([0.9, 0.1]))
         else:  # +-inf, and contradictions where a path disagrees with them
             hard = gen.integers(0, 2, evidence.shape[:3])
             certain = gen.random(evidence.shape[:3]) < 0.5
-            evidence[certain] = _log_weights(
+            evidence[certain] = _llr_evidence(
                 np.stack([1 - hard, hard], axis=-1))[certain]
         _assert_pruning_exact(evidence, seed)
 
@@ -486,10 +486,10 @@ def test_rate1_guard_at_a_posterior_tie():
     """The smallest node where the unguarded rate-1 shortcut is wrong: the
     tie's hard decision L < 0 says 0 where SC's codeword says 1, so the
     shortcut must refuse the node."""
-    evidence = np.log([[TIE_PAIRS]])
+    evidence = _llr_evidence(np.array([[TIE_PAIRS]]))
     _, x = _assert_plan_exact(evidence, np.zeros(4, dtype=bool),
                               np.zeros((1, 4), dtype=np.uint8))
-    hard = (evidence[-1, ..., 1] > evidence[-1, ..., 0]).astype(np.uint8)
+    hard = map_bits(evidence[-1, ..., 0])
     assert not np.array_equal(x, hard)
 
 
@@ -514,7 +514,7 @@ class TestPruningSkipsWork:
         if kind == "known":
             np.testing.assert_array_equal(u, bits)
         else:
-            np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence, np.float64)[0][0]))
+            np.testing.assert_array_equal(x, map_bits(evidence[0, ..., 0]))
         np.testing.assert_array_equal(x, polar_transform(u))
 
     def test_one_correction_flips_one_block(self, counted):
@@ -549,12 +549,12 @@ class TestPruningSkipsWork:
         assert counted == {"f": 0, "g": 0}
         np.testing.assert_array_equal(
             (u, x), _assert_plan_exact(evidence, known, bits, thresholds))
-        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence, np.float64)[0][0]))
+        np.testing.assert_array_equal(x, map_bits(evidence[0, ..., 0]))
 
 
 class TestPlanChecked:
     def test_bad_plans_rejected(self):
-        evidence = np.full((1, 2, 8, 2), np.log(0.5))
+        evidence = np.zeros((1, 2, 8, 1))
         free, bits = np.zeros(8, dtype=bool), np.zeros((2, 8), dtype=np.uint8)
         # plan bits outside {0, 1}: known bits of 3 would come out as 3s, and
         # a flip of 2 would decide u[0] = 2
@@ -581,7 +581,7 @@ class TestPlanChecked:
     def test_depth_first_pass_walks_one_chain(self):
         """Two chains are refused by the depth-first pass, with or without
         a plan, and by the breadth-first one."""
-        evidence = np.full((2, 2, 8, 2), np.log(0.5))
+        evidence = np.zeros((2, 2, 8, 1))
         bits = np.zeros((2, 8), dtype=np.uint8)
         for plan in [None, (np.zeros(8, dtype=bool), bits)]:
             with pytest.raises(ValueError, match="one chain"):
@@ -593,12 +593,24 @@ class TestPlanChecked:
     def test_leading_axis_other_than_one_rejected(self, n_chains):
         """Evidence whose leading axis is neither 1 nor the 2 above is a
         ValueError in both passes too."""
-        evidence = np.full((n_chains, 2, 8, 2), np.log(0.5))
+        evidence = np.zeros((n_chains, 2, 8, 1))
         bits = np.zeros((2, 8), dtype=np.uint8)
         for kwargs in [{}, {"plan": (np.zeros(8, dtype=bool), bits)},
                        {"codeword": bits}]:
             with pytest.raises(ValueError, match="one chain"):
                 sc_traverse(evidence, _never, **kwargs)
+
+    @pytest.mark.parametrize("width", [0, 2, 3])
+    def test_trailing_axis_other_than_one_rejected(self, width):
+        """Evidence is one LLR per position: (1, B, N, 2) log-weight pairs,
+        or any other trailing axis, are a ValueError in both passes, so a
+        caller still handing over pairs cannot be misread."""
+        evidence = np.zeros((1, 2, 8, width))
+        bits = np.zeros((2, 8), dtype=np.uint8)
+        for kwargs in [{}, {"plan": (np.zeros(8, dtype=bool), bits)},
+                       {"codeword": bits}]:
+            with pytest.raises(ValueError, match=r"\(1, B, N, 1\)"):
+                sc_traverse(evidence, lambda leaves, llr: None, **kwargs)
 
     def test_list_evidence_accepted(self):
         """Evidence given as nested lists runs as the same array does."""
@@ -612,7 +624,7 @@ class TestPlanChecked:
 
     @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.int32])
     def test_other_dtypes_rejected(self, dtype):
-        evidence = np.full((1, 2, 8, 2), np.log(0.5))
+        evidence = np.zeros((1, 2, 8, 1))
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="dtype"):
             sc_traverse(evidence, lambda leaves, llr: None, codeword=bits,
@@ -620,7 +632,7 @@ class TestPlanChecked:
 
     def test_plan_and_known_exclusive(self):
         """A codeword (the breadth-first pass) and a plan are exclusive."""
-        evidence = np.full((1, 2, 8, 2), np.log(0.5))
+        evidence = np.zeros((1, 2, 8, 1))
         bits = np.zeros((2, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="breadth-first"):
             sc_traverse(evidence, lambda leaves, llr: None, codeword=bits,
@@ -637,7 +649,7 @@ class TestMarginsChecked:
         pytest.param(np.zeros((2, 4)), id="margins0"),
         pytest.param(np.full((2, 8), np.nan), id="margins2")])
     def test_bad_margins_rejected(self, thresholds):
-        evidence = np.full((1, 2, 8, 2), np.log(0.5))
+        evidence = np.zeros((1, 2, 8, 1))
         plan = (np.zeros(8, dtype=bool), np.zeros((2, 8), np.uint8), thresholds)
         with pytest.raises(ValueError, match="plan thresholds"):
             sc_traverse(evidence, _never, plan=plan)
@@ -670,7 +682,7 @@ class TestInfiniteEvidence:
     def test_contradictory_evidence_falls_back_to_uninformative(self):
         # leaf 0 is certainly 1, but the path decides 0: the g-step then adds
         # +inf and -inf, which must read as no evidence at all
-        evidence = _log_weights(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
+        evidence = _llr_evidence(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
         u = np.zeros((1, 2), np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -678,25 +690,14 @@ class TestInfiniteEvidence:
             assert _depth_first_reads(evidence, u, known[0])
         np.testing.assert_array_equal(known[0, 0], [-np.inf, 0.0])
 
-    def test_all_zero_pairs_read_as_uniform(self):
-        evidence = _log_weights(np.zeros((2, 3, 16, 2)))
-        u = np.ones((3, 16), np.uint8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            leaves = _breadth_first_leaves(evidence, u)
-            assert all(_depth_first_reads(chain, u, leaves[c])
-                       for c, chain in enumerate(_per_chain(evidence)))
-        np.testing.assert_array_equal(leaves, 0.0)
-
     def test_llrs_past_float32_range_read_as_infinite(self):
-        """A finite L beyond float32's range, or beyond float64's in the
-        subtraction, is carried as the infinity it casts to, in both
-        passes and without a warning: the leaves are those of the same
-        evidence made certain."""
-        finite = np.array([[[[1e39, 0.0], [-1e39, 0.0], [0.0, -1e39],
-                             [1e308, -1e308]]]])
-        certain = np.array([[[[np.inf, 0.0], [-np.inf, 0.0], [0.0, -np.inf],
-                              [np.inf, 0.0]]]])
+        """A finite L beyond float32's range, float64's largest among them,
+        is carried as the infinity it casts to, in both passes and without
+        a warning: the leaves are those of the same evidence made
+        certain."""
+        largest = np.finfo(np.float64).max
+        finite = np.array([[[[1e39], [-1e39], [1e39], [largest]]]])
+        certain = np.array([[[[np.inf], [-np.inf], [np.inf], [np.inf]]]])
         u = np.zeros((1, 4), np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -711,11 +712,11 @@ class TestInfiniteEvidence:
     @pytest.mark.parametrize("pair", [(np.nan, np.nan), (np.nan, 0.0),
                                       (-np.inf, np.nan)])
     def test_nan_evidence_rejected(self, pair):
-        """A NaN anywhere in the evidence, here in the second transpose
-        chunk of a walk, is an error in both passes, not the L = 0 of a
-        pair of equal infinities."""
-        evidence = np.full((1, 70, 16, 2), np.log(0.5))
-        evidence[0, 66, 9] = pair
+        """A NaN anywhere in the evidence, here the LLR pair[0] - pair[1]
+        of a log-weight pair holding a NaN, in the second transpose chunk
+        of a walk, is an error in both passes."""
+        evidence = np.zeros((1, 70, 16, 1))
+        evidence[0, 66, 9] = np.subtract(*pair)
         u = np.zeros((70, 16), np.uint8)
         with pytest.raises(ValueError, match="NaN"):
             sc_traverse(evidence, _never, codeword=u)
@@ -779,7 +780,7 @@ def _polarized(n_chains, n_blocks, block_len, seed, doubt=1e-12):
     ln(1/doubt)."""
     gen = np.random.default_rng(seed)
     p1 = np.abs(gen.integers(0, 2, (n_chains, n_blocks, block_len)) - doubt)
-    return _log_weights(np.stack([1.0 - p1, p1], axis=-1))
+    return _llr_evidence(np.stack([1.0 - p1, p1], axis=-1))
 
 
 @pytest.mark.parametrize("n_chains", [1, 2])
@@ -803,7 +804,7 @@ class TestMarginPrunedPass:
             evidence = _polarized(n_chains, 6, block_len, seed)
             hard = gen.integers(0, 2, evidence.shape[:3])
             certain = gen.random(evidence.shape[:3]) < 0.5
-            evidence[certain] = _log_weights(
+            evidence[certain] = _llr_evidence(
                 np.stack([1 - hard, hard], axis=-1))[certain]
         else:
             evidence = _evidence(kind, n_chains, 6, block_len, seed)
@@ -815,7 +816,7 @@ def _leaf_rule(llr, uniforms):
     the (B,) uniforms, read from depth-first passes of N = 1."""
     llr = np.broadcast_to(llr, uniforms.shape)
     p1 = 1.0 / (1.0 + np.exp(llr))
-    evidence = np.log(np.stack([1.0 - p1, p1], axis=-1))[None, :, None]
+    evidence = _llr_evidence(np.stack([1.0 - p1, p1], axis=-1))[None, :, None]
     plan = (np.zeros(1, dtype=bool), np.zeros((uniforms.size, 1), np.uint8),
             _thresholds(uniforms)[:, None])
     return sc_traverse(evidence, _never, plan=plan)[0][:, 0]
@@ -861,7 +862,7 @@ class TestPlantedMargins:
         pairs = np.tile([1 - 1e-13, 1e-13], (1, 2, 8, 1))
         if sign < 0:
             pairs[0, 0, 5] = [1e-13, 1 - 1e-13]
-        evidence = np.log(pairs)
+        evidence = _llr_evidence(pairs)
         uniforms = np.full((2, 8), 0.5)
         uniforms[0, 0] = planted_u
         u, _ = _assert_plan_exact(evidence, np.zeros(8, dtype=bool),
@@ -879,7 +880,7 @@ class TestPlantedMargins:
         rule, so the output is the oracle's either way.  The guard is
         compared with the walk's float32 |L| in float64."""
         evidence = _polarized(1, 1, 2, seed=4, doubt=1e-5)
-        low = float(np.abs(sc_module._llrs(evidence, np.float64)[0][0]).astype(np.float32).min())
+        low = float(np.abs(evidence).astype(np.float32).min())
         base = sc_module._LN2 * 1 + 1.0
         margin = low - base
         if above:
@@ -894,7 +895,7 @@ class TestPlantedMargins:
             u, x = sc_traverse(evidence, _never, plan=plan)
         assert steps["f"] == (0 if above else 1)
         np.testing.assert_array_equal((u, x), _assert_plan_exact(evidence, *plan))
-        np.testing.assert_array_equal(x, map_bits(sc_module._llrs(evidence, np.float64)[0][0]))
+        np.testing.assert_array_equal(x, map_bits(evidence[0, ..., 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def test_breadth_first_passes_return_no_block_outputs():
     the breadth-first route makes no (B, N) outputs."""
     x, _ = crossover_side_info(0.1).sample(3, 64, rng.stream(14, rng.STREAM_SOURCE))
     assert profile_module.traverse_batches(
-        lambda s, e: np.full((e - s, 64, 2), 0.5),
+        lambda s, e: np.full((e - s, 64), 0.5),
         lambda llr, s, e: None, codeword=x) is None
 
 
