@@ -229,12 +229,20 @@ def _coset_llr(centers, sigma, offsets, step):
     near = np.asarray(centers - offsets, dtype=np.float64)
     near /= step
     np.rint(near, out=near)
-    k0 = near.astype(np.int64)
+    # only k0's parity is read again, at the end: one byte per value
+    # instead of an int64 array held through the sums
+    odd = near.astype(np.int64)
+    odd &= 1
+    odd = odd.astype(np.uint8)
     near *= step
     near += offsets
     near -= centers
+    # far = near - copysign(step, near), its sign moved as a bit: np.copysign
+    # runs as a scalar loop
     far, llr, up, down, slope = (np.empty_like(near) for _ in range(5))
-    np.copysign(step, near, out=far)
+    far_bits = far.view(np.uint64)
+    np.bitwise_and(near.view(np.uint64), 1 << 63, out=far_bits)
+    far_bits |= np.float64(abs(step)).view(np.uint64)
     np.subtract(near, far, out=far)
     inv = -1.0 / (2.0 * sigma * sigma)
     np.multiply(near, near, out=llr)
@@ -246,7 +254,9 @@ def _coset_llr(centers, sigma, offsets, step):
     sums = []
     for anchor, reach in ((near, 0.5 * step), (far, step)):
         np.multiply(anchor, 4.0 * inv * step, out=slope)
-        total = np.ones_like(anchor)
+        # the anchor is not read again: its buffer takes the sum
+        total = anchor
+        total.fill(1.0)
         i = 1
         while 2.0 * step * i * (step * i - reach) <= _NEGLIGIBLE * sigma * sigma:
             shift = curve * (i * i)
@@ -264,10 +274,9 @@ def _coset_llr(centers, sigma, offsets, step):
     ratio = np.divide(sums[0], sums[1], out=sums[0])
     llr += np.log(ratio, out=ratio)
     # negate where the nearest point's index is odd, exactly, by flipping
-    # the sign bit: k0 << 63 moves k0's parity bit there (np.where with a
-    # random mask runs several times slower)
-    k0 <<= 63
-    llr.view(np.int64)[...] ^= k0
+    # the sign bit (np.where with a random mask runs several times slower)
+    flips = np.left_shift(odd, 63, out=up.view(np.uint64), dtype=np.uint64)
+    llr.view(np.uint64)[...] ^= flips
     return llr
 
 

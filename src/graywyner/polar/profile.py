@@ -311,6 +311,12 @@ def channel_evidence(channel: BinarySourceWithSideInfo, side):
 # breadth-first slice (_GROUP_VALUES), so its buffer takes no more
 # bytes than a bool mask of the slice
 _LEAF_TAIL_VALUES = 1 << 13
+# log1p(x) == x in float64 for x below 2^-54, where the next term, x^2/2,
+# is under half a rounding unit of x (NumPy's SIMD log1p keeps this, which
+# tests/test_sc_engine.py checks); _leaf_statistics skips log1p at and
+# below e^-37.5 = 5.2e-17 < 2^-54, so a polarized leaf's e^-|L| does not
+# pay log1p's slow branches on mixed tiny arguments
+_LOG1P_IS_IDENTITY = float(np.exp(-37.5))
 
 
 def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
@@ -323,23 +329,35 @@ def _leaf_statistics(llr: np.ndarray, bits: np.ndarray):
     the scalar ones inside logaddexp by at most a rounding unit, which
     moves h by as much.  L is capped in llr's own buffer, which saves a
     batch-sized array, and the log1p term is taken _LEAF_TAIL_VALUES
-    values at a time."""
+    values at a time.
+
+    Signs move as bits on uint64 views, as in sc._f_step: s is L with its
+    sign bit xored with (1 - bit) << 63, which is the product L (2 bit -
+    1) bit for bit, and -|s| is L with its sign bit ORed in.  np.copysign
+    and the mixed float64-int8 multiply they replace both run as scalar
+    loops.  log1p is applied only where e^-|s| exceeds
+    _LOG1P_IS_IDENTITY, and below it log1p(x) is x, so h has the bits of
+    an unmasked log1p."""
     misses = map_bits(llr)
     misses ^= bits  # 1 where the decision misses the true bit
     misses = np.add.reduce(misses, axis=0, dtype=np.int32)
     capped = np.clip(llr, -700.0, 700.0, out=llr)
-    sign = np.multiply(bits, 2, dtype=np.int8)
-    sign -= 1  # 2 bit - 1
-    h = np.multiply(capped, sign)  # s
+    l_bits = capped.view(np.uint64)
+    h_bits = np.left_shift(bits ^ 1, 63, dtype=np.uint64)
+    h_bits ^= l_bits  # s
+    h = h_bits.view(np.float64)
     np.maximum(h, 0.0, out=h)
-    flat_l, flat_h = capped.reshape(-1), h.reshape(-1)
+    flat_l, flat_h = l_bits.reshape(-1), h.reshape(-1)
     tail = np.empty(min(capped.size, _LEAF_TAIL_VALUES))
+    informative = np.empty(len(tail), dtype=bool)
     for start in range(0, capped.size, _LEAF_TAIL_VALUES):
         stop = min(start + _LEAF_TAIL_VALUES, capped.size)
-        part = tail[:stop - start]
-        np.copysign(flat_l[start:stop], -1.0, out=part)  # -|s|
+        part, used = tail[:stop - start], informative[:stop - start]
+        np.bitwise_or(flat_l[start:stop], 1 << 63,
+                      out=part.view(np.uint64))  # -|s|
         np.exp(part, out=part)
-        np.log1p(part, out=part)
+        np.greater(part, _LOG1P_IS_IDENTITY, out=used)
+        np.log1p(part, out=part, where=used)
         flat_h[start:stop] += part
     h /= np.log(2.0)
     return misses, h

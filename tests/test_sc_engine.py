@@ -8,9 +8,10 @@ the batch sizes around the walk's transpose chunks), float32 walks on
 planted LLRs at the edges of the rate-1 guard (Hypothesis), the refusal
 of evidence with more than one chain or other than one LLR per position,
 the walk's peak memory, infinite and contradictory evidence, the leaf
-statistics and decisions read from LLRs against their pair formulas, the
-rounding thresholds, and lossless round trips whose uncertain positions
-are mostly decided by maximum posterior.
+statistics and decisions read from LLRs against their pair formulas and
+bit for bit against their copysign form, NumPy's log1p identity below the
+leaf statistics' mask, the rounding thresholds, and lossless round trips
+whose uncertain positions are mostly decided by maximum posterior.
 
 The oracle of a depth-first pass needs no callback: along the pass's
 output u, every known leaf equals its bit and every other leaf equals
@@ -752,6 +753,74 @@ def test_leaf_formulas_match_pair_formulas():
     assert map_bits(np.array(-0.0)) == map_bits(np.array(0.0)) == 0
 
 
+def _leaf_statistics_copysign(llr, bits):
+    """_leaf_statistics as it was before its signs moved as bits and its
+    log1p was masked: s from an int8 multiply, -|s| from np.copysign and
+    log1p on every value.  The oracle of
+    test_leaf_statistics_match_copysign_form."""
+    misses = map_bits(llr)
+    misses ^= bits
+    misses = np.add.reduce(misses, axis=0, dtype=np.int32)
+    capped = np.clip(llr, -700.0, 700.0)
+    sign = np.multiply(bits, 2, dtype=np.int8)
+    sign -= 1
+    h = np.multiply(capped, sign)
+    np.maximum(h, 0.0, out=h)
+    h += np.log1p(np.exp(np.copysign(capped, -1.0)))
+    h /= np.log(2.0)
+    return misses, h
+
+
+def test_leaf_statistics_match_copysign_form(monkeypatch):
+    """Bit for bit against the copysign form, misses included, on the
+    leaves of two real constructions (a side-information channel's
+    conditional chain and a plain source's two chains), and on leaves with +-0,
+    +-700 and past it, +-inf and |L| around 37.5, where e^-|L| crosses
+    the mask of log1p, planted in a (5, 2000) batch whose last log1p
+    pass is a partial one."""
+    leaves = []
+    real = profile_module._leaf_statistics
+
+    def keep(llr, bits):
+        leaves.append((llr.copy(), bits.copy()))
+        return real(llr, bits)
+
+    monkeypatch.setattr(profile_module, "_leaf_statistics", keep)
+    for channel in (crossover_side_info(0.11), lossless_source(0.11)):
+        construct_profile(channel, 1024, sample_count=32, seed=5)
+    monkeypatch.undo()
+    gen = np.random.default_rng(8)
+    llr = np.resize(leaves[0][0], (5, 2000))
+    near = 37.5 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3])
+    planted = np.concatenate([[0.0, -0.0, 700.0, -700.0, 800.0, -800.0,
+                               np.inf, -np.inf], near, -near])
+    spots = gen.choice(llr.size, (40, planted.size), replace=False)
+    llr.flat[spots] = planted
+    leaves.append((llr, gen.integers(0, 2, llr.shape, dtype=np.uint8)))
+    for llr, bits in leaves:
+        assert llr.size > profile_module._LEAF_TAIL_VALUES
+        misses, h = _leaf_statistics(llr.copy(), bits)
+        want_misses, want_h = _leaf_statistics_copysign(llr.copy(), bits)
+        np.testing.assert_array_equal(misses, want_misses)
+        np.testing.assert_array_equal(h.view(np.uint64), want_h.view(np.uint64))
+
+
+def test_log1p_is_identity_below_leaf_mask():
+    """NumPy's float64 log1p returns its argument bit for bit at and below
+    profile._LOG1P_IS_IDENTITY, which _leaf_statistics' masked log1p rests
+    on: 2^20 arguments e^-|L| for |L| from 37.5 to the cap at 700 in
+    random order, as leaves mix them, and the edges.  A NumPy whose log1p
+    breaks the identity fails here, not in a moved profile digest."""
+    threshold = profile_module._LOG1P_IS_IDENTITY
+    assert threshold < 2.0 ** -54
+    gen = np.random.default_rng(11)
+    x = np.concatenate([np.exp(-gen.uniform(37.5, 700.0, 1 << 20)),
+                        [threshold, np.nextafter(threshold, 0.0), np.exp(-700.0)]])
+    x = x[x <= threshold]
+    assert x.size > (1 << 20) - 100
+    np.testing.assert_array_equal(np.log1p(x).view(np.uint64), x.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", range(15))
 @pytest.mark.parametrize("block_len", [256, 1024])
 @pytest.mark.parametrize("channel,with_side", [
@@ -1041,7 +1110,9 @@ class TestWalkMemory:
 
 def _f_step_two_loops(a, b, has_inf):
     """The f-step as it was computed before its two log terms shared one
-    clamp, exp and log1p: the oracle of test_f_step_matches_two_loop_formula."""
+    clamp, exp and log1p, and before its signs moved as bits: the oracle
+    of test_f_step_matches_two_loop_formula.  Returns the result and the
+    magnitude np.copysign took it from."""
     out = np.empty_like(a)
     sum_term, gap_term = np.empty((2,) + a.shape, dtype=a.dtype)
     neg_near = out
@@ -1060,27 +1131,53 @@ def _f_step_two_loops(a, b, has_inf):
     sum_term -= neg_near
     sum_term -= gap_term
     np.multiply(a, b, out=gap_term)
-    return np.copysign(sum_term, gap_term, out=out)
+    return np.copysign(sum_term, gap_term, out=out), sum_term
 
 
-@pytest.mark.parametrize("shape", [(64, 4), (2, 16, 1024)])
+def _f_step_values(gen, shape, dtype, kind, has_inf):
+    """LLRs for the f-step oracle test: "mixed" mixes +-0, huge values
+    (whose product overflows), magnitudes on both sides of the term cap
+    at 60 and +-inf where the pass has infinite LLRs; "tiny" has
+    magnitudes from 1e-6 to 1e-3, where float32 magnitudes round below
+    0."""
+    if kind == "tiny":
+        magnitude = 10.0 ** gen.uniform(-6.0, -3.0, shape)
+        return np.where(gen.random(shape) < 0.5, -magnitude, magnitude).astype(dtype)
+    huge = 1e300 if dtype == np.float64 else 1e30
+    special = [0.0, -0.0, huge, -huge, 59.5, -60.0, 60.0, 60.5, -120.0, 30.0]
+    if has_inf:
+        special += [np.inf, -np.inf]
+    return np.where(gen.random(shape) < 0.5, gen.choice(special, shape),
+                    gen.normal(0.0, 40.0, shape)).astype(dtype)
+
+
+@pytest.mark.parametrize("shape", [(64, 4), (2, 16, 1024), (1, 64)])
 @pytest.mark.parametrize("has_inf", [False, True])
 def test_f_step_matches_two_loop_formula(shape, has_inf):
     """Bit for bit, signed zeros and inf included, in float64 (the test
-    oracles') and float32 (every pipeline's pass), on values that mix +-0,
-    huge ones (whose product overflows), magnitudes on both sides of the
-    term cap at 60, and +-inf where the pass has infinite LLRs."""
-    for dtype, bits, huge in [(np.float64, np.uint64, 1e300),
-                              (np.float32, np.uint32, 1e30)]:
-        gen = np.random.default_rng(sum(shape) + has_inf)
-        special = [0.0, -0.0, huge, -huge, 59.5, -60.0, 60.0, 60.5, -120.0, 30.0]
-        if has_inf:
-            special += [np.inf, -np.inf]
-        a, b = (np.where(gen.random(shape) < 0.5, gen.choice(special, shape),
-                         gen.normal(0.0, 40.0, shape)).astype(dtype)
-                for _ in range(2))
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = sc_module._f_step(a, b, has_inf)
-            want = _f_step_two_loops(a, b, has_inf)
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got.view(bits), want.view(bits))
+    oracles') and float32 (every pipeline's pass), on mixed values and on
+    tiny ones, whose float32 magnitudes round below 0 (the oracle's
+    copysign takes their absolute value).  a and b are the two halves,
+    along axis -2, of one node: a walk's contiguous (M/2, B) halves at
+    (64, 4), a breadth-first pass's strided (B, M/2, count) halves at
+    (2, 16, 1024), run bare and into the contiguous scratch that pass
+    gives, and a walk's (1, B) rows above its leaves at (1, 64)."""
+    node_shape = shape[:-2] + (2 * shape[-2], shape[-1])
+    half = shape[-2]
+    for dtype, bits in [(np.float64, np.uint64), (np.float32, np.uint32)]:
+        for kind in ("mixed", "tiny"):
+            gen = np.random.default_rng(sum(shape) + has_inf)
+            node = _f_step_values(gen, node_shape, dtype, kind, has_inf)
+            a, b = node[..., :half, :], node[..., half:, :]
+            with np.errstate(invalid="ignore", over="ignore"):
+                want, magnitude = _f_step_two_loops(a, b, has_inf)
+                got = [sc_module._f_step(a, b, has_inf)]
+                if len(shape) == 3:
+                    scratch = np.empty((3,) + shape, dtype=dtype)
+                    got.append(sc_module._f_step(a, b, has_inf, out=scratch[2],
+                                                 work=scratch[:2]))
+            if kind == "tiny" and dtype == np.float32:
+                assert (magnitude < 0).any()
+            for result in got:
+                assert result.dtype == dtype
+                np.testing.assert_array_equal(result.view(bits), want.view(bits))
